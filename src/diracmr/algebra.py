@@ -48,6 +48,19 @@ for _i in range(3):
             EPS3[_i, _j, _k] = levi_civita3(_i, _j, _k)
 
 
+def central_gradient(fn, x, h: float) -> np.ndarray:
+    """4th-order central differences of fn at x along each coordinate of x.
+
+    Returns shape x.shape + fn(x).shape; a scalar x gives the plain derivative.
+    """
+    x = np.asarray(x, dtype=float)
+    steps = h * np.eye(x.size).reshape((x.size,) + x.shape)
+    out = np.stack(
+        [(-fn(x + 2 * e) + 8 * fn(x + e) - 8 * fn(x - e) + fn(x - 2 * e)) / (12 * h) for e in steps]
+    )
+    return out.reshape(x.shape + out.shape[1:])
+
+
 def _block(a, b, c, d) -> np.ndarray:
     return np.block([[a, b], [c, d]])
 

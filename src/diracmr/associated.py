@@ -5,14 +5,14 @@ the mode-spinor basis (active mode) or, equivalently, through a pair of
 associated operators acting on the particle/antiparticle wave spinors in
 momentum space (passive mode).  This module builds the associated operators
 of the spin, position, velocity and isometry-generator families, the Wigner
-little-group matrices of the induced representations, a finite-difference
-commutator harness for their algebra, and the closed-form oscillating
+little-group matrices of the induced representations, the exact commutator
+of two associated operators, and the closed-form oscillating
 (zitterbewegung) kernels of the particle-antiparticle mixing terms.
 
-Associated operators are stored as (multiplicative part, coefficient of the
-covariant derivative) pairs so that commutators of purely multiplicative
-operators can be formed structurally; derivative compositions are evaluated
-by nested 4th-order central finite differences on smooth test spinors.
+Associated operators are first order, alpha -> M(p) alpha + D_k(p) d~_k alpha,
+with 2x2 M, scalar D_k and d~_k = d_k + Omega_k.  The connection is pure gauge,
+so a commutator is again first order and needs first derivatives of M and D
+only; no spinor is differentiated numerically.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .algebra import (
     PAULI,
     Momentum,
     boost_for_momentum,
+    central_gradient,
     lorentz_inverse,
     lorentz_of,
     theta_tensor,
@@ -41,18 +42,23 @@ from .spinors import rest_u_matrix, rest_v_matrix
 # wave spinors
 
 
+def _step(p: np.ndarray) -> float:
+    # helicity quantities vary on the scale of |p| itself (Omega ~ 1/|p|)
+    return 1e-3 * float(np.linalg.norm(p))
+
+
 class WaveSpinor:
     """Two-component wave function of momentum with optional analytic gradient.
 
     When no gradient is supplied, derivatives fall back to 4th-order central
-    finite differences with one Richardson extrapolation step, using
-    h = 1e-3 * max(|p|, scale).
+    finite differences with step h = 1e-3 |p|, the scale on which helicity
+    quantities vary.  The fallback is undefined at p = 0; no caller reaches it
+    there.
     """
 
-    def __init__(self, fn, grad=None, scale: float = 1.0):
+    def __init__(self, fn, grad=None):
         self._fn = fn
         self._grad = grad
-        self.scale = float(scale)
 
     def value(self, p) -> np.ndarray:
         return np.asarray(self._fn(np.asarray(p, dtype=float)), dtype=complex)
@@ -62,25 +68,7 @@ class WaveSpinor:
         p = np.asarray(p, dtype=float)
         if self._grad is not None:
             return np.asarray(self._grad(p), dtype=complex)
-        h = 1e-3 * max(float(np.linalg.norm(p)), self.scale)
-        return _fd_gradient(self.value, p, h)
-
-
-def _fd4(fn, p: np.ndarray, h: float) -> np.ndarray:
-    out = []
-    for k in range(3):
-        e = np.zeros(3)
-        e[k] = h
-        out.append(
-            (-fn(p + 2 * e) + 8 * fn(p + e) - 8 * fn(p - e) + fn(p - 2 * e)) / (12 * h)
-        )
-    return np.stack(out)
-
-
-def _fd_gradient(fn, p: np.ndarray, h: float) -> np.ndarray:
-    coarse = _fd4(fn, p, h)
-    fine = _fd4(fn, p, h / 2)
-    return (16.0 * fine - coarse) / 15.0
+        return central_gradient(self.value, p, _step(p))
 
 
 def gaussian_test_spinor(rng: np.random.Generator, scale: float = 1.0) -> WaveSpinor:
@@ -106,7 +94,7 @@ def gaussian_test_spinor(rng: np.random.Generator, scale: float = 1.0) -> WaveSp
         dpoly = a.T + 2.0 * np.einsum("skj,j->ks", b, p)
         return g * (dpoly - np.outer(p, poly) / s2)
 
-    return WaveSpinor(value, grad, scale=scale)
+    return WaveSpinor(value, grad)
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +162,7 @@ class AssociatedOperator:
     """Operator on wave spinors: multiplicative part plus covariant-derivative
     term, alpha -> mult(p) alpha(p) + sum_k dcoef(p)[k] (d~_k alpha)(p).
 
+    ``dcoef(p)`` gives the three scalar coefficients, shape (3,).
     ``sign_c`` records the antiparticle relation A~^c = sign_c * A~.
     """
 
@@ -183,10 +172,6 @@ class AssociatedOperator:
     dcoef: Callable[[np.ndarray], np.ndarray] | None = None
     sign_c: int = 1
 
-    @property
-    def is_multiplicative(self) -> bool:
-        return self.dcoef is None
-
     def mult_at(self, p) -> np.ndarray:
         if self.mult is None:
             return np.zeros((2, 2), dtype=complex)
@@ -195,35 +180,54 @@ class AssociatedOperator:
     def apply(self, spinor: WaveSpinor, p) -> np.ndarray:
         p = np.asarray(p, dtype=float)
         val = spinor.value(p)
-        out = np.zeros(2, dtype=complex)
-        if self.mult is not None:
-            out = out + self.mult(p) @ val
+        out = self.mult_at(p) @ val
         if self.dcoef is not None:
-            cov = spinor.gradient(p) + np.einsum("kab,b->ka", self.basis.omega(p), val)
-            out = out + np.einsum("kab,kb->a", self.dcoef(p), cov)
+            cov = spinor.gradient(p) + self.basis.omega(p) @ val
+            out = out + np.tensordot(self.dcoef(p), cov, axes=1)
         return out
 
-    def after(self, spinor: WaveSpinor) -> WaveSpinor:
-        """The composite p -> (A alpha)(p), gradient by finite differences."""
-        return WaveSpinor(lambda p: self.apply(spinor, p), scale=spinor.scale)
+
+def _covariant_gradient(op: AssociatedOperator, p: np.ndarray) -> np.ndarray:
+    """d~_k M = d_k M + [Omega_k, M] of the multiplicative part, shape (3, 2, 2)."""
+    m = op.mult_at(p)
+    om = op.basis.omega(p)
+    return central_gradient(op.mult_at, p, _step(p)) + om @ m - m @ om
+
+
+def commutator(a: AssociatedOperator, b: AssociatedOperator) -> AssociatedOperator:
+    """[A, B] as one first-order operator, the curvature term D_a,j D_b,k
+    [d~_j, d~_k] being zero on the flat connection:
+
+    mult  = [M_a, M_b] + D_a,k d~_k M_b - D_b,k d~_k M_a,
+    dcoef = D_a,j d_j D_b - D_b,j d_j D_a,
+
+    with one stencil of step 1e-3 |p| per derivative; two multiplicative
+    operators need none.
+    """
+
+    def mult(p):
+        ma, mb = a.mult_at(p), b.mult_at(p)
+        out = ma @ mb - mb @ ma
+        for x, y, sign in ((a, b, 1), (b, a, -1)):
+            if x.dcoef is not None and y.mult is not None:
+                out = out + sign * np.einsum("k,kab->ab", x.dcoef(p), _covariant_gradient(y, p))
+        return out
+
+    def dcoef(p):
+        da, db = a.dcoef(p), b.dcoef(p)
+        return da @ central_gradient(b.dcoef, p, _step(p)) - db @ central_gradient(a.dcoef, p, _step(p))
+
+    both = a.dcoef is not None and b.dcoef is not None
+    return AssociatedOperator(
+        f"[{a.name}, {b.name}]", a.basis, mult=mult, dcoef=dcoef if both else None
+    )
 
 
 def commutator_action(
     a: AssociatedOperator, b: AssociatedOperator, spinor: WaveSpinor, p
 ) -> np.ndarray:
-    """[A, B] alpha at p; derivative compositions go through nested central
-    finite differences, so residuals are FD limited (~1e-5 scale tolerance)."""
-    if a.is_multiplicative and b.is_multiplicative:
-        m = a.mult_at(p) @ b.mult_at(p) - b.mult_at(p) @ a.mult_at(p)
-        return m @ spinor.value(p)
-    return a.apply(b.after(spinor), p) - b.apply(a.after(spinor), p)
-
-
-def commutator_mult(a: AssociatedOperator, b: AssociatedOperator, p) -> np.ndarray:
-    """Structural commutator matrix for purely multiplicative operators."""
-    if not (a.is_multiplicative and b.is_multiplicative):
-        raise ValueError("structural commutator needs multiplicative operators")
-    return a.mult_at(p) @ b.mult_at(p) - b.mult_at(p) @ a.mult_at(p)
+    """[A, B] alpha at p, through the exact first-order ``commutator``."""
+    return commutator(a, b).apply(spinor, p)
 
 
 class AssociatedFamily:
@@ -302,8 +306,8 @@ class AssociatedFamily:
 
     def position(self, i: int, t: float = 0.0) -> AssociatedOperator:
         def dcoef(p):
-            out = np.zeros((3, 2, 2), dtype=complex)
-            out[i] = 1j * ID2
+            out = np.zeros(3, dtype=complex)
+            out[i] = 1j
             return out
 
         mult = None
@@ -315,14 +319,14 @@ class AssociatedFamily:
 
     def angular(self, i: int) -> AssociatedOperator:
         def dcoef(p):
-            return np.einsum("jk,j->k", EPS3[i], p)[:, None, None] * (-1j * ID2)
+            return -1j * (p @ EPS3[i])
 
         return AssociatedOperator(f"L~{i + 1}", self.basis, dcoef=dcoef, sign_c=-1)
 
     def boost_orbital(self, i: int) -> AssociatedOperator:
         def dcoef(p):
-            out = np.zeros((3, 2, 2), dtype=complex)
-            out[i] = 1j * self._energy(p) * ID2
+            out = np.zeros(3, dtype=complex)
+            out[i] = 1j * self._energy(p)
             return out
 
         def mult(p):
@@ -342,28 +346,27 @@ class AssociatedFamily:
 
     # --- alternative position splittings ------------------------------------
 
+    # spin offsets (p ^ S~)_i / (E(E+m)) and -(p ^ S~)_i / (m(E+m)) are the
+    # boost-spin multiple Ks~_i / E and -Ks~_i / m
+
     def position_pryce_c(self, i: int) -> AssociatedOperator:
-        base = self.position(i)
-
-        def mult(p):
-            e = self._energy(p)
-            spin_term = np.einsum("jk,j,kab->ab", EPS3[i], p, self._sigma_half(p))
-            return spin_term / (e * (e + self.m))
-
+        ks = self.boost_spin(i)
         return AssociatedOperator(
-            f"Xc~{i + 1}", self.basis, mult=mult, dcoef=base.dcoef, sign_c=1
+            f"Xc~{i + 1}",
+            self.basis,
+            mult=lambda p: ks.mult(p) / self._energy(p),
+            dcoef=self.position(i).dcoef,
+            sign_c=1,
         )
 
     def position_pryce_d(self, i: int) -> AssociatedOperator:
-        base = self.position(i)
-
-        def mult(p):
-            e = self._energy(p)
-            spin_term = np.einsum("jk,j,kab->ab", EPS3[i], p, self._sigma_half(p))
-            return -spin_term / (self.m * (e + self.m))
-
+        ks = self.boost_spin(i)
         return AssociatedOperator(
-            f"Xd~{i + 1}", self.basis, mult=mult, dcoef=base.dcoef, sign_c=1
+            f"Xd~{i + 1}",
+            self.basis,
+            mult=lambda p: -ks.mult(p) / self.m,
+            dcoef=self.position(i).dcoef,
+            sign_c=1,
         )
 
     def y_pryce_c(self, i: int) -> AssociatedOperator:
@@ -459,7 +462,7 @@ def wigner_transform(
         phase = np.exp(1j * (q.energy * a[0] - float(np.dot(p, a[1:]))))
         return np.sqrt(qprime.energy / q.energy) * phase * (d @ alpha.value(qprime.p))
 
-    return WaveSpinor(value, scale=alpha.scale)
+    return WaveSpinor(value)
 
 
 # ---------------------------------------------------------------------------

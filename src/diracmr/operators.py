@@ -21,6 +21,7 @@ from .algebra import (
     SPIN,
     Momentum,
     boost_for_momentum,
+    central_gradient,
     lorentz_boost_matrix,
     theta_tensor,
 )
@@ -123,23 +124,10 @@ def position_offset_from_boost_derivative(q: Momentum, h: float = 1e-5) -> np.nd
     def dx_at(qq: Momentum) -> np.ndarray:
         lp_inv = boost_for_momentum(qq.flipped())
         n = np.sqrt(qq.m / qq.energy)
-        out = np.empty((3, 4, 4), dtype=complex)
-        for i in range(3):
-            e = np.zeros(3)
-            e[i] = h
-            d = (
-                -nl(qq.p + 2 * e)
-                + 8 * nl(qq.p + e)
-                - 8 * nl(qq.p - e)
-                + nl(qq.p - 2 * e)
-            ) / (12 * h)
-            out[i] = -1j / n * d @ lp_inv
-        return out
+        return -1j / n * central_gradient(nl, qq.p, h) @ lp_inv
 
     plus, minus = projectors(q)
-    dxp = dx_at(q)
-    dxm = dx_at(q.flipped())
-    return np.stack([dxp[i] @ plus - dxm[i] @ minus for i in range(3)])
+    return dx_at(q) @ plus - dx_at(q.flipped()) @ minus
 
 
 def auxiliary_spins(q: Momentum) -> tuple[np.ndarray, np.ndarray]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import PAULI
+from .algebra import PAULI, central_gradient
 
 EPS_POLE = 1e-9
 
@@ -40,12 +40,13 @@ def spinor_pair(n) -> np.ndarray:
     """Spin-projection eigenspinors along a unit vector n, as matrix columns.
 
     Columns solve (n.sigma/2) xi_sigma = sigma xi_sigma; singular on the
-    n^3 = -1 pole of the chart.
+    n^3 = -1 pole of the chart.  1 + n^3 = (n1^2 + n2^2)/(1 - n^3) for n^3 < 0
+    keeps the columns orthonormal to rounding instead of cancelling digits.
     """
     n = np.asarray(n, dtype=float)
     if abs(np.linalg.norm(n) - 1.0) > 1e-12:
         raise ValueError("direction must be a unit vector")
-    den = 1.0 + n[2]
+    den = 1.0 + n[2] if n[2] >= 0.0 else (n[0] ** 2 + n[1] ** 2) / (1.0 - n[2])
     if den <= EPS_POLE:
         raise PoleError(f"spinor chart singular at n3 -> -1 (1+n3 = {den:.3e})")
     pref = np.sqrt(den / 2.0)
@@ -77,31 +78,14 @@ class PolarizationBasis:
 
     def omega(self, p) -> np.ndarray:
         """Connections Omega_i(p) = xi^+(p) d_{p^i} xi(p); default by finite differences."""
-        return self.omega_fd(p)
+        return self.omega_fd(p, 1e-4 * float(np.linalg.norm(p)))
 
-    def omega_fd(self, p, mass_scale: float = 1.0, h: float | None = None) -> np.ndarray:
-        """4th-order central finite-difference Omega, for cross-validation.
-
-        The default step 1e-4 max(|p|, mass_scale) suits momentum-independent
-        scales; pass an explicit ``h`` of order 1e-4 |p| when validating
-        direction-dependent (helicity-type) spinors at small |p|.
+    def omega_fd(self, p, h: float) -> np.ndarray:
+        """4th-order central finite-difference Omega with step h, for
+        cross-validation; direction-dependent (helicity-type) spinors vary on
+        the scale |p|, so h of order 1e-4 |p| suits them.
         """
-        p = np.asarray(p, dtype=float)
-        if h is None:
-            h = 1e-4 * max(float(np.linalg.norm(p)), mass_scale)
-        x0 = self.xi(p)
-        out = np.empty((3, 2, 2), dtype=complex)
-        for i in range(3):
-            e = np.zeros(3)
-            e[i] = h
-            d = (
-                -self.xi(p + 2 * e)
-                + 8 * self.xi(p + e)
-                - 8 * self.xi(p - e)
-                + self.xi(p - 2 * e)
-            ) / (12 * h)
-            out[i] = x0.conj().T @ d
-        return out
+        return self.xi(p).conj().T @ central_gradient(self.xi, p, h)
 
 
 class CommonBasis(PolarizationBasis):

@@ -12,8 +12,8 @@ from diracmr.associated import (
     AssociatedFamily,
     WaveSpinor,
     apply_associated,
+    commutator,
     commutator_action,
-    commutator_mult,
     gaussian_test_spinor,
     matrix_elements_diag,
     matrix_elements_offdiag,
@@ -22,6 +22,7 @@ from diracmr.associated import (
 from diracmr.operators import OPERATOR_CATALOG, auxiliary_spins
 from diracmr.polarization import CommonBasis, HelicityBasis
 from diracmr.sampling import make_rng, sample_momenta
+from diracmr.verify import run_suite
 
 TOL = 1e-12
 BASES = (CommonBasis(), HelicityBasis())
@@ -119,7 +120,7 @@ def test_wave_spinor_gradients():
     alpha = gaussian_test_spinor(rng)
     p = np.array([0.4, -0.2, 0.7])
     analytic = alpha.gradient(p)
-    fd = WaveSpinor(alpha.value, scale=1.0).gradient(p)
+    fd = WaveSpinor(alpha.value).gradient(p)
     assert mx(analytic - fd) < 1e-9
 
 
@@ -194,9 +195,28 @@ def test_structural_commutator_multiplicative():
     fam = AssociatedFamily(1.0, basis)
     q = Momentum.of(0.2, 0.4, 0.9)
     s1, s2, s3 = (fam.spin(i) for i in range(3))
-    assert mx(commutator_mult(s1, s2, q.p) - 1j * s3.mult_at(q.p)) < TOL
-    with pytest.raises(ValueError):
-        commutator_mult(fam.position(0), s1, q.p)
+    assert mx(commutator(s1, s2).mult_at(q.p) - 1j * s3.mult_at(q.p)) < TOL
+
+
+def test_exact_commutator_of_angular_momenta_term_by_term():
+    # [L1, L2] = i L3 as first-order operators: no multiplicative part, and
+    # the derivative coefficients agree
+    fam = AssociatedFamily(1.0, HelicityBasis())
+    L = [fam.angular(i) for i in range(3)]
+    c = commutator(L[0], L[1])
+    for q in sample_momenta(5, 1.0, seed=77, avoid_poles=True):
+        assert mx(c.mult_at(q.p)) < 1e-9
+        assert mx(c.dcoef(q.p) - 1j * L[2].dcoef(q.p)) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "seed, mass", [(1, 0.25), (3, 0.25), (1511652251, 1.0)]
+)
+def test_appendix_b_small_momentum_near_pole(seed, mass):
+    # |p| << m, and |p| = 0.053 m near the helicity chart's -e3 pole: helicity
+    # quantities vary on the scale |p| there, so derivative steps must follow it
+    results = run_suite("appendix_b", samples=1, seed=seed, mass=mass)
+    assert [r.name for r in results if not r.passed] == []
 
 
 def test_pryce_cd_associated():

@@ -153,3 +153,13 @@ def test_sigma_omega_wrappers():
     assert np.allclose(omega_connection(hel, q), hel.omega(q.p))
     with pytest.raises(ValueError):
         make_basis("nope")
+
+
+@pytest.mark.parametrize("gap", [1e-4, 1e-6, 1e-8])
+def test_spinor_pair_unitary_near_pole(gap):
+    # 1 + n3 = gap: the chart factor must not lose digits to cancellation
+    n3 = -1.0 + gap
+    perp = np.sqrt(1.0 - n3 * n3)
+    n = np.array([perp * np.cos(0.3), perp * np.sin(0.3), n3])
+    xi = spinor_pair(n)
+    assert np.max(np.abs(xi.conj().T @ xi - ID2)) <= 1e-14

@@ -101,3 +101,11 @@ def test_block_structure_guard():
     bad[0, 2] = 0.5  # couples the chiral blocks: not in the spinor image
     with pytest.raises(ValueError):
         d_matrix(bad, q, basis)
+
+
+def test_wigner_suite_d_unitary_near_pole_seed():
+    # this seed transports a momentum to within 2e-4 of the helicity pole
+    from diracmr.verify import run_suite
+
+    (d_unitary,) = [r for r in run_suite("wigner", 20, 1000 + 16 * 7919) if r.name == "d_unitary"]
+    assert d_unitary.residual <= 1e-13
