@@ -48,17 +48,38 @@ for _i in range(3):
             EPS3[_i, _j, _k] = levi_civita3(_i, _j, _k)
 
 
-def central_gradient(fn, x, h: float) -> np.ndarray:
+_STENCIL = np.array([2.0, 1.0, -1.0, -2.0])
+
+
+def central_gradient(fn, x, h) -> np.ndarray:
     """4th-order central differences of fn at x along each coordinate of x.
 
-    Returns shape x.shape + fn(x).shape; a scalar x gives the plain derivative.
+    x has shape (..., d); h is one step or an array of x's batch shape.  fn is
+    called once, on all 4d shifted points stacked in an axis just before the
+    coordinate axis, so it maps (..., 4d, d) to (..., 4d, *out); the result
+    has shape (..., d, *out).
     """
     x = np.asarray(x, dtype=float)
-    steps = h * np.eye(x.size).reshape((x.size,) + x.shape)
-    out = np.stack(
-        [(-fn(x + 2 * e) + 8 * fn(x + e) - 8 * fn(x - e) + fn(x - 2 * e)) / (12 * h) for e in steps]
-    )
-    return out.reshape(x.shape + out.shape[1:])
+    d = x.shape[-1]
+    h = np.broadcast_to(np.asarray(h, dtype=float), x.shape[:-1])
+    steps = _STENCIL[:, None, None] * (h[..., None, None] * np.eye(d))[..., None, :, :]
+    pts = x[..., None, None, :] + steps
+    batch = pts.shape[:-3]
+    f = fn(pts.reshape(batch + (4 * d, d)))
+    f = f.reshape(batch + (4, d) + f.shape[len(batch) + 1 :])
+    f2, f1, fm1, fm2 = np.moveaxis(f, len(batch), 0)
+    h = h.reshape(batch + (1,) * (f.ndim - 1 - len(batch)))
+    return (-f2 + 8 * f1 - 8 * fm1 + fm2) / (12 * h)
+
+
+def dagger(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of the last two axes."""
+    return np.swapaxes(a.conj(), -1, -2)
+
+
+def contract(v: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """v^i mats_i: the last axis of v against the first axis of mats."""
+    return np.tensordot(v, mats, axes=(-1, 0))
 
 
 def _block(a, b, c, d) -> np.ndarray:
@@ -154,31 +175,35 @@ def boost_param(tau) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Momentum:
-    """Three-momentum with mass context, E(p) = sqrt(p^2 + m^2).
+    """Three-momenta p of shape (..., 3) at one mass, E(p) = sqrt(p^2 + m^2).
 
-    Treated as immutable; the stored vector must not be mutated.
+    The leading axes are a batch; a single momentum is the batch of shape ()
+    and its ``mag`` and ``energy`` are scalars.  Treated as immutable; the
+    stored array must not be mutated.
     """
 
     p: np.ndarray = field()
     m: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "p", np.asarray(self.p, dtype=float).reshape(3))
+        object.__setattr__(self, "p", np.asarray(self.p, dtype=float))
+        if self.p.shape[-1:] != (3,):
+            raise ValueError(f"momenta must have shape (..., 3), got {self.p.shape}")
         if self.m <= 0.0:
             raise ValueError(f"mass must be positive, got {self.m}")
 
     @property
-    def mag(self) -> float:
-        return float(np.linalg.norm(self.p))
+    def mag(self) -> np.ndarray:
+        return np.linalg.norm(self.p, axis=-1)
 
     @property
-    def energy(self) -> float:
-        return float(np.sqrt(self.mag**2 + self.m**2))
+    def energy(self) -> np.ndarray:
+        return np.sqrt(self.mag**2 + self.m**2)
 
     @property
     def four(self) -> np.ndarray:
-        """On-shell four-momentum (E, p)."""
-        return np.concatenate(([self.energy], self.p))
+        """On-shell four-momentum (E, p), shape (..., 4)."""
+        return np.concatenate((self.energy[..., None], self.p), axis=-1)
 
     def flipped(self) -> "Momentum":
         return Momentum(-self.p, self.m)
@@ -188,35 +213,35 @@ class Momentum:
         return Momentum(np.array([px, py, pz]), m)
 
 
+G0G = GAMMA[0] @ GAMMA[1:]  # gamma^0 gamma^i, i = 1..3
+
+
 def boost_for_momentum(q: Momentum) -> np.ndarray:
-    """Standard boost l_p = (E + m + gamma^0 gamma.p) / sqrt(2m(E+m)).
+    """Standard boost l_p = (E + m + gamma^0 gamma.p) / sqrt(2m(E+m)), (..., 4, 4).
 
     Hermitian, with l_p^-1 = l_{-p} and l_p^2 = (E + gamma^0 gamma.p)/m.
     """
-    e, m = q.energy, q.m
-    g0gp = sum(q.p[i] * (GAMMA[0] @ GAMMA[i + 1]) for i in range(3))
-    return ((e + m) * ID4 + g0gp) / np.sqrt(2.0 * m * (e + m))
+    e, m = q.energy[..., None, None], q.m
+    return ((e + m) * ID4 + contract(q.p, G0G)) / np.sqrt(2.0 * m * (e + m))
 
 
 def lorentz_boost_matrix(q: Momentum) -> np.ndarray:
-    """Vector-representation boost L_p taking (m,0,0,0) to (E,p)."""
-    e, m = q.energy, q.m
-    L = np.zeros((4, 4))
-    L[0, 0] = e / m
-    L[0, 1:] = q.p / m
-    L[1:, 0] = q.p / m
-    L[1:, 1:] = np.eye(3) + np.outer(q.p, q.p) / (m * (e + m))
+    """Vector-representation boost L_p taking (m,0,0,0) to (E,p), (..., 4, 4)."""
+    L = np.empty(q.p.shape[:-1] + (4, 4))
+    L[..., 0, 0] = q.energy / q.m
+    L[..., 0, 1:] = L[..., 1:, 0] = q.p / q.m
+    L[..., 1:, 1:] = theta_tensor(q)[0]
     return L
 
 
 def theta_tensor(q: Momentum) -> tuple[np.ndarray, np.ndarray]:
-    """Space block of L_p and its 3x3 inverse.
+    """Space block of L_p and its 3x3 inverse, each (..., 3, 3).
 
     Theta_ij = delta_ij + p^i p^j / (m(E+m)),
     Theta^-1_ij = delta_ij - p^i p^j / (E(E+m)).
     """
-    e, m = q.energy, q.m
-    pp = np.outer(q.p, q.p)
+    e, m = q.energy[..., None, None], q.m
+    pp = q.p[..., :, None] * q.p[..., None, :]
     theta = np.eye(3) + pp / (m * (e + m))
     theta_inv = np.eye(3) - pp / (e * (e + m))
     return theta, theta_inv
@@ -224,31 +249,28 @@ def theta_tensor(q: Momentum) -> tuple[np.ndarray, np.ndarray]:
 
 def foldy_wouthuysen(q: Momentum) -> np.ndarray:
     """Unitary transformation (E + m + gamma.p)/sqrt(2E(E+m)) diagonalising H_D."""
-    e, m = q.energy, q.m
-    gp = sum(q.p[i] * GAMMA[i + 1] for i in range(3))
-    return ((e + m) * ID4 + gp) / np.sqrt(2.0 * e * (e + m))
+    e, m = q.energy[..., None, None], q.m
+    return ((e + m) * ID4 + contract(q.p, GAMMA[1:])) / np.sqrt(2.0 * e * (e + m))
 
 
 def lorentz_of(lam: np.ndarray) -> np.ndarray:
-    """Vector-representation image of a spinor transformation.
+    """Vector-representation image of spinor transformations (..., 4, 4).
 
     Uses the canonical homomorphism lam^-1 gamma^a lam = Lambda^a_b gamma^b
     and trace orthogonality Tr(gamma^a gamma^b) = 4 eta^{ab}.
     """
-    lam_inv = np.linalg.inv(lam)
-    L = np.empty((4, 4))
-    for a in range(4):
-        conj = lam_inv @ GAMMA[a] @ lam
-        for b in range(4):
-            L[a, b] = np.real(np.trace(conj @ (METRIC[b, b] * GAMMA[b]))) / 4.0
-    return L
+    lam = np.asarray(lam)
+    conj = np.linalg.inv(lam)[..., None, :, :] @ GAMMA @ lam[..., None, :, :]
+    lower = METRIC.diagonal()[:, None, None] * GAMMA
+    return np.real(np.einsum("...aij,bji->...ab", conj, lower)) / 4.0
 
 
 def lorentz_inverse(L: np.ndarray) -> np.ndarray:
-    """Inverse of a Lorentz matrix via eta L^T eta."""
-    return METRIC @ L.T @ METRIC
+    """Inverse of Lorentz matrices via eta L^T eta."""
+    return METRIC @ np.swapaxes(L, -1, -2) @ METRIC
 
 
 def dirac_adjoint_deviation(mat: np.ndarray) -> float:
-    """Deviation from Dirac self-adjointness, || gamma^0 M^+ gamma^0 - M ||."""
-    return float(np.max(np.abs(GAMMA[0] @ mat.conj().T @ GAMMA[0] - mat)))
+    """Deviation from Dirac self-adjointness, max || gamma^0 M^+ gamma^0 - M ||
+    over a stack of matrices (..., 4, 4)."""
+    return float(np.max(np.abs(GAMMA[0] @ dagger(mat) @ GAMMA[0] - mat)))

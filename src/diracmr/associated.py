@@ -30,11 +30,12 @@ from .algebra import (
     Momentum,
     boost_for_momentum,
     central_gradient,
+    dagger,
     lorentz_inverse,
     lorentz_of,
     theta_tensor,
 )
-from .operators import OPERATOR_CATALOG, FourierOperator
+from .operators import OPERATOR_CATALOG
 from .polarization import PolarizationBasis
 from .spinors import rest_u_matrix, rest_v_matrix
 
@@ -42,18 +43,23 @@ from .spinors import rest_u_matrix, rest_v_matrix
 # wave spinors
 
 
-def _step(p: np.ndarray) -> float:
+def _step(p: np.ndarray) -> np.ndarray:
     # helicity quantities vary on the scale of |p| itself (Omega ~ 1/|p|)
-    return 1e-3 * float(np.linalg.norm(p))
+    return 1e-3 * np.linalg.norm(p, axis=-1)
+
+
+def _matvec(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    return (mats @ vecs[..., None])[..., 0]
 
 
 class WaveSpinor:
     """Two-component wave function of momentum with optional analytic gradient.
 
-    When no gradient is supplied, derivatives fall back to 4th-order central
-    finite differences with step h = 1e-3 |p|, the scale on which helicity
-    quantities vary.  The fallback is undefined at p = 0; no caller reaches it
-    there.
+    ``value`` maps momenta (..., 3) to spinors (..., 2) and ``gradient`` to
+    d alpha / d p^k, (..., 3, 2).  When no gradient is supplied, derivatives
+    fall back to 4th-order central finite differences with step
+    h = 1e-3 |p|, the scale on which helicity quantities vary.  The fallback
+    is undefined at p = 0; no caller reaches it there.
     """
 
     def __init__(self, fn, grad=None):
@@ -64,7 +70,7 @@ class WaveSpinor:
         return np.asarray(self._fn(np.asarray(p, dtype=float)), dtype=complex)
 
     def gradient(self, p) -> np.ndarray:
-        """d alpha / d p^k, shape (3, 2)."""
+        """d alpha / d p^k, shape (..., 3, 2)."""
         p = np.asarray(p, dtype=float)
         if self._grad is not None:
             return np.asarray(self._grad(p), dtype=complex)
@@ -83,16 +89,19 @@ def gaussian_test_spinor(rng: np.random.Generator, scale: float = 1.0) -> WaveSp
     b = 0.5 * (b + np.transpose(b, (0, 2, 1)))
     s2 = scale * scale
 
+    def parts(p):
+        g = np.exp(-np.sum(p * p, axis=-1) / (2 * s2))[..., None]
+        poly = c + p @ a.T + np.einsum("sij,...i,...j->...s", b, p, p)
+        return g, poly
+
     def value(p):
-        g = np.exp(-float(np.dot(p, p)) / (2 * s2))
-        poly = c + a @ p + np.einsum("sij,i,j->s", b, p, p)
+        g, poly = parts(p)
         return poly * g
 
     def grad(p):
-        g = np.exp(-float(np.dot(p, p)) / (2 * s2))
-        poly = c + a @ p + np.einsum("sij,i,j->s", b, p, p)
-        dpoly = a.T + 2.0 * np.einsum("skj,j->ks", b, p)
-        return g * (dpoly - np.outer(p, poly) / s2)
+        g, poly = parts(p)
+        dpoly = a.T + 2.0 * np.einsum("skj,...j->...ks", b, p)
+        return g[..., None] * (dpoly - p[..., :, None] * poly[..., None, :] / s2)
 
     return WaveSpinor(value, grad)
 
@@ -101,56 +110,42 @@ def gaussian_test_spinor(rng: np.random.Generator, scale: float = 1.0) -> WaveSp
 # matrix elements of Fourier operators between mode spinors
 
 
-def _as_stack(op, q: Momentum) -> np.ndarray:
-    if isinstance(op, FourierOperator):
-        return op(q)
-    out = np.asarray(op(q) if callable(op) else op, dtype=complex)
-    return out[None, :, :] if out.ndim == 2 else out
-
-
 def matrix_elements_diag(op, q: Momentum, basis: PolarizationBasis):
     """Associated diagonal parts (A~(+), A~(-)) of a Fourier operator.
 
-    A~(+) = (m/E) uring^+ l_p A(p) l_p uring and A~(-) uses the charge
-    conjugation sandwich C A(-p)^T C between the same boosted rest spinors.
-    Shapes are (k, 2, 2) stacks over the operator components.
+    ``op`` maps momenta to (..., k, 4, 4) stacks, as the ``OPERATOR_CATALOG``
+    entries do.  A~(+) = (m/E) uring^+ l_p A(p) l_p uring and A~(-) uses the
+    charge conjugation sandwich C A(-p)^T C between the same boosted rest
+    spinors.  Shapes are (..., k, 2, 2) stacks over the operator components.
     """
-    scale = q.m / q.energy
+    scale = (q.m / q.energy)[..., None, None, None]
     lp = boost_for_momentum(q)
     u0 = rest_u_matrix(basis, q.p)
-    a_p = _as_stack(op, q)
-    a_m = _as_stack(op, q.flipped())
-    left = u0.conj().T @ lp
-    plus = scale * np.einsum("ab,kbc,cd->kad", left, a_p, lp @ u0)
-    sand = np.einsum("ab,kbc,cd->kad", CCONJ, np.transpose(a_m, (0, 2, 1)), CCONJ)
-    minus = scale * np.einsum("ab,kbc,cd->kad", left, sand, lp @ u0)
-    return plus, minus
+    left = (dagger(u0) @ lp)[..., None, :, :]
+    right = (lp @ u0)[..., None, :, :]
+    sand = CCONJ @ np.swapaxes(op(q.flipped()), -1, -2) @ CCONJ
+    return scale * (left @ op(q) @ right), scale * (left @ sand @ right)
 
 
-def matrix_elements_offdiag(op, q: Momentum, t: float, basis: PolarizationBasis):
+def matrix_elements_offdiag(op, q: Momentum, t, basis: PolarizationBasis):
     """Oscillating off-diagonal parts (A~(+-), A~(-+)) at time t.
 
     Both oscillate with frequency 2E(p); for a Hermitian operator they are
-    mutual adjoints at every instant.
+    mutual adjoints at every instant.  t broadcasts against the batch.
     """
     scale = q.m / q.energy
-    e = q.energy
+    phase = 2j * q.energy * t
     lp = boost_for_momentum(q)
     lm = boost_for_momentum(q.flipped())
     u0 = rest_u_matrix(basis, q.p)
     v0m = rest_v_matrix(basis, -q.p)
-    a_p = _as_stack(op, q)
-    pm = (
-        scale
-        * np.exp(2j * e * t)
-        * np.einsum("ab,kbc,cd->kad", u0.conj().T @ lp, a_p, lm @ v0m)
+    a_p = op(q)
+    pm = (dagger(u0) @ lp)[..., None, :, :] @ a_p @ (lm @ v0m)[..., None, :, :]
+    mp = (dagger(v0m) @ lm)[..., None, :, :] @ a_p @ (lp @ u0)[..., None, :, :]
+    return (
+        (scale * np.exp(phase))[..., None, None, None] * pm,
+        (scale * np.exp(-phase))[..., None, None, None] * mp,
     )
-    mp = (
-        scale
-        * np.exp(-2j * e * t)
-        * np.einsum("ab,kbc,cd->kad", v0m.conj().T @ lm, a_p, lp @ u0)
-    )
-    return pm, mp
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +157,10 @@ class AssociatedOperator:
     """Operator on wave spinors: multiplicative part plus covariant-derivative
     term, alpha -> mult(p) alpha(p) + sum_k dcoef(p)[k] (d~_k alpha)(p).
 
-    ``dcoef(p)`` gives the three scalar coefficients, shape (3,).
-    ``sign_c`` records the antiparticle relation A~^c = sign_c * A~.
+    ``mult`` maps momenta (..., 3) to (..., 2, 2) and ``dcoef`` to the three
+    scalar coefficients, (..., 3).  Spinor values may carry leading axes of
+    their own, which broadcast against the momentum batch.  ``sign_c``
+    records the antiparticle relation A~^c = sign_c * A~.
     """
 
     name: str
@@ -173,23 +170,24 @@ class AssociatedOperator:
     sign_c: int = 1
 
     def mult_at(self, p) -> np.ndarray:
+        p = np.asarray(p, dtype=float)
         if self.mult is None:
-            return np.zeros((2, 2), dtype=complex)
-        return self.mult(np.asarray(p, dtype=float))
+            return np.zeros(p.shape[:-1] + (2, 2), dtype=complex)
+        return self.mult(p)
 
     def apply(self, spinor: WaveSpinor, p) -> np.ndarray:
         p = np.asarray(p, dtype=float)
         val = spinor.value(p)
-        out = self.mult_at(p) @ val
+        out = _matvec(self.mult_at(p), val)
         if self.dcoef is not None:
-            cov = spinor.gradient(p) + self.basis.omega(p) @ val
-            out = out + np.tensordot(self.dcoef(p), cov, axes=1)
+            cov = spinor.gradient(p) + _matvec(self.basis.omega(p), val[..., None, :])
+            out = out + np.einsum("...k,...ka->...a", self.dcoef(p), cov)
         return out
 
 
 def _covariant_gradient(op: AssociatedOperator, p: np.ndarray) -> np.ndarray:
-    """d~_k M = d_k M + [Omega_k, M] of the multiplicative part, shape (3, 2, 2)."""
-    m = op.mult_at(p)
+    """d~_k M = d_k M + [Omega_k, M] of the multiplicative part, (..., 3, 2, 2)."""
+    m = op.mult_at(p)[..., None, :, :]
     om = op.basis.omega(p)
     return central_gradient(op.mult_at, p, _step(p)) + om @ m - m @ om
 
@@ -210,12 +208,16 @@ def commutator(a: AssociatedOperator, b: AssociatedOperator) -> AssociatedOperat
         out = ma @ mb - mb @ ma
         for x, y, sign in ((a, b, 1), (b, a, -1)):
             if x.dcoef is not None and y.mult is not None:
-                out = out + sign * np.einsum("k,kab->ab", x.dcoef(p), _covariant_gradient(y, p))
+                out = out + sign * np.einsum("...k,...kab->...ab", x.dcoef(p), _covariant_gradient(y, p))
         return out
 
     def dcoef(p):
         da, db = a.dcoef(p), b.dcoef(p)
-        return da @ central_gradient(b.dcoef, p, _step(p)) - db @ central_gradient(a.dcoef, p, _step(p))
+        step = _step(p)
+        return (
+            np.einsum("...j,...jk->...k", da, central_gradient(b.dcoef, p, step))
+            - np.einsum("...j,...jk->...k", db, central_gradient(a.dcoef, p, step))
+        )
 
     both = a.dcoef is not None and b.dcoef is not None
     return AssociatedOperator(
@@ -230,8 +232,15 @@ def commutator_action(
     return commutator(a, b).apply(spinor, p)
 
 
+def _scalar2(x) -> np.ndarray:
+    return x[..., None, None] * ID2
+
+
 class AssociatedFamily:
-    """Factory for the associated operators at fixed mass and polarization basis."""
+    """Factory for the associated operators at fixed mass and polarization basis.
+
+    Every coefficient function takes momenta of shape (..., 3).
+    """
 
     def __init__(self, m: float, basis: PolarizationBasis):
         if m <= 0:
@@ -239,60 +248,66 @@ class AssociatedFamily:
         self.m = float(m)
         self.basis = basis
 
-    def _energy(self, p) -> float:
-        return float(np.sqrt(np.dot(p, p) + self.m * self.m))
+    def _energy(self, p) -> np.ndarray:
+        return np.sqrt(np.sum(p * p, axis=-1) + self.m * self.m)
 
     def _sigma_half(self, p) -> np.ndarray:
         return 0.5 * self.basis.sigma(p)
+
+    def _theta_spin(self, i: int, inverse: bool):
+        def mult(p):
+            theta = theta_tensor(Momentum(p, self.m))[int(inverse)]
+            return np.einsum("...j,...jab->...ab", theta[..., i, :], self._sigma_half(p))
+
+        return mult
 
     # --- diagonal translations / velocity -------------------------------
 
     def hamiltonian(self) -> AssociatedOperator:
         return AssociatedOperator(
-            "H~", self.basis, mult=lambda p: self._energy(p) * ID2, sign_c=-1
+            "H~", self.basis, mult=lambda p: _scalar2(self._energy(p)), sign_c=-1
         )
 
     def momentum(self, i: int) -> AssociatedOperator:
         return AssociatedOperator(
-            f"P~{i + 1}", self.basis, mult=lambda p: p[i] * ID2, sign_c=-1
+            f"P~{i + 1}", self.basis, mult=lambda p: _scalar2(p[..., i]), sign_c=-1
         )
 
     def velocity(self, i: int) -> AssociatedOperator:
         return AssociatedOperator(
-            f"V~{i + 1}", self.basis, mult=lambda p: (p[i] / self._energy(p)) * ID2
+            f"V~{i + 1}", self.basis, mult=lambda p: _scalar2(p[..., i] / self._energy(p))
         )
 
     # --- spin sector -----------------------------------------------------
 
     def spin(self, i: int) -> AssociatedOperator:
         return AssociatedOperator(
-            f"S~{i + 1}", self.basis, mult=lambda p: self._sigma_half(p)[i], sign_c=-1
+            f"S~{i + 1}", self.basis, mult=lambda p: self._sigma_half(p)[..., i, :, :], sign_c=-1
         )
 
     def polarization(self) -> AssociatedOperator:
         return AssociatedOperator(
-            "Ws~", self.basis, mult=lambda p: 0.5 * PAULI[2], sign_c=-1
+            "Ws~",
+            self.basis,
+            mult=lambda p: np.broadcast_to(0.5 * PAULI[2], p.shape[:-1] + (2, 2)),
+            sign_c=-1,
         )
 
     def spin_plus(self, i: int) -> AssociatedOperator:
-        def mult(p):
-            theta, _ = theta_tensor(Momentum(p, self.m))
-            return np.einsum("j,jab->ab", theta[i], self._sigma_half(p))
-
-        return AssociatedOperator(f"S~(+){i + 1}", self.basis, mult=mult, sign_c=-1)
+        return AssociatedOperator(
+            f"S~(+){i + 1}", self.basis, mult=self._theta_spin(i, False), sign_c=-1
+        )
 
     def spin_minus(self, i: int) -> AssociatedOperator:
-        def mult(p):
-            _, theta_inv = theta_tensor(Momentum(p, self.m))
-            return np.einsum("j,jab->ab", theta_inv[i], self._sigma_half(p))
-
-        return AssociatedOperator(f"S~(-){i + 1}", self.basis, mult=mult, sign_c=-1)
+        return AssociatedOperator(
+            f"S~(-){i + 1}", self.basis, mult=self._theta_spin(i, True), sign_c=-1
+        )
 
     def pauli_lubanski0(self) -> AssociatedOperator:
         return AssociatedOperator(
             "W~0",
             self.basis,
-            mult=lambda p: np.einsum("j,jab->ab", p, self._sigma_half(p)),
+            mult=lambda p: np.einsum("...j,...jab->...ab", p, self._sigma_half(p)),
             sign_c=1,
         )
 
@@ -306,13 +321,11 @@ class AssociatedFamily:
 
     def position(self, i: int, t: float = 0.0) -> AssociatedOperator:
         def dcoef(p):
-            out = np.zeros(3, dtype=complex)
-            out[i] = 1j
-            return out
+            return np.broadcast_to(1j * np.eye(3)[i], p.shape)
 
         mult = None
         if t != 0.0:
-            mult = lambda p: (t * p[i] / self._energy(p)) * ID2
+            mult = lambda p: _scalar2(t * p[..., i] / self._energy(p))
         return AssociatedOperator(
             f"X~{i + 1}", self.basis, mult=mult, dcoef=dcoef, sign_c=1
         )
@@ -325,12 +338,10 @@ class AssociatedFamily:
 
     def boost_orbital(self, i: int) -> AssociatedOperator:
         def dcoef(p):
-            out = np.zeros(3, dtype=complex)
-            out[i] = 1j * self._energy(p)
-            return out
+            return 1j * self._energy(p)[..., None] * np.eye(3)[i]
 
         def mult(p):
-            return (0.5j * p[i] / self._energy(p)) * ID2
+            return _scalar2(0.5j * p[..., i] / self._energy(p))
 
         return AssociatedOperator(
             f"Ko~{i + 1}", self.basis, mult=mult, dcoef=dcoef, sign_c=-1
@@ -338,9 +349,9 @@ class AssociatedFamily:
 
     def boost_spin(self, i: int) -> AssociatedOperator:
         def mult(p):
-            e = self._energy(p)
+            e = self._energy(p)[..., None, None]
             sh = self._sigma_half(p)
-            return np.einsum("jk,j,kab->ab", EPS3[i], p, sh) / (e + self.m)
+            return np.einsum("jk,...j,...kab->...ab", EPS3[i], p, sh) / (e + self.m)
 
         return AssociatedOperator(f"Ks~{i + 1}", self.basis, mult=mult, sign_c=-1)
 
@@ -354,7 +365,7 @@ class AssociatedFamily:
         return AssociatedOperator(
             f"Xc~{i + 1}",
             self.basis,
-            mult=lambda p: ks.mult(p) / self._energy(p),
+            mult=lambda p: ks.mult(p) / self._energy(p)[..., None, None],
             dcoef=self.position(i).dcoef,
             sign_c=1,
         )
@@ -374,7 +385,7 @@ class AssociatedFamily:
         return AssociatedOperator(
             f"Yc~{i + 1}",
             self.basis,
-            mult=lambda p: (self.m / self._energy(p) ** 3) * base.mult(p),
+            mult=lambda p: (self.m / self._energy(p) ** 3)[..., None, None] * base.mult(p),
             sign_c=-1,
         )
 
@@ -383,16 +394,9 @@ class AssociatedFamily:
         return AssociatedOperator(
             f"Yd~{i + 1}",
             self.basis,
-            mult=lambda p: base.mult(p) / (self.m * self._energy(p)),
+            mult=lambda p: base.mult(p) / (self.m * self._energy(p))[..., None, None],
             sign_c=-1,
         )
-
-
-def apply_associated(
-    op: AssociatedOperator, alpha: WaveSpinor, q: Momentum
-) -> np.ndarray:
-    """Value of (A~ alpha)(p); gradient comes from alpha (analytic or FD)."""
-    return op.apply(alpha, q.p)
 
 
 def pryce_cd_associated(q: Momentum, basis: PolarizationBasis):
@@ -415,32 +419,32 @@ def pryce_cd_associated(q: Momentum, basis: PolarizationBasis):
 
 
 def wigner_little_group(lam: np.ndarray, q: Momentum):
-    """Little-group element w(lambda, p) = l_p^-1 lambda l_p' and the momentum
-    p' = Lambda(lambda)^-1 p it was transported from.
+    """Little-group elements w(lambda, p) = l_p^-1 lambda l_p' and the momenta
+    p' = Lambda(lambda)^-1 p they were transported from.
 
-    w is block diagonal, diag(w_hat, w_hat) with w_hat in SU(2); a residual
-    off-diagonal block signals a lambda outside the spinor representation.
+    ``lam`` (..., 4, 4) broadcasts against the momentum batch.  w is block
+    diagonal, diag(w_hat, w_hat) with w_hat in SU(2); a residual off-diagonal
+    block signals a lambda outside the spinor representation.
     """
     lam = np.asarray(lam, dtype=complex)
     L_inv = lorentz_inverse(lorentz_of(lam))
-    four = L_inv @ q.four
-    qprime = Momentum(four[1:], q.m)
-    w = (
-        boost_for_momentum(q.flipped())
-        @ lam
-        @ boost_for_momentum(qprime)
-    )
+    four = (L_inv @ q.four[..., None])[..., 0]
+    qprime = Momentum(four[..., 1:], q.m)
+    w = boost_for_momentum(q.flipped()) @ lam @ boost_for_momentum(qprime)
     return w, qprime
 
 
-def d_matrix(lam: np.ndarray, q: Momentum, basis: PolarizationBasis) -> np.ndarray:
-    """Induced-representation rotation D(lambda, p) = xi^+(p) w_hat xi(p')."""
+def _d_and_qprime(lam: np.ndarray, q: Momentum, basis: PolarizationBasis):
     w, qprime = wigner_little_group(lam, q)
-    off = max(np.max(np.abs(w[:2, 2:])), np.max(np.abs(w[2:, :2])))
+    off = max(np.max(np.abs(w[..., :2, 2:])), np.max(np.abs(w[..., 2:, :2])))
     if off > 1e-8:
         raise ValueError("lambda is not block structured in the spinor representation")
-    what = w[:2, :2]
-    return basis.xi(q.p).conj().T @ what @ basis.xi(qprime.p)
+    return dagger(basis.xi(q.p)) @ w[..., :2, :2] @ basis.xi(qprime.p), qprime
+
+
+def d_matrix(lam: np.ndarray, q: Momentum, basis: PolarizationBasis) -> np.ndarray:
+    """Induced-representation rotations D(lambda, p) = xi^+(p) w_hat xi(p')."""
+    return _d_and_qprime(lam, q, basis)[0]
 
 
 def wigner_transform(
@@ -457,10 +461,10 @@ def wigner_transform(
 
     def value(p):
         q = Momentum(p, mass)
-        d = d_matrix(lam, q, basis)
-        _, qprime = wigner_little_group(lam, q)
-        phase = np.exp(1j * (q.energy * a[0] - float(np.dot(p, a[1:]))))
-        return np.sqrt(qprime.energy / q.energy) * phase * (d @ alpha.value(qprime.p))
+        d, qprime = _d_and_qprime(lam, q, basis)
+        phase = np.exp(1j * (q.energy * a[0] - p @ a[1:]))
+        factor = np.sqrt(qprime.energy / q.energy) * phase
+        return factor[..., None] * _matvec(d, alpha.value(qprime.p))
 
     return WaveSpinor(value)
 
@@ -471,56 +475,62 @@ def wigner_transform(
 
 def _pair_bilinears(basis: PolarizationBasis, p: np.ndarray):
     """xi^+(p) sigma_j eta(-p) for j = 1..3 and xi^+(p) eta(-p)."""
-    xi = basis.xi(p)
+    xi_h = dagger(basis.xi(p))
     eta_m = basis.eta(-p)
-    vec = np.stack([xi.conj().T @ PAULI[j] @ eta_m for j in range(3)])
-    scal = xi.conj().T @ eta_m
-    return vec, scal
+    vec = xi_h[..., None, :, :] @ PAULI @ eta_m[..., None, :, :]
+    return vec, xi_h @ eta_m
 
 
-def _kernel_delta_x(q: Momentum, t: float, basis: PolarizationBasis) -> np.ndarray:
-    e = q.energy
+def _phase(q: Momentum, t) -> np.ndarray:
+    # exp(2iEt) broadcast over the kernel's component and matrix axes
+    return np.exp(2j * q.energy * t)[..., None, None, None]
+
+
+def _kernel_delta_x(q: Momentum, t, basis: PolarizationBasis) -> np.ndarray:
+    e = q.energy[..., None, None, None]
     _, theta_inv = theta_tensor(q)
     vec, _ = _pair_bilinears(basis, q.p)
-    phase = -0.5j * np.exp(2j * e * t) / e
-    return phase * np.einsum("ij,jab->iab", theta_inv, vec)
+    return -0.5j * _phase(q, t) / e * np.einsum("...ij,...jab->...iab", theta_inv, vec)
 
 
-def _kernel_axial_current(q: Momentum, t: float, basis: PolarizationBasis) -> np.ndarray:
-    e = q.energy
+def _kernel_axial_current(q: Momentum, t, basis: PolarizationBasis) -> np.ndarray:
+    e = q.energy[..., None, None, None]
     vec, _ = _pair_bilinears(basis, q.p)
-    cross = np.einsum("ijk,j,kab->iab", EPS3, q.p, vec)
-    return 1j * np.exp(2j * e * t) / e * cross
+    cross = np.einsum("ijk,...j,...kab->...iab", EPS3, q.p, vec)
+    return 1j * _phase(q, t) / e * cross
 
-def _kernel_fw_generator(q: Momentum, t: float, basis: PolarizationBasis) -> np.ndarray:
-    e = q.energy
+
+def _kernel_fw_generator(q: Momentum, t, basis: PolarizationBasis) -> np.ndarray:
+    e = q.energy[..., None, None, None]
     theta, _ = theta_tensor(q)
     vec, _ = _pair_bilinears(basis, q.p)
-    return 1j * np.exp(2j * e * t) * q.m / e * np.einsum("ij,jab->iab", theta, vec)
+    return 1j * _phase(q, t) * q.m / e * np.einsum("...ij,...jab->...iab", theta, vec)
 
 
-def _kernel_chakrabarti(q: Momentum, t: float, basis: PolarizationBasis) -> np.ndarray:
+def _kernel_chakrabarti(q: Momentum, t, basis: PolarizationBasis) -> np.ndarray:
     vec, _ = _pair_bilinears(basis, q.p)
-    cross = np.einsum("ijk,j,kab->iab", EPS3, q.p, vec)
-    return 1j * np.exp(2j * q.energy * t) / q.m * cross
+    cross = np.einsum("ijk,...j,...kab->...iab", EPS3, q.p, vec)
+    return 1j * _phase(q, t) / q.m * cross
 
 
-def _kernel_scalar_charge(q: Momentum, t: float, basis: PolarizationBasis) -> np.ndarray:
+def _kernel_scalar_charge(q: Momentum, t, basis: PolarizationBasis) -> np.ndarray:
     vec, _ = _pair_bilinears(basis, q.p)
-    return -np.exp(2j * q.energy * t) * np.einsum("j,jab->ab", q.p, vec)[None]
+    return -_phase(q, t) * np.einsum("...j,...jab->...ab", q.p, vec)[..., None, :, :]
 
 
-def _kernel_pseudoscalar(q: Momentum, t: float, basis: PolarizationBasis) -> np.ndarray:
+def _kernel_pseudoscalar(q: Momentum, t, basis: PolarizationBasis) -> np.ndarray:
     _, scal = _pair_bilinears(basis, q.p)
-    return -np.exp(2j * q.energy * t) * scal[None]
+    return -_phase(q, t) * scal[..., None, :, :]
 
 
 @dataclass(frozen=True)
 class OscillatingKernel:
     """Closed-form oscillating kernel with its parent Fourier operator.
 
-    ``parent_scale(q)`` relates the kernel to the generic off-diagonal matrix
-    elements: kernel = parent_scale * A~(+-)(parent).  The phase law
+    Kernels map momenta (..., 3) and times t, which broadcast against the
+    batch, to (..., components, 2, 2).  ``parent_scale(q)`` relates the
+    kernel to the generic off-diagonal matrix elements:
+    kernel = parent_scale * A~(+-)(parent).  The phase law
     K(t, p) = exp(2iE(p)t) K(0, p) holds by construction.
     """
 
@@ -530,15 +540,15 @@ class OscillatingKernel:
     parent: str
     parent_scale: Callable[[Momentum], float] = lambda q: 1.0
 
-    def __call__(self, q: Momentum, t: float, basis: PolarizationBasis) -> np.ndarray:
+    def __call__(self, q: Momentum, t, basis: PolarizationBasis) -> np.ndarray:
         return self.func(q, t, basis)
 
     def from_offdiag(
-        self, q: Momentum, t: float, basis: PolarizationBasis
+        self, q: Momentum, t, basis: PolarizationBasis
     ) -> np.ndarray:
         """Cross-oracle: the same kernel through the generic machinery."""
         pm, _ = matrix_elements_offdiag(OPERATOR_CATALOG[self.parent], q, t, basis)
-        return self.parent_scale(q) * pm
+        return np.asarray(self.parent_scale(q))[..., None, None, None] * pm
 
 
 KERNEL_CATALOG: dict[str, OscillatingKernel] = {
@@ -566,9 +576,9 @@ KERNEL_CATALOG: dict[str, OscillatingKernel] = {
 
 
 def zitter_kernel(
-    name: str, q: Momentum, t: float, basis: PolarizationBasis
+    name: str, q: Momentum, t, basis: PolarizationBasis
 ) -> np.ndarray:
-    """Evaluate a named oscillating kernel; shape (components, 2, 2)."""
+    """Evaluate a named oscillating kernel; shape (..., components, 2, 2)."""
     if name not in KERNEL_CATALOG:
         raise KeyError(f"unknown kernel {name!r}")
     return KERNEL_CATALOG[name](q, t, basis)

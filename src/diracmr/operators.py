@@ -1,6 +1,7 @@
 """Momentum-space Fourier transforms of the Dirac operator families.
 
-Every operator is a closed-form 4x4 matrix function of the on-shell momentum.
+Every operator is a closed-form 4x4 matrix function of the on-shell momentum,
+evaluated on a batch of momenta of shape (..., 3) at once.
 Where two equivalent forms exist (rational vs projector/boost-sandwich) both
 are implemented and cross-checked by the verification suites; the rational
 form is the production path since it avoids boost conditioning at large |p|.
@@ -15,6 +16,7 @@ import numpy as np
 
 from .algebra import (
     EPS3,
+    G0G,
     GAMMA,
     GAMMA5,
     ID4,
@@ -22,6 +24,7 @@ from .algebra import (
     Momentum,
     boost_for_momentum,
     central_gradient,
+    contract,
     lorentz_boost_matrix,
     theta_tensor,
 )
@@ -29,15 +32,19 @@ from .algebra import (
 _GAMMA_VEC = GAMMA[1:4]  # gamma^1..gamma^3
 
 
+def _scalars(x, n: int = 3) -> np.ndarray:
+    """Per-momentum scalars with n trailing axes, to scale matrix stacks."""
+    return np.reshape(x, np.shape(x) + (1,) * n)
+
+
 def dirac_hamiltonian(q: Momentum) -> np.ndarray:
     """H_D(p) = m gamma^0 + gamma^0 gamma.p; Hermitian with eigenvalues +/-E."""
-    g0gp = sum(q.p[i] * (GAMMA[0] @ GAMMA[i + 1]) for i in range(3))
-    return q.m * GAMMA[0] + g0gp
+    return q.m * GAMMA[0] + contract(q.p, G0G)
 
 
 def projectors(q: Momentum) -> tuple[np.ndarray, np.ndarray]:
     """Frequency projectors Pi_+/- = (1 +/- H_D/E)/2."""
-    nd = dirac_hamiltonian(q) / q.energy
+    nd = n_operator(q)
     return 0.5 * (ID4 + nd), 0.5 * (ID4 - nd)
 
 
@@ -45,7 +52,7 @@ def projectors_boost_form(q: Momentum) -> tuple[np.ndarray, np.ndarray]:
     """Boost-sandwich projectors (m/E) l_p (1 +/- gamma^0)/2 l_p^{+/-1}."""
     lp = boost_for_momentum(q)
     lp_inv = boost_for_momentum(q.flipped())
-    scale = q.m / q.energy
+    scale = _scalars(q.m / q.energy, 2)
     plus = scale * lp @ (0.5 * (ID4 + GAMMA[0])) @ lp
     minus = scale * lp_inv @ (0.5 * (ID4 - GAMMA[0])) @ lp_inv
     return plus, minus
@@ -53,12 +60,12 @@ def projectors_boost_form(q: Momentum) -> tuple[np.ndarray, np.ndarray]:
 
 def n_operator(q: Momentum) -> np.ndarray:
     """Frequency-sign operator N(p) = Pi_+ - Pi_- = H_D(p)/E(p); N^2 = 1."""
-    return dirac_hamiltonian(q) / q.energy
+    return dirac_hamiltonian(q) / _scalars(q.energy, 2)
 
 
 def _cross_matrix(p: np.ndarray, mats: np.ndarray) -> np.ndarray:
     """(p ^ M)_i = eps_{ijk} p^j M_k for a stack of three matrices."""
-    return np.einsum("ijk,j,kab->iab", EPS3, p, mats)
+    return np.einsum("ijk,...j,...kab->...iab", EPS3, p, mats)
 
 
 def pryce_e_spin(q: Momentum) -> np.ndarray:
@@ -66,20 +73,17 @@ def pryce_e_spin(q: Momentum) -> np.ndarray:
 
     S_i(p) = (m/E)s_i + p^i (s.p)/(E(E+m)) + (i/2E)(p ^ gamma)_i.
     """
-    e, m, p = q.energy, q.m, q.p
-    sp = np.einsum("i,iab->ab", p, SPIN)
+    e, m, p = _scalars(q.energy), q.m, q.p
+    sp = contract(p, SPIN)[..., None, :, :]
     pxg = _cross_matrix(p, _GAMMA_VEC)
-    out = np.empty((3, 4, 4), dtype=complex)
-    for i in range(3):
-        out[i] = (m / e) * SPIN[i] + p[i] * sp / (e * (e + m)) + 0.5j * pxg[i] / e
-    return out
+    return (m / e) * SPIN + _scalars(p, 2) * sp / (e * (e + m)) + 0.5j * pxg / e
 
 
 def chakrabarti_spin(q: Momentum) -> np.ndarray:
     """Boosted Pauli-Dirac matrices s_i(p) = l_p s_i l_p^-1 (not conserved)."""
-    lp = boost_for_momentum(q)
-    lp_inv = boost_for_momentum(q.flipped())
-    return np.stack([lp @ SPIN[i] @ lp_inv for i in range(3)])
+    lp = boost_for_momentum(q)[..., None, :, :]
+    lp_inv = boost_for_momentum(q.flipped())[..., None, :, :]
+    return lp @ SPIN @ lp_inv
 
 
 def pryce_e_spin_sandwich(q: Momentum) -> np.ndarray:
@@ -87,7 +91,7 @@ def pryce_e_spin_sandwich(q: Momentum) -> np.ndarray:
     plus, minus = projectors(q)
     sp = chakrabarti_spin(q)
     sm = chakrabarti_spin(q.flipped())
-    return np.stack([sp[i] @ plus + sm[i] @ minus for i in range(3)])
+    return sp @ plus[..., None, :, :] + sm @ minus[..., None, :, :]
 
 
 def pryce_e_position_offset(q: Momentum) -> np.ndarray:
@@ -95,17 +99,14 @@ def pryce_e_position_offset(q: Momentum) -> np.ndarray:
 
     dX_i = i gamma_i/(2E) + (p ^ s)_i/(E(E+m)) - i p^i (gamma.p)/(2E^2(E+m)).
     """
-    e, m, p = q.energy, q.m, q.p
-    gp = sum(p[i] * _GAMMA_VEC[i] for i in range(3))
+    e, m, p = _scalars(q.energy), q.m, q.p
+    gp = contract(p, _GAMMA_VEC)[..., None, :, :]
     pxs = _cross_matrix(p, SPIN)
-    out = np.empty((3, 4, 4), dtype=complex)
-    for i in range(3):
-        out[i] = (
-            0.5j * _GAMMA_VEC[i] / e
-            + pxs[i] / (e * (e + m))
-            - 0.5j * p[i] * gp / (e**2 * (e + m))
-        )
-    return out
+    return (
+        0.5j * _GAMMA_VEC / e
+        + pxs / (e * (e + m))
+        - 0.5j * _scalars(p, 2) * gp / (e**2 * (e + m))
+    )
 
 
 def position_offset_from_boost_derivative(q: Momentum, h: float = 1e-5) -> np.ndarray:
@@ -119,55 +120,53 @@ def position_offset_from_boost_derivative(q: Momentum, h: float = 1e-5) -> np.nd
 
     def nl(pvec: np.ndarray) -> np.ndarray:
         qq = Momentum(pvec, q.m)
-        return np.sqrt(q.m / qq.energy) * boost_for_momentum(qq)
+        return _scalars(np.sqrt(q.m / qq.energy), 2) * boost_for_momentum(qq)
 
     def dx_at(qq: Momentum) -> np.ndarray:
-        lp_inv = boost_for_momentum(qq.flipped())
-        n = np.sqrt(qq.m / qq.energy)
+        lp_inv = boost_for_momentum(qq.flipped())[..., None, :, :]
+        n = _scalars(np.sqrt(qq.m / qq.energy))
         return -1j / n * central_gradient(nl, qq.p, h) @ lp_inv
 
     plus, minus = projectors(q)
-    return dx_at(q) @ plus - dx_at(q.flipped()) @ minus
+    return dx_at(q) @ plus[..., None, :, :] - dx_at(q.flipped()) @ minus[..., None, :, :]
 
 
 def auxiliary_spins(q: Momentum) -> tuple[np.ndarray, np.ndarray]:
     """Theta-contracted spins S^(+)_i = Theta_ij S_j and S^(-)_i = Theta^-1_ij S_j."""
     s = pryce_e_spin(q)
     theta, theta_inv = theta_tensor(q)
-    return np.einsum("ij,jab->iab", theta, s), np.einsum("ij,jab->iab", theta_inv, s)
+    return (
+        np.einsum("...ij,...jab->...iab", theta, s),
+        np.einsum("...ij,...jab->...iab", theta_inv, s),
+    )
 
 
 def frankel_spin(q: Momentum) -> np.ndarray:
     """Frankel spin-type operator, rational form s + (i/2m) p ^ gamma."""
-    pxg = _cross_matrix(q.p, _GAMMA_VEC)
-    return np.stack([SPIN[i] + 0.5j * pxg[i] / q.m for i in range(3)])
+    return SPIN + 0.5j * _cross_matrix(q.p, _GAMMA_VEC) / q.m
 
 
 def pc_spin(q: Momentum) -> np.ndarray:
     """Pryce(c)-Czochor spin-type operator, the diagonal part of the
     Pauli-Dirac one: (m^2/E^2)s + p(p.s)/E^2 + (im/2E^2) p ^ gamma.
     """
-    e, m, p = q.energy, q.m, q.p
-    sp = np.einsum("i,iab->ab", p, SPIN)
+    e, m, p = _scalars(q.energy), q.m, q.p
+    sp = contract(p, SPIN)[..., None, :, :]
     pxg = _cross_matrix(p, _GAMMA_VEC)
-    out = np.empty((3, 4, 4), dtype=complex)
-    for i in range(3):
-        out[i] = (m / e) ** 2 * SPIN[i] + p[i] * sp / e**2 + 0.5j * m * pxg[i] / e**2
-    return out
+    return (m / e) ** 2 * SPIN + _scalars(p, 2) * sp / e**2 + 0.5j * m * pxg / e**2
 
 
 def fradkin_good_spin(q: Momentum) -> np.ndarray:
     """Fradkin-Good spin-type operator, rational form
-    gamma^0 s + (p(p.s)/p^2)(H_D/E - gamma^0); reduces to s at p = 0.
+    gamma^0 s + (p(p.s)/p^2)(H_D/E - gamma^0); reduces to s gamma^0 = gamma^0 s
+    at p = 0, where both p(p.s) and H_D/E - gamma^0 vanish.
     """
     p = q.p
-    p2 = float(np.dot(p, p))
-    g0s = np.stack([GAMMA[0] @ SPIN[i] for i in range(3)])
-    if p2 == 0.0:
-        return np.stack([SPIN[i] @ GAMMA[0] for i in range(3)])
-    sp = np.einsum("i,iab->ab", p, SPIN)
+    p2 = np.sum(p * p, axis=-1)
+    p2 = np.where(p2 == 0.0, 1.0, p2)
+    sp = contract(p, SPIN)
     rest = n_operator(q) - GAMMA[0]
-    return np.stack([g0s[i] + p[i] * (sp @ rest) / p2 for i in range(3)])
+    return GAMMA[0] @ SPIN + _scalars(p, 2) * (sp @ rest)[..., None, :, :] / _scalars(p2)
 
 
 def spin_type_operators(q: Momentum) -> dict[str, np.ndarray]:
@@ -176,7 +175,7 @@ def spin_type_operators(q: Momentum) -> dict[str, np.ndarray]:
     The C partners are built from the Theta contractions; the cross identities
     C_PC = (m^2/E^2) S_Fr and C_Fr = (E^2/m^2) S_PC are test targets.
     """
-    e, m = q.energy, q.m
+    e, m = _scalars(q.energy), q.m
     s_plus, s_minus = auxiliary_spins(q)
     return {
         "S_Fr": frankel_spin(q),
@@ -196,7 +195,7 @@ def pauli_lubanski(q: Momentum) -> np.ndarray:
     """
     s = pryce_e_spin(q)
     L = lorentz_boost_matrix(q)
-    return q.m * np.einsum("mi,iab->mab", L[:, 1:], s)
+    return q.m * np.einsum("...mi,...iab->...mab", L[..., :, 1:], s)
 
 
 def pryce_cd_offsets(q: Momentum) -> tuple[np.ndarray, np.ndarray]:
@@ -204,7 +203,7 @@ def pryce_cd_offsets(q: Momentum) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (dX_c - dX, dX_d - dX) = (p ^ S/(E(E+m)), -p ^ S/(m(E+m))).
     """
-    e, m = q.energy, q.m
+    e, m = _scalars(q.energy), q.m
     pxS = _cross_matrix(q.p, pryce_e_spin(q))
     return pxS / (e * (e + m)), -pxS / (m * (e + m))
 
@@ -212,8 +211,9 @@ def pryce_cd_offsets(q: Momentum) -> tuple[np.ndarray, np.ndarray]:
 def decompose_diag_osc(a: np.ndarray, q: Momentum) -> tuple[np.ndarray, ...]:
     """Projector-sandwich split A = A^(+) + A^(-) + A^(+-) + A^(-+).
 
-    For Hermitian A the off-diagonal parts are mutual adjoints; the diagonal
-    parts commute with H_D while [H_D, A^(+-)] = 2E A^(+-).
+    ``a`` broadcasts against the projectors, shape (..., 4, 4).  For Hermitian
+    A the off-diagonal parts are mutual adjoints; the diagonal parts commute
+    with H_D while [H_D, A^(+-)] = 2E A^(+-).
     """
     plus, minus = projectors(q)
     return (plus @ a @ plus, minus @ a @ minus, plus @ a @ minus, minus @ a @ plus)
@@ -221,33 +221,36 @@ def decompose_diag_osc(a: np.ndarray, q: Momentum) -> tuple[np.ndarray, ...]:
 
 @dataclass(frozen=True)
 class FourierOperator:
-    """Named momentum-space operator: evaluator p -> stack of 4x4 matrices.
+    """Named momentum-space operator: evaluator q -> (..., k, 4, 4) stack.
 
-    ``components`` is 1 for scalars, 3 for spatial vectors, 4 for four-vectors;
-    scalar evaluators still return shape (1, 4, 4) for uniformity.
-    ``parity_under_p_flip`` is "even" for momentum-independent matrices and
-    "none" where no definite sign relates A(-p) to A(p).
+    ``components`` is k: 1 for scalars, 3 for spatial vectors, 4 for
+    four-vectors.
     """
 
     name: str
     components: int
     func: Callable[[Momentum], np.ndarray]
-    parity_under_p_flip: str = "none"
 
     def __call__(self, q: Momentum) -> np.ndarray:
-        out = np.asarray(self.func(q), dtype=complex)
-        if out.ndim == 2:
-            out = out[None, :, :]
-        return out
+        return self.func(q)
+
+
+def _scalar(fn) -> Callable[[Momentum], np.ndarray]:
+    return lambda q: fn(q)[..., None, :, :]
+
+
+def _constant(mats: np.ndarray) -> Callable[[Momentum], np.ndarray]:
+    mats = np.asarray(mats, dtype=complex).reshape((-1, 4, 4))
+    return lambda q: np.broadcast_to(mats, q.p.shape[:-1] + mats.shape)
 
 
 OPERATOR_CATALOG: dict[str, FourierOperator] = {
-    "h_dirac": FourierOperator("h_dirac", 1, lambda q: dirac_hamiltonian(q)),
-    "projector_plus": FourierOperator("projector_plus", 1, lambda q: projectors(q)[0]),
+    "h_dirac": FourierOperator("h_dirac", 1, _scalar(dirac_hamiltonian)),
+    "projector_plus": FourierOperator("projector_plus", 1, _scalar(lambda q: projectors(q)[0])),
     "projector_minus": FourierOperator(
-        "projector_minus", 1, lambda q: projectors(q)[1]
+        "projector_minus", 1, _scalar(lambda q: projectors(q)[1])
     ),
-    "n_op": FourierOperator("n_op", 1, n_operator),
+    "n_op": FourierOperator("n_op", 1, _scalar(n_operator)),
     "pryce_e_spin": FourierOperator("pryce_e_spin", 3, pryce_e_spin),
     "delta_x": FourierOperator("delta_x", 3, pryce_e_position_offset),
     "chakrabarti": FourierOperator("chakrabarti", 3, chakrabarti_spin),
@@ -255,15 +258,9 @@ OPERATOR_CATALOG: dict[str, FourierOperator] = {
     "pc_spin": FourierOperator("pc_spin", 3, pc_spin),
     "fradkin_good": FourierOperator("fradkin_good", 3, fradkin_good_spin),
     "pauli_lubanski": FourierOperator("pauli_lubanski", 4, pauli_lubanski),
-    "pauli_dirac_spin": FourierOperator(
-        "pauli_dirac_spin", 3, lambda q: SPIN.astype(complex), "even"
-    ),
-    "gamma5": FourierOperator("gamma5", 1, lambda q: GAMMA5, "even"),
-    "gamma0": FourierOperator("gamma0", 1, lambda q: GAMMA[0], "even"),
-    "gamma0_gamma5": FourierOperator(
-        "gamma0_gamma5", 1, lambda q: GAMMA[0] @ GAMMA5, "even"
-    ),
-    "fw_generator": FourierOperator(
-        "fw_generator", 3, lambda q: -1j * _GAMMA_VEC.astype(complex), "even"
-    ),
+    "pauli_dirac_spin": FourierOperator("pauli_dirac_spin", 3, _constant(SPIN)),
+    "gamma5": FourierOperator("gamma5", 1, _constant(GAMMA5)),
+    "gamma0": FourierOperator("gamma0", 1, _constant(GAMMA[0])),
+    "gamma0_gamma5": FourierOperator("gamma0_gamma5", 1, _constant(GAMMA[0] @ GAMMA5)),
+    "fw_generator": FourierOperator("fw_generator", 3, _constant(-1j * _GAMMA_VEC)),
 }

@@ -2,7 +2,8 @@
 
 Two families are provided: *common* polarization (spin measured along a fixed
 unit vector, momentum independent) and the *peculiar* helicity basis (spin
-measured along the momentum direction).  Both supply
+measured along the momentum direction).  Both take momenta of shape (..., 3)
+and supply, per momentum,
 
 * ``xi(p)``      2x2 matrix whose columns are xi_{+1/2}, xi_{-1/2}
 * ``eta(p)``     partner spinors eta_sigma = i sigma_2 xi_sigma^*
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import PAULI, central_gradient
+from .algebra import PAULI, central_gradient, dagger
 
 EPS_POLE = 1e-9
 
@@ -36,23 +37,31 @@ def sigma_index(sigma: float) -> int:
     raise ValueError(f"sigma must be +0.5 or -0.5, got {sigma}")
 
 
+def _chart(n: np.ndarray) -> np.ndarray:
+    """1 + n^3 as |n + e3|^2 / 2: no digits cancel near the n^3 = -1 pole."""
+    return 0.5 * (n[..., 0] ** 2 + n[..., 1] ** 2 + (1.0 + n[..., 2]) ** 2)
+
+
 def spinor_pair(n) -> np.ndarray:
-    """Spin-projection eigenspinors along a unit vector n, as matrix columns.
+    """Spin-projection eigenspinors along unit vectors n (..., 3), as the
+    columns of (..., 2, 2) matrices.
 
     Columns solve (n.sigma/2) xi_sigma = sigma xi_sigma; singular on the
-    n^3 = -1 pole of the chart.  1 + n^3 = (n1^2 + n2^2)/(1 - n^3) for n^3 < 0
-    keeps the columns orthonormal to rounding instead of cancelling digits.
+    n^3 = -1 pole of the chart.
     """
     n = np.asarray(n, dtype=float)
-    if abs(np.linalg.norm(n) - 1.0) > 1e-12:
+    if np.any(np.abs(np.linalg.norm(n, axis=-1) - 1.0) > 1e-12):
         raise ValueError("direction must be a unit vector")
-    den = 1.0 + n[2] if n[2] >= 0.0 else (n[0] ** 2 + n[1] ** 2) / (1.0 - n[2])
-    if den <= EPS_POLE:
-        raise PoleError(f"spinor chart singular at n3 -> -1 (1+n3 = {den:.3e})")
+    den = _chart(n)
+    if np.any(den <= EPS_POLE):
+        raise PoleError(f"spinor chart singular at n3 -> -1 (1+n3 = {np.min(den):.3e})")
     pref = np.sqrt(den / 2.0)
-    xi_up = pref * np.array([1.0, (n[0] + 1j * n[1]) / den], dtype=complex)
-    xi_dn = pref * np.array([(-n[0] + 1j * n[1]) / den, 1.0], dtype=complex)
-    return np.column_stack([xi_up, xi_dn])
+    nplus = (n[..., 0] + 1j * n[..., 1]) / den
+    xi = np.empty(n.shape[:-1] + (2, 2), dtype=complex)
+    xi[..., 0, 0] = xi[..., 1, 1] = pref
+    xi[..., 1, 0] = pref * nplus
+    xi[..., 0, 1] = -pref * nplus.conj()
+    return xi
 
 
 def eta_from_xi(xi: np.ndarray) -> np.ndarray:
@@ -61,7 +70,11 @@ def eta_from_xi(xi: np.ndarray) -> np.ndarray:
 
 
 class PolarizationBasis:
-    """Base class; concrete bases override ``xi`` (and closed forms if any)."""
+    """Base class; concrete bases override ``xi`` and ``omega``.
+
+    Every method takes momenta of shape (..., 3) and returns one matrix, or
+    one stack of three, per momentum.
+    """
 
     kind = "generic"
 
@@ -72,27 +85,25 @@ class PolarizationBasis:
         return eta_from_xi(self.xi(p))
 
     def sigma(self, p) -> np.ndarray:
-        """Sigma_i(p) = xi^+(p) sigma_i xi(p), stacked over i."""
-        x = self.xi(p)
-        return np.stack([x.conj().T @ PAULI[i] @ x for i in range(3)])
-
-    def omega(self, p) -> np.ndarray:
-        """Connections Omega_i(p) = xi^+(p) d_{p^i} xi(p); default by finite differences."""
-        return self.omega_fd(p, 1e-4 * float(np.linalg.norm(p)))
+        """Sigma_i(p) = xi^+(p) sigma_i xi(p), shape (..., 3, 2, 2)."""
+        x = self.xi(p)[..., None, :, :]
+        return dagger(x) @ PAULI @ x
 
     def omega_fd(self, p, h: float) -> np.ndarray:
-        """4th-order central finite-difference Omega with step h, for
-        cross-validation; direction-dependent (helicity-type) spinors vary on
-        the scale |p|, so h of order 1e-4 |p| suits them.
+        """Connections Omega_i(p) = xi^+(p) d_{p^i} xi(p) by 4th-order central
+        differences with step h, for cross-validation; direction-dependent
+        (helicity-type) spinors vary on the scale |p|, so h of order 1e-4 |p|
+        suits them.
         """
-        return self.xi(p).conj().T @ central_gradient(self.xi, p, h)
+        return dagger(self.xi(p))[..., None, :, :] @ central_gradient(self.xi, p, h)
 
 
 class CommonBasis(PolarizationBasis):
     """Momentum-independent basis: spin measured along a fixed unit vector n.
 
     Omega vanishes identically; with n = e3 the spinors are the standard
-    momentum-spin basis (1,0) and (0,1).
+    momentum-spin basis (1,0) and (0,1).  ``p`` only sets the batch shape;
+    None is a single momentum.
     """
 
     kind = "common"
@@ -101,90 +112,80 @@ class CommonBasis(PolarizationBasis):
         self.n = np.asarray(n, dtype=float)
         self._xi = spinor_pair(self.n)
         self._eta = eta_from_xi(self._xi)
-        self._sigma = np.stack(
-            [self._xi.conj().T @ PAULI[i] @ self._xi for i in range(3)]
-        )
+        self._sigma = super().sigma(None)
+
+    @staticmethod
+    def _batch(mats: np.ndarray, p) -> np.ndarray:
+        return np.broadcast_to(mats, np.shape(p)[:-1] + mats.shape)
 
     def xi(self, p=None) -> np.ndarray:
-        return self._xi
+        return self._batch(self._xi, p)
 
     def eta(self, p=None) -> np.ndarray:
-        return self._eta
+        return self._batch(self._eta, p)
 
     def sigma(self, p=None) -> np.ndarray:
-        return self._sigma
+        return self._batch(self._sigma, p)
 
     def omega(self, p=None) -> np.ndarray:
-        return np.zeros((3, 2, 2), dtype=complex)
+        return self._batch(np.zeros((3, 2, 2), dtype=complex), p)
 
 
 class HelicityBasis(PolarizationBasis):
     """Peculiar basis with spin measured along n_p = p/|p|.
 
-    Sigma and Omega use closed forms; both are singular on the negative-p3
-    axis where the chart underlying the spinors degenerates.
+    Omega has a closed form; the basis is singular on the negative-p3 axis
+    where the chart underlying the spinors degenerates.
     """
 
     kind = "helicity"
 
-    def _checked(self, p) -> tuple[np.ndarray, float]:
+    def _checked(self, p) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """p, |p| and |p| + p3 = |p| |n + e3|^2 / 2, after the pole checks."""
         p = np.asarray(p, dtype=float)
-        mag = float(np.linalg.norm(p))
-        if mag == 0.0:
+        mag = np.linalg.norm(p, axis=-1)
+        if np.any(mag == 0.0):
             raise PoleError("helicity basis undefined at p = 0")
-        if (mag + p[2]) <= EPS_POLE * mag:
+        n = p / mag[..., None]
+        mp3 = mag * _chart(n)
+        if np.any(mp3 <= EPS_POLE * mag):
             raise PoleError(
-                f"helicity chart singular on the -e3 ray (p+p3 = {mag + p[2]:.3e})"
+                f"helicity chart singular on the -e3 ray (p+p3 = {np.min(mp3):.3e})"
             )
-        return p, mag
+        return p, mag, mp3
 
     def xi(self, p) -> np.ndarray:
-        p, mag = self._checked(p)
-        return spinor_pair(p / mag)
-
-    def sigma(self, p) -> np.ndarray:
-        p, mag = self._checked(p)
-        p1, p2, p3 = p
-        perp = p1 * PAULI[0] + p2 * PAULI[1]
-        out = np.empty((3, 2, 2), dtype=complex)
-        out[0] = (p1 / mag) * PAULI[2] - p1 * perp / (mag * (mag + p3)) + PAULI[0]
-        out[1] = (p2 / mag) * PAULI[2] - p2 * perp / (mag * (mag + p3)) + PAULI[1]
-        out[2] = (p3 / mag) * PAULI[2] - perp / mag
-        return out
+        p, mag, _ = self._checked(p)
+        return spinor_pair(p / mag[..., None])
 
     def omega(self, p) -> np.ndarray:
-        p, mag = self._checked(p)
-        p1, p2, p3 = p
-        s1, s2, s3 = PAULI
-        out = np.empty((3, 2, 2), dtype=complex)
-        out[0] = (-1j / (2 * mag**2 * (mag + p3))) * (
-            p1 * p2 * s1 + mag * p2 * s3 + (mag * p3 + p2**2 + p3**2) * s2
-        )
-        out[1] = (1j / (2 * mag**2 * (mag + p3))) * (
-            p1 * p2 * s2 + mag * p1 * s3 + (mag * p3 + p1**2 + p3**2) * s1
-        )
-        out[2] = (1j / (2 * mag**2)) * (p1 * s2 - p2 * s1)
-        return out
+        """Closed-form Omega_i(p), shape (..., 3, 2, 2): the coefficients of
+        Omega_i along (sigma_1, sigma_2, sigma_3), contracted with PAULI."""
+        p, mag, mp3 = self._checked(p)
+        p1, p2, p3 = p[..., 0], p[..., 1], p[..., 2]
+        c = 1j / (2 * mag**2 * mp3)
+        coef = np.empty(p.shape[:-1] + (3, 3), dtype=complex)
+        coef[..., 0, 0] = -c * p1 * p2
+        coef[..., 0, 1] = -c * (p3 * mp3 + p2**2)
+        coef[..., 0, 2] = -c * mag * p2
+        coef[..., 1, 0] = c * (p3 * mp3 + p1**2)
+        coef[..., 1, 1] = c * p1 * p2
+        coef[..., 1, 2] = c * mag * p1
+        c = 1j / (2 * mag**2)
+        coef[..., 2, 0] = -c * p2
+        coef[..., 2, 1] = c * p1
+        coef[..., 2, 2] = 0.0
+        return (coef @ PAULI.reshape(3, 4)).reshape(p.shape[:-1] + (3, 2, 2))
 
 
 def common_spinor(n, sigma: float) -> np.ndarray:
     """Single common-polarization spinor xi_sigma(n)."""
-    return spinor_pair(n)[:, sigma_index(sigma)]
+    return spinor_pair(n)[..., sigma_index(sigma)]
 
 
 def helicity_spinor(p, sigma: float) -> np.ndarray:
     """Single helicity spinor xi_sigma(n_p)."""
-    return HelicityBasis().xi(p)[:, sigma_index(sigma)]
-
-
-def sigma_matrices(basis: PolarizationBasis, p) -> np.ndarray:
-    """Spin matrices of the basis, Sigma_i(p) = xi^+(p) sigma_i xi(p)."""
-    return basis.sigma(np.asarray(getattr(p, "p", p), dtype=float))
-
-
-def omega_connection(basis: PolarizationBasis, p) -> np.ndarray:
-    """Connection matrices Omega_i(p) = xi^+(p) d_{p^i} xi(p)."""
-    return basis.omega(np.asarray(getattr(p, "p", p), dtype=float))
+    return HelicityBasis().xi(p)[..., sigma_index(sigma)]
 
 
 def make_basis(kind: str, n=(0.0, 0.0, 1.0)) -> PolarizationBasis:

@@ -12,38 +12,39 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import CCONJ, GAMMA, Momentum, boost_for_momentum
+from .algebra import CCONJ, GAMMA, Momentum, boost_for_momentum, contract, dagger
 from .polarization import PolarizationBasis, sigma_index
 
 _TWO_PI_32 = (2.0 * np.pi) ** 1.5
 
 
 def rest_u_matrix(basis: PolarizationBasis, p) -> np.ndarray:
-    """Rest-frame particle spinors as a 4x2 matrix of columns (xi; xi)/sqrt(2)."""
+    """Rest-frame particle spinors as 4x2 matrices of columns (xi; xi)/sqrt(2)."""
     xi = basis.xi(p)
-    return np.vstack([xi, xi]) / np.sqrt(2.0)
+    return np.concatenate([xi, xi], axis=-2) / np.sqrt(2.0)
 
 
 def rest_v_matrix(basis: PolarizationBasis, p) -> np.ndarray:
     """Rest-frame antiparticle spinors, columns (eta; -eta)/sqrt(2)."""
     eta = basis.eta(p)
-    return np.vstack([eta, -eta]) / np.sqrt(2.0)
+    return np.concatenate([eta, -eta], axis=-2) / np.sqrt(2.0)
 
 
 def rest_spinors(basis: PolarizationBasis, q: Momentum, sigma: float):
     """Pair (u_ring, v_ring) of gamma^0 eigenspinors for one polarization label."""
     idx = sigma_index(sigma)
-    return rest_u_matrix(basis, q.p)[:, idx], rest_v_matrix(basis, q.p)[:, idx]
+    return rest_u_matrix(basis, q.p)[..., idx], rest_v_matrix(basis, q.p)[..., idx]
 
 
-def norm_factor(q: Momentum) -> float:
+def norm_factor(q: Momentum) -> np.ndarray:
     """n(p) = sqrt(m / E(p)), with n(0) = 1."""
-    return float(np.sqrt(q.m / q.energy))
+    return np.sqrt(q.m / q.energy)
 
 
 def u_matrix(basis: PolarizationBasis, q: Momentum) -> np.ndarray:
     """Boosted particle spinors u_sigma(p) = n(p) l_p u_ring_sigma(p), as columns."""
-    return norm_factor(q) * boost_for_momentum(q) @ rest_u_matrix(basis, q.p)
+    n = norm_factor(q)[..., None, None]
+    return n * boost_for_momentum(q) @ rest_u_matrix(basis, q.p)
 
 
 def v_matrix(basis: PolarizationBasis, q: Momentum) -> np.ndarray:
@@ -52,19 +53,21 @@ def v_matrix(basis: PolarizationBasis, q: Momentum) -> np.ndarray:
 
 
 def u_spinor(basis: PolarizationBasis, q: Momentum, sigma: float) -> np.ndarray:
-    return u_matrix(basis, q)[:, sigma_index(sigma)]
+    return u_matrix(basis, q)[..., sigma_index(sigma)]
 
 
 def v_spinor(basis: PolarizationBasis, q: Momentum, sigma: float) -> np.ndarray:
-    return v_matrix(basis, q)[:, sigma_index(sigma)]
+    return v_matrix(basis, q)[..., sigma_index(sigma)]
 
 
-def dirac_residuals(basis: PolarizationBasis, q: Momentum) -> tuple[float, float]:
-    """Max norms of (gamma p - m) u and (gamma p + m) v over both polarizations."""
-    gp = q.energy * GAMMA[0] - sum(q.p[i] * GAMMA[i + 1] for i in range(3))
-    ru = np.max(np.abs((gp - q.m * np.eye(4)) @ u_matrix(basis, q)))
-    rv = np.max(np.abs((gp + q.m * np.eye(4)) @ v_matrix(basis, q)))
-    return float(ru), float(rv)
+def dirac_residuals(basis: PolarizationBasis, q: Momentum) -> tuple[np.ndarray, np.ndarray]:
+    """Max norms of (gamma p - m) u and (gamma p + m) v over both
+    polarizations, one pair per momentum."""
+    gp = q.energy[..., None, None] * GAMMA[0] - contract(q.p, GAMMA[1:])
+    m = q.m * np.eye(4)
+    ru = np.max(np.abs((gp - m) @ u_matrix(basis, q)), axis=(-2, -1))
+    rv = np.max(np.abs((gp + m) @ v_matrix(basis, q)), axis=(-2, -1))
+    return ru, rv
 
 
 def projector_from_spinors(basis: PolarizationBasis, q: Momentum):
@@ -75,7 +78,7 @@ def projector_from_spinors(basis: PolarizationBasis, q: Momentum):
     """
     u = u_matrix(basis, q)
     v = v_matrix(basis, q.flipped())
-    return u @ u.conj().T, v @ v.conj().T
+    return u @ dagger(u), v @ dagger(v)
 
 
 @dataclass(frozen=True)
@@ -101,8 +104,6 @@ class ModeSpinorField:
         return v_spinor(self.basis, self.q, self.sigma)
 
     def at(self, t: float, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        phase = self.q.energy * t - float(np.dot(self.q.p, x))
-        if self.species == "U":
-            return self.amplitude() * np.exp(-1j * phase) / _TWO_PI_32
-        return self.amplitude() * np.exp(1j * phase) / _TWO_PI_32
+        phase = self.q.energy * t - self.q.p @ np.asarray(x, dtype=float)
+        sign = -1j if self.species == "U" else 1j
+        return self.amplitude() * np.exp(sign * phase)[..., None] / _TWO_PI_32

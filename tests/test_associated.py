@@ -11,7 +11,6 @@ from diracmr.algebra import (
 from diracmr.associated import (
     AssociatedFamily,
     WaveSpinor,
-    apply_associated,
     commutator,
     commutator_action,
     gaussian_test_spinor,
@@ -131,17 +130,13 @@ def test_velocity_and_position_actions():
     alpha = gaussian_test_spinor(rng)
     q = Momentum.of(0.3, 0.5, -0.2)
     v = fam.velocity(0)
-    assert np.allclose(
-        apply_associated(v, alpha, q), (q.p[0] / q.energy) * alpha.value(q.p)
-    )
+    assert np.allclose(v.apply(alpha, q.p), (q.p[0] / q.energy) * alpha.value(q.p))
     x = fam.position(0)
-    assert np.allclose(
-        apply_associated(x, alpha, q), 1j * alpha.gradient(q.p)[0], atol=1e-12
-    )
+    assert np.allclose(x.apply(alpha, q.p), 1j * alpha.gradient(q.p)[0], atol=1e-12)
     # time-shifted position picks up t V
     xt = fam.position(0, t=2.0)
     assert np.allclose(
-        apply_associated(xt, alpha, q),
+        xt.apply(alpha, q.p),
         1j * alpha.gradient(q.p)[0] + 2.0 * (q.p[0] / q.energy) * alpha.value(q.p),
         atol=1e-12,
     )
@@ -158,20 +153,19 @@ def test_position_expectation_is_preparation_point():
     chi = np.array([1.0, 0.0], dtype=complex)
 
     def value(p):
-        return iso.radial(np.linalg.norm(p)) * np.exp(-1j * float(x0 @ p)) * chi
+        return (iso.radial(np.linalg.norm(p, axis=-1)) * np.exp(-1j * (p @ x0)))[..., None] * chi
 
     def grad(p):
-        mag = np.linalg.norm(p)
+        mag = np.linalg.norm(p, axis=-1)[..., None]
         radial = iso.radial_derivative(mag) * p / mag
-        return np.outer(radial, chi) * np.exp(-1j * float(x0 @ p)) + value(p)[None, :] * (
-            -1j * x0[:, None]
-        )
+        phase = np.exp(-1j * (p @ x0))[..., None, None]
+        return radial[..., None] * chi * phase + value(p)[..., None, :] * (-1j * x0[:, None])
 
+    # the whole grid is one batch of momenta
     alpha = WaveSpinor(value, grad)
-    vals = np.array([alpha.value(pt) for pt in grid.nodes])
+    vals = alpha.value(grid.nodes)
     for i in range(3):
-        op = fam.position(i)
-        acted = np.array([op.apply(alpha, pt) for pt in grid.nodes])
+        acted = fam.position(i).apply(alpha, grid.nodes)
         acc = grid.integrate(np.einsum("na,na->n", vals.conj(), acted))
         assert acc.real == pytest.approx(x0[i], abs=1e-8)
 
@@ -294,9 +288,7 @@ def test_hermitian_quadratic_form_of_boost_orbital():
 
     grid = QuadratureGrid(10.0, 40, 8, 8)
     op = fam.boost_orbital(1)
-    lhs = 0.0j
-    rhs = 0.0j
-    for w, pt in zip(grid.weights, grid.nodes):
-        lhs += w * np.vdot(a.value(pt), op.apply(b, pt))
-        rhs += w * np.vdot(op.apply(a, pt), b.value(pt))
+    pts = grid.nodes  # the whole grid is one batch of momenta
+    lhs = np.sum(grid.weights * np.einsum("na,na->n", a.value(pts).conj(), op.apply(b, pts)))
+    rhs = np.sum(grid.weights * np.einsum("na,na->n", op.apply(a, pts).conj(), b.value(pts)))
     assert abs(lhs - rhs) < 1e-8

@@ -1,0 +1,28 @@
+"""The names the benchmark's layer tracer and workloads rely on.
+
+``bench/tracing.py`` wraps package attributes by name, counts
+``Momentum.__post_init__`` calls, and ``bench/workloads.py`` unpacks single
+momenta from ``sample_momenta``; a refactor that drops one of these breaks
+the benchmark without failing any other test.
+"""
+
+import importlib.util
+from pathlib import Path
+
+from diracmr.algebra import Momentum
+from diracmr.sampling import sample_momenta
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+def test_bench_tracer_contract():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for owner, attr, span in tracing._targets():
+        assert callable(vars(owner).get(attr)), f"{span}: {owner.__name__}.{attr}"
+    assert "__post_init__" in vars(Momentum)
+    (q,) = sample_momenta(1, 1.0, 3, lo=0.05, hi=2.0, avoid_poles=True)
+    momenta = sample_momenta(4, 1.0, 3)
+    assert isinstance(momenta, list)
+    assert all(isinstance(k, Momentum) and k.p.shape == (3,) for k in [q, *momenta])

@@ -1,3 +1,5 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,8 +14,6 @@ from diracmr.polarization import (
     eta_from_xi,
     helicity_spinor,
     make_basis,
-    omega_connection,
-    sigma_matrices,
     spinor_pair,
 )
 from diracmr.sampling import sample_momenta
@@ -103,7 +103,7 @@ def test_sigma_matrices_helicity():
     for q in sample_momenta(100, 1.0, seed=5, avoid_poles=True):
         p = q.p
         sig = hel.sigma(p)
-        # closed form agrees with the defining bilinears
+        # agrees with the defining bilinears
         xi = hel.xi(p)
         direct = np.stack([xi.conj().T @ PAULI[i] @ xi for i in range(3)])
         assert np.max(np.abs(sig - direct)) < 1e-13
@@ -144,13 +144,14 @@ def test_omega_fd_at_diagonal_direction():
         assert np.max(np.abs(fd - hel.omega(p))) < 1e-6
 
 
-def test_sigma_omega_wrappers():
+def test_sigma_omega_methods():
     from diracmr.algebra import Momentum
 
     q = Momentum.of(0.3, 0.1, 0.8)
     hel = make_basis("helicity")
-    assert np.allclose(sigma_matrices(hel, q), hel.sigma(q.p))
-    assert np.allclose(omega_connection(hel, q), hel.omega(q.p))
+    xi = hel.xi(q.p)
+    assert np.allclose(hel.sigma(q.p), [xi.conj().T @ s @ xi for s in PAULI])
+    assert np.allclose(hel.omega(q.p), hel.omega_fd(q.p, 1e-4 * q.mag), atol=1e-6)
     with pytest.raises(ValueError):
         make_basis("nope")
 
@@ -158,8 +159,42 @@ def test_sigma_omega_wrappers():
 @pytest.mark.parametrize("gap", [1e-4, 1e-6, 1e-8])
 def test_spinor_pair_unitary_near_pole(gap):
     # 1 + n3 = gap: the chart factor must not lose digits to cancellation
+    xi = spinor_pair(_near_pole(gap))
+    assert np.max(np.abs(xi.conj().T @ xi - ID2)) <= 1e-14
+
+
+def _near_pole(gap: float, mag: float = 1.0) -> np.ndarray:
+    # direction with 1 + n3 = gap, times mag
     n3 = -1.0 + gap
     perp = np.sqrt(1.0 - n3 * n3)
-    n = np.array([perp * np.cos(0.3), perp * np.sin(0.3), n3])
-    xi = spinor_pair(n)
-    assert np.max(np.abs(xi.conj().T @ xi - ID2)) <= 1e-14
+    return mag * np.array([perp * np.cos(0.3), perp * np.sin(0.3), n3])
+
+
+def _omega_decimal(p) -> np.ndarray:
+    """Closed-form Omega_i(p) with every coefficient evaluated at 40 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        p1, p2, p3 = (Decimal(float(x)) for x in p)
+        mag = (p1 * p1 + p2 * p2 + p3 * p3).sqrt()
+        c = 1 / (2 * mag * mag * (mag + p3))
+        c3 = 1 / (2 * mag * mag)
+        # rows: Omega_i / i along (sigma_1, sigma_2, sigma_3)
+        coef = [
+            [-c * p1 * p2, -c * (mag * p3 + p2 * p2 + p3 * p3), -c * mag * p2],
+            [c * (mag * p3 + p1 * p1 + p3 * p3), c * p1 * p2, c * mag * p1],
+            [-c3 * p2, c3 * p1, Decimal(0)],
+        ]
+    coef = 1j * np.array([[float(x) for x in row] for row in coef])
+    return np.einsum("ij,jab->iab", coef, PAULI)
+
+
+@pytest.mark.parametrize("gap", [1e-4, 1e-6, 1e-8])
+def test_helicity_sigma_omega_near_pole(gap):
+    # 1 + n3 = gap at |p| = 0.7: neither Sigma nor Omega may lose digits to
+    # the cancellation in |p| + p3
+    p = _near_pole(gap, 0.7)
+    hel = HelicityBasis()
+    sig = hel.sigma(p)
+    assert np.max(np.abs(np.sum(sig @ sig, axis=0) - 3 * ID2)) <= 1e-14
+    ref = _omega_decimal(p)
+    assert np.max(np.abs(hel.omega(p) - ref)) / np.max(np.abs(ref)) <= 1e-14

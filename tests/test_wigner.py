@@ -80,17 +80,15 @@ def test_boost_transform_norm_on_grid():
     c = (np.pi * s * s) ** (-0.75)
 
     def value(p):
-        return c * np.exp(-np.dot(p, p) / (2 * s * s)) * np.array([0.6, 0.8])
+        return c * np.exp(-np.sum(p * p, axis=-1) / (2 * s * s))[..., None] * np.array([0.6, 0.8])
 
     alpha = WaveSpinor(value)
     lam = boost_param([0.3, 0.0, 0.2])
     out = wigner_transform(alpha, lam, np.zeros(4), mass, basis)
     grid = QuadratureGrid(10.0, 48, 12, 16)
-    norm_t = 0.0
-    norm_0 = 0.0
-    for w, pt in zip(grid.weights, grid.nodes):
-        norm_t += w * float(np.sum(np.abs(out.value(pt)) ** 2))
-        norm_0 += w * float(np.sum(np.abs(alpha.value(pt)) ** 2))
+    # the whole grid is one batch of momenta
+    norm_t = np.sum(grid.weights * np.sum(np.abs(out.value(grid.nodes)) ** 2, axis=-1))
+    norm_0 = np.sum(grid.weights * np.sum(np.abs(alpha.value(grid.nodes)) ** 2, axis=-1))
     assert norm_t == pytest.approx(norm_0, rel=1e-8)
 
 
