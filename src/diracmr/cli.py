@@ -40,9 +40,15 @@ def _parse_vec(value: str, name: str) -> np.ndarray:
         parts = [float(v) for v in value.split(",")]
     except ValueError:
         raise click.UsageError(f"{name} must be three comma-separated numbers")
-    if len(parts) != 3:
-        raise click.UsageError(f"{name} must have exactly three components")
+    if len(parts) != 3 or not np.all(np.isfinite(parts)):
+        raise click.UsageError(f"{name} must have exactly three finite components")
     return np.array(parts)
+
+
+def _positive(ctx: click.Context, param, value: float) -> float:
+    if not value > 0:  # also rejects nan
+        raise click.BadParameter("must be positive")
+    return value
 
 
 def _load_config(ctx: click.Context, param, value):
@@ -88,17 +94,13 @@ def main():
 @main.command()
 @config_option
 @click.option("--suite", type=click.Choice(SUITE_CHOICES), default="all", show_default=True)
-@click.option("--samples", type=int, default=100, show_default=True)
+@click.option("--samples", type=click.IntRange(min=1), default=100, show_default=True)
 @click.option("--seed", type=int, default=7, show_default=True)
-@click.option("--mass", type=float, default=1.0, show_default=True)
+@click.option("--mass", type=float, default=1.0, show_default=True, callback=_positive)
 @click.option("--tol", type=float, default=None, help="Override every check tolerance.")
 @click.option("--out", type=str, default=None, help="Write the report to a file.")
 def verify(suite, samples, seed, mass, tol, out):
     """Run a named identity suite and report residuals."""
-    if samples < 1:
-        raise click.UsageError("samples must be positive")
-    if mass <= 0:
-        raise click.UsageError("mass must be positive")
     results = run_suite(suite, samples=samples, seed=seed, mass=mass, tol=tol)
     lines = [
         f"# diracmr verify suite={suite} samples={samples} seed={seed} "
@@ -121,24 +123,22 @@ def verify(suite, samples, seed, mass, tol, out):
 @config_option
 @click.option("--gamma", type=float, default=1.0, show_default=True)
 @click.option("--pbar", type=float, default=2.0, show_default=True)
-@click.option("--mass", type=float, default=1.0, show_default=True)
+@click.option("--mass", type=float, default=1.0, show_default=True, callback=_positive)
 @click.option("--theta-s", type=float, default=0.0, show_default=True)
 @click.option("--x0", type=str, default="0,0,0", show_default=True)
-@click.option("--grid-radial", type=int, default=200, show_default=True)
-@click.option("--grid-cos", type=int, default=32, show_default=True)
-@click.option("--grid-phi", type=int, default=64, show_default=True)
+@click.option("--grid-radial", type=click.IntRange(min=1), default=200, show_default=True)
+@click.option("--grid-cos", type=click.IntRange(min=1), default=32, show_default=True)
+@click.option("--grid-phi", type=click.IntRange(min=1), default=64, show_default=True)
 @click.option("--out", type=str, default=None)
 def packet(gamma, pbar, mass, theta_s, x0, grid_radial, grid_cos, grid_phi, out):
     """Statistics table of an isotropic one-particle wave packet."""
     x0v = _parse_vec(x0, "--x0")
     try:
         iso = IsotropicProfile(gamma, pbar, mass)
-    except ValueError as exc:
+        grid = iso.default_grid(grid_radial, grid_cos, grid_phi)
+        reports = packet_reports(iso, theta_s, x0v, grid)
+    except ValueError as exc:  # packet parameters, theta-s, or a grid too coarse to normalize
         raise click.UsageError(str(exc))
-    if not 0.0 <= theta_s <= np.pi:
-        raise click.UsageError("theta-s must lie in [0, pi]")
-    grid = iso.default_grid(grid_radial, grid_cos, grid_phi)
-    reports = packet_reports(iso, theta_s, x0v, grid)
     rows = [
         "observable,expectation,dispersion,uncertainty,"
         "closed_expectation,closed_dispersion,rel_error,quad_error"
@@ -182,7 +182,7 @@ def figures(which, q_min, q_max, points, gamma_m, out):
 @click.option("--name", type=click.Choice(tuple(KERNEL_CATALOG)), required=True)
 @click.option("--p", type=str, default="0,0,1", show_default=True)
 @click.option("--t", type=float, default=0.0, show_default=True)
-@click.option("--mass", type=float, default=1.0, show_default=True)
+@click.option("--mass", type=float, default=1.0, show_default=True, callback=_positive)
 @click.option(
     "--basis", type=click.Choice(("common", "helicity")), default="common",
     show_default=True,
@@ -191,8 +191,6 @@ def figures(which, q_min, q_max, points, gamma_m, out):
 def kernel(name, p, t, mass, basis, out):
     """Evaluate an oscillating (zitterbewegung) kernel at (t, p)."""
     pv = _parse_vec(p, "--p")
-    if mass <= 0:
-        raise click.UsageError("mass must be positive")
     q = Momentum(pv, mass)
     b = make_basis(basis)
     ker = KERNEL_CATALOG[name]

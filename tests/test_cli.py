@@ -39,6 +39,11 @@ def test_verify_bad_samples():
     assert res.exit_code == 2
 
 
+def test_verify_bad_mass():
+    for mass in ("0", "-1", "nan"):
+        assert run_cli("verify", "--suite", "clifford", "--mass", mass).exit_code == 2
+
+
 def test_packet_rows(tmp_path):
     out = tmp_path / "packet.csv"
     res = run_cli(
@@ -62,6 +67,13 @@ def test_packet_invalid_parameters_exit_2():
     assert run_cli("packet", "--gamma", "1", "--pbar", "0.5").exit_code == 2
     assert run_cli("packet", "--theta-s", "9").exit_code == 2
     assert run_cli("packet", "--x0", "1,2").exit_code == 2
+    assert run_cli("packet", "--grid-radial", "0").exit_code == 2
+    assert run_cli("packet", "--grid-cos", "-1").exit_code == 2
+    assert run_cli("packet", "--grid-phi", "0").exit_code == 2
+    assert run_cli("packet", "--mass", "-1").exit_code == 2
+    assert run_cli("packet", "--mass", "0").exit_code == 2
+    assert run_cli("packet", "--mass", "nan").exit_code == 2
+    assert run_cli("packet", "--grid-radial", "1").exit_code == 2  # too coarse to normalize
 
 
 def test_figures_columns():
@@ -82,6 +94,7 @@ def test_figures_columns():
 def test_figures_range_guard():
     assert run_cli("figures", "--q-min", "0.2").exit_code == 2
     assert run_cli("figures", "--q-min", "5", "--q-max", "2").exit_code == 2
+    assert run_cli("figures", "--gamma-m", "0").exit_code == 2
 
 
 def test_kernel_output_and_pole():
@@ -103,6 +116,13 @@ def test_kernel_output_and_pole():
         "kernel", "--name", "delta_x_osc", "--p", "0,0,1", "--basis", "helicity"
     )
     assert res_p.exit_code == 2
+
+
+def test_kernel_rejects_non_finite_input():
+    res = run_cli("kernel", "--name", "delta_x_osc", "--p", "nan,0,1")
+    assert res.exit_code == 2
+    assert "finite" in res.output
+    assert run_cli("kernel", "--name", "delta_x_osc", "--mass", "nan").exit_code == 2
 
 
 def test_kernel_quarter_period_negation():
@@ -151,3 +171,17 @@ def test_byte_identical_reruns(tmp_path):
     assert _run_subprocess(args, fa).returncode == 0
     assert _run_subprocess(args, fb).returncode == 0
     assert fa.read_bytes() == fb.read_bytes()
+
+
+def test_commands_run_without_scipy():
+    # runtime dependencies are numpy and click only
+    blocked = "import sys; sys.modules['scipy'] = None; from diracmr.cli import main; main()"
+    for args in (
+        ["figures", "--which", "2"],
+        ["packet", "--grid-radial", "40", "--grid-cos", "8", "--grid-phi", "16"],
+        ["verify", "--suite", "clifford"],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-c", blocked, *args], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, (args, proc.stderr)

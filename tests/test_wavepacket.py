@@ -1,9 +1,11 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import gamma as gamma_fn
 
 from diracmr.polarization import HelicityBasis
 from diracmr.wavepacket import (
@@ -159,6 +161,22 @@ def test_cone_filter_isotropic():
         cone_filter(prof, (0, 0, 1), 0.5, GRID.p_max)  # solid angle too large
 
 
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+def test_cone_filter_near_divergent_dispersion(gamma):
+    # gamma*pbar = 1.05: |p phi(n p)|^2 ~ p^1.1 at 0, where a polynomial rule
+    # loses digits; the radial statistics still match the closed forms
+    iso = make_isotropic(gamma, 1.05 / gamma, 1.0)
+    kappa, phir, r, w, _ = cone_filter(
+        iso.profile(), (0.3, 0.5, 0.8), 0.01, iso.default_grid().p_max
+    )
+    assert abs(4 * np.pi * kappa - 1.0) <= 1e-12
+    stats = radial_statistics(phir, r, w, 1.0)
+    closed = isotropic_closed_forms(iso)
+    for name in ("H", "P", "V"):
+        for got, want in zip(stats[name], closed[name]):
+            assert abs(got - want) <= 1e-12 * abs(want), name
+
+
 def test_cone_filter_direction_scaling():
     # <P^i>' = n^i <P>' after filtering along n
     prof = ISO.profile()
@@ -177,14 +195,35 @@ def test_cone_filter_direction_scaling():
 def test_g_integral_gamma_reduction(nu, mu):
     # rho = 1 collapses to a Gamma integral
     got = g_integral(nu, 1.0, mu, m=1.7)
-    expect = gamma_fn(2 * nu) / mu ** (2 * nu)
+    expect = math.gamma(2 * nu) / mu ** (2 * nu)
     assert got == pytest.approx(expect, rel=1e-10)
 
 
-def test_g_integral_massless_reduction():
-    got = g_integral(1.3, 0.7, 2.0, m=0.0)
-    expo = 2 * 1.3 + 2 * 0.7 - 2
-    assert got == pytest.approx(gamma_fn(expo) / 2.0**expo, rel=1e-10)
+@pytest.mark.parametrize(
+    "nu, rho",
+    # p^0.1 at 0 (adaptive quadrature warns about roundoff there), and
+    # (p^2)^(rho - 1) = p^-4, which overflows as a plain product at the deepest nodes
+    [(1.3, 0.7), (0.35, 0.7), (2.5, -1.0)],
+)
+def test_g_integral_massless_reduction(nu, rho):
+    got = g_integral(nu, rho, 2.0, m=0.0)
+    expo = 2 * nu + 2 * rho - 2
+    assert got == pytest.approx(math.gamma(expo) / 2.0**expo, rel=1e-10)
+
+
+def test_g_integral_matches_adaptive_quadrature_on_figure_grid():
+    # the 180 integrals behind figures 1 and 2 (q in (1, 7], mu = 2, m = 1)
+    worst = 0.0
+    for q in 1.0 + 6.0 * np.arange(1, 61) / 60:
+        for nu, rho in ((q, 1.5), (q + 0.5, 0.5), (q + 1.0, 0.0)):
+            def f(p):
+                return p ** (2 * nu - 1) * (p * p + 1.0) ** (rho - 1) * np.exp(-2.0 * p)
+
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                ref, _ = quad(f, 0.0, np.inf, epsabs=1e-13, epsrel=1e-12, limit=300)
+            worst = max(worst, abs(g_integral(nu, rho, 2.0, 1.0) / ref - 1.0))
+    assert worst <= 1e-12
 
 
 def test_g_integral_guards():
@@ -231,6 +270,8 @@ def test_figure_data_guards():
         figure_data(1, q_min=0.5)
     with pytest.raises(ValueError):
         figure_data(1, q_min=2.0, q_max=1.0)
+    with pytest.raises(ValueError):
+        figure_data(1, gamma_m=0.0)
 
 
 def test_expectation_and_dispersion_wrapper():
