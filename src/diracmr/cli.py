@@ -8,6 +8,7 @@ for identical configuration.  Exit codes: 0 success, 1 failed identity,
 
 from __future__ import annotations
 
+import math
 import sys
 
 import click
@@ -45,10 +46,23 @@ def _parse_vec(value: str, name: str) -> np.ndarray:
     return np.array(parts)
 
 
-def _positive(ctx: click.Context, param, value: float) -> float:
-    if not value > 0:  # also rejects nan
-        raise click.BadParameter("must be positive")
-    return value
+class FiniteFloat(click.types.FloatParamType):
+    """Float option that rejects nan and +-inf, and non-positive values if asked."""
+
+    def __init__(self, positive: bool = False):
+        self.positive = positive
+
+    def convert(self, value, param, ctx) -> float:
+        rv = super().convert(value, param, ctx)
+        if not math.isfinite(rv):
+            self.fail(f"{rv!r} is not a finite number", param, ctx)
+        if self.positive and rv <= 0:
+            self.fail(f"{rv!r} is not positive", param, ctx)
+        return rv
+
+
+FINITE = FiniteFloat()
+POSITIVE = FiniteFloat(positive=True)
 
 
 def _load_config(ctx: click.Context, param, value):
@@ -96,8 +110,8 @@ def main():
 @click.option("--suite", type=click.Choice(SUITE_CHOICES), default="all", show_default=True)
 @click.option("--samples", type=click.IntRange(min=1), default=100, show_default=True)
 @click.option("--seed", type=int, default=7, show_default=True)
-@click.option("--mass", type=float, default=1.0, show_default=True, callback=_positive)
-@click.option("--tol", type=float, default=None, help="Override every check tolerance.")
+@click.option("--mass", type=POSITIVE, default=1.0, show_default=True)
+@click.option("--tol", type=FINITE, default=None, help="Override every check tolerance.")
 @click.option("--out", type=str, default=None, help="Write the report to a file.")
 def verify(suite, samples, seed, mass, tol, out):
     """Run a named identity suite and report residuals."""
@@ -121,10 +135,10 @@ def verify(suite, samples, seed, mass, tol, out):
 
 @main.command()
 @config_option
-@click.option("--gamma", type=float, default=1.0, show_default=True)
-@click.option("--pbar", type=float, default=2.0, show_default=True)
-@click.option("--mass", type=float, default=1.0, show_default=True, callback=_positive)
-@click.option("--theta-s", type=float, default=0.0, show_default=True)
+@click.option("--gamma", type=FINITE, default=1.0, show_default=True)
+@click.option("--pbar", type=FINITE, default=2.0, show_default=True)
+@click.option("--mass", type=POSITIVE, default=1.0, show_default=True)
+@click.option("--theta-s", type=FINITE, default=0.0, show_default=True)
 @click.option("--x0", type=str, default="0,0,0", show_default=True)
 @click.option("--grid-radial", type=click.IntRange(min=1), default=200, show_default=True)
 @click.option("--grid-cos", type=click.IntRange(min=1), default=32, show_default=True)
@@ -157,10 +171,10 @@ def packet(gamma, pbar, mass, theta_s, x0, grid_radial, grid_cos, grid_phi, out)
 @main.command()
 @config_option
 @click.option("--which", type=click.IntRange(1, 2), default=1, show_default=True)
-@click.option("--q-min", type=float, default=1.0, show_default=True)
-@click.option("--q-max", type=float, default=7.0, show_default=True)
+@click.option("--q-min", type=FINITE, default=1.0, show_default=True)
+@click.option("--q-max", type=FINITE, default=7.0, show_default=True)
 @click.option("--points", type=int, default=60, show_default=True)
-@click.option("--gamma-m", type=float, default=1.0, show_default=True)
+@click.option("--gamma-m", type=FINITE, default=1.0, show_default=True)
 @click.option("--out", type=str, default=None)
 def figures(which, q_min, q_max, points, gamma_m, out):
     """Emit the ratio curves of the energy/velocity statistics versus q."""
@@ -181,8 +195,8 @@ def figures(which, q_min, q_max, points, gamma_m, out):
 @config_option
 @click.option("--name", type=click.Choice(tuple(KERNEL_CATALOG)), required=True)
 @click.option("--p", type=str, default="0,0,1", show_default=True)
-@click.option("--t", type=float, default=0.0, show_default=True)
-@click.option("--mass", type=float, default=1.0, show_default=True, callback=_positive)
+@click.option("--t", type=FINITE, default=0.0, show_default=True)
+@click.option("--mass", type=POSITIVE, default=1.0, show_default=True)
 @click.option(
     "--basis", type=click.Choice(("common", "helicity")), default="common",
     show_default=True,

@@ -84,20 +84,15 @@ class QuadratureGrid:
         phi = 2.0 * np.pi * np.arange(self.n_phi) / self.n_phi
         wphi = 2.0 * np.pi / self.n_phi
 
+        # node layout: radial slowest, then cos(theta), then phi; one table of
+        # unit directions broadcast against the radial nodes
         sin_t = np.sqrt(1.0 - c**2)
-        # node layout: radial slowest, then cos(theta), then phi
-        pr = np.repeat(r, self.n_cos * self.n_phi)
-        ct = np.tile(np.repeat(c, self.n_phi), self.n_radial)
-        st = np.tile(np.repeat(sin_t, self.n_phi), self.n_radial)
-        ph = np.tile(phi, self.n_radial * self.n_cos)
-        nodes = np.column_stack(
-            [pr * st * np.cos(ph), pr * st * np.sin(ph), pr * ct]
-        )
-        w = (
-            np.repeat(wr * r**2, self.n_cos * self.n_phi)
-            * np.tile(np.repeat(wc, self.n_phi), self.n_radial)
-            * wphi
-        )
+        dirs = np.empty((self.n_cos, self.n_phi, 3))
+        dirs[..., 0] = np.outer(sin_t, np.cos(phi))
+        dirs[..., 1] = np.outer(sin_t, np.sin(phi))
+        dirs[..., 2] = c[:, None]
+        nodes = (r[:, None, None, None] * dirs).reshape(-1, 3)
+        w = np.repeat(np.outer(wr * r**2, wc) * wphi, self.n_phi)
         object.__setattr__(self, "radial_nodes", r)
         object.__setattr__(self, "radial_weights", wr)
         object.__setattr__(self, "nodes", nodes)
@@ -116,9 +111,10 @@ class QuadratureGrid:
 class PacketProfile:
     """Scalar profile with gradient, polarization angle and preparation point.
 
-    ``phi`` and ``grad_phi`` take an (N, 3) array of momenta; ``phi`` returns
-    (N,), ``grad_phi`` returns (N, 3).  theta_s in [0, pi]; the polarization
-    spinor is (cos(theta_s/2), sin(theta_s/2)) in the common basis.
+    ``phi`` and ``grad_phi`` take an (N, 3) array of momenta and are
+    real-valued: ``phi`` returns (N,), ``grad_phi`` returns (N, 3).  theta_s
+    in [0, pi]; the polarization spinor is (cos(theta_s/2), sin(theta_s/2)) in
+    the common basis.
     """
 
     phi: Callable[[np.ndarray], np.ndarray]
@@ -189,11 +185,14 @@ class IsotropicProfile:
         return ((self.a - 1.5) / p - self.gamma) * self.radial(p)
 
     def profile(self, theta_s: float = 0.0, x0=(0.0, 0.0, 0.0)) -> PacketProfile:
+        def magnitude(pts: np.ndarray) -> np.ndarray:
+            return np.sqrt(np.einsum("...i,...i->...", pts, pts))
+
         def phi(pts: np.ndarray) -> np.ndarray:
-            return self.radial(np.linalg.norm(pts, axis=-1))
+            return self.radial(magnitude(pts))
 
         def grad_phi(pts: np.ndarray) -> np.ndarray:
-            mag = np.linalg.norm(pts, axis=-1)
+            mag = magnitude(pts)
             return pts * (self.radial_derivative(mag) / mag)[..., None]
 
         return PacketProfile(phi, grad_phi, self.m, theta_s, np.asarray(x0))
@@ -264,31 +263,42 @@ def _clip_dispersion(value: float, name: str) -> float:
 class PacketStatistics:
     """Grid-quadrature engine for expectation values and dispersions.
 
-    All observables act on alpha(p) = phi(p) exp(-i x0.p) chi; the engine
-    evaluates <A> = <alpha, A alpha> and disp = <A alpha, A alpha> - <A>^2
-    as plain reductions over the grid nodes.
+    All observables act on alpha(p) = phi(p) exp(-i x0.p) chi with a real
+    profile phi.  Each orbital observable acts as
+    A alpha = (i G + S phi) exp(-i x0.p) chi with real G and S, so
+    <A> = int w phi^2 S and <A alpha, A alpha> = int w G^2 + int w phi^2 S^2:
+    real means and second moments of the one weighted density w phi^2.  The
+    multiplicative observables have G = 0; X~^i has G = d_i phi, S = x0^i, and
+    L~_i has G = -(p x grad phi)_i, S = (x0 x p)_i.
     """
 
     def __init__(self, profile: PacketProfile, grid: QuadratureGrid):
         self.profile = profile
         self.grid = grid
         pts = grid.nodes
-        self.phi = profile.phi(pts)
-        self.gphi = profile.grad_phi(pts)
-        self.pmag = np.linalg.norm(pts, axis=1)
-        self.energy = np.sqrt(self.pmag**2 + profile.m**2)
-        self.norm = float(grid.integrate(self.phi**2))
-        self.tail = self._tail_estimate()
+        phi = profile.phi(pts)
+        # vector components as contiguous (3, N) rows: each reduction reads (N,) arrays
+        self.gphi = np.ascontiguousarray(profile.grad_phi(pts).T)
+        if np.iscomplexobj(phi) or np.iscomplexobj(self.gphi):
+            raise TypeError("packet profiles must be real-valued (phi and grad_phi)")
+        self.p = np.ascontiguousarray(pts.T)
+        p2 = np.einsum("ij,ij->j", self.p, self.p)
+        self.pmag = np.sqrt(p2)
+        p2 += profile.m**2
+        self.energy = np.sqrt(p2, out=p2)
+        self.density = grid.weights * phi**2
+        self.norm = float(np.sum(self.density))
+        self.tail = self._tail_estimate(phi)
         if abs(self.norm - 1.0) > 1e-6:
             raise NormalizationError(
                 f"profile norm on grid is {self.norm!r}, expected 1"
             )
 
-    def _tail_estimate(self) -> float:
+    def _tail_estimate(self, phi: np.ndarray) -> float:
         # crude upper bound on the radial tail mass beyond the grid
         r = self.grid.radial_nodes
         edge = r[-1]
-        edge_density = float(np.max(self.phi[self.pmag > 0.98 * edge] ** 2, initial=0.0))
+        edge_density = float(np.max(phi[self.pmag > 0.98 * edge] ** 2, initial=0.0))
         return 4.0 * np.pi * edge**2 * edge_density * max(self.grid.p_max - edge, 0.0)
 
     @property
@@ -297,22 +307,15 @@ class PacketStatistics:
 
     # -- helpers ---------------------------------------------------------
 
-    def _mult_stats(self, values: np.ndarray) -> tuple[float, float]:
-        dens = self.phi**2
-        mean = float(self.grid.integrate(values * dens))
-        second = float(self.grid.integrate(values**2 * dens))
-        return mean, second - mean**2
+    def _moments(self, s: np.ndarray, g2: float = 0.0) -> tuple[float, float]:
+        """Mean and dispersion of (i G + S phi) with int w G^2 = g2."""
+        ds = self.density * s
+        mean = float(np.sum(ds))
+        ds *= s
+        return mean, g2 + float(np.sum(ds)) - mean**2
 
-    def _x_action(self, i: int) -> np.ndarray:
-        """Scalar factor of (X~^i alpha)(p) relative to exp(-i x0.p) chi."""
-        return 1j * self.gphi[:, i] + self.profile.x0[i] * self.phi
-
-    def _l_action(self, i: int) -> np.ndarray:
-        """Scalar factor of (L~_i alpha)(p), common basis."""
-        j, k = (i + 1) % 3, (i + 2) % 3
-        pts = self.grid.nodes
-        gx = self.gphi - 1j * self.profile.x0[None, :] * self.phi[:, None]
-        return -1j * (pts[:, j] * gx[:, k] - pts[:, k] * gx[:, j])
+    def _g2(self, g: np.ndarray) -> float:
+        return float(np.sum(self.grid.weights * g * g))
 
     def _spin_matrix(self, name: str) -> np.ndarray:
         if name == "Ws":
@@ -325,30 +328,28 @@ class PacketStatistics:
         if observable not in OBSERVABLES:
             raise KeyError(f"unknown observable {observable!r}")
         name = observable
+        p, gphi = self.p, self.gphi
         if name == "H":
-            mean, disp = self._mult_stats(self.energy)
+            mean, disp = self._moments(self.energy)
         elif name == "P":
-            mean, disp = self._mult_stats(self.pmag)
+            mean, disp = self._moments(self.pmag)
         elif name == "V":
-            mean, disp = self._mult_stats(self.pmag / self.energy)
+            mean, disp = self._moments(self.pmag / self.energy)
         elif name[0] == "P":
-            mean, disp = self._mult_stats(self.grid.nodes[:, int(name[1]) - 1])
+            mean, disp = self._moments(p[int(name[1]) - 1])
         elif name[0] == "V":
-            mean, disp = self._mult_stats(
-                self.grid.nodes[:, int(name[1]) - 1] / self.energy
-            )
+            mean, disp = self._moments(p[int(name[1]) - 1] / self.energy)
         elif name[0] == "X":
             i = int(name[1]) - 1
-            act = self._x_action(i)
-            mean = float(np.real(self.grid.integrate(self.phi * act)))
-            second = float(np.real(self.grid.integrate(np.abs(act) ** 2)))
-            disp = second - mean**2
+            x0 = self.profile.x0[i]
+            mean = float(x0 * self.norm)
+            disp = self._g2(gphi[i]) + x0 * x0 * self.norm - mean**2
         elif name[0] == "L":
             i = int(name[1]) - 1
-            act = self._l_action(i)
-            mean = float(np.real(self.grid.integrate(self.phi * act)))
-            second = float(np.real(self.grid.integrate(np.abs(act) ** 2)))
-            disp = second - mean**2
+            j, k = (i + 1) % 3, (i + 2) % 3
+            x0 = self.profile.x0
+            g2 = self._g2(p[k] * gphi[j] - p[j] * gphi[k])
+            mean, disp = self._moments(x0[j] * p[k] - x0[k] * p[j], g2)
         else:  # spin observables, profile independent
             chi = self.profile.chi
             sm = self._spin_matrix(name)

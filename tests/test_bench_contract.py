@@ -1,16 +1,20 @@
 """The names the benchmark's layer tracer and workloads rely on.
 
 ``bench/tracing.py`` wraps package attributes by name, counts
-``Momentum.__post_init__`` calls, and ``bench/workloads.py`` unpacks single
-momenta from ``sample_momenta``; a refactor that drops one of these breaks
-the benchmark without failing any other test.
+``Momentum.__post_init__`` calls, patches ``QuadratureGrid.__post_init__`` and
+reads the grid's four node and weight arrays; ``bench/workloads.py`` unpacks
+single momenta from ``sample_momenta``.  A refactor that drops one of these
+breaks the benchmark without failing any other test.
 """
 
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 from diracmr.algebra import Momentum
 from diracmr.sampling import sample_momenta
+from diracmr.wavepacket import QuadratureGrid
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -26,3 +30,9 @@ def test_bench_tracer_contract():
     momenta = sample_momenta(4, 1.0, 3)
     assert isinstance(momenta, list)
     assert all(isinstance(k, Momentum) and k.p.shape == (3,) for k in [q, *momenta])
+    assert "__post_init__" in vars(QuadratureGrid)
+    grid = QuadratureGrid(5.0, 4, 3, 2)
+    arrays = (grid.radial_nodes, grid.radial_weights, grid.nodes, grid.weights)
+    assert all(isinstance(a, np.ndarray) for a in arrays)
+    assert grid.radial_nodes.shape == grid.radial_weights.shape == (4,)
+    assert grid.nodes.shape == (24, 3) and grid.weights.shape == (24,)

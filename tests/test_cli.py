@@ -1,11 +1,12 @@
 import subprocess
 import sys
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from diracmr.cli import main
+from diracmr.cli import FiniteFloat, main
 
 
 def run_cli(*args):
@@ -123,6 +124,24 @@ def test_kernel_rejects_non_finite_input():
     assert res.exit_code == 2
     assert "finite" in res.output
     assert run_cli("kernel", "--name", "delta_x_osc", "--mass", "nan").exit_code == 2
+
+
+def test_every_float_option_rejects_non_finite():
+    # kernel --t nan, packet --gamma inf, figures --q-max inf, verify --tol nan and the
+    # rest are usage errors, not nan rows or failed checks
+    required = {"kernel": ["--name", "delta_x_osc"]}
+    seen = 0
+    for name, cmd in main.commands.items():
+        for param in cmd.params:
+            if not isinstance(param.type, click.types.FloatParamType):
+                continue
+            assert isinstance(param.type, FiniteFloat), (name, param.name)
+            for bad in ("nan", "inf", "-inf"):
+                res = run_cli(name, *required.get(name, []), param.opts[0], bad)
+                assert res.exit_code == 2, (name, param.opts[0], bad, res.output)
+                assert "not a finite number" in res.output
+            seen += 1
+    assert seen == 11
 
 
 def test_kernel_quarter_period_negation():

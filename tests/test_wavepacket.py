@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -12,6 +13,7 @@ from diracmr.wavepacket import (
     NormalizationError,
     PacketProfile,
     PacketStatistics,
+    QuadratureGrid,
     cone_filter,
     expectation_and_dispersion,
     figure_data,
@@ -290,3 +292,60 @@ def test_dispersion_clipping():
         assert _clip_dispersion(-1e-12, "x") == 0.0
     with pytest.raises(ValueError):
         _clip_dispersion(-1e-6, "x")
+
+
+SIGMA = np.array([0.6, 1.1, 0.9])
+X0 = np.array([0.3, -0.7, 0.4])
+
+
+def gaussian_profile():
+    # phi ~ exp(-sum p_i^2 / 4 sigma_i^2): |phi|^2 is a normal density with variances sigma^2
+    amp = (2 * np.pi) ** -0.75 / np.sqrt(np.prod(SIGMA))
+
+    def phi(pts):
+        return amp * np.exp(-np.sum(pts**2 / (4 * SIGMA**2), axis=-1))
+
+    def grad_phi(pts):
+        return -pts / (2 * SIGMA**2) * phi(pts)[:, None]
+
+    return PacketProfile(phi, grad_phi, m=1.0, x0=X0)
+
+
+def test_anisotropic_position_and_angular_momentum():
+    # p x grad(phi) vanishes for every isotropic profile; here the int w G^2 term of
+    # L~ carries (sigma_j^2 - sigma_k^2)^2 / (4 sigma_j^2 sigma_k^2)
+    eng = PacketStatistics(gaussian_profile(), QuadratureGrid(12, 120, 32, 64))
+    s2 = SIGMA**2
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        closed = {
+            f"X{i + 1}": (X0[i], 1 / (4 * s2[i])),
+            f"L{i + 1}": (
+                0.0,
+                (s2[j] - s2[k]) ** 2 / (4 * s2[j] * s2[k])
+                + s2[j] * X0[k] ** 2
+                + s2[k] * X0[j] ** 2,
+            ),
+        }
+        for name, (mean, disp) in closed.items():
+            rep = eng.report(name)
+            assert abs(rep.expectation - mean) <= 1e-12 * max(abs(mean), 1.0), name
+            assert abs(rep.dispersion - disp) <= 1e-12 * disp, name
+
+
+@pytest.mark.parametrize("which", ["phi", "grad_phi"])
+def test_complex_profile_rejected(which):
+    # the engine squares phi; a complex phi or grad_phi would give wrong statistics
+    real = gaussian_profile()
+    fn = getattr(real, which)
+    bad = dataclasses.replace(real, **{which: lambda pts: fn(pts) + 0j})
+    with pytest.raises(TypeError, match="real-valued"):
+        PacketStatistics(bad, QuadratureGrid(12, 40, 8, 16))
+
+
+def test_reductions_match_closed_forms_on_default_grid():
+    # pairwise summation error times the 5x cancellation in <P^2> - <P>^2
+    checked = [r for r in packet_reports(ISO, 0.0, (0, 0, 0), GRID) if r.rel_error is not None]
+    assert len(checked) == 16
+    for r in checked:
+        assert r.rel_error <= 1e-13, (r.observable, r.rel_error)
