@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -55,13 +55,26 @@ class NormalizationError(ValueError):
 # quadrature grid
 
 
+def _radial_rule(n: int, t_floor: float) -> np.ndarray:
+    """Double-exponential rule (Takahasi & Mori 1974) on (0, 1]: rows log p, log w.
+
+    p = exp(f(t) - f(3)), f(t) = t - exp(-t), w = h (1 + exp(-t)) p, n uniform t on
+    [max(t_floor, 3 - 0.128 (n - 1)), 3]; the step cap binds below 67 nodes."""
+    if n < 2:
+        raise ValueError("the radial rule needs at least 2 nodes")
+    t, h = np.linspace(max(t_floor, 3.0 - 0.128 * (n - 1)), 3.0, n, retstep=True)
+    log_p = t - np.exp(-t) - (3.0 - np.exp(-3.0))
+    return np.stack([log_p, log_p + np.log(h * (1.0 + np.exp(-t)))])
+
+
 @dataclass(frozen=True)
 class QuadratureGrid:
     """Product quadrature in spherical momentum coordinates.
 
-    Gauss-Legendre radially on (0, p_max], Gauss-Legendre in cos(theta) and a
-    uniform (trapezoidal, exact for trig polynomials) rule in phi.  Node
-    arrays are flattened; ``weights`` include the p^2 Jacobian so that
+    The radial rule on (0, p_max] down to t = -5.4 (node 2e-100 p_max, where
+    |grad phi|^2 still fits a double as g pbar -> 1), Gauss-Legendre in cos(theta)
+    and a uniform (trapezoidal, exact for trig polynomials) rule in phi.  Node arrays
+    are flattened, radial slowest; ``weights`` include the p^2 Jacobian so that
     sum(w * f) approximates the d^3p integral of f.
     """
 
@@ -77,9 +90,7 @@ class QuadratureGrid:
     weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        x, wx = np.polynomial.legendre.leggauss(self.n_radial)
-        r = 0.5 * self.p_max * (x + 1.0)
-        wr = 0.5 * self.p_max * wx
+        r, wr = self.p_max * np.exp(_radial_rule(self.n_radial, -5.4))
         c, wc = np.polynomial.legendre.leggauss(self.n_cos)
         phi = 2.0 * np.pi * np.arange(self.n_phi) / self.n_phi
         wphi = 2.0 * np.pi / self.n_phi
@@ -228,6 +239,8 @@ def position_dispersion_at_time(
 
 @dataclass(frozen=True)
 class StatisticsReport:
+    """One row; ``quad_error`` is the measured error of its grid sums (0 for spin)."""
+
     observable: str
     expectation: float
     dispersion: float
@@ -287,35 +300,39 @@ class PacketStatistics:
         p2 += profile.m**2
         self.energy = np.sqrt(p2, out=p2)
         self.density = grid.weights * phi**2
-        self.norm = float(np.sum(self.density))
-        self.tail = self._tail_estimate(phi)
-        if abs(self.norm - 1.0) > 1e-6:
+        self.norm, self._norm_error = self._sum(self.density)
+        if not abs(self.norm - 1.0) <= 1e-6:  # also NaN
             raise NormalizationError(
                 f"profile norm on grid is {self.norm!r}, expected 1"
             )
 
-    def _tail_estimate(self, phi: np.ndarray) -> float:
-        # crude upper bound on the radial tail mass beyond the grid
-        r = self.grid.radial_nodes
-        edge = r[-1]
-        edge_density = float(np.max(phi[self.pmag > 0.98 * edge] ** 2, initial=0.0))
-        return 4.0 * np.pi * edge**2 * edge_density * max(self.grid.p_max - edge, 0.0)
-
-    @property
-    def quad_error(self) -> float:
-        return max(abs(self.norm - 1.0), self.tail)
-
     # -- helpers ---------------------------------------------------------
 
-    def _moments(self, s: np.ndarray, g2: float = 0.0) -> tuple[float, float]:
-        """Mean and dispersion of (i G + S phi) with int w G^2 = g2."""
-        ds = self.density * s
-        mean = float(np.sum(ds))
-        ds *= s
-        return mean, g2 + float(np.sum(ds)) - mean**2
+    def _sum(self, x: np.ndarray) -> tuple[float, float]:
+        """Q_h = sum(x) by radial shells; error |Q_h - Q_2h| + |deepest shell|, Q_2h = 2 odd shells."""
+        shells = x.reshape(self.grid.n_radial, -1).sum(axis=1)
+        q = float(shells.sum())
+        return q, abs(q - 2.0 * float(shells[1::2].sum())) + abs(float(shells[0]))
 
-    def _g2(self, g: np.ndarray) -> float:
-        return float(np.sum(self.grid.weights * g * g))
+    def _moments(self, s, g: np.ndarray | None = None) -> tuple[float, float, float]:
+        """Mean, dispersion and quadrature error of (i G + S phi).
+
+        A scalar S (the X rows) scales the norm; w G^2 reuses the buffer of S.
+        """
+        if np.ndim(s):
+            buf = self.density * s
+            mean, e_mean = self._sum(buf)
+            buf *= s
+            second, e_second = self._sum(buf)
+        else:
+            q, e, buf = self.norm, self._norm_error, None
+            mean, e_mean, second, e_second = s * q, abs(s) * e, s * s * q, s * s * e
+        if g is not None:
+            buf = np.multiply(self.grid.weights, g, out=buf)
+            buf *= g
+            g2, e_g2 = self._sum(buf)
+            second, e_second = second + g2, e_second + e_g2
+        return mean, second - mean**2, max(e_mean, e_second + 2.0 * abs(mean) * e_mean)
 
     def _spin_matrix(self, name: str) -> np.ndarray:
         if name == "Ws":
@@ -330,38 +347,36 @@ class PacketStatistics:
         name = observable
         p, gphi = self.p, self.gphi
         if name == "H":
-            mean, disp = self._moments(self.energy)
+            mean, disp, err = self._moments(self.energy)
         elif name == "P":
-            mean, disp = self._moments(self.pmag)
+            mean, disp, err = self._moments(self.pmag)
         elif name == "V":
-            mean, disp = self._moments(self.pmag / self.energy)
+            mean, disp, err = self._moments(self.pmag / self.energy)
         elif name[0] == "P":
-            mean, disp = self._moments(p[int(name[1]) - 1])
+            mean, disp, err = self._moments(p[int(name[1]) - 1])
         elif name[0] == "V":
-            mean, disp = self._moments(p[int(name[1]) - 1] / self.energy)
+            mean, disp, err = self._moments(p[int(name[1]) - 1] / self.energy)
         elif name[0] == "X":
             i = int(name[1]) - 1
-            x0 = self.profile.x0[i]
-            mean = float(x0 * self.norm)
-            disp = self._g2(gphi[i]) + x0 * x0 * self.norm - mean**2
+            mean, disp, err = self._moments(self.profile.x0[i], gphi[i])
         elif name[0] == "L":
             i = int(name[1]) - 1
             j, k = (i + 1) % 3, (i + 2) % 3
             x0 = self.profile.x0
-            g2 = self._g2(p[k] * gphi[j] - p[j] * gphi[k])
-            mean, disp = self._moments(x0[j] * p[k] - x0[k] * p[j], g2)
-        else:  # spin observables, profile independent
+            g = p[k] * gphi[j] - p[j] * gphi[k]
+            mean, disp, err = self._moments(x0[j] * p[k] - x0[k] * p[j], g)
+        else:  # spin observables, profile independent: no quadrature
             chi = self.profile.chi
             sm = self._spin_matrix(name)
             mean = float(np.real(chi.conj() @ sm @ chi))
             second = float(np.real(chi.conj() @ sm @ sm @ chi))
-            disp = second - mean**2
+            disp, err = second - mean**2, 0.0
         return StatisticsReport(
             name,
             mean,
             _clip_dispersion(disp, name),
             float(np.sqrt(max(disp, 0.0))),
-            self.quad_error,
+            err,
         )
 
     def position_dispersion_at_time(self, t: float) -> np.ndarray:
@@ -431,29 +446,14 @@ def packet_reports(
         ce, cd = closed.get(name, (None, None))
         if name[0] == "X":
             ce = float(x0[int(name[1]) - 1])
-        out.append(
-            StatisticsReport(
-                name,
-                rep.expectation,
-                rep.dispersion,
-                rep.uncertainty,
-                rep.quad_error,
-                ce,
-                cd,
-            )
-        )
+        out.append(replace(rep, closed_expectation=ce, closed_dispersion=cd))
     return out
 
 
 # ---------------------------------------------------------------------------
 # the radial rule; detection: cone filtering and radial statistics
 
-# Double-exponential rule (Takahasi & Mori 1974) on (0, 1]: rows log p, log w of
-# p = exp(f(t) - f(3)), f(t) = t - exp(-t), w = h (1 + exp(-t)) p, 400 uniform t in
-# [-5.7, 3].  Below the deepest node, 1e-134, an endpoint power p^s leaves 1e-134^(s+1).
-_T, _H = np.linspace(-5.7, 3.0, 400, retstep=True)
-_LOG_P = _T - np.exp(-_T) - (3.0 - np.exp(-3.0))
-_RADIAL_RULE = np.stack([_LOG_P, _LOG_P + np.log(_H * (1.0 + np.exp(-_T)))])
+_RADIAL_RULE = _radial_rule(400, -5.7)  # 1-D rule; below its node 1e-134, p^s leaves 1e-134^(s+1)
 
 
 def cone_filter(profile: PacketProfile, n, d_omega: float, p_max: float):

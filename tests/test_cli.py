@@ -74,7 +74,7 @@ def test_packet_invalid_parameters_exit_2():
     assert run_cli("packet", "--mass", "-1").exit_code == 2
     assert run_cli("packet", "--mass", "0").exit_code == 2
     assert run_cli("packet", "--mass", "nan").exit_code == 2
-    assert run_cli("packet", "--grid-radial", "1").exit_code == 2  # too coarse to normalize
+    assert run_cli("packet", "--grid-radial", "1").exit_code == 2  # the radial rule needs 2 nodes
 
 
 def test_figures_columns():

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import warnings
 
@@ -66,6 +67,20 @@ def test_normalization_guard():
     )
     with pytest.raises(NormalizationError):
         PacketStatistics(bad, GRID)
+
+
+def test_normalization_guard_rejects_nan():
+    # abs(nan - 1) > tol is False: the guard must not let a NaN norm through
+    nan = PacketProfile(lambda p: np.full(p.shape[:-1], np.nan), lambda p: np.zeros_like(p), 1.0)
+    with pytest.raises(NormalizationError):
+        PacketStatistics(nan, QuadratureGrid(10.0, 20, 4, 4))
+
+
+def test_grid_needs_two_radial_nodes():
+    # the double-exponential step is undefined at one node
+    with pytest.raises(ValueError, match="at least 2"):
+        QuadratureGrid(10.0, 1, 4, 4)
+    assert QuadratureGrid(10.0, 2, 4, 4).radial_nodes.shape == (2,)
 
 
 def test_radial_momentum_closed_forms():
@@ -349,3 +364,40 @@ def test_reductions_match_closed_forms_on_default_grid():
     assert len(checked) == 16
     for r in checked:
         assert r.rel_error <= 1e-13, (r.observable, r.rel_error)
+
+
+DEFAULT_SHAPE = (200, 32, 64)
+SWEEP_GAMMA = (0.5, 1.0, 2.0)
+SWEEP_A = (1.05, 1.2, 1.4, 2.0, 3.0, 5.0, 7.0)  # gamma * pbar
+
+
+@functools.cache
+def sweep_reports(gamma, a, shape):
+    iso = make_isotropic(gamma, a / gamma, 1.0)
+    return packet_reports(iso, grid=iso.default_grid(*shape))
+
+
+@pytest.mark.parametrize("gamma", SWEEP_GAMMA)
+@pytest.mark.parametrize("a", [1.05, 1.2, 1.4])
+def test_position_dispersion_near_divergence(gamma, a):
+    # |grad phi|^2 p^2 ~ p^(2 a - 3) at 0, non-integer: disp X = gamma^2 / (6 (a - 1))
+    want = gamma**2 / (6.0 * (a - 1.0))
+    reps = {r.observable: r for r in sweep_reports(gamma, a, DEFAULT_SHAPE)}
+    for name in ("X1", "X2", "X3"):
+        assert abs(reps[name].dispersion / want - 1.0) <= 1e-8, name
+
+
+@pytest.mark.parametrize("shape", [DEFAULT_SHAPE, (100, 16, 32)])
+def test_quad_error_bounds_discrepancy(shape):
+    # below 1e-12 of the scale the discrepancy is the closed forms' own rounding
+    checked = 0
+    for gamma in SWEEP_GAMMA:
+        for a in SWEEP_A:
+            for r in sweep_reports(gamma, a, shape):
+                pairs = ((r.expectation, r.closed_expectation), (r.dispersion, r.closed_dispersion))
+                for got, ref in pairs:
+                    if ref is None or abs(got - ref) <= 1e-12 * max(abs(ref), 1.0):
+                        continue
+                    checked += 1
+                    assert r.quad_error >= abs(got - ref), (gamma, a, r.observable)
+    assert checked > 0
