@@ -10,9 +10,9 @@ of two associated operators, and the closed-form oscillating
 (zitterbewegung) kernels of the particle-antiparticle mixing terms.
 
 Associated operators are first order, alpha -> M(p) alpha + D_k(p) d~_k alpha,
-with 2x2 M, scalar D_k and d~_k = d_k + Omega_k.  The connection is pure gauge,
-so a commutator is again first order and needs first derivatives of M and D
-only; no spinor is differentiated numerically.
+M = a0 + a.Sigma(p)/2 and d~_k = d_k + Omega_k.  Sigma is covariantly constant and
+the connection flat, so a commutator is again first order and exact from the jets
+(values with exact first partials) of a0, a and D; finite differences remain in oracles.
 """
 
 from __future__ import annotations
@@ -43,11 +43,6 @@ from .spinors import rest_u_matrix, rest_v_matrix
 # wave spinors
 
 
-def _step(p: np.ndarray) -> np.ndarray:
-    # helicity quantities vary on the scale of |p| itself (Omega ~ 1/|p|)
-    return 1e-3 * np.linalg.norm(p, axis=-1)
-
-
 def _matvec(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return (mats @ vecs[..., None])[..., 0]
 
@@ -58,8 +53,8 @@ class WaveSpinor:
     ``value`` maps momenta (..., 3) to spinors (..., 2) and ``gradient`` to
     d alpha / d p^k, (..., 3, 2).  When no gradient is supplied, derivatives
     fall back to 4th-order central finite differences with step
-    h = 1e-3 |p|, the scale on which helicity quantities vary.  The fallback
-    is undefined at p = 0; no caller reaches it there.
+    h = 1e-3 |p|, the scale on which helicity quantities vary (Omega ~ 1/|p|);
+    only oracles use it, never at p = 0.
     """
 
     def __init__(self, fn, grad=None):
@@ -74,14 +69,14 @@ class WaveSpinor:
         p = np.asarray(p, dtype=float)
         if self._grad is not None:
             return np.asarray(self._grad(p), dtype=complex)
-        return central_gradient(self.value, p, _step(p))
+        return central_gradient(self.value, p, 1e-3 * np.linalg.norm(p, axis=-1))
 
 
 def gaussian_test_spinor(rng: np.random.Generator, scale: float = 1.0) -> WaveSpinor:
     """Random smooth test spinor: degree-<=2 polynomial 2-vector times Gaussian.
 
-    Decays at infinity and has nonzero gradients everywhere, which is what the
-    finite-difference commutator checks need.
+    Decays at infinity and has nonzero analytic gradients everywhere, which
+    the exact commutators and their nested-FD oracle both act on.
     """
     c = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     a = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
@@ -152,77 +147,129 @@ def matrix_elements_offdiag(op, q: Momentum, t, basis: PolarizationBasis):
 # associated operator objects
 
 
+class Jet:
+    """Forward-mode jet: values ``v`` (..., c) of c = 1 or 3 entries and their
+    partials d/dp^k ``d`` (..., c, 3); plain numbers and arrays are constants."""
+
+    __slots__ = ("v", "d")
+    __array_ufunc__ = None  # numpy operands defer to the reflected operators
+
+    def __init__(self, v, d):
+        self.v, self.d = v, d
+
+    def __getitem__(self, k: int) -> Jet:
+        return Jet(self.v[..., k : k + 1], self.d[..., k : k + 1, :])
+
+    def __add__(self, o):
+        return Jet(self.v + o.v, self.d + o.d) if isinstance(o, Jet) else Jet(self.v + o, self.d)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Jet(-self.v, -self.d)
+
+    def __sub__(self, o):
+        return self + -o
+
+    def __mul__(self, o):
+        if isinstance(o, Jet):
+            return Jet(self.v * o.v, self.d * o.v[..., None] + self.v[..., None] * o.d)
+        o = np.asarray(o)
+        return Jet(self.v * o, self.d * o[..., None])
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, o):
+        if isinstance(o, Jet):
+            q = self.v / o.v
+            return Jet(q, (self.d - q[..., None] * o.d) / o.v[..., None])
+        return Jet(self.v / o, self.d / o)
+
+    def __rtruediv__(self, o):
+        q = o / self.v
+        return Jet(q, -(q / self.v)[..., None] * self.d)
+
+    def __matmul__(self, mat: np.ndarray) -> Jet:
+        """A constant linear map of a vector, v -> v @ mat."""
+        return Jet(self.v @ mat, np.einsum("...jl,jk->...kl", self.d, mat))
+
+    def sqrt(self):
+        s = np.sqrt(self.v)
+        return Jet(s, self.d / (2.0 * s[..., None]))
+
+
 @dataclass
 class AssociatedOperator:
-    """Operator on wave spinors: multiplicative part plus covariant-derivative
-    term, alpha -> mult(p) alpha(p) + sum_k dcoef(p)[k] (d~_k alpha)(p).
+    """First-order operator on wave spinors in the Sigma frame of its basis,
+    alpha -> (a0 + a.Sigma(p)/2) alpha + D.(d~ alpha), d~_k = d_k + Omega_k.
 
-    ``mult`` maps momenta (..., 3) to (..., 2, 2) and ``dcoef`` to the three
-    scalar coefficients, (..., 3).  Spinor values may carry leading axes of
-    their own, which broadcast against the momentum batch.  ``sign_c``
-    records the antiparticle relation A~^c = sign_c * A~.
+    ``coef`` maps momenta (..., 3) to (a0, a, D) as jets of 1, 3 and 3
+    entries, None for a part that vanishes.  The basis enters through
+    Sigma(p) and Omega(p) only.  Spinor values may carry leading axes of their
+    own, which broadcast against the momentum batch.
     """
 
     name: str
     basis: PolarizationBasis
-    mult: Callable[[np.ndarray], np.ndarray] | None = None
-    dcoef: Callable[[np.ndarray], np.ndarray] | None = None
-    sign_c: int = 1
+    coef: Callable[[np.ndarray], tuple]
+
+    def _mult(self, p, a0, a) -> np.ndarray:
+        out = np.zeros(p.shape[:-1] + (2, 2), dtype=complex)
+        if a0 is not None:
+            out += a0.v[..., None] * ID2
+        if a is not None:
+            out += 0.5 * np.einsum("...k,...kab->...ab", a.v, self.basis.sigma(p))
+        return out
 
     def mult_at(self, p) -> np.ndarray:
+        """The multiplicative part a0 + a.Sigma/2, (..., 2, 2)."""
         p = np.asarray(p, dtype=float)
-        if self.mult is None:
-            return np.zeros(p.shape[:-1] + (2, 2), dtype=complex)
-        return self.mult(p)
+        return self._mult(p, *self.coef(p)[:2])
 
     def apply(self, spinor: WaveSpinor, p) -> np.ndarray:
         p = np.asarray(p, dtype=float)
+        a0, a, d = self.coef(p)
         val = spinor.value(p)
-        out = _matvec(self.mult_at(p), val)
-        if self.dcoef is not None:
+        out = _matvec(self._mult(p, a0, a), val)
+        if d is not None:
             cov = spinor.gradient(p) + _matvec(self.basis.omega(p), val[..., None, :])
-            out = out + np.einsum("...k,...ka->...a", self.dcoef(p), cov)
+            out = out + np.einsum("...k,...ka->...a", d.v, cov)
         return out
 
 
-def _covariant_gradient(op: AssociatedOperator, p: np.ndarray) -> np.ndarray:
-    """d~_k M = d_k M + [Omega_k, M] of the multiplicative part, (..., 3, 2, 2)."""
-    m = op.mult_at(p)[..., None, :, :]
-    om = op.basis.omega(p)
-    return central_gradient(op.mult_at, p, _step(p)) + om @ m - m @ om
+class _Commutator(AssociatedOperator):
+    """A ``commutator``: its coefficients are values without partials."""
+
+
+def _rate(d, x):
+    """D.grad x as a value, (..., entries of x); 0 when D or x vanishes."""
+    if d is None or x is None:
+        return 0
+    return np.einsum("...j,...cj->...c", d.v, x.d)
 
 
 def commutator(a: AssociatedOperator, b: AssociatedOperator) -> AssociatedOperator:
-    """[A, B] as one first-order operator, the curvature term D_a,j D_b,k
-    [d~_j, d~_k] being zero on the flat connection:
+    """[A, B] as one first-order operator, exact and basis-free: Sigma is
+    covariantly constant, [a.Sigma/2, b.Sigma/2] = i (a x b).Sigma/2 and the
+    connection is flat, so with the jets' partials
 
-    mult  = [M_a, M_b] + D_a,k d~_k M_b - D_b,k d~_k M_a,
-    dcoef = D_a,j d_j D_b - D_b,j d_j D_a,
+    c0 = D_a.grad b0 - D_b.grad a0,   c = i a x b + D_a.grad b - D_b.grad a,
+    D = D_a.grad D_b - D_b.grad D_a;  the result has no partials and cannot nest."""
+    if isinstance(a, _Commutator) or isinstance(b, _Commutator):
+        raise TypeError("commutators do not nest: a commutator carries no partials")
 
-    with one stencil of step 1e-3 |p| per derivative; two multiplicative
-    operators need none.
-    """
-
-    def mult(p):
-        ma, mb = a.mult_at(p), b.mult_at(p)
-        out = ma @ mb - mb @ ma
-        for x, y, sign in ((a, b, 1), (b, a, -1)):
-            if x.dcoef is not None and y.mult is not None:
-                out = out + sign * np.einsum("...k,...kab->...ab", x.dcoef(p), _covariant_gradient(y, p))
-        return out
-
-    def dcoef(p):
-        da, db = a.dcoef(p), b.dcoef(p)
-        step = _step(p)
-        return (
-            np.einsum("...j,...jk->...k", da, central_gradient(b.dcoef, p, step))
-            - np.einsum("...j,...jk->...k", db, central_gradient(a.dcoef, p, step))
+    def coef(p):
+        (a0, av, ad), (b0, bv, bd) = a.coef(p), b.coef(p)
+        spin = 0 if av is None or bv is None else 1j * np.cross(av.v, bv.v)
+        parts = (
+            _rate(ad, b0) - _rate(bd, a0),
+            spin + _rate(ad, bv) - _rate(bd, av),
+            _rate(ad, bd) - _rate(bd, ad),
         )
+        # a part whose every term vanished adds up to the integer 0
+        return tuple(None if isinstance(x, int) else Jet(x, None) for x in parts)
 
-    both = a.dcoef is not None and b.dcoef is not None
-    return AssociatedOperator(
-        f"[{a.name}, {b.name}]", a.basis, mult=mult, dcoef=dcoef if both else None
-    )
+    return _Commutator(f"[{a.name}, {b.name}]", a.basis, coef)
 
 
 def commutator_action(
@@ -232,14 +279,20 @@ def commutator_action(
     return commutator(a, b).apply(spinor, p)
 
 
-def _scalar2(x) -> np.ndarray:
-    return x[..., None, None] * ID2
+_UNIT = np.eye(3)
+
+
+def _constant(x, p: np.ndarray):
+    """A constant vector part as a jet over the batch; jets and None pass."""
+    if x is None or isinstance(x, Jet):
+        return x
+    return Jet(np.broadcast_to(x, p.shape), np.zeros((3, 3)))
 
 
 class AssociatedFamily:
-    """Factory for the associated operators at fixed mass and polarization basis.
-
-    Every coefficient function takes momenta of shape (..., 3).
+    """Factory for the associated operators at fixed mass and polarization basis,
+    each written once as Sigma-frame coefficients in the jets of p and E.  Every
+    coefficient function takes momenta of shape (..., 3).
     """
 
     def __init__(self, m: float, basis: PolarizationBasis):
@@ -248,112 +301,74 @@ class AssociatedFamily:
         self.m = float(m)
         self.basis = basis
 
-    def _energy(self, p) -> np.ndarray:
-        return np.sqrt(np.sum(p * p, axis=-1) + self.m * self.m)
+    def _op(self, name: str, formula) -> AssociatedOperator:
+        """Operator with (a0, a, D) = formula(p, e); a or D may be a constant array."""
 
-    def _sigma_half(self, p) -> np.ndarray:
-        return 0.5 * self.basis.sigma(p)
+        def coef(p):
+            pj = Jet(p, _UNIT)
+            a0, a, d = formula(pj, ((pj * pj) @ np.ones((3, 1)) + self.m * self.m).sqrt())
+            return a0, _constant(a, p), _constant(d, p)
 
-    def _theta_spin(self, i: int, inverse: bool):
-        def mult(p):
-            theta = theta_tensor(Momentum(p, self.m))[int(inverse)]
-            return np.einsum("...j,...jab->...ab", theta[..., i, :], self._sigma_half(p))
+        return AssociatedOperator(name, self.basis, coef)
 
-        return mult
+    def _theta(self, i: int, p, e, inverse: bool = False) -> Jet:
+        """Row i of Theta = 1 + p p^T/(m(E+m)) or of Theta^-1 = 1 - p p^T/(E(E+m))."""
+        return _UNIT[i] + p[i] * p / (-e * (e + self.m) if inverse else self.m * (e + self.m))
+
+    def _boost_spin(self, i: int, p, e) -> Jet:
+        """(e_i x p) / (E+m), the Sigma-frame vector of Ks~_i."""
+        return p @ EPS3[i] / (e + self.m)
 
     # --- diagonal translations / velocity -------------------------------
 
     def hamiltonian(self) -> AssociatedOperator:
-        return AssociatedOperator(
-            "H~", self.basis, mult=lambda p: _scalar2(self._energy(p)), sign_c=-1
-        )
+        return self._op("H~", lambda p, e: (e, None, None))
 
     def momentum(self, i: int) -> AssociatedOperator:
-        return AssociatedOperator(
-            f"P~{i + 1}", self.basis, mult=lambda p: _scalar2(p[..., i]), sign_c=-1
-        )
+        return self._op(f"P~{i + 1}", lambda p, e: (p[i], None, None))
 
     def velocity(self, i: int) -> AssociatedOperator:
-        return AssociatedOperator(
-            f"V~{i + 1}", self.basis, mult=lambda p: _scalar2(p[..., i] / self._energy(p))
-        )
+        return self._op(f"V~{i + 1}", lambda p, e: (p[i] / e, None, None))
 
     # --- spin sector -----------------------------------------------------
 
     def spin(self, i: int) -> AssociatedOperator:
-        return AssociatedOperator(
-            f"S~{i + 1}", self.basis, mult=lambda p: self._sigma_half(p)[..., i, :, :], sign_c=-1
-        )
+        return self._op(f"S~{i + 1}", lambda p, e: (None, _UNIT[i], None))
 
     def polarization(self) -> AssociatedOperator:
-        return AssociatedOperator(
-            "Ws~",
-            self.basis,
-            mult=lambda p: np.broadcast_to(0.5 * PAULI[2], p.shape[:-1] + (2, 2)),
-            sign_c=-1,
-        )
+        """Ws~ = sigma_3/2, the spin along the basis's polarization axis: n for
+        a common basis, p/|p| for the helicity basis."""
+        if self.basis.kind != "helicity":
+            return self._op("Ws~", lambda p, e: (None, self.basis.n, None))
+        return self._op("Ws~", lambda p, e: (None, p / ((p * p) @ np.ones((3, 1))).sqrt(), None))
 
     def spin_plus(self, i: int) -> AssociatedOperator:
-        return AssociatedOperator(
-            f"S~(+){i + 1}", self.basis, mult=self._theta_spin(i, False), sign_c=-1
-        )
+        return self._op(f"S~(+){i + 1}", lambda p, e: (None, self._theta(i, p, e), None))
 
     def spin_minus(self, i: int) -> AssociatedOperator:
-        return AssociatedOperator(
-            f"S~(-){i + 1}", self.basis, mult=self._theta_spin(i, True), sign_c=-1
-        )
+        return self._op(f"S~(-){i + 1}", lambda p, e: (None, self._theta(i, p, e, True), None))
 
     def pauli_lubanski0(self) -> AssociatedOperator:
-        return AssociatedOperator(
-            "W~0",
-            self.basis,
-            mult=lambda p: np.einsum("...j,...jab->...ab", p, self._sigma_half(p)),
-            sign_c=1,
-        )
+        return self._op("W~0", lambda p, e: (None, p, None))
 
     def pauli_lubanski(self, i: int) -> AssociatedOperator:
-        base = self.spin_plus(i)
-        return AssociatedOperator(
-            f"W~{i + 1}", self.basis, mult=lambda p: self.m * base.mult(p), sign_c=1
-        )
+        return self._op(f"W~{i + 1}", lambda p, e: (None, self.m * self._theta(i, p, e), None))
 
     # --- position sector ---------------------------------------------------
 
     def position(self, i: int, t: float = 0.0) -> AssociatedOperator:
-        def dcoef(p):
-            return np.broadcast_to(1j * np.eye(3)[i], p.shape)
-
-        mult = None
-        if t != 0.0:
-            mult = lambda p: _scalar2(t * p[..., i] / self._energy(p))
-        return AssociatedOperator(
-            f"X~{i + 1}", self.basis, mult=mult, dcoef=dcoef, sign_c=1
+        return self._op(
+            f"X~{i + 1}", lambda p, e: (t * p[i] / e if t != 0.0 else None, None, 1j * _UNIT[i])
         )
 
     def angular(self, i: int) -> AssociatedOperator:
-        def dcoef(p):
-            return -1j * (p @ EPS3[i])
-
-        return AssociatedOperator(f"L~{i + 1}", self.basis, dcoef=dcoef, sign_c=-1)
+        return self._op(f"L~{i + 1}", lambda p, e: (None, None, -1j * (p @ EPS3[i])))
 
     def boost_orbital(self, i: int) -> AssociatedOperator:
-        def dcoef(p):
-            return 1j * self._energy(p)[..., None] * np.eye(3)[i]
-
-        def mult(p):
-            return _scalar2(0.5j * p[..., i] / self._energy(p))
-
-        return AssociatedOperator(
-            f"Ko~{i + 1}", self.basis, mult=mult, dcoef=dcoef, sign_c=-1
-        )
+        return self._op(f"Ko~{i + 1}", lambda p, e: (0.5j * p[i] / e, None, 1j * e * _UNIT[i]))
 
     def boost_spin(self, i: int) -> AssociatedOperator:
-        def mult(p):
-            e = self._energy(p)[..., None, None]
-            sh = self._sigma_half(p)
-            return np.einsum("jk,...j,...kab->...ab", EPS3[i], p, sh) / (e + self.m)
-
-        return AssociatedOperator(f"Ks~{i + 1}", self.basis, mult=mult, sign_c=-1)
+        return self._op(f"Ks~{i + 1}", lambda p, e: (None, self._boost_spin(i, p, e), None))
 
     # --- alternative position splittings ------------------------------------
 
@@ -361,41 +376,23 @@ class AssociatedFamily:
     # boost-spin multiple Ks~_i / E and -Ks~_i / m
 
     def position_pryce_c(self, i: int) -> AssociatedOperator:
-        ks = self.boost_spin(i)
-        return AssociatedOperator(
-            f"Xc~{i + 1}",
-            self.basis,
-            mult=lambda p: ks.mult(p) / self._energy(p)[..., None, None],
-            dcoef=self.position(i).dcoef,
-            sign_c=1,
+        return self._op(
+            f"Xc~{i + 1}", lambda p, e: (None, self._boost_spin(i, p, e) / e, 1j * _UNIT[i])
         )
 
     def position_pryce_d(self, i: int) -> AssociatedOperator:
-        ks = self.boost_spin(i)
-        return AssociatedOperator(
-            f"Xd~{i + 1}",
-            self.basis,
-            mult=lambda p: -ks.mult(p) / self.m,
-            dcoef=self.position(i).dcoef,
-            sign_c=1,
+        return self._op(
+            f"Xd~{i + 1}", lambda p, e: (None, -self._boost_spin(i, p, e) / self.m, 1j * _UNIT[i])
         )
 
     def y_pryce_c(self, i: int) -> AssociatedOperator:
-        base = self.spin_plus(i)
-        return AssociatedOperator(
-            f"Yc~{i + 1}",
-            self.basis,
-            mult=lambda p: (self.m / self._energy(p) ** 3)[..., None, None] * base.mult(p),
-            sign_c=-1,
+        return self._op(
+            f"Yc~{i + 1}", lambda p, e: (None, self.m / (e * e * e) * self._theta(i, p, e), None)
         )
 
     def y_pryce_d(self, i: int) -> AssociatedOperator:
-        base = self.spin_plus(i)
-        return AssociatedOperator(
-            f"Yd~{i + 1}",
-            self.basis,
-            mult=lambda p: base.mult(p) / (self.m * self._energy(p))[..., None, None],
-            sign_c=-1,
+        return self._op(
+            f"Yd~{i + 1}", lambda p, e: (None, self._theta(i, p, e) / (self.m * e), None)
         )
 
 

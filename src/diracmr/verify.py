@@ -420,12 +420,12 @@ def suite_appendix_b(samples: int, seed: int, mass: float, tol=None):
     """Commutator ledger of the associated-operator algebra.
 
     Exact first-order commutators on 3 test spinors at every momentum, FD
-    tolerance (their coefficients take one stencil), checked against the
-    nested-FD oracle on the first 2 momenta x 1 spinor; purely multiplicative
-    relations also pointwise at closed-form tolerance.  The full ledger runs
-    in the helicity basis (nontrivial connection); a reduced subset repeats in
-    a common basis.  Momenta are sampled where the Gaussian test spinors are
-    O(1) so FD residuals stay meaningful.
+    tolerance (their coefficients' partials come from jets, not a stencil),
+    checked against the nested-FD oracle on the first 2 momenta x 1 spinor;
+    purely multiplicative relations also pointwise at closed-form tolerance.
+    The full ledger runs in the helicity basis (nontrivial connection); a
+    reduced subset repeats in a common basis.  Momenta are sampled where the
+    Gaussian test spinors are O(1) so FD residuals stay meaningful.
     """
     rec = _Recorder("appendix_b", tol)
     q = _sampled(min(samples, 20), mass, seed, lo=0.05, hi=2.0, avoid_poles=True)

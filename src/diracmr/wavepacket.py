@@ -309,10 +309,13 @@ class PacketStatistics:
     # -- helpers ---------------------------------------------------------
 
     def _sum(self, x: np.ndarray) -> tuple[float, float]:
-        """Q_h = sum(x) by radial shells; error |Q_h - Q_2h| + |deepest shell|, Q_2h = 2 odd shells."""
+        """Q_h = sum(x) by radial shells; error |Q_h - Q_2h| (Q_2h = 2 odd shells) plus the
+        deepest shell s0 and its geometric tail s0 rho/(1 - rho), rho = s0/|s1|, inf if >= 1."""
         shells = x.reshape(self.grid.n_radial, -1).sum(axis=1)
         q = float(shells.sum())
-        return q, abs(q - 2.0 * float(shells[1::2].sum())) + abs(float(shells[0]))
+        s0, s1 = abs(float(shells[0])), abs(float(shells[1]))
+        tail = s0 * s0 / (s1 - s0) if s1 > s0 else (math.inf if s0 else 0.0)
+        return q, abs(q - 2.0 * float(shells[1::2].sum())) + s0 + tail
 
     def _moments(self, s, g: np.ndarray | None = None) -> tuple[float, float, float]:
         """Mean, dispersion and quadrature error of (i G + S phi).

@@ -21,7 +21,7 @@ from diracmr.associated import (
 from diracmr.operators import OPERATOR_CATALOG, auxiliary_spins
 from diracmr.polarization import CommonBasis, HelicityBasis
 from diracmr.sampling import make_rng, sample_momenta
-from diracmr.verify import run_suite
+from diracmr.verify import TOL_FD_COMM, run_suite
 
 TOL = 1e-12
 BASES = (CommonBasis(), HelicityBasis())
@@ -200,7 +200,75 @@ def test_exact_commutator_of_angular_momenta_term_by_term():
     c = commutator(L[0], L[1])
     for q in sample_momenta(5, 1.0, seed=77, avoid_poles=True):
         assert mx(c.mult_at(q.p)) < 1e-9
-        assert mx(c.dcoef(q.p) - 1j * L[2].dcoef(q.p)) < 1e-9
+        assert mx(c.coef(q.p)[2].v - 1j * L[2].coef(q.p)[2].v) < 1e-9
+
+
+def test_commutators_do_not_nest():
+    # a commutator's coefficients carry values but no partials
+    fam = AssociatedFamily(1.0, HelicityBasis())
+    inner = commutator(fam.position(0), fam.hamiltonian())
+    with pytest.raises(TypeError):
+        commutator(inner, fam.position(1))
+    with pytest.raises(TypeError):
+        commutator(fam.spin(1), inner)
+
+
+def _coefficients(op, p):
+    """Sigma-frame coefficients (a0, a, D) as one (n, 7) array, 0 where absent."""
+    shapes = [(len(p), k) for k in (1, 3, 3)]
+    coef = op.coef(p)
+    parts = [np.zeros(s) if c is None else np.broadcast_to(c.v, s) for c, s in zip(coef, shapes)]
+    return np.concatenate(parts, -1)
+
+
+@pytest.mark.parametrize("basis", BASES, ids=lambda b: b.kind)
+def test_exact_commutators_across_regimes(basis):
+    # |p|/m from 1e-6 to 1e6 along one direction: a stencil of step 1e-3 |p|
+    # cannot resolve E at small |p|; the jets give the closed forms to rounding
+    p = np.outer([1e-6, 1e-3, 1.0, 1e3, 1e6], [0.36, -0.48, 0.8])
+    e = np.sqrt(1.0 + np.sum(p * p, axis=-1))
+    zero = np.zeros(len(p))
+    fam = AssociatedFamily(1.0, basis)
+    H = fam.hamiltonian()
+    X, P, Ko = (
+        [make(i) for i in range(3)] for make in (fam.position, fam.momentum, fam.boost_orbital)
+    )
+    pairs = [(i, j) for i in range(3) for j in range(3)]
+    delta = np.eye(3)
+
+    def scalar(a0):
+        return np.stack([a0] + [zero] * 6, -1)
+
+    def derivative(d):
+        return np.stack([zero] * 4 + list(d.T), -1)
+
+    relations = {
+        "[X_i, H] = i V_i": [(X[i], H, scalar(1j * p[:, i] / e)) for i in range(3)],
+        "[X_i, P_j] = i delta_ij": [(X[i], P[j], scalar(1j * (i == j) + zero)) for i, j in pairs],
+        # -i eps_ijk L_k has D_l = p^j delta_il - p^i delta_jl
+        "[Ko_i, Ko_j] = -i eps_ijk L_k": [
+            (Ko[i], Ko[j], derivative(p[:, j, None] * delta[i] - p[:, i, None] * delta[j]))
+            for i, j in pairs
+        ],
+        "[Ko_i, H] = i p_i": [(Ko[i], H, scalar(1j * p[:, i])) for i in range(3)],
+    }
+    for name, cases in relations.items():
+        got = np.stack([_coefficients(commutator(a, b), p) for a, b, _ in cases], 1)
+        want = np.stack([w for _, _, w in cases], 1)
+        # per momentum, relative to the largest closed-form coefficient
+        scale = np.max(np.abs(want), axis=(1, 2))
+        worst = np.max(np.abs(got - want), axis=(1, 2)) / scale
+        assert np.all(worst <= 1e-14), (name, worst)
+
+
+def test_appendix_b_spinor_checks_at_rounding():
+    # the exact commutators leave only the nested-FD oracle at FD accuracy
+    applied = [
+        r for r in run_suite("appendix_b", 20, 7)
+        if r.tol == TOL_FD_COMM and r.name != "exact_matches_nested_fd"
+    ]
+    assert len(applied) == 22
+    assert [(r.name, r.residual) for r in applied if r.residual > 1e-12] == []
 
 
 @pytest.mark.parametrize(

@@ -39,8 +39,8 @@ def _cases():
             yield f"{bname}-{meth}", getattr(basis, meth)
         for k, op in enumerate(_family(basis)):
             yield f"{bname}-{op.name}-{k}-mult", op.mult_at
-            if op.dcoef is not None:
-                yield f"{bname}-{op.name}-{k}-dcoef", op.dcoef
+            if op.coef(MOMENTA)[2] is not None:
+                yield f"{bname}-{op.name}-{k}-dcoef", lambda p, op=op: op.coef(p)[2].v
         for name, ker in KERNEL_CATALOG.items():
             yield f"kernel-{name}-{bname}", (
                 lambda p, ker=ker, basis=basis: ker(Momentum(p, MASS), 0.37, basis)

@@ -387,7 +387,7 @@ def test_position_dispersion_near_divergence(gamma, a):
         assert abs(reps[name].dispersion / want - 1.0) <= 1e-8, name
 
 
-@pytest.mark.parametrize("shape", [DEFAULT_SHAPE, (100, 16, 32)])
+@pytest.mark.parametrize("shape", [DEFAULT_SHAPE, (100, 16, 32), (50, 4, 8)])
 def test_quad_error_bounds_discrepancy(shape):
     # below 1e-12 of the scale the discrepancy is the closed forms' own rounding
     checked = 0
