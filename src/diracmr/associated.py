@@ -396,21 +396,6 @@ class AssociatedFamily:
         )
 
 
-def pryce_cd_associated(q: Momentum, basis: PolarizationBasis):
-    """Associated position operators of the alternative splittings and the
-    noncommutativity vectors their commutators generate.
-
-    Returns (X_c, X_d, Y_c, Y_d), each a list of three operators.
-    """
-    fam = AssociatedFamily(q.m, basis)
-    return (
-        [fam.position_pryce_c(i) for i in range(3)],
-        [fam.position_pryce_d(i) for i in range(3)],
-        [fam.y_pryce_c(i) for i in range(3)],
-        [fam.y_pryce_d(i) for i in range(3)],
-    )
-
-
 # ---------------------------------------------------------------------------
 # Wigner induced representations
 
@@ -532,7 +517,6 @@ class OscillatingKernel:
     """
 
     name: str
-    components: int
     func: Callable[[Momentum, float, PolarizationBasis], np.ndarray]
     parent: str
     parent_scale: Callable[[Momentum], float] = lambda q: 1.0
@@ -549,33 +533,19 @@ class OscillatingKernel:
 
 
 KERNEL_CATALOG: dict[str, OscillatingKernel] = {
-    "delta_x_osc": OscillatingKernel("delta_x_osc", 3, _kernel_delta_x, "delta_x"),
+    "delta_x_osc": OscillatingKernel("delta_x_osc", _kernel_delta_x, "delta_x"),
     "axial_current_osc": OscillatingKernel(
-        "axial_current_osc", 3, _kernel_axial_current, "pauli_dirac_spin",
+        "axial_current_osc", _kernel_axial_current, "pauli_dirac_spin",
         parent_scale=lambda q: 2.0,
     ),
-    "fw_generator_osc": OscillatingKernel(
-        "fw_generator_osc", 3, _kernel_fw_generator, "fw_generator"
-    ),
-    "chakrabarti_osc": OscillatingKernel(
-        "chakrabarti_osc", 3, _kernel_chakrabarti, "chakrabarti"
-    ),
+    "fw_generator_osc": OscillatingKernel("fw_generator_osc", _kernel_fw_generator, "fw_generator"),
+    "chakrabarti_osc": OscillatingKernel("chakrabarti_osc", _kernel_chakrabarti, "chakrabarti"),
     # the 1/E measure of the scalar-charge display and its overall sign sit in
     # the parent relation, not in the kernel itself
     "scalar_charge_osc": OscillatingKernel(
-        "scalar_charge_osc", 1, _kernel_scalar_charge, "gamma0",
+        "scalar_charge_osc", _kernel_scalar_charge, "gamma0",
         parent_scale=lambda q: -q.energy,
     ),
-    "pseudoscalar_osc": OscillatingKernel(
-        "pseudoscalar_osc", 1, _kernel_pseudoscalar, "gamma0_gamma5"
-    ),
+    "pseudoscalar_osc": OscillatingKernel("pseudoscalar_osc", _kernel_pseudoscalar, "gamma0_gamma5"),
 }
 
-
-def zitter_kernel(
-    name: str, q: Momentum, t, basis: PolarizationBasis
-) -> np.ndarray:
-    """Evaluate a named oscillating kernel; shape (..., components, 2, 2)."""
-    if name not in KERNEL_CATALOG:
-        raise KeyError(f"unknown kernel {name!r}")
-    return KERNEL_CATALOG[name](q, t, basis)

@@ -10,6 +10,9 @@ import numpy as np
 
 from .algebra import Momentum
 
+POLE_MARGIN = 0.05  # 1 - |n3| below which avoid_poles resamples a direction
+MAX_RAPIDITY = 1.5  # upper end of the uniform rapidity of sample_boosts
+
 
 def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
@@ -22,13 +25,13 @@ def sample_momenta(
     lo: float = 0.01,
     hi: float = 10.0,
     avoid_poles: bool = False,
-    pole_margin: float = 0.05,
 ) -> list[Momentum]:
-    """Seeded momenta with |p|/m log-uniform in [lo, hi], uniform direction.
+    """n seeded single momenta, each a ``Momentum`` of shape (3,), with |p|/m
+    log-uniform in [lo, hi] and uniform direction.
 
-    With ``avoid_poles`` directions within ``pole_margin`` of the +/- e3 rays
-    are resampled, so helicity-basis evaluations at +p and -p stay far enough
-    from the chart singularities for finite differences to be clean.
+    With ``avoid_poles`` directions with 1 - |n3| < ``POLE_MARGIN`` are
+    resampled, so helicity-basis evaluations at +p and -p stay far enough from
+    the chart singularities on the +/- e3 rays for finite differences to be clean.
     """
     rng = make_rng(seed)
     out: list[Momentum] = []
@@ -39,21 +42,22 @@ def sample_momenta(
         if norm < 1e-12:
             continue
         d = d / norm
-        if avoid_poles and min(1.0 - d[2], 1.0 + d[2]) < pole_margin:
+        if avoid_poles and min(1.0 - d[2], 1.0 + d[2]) < POLE_MARGIN:
             continue
         out.append(Momentum(d * mag, m))
     return out
 
 
-def sample_boosts(n: int, seed: int, max_rapidity: float = 1.5) -> list[np.ndarray]:
-    """Seeded SL(2,C) elements: random boost times random rotation."""
+def sample_boosts(n: int, seed: int) -> list[np.ndarray]:
+    """Seeded SL(2,C) elements: a boost of rapidity uniform in [0.1, MAX_RAPIDITY]
+    along a random axis times a random rotation."""
     from .algebra import boost_param, rotation
 
     rng = make_rng(seed)
     out = []
     for _ in range(n):
         tau = rng.standard_normal(3)
-        tau *= rng.uniform(0.1, max_rapidity) / np.linalg.norm(tau)
+        tau *= rng.uniform(0.1, MAX_RAPIDITY) / np.linalg.norm(tau)
         theta = rng.uniform(-np.pi, np.pi, size=3)
         out.append(boost_param(tau) @ rotation(theta))
     return out

@@ -8,7 +8,7 @@ given (samples, seed, mass) triple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -94,9 +94,8 @@ class CheckResult:
 
 
 class _Recorder:
-    def __init__(self, suite: str, tol_override: float | None):
+    def __init__(self, suite: str):
         self.suite = suite
-        self.tol_override = tol_override
         self._acc: dict[str, tuple[float, float]] = {}
 
     def add(self, name: str, residual: float, tol: float = TOL_EXACT):
@@ -108,12 +107,7 @@ class _Recorder:
             self._acc[name] = (residual, tol)
 
     def results(self) -> list[CheckResult]:
-        out = []
-        for name, (res, tol) in self._acc.items():
-            if self.tol_override is not None:
-                tol = self.tol_override
-            out.append(CheckResult(self.suite, name, res, tol))
-        return out
+        return [CheckResult(self.suite, name, res, tol) for name, (res, tol) in self._acc.items()]
 
 
 def _mx(a) -> float:
@@ -159,8 +153,8 @@ def _cross_p(mats, p):
 # ---------------------------------------------------------------------------
 
 
-def suite_clifford(samples: int, seed: int, mass: float, tol=None):
-    rec = _Recorder("clifford", tol)
+def suite_clifford(samples: int, seed: int, mass: float):
+    rec = _Recorder("clifford")
     gg = GAMMA[:, None] @ GAMMA[None, :]
     anti = gg + np.swapaxes(gg, 0, 1) - 2 * METRIC[:, :, None, None] * ID4
     rec.add("anticommutation", _mx(anti), 1e-15)
@@ -183,8 +177,8 @@ def suite_clifford(samples: int, seed: int, mass: float, tol=None):
     return rec.results()
 
 
-def suite_boosts(samples: int, seed: int, mass: float, tol=None):
-    rec = _Recorder("boosts", tol)
+def suite_boosts(samples: int, seed: int, mass: float):
+    rec = _Recorder("boosts")
     q0 = Momentum(np.zeros(3), mass)
     rec.add("rest_frame_boost", _mx(boost_for_momentum(q0) - ID4), 1e-15)
     rec.add("rest_frame_fw", _mx(foldy_wouthuysen(q0) - ID4), 1e-15)
@@ -215,8 +209,8 @@ def suite_boosts(samples: int, seed: int, mass: float, tol=None):
     return rec.results()
 
 
-def suite_projectors(samples: int, seed: int, mass: float, tol=None):
-    rec = _Recorder("projectors", tol)
+def suite_projectors(samples: int, seed: int, mass: float):
+    rec = _Recorder("projectors")
     q0 = Momentum(np.zeros(3), mass)
     rec.add("rest_norm_factor", abs(np.sqrt(q0.m / q0.energy) - 1.0), 0.0)
     q = _sampled(samples, mass, seed, avoid_poles=True)
@@ -249,8 +243,8 @@ def suite_projectors(samples: int, seed: int, mass: float, tol=None):
     return rec.results()
 
 
-def suite_pryce_spin(samples: int, seed: int, mass: float, tol=None):
-    rec = _Recorder("pryce_spin", tol)
+def suite_pryce_spin(samples: int, seed: int, mass: float):
+    rec = _Recorder("pryce_spin")
     q = _sampled(samples, mass, seed)
     hd = dirac_hamiltonian(q)
     S = pryce_e_spin(q)
@@ -284,8 +278,8 @@ def suite_pryce_spin(samples: int, seed: int, mass: float, tol=None):
     return rec.results()
 
 
-def suite_spin_types(samples: int, seed: int, mass: float, tol=None):
-    rec = _Recorder("spin_types", tol)
+def suite_spin_types(samples: int, seed: int, mass: float):
+    rec = _Recorder("spin_types")
     q = _sampled(samples, mass, seed)
     m, p = q.m, q.p
     e, ec = q.energy[:, None, None], q.energy[:, None, None, None]
@@ -327,8 +321,8 @@ def suite_spin_types(samples: int, seed: int, mass: float, tol=None):
     return rec.results()
 
 
-def suite_pauli_lubanski(samples: int, seed: int, mass: float, tol=None):
-    rec = _Recorder("pauli_lubanski", tol)
+def suite_pauli_lubanski(samples: int, seed: int, mass: float):
+    rec = _Recorder("pauli_lubanski")
     q = _sampled(samples, mass, seed)
     e, m, p = q.energy[:, None, None], q.m, q.p
     W = pauli_lubanski(q)
@@ -342,16 +336,22 @@ def suite_pauli_lubanski(samples: int, seed: int, mass: float, tol=None):
     return rec.results()
 
 
-def suite_associated(samples: int, seed: int, mass: float, tol=None):
-    rec = _Recorder("associated", tol)
+def suite_associated(samples: int, seed: int, mass: float):
+    rec = _Recorder("associated")
     q = _sampled(samples, mass, seed, avoid_poles=True)
     m, p = q.m, q.p
     e, ec = q.energy[:, None, None], q.energy[:, None, None, None]
-    th, _ = theta_tensor(q)
+
+    def mults(op):
+        return np.stack([op(i).mult_at(p) for i in range(3)], axis=1)
+
     for basis in (CommonBasis(), HelicityBasis()):
         sg = basis.sigma(p)
-        th_sg = np.einsum("...ij,...jab->...iab", th, sg)
-        p_sg = np.einsum("...j,...jab->...ab", p, sg)
+        # the multipliers of the associated operators each image must equal
+        fam = AssociatedFamily(m, basis)
+        energy = fam.hamiltonian().mult_at(p)
+        s, s_plus, w = mults(fam.spin), mults(fam.spin_plus), mults(fam.pauli_lubanski)
+        w0 = fam.pauli_lubanski0().mult_at(p)
 
         def images(name):
             return matrix_elements_diag(OPERATOR_CATALOG[name], q, basis)
@@ -363,30 +363,29 @@ def suite_associated(samples: int, seed: int, mass: float, tol=None):
         plus, minus = images("n_op")
         rec.add("n_image", max(_mx(plus[:, 0] - ID2), _mx(minus[:, 0] + ID2)))
         plus, minus = images("h_dirac")
-        rec.add("h_image", max(_mx(plus[:, 0] - e * ID2), _mx(minus[:, 0] + e * ID2)))
+        rec.add("h_image", max(_mx(plus[:, 0] - energy), _mx(minus[:, 0] + energy)))
         plus, minus = images("pryce_e_spin")
-        rec.add("spin_image", _mx(plus - 0.5 * sg))
+        rec.add("spin_image", _mx(plus - s))
         rec.add("spin_antiparticle_sign", _mx(minus + plus))
         plus, minus = matrix_elements_diag(lambda qq: auxiliary_spins(qq)[0], q, basis)
-        rec.add("spin_plus_image", _mx(plus - 0.5 * th_sg))
+        rec.add("spin_plus_image", _mx(plus - s_plus))
         rec.add("spin_plus_sign", _mx(minus + plus))
         plus, minus = images("pauli_lubanski")
-        rec.add("pl_time_image", _mx(plus[:, 0] - 0.5 * p_sg))
+        rec.add("pl_time_image", _mx(plus[:, 0] - w0))
         rec.add("pl_time_sign", _mx(minus[:, 0] - plus[:, 0]))
-        rec.add("pl_space_image", _mx(plus[:, 1:] - 0.5 * m * th_sg))
+        rec.add("pl_space_image", _mx(plus[:, 1:] - w))
         # even operator: antiparticle part carries the opposite sign
         rec.add("pl_space_sign", _mx(minus[:, 1:] + plus[:, 1:]))
         plus, minus = images("delta_x")
-        expect = -np.einsum("ijk,...j,...kab->...iab", EPS3, p, sg) / (2 * ec * (ec + m))
-        rec.add("delta_x_diagonal_image", _mx(plus - expect))
+        rec.add("delta_x_diagonal_image", _mx(plus + mults(fam.boost_spin) / ec))
         rec.add("delta_x_sign", _mx(minus - plus))
         plus, minus = images("pauli_dirac_spin")
-        rec.add("pauli_dirac_image", _mx(plus - 0.5 * (m / ec) * th_sg))
+        rec.add("pauli_dirac_image", _mx(plus - (m / ec) * s_plus))
         rec.add("pauli_dirac_sign", _mx(minus + plus))
         plus, minus = images("gamma0")
         rec.add("scalar_charge_image", max(_mx(plus[:, 0] - (m / e) * ID2), _mx(minus[:, 0] + (m / e) * ID2)))
         plus, minus = images("gamma5")
-        rec.add("axial_charge_image", max(_mx(plus[:, 0] - p_sg / e), _mx(minus[:, 0] + p_sg / e)))
+        rec.add("axial_charge_image", max(_mx(plus[:, 0] - 2 * w0 / e), _mx(minus[:, 0] + 2 * w0 / e)))
         for nm in ("h_dirac", "pauli_dirac_spin", "gamma0", "delta_x"):
             pm_, mp_ = matrix_elements_offdiag(OPERATOR_CATALOG[nm], q, 0.31, basis)
             rec.add("offdiag_adjoint_pairing", _mx(dagger(pm_) - mp_))
@@ -416,18 +415,18 @@ def _nested_commutator(a, b, spinor, p) -> np.ndarray:
     return a.apply(b_alpha, p) - b.apply(a_alpha, p)
 
 
-def suite_appendix_b(samples: int, seed: int, mass: float, tol=None):
+def suite_appendix_b(samples: int, seed: int, mass: float):
     """Commutator ledger of the associated-operator algebra.
 
-    Exact first-order commutators on 3 test spinors at every momentum, FD
-    tolerance (their coefficients' partials come from jets, not a stencil),
-    checked against the nested-FD oracle on the first 2 momenta x 1 spinor;
-    purely multiplicative relations also pointwise at closed-form tolerance.
+    Exact first-order commutators on 3 test spinors at every momentum, at
+    closed-form tolerance (their coefficients' partials come from jets, not a
+    stencil), checked against the nested-FD oracle on the first 2 momenta x
+    1 spinor at FD tolerance; purely multiplicative relations also pointwise.
     The full ledger runs in the helicity basis (nontrivial connection); a
     reduced subset repeats in a common basis.  Momenta are sampled where the
     Gaussian test spinors are O(1) so FD residuals stay meaningful.
     """
-    rec = _Recorder("appendix_b", tol)
+    rec = _Recorder("appendix_b")
     q = _sampled(min(samples, 20), mass, seed, lo=0.05, hi=2.0, avoid_poles=True)
     m, p = q.m, q.p
     rng = make_rng(seed + 1)
@@ -505,65 +504,65 @@ def suite_appendix_b(samples: int, seed: int, mass: float, tol=None):
         # antisymmetric relations: independent pairs only
         for i, j in pairs_upper:
             lhs = comm(L[i], L[j])
-            rec.add("angular_su2", _mx(lhs - 1j * eps_sum(aL, i, j)), TOL_FD_COMM)
+            rec.add("angular_su2", _mx(lhs - 1j * eps_sum(aL, i, j)))
             lhs = comm(Ko[i], Ko[j])
-            rec.add("boost_boost_closes_rotation", _mx(lhs + 1j * eps_sum(aL, i, j)), TOL_FD_COMM)
-            rec.add("position_commute", _mx(comm(Xt[i], Xt[j])), TOL_FD_COMM)
+            rec.add("boost_boost_closes_rotation", _mx(lhs + 1j * eps_sum(aL, i, j)))
+            rec.add("position_commute", _mx(comm(Xt[i], Xt[j])))
             lhs = comm(Xc[i], Xc[j])
-            rec.add("pryce_c_noncommutativity", _mx(lhs + 1j * eps_sum(aYc, i, j)), TOL_FD_COMM)
+            rec.add("pryce_c_noncommutativity", _mx(lhs + 1j * eps_sum(aYc, i, j)))
             lhs = comm(Xd[i], Xd[j])
-            rec.add("pryce_d_noncommutativity", _mx(lhs - 1j * eps_sum(aYd, i, j)), TOL_FD_COMM)
+            rec.add("pryce_d_noncommutativity", _mx(lhs - 1j * eps_sum(aYd, i, j)))
         # generic index pairs
         for i, j in pairs_all:
-            rec.add("angular_spin_commute", _mx(comm(L[i], S[j])), TOL_FD_COMM)
+            rec.add("angular_spin_commute", _mx(comm(L[i], S[j])))
             lhs = comm(L[i], Ko[j])
-            rec.add("angular_boost_vector", _mx(lhs - 1j * eps_sum(aKo, i, j)), TOL_FD_COMM)
+            rec.add("angular_boost_vector", _mx(lhs - 1j * eps_sum(aKo, i, j)))
             lhs = comm(Ko[i], Ks[j])
             rhs = -1j / (e + m) * (e * eps_sum(aS, i, j) + pv[i] * aKs[j])
-            rec.add("boost_orbital_spin_mix", _mx(lhs - rhs), TOL_FD_COMM)
+            rec.add("boost_orbital_spin_mix", _mx(lhs - rhs))
             lhs = comm(Ko[i], X[j])
             rhs = (
                 delta[i, j] / (2 * e) * val
                 - 1j * (pv[j] / e) * aX[i]
                 - pv[i] * pv[j] / (2 * e**3) * val
             )
-            rec.add("boost_position", _mx(lhs - rhs), TOL_FD_COMM)
+            rec.add("boost_position", _mx(lhs - rhs))
             rhs = 1j * (delta[i, j] - pv[i] * pv[j] / e**2) * val
             lhs = comm(Ko[i], V[j])
-            rec.add("boost_velocity", _mx(lhs - rhs), TOL_FD_COMM)
+            rec.add("boost_velocity", _mx(lhs - rhs))
             lhs = e * comm(X[i], V[j])
-            rec.add("position_velocity", _mx(lhs - rhs), TOL_FD_COMM)
+            rec.add("position_velocity", _mx(lhs - rhs))
             lhs = comm(L[i], Xt[j])
-            rec.add("position_rotates_as_vector", _mx(lhs - 1j * eps_sum(aXt, i, j)), TOL_FD_COMM)
-            rec.add("position_spin_commute", _mx(comm(S[i], Xt[j])), TOL_FD_COMM)
+            rec.add("position_rotates_as_vector", _mx(lhs - 1j * eps_sum(aXt, i, j)))
+            rec.add("position_spin_commute", _mx(comm(S[i], Xt[j])))
             lhs = comm(Ks[i], X[j])
             rhs = 1j / (e + m) * (-eps_sum(aS, i, j) + (pv[j] / e) * aKs[i])
-            rec.add("boostspin_position", _mx(lhs - rhs), TOL_FD_COMM)
+            rec.add("boostspin_position", _mx(lhs - rhs))
             # note the p^j S~(-)_i index order; the transposed placement
             # fails numerically
             lhs = comm(X[i], Wi[j])
             rhs = 1j / (e + m) * (delta[i, j] * aW0 + pv[j] * aSminus[i])
-            rec.add("position_pl_space", _mx(lhs - rhs), TOL_FD_COMM)
+            rec.add("position_pl_space", _mx(lhs - rhs))
             mom = fam.momentum(j)
             lhs = comm(L[i], mom)
-            rec.add("angular_momentum_vector", _mx(lhs - 1j * eps_sum(pv, i, j) * val), TOL_FD_COMM)
+            rec.add("angular_momentum_vector", _mx(lhs - 1j * eps_sum(pv, i, j) * val))
             lhs = comm(Ko[i], mom)
-            rec.add("boost_momentum", _mx(lhs - 1j * (e if i == j else 0.0) * val), TOL_FD_COMM)
+            rec.add("boost_momentum", _mx(lhs - 1j * (e if i == j else 0.0) * val))
             lhs = comm(X[i], mom)
-            rec.add("position_momentum_canonical", _mx(lhs - 1j * delta[i, j] * val), TOL_FD_COMM)
+            rec.add("position_momentum_canonical", _mx(lhs - 1j * delta[i, j] * val))
         for i in range(3):
-            rec.add("angular_energy_commute", _mx(comm(L[i], env)), TOL_FD_COMM)
+            rec.add("angular_energy_commute", _mx(comm(L[i], env)))
             lhs = comm(Ko[i], env)
-            rec.add("boost_energy", _mx(lhs - 1j * pv[i] * val), TOL_FD_COMM)
+            rec.add("boost_energy", _mx(lhs - 1j * pv[i] * val))
             lhs = comm(X[i], env)
-            rec.add("position_energy_gives_velocity", _mx(lhs - 1j * aV[i]), TOL_FD_COMM)
+            rec.add("position_energy_gives_velocity", _mx(lhs - 1j * aV[i]))
             lhs = comm(X[i], W0)
-            rec.add("position_pl_time", _mx(lhs - 1j * aS[i]), TOL_FD_COMM)
+            rec.add("position_pl_time", _mx(lhs - 1j * aS[i]))
     return rec.results()
 
 
-def suite_wigner(samples: int, seed: int, mass: float, tol=None):
-    rec = _Recorder("wigner", tol)
+def suite_wigner(samples: int, seed: int, mass: float):
+    rec = _Recorder("wigner")
     basis = CommonBasis()
     # every boost against each of the first 5 momenta: lambdas (b, 1, 4, 4)
     lams = np.stack(sample_boosts(max(samples // 2, 50), seed + 2))[:, None]
@@ -615,8 +614,8 @@ def _grid_norm(grid: QuadratureGrid, values: np.ndarray) -> float:
     return float(np.real(grid.integrate(np.sum(np.abs(values) ** 2, axis=-1))))
 
 
-def suite_kernels(samples: int, seed: int, mass: float, tol=None):
-    rec = _Recorder("kernels", tol)
+def suite_kernels(samples: int, seed: int, mass: float):
+    rec = _Recorder("kernels")
     t = 0.42
     q = _sampled(min(samples, 40), mass, seed, avoid_poles=True)
     e = q.energy
@@ -666,11 +665,10 @@ def run_suite(
     mass: float = 1.0,
     tol: float | None = None,
 ) -> list[CheckResult]:
-    if name == "all":
-        out: list[CheckResult] = []
-        for nm in SUITE_ORDER:
-            out.extend(SUITES[nm](samples, seed, mass, tol))
-        return out
-    if name not in SUITES:
+    """Results of one suite, or of every suite in order for "all"; ``tol``
+    replaces every check's tolerance."""
+    if name != "all" and name not in SUITES:
         raise KeyError(f"unknown suite {name!r}")
-    return SUITES[name](samples, seed, mass, tol)
+    names = SUITE_ORDER if name == "all" else (name,)
+    out = [r for nm in names for r in SUITES[nm](samples, seed, mass)]
+    return out if tol is None else [replace(r, tol=tol) for r in out]

@@ -5,9 +5,10 @@ spinor (cos(theta_s/2), sin(theta_s/2)) and a translation phase
 exp(-i x0.p).  Expectation values and dispersions of the one-particle
 observables are momentum-space quadratures; no position grids ever appear.
 
-The packet engine works in a common (momentum independent) polarization
-basis, where the covariant derivative reduces to d/dp.  Peculiar bases are
-handled by the associated-operator machinery, not here.
+The packet engine works in the common polarization basis along e3, where
+xi = 1, the spin matrices are the Pauli matrices and the covariant derivative
+reduces to d/dp.  Peculiar bases are handled by the associated-operator
+machinery, not here.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from typing import Callable
 import numpy as np
 
 from .algebra import PAULI
-from .polarization import CommonBasis, PolarizationBasis
 
 OBSERVABLES = (
     "H",
@@ -125,7 +125,7 @@ class PacketProfile:
     ``phi`` and ``grad_phi`` take an (N, 3) array of momenta and are
     real-valued: ``phi`` returns (N,), ``grad_phi`` returns (N, 3).  theta_s
     in [0, pi]; the polarization spinor is (cos(theta_s/2), sin(theta_s/2)) in
-    the common basis.
+    the common basis along e3.
     """
 
     phi: Callable[[np.ndarray], np.ndarray]
@@ -133,16 +133,11 @@ class PacketProfile:
     m: float
     theta_s: float = 0.0
     x0: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    basis: PolarizationBasis = field(default_factory=CommonBasis)
 
     def __post_init__(self):
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float).reshape(3))
         if not 0.0 <= self.theta_s <= np.pi:
             raise ValueError("theta_s must lie in [0, pi]")
-        if self.basis.kind != "common":
-            raise NotImplementedError(
-                "packet statistics are implemented for common polarization bases"
-            )
 
     @property
     def chi(self) -> np.ndarray:
@@ -217,20 +212,6 @@ class IsotropicProfile:
 
 def make_isotropic(gamma: float, pbar: float, m: float) -> IsotropicProfile:
     return IsotropicProfile(gamma, pbar, m)
-
-
-def expectation_and_dispersion(
-    profile: PacketProfile, observable: str, grid: "QuadratureGrid"
-) -> "StatisticsReport":
-    """Grid-quadrature statistics of one observable for an arbitrary profile."""
-    return PacketStatistics(profile, grid).report(observable)
-
-
-def position_dispersion_at_time(
-    profile: PacketProfile, t: float, grid: "QuadratureGrid"
-) -> np.ndarray:
-    """disp(X^i(t)) = disp(X^i) + t^2 disp(V^i) for each component."""
-    return PacketStatistics(profile, grid).position_dispersion_at_time(t)
 
 
 # ---------------------------------------------------------------------------
@@ -337,11 +318,6 @@ class PacketStatistics:
             second, e_second = second + g2, e_second + e_g2
         return mean, second - mean**2, max(e_mean, e_second + 2.0 * abs(mean) * e_mean)
 
-    def _spin_matrix(self, name: str) -> np.ndarray:
-        if name == "Ws":
-            return 0.5 * PAULI[2]
-        return 0.5 * self.profile.basis.sigma(None)[int(name[1]) - 1]
-
     # -- public ----------------------------------------------------------
 
     def report(self, observable: str) -> StatisticsReport:
@@ -370,7 +346,7 @@ class PacketStatistics:
             mean, disp, err = self._moments(x0[j] * p[k] - x0[k] * p[j], g)
         else:  # spin observables, profile independent: no quadrature
             chi = self.profile.chi
-            sm = self._spin_matrix(name)
+            sm = 0.5 * PAULI[2 if name == "Ws" else int(name[1]) - 1]
             mean = float(np.real(chi.conj() @ sm @ chi))
             second = float(np.real(chi.conj() @ sm @ sm @ chi))
             disp, err = second - mean**2, 0.0
@@ -383,15 +359,12 @@ class PacketStatistics:
         )
 
     def position_dispersion_at_time(self, t: float) -> np.ndarray:
-        """disp(X^i(t)) = disp(X^i) + t^2 disp(V^i), componentwise."""
+        """disp(X~^i(t)) of X~(t) = X~ + t V~: the X rows with S = x0^i + t p^i/E."""
         if t < 0:
             raise ValueError("t must be nonnegative")
-        out = np.empty(3)
-        for i in range(3):
-            dx = self.report(f"X{i + 1}").dispersion
-            dv = self.report(f"V{i + 1}").dispersion
-            out[i] = dx + t * t * dv
-        return out
+        x0, v = self.profile.x0, self.p / self.energy
+        disp = [self._moments(x0[i] + t * v[i], self.gphi[i])[1] for i in range(3)]
+        return np.array([_clip_dispersion(d, f"X{i + 1}") for i, d in enumerate(disp)])
 
 
 # ---------------------------------------------------------------------------
@@ -537,14 +510,12 @@ def figure_data(
     for k in range(points):
         qv = q_min + (q_max - q_min) * (k + 1) / points
         iso = IsotropicProfile(gamma, qv / gamma, m)
-        pref = 4 * np.pi * iso.norm**2
+        closed = isotropic_closed_forms(iso)
         e_bar = np.sqrt(iso.pbar**2 + m**2)
         if which == 1:
-            mean_h = pref * g_integral(iso.a, 1.5, 2 * gamma, m)
-            disp_h = iso.pbar**2 + m**2 + iso.pbar / (2 * gamma) - mean_h**2
+            mean_h, disp_h = closed["H"]
             rows[k] = (qv, mean_h / e_bar, 2 * gamma * disp_h / iso.pbar)
         else:
-            mean_v = pref * g_integral(iso.a + 0.5, 0.5, 2 * gamma, m)
-            mean_v2 = pref * g_integral(iso.a + 1.0, 0.0, 2 * gamma, m)
-            rows[k] = (qv, mean_v / (iso.pbar / e_bar), mean_v2 - mean_v**2)
+            mean_v, disp_v = closed["V"]
+            rows[k] = (qv, mean_v / (iso.pbar / e_bar), disp_v)
     return rows

@@ -16,7 +16,6 @@ from diracmr.associated import (
     gaussian_test_spinor,
     matrix_elements_diag,
     matrix_elements_offdiag,
-    pryce_cd_associated,
 )
 from diracmr.operators import OPERATOR_CATALOG, auxiliary_spins
 from diracmr.polarization import CommonBasis, HelicityBasis
@@ -263,11 +262,13 @@ def test_exact_commutators_across_regimes(basis):
 
 def test_appendix_b_spinor_checks_at_rounding():
     # the exact commutators leave only the nested-FD oracle at FD accuracy
-    applied = [
-        r for r in run_suite("appendix_b", 20, 7)
-        if r.tol == TOL_FD_COMM and r.name != "exact_matches_nested_fd"
-    ]
+    results = run_suite("appendix_b", 20, 7)
+    (oracle,) = [r for r in results if r.name == "exact_matches_nested_fd"]
+    assert oracle.tol == TOL_FD_COMM
+    pointwise = ("_pointwise", "_closed_form")
+    applied = [r for r in results if r is not oracle and not r.name.endswith(pointwise)]
     assert len(applied) == 22
+    assert [(r.name, r.tol) for r in applied if r.tol != 1e-12] == []
     assert [(r.name, r.residual) for r in applied if r.residual > 1e-12] == []
 
 
@@ -284,8 +285,11 @@ def test_appendix_b_small_momentum_near_pole(seed, mass):
 def test_pryce_cd_associated():
     basis = CommonBasis()
     q = Momentum.of(0.5, -0.3, 0.2)
-    xc, xd, yc, yd = pryce_cd_associated(q, basis)
     fam = AssociatedFamily(q.m, basis)
+    xc = [fam.position_pryce_c(i) for i in range(3)]
+    xd = [fam.position_pryce_d(i) for i in range(3)]
+    yc = [fam.y_pryce_c(i) for i in range(3)]
+    yd = [fam.y_pryce_d(i) for i in range(3)]
     rng = make_rng(69)
     alpha = gaussian_test_spinor(rng)
     e, m, p = q.energy, q.m, q.p
@@ -308,10 +312,9 @@ def test_pryce_cd_associated():
         assert mx(lhs - rhs) < 1e-5
     # rest frame: offsets vanish, both reduce to i d~
     q0 = Momentum(np.zeros(3), 1.0)
-    xc0, xd0, _, _ = pryce_cd_associated(q0, basis)
     for i in range(3):
-        assert mx(xc0[i].mult_at(q0.p)) < TOL
-        assert mx(xd0[i].mult_at(q0.p)) < TOL
+        assert mx(xc[i].mult_at(q0.p)) < TOL
+        assert mx(xd[i].mult_at(q0.p)) < TOL
 
 
 def test_appendix_b_spot_identities():

@@ -1,10 +1,11 @@
-"""The names the benchmark's layer tracer and workloads rely on.
+"""The names and checks the benchmark's layer tracer and workloads rely on.
 
 ``bench/tracing.py`` wraps package attributes by name, counts
 ``Momentum.__post_init__`` calls, patches ``QuadratureGrid.__post_init__`` and
 reads the grid's four node and weight arrays; ``bench/workloads.py`` unpacks
-single momenta from ``sample_momenta``.  A refactor that drops one of these
-breaks the benchmark without failing any other test.
+single momenta from ``sample_momenta``; ``bench/checks.py`` lists the verify
+checks every operation must report, with their tolerances.  A refactor that
+drops one of these breaks the benchmark without failing any other test.
 """
 
 import importlib.util
@@ -14,6 +15,7 @@ import numpy as np
 
 from diracmr.algebra import Momentum
 from diracmr.sampling import sample_momenta
+from diracmr.verify import run_suite
 from diracmr.wavepacket import QuadratureGrid
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -36,3 +38,14 @@ def test_bench_tracer_contract():
     assert all(isinstance(a, np.ndarray) for a in arrays)
     assert grid.radial_nodes.shape == grid.radial_weights.shape == (4,)
     assert grid.nodes.shape == (24, 3) and grid.weights.shape == (24,)
+
+
+def test_bench_check_table_contract():
+    # every check the benchmark's table lists is reported, at no looser a tolerance
+    spec = importlib.util.spec_from_file_location("bench_checks", TRACING.with_name("checks.py"))
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    for suite, table in checks.TABLE.items():
+        tols = {r.name: r.tol for r in run_suite(suite, 20, 7)}
+        assert [n for n in table if n not in tols] == [], suite
+        assert [n for n, tol in table.items() if tols[n] > tol] == [], suite

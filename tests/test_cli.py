@@ -146,13 +146,13 @@ def test_every_float_option_rejects_non_finite():
 
 def test_kernel_quarter_period_negation():
     from diracmr.algebra import Momentum
-    from diracmr.associated import zitter_kernel
+    from diracmr.associated import KERNEL_CATALOG
     from diracmr.polarization import CommonBasis
 
     q = Momentum.of(0.2, 0.1, 0.7)
     half = np.pi / (2 * q.energy)
-    k0 = zitter_kernel("delta_x_osc", q, 0.0, CommonBasis())
-    k1 = zitter_kernel("delta_x_osc", q, half, CommonBasis())
+    k0 = KERNEL_CATALOG["delta_x_osc"](q, 0.0, CommonBasis())
+    k1 = KERNEL_CATALOG["delta_x_osc"](q, half, CommonBasis())
     assert np.max(np.abs(k1 + k0)) < 1e-12
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from diracmr.algebra import GAMMA, GAMMA5, Momentum, theta_tensor
-from diracmr.associated import KERNEL_CATALOG, matrix_elements_offdiag, zitter_kernel
+from diracmr.associated import KERNEL_CATALOG, matrix_elements_offdiag
 from diracmr.operators import OPERATOR_CATALOG, decompose_diag_osc
 from diracmr.polarization import CommonBasis, HelicityBasis, PoleError
 from diracmr.sampling import sample_momenta
@@ -67,7 +67,7 @@ def test_delta_x_kernel_closed_form():
     expect = (-0.5j * np.exp(2j * q.energy * t) / q.energy) * np.einsum(
         "ij,jab->iab", theta_inv, bil
     )
-    assert mx(zitter_kernel("delta_x_osc", q, t, basis) - expect) < 1e-13
+    assert mx(KERNEL_CATALOG["delta_x_osc"](q, t, basis) - expect) < 1e-13
 
 
 def test_pseudoscalar_parent_has_no_diagonal_part():
@@ -78,7 +78,7 @@ def test_pseudoscalar_parent_has_no_diagonal_part():
     # and the kernel is the pair contraction without spin structure
     basis = CommonBasis()
     q = Momentum.of(0.2, 0.1, 0.4)
-    k = zitter_kernel("pseudoscalar_osc", q, 0.0, basis)[0]
+    k = KERNEL_CATALOG["pseudoscalar_osc"](q, 0.0, basis)[0]
     xi = basis.xi(q.p)
     eta_m = basis.eta(-q.p)
     assert mx(k + xi.conj().T @ eta_m) < 1e-13
@@ -99,6 +99,6 @@ def test_kernel_pole_and_name_errors():
     hel = HelicityBasis()
     q = Momentum.of(0.0, 0.0, 1.0)  # -p sits on the helicity pole ray
     with pytest.raises(PoleError):
-        zitter_kernel("delta_x_osc", q, 0.0, hel)
+        KERNEL_CATALOG["delta_x_osc"](q, 0.0, hel)
     with pytest.raises(KeyError):
-        zitter_kernel("not_a_kernel", q, 0.0, CommonBasis())
+        KERNEL_CATALOG["not_a_kernel"](q, 0.0, CommonBasis())

@@ -244,5 +244,4 @@ def test_operator_catalog_shapes():
     for name, k in comps.items():
         op = OPERATOR_CATALOG[name]
         assert op(q).shape == (k, 4, 4)
-        assert op.components == k
     assert np.allclose(OPERATOR_CATALOG["gamma5"](q)[0], GAMMA5)

@@ -9,20 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from diracmr.polarization import HelicityBasis
+from diracmr.associated import AssociatedFamily, WaveSpinor
+from diracmr.polarization import CommonBasis
 from diracmr.wavepacket import (
     NormalizationError,
     PacketProfile,
     PacketStatistics,
     QuadratureGrid,
     cone_filter,
-    expectation_and_dispersion,
     figure_data,
     g_integral,
     isotropic_closed_forms,
     make_isotropic,
     packet_reports,
-    position_dispersion_at_time,
     radial_statistics,
     spin_closed_forms,
 )
@@ -144,21 +143,36 @@ def test_dispersion_time_law():
     d10 = eng.position_dispersion_at_time(10.0)
     dv = np.array([eng.report(f"V{i}").dispersion for i in (1, 2, 3)])
     assert np.allclose(d10, d0 + 100.0 * dv, rtol=1e-12)
-    assert np.allclose(
-        position_dispersion_at_time(prof, 2.0, GRID), d0 + 4.0 * dv, rtol=1e-12
-    )
+    assert np.allclose(eng.position_dispersion_at_time(2.0), d0 + 4.0 * dv, rtol=1e-12)
     with pytest.raises(ValueError):
         eng.position_dispersion_at_time(-1.0)
 
 
-def test_peculiar_basis_rejected_for_packets():
-    with pytest.raises(NotImplementedError):
-        PacketProfile(
-            phi=lambda pts: ISO.radial(np.linalg.norm(pts, axis=-1)),
-            grad_phi=lambda pts: np.zeros_like(pts),
-            m=1.0,
-            basis=HelicityBasis(),
-        )
+def test_position_dispersion_at_time_matches_associated_family():
+    # X~(t) = X~ + t V~ applied to the packet spinor, cross term included
+    iso = make_isotropic(1.3, 2.2, 1.0)
+    x0 = np.array([0.3, -0.8, 0.5])
+    prof = iso.profile(theta_s=0.7, x0=x0)
+    grid = iso.default_grid(48, 8, 16)
+    eng = PacketStatistics(prof, grid)
+
+    def value(p):
+        return (prof.phi(p) * np.exp(-1j * p @ x0))[:, None] * prof.chi
+
+    def grad(p):
+        g = (prof.grad_phi(p) - 1j * prof.phi(p)[:, None] * x0) * np.exp(-1j * p @ x0)[:, None]
+        return g[:, :, None] * prof.chi
+
+    alpha = WaveSpinor(value, grad)
+    pts, val = grid.nodes, value(grid.nodes)
+    fam = AssociatedFamily(1.0, CommonBasis())
+    for t in (0.0, 2.0, 10.0):
+        got = eng.position_dispersion_at_time(t)
+        for i in range(3):
+            x_alpha = fam.position(i, t).apply(alpha, pts)
+            mean = grid.integrate(np.sum(val.conj() * x_alpha, axis=-1)).real
+            want = grid.integrate(np.sum(np.abs(x_alpha) ** 2, axis=-1)) - mean**2
+            assert abs(got[i] - want) <= 1e-12 * want, (t, i)
 
 
 def test_cone_filter_isotropic():
@@ -291,12 +305,11 @@ def test_figure_data_guards():
         figure_data(1, gamma_m=0.0)
 
 
-def test_expectation_and_dispersion_wrapper():
-    prof = ISO.profile(theta_s=0.3)
-    rep = expectation_and_dispersion(prof, "S1", GRID)
-    assert rep.expectation == pytest.approx(np.sin(0.3) / 2, abs=1e-12)
+def test_report_spin_row_and_unknown_observable():
+    eng = PacketStatistics(ISO.profile(theta_s=0.3), GRID)
+    assert eng.report("S1").expectation == pytest.approx(np.sin(0.3) / 2, abs=1e-12)
     with pytest.raises(KeyError):
-        expectation_and_dispersion(prof, "Q", GRID)
+        eng.report("Q")
 
 
 def test_dispersion_clipping():
