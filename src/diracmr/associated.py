@@ -4,10 +4,11 @@ A configuration-space operator acts on a free field either by transforming
 the mode-spinor basis (active mode) or, equivalently, through a pair of
 associated operators acting on the particle/antiparticle wave spinors in
 momentum space (passive mode).  This module builds the associated operators
-of the spin, position, velocity and isometry-generator families, the Wigner
+of the spin, position, velocity and isometry-generator families, each family
+one operator over a component axis as in ``OPERATOR_CATALOG``, the Wigner
 little-group matrices of the induced representations, the exact commutator
-of two associated operators, and the closed-form oscillating
-(zitterbewegung) kernels of the particle-antiparticle mixing terms.
+of two associated operators over every component pair, and the closed-form
+oscillating (zitterbewegung) kernels of the particle-antiparticle mixing terms.
 
 Associated operators are first order, alpha -> M(p) alpha + D_k(p) d~_k alpha,
 M = a0 + a.Sigma(p)/2 and d~_k = d_k + Omega_k.  Sigma is covariantly constant and
@@ -148,8 +149,8 @@ def matrix_elements_offdiag(op, q: Momentum, t, basis: PolarizationBasis):
 
 
 class Jet:
-    """Forward-mode jet: values ``v`` (..., c) of c = 1 or 3 entries and their
-    partials d/dp^k ``d`` (..., c, 3); plain numbers and arrays are constants."""
+    """Forward-mode jet over k components: values ``v`` (..., k, c) of c = 1 or 3 entries
+    and their partials d/dp^l ``d`` (..., k, c, 3); numbers and arrays are constants."""
 
     __slots__ = ("v", "d")
     __array_ufunc__ = None  # numpy operands defer to the reflected operators
@@ -198,42 +199,53 @@ class Jet:
         return Jet(s, self.d / (2.0 * s[..., None]))
 
 
+def _align(x: np.ndarray, axes: int, tail: int) -> np.ndarray:
+    """x with ``axes`` unit axes inserted ahead of its last ``tail`` axes."""
+    return np.expand_dims(x, tuple(range(-tail - axes, -tail)))
+
+
 @dataclass
 class AssociatedOperator:
-    """First-order operator on wave spinors in the Sigma frame of its basis,
-    alpha -> (a0 + a.Sigma(p)/2) alpha + D.(d~ alpha), d~_k = d_k + Omega_k.
+    """A stack of first-order operators on wave spinors in the Sigma frame of their
+    basis, alpha -> (a0 + a.Sigma(p)/2) alpha + D.(d~ alpha), d~_k = d_k + Omega_k.
 
-    ``coef`` maps momenta (..., 3) to (a0, a, D) as jets of 1, 3 and 3
-    entries, None for a part that vanishes.  The basis enters through
-    Sigma(p) and Omega(p) only.  Spinor values may carry leading axes of their
-    own, which broadcast against the momentum batch.
+    ``coef`` maps momenta (..., 3) to (a0, a, D), jets (..., k, c) of c = 1, 3
+    and 3 entries or None for a part that vanishes; k = 1 for a scalar and 3 for
+    a vector, as in ``OPERATOR_CATALOG``, and a commutator has axes (ka, kb).
+    The basis enters through Sigma(p) and Omega(p) only.  ``mult_at`` gives
+    (..., k, 2, 2) and ``apply`` (..., k, 2): the leading axes of a spinor's own
+    values stay ahead of the momentum batch, the component axes come after it.
     """
 
     name: str
     basis: PolarizationBasis
     coef: Callable[[np.ndarray], tuple]
 
-    def _mult(self, p, a0, a) -> np.ndarray:
-        out = np.zeros(p.shape[:-1] + (2, 2), dtype=complex)
+    def _mult(self, p, a0, a, d) -> np.ndarray:
+        shape = next(x.v.shape[:-1] for x in (a0, a, d) if x is not None)
+        out = np.zeros(shape + (2, 2), dtype=complex)
         if a0 is not None:
             out += a0.v[..., None] * ID2
         if a is not None:
-            out += 0.5 * np.einsum("...k,...kab->...ab", a.v, self.basis.sigma(p))
+            sigma = _align(self.basis.sigma(p), len(shape) - p.ndim + 1, 3)
+            out += 0.5 * np.einsum("...c,...cab->...ab", a.v, sigma)
         return out
 
     def mult_at(self, p) -> np.ndarray:
-        """The multiplicative part a0 + a.Sigma/2, (..., 2, 2)."""
+        """The multiplicative part a0 + a.Sigma/2, (..., k, 2, 2)."""
         p = np.asarray(p, dtype=float)
-        return self._mult(p, *self.coef(p)[:2])
+        return self._mult(p, *self.coef(p))
 
     def apply(self, spinor: WaveSpinor, p) -> np.ndarray:
         p = np.asarray(p, dtype=float)
         a0, a, d = self.coef(p)
+        mult = self._mult(p, a0, a, d)
+        axes = mult.ndim - p.ndim - 1
         val = spinor.value(p)
-        out = _matvec(self._mult(p, a0, a), val)
+        out = _matvec(mult, _align(val, axes, 1))
         if d is not None:
             cov = spinor.gradient(p) + _matvec(self.basis.omega(p), val[..., None, :])
-            out = out + np.einsum("...k,...ka->...a", d.v, cov)
+            out = out + np.einsum("...k,...ka->...a", d.v, _align(cov, axes, 2))
         return out
 
 
@@ -248,8 +260,14 @@ def _rate(d, x):
     return np.einsum("...j,...cj->...c", d.v, x.d)
 
 
+def _stacked(x, tail: int):
+    """A jet with a unit component axis ahead of the last ``tail`` axes of its values."""
+    return None if x is None else Jet(_align(x.v, 1, tail), _align(x.d, 1, tail + 1))
+
+
 def commutator(a: AssociatedOperator, b: AssociatedOperator) -> AssociatedOperator:
-    """[A, B] as one first-order operator, exact and basis-free: Sigma is
+    """[A_i, B_j] for every component pair as one first-order operator, whose
+    ``apply`` gives (..., ka, kb, 2).  It is exact and basis-free: Sigma is
     covariantly constant, [a.Sigma/2, b.Sigma/2] = i (a x b).Sigma/2 and the
     connection is flat, so with the jets' partials
 
@@ -259,13 +277,17 @@ def commutator(a: AssociatedOperator, b: AssociatedOperator) -> AssociatedOperat
         raise TypeError("commutators do not nest: a commutator carries no partials")
 
     def coef(p):
-        (a0, av, ad), (b0, bv, bd) = a.coef(p), b.coef(p)
+        # a's jets gain the kb axis, b's the ka axis: (..., ka, kb, c)
+        a0, av, ad = (_stacked(x, 1) for x in a.coef(p))
+        b0, bv, bd = (_stacked(x, 2) for x in b.coef(p))
         spin = 0 if av is None or bv is None else 1j * np.cross(av.v, bv.v)
-        parts = (
+        parts = [
             _rate(ad, b0) - _rate(bd, a0),
             spin + _rate(ad, bv) - _rate(bd, av),
             _rate(ad, bd) - _rate(bd, ad),
-        )
+        ]
+        if all(isinstance(x, int) for x in parts):  # A and B commute: a zero multiplier
+            parts[0] = 0 * (a0 or av).v[..., :1] * (b0 or bv).v[..., :1]
         # a part whose every term vanished adds up to the integer 0
         return tuple(None if isinstance(x, int) else Jet(x, None) for x in parts)
 
@@ -275,7 +297,7 @@ def commutator(a: AssociatedOperator, b: AssociatedOperator) -> AssociatedOperat
 def commutator_action(
     a: AssociatedOperator, b: AssociatedOperator, spinor: WaveSpinor, p
 ) -> np.ndarray:
-    """[A, B] alpha at p, through the exact first-order ``commutator``."""
+    """[A_i, B_j] alpha at p, (..., ka, kb, 2), through the exact ``commutator``."""
     return commutator(a, b).apply(spinor, p)
 
 
@@ -283,16 +305,22 @@ _UNIT = np.eye(3)
 
 
 def _constant(x, p: np.ndarray):
-    """A constant vector part as a jet over the batch; jets and None pass."""
+    """A constant (k, c) part as a jet over the batch; jets and None pass."""
     if x is None or isinstance(x, Jet):
         return x
-    return Jet(np.broadcast_to(x, p.shape), np.zeros((3, 3)))
+    return Jet(np.broadcast_to(x, p.shape[:-1] + x.shape), np.zeros(x.shape + (3,)))
+
+
+def _cross(row: Jet) -> Jet:
+    """(e_k x p)_c = sum_j p^j eps_kjc for k = 1..3, from the row p^c: a (3, 3) jet."""
+    return sum(row[j] * EPS3[:, j, :] for j in range(3))
 
 
 class AssociatedFamily:
     """Factory for the associated operators at fixed mass and polarization basis,
-    each written once as Sigma-frame coefficients in the jets of p and E.  Every
-    coefficient function takes momenta of shape (..., 3).
+    one operator per family over a component axis (k = 3 for S~, X~, L~, the boost
+    generators and W~; k = 1 for the scalars), each written once as Sigma-frame
+    coefficients in the jets of p and E; every coefficient function takes (..., 3).
     """
 
     def __init__(self, m: float, basis: PolarizationBasis):
@@ -302,97 +330,97 @@ class AssociatedFamily:
         self.basis = basis
 
     def _op(self, name: str, formula) -> AssociatedOperator:
-        """Operator with (a0, a, D) = formula(p, e); a or D may be a constant array."""
+        """Operator with (a0, a, D) = formula(col, row, e): p as the column
+        p^k (k = 3, c = 1) and as the row p^c (k = 1, c = 3), E as (1, 1); a or
+        D may be a constant (k, 3) array."""
 
         def coef(p):
-            pj = Jet(p, _UNIT)
-            a0, a, d = formula(pj, ((pj * pj) @ np.ones((3, 1)) + self.m * self.m).sqrt())
+            col, row = Jet(p[..., :, None], _UNIT[:, None]), Jet(p[..., None, :], _UNIT[None])
+            a0, a, d = formula(col, row, ((row * row) @ np.ones((3, 1)) + self.m * self.m).sqrt())
             return a0, _constant(a, p), _constant(d, p)
 
         return AssociatedOperator(name, self.basis, coef)
 
-    def _theta(self, i: int, p, e, inverse: bool = False) -> Jet:
-        """Row i of Theta = 1 + p p^T/(m(E+m)) or of Theta^-1 = 1 - p p^T/(E(E+m))."""
-        return _UNIT[i] + p[i] * p / (-e * (e + self.m) if inverse else self.m * (e + self.m))
+    def _theta(self, col, row, e, inverse: bool = False) -> Jet:
+        """Theta = 1 + p p^T/(m(E+m)) or Theta^-1 = 1 - p p^T/(E(E+m))."""
+        return _UNIT + col * row / (-e * (e + self.m) if inverse else self.m * (e + self.m))
 
-    def _boost_spin(self, i: int, p, e) -> Jet:
-        """(e_i x p) / (E+m), the Sigma-frame vector of Ks~_i."""
-        return p @ EPS3[i] / (e + self.m)
+    def _boost_spin(self, row, e) -> Jet:
+        """(e_k x p) / (E+m), the Sigma-frame vectors of Ks~."""
+        return _cross(row) / (e + self.m)
 
     # --- diagonal translations / velocity -------------------------------
 
     def hamiltonian(self) -> AssociatedOperator:
-        return self._op("H~", lambda p, e: (e, None, None))
+        return self._op("H~", lambda col, row, e: (e, None, None))
 
-    def momentum(self, i: int) -> AssociatedOperator:
-        return self._op(f"P~{i + 1}", lambda p, e: (p[i], None, None))
+    def momentum(self) -> AssociatedOperator:
+        return self._op("P~", lambda col, row, e: (col, None, None))
 
-    def velocity(self, i: int) -> AssociatedOperator:
-        return self._op(f"V~{i + 1}", lambda p, e: (p[i] / e, None, None))
+    def velocity(self) -> AssociatedOperator:
+        return self._op("V~", lambda col, row, e: (col / e, None, None))
 
     # --- spin sector -----------------------------------------------------
 
-    def spin(self, i: int) -> AssociatedOperator:
-        return self._op(f"S~{i + 1}", lambda p, e: (None, _UNIT[i], None))
+    def spin(self) -> AssociatedOperator:
+        return self._op("S~", lambda col, row, e: (None, _UNIT, None))
 
     def polarization(self) -> AssociatedOperator:
         """Ws~ = sigma_3/2, the spin along the basis's polarization axis: n for
         a common basis, p/|p| for the helicity basis."""
         if self.basis.kind != "helicity":
-            return self._op("Ws~", lambda p, e: (None, self.basis.n, None))
-        return self._op("Ws~", lambda p, e: (None, p / ((p * p) @ np.ones((3, 1))).sqrt(), None))
+            return self._op("Ws~", lambda col, row, e: (None, self.basis.n[None], None))
+        return self._op(
+            "Ws~", lambda col, row, e: (None, row / ((row * row) @ np.ones((3, 1))).sqrt(), None)
+        )
 
-    def spin_plus(self, i: int) -> AssociatedOperator:
-        return self._op(f"S~(+){i + 1}", lambda p, e: (None, self._theta(i, p, e), None))
+    def spin_plus(self) -> AssociatedOperator:
+        return self._op("S~(+)", lambda col, row, e: (None, self._theta(col, row, e), None))
 
-    def spin_minus(self, i: int) -> AssociatedOperator:
-        return self._op(f"S~(-){i + 1}", lambda p, e: (None, self._theta(i, p, e, True), None))
+    def spin_minus(self) -> AssociatedOperator:
+        return self._op("S~(-)", lambda col, row, e: (None, self._theta(col, row, e, True), None))
 
     def pauli_lubanski0(self) -> AssociatedOperator:
-        return self._op("W~0", lambda p, e: (None, p, None))
+        return self._op("W~0", lambda col, row, e: (None, row, None))
 
-    def pauli_lubanski(self, i: int) -> AssociatedOperator:
-        return self._op(f"W~{i + 1}", lambda p, e: (None, self.m * self._theta(i, p, e), None))
+    def pauli_lubanski(self) -> AssociatedOperator:
+        return self._op("W~", lambda col, row, e: (None, self.m * self._theta(col, row, e), None))
 
     # --- position sector ---------------------------------------------------
 
-    def position(self, i: int, t: float = 0.0) -> AssociatedOperator:
-        return self._op(
-            f"X~{i + 1}", lambda p, e: (t * p[i] / e if t != 0.0 else None, None, 1j * _UNIT[i])
-        )
+    def position(self, t: float = 0.0) -> AssociatedOperator:
+        return self._op("X~", lambda col, row, e: (t * col / e if t else None, None, 1j * _UNIT))
 
-    def angular(self, i: int) -> AssociatedOperator:
-        return self._op(f"L~{i + 1}", lambda p, e: (None, None, -1j * (p @ EPS3[i])))
+    def angular(self) -> AssociatedOperator:
+        return self._op("L~", lambda col, row, e: (None, None, -1j * _cross(row)))
 
-    def boost_orbital(self, i: int) -> AssociatedOperator:
-        return self._op(f"Ko~{i + 1}", lambda p, e: (0.5j * p[i] / e, None, 1j * e * _UNIT[i]))
+    def boost_orbital(self) -> AssociatedOperator:
+        return self._op("Ko~", lambda col, row, e: (0.5j * col / e, None, 1j * e * _UNIT))
 
-    def boost_spin(self, i: int) -> AssociatedOperator:
-        return self._op(f"Ks~{i + 1}", lambda p, e: (None, self._boost_spin(i, p, e), None))
+    def boost_spin(self) -> AssociatedOperator:
+        return self._op("Ks~", lambda col, row, e: (None, self._boost_spin(row, e), None))
 
     # --- alternative position splittings ------------------------------------
 
-    # spin offsets (p ^ S~)_i / (E(E+m)) and -(p ^ S~)_i / (m(E+m)) are the
-    # boost-spin multiple Ks~_i / E and -Ks~_i / m
+    # spin offsets (p ^ S~)_k / (E(E+m)) and -(p ^ S~)_k / (m(E+m)) are the
+    # boost-spin multiples Ks~_k / E and -Ks~_k / m
 
-    def position_pryce_c(self, i: int) -> AssociatedOperator:
+    def position_pryce_c(self) -> AssociatedOperator:
+        return self._op("Xc~", lambda col, row, e: (None, self._boost_spin(row, e) / e, 1j * _UNIT))
+
+    def position_pryce_d(self) -> AssociatedOperator:
         return self._op(
-            f"Xc~{i + 1}", lambda p, e: (None, self._boost_spin(i, p, e) / e, 1j * _UNIT[i])
+            "Xd~", lambda col, row, e: (None, -self._boost_spin(row, e) / self.m, 1j * _UNIT)
         )
 
-    def position_pryce_d(self, i: int) -> AssociatedOperator:
+    def y_pryce_c(self) -> AssociatedOperator:
         return self._op(
-            f"Xd~{i + 1}", lambda p, e: (None, -self._boost_spin(i, p, e) / self.m, 1j * _UNIT[i])
+            "Yc~", lambda col, row, e: (None, self.m / (e * e * e) * self._theta(col, row, e), None)
         )
 
-    def y_pryce_c(self, i: int) -> AssociatedOperator:
+    def y_pryce_d(self) -> AssociatedOperator:
         return self._op(
-            f"Yc~{i + 1}", lambda p, e: (None, self.m / (e * e * e) * self._theta(i, p, e), None)
-        )
-
-    def y_pryce_d(self, i: int) -> AssociatedOperator:
-        return self._op(
-            f"Yd~{i + 1}", lambda p, e: (None, self._theta(i, p, e) / (self.m * e), None)
+            "Yd~", lambda col, row, e: (None, self._theta(col, row, e) / (self.m * e), None)
         )
 
 

@@ -47,10 +47,10 @@ def _parse_vec(value: str, name: str) -> np.ndarray:
 
 
 class FiniteFloat(click.types.FloatParamType):
-    """Float option that rejects nan and +-inf, and non-positive values if asked."""
+    """Float option that rejects nan and +-inf, and non-positive or negative values if asked."""
 
-    def __init__(self, positive: bool = False):
-        self.positive = positive
+    def __init__(self, positive: bool = False, nonnegative: bool = False):
+        self.positive, self.nonnegative = positive, nonnegative
 
     def convert(self, value, param, ctx) -> float:
         rv = super().convert(value, param, ctx)
@@ -58,11 +58,14 @@ class FiniteFloat(click.types.FloatParamType):
             self.fail(f"{rv!r} is not a finite number", param, ctx)
         if self.positive and rv <= 0:
             self.fail(f"{rv!r} is not positive", param, ctx)
+        if self.nonnegative and rv < 0:
+            self.fail(f"{rv!r} is negative", param, ctx)
         return rv
 
 
 FINITE = FiniteFloat()
 POSITIVE = FiniteFloat(positive=True)
+NONNEGATIVE = FiniteFloat(nonnegative=True)
 
 
 def _load_config(ctx: click.Context, param, value):
@@ -111,7 +114,7 @@ def main():
 @click.option("--samples", type=click.IntRange(min=1), default=100, show_default=True)
 @click.option("--seed", type=int, default=7, show_default=True)
 @click.option("--mass", type=POSITIVE, default=1.0, show_default=True)
-@click.option("--tol", type=FINITE, default=None, help="Override every check tolerance.")
+@click.option("--tol", type=NONNEGATIVE, default=None, help="Override every check tolerance.")
 @click.option("--out", type=str, default=None, help="Write the report to a file.")
 def verify(suite, samples, seed, mass, tol, out):
     """Run a named identity suite and report residuals."""

@@ -32,7 +32,6 @@ from .algebra import (
     dagger,
     dirac_adjoint_deviation,
     foldy_wouthuysen,
-    levi_civita3,
     lorentz_boost_matrix,
     lorentz_of,
     rotation,
@@ -139,10 +138,15 @@ def _products(a):
     return a[..., :, None, :, :] @ a[..., None, :, :, :]
 
 
+def _eps(x, tail: str = ""):
+    """eps_ijk x_k: the (i, j) stack of a component axis k followed by the axes ``tail``."""
+    return np.einsum(f"ijk,...k{tail}->...ij{tail}", EPS3, x)
+
+
 def _closure(a, c):
     """[a_i, a_j] - i eps_ijk c_k for every index pair."""
     prod = _products(a)
-    return prod - np.swapaxes(prod, -3, -4) - 1j * np.einsum("ijk,...kab->...ijab", EPS3, c)
+    return prod - np.swapaxes(prod, -3, -4) - 1j * _eps(c, "ab")
 
 
 def _cross_p(mats, p):
@@ -342,16 +346,12 @@ def suite_associated(samples: int, seed: int, mass: float):
     m, p = q.m, q.p
     e, ec = q.energy[:, None, None], q.energy[:, None, None, None]
 
-    def mults(op):
-        return np.stack([op(i).mult_at(p) for i in range(3)], axis=1)
-
     for basis in (CommonBasis(), HelicityBasis()):
         sg = basis.sigma(p)
         # the multipliers of the associated operators each image must equal
         fam = AssociatedFamily(m, basis)
-        energy = fam.hamiltonian().mult_at(p)
-        s, s_plus, w = mults(fam.spin), mults(fam.spin_plus), mults(fam.pauli_lubanski)
-        w0 = fam.pauli_lubanski0().mult_at(p)
+        energy, w0 = fam.hamiltonian().mult_at(p)[:, 0], fam.pauli_lubanski0().mult_at(p)[:, 0]
+        s, s_plus, w = (op.mult_at(p) for op in (fam.spin(), fam.spin_plus(), fam.pauli_lubanski()))
 
         def images(name):
             return matrix_elements_diag(OPERATOR_CATALOG[name], q, basis)
@@ -377,7 +377,7 @@ def suite_associated(samples: int, seed: int, mass: float):
         # even operator: antiparticle part carries the opposite sign
         rec.add("pl_space_sign", _mx(minus[:, 1:] + plus[:, 1:]))
         plus, minus = images("delta_x")
-        rec.add("delta_x_diagonal_image", _mx(plus + mults(fam.boost_spin) / ec))
+        rec.add("delta_x_diagonal_image", _mx(plus + fam.boost_spin().mult_at(p) / ec))
         rec.add("delta_x_sign", _mx(minus - plus))
         plus, minus = images("pauli_dirac_spin")
         rec.add("pauli_dirac_image", _mx(plus - (m / ec) * s_plus))
@@ -408,23 +408,36 @@ def suite_associated(samples: int, seed: int, mass: float):
 
 
 def _nested_commutator(a, b, spinor, p) -> np.ndarray:
-    """Oracle for ``commutator``: [A, B] alpha with each inner action
-    differentiated numerically as a composite wave spinor (nested FD)."""
-    b_alpha = WaveSpinor(lambda k: b.apply(spinor, k))
-    a_alpha = WaveSpinor(lambda k: a.apply(spinor, k))
-    return a.apply(b_alpha, p) - b.apply(a_alpha, p)
+    """Oracle for ``commutator``: [A_i, B_j] alpha, (..., ka, kb, 2), with each
+    inner action differentiated numerically as a composite wave spinor (nested
+    FD).  A composite's component axis goes ahead of the batch, as a wave
+    spinor's own axes do."""
+
+    def composite(op):
+        def grad(k):
+            step = 1e-3 * np.linalg.norm(k, axis=-1)
+            return np.moveaxis(central_gradient(lambda x: op.apply(spinor, x), k, step), -2, 0)
+
+        return WaveSpinor(lambda k: np.moveaxis(op.apply(spinor, k), -2, 0), grad)
+
+    ab, ba = a.apply(composite(b), p), b.apply(composite(a), p)  # (kb, .., ka, 2), (ka, .., kb, 2)
+    return np.moveaxis(ab, 0, -2) - np.moveaxis(ba, 0, -3)
 
 
 def suite_appendix_b(samples: int, seed: int, mass: float):
     """Commutator ledger of the associated-operator algebra.
 
-    Exact first-order commutators on 3 test spinors at every momentum, at
-    closed-form tolerance (their coefficients' partials come from jets, not a
-    stencil), checked against the nested-FD oracle on the first 2 momenta x
-    1 spinor at FD tolerance; purely multiplicative relations also pointwise.
-    The full ledger runs in the helicity basis (nontrivial connection); a
-    reduced subset repeats in a common basis.  Momenta are sampled where the
-    Gaussian test spinors are O(1) so FD residuals stay meaningful.
+    Each relation is one array expression over all index pairs (i, j), through
+    delta_ij and eps_ijk, the antisymmetric ones included (a swap negates their
+    residual up to rounding).  Exact first-order commutators of whole operator
+    families act on 3 test spinors at every momentum, at closed-form tolerance
+    (their coefficients' partials come from jets, not a stencil); each also
+    meets the nested-FD oracle on all component pairs at the first 2 momenta x
+    1 spinor at FD tolerance.  Purely multiplicative relations are also checked
+    pointwise.  The full ledger runs in the helicity basis (nontrivial
+    connection); a reduced subset repeats in a common basis.  Momenta are
+    sampled where the Gaussian test spinors are O(1) so FD residuals stay
+    meaningful.
     """
     rec = _Recorder("appendix_b")
     q = _sampled(min(samples, 20), mass, seed, lo=0.05, hi=2.0, avoid_poles=True)
@@ -437,63 +450,43 @@ def suite_appendix_b(samples: int, seed: int, mass: float):
         lambda k: np.stack([sp.value(k) for sp in spinors]),
         lambda k: np.stack([sp.gradient(k) for sp in spinors]),
     )
-    val = trio.value(p)
-    # per-momentum scalars against 2x2 parts (e2, p2) and spinor values (e, pv)
-    e2, p2 = q.energy[:, None, None], [p[:, k, None, None] for k in range(3)]
-    e, pv = q.energy[:, None], [p[:, k, None] for k in range(3)]
-    delta = np.eye(3)
-    pairs_all = [(i, j) for i in range(3) for j in range(3)]
-    pairs_upper = [(0, 1), (0, 2), (1, 2)]
-
-    def eps_sum(terms, i, j):
-        return sum(levi_civita3(i, j, k) * terms[k] for k in range(3))
+    val = trio.value(p)[..., None, None, :]
+    # per-momentum scalars against (i, j) stacks of spinor values, (3, n, i, j, 2),
+    # and of 2x2 parts, (n, i, j, 2, 2); e also fits (n, k, 2, 2) stacks
+    e, pi, pj = q.energy[:, None, None, None], p[:, :, None, None], p[:, None, :, None]
+    e2, pi2, pj2 = e[..., None], pi[..., None], pj[..., None]
+    delta = np.eye(3)[:, :, None]
 
     for basis, full in ((HelicityBasis(), True), (CommonBasis(), False)):
         fam = AssociatedFamily(mass, basis)
-        L = [fam.angular(i) for i in range(3)]
-        S = [fam.spin(i) for i in range(3)]
-        Ko = [fam.boost_orbital(i) for i in range(3)]
-        Ks = [fam.boost_spin(i) for i in range(3)]
-        X = [fam.position(i) for i in range(3)]
-        Xt = [fam.position(i, t=0.8) for i in range(3)]
-        V = [fam.velocity(i) for i in range(3)]
-        W0 = fam.pauli_lubanski0()
-        Wi = [fam.pauli_lubanski(i) for i in range(3)]
-        Xc = [fam.position_pryce_c(i) for i in range(3)]
-        Xd = [fam.position_pryce_d(i) for i in range(3)]
-        Yc = [fam.y_pryce_c(i) for i in range(3)]
-        Yd = [fam.y_pryce_d(i) for i in range(3)]
-        Sminus = [fam.spin_minus(i) for i in range(3)]
-        env = fam.hamiltonian()
+        L, S, Ko, Ks = fam.angular(), fam.spin(), fam.boost_orbital(), fam.boost_spin()
+        X, Xt, V, P = fam.position(), fam.position(t=0.8), fam.velocity(), fam.momentum()
+        H, W0, Wi = fam.hamiltonian(), fam.pauli_lubanski0(), fam.pauli_lubanski()
+        Xc, Xd, Sminus = fam.position_pryce_c(), fam.position_pryce_d(), fam.spin_minus()
+        Yc, Yd = fam.y_pryce_c(), fam.y_pryce_d()
 
         # pointwise multiplicative relations, closed-form tolerance
-        mS = [op.mult_at(p) for op in S]
-        mKs = [op.mult_at(p) for op in Ks]
-        mW0 = W0.mult_at(p)
-        for i, j in pairs_all:
-            rhs = 1j * eps_sum(mS, i, j)
-            rec.add("spin_su2_pointwise", _mx(commutator(S[i], S[j]).mult_at(p) - rhs))
-            rhs = 1j / (e2 + m) * (p2[i] * mS[j] - delta[i, j] * mW0)
-            rec.add("spin_boostspin_pointwise", _mx(commutator(S[i], Ks[j]).mult_at(p) - rhs))
-            rhs = 1j / (e2 + m) ** 2 * eps_sum(p2, i, j) * mW0
-            rec.add("boostspin_boostspin_pointwise", _mx(commutator(Ks[i], Ks[j]).mult_at(p) - rhs))
-            rhs = 1j * m * eps_sum(mS, i, j) + 1j * p2[j] * mKs[i]
-            rec.add("spin_pl_pointwise", _mx(commutator(S[i], Wi[j]).mult_at(p) - rhs))
-        for i in range(3):
-            rec.add("spin_pl0_pointwise", _mx(commutator(S[i], W0).mult_at(p) - 1j * (e2 + m) * mKs[i]))
-            rec.add("y_pryce_c_closed_form", _mx(Yc[i].mult_at(p) - Wi[i].mult_at(p) / e2**3))
-            rec.add("y_pryce_d_closed_form", _mx(Yd[i].mult_at(p) - Wi[i].mult_at(p) / (m * m * e2)))
+        mS, mKs, mW0, mWi = (op.mult_at(p) for op in (S, Ks, W0, Wi))
+        rec.add("spin_su2_pointwise", _mx(commutator(S, S).mult_at(p) - 1j * _eps(mS, "ab")))
+        rhs = 1j / (e2 + m) * (pi2 * mS[:, None] - delta[..., None] * mW0[:, None])
+        rec.add("spin_boostspin_pointwise", _mx(commutator(S, Ks).mult_at(p) - rhs))
+        rhs = 1j / (e2 + m) ** 2 * _eps(p)[..., None, None] * mW0[:, None]
+        rec.add("boostspin_boostspin_pointwise", _mx(commutator(Ks, Ks).mult_at(p) - rhs))
+        rhs = 1j * m * _eps(mS, "ab") + 1j * pj2 * mKs[:, :, None]
+        rec.add("spin_pl_pointwise", _mx(commutator(S, Wi).mult_at(p) - rhs))
+        rhs = 1j * (e2 + m) * mKs[:, :, None]
+        rec.add("spin_pl0_pointwise", _mx(commutator(S, W0).mult_at(p) - rhs))
+        rec.add("y_pryce_c_closed_form", _mx(Yc.mult_at(p) - mWi / e**3))
+        rec.add("y_pryce_d_closed_form", _mx(Yd.mult_at(p) - mWi / (m * m * e)))
         if not full:
             continue
 
-        # spinor-applied identities on all test spinors and momenta at once;
-        # on the first 2 momenta each commutator also meets the nested-FD oracle
-        def acts(ops):
-            return [op.apply(trio, p) for op in ops]
-
-        aL, aS, aKo, aKs, aX, aXt, aV = map(acts, (L, S, Ko, Ks, X, Xt, V))
-        aYc, aYd, aSminus = map(acts, (Yc, Yd, Sminus))
-        aW0 = W0.apply(trio, p)
+        # spinor-applied identities on all test spinors and momenta at once,
+        # (3, n, k, 2); each commutator also meets the nested-FD oracle on
+        # the first 2 momenta
+        aL, aS, aKo, aKs, aX, aXt, aV, aYc, aYd, aSminus, aW0 = (
+            op.apply(trio, p) for op in (L, S, Ko, Ks, X, Xt, V, Yc, Yd, Sminus, W0)
+        )
 
         def comm(a, b):
             exact = commutator_action(a, b, trio, p)
@@ -501,63 +494,38 @@ def suite_appendix_b(samples: int, seed: int, mass: float):
             rec.add("exact_matches_nested_fd", _mx(exact[0, :2] - nested), TOL_FD_COMM)
             return exact
 
-        # antisymmetric relations: independent pairs only
-        for i, j in pairs_upper:
-            lhs = comm(L[i], L[j])
-            rec.add("angular_su2", _mx(lhs - 1j * eps_sum(aL, i, j)))
-            lhs = comm(Ko[i], Ko[j])
-            rec.add("boost_boost_closes_rotation", _mx(lhs + 1j * eps_sum(aL, i, j)))
-            rec.add("position_commute", _mx(comm(Xt[i], Xt[j])))
-            lhs = comm(Xc[i], Xc[j])
-            rec.add("pryce_c_noncommutativity", _mx(lhs + 1j * eps_sum(aYc, i, j)))
-            lhs = comm(Xd[i], Xd[j])
-            rec.add("pryce_d_noncommutativity", _mx(lhs - 1j * eps_sum(aYd, i, j)))
+        # antisymmetric relations
+        rec.add("angular_su2", _mx(comm(L, L) - 1j * _eps(aL, "a")))
+        rec.add("boost_boost_closes_rotation", _mx(comm(Ko, Ko) + 1j * _eps(aL, "a")))
+        rec.add("position_commute", _mx(comm(Xt, Xt)))
+        rec.add("pryce_c_noncommutativity", _mx(comm(Xc, Xc) + 1j * _eps(aYc, "a")))
+        rec.add("pryce_d_noncommutativity", _mx(comm(Xd, Xd) - 1j * _eps(aYd, "a")))
         # generic index pairs
-        for i, j in pairs_all:
-            rec.add("angular_spin_commute", _mx(comm(L[i], S[j])))
-            lhs = comm(L[i], Ko[j])
-            rec.add("angular_boost_vector", _mx(lhs - 1j * eps_sum(aKo, i, j)))
-            lhs = comm(Ko[i], Ks[j])
-            rhs = -1j / (e + m) * (e * eps_sum(aS, i, j) + pv[i] * aKs[j])
-            rec.add("boost_orbital_spin_mix", _mx(lhs - rhs))
-            lhs = comm(Ko[i], X[j])
-            rhs = (
-                delta[i, j] / (2 * e) * val
-                - 1j * (pv[j] / e) * aX[i]
-                - pv[i] * pv[j] / (2 * e**3) * val
-            )
-            rec.add("boost_position", _mx(lhs - rhs))
-            rhs = 1j * (delta[i, j] - pv[i] * pv[j] / e**2) * val
-            lhs = comm(Ko[i], V[j])
-            rec.add("boost_velocity", _mx(lhs - rhs))
-            lhs = e * comm(X[i], V[j])
-            rec.add("position_velocity", _mx(lhs - rhs))
-            lhs = comm(L[i], Xt[j])
-            rec.add("position_rotates_as_vector", _mx(lhs - 1j * eps_sum(aXt, i, j)))
-            rec.add("position_spin_commute", _mx(comm(S[i], Xt[j])))
-            lhs = comm(Ks[i], X[j])
-            rhs = 1j / (e + m) * (-eps_sum(aS, i, j) + (pv[j] / e) * aKs[i])
-            rec.add("boostspin_position", _mx(lhs - rhs))
-            # note the p^j S~(-)_i index order; the transposed placement
-            # fails numerically
-            lhs = comm(X[i], Wi[j])
-            rhs = 1j / (e + m) * (delta[i, j] * aW0 + pv[j] * aSminus[i])
-            rec.add("position_pl_space", _mx(lhs - rhs))
-            mom = fam.momentum(j)
-            lhs = comm(L[i], mom)
-            rec.add("angular_momentum_vector", _mx(lhs - 1j * eps_sum(pv, i, j) * val))
-            lhs = comm(Ko[i], mom)
-            rec.add("boost_momentum", _mx(lhs - 1j * (e if i == j else 0.0) * val))
-            lhs = comm(X[i], mom)
-            rec.add("position_momentum_canonical", _mx(lhs - 1j * delta[i, j] * val))
-        for i in range(3):
-            rec.add("angular_energy_commute", _mx(comm(L[i], env)))
-            lhs = comm(Ko[i], env)
-            rec.add("boost_energy", _mx(lhs - 1j * pv[i] * val))
-            lhs = comm(X[i], env)
-            rec.add("position_energy_gives_velocity", _mx(lhs - 1j * aV[i]))
-            lhs = comm(X[i], W0)
-            rec.add("position_pl_time", _mx(lhs - 1j * aS[i]))
+        rec.add("angular_spin_commute", _mx(comm(L, S)))
+        rec.add("angular_boost_vector", _mx(comm(L, Ko) - 1j * _eps(aKo, "a")))
+        rhs = -1j / (e + m) * (e * _eps(aS, "a") + pi * aKs[..., None, :, :])
+        rec.add("boost_orbital_spin_mix", _mx(comm(Ko, Ks) - rhs))
+        rhs = delta / (2 * e) * val - 1j * (pj / e) * aX[..., None, :] - pi * pj / (2 * e**3) * val
+        rec.add("boost_position", _mx(comm(Ko, X) - rhs))
+        rhs = 1j * (delta - pi * pj / e**2) * val
+        rec.add("boost_velocity", _mx(comm(Ko, V) - rhs))
+        rec.add("position_velocity", _mx(e * comm(X, V) - rhs))
+        rec.add("position_rotates_as_vector", _mx(comm(L, Xt) - 1j * _eps(aXt, "a")))
+        rec.add("position_spin_commute", _mx(comm(S, Xt)))
+        rhs = 1j / (e + m) * (-_eps(aS, "a") + (pj / e) * aKs[..., None, :])
+        rec.add("boostspin_position", _mx(comm(Ks, X) - rhs))
+        # note the p^j S~(-)_i index order; the transposed placement fails
+        # numerically
+        rhs = 1j / (e + m) * (delta * aW0[..., None, :] + pj * aSminus[..., None, :])
+        rec.add("position_pl_space", _mx(comm(X, Wi) - rhs))
+        rec.add("angular_momentum_vector", _mx(comm(L, P) - 1j * _eps(p)[..., None] * val))
+        rec.add("boost_momentum", _mx(comm(Ko, P) - 1j * (e * delta) * val))
+        rec.add("position_momentum_canonical", _mx(comm(X, P) - 1j * delta * val))
+        # scalar partners: (3, n, i, 1, 2)
+        rec.add("angular_energy_commute", _mx(comm(L, H)))
+        rec.add("boost_energy", _mx(comm(Ko, H) - 1j * pi * val))
+        rec.add("position_energy_gives_velocity", _mx(comm(X, H) - 1j * aV[..., None, :]))
+        rec.add("position_pl_time", _mx(comm(X, W0) - 1j * aS[..., None, :]))
     return rec.results()
 
 

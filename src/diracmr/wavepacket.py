@@ -441,8 +441,8 @@ def cone_filter(profile: PacketProfile, n, d_omega: float, p_max: float):
     """
     n = np.asarray(n, dtype=float)
     n = n / np.linalg.norm(n)
-    if d_omega > 0.1:
-        raise ValueError("cone solid angle must be small (<= 0.1 sr)")
+    if not 0.0 < d_omega <= 0.1:  # also rejects nan
+        raise ValueError("cone solid angle must be positive and small (<= 0.1 sr)")
     r, w = p_max * np.exp(_RADIAL_RULE)
     line = profile.phi(np.outer(r, n))
     kappa = float(np.sum(w * r**2 * line**2))

@@ -128,14 +128,14 @@ def test_velocity_and_position_actions():
     rng = make_rng(63)
     alpha = gaussian_test_spinor(rng)
     q = Momentum.of(0.3, 0.5, -0.2)
-    v = fam.velocity(0)
-    assert np.allclose(v.apply(alpha, q.p), (q.p[0] / q.energy) * alpha.value(q.p))
-    x = fam.position(0)
-    assert np.allclose(x.apply(alpha, q.p), 1j * alpha.gradient(q.p)[0], atol=1e-12)
+    v = fam.velocity()
+    assert np.allclose(v.apply(alpha, q.p)[..., 0, :], (q.p[0] / q.energy) * alpha.value(q.p))
+    x = fam.position()
+    assert np.allclose(x.apply(alpha, q.p)[..., 0, :], 1j * alpha.gradient(q.p)[0], atol=1e-12)
     # time-shifted position picks up t V
-    xt = fam.position(0, t=2.0)
+    xt = fam.position(t=2.0)
     assert np.allclose(
-        xt.apply(alpha, q.p),
+        xt.apply(alpha, q.p)[..., 0, :],
         1j * alpha.gradient(q.p)[0] + 2.0 * (q.p[0] / q.energy) * alpha.value(q.p),
         atol=1e-12,
     )
@@ -163,9 +163,9 @@ def test_position_expectation_is_preparation_point():
     # the whole grid is one batch of momenta
     alpha = WaveSpinor(value, grad)
     vals = alpha.value(grid.nodes)
+    acted = fam.position().apply(alpha, grid.nodes)
     for i in range(3):
-        acted = fam.position(i).apply(alpha, grid.nodes)
-        acc = grid.integrate(np.einsum("na,na->n", vals.conj(), acted))
+        acc = grid.integrate(np.einsum("na,na->n", vals.conj(), acted[..., i, :]))
         assert acc.real == pytest.approx(x0[i], abs=1e-8)
 
 
@@ -175,48 +175,54 @@ def test_covariant_derivative_commutes_with_spin():
     fam = AssociatedFamily(1.0, basis)
     rng = make_rng(65)
     alpha = gaussian_test_spinor(rng)
+    x, s = fam.position(), fam.spin()  # X~_i = i d~_i
     for q in sample_momenta(10, 1.0, seed=67, lo=0.3, hi=2.0, avoid_poles=True):
-        for i in range(3):
-            x = fam.position(i)  # i d~_i
-            for j in range(3):
-                s = fam.spin(j)
-                assert mx(commutator_action(x, s, alpha, q.p)) < 1e-5
+        # every pair (i, j) at once
+        assert mx(commutator_action(x, s, alpha, q.p)) < 1e-5
 
 
 def test_structural_commutator_multiplicative():
     basis = HelicityBasis()
     fam = AssociatedFamily(1.0, basis)
     q = Momentum.of(0.2, 0.4, 0.9)
-    s1, s2, s3 = (fam.spin(i) for i in range(3))
-    assert mx(commutator(s1, s2).mult_at(q.p) - 1j * s3.mult_at(q.p)) < TOL
+    s = fam.spin()
+    m_s = s.mult_at(q.p)
+    assert mx(commutator(s, s).mult_at(q.p)[..., 0, 1, :, :] - 1j * m_s[..., 2, :, :]) < TOL
+    # the spin is conserved: [S~_i, H~] has no part left, a zero (3, 1) stack
+    zero = commutator(s, fam.hamiltonian()).mult_at(q.p)
+    assert zero.shape == (3, 1, 2, 2) and mx(zero) == 0
 
 
 def test_exact_commutator_of_angular_momenta_term_by_term():
     # [L1, L2] = i L3 as first-order operators: no multiplicative part, and
     # the derivative coefficients agree
     fam = AssociatedFamily(1.0, HelicityBasis())
-    L = [fam.angular(i) for i in range(3)]
-    c = commutator(L[0], L[1])
+    L = fam.angular()
+    c = commutator(L, L)
     for q in sample_momenta(5, 1.0, seed=77, avoid_poles=True):
-        assert mx(c.mult_at(q.p)) < 1e-9
-        assert mx(c.coef(q.p)[2].v - 1j * L[2].coef(q.p)[2].v) < 1e-9
+        assert mx(c.mult_at(q.p)[..., 0, 1, :, :]) < 1e-9
+        assert mx(c.coef(q.p)[2].v[..., 0, 1, :] - 1j * L.coef(q.p)[2].v[..., 2, :]) < 1e-9
 
 
 def test_commutators_do_not_nest():
     # a commutator's coefficients carry values but no partials
     fam = AssociatedFamily(1.0, HelicityBasis())
-    inner = commutator(fam.position(0), fam.hamiltonian())
+    inner = commutator(fam.position(), fam.hamiltonian())
     with pytest.raises(TypeError):
-        commutator(inner, fam.position(1))
+        commutator(inner, fam.position())
     with pytest.raises(TypeError):
-        commutator(fam.spin(1), inner)
+        commutator(fam.spin(), inner)
 
 
 def _coefficients(op, p):
-    """Sigma-frame coefficients (a0, a, D) as one (n, 7) array, 0 where absent."""
-    shapes = [(len(p), k) for k in (1, 3, 3)]
+    """Sigma-frame coefficients (a0, a, D) of a commutator as one (n, ka, kb, 7)
+    array, 0 where absent."""
     coef = op.coef(p)
-    parts = [np.zeros(s) if c is None else np.broadcast_to(c.v, s) for c, s in zip(coef, shapes)]
+    shape = np.broadcast_shapes(*(c.v.shape[:-1] for c in coef if c is not None))
+    parts = [
+        np.zeros(shape + (k,)) if c is None else np.broadcast_to(c.v, shape + (k,))
+        for c, k in zip(coef, (1, 3, 3))
+    ]
     return np.concatenate(parts, -1)
 
 
@@ -226,37 +232,32 @@ def test_exact_commutators_across_regimes(basis):
     # cannot resolve E at small |p|; the jets give the closed forms to rounding
     p = np.outer([1e-6, 1e-3, 1.0, 1e3, 1e6], [0.36, -0.48, 0.8])
     e = np.sqrt(1.0 + np.sum(p * p, axis=-1))
-    zero = np.zeros(len(p))
     fam = AssociatedFamily(1.0, basis)
-    H = fam.hamiltonian()
-    X, P, Ko = (
-        [make(i) for i in range(3)] for make in (fam.position, fam.momentum, fam.boost_orbital)
-    )
-    pairs = [(i, j) for i in range(3) for j in range(3)]
+    H, X, P, Ko = fam.hamiltonian(), fam.position(), fam.momentum(), fam.boost_orbital()
     delta = np.eye(3)
+    # (i, j) stacks over the momenta: p^i (n, i, 1) and p^j (n, 1, j)
+    pi, pj = p[:, :, None], p[:, None, :]
 
     def scalar(a0):
-        return np.stack([a0] + [zero] * 6, -1)
+        return np.concatenate([a0[..., None], np.zeros(a0.shape + (6,))], -1)
 
     def derivative(d):
-        return np.stack([zero] * 4 + list(d.T), -1)
+        return np.concatenate([np.zeros(d.shape[:-1] + (4,)), d], -1)
 
     relations = {
-        "[X_i, H] = i V_i": [(X[i], H, scalar(1j * p[:, i] / e)) for i in range(3)],
-        "[X_i, P_j] = i delta_ij": [(X[i], P[j], scalar(1j * (i == j) + zero)) for i, j in pairs],
+        "[X_i, H] = i V_i": (X, H, scalar(1j * pi / e[:, None, None])),
+        "[X_i, P_j] = i delta_ij": (X, P, scalar(np.broadcast_to(1j * delta, (len(p), 3, 3)))),
         # -i eps_ijk L_k has D_l = p^j delta_il - p^i delta_jl
-        "[Ko_i, Ko_j] = -i eps_ijk L_k": [
-            (Ko[i], Ko[j], derivative(p[:, j, None] * delta[i] - p[:, i, None] * delta[j]))
-            for i, j in pairs
-        ],
-        "[Ko_i, H] = i p_i": [(Ko[i], H, scalar(1j * p[:, i])) for i in range(3)],
+        "[Ko_i, Ko_j] = -i eps_ijk L_k": (
+            Ko, Ko, derivative(pj[..., None] * delta[:, None, :] - pi[..., None] * delta)
+        ),
+        "[Ko_i, H] = i p_i": (Ko, H, scalar(1j * pi)),
     }
-    for name, cases in relations.items():
-        got = np.stack([_coefficients(commutator(a, b), p) for a, b, _ in cases], 1)
-        want = np.stack([w for _, _, w in cases], 1)
+    for name, (a, b, want) in relations.items():
+        got = _coefficients(commutator(a, b), p)
         # per momentum, relative to the largest closed-form coefficient
-        scale = np.max(np.abs(want), axis=(1, 2))
-        worst = np.max(np.abs(got - want), axis=(1, 2)) / scale
+        scale = np.max(np.abs(want), axis=(1, 2, 3))
+        worst = np.max(np.abs(got - want), axis=(1, 2, 3)) / scale
         assert np.all(worst <= 1e-14), (name, worst)
 
 
@@ -286,10 +287,8 @@ def test_pryce_cd_associated():
     basis = CommonBasis()
     q = Momentum.of(0.5, -0.3, 0.2)
     fam = AssociatedFamily(q.m, basis)
-    xc = [fam.position_pryce_c(i) for i in range(3)]
-    xd = [fam.position_pryce_d(i) for i in range(3)]
-    yc = [fam.y_pryce_c(i) for i in range(3)]
-    yd = [fam.y_pryce_d(i) for i in range(3)]
+    xc, xd = fam.position_pryce_c(), fam.position_pryce_d()
+    yc, yd = fam.y_pryce_c(), fam.y_pryce_d()
     rng = make_rng(69)
     alpha = gaussian_test_spinor(rng)
     e, m, p = q.energy, q.m, q.p
@@ -298,23 +297,21 @@ def test_pryce_cd_associated():
         # multiplicative parts carry the stated spin offsets
         sg = basis.sigma(p)
         spin_term = np.einsum("jk,j,kab->ab", EPS3[i], p, 0.5 * sg)
-        assert mx(xc[i].mult_at(p) - spin_term / (e * (e + m))) < TOL
-        assert mx(xd[i].mult_at(p) + spin_term / (m * (e + m))) < TOL
+        assert mx(xc.mult_at(p)[i] - spin_term / (e * (e + m))) < TOL
+        assert mx(xd.mult_at(p)[i] + spin_term / (m * (e + m))) < TOL
         # Y vectors proportional to the Theta-contracted spin
         th, _ = theta_tensor(q)
         s_plus_assoc = 0.5 * np.einsum("j,jab->ab", th[i], sg)
-        assert mx(yc[i].mult_at(p) - (m / e**3) * s_plus_assoc) < TOL
-        assert mx(yd[i].mult_at(p) - s_plus_assoc / (m * e)) < TOL
-    # commutator closes on -i eps Y_c
-    for i, j in ((0, 1), (1, 2), (2, 0)):
-        lhs = commutator_action(xc[i], xc[j], alpha, p)
-        rhs = -1j * sum(levi_civita3(i, j, k) * yc[k].apply(alpha, p) for k in range(3))
-        assert mx(lhs - rhs) < 1e-5
+        assert mx(yc.mult_at(p)[i] - (m / e**3) * s_plus_assoc) < TOL
+        assert mx(yd.mult_at(p)[i] - s_plus_assoc / (m * e)) < TOL
+    # commutator closes on -i eps Y_c, for every pair (i, j) at once
+    lhs = commutator_action(xc, xc, alpha, p)
+    rhs = -1j * np.einsum("ijk,ka->ija", EPS3, yc.apply(alpha, p))
+    assert mx(lhs - rhs) < 1e-5
     # rest frame: offsets vanish, both reduce to i d~
     q0 = Momentum(np.zeros(3), 1.0)
-    for i in range(3):
-        assert mx(xc[i].mult_at(q0.p)) < TOL
-        assert mx(xd[i].mult_at(q0.p)) < TOL
+    assert mx(xc.mult_at(q0.p)) < TOL
+    assert mx(xd.mult_at(q0.p)) < TOL
 
 
 def test_appendix_b_spot_identities():
@@ -325,25 +322,19 @@ def test_appendix_b_spot_identities():
     alpha = gaussian_test_spinor(rng)
     for q in sample_momenta(5, 1.0, seed=73, lo=0.2, hi=1.5, avoid_poles=True):
         e, p = q.energy, q.p
-        L = [fam.angular(i) for i in range(3)]
-        Ko = [fam.boost_orbital(i) for i in range(3)]
-        Ks = [fam.boost_spin(i) for i in range(3)]
-        S = [fam.spin(i) for i in range(3)]
-        V = [fam.velocity(i) for i in range(3)]
+        L, Ko, Ks = fam.angular(), fam.boost_orbital(), fam.boost_spin()
+        aS, aKs = fam.spin().apply(alpha, p), Ks.apply(alpha, p)
         # angular momenta close su(2)
-        lhs = commutator_action(L[0], L[1], alpha, p)
-        assert mx(lhs - 1j * L[2].apply(alpha, p)) < 1e-5
-        # boost-velocity commutator is multiplicative
-        for i in range(3):
-            for j in range(3):
-                lhs = commutator_action(Ko[i], V[j], alpha, p)
-                rhs = 1j * ((1.0 if i == j else 0.0) - p[i] * p[j] / e**2) * alpha.value(p)
-                assert mx(lhs - rhs) < 1e-5
+        lhs = commutator_action(L, L, alpha, p)[0, 1]
+        assert mx(lhs - 1j * L.apply(alpha, p)[2]) < 1e-5
+        # boost-velocity commutator is multiplicative, for every pair (i, j)
+        lhs = commutator_action(Ko, fam.velocity(), alpha, p)
+        rhs = 1j * (np.eye(3) - np.outer(p, p) / e**2)[..., None] * alpha.value(p)
+        assert mx(lhs - rhs) < 1e-5
         # orbital and spin boost parts do not commute
-        lhs = commutator_action(Ko[0], Ks[1], alpha, p)
+        lhs = commutator_action(Ko, Ks, alpha, p)[0, 1]
         rhs = -1j / (e + 1.0) * (
-            e * sum(levi_civita3(0, 1, k) * S[k].apply(alpha, p) for k in range(3))
-            + p[0] * Ks[1].apply(alpha, p)
+            e * sum(levi_civita3(0, 1, k) * aS[k] for k in range(3)) + p[0] * aKs[1]
         )
         assert mx(lhs - rhs) < 1e-5
 
@@ -358,8 +349,9 @@ def test_hermitian_quadratic_form_of_boost_orbital():
     from diracmr.wavepacket import QuadratureGrid
 
     grid = QuadratureGrid(10.0, 40, 8, 8)
-    op = fam.boost_orbital(1)
+    op = fam.boost_orbital()
     pts = grid.nodes  # the whole grid is one batch of momenta
-    lhs = np.sum(grid.weights * np.einsum("na,na->n", a.value(pts).conj(), op.apply(b, pts)))
-    rhs = np.sum(grid.weights * np.einsum("na,na->n", op.apply(a, pts).conj(), b.value(pts)))
-    assert abs(lhs - rhs) < 1e-8
+    lhs = grid.weights @ np.einsum("na,nia->ni", a.value(pts).conj(), op.apply(b, pts))
+    rhs = grid.weights @ np.einsum("nia,na->ni", op.apply(a, pts).conj(), b.value(pts))
+    # every component at once
+    assert np.max(np.abs(lhs - rhs)) < 1e-8

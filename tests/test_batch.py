@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from diracmr.algebra import Momentum
-from diracmr.associated import KERNEL_CATALOG, AssociatedFamily, d_matrix
+from diracmr.associated import KERNEL_CATALOG, AssociatedFamily, commutator, d_matrix
 from diracmr.operators import OPERATOR_CATALOG
 from diracmr.polarization import CommonBasis, HelicityBasis
 from diracmr.sampling import sample_boosts, sample_momenta
@@ -17,18 +17,20 @@ LAM = sample_boosts(1, seed=6)[0]
 
 
 def _family(basis):
+    """(label, operator, component) for every component of every family, in a
+    fixed order; the label carries the component number of a vector family."""
     fam = AssociatedFamily(MASS, basis)
-    ops = [fam.hamiltonian(), fam.polarization(), fam.pauli_lubanski0()]
-    for i in range(3):
-        ops += [
-            fam.momentum(i), fam.velocity(i), fam.spin(i), fam.spin_plus(i),
-            fam.spin_minus(i), fam.pauli_lubanski(i), fam.position(i),
-            fam.angular(i), fam.boost_orbital(i), fam.boost_spin(i),
-            fam.position_pryce_c(i), fam.position_pryce_d(i), fam.y_pryce_c(i),
-            fam.y_pryce_d(i),
-        ]
-    ops += [fam.position(i, t=0.6) for i in range(3)]
-    return ops
+    vectors = [
+        fam.momentum(), fam.velocity(), fam.spin(), fam.spin_plus(), fam.spin_minus(),
+        fam.pauli_lubanski(), fam.position(), fam.angular(), fam.boost_orbital(),
+        fam.boost_spin(), fam.position_pryce_c(), fam.position_pryce_d(), fam.y_pryce_c(),
+        fam.y_pryce_d(),
+    ]
+    scalars = (fam.hamiltonian(), fam.polarization(), fam.pauli_lubanski0())
+    entries = [(op.name, op, 0) for op in scalars]
+    entries += [(f"{op.name}{i + 1}", op, i) for i in range(3) for op in vectors]
+    xt = fam.position(t=0.6)
+    return entries + [(f"{xt.name}{i + 1}", xt, i) for i in range(3)]
 
 
 def _cases():
@@ -37,10 +39,15 @@ def _cases():
     for bname, basis in BASES.items():
         for meth in ("xi", "eta", "sigma", "omega"):
             yield f"{bname}-{meth}", getattr(basis, meth)
-        for k, op in enumerate(_family(basis)):
-            yield f"{bname}-{op.name}-{k}-mult", op.mult_at
+        for k, (label, op, i) in enumerate(_family(basis)):
+            yield f"{bname}-{label}-{k}-mult", lambda p, op=op, i=i: op.mult_at(p)[..., i, :, :]
             if op.coef(MOMENTA)[2] is not None:
-                yield f"{bname}-{op.name}-{k}-dcoef", lambda p, op=op: op.coef(p)[2].v
+                yield f"{bname}-{label}-{k}-dcoef", lambda p, op=op, i=i: op.coef(p)[2].v[..., i, :]
+        # [L~_i, Ko~_j] for every pair as one stack, (..., 3, 3, 2, 2) and (..., 3, 3, 3)
+        fam = AssociatedFamily(MASS, basis)
+        comm = commutator(fam.angular(), fam.boost_orbital())
+        yield f"{bname}-{comm.name}-mult", comm.mult_at
+        yield f"{bname}-{comm.name}-dcoef", lambda p, comm=comm: comm.coef(p)[2].v
         for name, ker in KERNEL_CATALOG.items():
             yield f"kernel-{name}-{bname}", (
                 lambda p, ker=ker, basis=basis: ker(Momentum(p, MASS), 0.37, basis)

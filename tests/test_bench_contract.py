@@ -46,6 +46,10 @@ def test_bench_check_table_contract():
     checks = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(checks)
     for suite, table in checks.TABLE.items():
-        tols = {r.name: r.tol for r in run_suite(suite, 20, 7)}
+        results = run_suite(suite, 20, 7)
+        tols = {r.name: r.tol for r in results}
         assert [n for n in table if n not in tols] == [], suite
         assert [n for n, tol in table.items() if tols[n] > tol] == [], suite
+        if suite in ("appendix_b", "associated"):
+            # the reported order, which the verify output prints, is the table's
+            assert [r.name for r in results if r.name in table] == list(table), suite

@@ -30,6 +30,17 @@ def test_verify_unreachable_tolerance_fails():
     assert "FAIL" in res.output
 
 
+def test_verify_negative_tolerance_is_usage_error():
+    # a negative tolerance fails every check, so it is refused up front; 0 stays
+    # valid, the tolerance projectors/rest_norm_factor states itself
+    res = run_cli("verify", "--suite", "clifford", "--samples", "2", "--tol", "-1")
+    assert res.exit_code == 2
+    assert "is negative" in res.output
+    res = run_cli("verify", "--suite", "projectors", "--samples", "2", "--tol", "0")
+    assert res.exit_code in (0, 1), res.output
+    assert "PASS projectors/rest_norm_factor residual=0 tol=0\n" in res.output
+
+
 def test_verify_unknown_suite_is_usage_error():
     res = run_cli("verify", "--suite", "bogus")
     assert res.exit_code == 2

@@ -168,8 +168,9 @@ def test_position_dispersion_at_time_matches_associated_family():
     fam = AssociatedFamily(1.0, CommonBasis())
     for t in (0.0, 2.0, 10.0):
         got = eng.position_dispersion_at_time(t)
+        acted = fam.position(t).apply(alpha, pts)
         for i in range(3):
-            x_alpha = fam.position(i, t).apply(alpha, pts)
+            x_alpha = acted[..., i, :]
             mean = grid.integrate(np.sum(val.conj() * x_alpha, axis=-1)).real
             want = grid.integrate(np.sum(np.abs(x_alpha) ** 2, axis=-1)) - mean**2
             assert abs(got[i] - want) <= 1e-12 * want, (t, i)
@@ -190,6 +191,9 @@ def test_cone_filter_isotropic():
     assert stats["V"][1] == pytest.approx(rep["V"].dispersion, rel=1e-8)
     with pytest.raises(ValueError):
         cone_filter(prof, (0, 0, 1), 0.5, GRID.p_max)  # solid angle too large
+    for bad in (-0.05, 0.0, np.nan):  # a solid angle is positive
+        with pytest.raises(ValueError):
+            cone_filter(prof, (0, 0, 1), bad, GRID.p_max)
 
 
 @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
