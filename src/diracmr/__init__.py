@@ -9,14 +9,12 @@ kernels, and a wave-packet statistics engine.
 from .algebra import (
     GAMMA,
     GAMMA5,
+    SL2C,
     Momentum,
     boost_for_momentum,
     foldy_wouthuysen,
-    gamma,
-    gamma5,
     lorentz_boost_matrix,
     rotation,
-    sl2c_generator,
     theta_tensor,
 )
 from .associated import (
@@ -51,8 +49,6 @@ from .polarization import (
     HelicityBasis,
     PoleError,
     PolarizationBasis,
-    common_spinor,
-    helicity_spinor,
     make_basis,
 )
 from .spinors import (
@@ -99,12 +95,12 @@ __all__ = [
     "PolarizationBasis",
     "PoleError",
     "QuadratureGrid",
+    "SL2C",
     "StatisticsReport",
     "WaveSpinor",
     "boost_for_momentum",
     "chakrabarti_spin",
     "commutator_action",
-    "common_spinor",
     "cone_filter",
     "d_matrix",
     "decompose_diag_osc",
@@ -112,9 +108,6 @@ __all__ = [
     "figure_data",
     "foldy_wouthuysen",
     "g_integral",
-    "gamma",
-    "gamma5",
-    "helicity_spinor",
     "lorentz_boost_matrix",
     "make_basis",
     "make_isotropic",
@@ -132,7 +125,6 @@ __all__ = [
     "rest_spinors",
     "rotation",
     "run_suite",
-    "sl2c_generator",
     "spin_type_operators",
     "theta_tensor",
     "u_spinor",

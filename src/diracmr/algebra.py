@@ -7,6 +7,10 @@ Fixed conventions used throughout the package:
 * natural units  hbar = c = 1
 * chiral (Weyl) gamma matrices; no representation switching
 
+Every constant of the algebra is one array indexed like its symbol:
+``GAMMA[mu]``, ``GAMMA5``, ``SL2C[mu, nu]``, ``SPIN[i]``, ``PAULI[i]`` and
+``EPS3[i, j, k]`` (0-based indices; an index out of range raises
+``IndexError``), and ``cross(p, M)`` is the one contraction eps_ijk p^j M_k.
 All matrices are dense complex ``numpy`` arrays and every identity is
 checked numerically against a stated tolerance, never symbolically.
 """
@@ -18,7 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
-EPS0123 = -1.0  # eps^{0123}
 
 DEFAULT_IDENTITY_TOL = 1e-12
 
@@ -35,17 +38,8 @@ ID2 = np.eye(2, dtype=complex)
 ID4 = np.eye(4, dtype=complex)
 
 
-def levi_civita3(i: int, j: int, k: int) -> float:
-    """Spatial Levi-Civita symbol with eps_{123} = +1 (0-based indices)."""
-    return float((i - j) * (j - k) * (k - i)) / 2.0
-
-
-# eps3[i, j, k] as an array, handy for contractions
-EPS3 = np.zeros((3, 3, 3))
-for _i in range(3):
-    for _j in range(3):
-        for _k in range(3):
-            EPS3[_i, _j, _k] = levi_civita3(_i, _j, _k)
+# eps_ijk = (i - j)(j - k)(k - i)/2 on 0-based indices, eps_123 = +1
+EPS3 = np.fromfunction(lambda i, j, k: (i - j) * (j - k) * (k - i) / 2.0, (3, 3, 3))
 
 
 _STENCIL = np.array([2.0, 1.0, -1.0, -2.0])
@@ -82,6 +76,11 @@ def contract(v: np.ndarray, mats: np.ndarray) -> np.ndarray:
     return np.tensordot(v, mats, axes=(-1, 0))
 
 
+def cross(p: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """(p ^ M)_i = eps_ijk p^j M_k for a stack M (..., 3, a, b) of three matrices."""
+    return np.einsum("ijk,...j,...kab->...iab", EPS3, p, mats)
+
+
 def _block(a, b, c, d) -> np.ndarray:
     return np.block([[a, b], [c, d]])
 
@@ -99,43 +98,11 @@ GAMMA5 = np.diag([-1.0, -1.0, 1.0, 1.0]).astype(complex)
 CCONJ = 1j * GAMMA[2]
 
 
-def gamma(mu: int) -> np.ndarray:
-    """Chiral-representation gamma matrix, mu in 0..3."""
-    if mu not in (0, 1, 2, 3):
-        raise IndexError(f"gamma index must be 0..3, got {mu}")
-    return GAMMA[mu].copy()
+# SL(2,C) generators s^{mu nu} = (i/4)[gamma^mu, gamma^nu], stacked [mu, nu]
+SL2C = 0.25j * (GAMMA[:, None] @ GAMMA[None, :] - GAMMA[None, :] @ GAMMA[:, None])
 
-
-def gamma5() -> np.ndarray:
-    return GAMMA5.copy()
-
-
-def sl2c_generator(mu: int, nu: int) -> np.ndarray:
-    """SL(2,C) generator s^{mu nu} = (i/4)[gamma^mu, gamma^nu].
-
-    Returns the zero matrix for mu == nu.
-    """
-    if mu not in (0, 1, 2, 3) or nu not in (0, 1, 2, 3):
-        raise IndexError("generator indices must be 0..3")
-    gm, gn = GAMMA[mu], GAMMA[nu]
-    return 0.25j * (gm @ gn - gn @ gm)
-
-
-def spin_matrix(i: int) -> np.ndarray:
-    """Pauli-Dirac spin matrix s_i = (1/2) eps_{ijk} s^{jk} = diag(sigma_i, sigma_i)/2."""
-    if i not in (0, 1, 2):
-        raise IndexError("spatial index must be 0..2")
-    return _block(PAULI[i] / 2.0, _Z2, _Z2, PAULI[i] / 2.0)
-
-
-SPIN = np.stack([spin_matrix(i) for i in range(3)])
-
-
-def boost_generator(i: int) -> np.ndarray:
-    """Boost generator s^{0i} = diag(-i sigma_i, +i sigma_i)/2 = (i/2) gamma^0 gamma^i."""
-    if i not in (0, 1, 2):
-        raise IndexError("spatial index must be 0..2")
-    return 0.5j * (GAMMA[0] @ GAMMA[i + 1])
+# Pauli-Dirac spin matrices s_i = (1/2) eps_ijk s^jk = diag(sigma_i, sigma_i)/2
+SPIN = np.kron(ID2, PAULI) / 2.0
 
 
 def rotation(theta) -> np.ndarray:

@@ -10,6 +10,10 @@ little-group matrices of the induced representations, the exact commutator
 of two associated operators over every component pair, and the closed-form
 oscillating (zitterbewegung) kernels of the particle-antiparticle mixing terms.
 
+Each kernel is one coefficient map C(p), (..., k, 4), contracted with the one
+pair-bilinear frame B = (xi^+(p) sigma_j eta(-p), xi^+(p) eta(-p)):
+K(t, p) = exp(2iEt) C.B.
+
 Associated operators are first order, alpha -> M(p) alpha + D_k(p) d~_k alpha,
 M = a0 + a.Sigma(p)/2 and d~_k = d_k + Omega_k.  Sigma is covariantly constant and
 the connection flat, so a commutator is again first order and exact from the jets
@@ -31,6 +35,8 @@ from .algebra import (
     Momentum,
     boost_for_momentum,
     central_gradient,
+    contract,
+    cross,
     dagger,
     lorentz_inverse,
     lorentz_of,
@@ -483,74 +489,45 @@ def wigner_transform(
 # oscillating (zitterbewegung) kernels
 
 
-def _pair_bilinears(basis: PolarizationBasis, p: np.ndarray):
-    """xi^+(p) sigma_j eta(-p) for j = 1..3 and xi^+(p) eta(-p)."""
-    xi_h = dagger(basis.xi(p))
-    eta_m = basis.eta(-p)
-    vec = xi_h[..., None, :, :] @ PAULI @ eta_m[..., None, :, :]
-    return vec, xi_h @ eta_m
+# the pair-bilinear frame B = (xi^+ sigma_j eta(-p), xi^+ eta(-p)) as sigma_1..3 and 1
+_FRAME = np.concatenate((PAULI, ID2[None]))
+# a vector coefficient c_j on the sigma_j slots of the frame: c @ _ON_SIGMA
+_ON_SIGMA = np.eye(3, 4)
+# (eps.p)_ij = eps_ikj p^k on the sigma_j slots: contract(p, _EPS_ON_SIGMA), (..., 3, 4)
+_EPS_ON_SIGMA = cross(np.eye(3), _ON_SIGMA[:, None, :])[..., 0, :]
 
 
-def _phase(q: Momentum, t) -> np.ndarray:
-    # exp(2iEt) broadcast over the kernel's component and matrix axes
-    return np.exp(2j * q.energy * t)[..., None, None, None]
+def _pair_bilinears(basis: PolarizationBasis, p: np.ndarray) -> np.ndarray:
+    """The frame B(p) = (xi^+(p) sigma_j eta(-p), xi^+(p) eta(-p)), (..., 4, 2, 2)."""
+    return dagger(basis.xi(p))[..., None, :, :] @ _FRAME @ basis.eta(-p)[..., None, :, :]
 
 
-def _kernel_delta_x(q: Momentum, t, basis: PolarizationBasis) -> np.ndarray:
-    e = q.energy[..., None, None, None]
-    _, theta_inv = theta_tensor(q)
-    vec, _ = _pair_bilinears(basis, q.p)
-    return -0.5j * _phase(q, t) / e * np.einsum("...ij,...jab->...iab", theta_inv, vec)
-
-
-def _kernel_axial_current(q: Momentum, t, basis: PolarizationBasis) -> np.ndarray:
-    e = q.energy[..., None, None, None]
-    vec, _ = _pair_bilinears(basis, q.p)
-    cross = np.einsum("ijk,...j,...kab->...iab", EPS3, q.p, vec)
-    return 1j * _phase(q, t) / e * cross
-
-
-def _kernel_fw_generator(q: Momentum, t, basis: PolarizationBasis) -> np.ndarray:
-    e = q.energy[..., None, None, None]
-    theta, _ = theta_tensor(q)
-    vec, _ = _pair_bilinears(basis, q.p)
-    return 1j * _phase(q, t) * q.m / e * np.einsum("...ij,...jab->...iab", theta, vec)
-
-
-def _kernel_chakrabarti(q: Momentum, t, basis: PolarizationBasis) -> np.ndarray:
-    vec, _ = _pair_bilinears(basis, q.p)
-    cross = np.einsum("ijk,...j,...kab->...iab", EPS3, q.p, vec)
-    return 1j * _phase(q, t) / q.m * cross
-
-
-def _kernel_scalar_charge(q: Momentum, t, basis: PolarizationBasis) -> np.ndarray:
-    vec, _ = _pair_bilinears(basis, q.p)
-    return -_phase(q, t) * np.einsum("...j,...jab->...ab", q.p, vec)[..., None, :, :]
-
-
-def _kernel_pseudoscalar(q: Momentum, t, basis: PolarizationBasis) -> np.ndarray:
-    _, scal = _pair_bilinears(basis, q.p)
-    return -_phase(q, t) * scal[..., None, :, :]
+def _energy(q: Momentum) -> np.ndarray:
+    return q.energy[..., None, None]
 
 
 @dataclass(frozen=True)
 class OscillatingKernel:
     """Closed-form oscillating kernel with its parent Fourier operator.
 
-    Kernels map momenta (..., 3) and times t, which broadcast against the
-    batch, to (..., components, 2, 2).  ``parent_scale(q)`` relates the
-    kernel to the generic off-diagonal matrix elements:
-    kernel = parent_scale * A~(+-)(parent).  The phase law
-    K(t, p) = exp(2iE(p)t) K(0, p) holds by construction.
+    ``coef(q)`` maps momenta to coefficients C (..., k, 4) against the
+    pair-bilinear frame B, and the kernel is K(t, p) = exp(2iEt) C.B, of shape
+    (..., k, 2, 2); times t broadcast against the batch, so the phase law
+    K(t, p) = exp(2iE(p)t) K(0, p) holds by construction.  ``parent_scale(q)``
+    relates the kernel to the generic off-diagonal matrix elements:
+    kernel = parent_scale * A~(+-)(parent).
     """
 
     name: str
-    func: Callable[[Momentum, float, PolarizationBasis], np.ndarray]
+    coef: Callable[[Momentum], np.ndarray]
     parent: str
     parent_scale: Callable[[Momentum], float] = lambda q: 1.0
 
     def __call__(self, q: Momentum, t, basis: PolarizationBasis) -> np.ndarray:
-        return self.func(q, t, basis)
+        phase = np.exp(2j * q.energy * t)[..., None, None, None]
+        frame = _pair_bilinears(basis, q.p)
+        k = self.coef(q) @ frame.reshape(frame.shape[:-2] + (4,))  # C.B, each B_j flattened
+        return phase * k.reshape(k.shape[:-1] + (2, 2))
 
     def from_offdiag(
         self, q: Momentum, t, basis: PolarizationBasis
@@ -561,19 +538,27 @@ class OscillatingKernel:
 
 
 KERNEL_CATALOG: dict[str, OscillatingKernel] = {
-    "delta_x_osc": OscillatingKernel("delta_x_osc", _kernel_delta_x, "delta_x"),
-    "axial_current_osc": OscillatingKernel(
-        "axial_current_osc", _kernel_axial_current, "pauli_dirac_spin",
-        parent_scale=lambda q: 2.0,
+    "delta_x_osc": OscillatingKernel(
+        "delta_x_osc", lambda q: -0.5j / _energy(q) * (theta_tensor(q)[1] @ _ON_SIGMA), "delta_x"
     ),
-    "fw_generator_osc": OscillatingKernel("fw_generator_osc", _kernel_fw_generator, "fw_generator"),
-    "chakrabarti_osc": OscillatingKernel("chakrabarti_osc", _kernel_chakrabarti, "chakrabarti"),
+    "axial_current_osc": OscillatingKernel(
+        "axial_current_osc", lambda q: 1j / _energy(q) * contract(q.p, _EPS_ON_SIGMA),
+        "pauli_dirac_spin", parent_scale=lambda q: 2.0,
+    ),
+    "fw_generator_osc": OscillatingKernel(
+        "fw_generator_osc", lambda q: 1j * q.m / _energy(q) * (theta_tensor(q)[0] @ _ON_SIGMA),
+        "fw_generator",
+    ),
+    "chakrabarti_osc": OscillatingKernel(
+        "chakrabarti_osc", lambda q: 1j / q.m * contract(q.p, _EPS_ON_SIGMA), "chakrabarti"
+    ),
     # the 1/E measure of the scalar-charge display and its overall sign sit in
     # the parent relation, not in the kernel itself
     "scalar_charge_osc": OscillatingKernel(
-        "scalar_charge_osc", _kernel_scalar_charge, "gamma0",
+        "scalar_charge_osc", lambda q: -q.p[..., None, :] @ _ON_SIGMA, "gamma0",
         parent_scale=lambda q: -q.energy,
     ),
-    "pseudoscalar_osc": OscillatingKernel("pseudoscalar_osc", _kernel_pseudoscalar, "gamma0_gamma5"),
+    "pseudoscalar_osc": OscillatingKernel(
+        "pseudoscalar_osc", lambda q: np.array([[0.0, 0.0, 0.0, -1.0]]), "gamma0_gamma5"
+    ),
 }
-

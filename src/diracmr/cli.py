@@ -30,8 +30,11 @@ def _fmt(x: float) -> str:
 
 def _emit(text: str, out: str | None):
     if out:
-        with open(out, "w", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise click.UsageError(f"cannot write output file: {exc}")
     else:
         click.echo(text, nl=False)
 
@@ -69,9 +72,11 @@ NONNEGATIVE = FiniteFloat(nonnegative=True)
 
 
 def _load_config(ctx: click.Context, param, value):
-    """Flat key=value file; keys use the flag names with '-' or '_'."""
+    """Flat key=value file; keys use the flag names with '-' or '_' and must
+    name an option of the command."""
     if not value:
         return value
+    options = {p.name for p in ctx.command.params if p.expose_value}
     defaults: dict[str, str] = {}
     try:
         with open(value) as fh:
@@ -84,7 +89,13 @@ def _load_config(ctx: click.Context, param, value):
                         f"{value}:{lineno}: expected key=value, got {raw.strip()!r}"
                     )
                 key, _, val = line.partition("=")
-                defaults[key.strip().replace("-", "_")] = val.strip()
+                key = key.strip().replace("-", "_")
+                if key not in options:
+                    raise click.UsageError(
+                        f"{value}:{lineno}: unknown key {key!r}; options are "
+                        + ", ".join(sorted(options))
+                    )
+                defaults[key] = val.strip()
     except OSError as exc:
         raise click.UsageError(f"cannot read config file: {exc}")
     ctx.default_map = {**(ctx.default_map or {}), **defaults}
@@ -112,7 +123,7 @@ def main():
 @config_option
 @click.option("--suite", type=click.Choice(SUITE_CHOICES), default="all", show_default=True)
 @click.option("--samples", type=click.IntRange(min=1), default=100, show_default=True)
-@click.option("--seed", type=int, default=7, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=7, show_default=True)
 @click.option("--mass", type=POSITIVE, default=1.0, show_default=True)
 @click.option("--tol", type=NONNEGATIVE, default=None, help="Override every check tolerance.")
 @click.option("--out", type=str, default=None, help="Write the report to a file.")

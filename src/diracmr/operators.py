@@ -15,7 +15,6 @@ from typing import Callable
 import numpy as np
 
 from .algebra import (
-    EPS3,
     G0G,
     GAMMA,
     GAMMA5,
@@ -25,6 +24,7 @@ from .algebra import (
     boost_for_momentum,
     central_gradient,
     contract,
+    cross,
     lorentz_boost_matrix,
     theta_tensor,
 )
@@ -63,11 +63,6 @@ def n_operator(q: Momentum) -> np.ndarray:
     return dirac_hamiltonian(q) / _scalars(q.energy, 2)
 
 
-def _cross_matrix(p: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """(p ^ M)_i = eps_{ijk} p^j M_k for a stack of three matrices."""
-    return np.einsum("ijk,...j,...kab->...iab", EPS3, p, mats)
-
-
 def pryce_e_spin(q: Momentum) -> np.ndarray:
     """Conserved spin operator (Pryce(e)/Foldy-Wouthuysen), rational form.
 
@@ -75,7 +70,7 @@ def pryce_e_spin(q: Momentum) -> np.ndarray:
     """
     e, m, p = _scalars(q.energy), q.m, q.p
     sp = contract(p, SPIN)[..., None, :, :]
-    pxg = _cross_matrix(p, _GAMMA_VEC)
+    pxg = cross(p, _GAMMA_VEC)
     return (m / e) * SPIN + _scalars(p, 2) * sp / (e * (e + m)) + 0.5j * pxg / e
 
 
@@ -101,7 +96,7 @@ def pryce_e_position_offset(q: Momentum) -> np.ndarray:
     """
     e, m, p = _scalars(q.energy), q.m, q.p
     gp = contract(p, _GAMMA_VEC)[..., None, :, :]
-    pxs = _cross_matrix(p, SPIN)
+    pxs = cross(p, SPIN)
     return (
         0.5j * _GAMMA_VEC / e
         + pxs / (e * (e + m))
@@ -143,7 +138,7 @@ def auxiliary_spins(q: Momentum) -> tuple[np.ndarray, np.ndarray]:
 
 def frankel_spin(q: Momentum) -> np.ndarray:
     """Frankel spin-type operator, rational form s + (i/2m) p ^ gamma."""
-    return SPIN + 0.5j * _cross_matrix(q.p, _GAMMA_VEC) / q.m
+    return SPIN + 0.5j * cross(q.p, _GAMMA_VEC) / q.m
 
 
 def pc_spin(q: Momentum) -> np.ndarray:
@@ -152,7 +147,7 @@ def pc_spin(q: Momentum) -> np.ndarray:
     """
     e, m, p = _scalars(q.energy), q.m, q.p
     sp = contract(p, SPIN)[..., None, :, :]
-    pxg = _cross_matrix(p, _GAMMA_VEC)
+    pxg = cross(p, _GAMMA_VEC)
     return (m / e) ** 2 * SPIN + _scalars(p, 2) * sp / e**2 + 0.5j * m * pxg / e**2
 
 
@@ -204,7 +199,7 @@ def pryce_cd_offsets(q: Momentum) -> tuple[np.ndarray, np.ndarray]:
     Returns (dX_c - dX, dX_d - dX) = (p ^ S/(E(E+m)), -p ^ S/(m(E+m))).
     """
     e, m = _scalars(q.energy), q.m
-    pxS = _cross_matrix(q.p, pryce_e_spin(q))
+    pxS = cross(q.p, pryce_e_spin(q))
     return pxS / (e * (e + m)), -pxS / (m * (e + m))
 
 

@@ -178,16 +178,6 @@ class HelicityBasis(PolarizationBasis):
         return (coef @ PAULI.reshape(3, 4)).reshape(p.shape[:-1] + (3, 2, 2))
 
 
-def common_spinor(n, sigma: float) -> np.ndarray:
-    """Single common-polarization spinor xi_sigma(n)."""
-    return spinor_pair(n)[..., sigma_index(sigma)]
-
-
-def helicity_spinor(p, sigma: float) -> np.ndarray:
-    """Single helicity spinor xi_sigma(n_p)."""
-    return HelicityBasis().xi(p)[..., sigma_index(sigma)]
-
-
 def make_basis(kind: str, n=(0.0, 0.0, 1.0)) -> PolarizationBasis:
     if kind == "common":
         return CommonBasis(n)

@@ -23,12 +23,14 @@ from .algebra import (
     ID4,
     METRIC,
     PAULI,
+    SL2C,
     SPIN,
     Momentum,
     boost_for_momentum,
     boost_param,
     central_gradient,
     contract,
+    cross,
     dagger,
     dirac_adjoint_deviation,
     foldy_wouthuysen,
@@ -36,7 +38,6 @@ from .algebra import (
     lorentz_of,
     rotation,
     rotation_su2,
-    sl2c_generator,
     theta_tensor,
 )
 from .associated import (
@@ -149,11 +150,6 @@ def _closure(a, c):
     return prod - np.swapaxes(prod, -3, -4) - 1j * _eps(c, "ab")
 
 
-def _cross_p(mats, p):
-    """eps_ijk mats_j p^k."""
-    return np.einsum("ijk,...jab,...k->...iab", EPS3, mats, p)
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -165,9 +161,8 @@ def suite_clifford(samples: int, seed: int, mass: float):
     rec.add("gamma5_diag", _mx(GAMMA5 - np.diag([-1, -1, 1, 1])), 1e-15)
     rec.add("gamma5_product", _mx(GAMMA5 - 1j * GAMMA[0] @ GAMMA[1] @ GAMMA[2] @ GAMMA[3]), 1e-15)
     rec.add("charge_conjugation_involution", _mx(CCONJ @ CCONJ - ID4), 1e-15)
-    s = np.array([[sl2c_generator(mu, nu) for nu in range(4)] for mu in range(4)])
-    rec.add("generator_antisymmetry", _mx(s + np.swapaxes(s, 0, 1)), 1e-15)
-    rec.add("generator_dirac_selfadjoint", dirac_adjoint_deviation(s), 1e-15)
+    rec.add("generator_antisymmetry", _mx(SL2C + np.swapaxes(SL2C, 0, 1)), 1e-15)
+    rec.add("generator_dirac_selfadjoint", dirac_adjoint_deviation(SL2C), 1e-15)
     rec.add("spin_su2_closure", _mx(_closure(SPIN, SPIN)), 1e-15)
     rec.add("rotation_identity", _mx(rotation([0.0, 0.0, 0.0]) - ID4), 1e-15)
     rec.add("rotation_double_cover", _mx(rotation([0.0, 0.0, 2 * np.pi]) + ID4), 1e-14)
@@ -261,7 +256,8 @@ def suite_pryce_spin(samples: int, seed: int, mass: float):
     prod = _products(S)
     half_delta = 0.5 * np.eye(3)[:, :, None, None] * ID4
     rec.add("anticommutator_half_delta", _mx(prod + np.swapaxes(prod, -3, -4) - half_delta))
-    rec.add("offset_restores_angular_momentum", _mx(_cross_p(pryce_e_position_offset(q), q.p) - (SPIN - S)))
+    dx = pryce_e_position_offset(q)
+    rec.add("offset_restores_angular_momentum", _mx(-cross(q.p, dx) - (SPIN - S)))
     sCh = chakrabarti_spin(q)
     sChm = chakrabarti_spin(q.flipped())
     plus, minus = (_lift(a) for a in projectors(q))
@@ -313,8 +309,8 @@ def suite_spin_types(samples: int, seed: int, mass: float):
     rec.add("fradkin_good_commutator", _mx(_closure(s_fg, _lift(nd) @ s_fg)))
     off_c, off_d = pryce_cd_offsets(q)
     rec.add("offset_ratio", _mx(off_d + (ec / m) * off_c))
-    rec.add("j_split_pc", _mx(_cross_p(off_c, p) - (S - s_pc)))
-    rec.add("j_split_frankel", _mx(_cross_p(off_d, p) - (S - s_fr)))
+    rec.add("j_split_pc", _mx(-cross(p, off_c) - (S - s_pc)))
+    rec.add("j_split_frankel", _mx(-cross(p, off_d) - (S - s_fr)))
     # diagonal/oscillating decomposition spot identities
     ap, am, apm, amp = decompose_diag_osc(GAMMA[1], q)
     rec.add("decomposition_sum", _mx(ap + am + apm + amp - GAMMA[1]))
@@ -588,7 +584,7 @@ def suite_kernels(samples: int, seed: int, mass: float):
     q = _sampled(min(samples, 40), mass, seed, avoid_poles=True)
     e = q.energy
     ek = e[:, None, None, None]
-    # the four shifted times of the time stencil, stacked per momentum
+    # one time per momentum; central_gradient makes the four shifted times of each
     times = np.full((len(e), 1), t)
     qt = _per_component(q)
     for basis in (CommonBasis(), HelicityBasis()):

@@ -8,21 +8,19 @@ from diracmr.algebra import (
     GAMMA,
     GAMMA5,
     ID4,
+    EPS3,
     METRIC,
+    PAULI,
+    SL2C,
     SPIN,
     Momentum,
     boost_for_momentum,
-    boost_generator,
     dirac_adjoint_deviation,
     foldy_wouthuysen,
-    gamma,
-    levi_civita3,
     lorentz_boost_matrix,
     lorentz_of,
     rotation,
     rotation_su2,
-    sl2c_generator,
-    spin_matrix,
     theta_tensor,
 )
 from diracmr.operators import dirac_hamiltonian, pryce_e_spin
@@ -47,7 +45,9 @@ def test_clifford_relations_exact():
 
 def test_gamma_index_and_gamma5():
     with pytest.raises(IndexError):
-        gamma(4)
+        GAMMA[4]
+    with pytest.raises(IndexError):
+        SPIN[3]
     assert np.allclose(GAMMA5, np.diag([-1, -1, 1, 1]))
     assert np.allclose(GAMMA5, 1j * GAMMA[0] @ GAMMA[1] @ GAMMA[2] @ GAMMA[3])
 
@@ -59,20 +59,29 @@ def test_charge_conjugation_is_involution():
 
 def test_sl2c_generators():
     for mu in range(4):
-        assert np.allclose(sl2c_generator(mu, mu), np.zeros((4, 4)))
+        assert np.allclose(SL2C[mu, mu], np.zeros((4, 4)))
         for nu in range(4):
-            s = sl2c_generator(mu, nu)
-            assert np.allclose(s, -sl2c_generator(nu, mu), atol=1e-15)
+            s = SL2C[mu, nu]
+            assert np.allclose(s, -SL2C[nu, mu], atol=1e-15)
             assert dirac_adjoint_deviation(s) < 1e-15
+    with pytest.raises(IndexError):
+        SL2C[0, 4]
+    # eps_123 = +1 on 0-based indices
+    for (i, j, k), sign in {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1, (0, 2, 1): -1}.items():
+        assert EPS3[i, j, k] == sign
+    assert np.count_nonzero(EPS3) == 6 and np.array_equal(EPS3, -EPS3.transpose(1, 0, 2))
     # rotation generators are block sigma/2, boost generators diag(-i,i) sigma/2
+    zero = np.zeros((2, 2))
     for i in range(3):
+        half = PAULI[i] / 2
+        assert np.array_equal(SPIN[i], np.block([[half, zero], [zero, half]]))
         si = 0.5 * sum(
-            levi_civita3(i, j, k) * sl2c_generator(j + 1, k + 1)
+            EPS3[i, j, k] * SL2C[j + 1, k + 1]
             for j in range(3)
             for k in range(3)
         )
-        assert np.allclose(si, spin_matrix(i), atol=1e-15)
-        assert np.allclose(boost_generator(i), sl2c_generator(0, i + 1), atol=1e-15)
+        assert np.allclose(si, SPIN[i], atol=1e-15)
+        assert np.allclose(0.5j * (GAMMA[0] @ GAMMA[i + 1]), SL2C[0, i + 1], atol=1e-15)
     # su(2) closure
     assert np.allclose(comm(SPIN[0], SPIN[1]), 1j * SPIN[2], atol=1e-15)
 

@@ -5,7 +5,6 @@ from diracmr.algebra import (
     EPS3,
     ID2,
     Momentum,
-    levi_civita3,
     theta_tensor,
 )
 from diracmr.associated import (
@@ -334,7 +333,7 @@ def test_appendix_b_spot_identities():
         # orbital and spin boost parts do not commute
         lhs = commutator_action(Ko, Ks, alpha, p)[0, 1]
         rhs = -1j / (e + 1.0) * (
-            e * sum(levi_civita3(0, 1, k) * aS[k] for k in range(3)) + p[0] * aKs[1]
+            e * sum(EPS3[0, 1, k] * aS[k] for k in range(3)) + p[0] * aKs[1]
         )
         assert mx(lhs - rhs) < 1e-5
 

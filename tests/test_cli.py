@@ -41,6 +41,14 @@ def test_verify_negative_tolerance_is_usage_error():
     assert "PASS projectors/rest_norm_factor residual=0 tol=0\n" in res.output
 
 
+def test_verify_negative_seed_is_usage_error():
+    # exit 1 means a failed identity; a seed the generator refuses is a usage error
+    res = run_cli("verify", "--suite", "clifford", "--samples", "2", "--seed", "-1")
+    assert res.exit_code == 2
+    assert "--seed" in res.output
+    assert run_cli("verify", "--suite", "clifford", "--samples", "2", "--seed", "0").exit_code == 0
+
+
 def test_verify_unknown_suite_is_usage_error():
     res = run_cli("verify", "--suite", "bogus")
     assert res.exit_code == 2
@@ -183,6 +191,21 @@ def test_config_file_defaults_and_override(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("no equals sign here\n")
     assert run_cli("packet", "--config", str(bad)).exit_code == 2
+    # a key that names no option of the command is refused, not ignored
+    for command, key in (("verify", "sampels"), ("packet", "gama"), ("packet", "config")):
+        typo = tmp_path / f"{command}-{key}.cfg"
+        typo.write_text(f"{key}=3\n")
+        res = run_cli(command, "--config", str(typo))
+        assert res.exit_code == 2, (command, key, res.output)
+        assert f"unknown key '{key}'" in res.output
+
+
+def test_unwritable_out_is_usage_error(tmp_path):
+    missing = tmp_path / "no-such-dir" / "x.txt"
+    res = run_cli("kernel", "--name", "delta_x_osc", "--out", str(missing))
+    assert res.exit_code == 2, res.output
+    assert "cannot write output file" in res.output
+    assert not missing.exists()
 
 
 def _run_subprocess(args, out):

@@ -1,6 +1,6 @@
 import numpy as np
 
-from diracmr.algebra import GAMMA, GAMMA5, ID4, SPIN, Momentum, levi_civita3
+from diracmr.algebra import EPS3, GAMMA, GAMMA5, ID4, SPIN, Momentum
 from diracmr.operators import (
     OPERATOR_CATALOG,
     auxiliary_spins,
@@ -32,7 +32,7 @@ def comm(a, b):
 def cross_with_p(mats, p):
     return np.stack(
         [
-            sum(levi_civita3(i, j, k) * mats[j] * p[k] for j in range(3) for k in range(3))
+            sum(EPS3[i, j, k] * mats[j] * p[k] for j in range(3) for k in range(3))
             for i in range(3)
         ]
     )
@@ -79,7 +79,7 @@ def test_pryce_spin_identities():
             assert np.max(np.abs(S[i] - S[i].conj().T)) < TOL
             assert np.max(np.abs(comm(hd, S[i]))) < TOL
             for j in range(3):
-                rhs = 1j * sum(levi_civita3(i, j, k) * S[k] for k in range(3))
+                rhs = 1j * sum(EPS3[i, j, k] * S[k] for k in range(3))
                 assert np.max(np.abs(comm(S[i], S[j]) - rhs)) < TOL
                 # the value consistent with S^2 = 3/4 is delta/2
                 target = (0.5 if i == j else 0.0) * ID4
@@ -149,11 +149,11 @@ def test_spin_type_catalog():
             for fam in (s_fr, s_pc, s_fg):
                 assert np.max(np.abs(comm(hd, fam[i]))) < 1e-11
             for j in range(3):
-                rhs = 1j * sum(levi_civita3(i, j, k) * c_pc[k] for k in range(3))
+                rhs = 1j * sum(EPS3[i, j, k] * c_pc[k] for k in range(3))
                 assert np.max(np.abs(comm(s_pc[i], s_pc[j]) - rhs)) < TOL
-                rhs = 1j * sum(levi_civita3(i, j, k) * c_fr[k] for k in range(3))
+                rhs = 1j * sum(EPS3[i, j, k] * c_fr[k] for k in range(3))
                 assert np.max(np.abs(comm(s_fr[i], s_fr[j]) - rhs)) < 1e-11
-                rhs = 1j * sum(levi_civita3(i, j, k) * nd @ s_fg[k] for k in range(3))
+                rhs = 1j * sum(EPS3[i, j, k] * nd @ s_fg[k] for k in range(3))
                 assert np.max(np.abs(comm(s_fg[i], s_fg[j]) - rhs)) < TOL
 
 

@@ -5,14 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diracmr.algebra import PAULI, levi_civita3
+from diracmr.algebra import EPS3, PAULI
 from diracmr.polarization import (
     CommonBasis,
     HelicityBasis,
     PoleError,
-    common_spinor,
     eta_from_xi,
-    helicity_spinor,
     make_basis,
     spinor_pair,
 )
@@ -48,10 +46,11 @@ def test_common_spinors_orthonormal_complete(direction):
 
 
 def test_common_spinor_special_values():
-    assert np.allclose(common_spinor([0, 0, 1], 0.5), [1, 0])
-    assert np.allclose(common_spinor([0, 0, 1], -0.5), [0, 1])
+    # columns of spinor_pair(n) are xi_{+1/2}(n), xi_{-1/2}(n)
+    assert np.allclose(spinor_pair([0, 0, 1])[:, 0], [1, 0])
+    assert np.allclose(spinor_pair([0, 0, 1])[:, 1], [0, 1])
     # closed form along e1
-    assert np.allclose(common_spinor([1, 0, 0], 0.5), np.array([1, 1]) / np.sqrt(2))
+    assert np.allclose(spinor_pair([1, 0, 0])[:, 0], np.array([1, 1]) / np.sqrt(2))
 
 
 def test_weighted_completeness():
@@ -70,7 +69,7 @@ def test_pole_errors():
     with pytest.raises(PoleError):
         spinor_pair([0, 0, -1])
     with pytest.raises(PoleError):
-        common_spinor(_unit([1e-7, 0, -1]), 0.5)
+        spinor_pair(_unit([1e-7, 0, -1]))
     hel = HelicityBasis()
     with pytest.raises(PoleError):
         hel.xi(np.array([0.0, 0.0, -2.0]))
@@ -84,11 +83,11 @@ def test_helicity_spinor_eigenvector():
     for q in sample_momenta(50, 1.0, seed=3, avoid_poles=True):
         n = q.p / q.mag
         ns = sum(n[i] * PAULI[i] for i in range(3)) / 2
-        xp = helicity_spinor(q.p, 0.5)
-        xm = helicity_spinor(q.p, -0.5)
+        xi = HelicityBasis().xi(q.p)
+        xp, xm = xi[:, 0], xi[:, 1]
         assert np.allclose(ns @ xp, 0.5 * xp, atol=1e-12)
         assert np.allclose(ns @ xm, -0.5 * xm, atol=1e-12)
-    assert np.allclose(helicity_spinor(np.array([0, 0, 1.0]), 0.5), [1, 0])
+    assert np.allclose(HelicityBasis().xi(np.array([0, 0, 1.0]))[:, 0], [1, 0])
 
 
 def test_sigma_matrices_common_basis():
@@ -114,7 +113,7 @@ def test_sigma_matrices_helicity():
             assert np.max(np.abs(sig[i] - sig[i].conj().T)) < 1e-13
             assert np.max(np.abs(sig[i] @ sig[i] - ID2)) < 1e-13
             for j in range(3):
-                rhs = 2j * sum(levi_civita3(i, j, k) * sig[k] for k in range(3))
+                rhs = 2j * sum(EPS3[i, j, k] * sig[k] for k in range(3))
                 assert np.max(np.abs(sig[i] @ sig[j] - sig[j] @ sig[i] - rhs)) < 1e-12
     # alignment with e3
     sig = hel.sigma(np.array([0.0, 0.0, 2.3]))
