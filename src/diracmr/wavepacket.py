@@ -13,6 +13,7 @@ machinery, not here.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -67,15 +68,26 @@ def _radial_rule(n: int, t_floor: float) -> np.ndarray:
     return np.stack([log_p, log_p + np.log(h * (1.0 + np.exp(-t)))])
 
 
+def _u_rows(dirs: np.ndarray) -> np.ndarray:
+    """u = (1, n) of each of the (n_dir, 3) unit vectors n, as (4, n_dir) rows."""
+    return np.concatenate([np.ones((1, len(dirs))), dirs.T])
+
+
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Product quadrature in spherical momentum coordinates.
+    """Product quadrature in spherical momentum coordinates: radial shells times directions.
 
     The radial rule on (0, p_max] down to t = -5.4 (node 2e-100 p_max, where
-    |grad phi|^2 still fits a double as g pbar -> 1), Gauss-Legendre in cos(theta)
-    and a uniform (trapezoidal, exact for trig polynomials) rule in phi.  Node arrays
-    are flattened, radial slowest; ``weights`` include the p^2 Jacobian so that
-    sum(w * f) approximates the d^3p integral of f.
+    |grad phi|^2 still fits a double as g pbar -> 1) gives ``radial_nodes`` and
+    ``radial_weights``.  Gauss-Legendre in cos(theta) (``cos_weights``) and a
+    uniform (trapezoidal, exact for trig polynomials) rule in phi give the
+    n_cos * n_phi unit ``directions``, cos(theta) slowest, and
+    ``direction_moments``, the 4x4 table sum_d w_d u u^T of u = (1, n) over
+    them: the direction integrals of 1, n_i and n_i n_j.
+
+    ``nodes`` (N, 3), flattened radial slowest, and ``weights`` (N,), which
+    include the p^2 Jacobian so that sum(w * f) approximates the d^3p integral
+    of f, are derived from these factors on first read and then kept.
     """
 
     p_max: float
@@ -86,28 +98,43 @@ class QuadratureGrid:
     # filled in __post_init__
     radial_nodes: np.ndarray = field(init=False, repr=False)
     radial_weights: np.ndarray = field(init=False, repr=False)
-    nodes: np.ndarray = field(init=False, repr=False)
-    weights: np.ndarray = field(init=False, repr=False)
+    cos_weights: np.ndarray = field(init=False, repr=False)
+    directions: np.ndarray = field(init=False, repr=False)
+    direction_moments: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         r, wr = self.p_max * np.exp(_radial_rule(self.n_radial, -5.4))
         c, wc = np.polynomial.legendre.leggauss(self.n_cos)
         phi = 2.0 * np.pi * np.arange(self.n_phi) / self.n_phi
-        wphi = 2.0 * np.pi / self.n_phi
 
-        # node layout: radial slowest, then cos(theta), then phi; one table of
-        # unit directions broadcast against the radial nodes
         sin_t = np.sqrt(1.0 - c**2)
         dirs = np.empty((self.n_cos, self.n_phi, 3))
         dirs[..., 0] = np.outer(sin_t, np.cos(phi))
         dirs[..., 1] = np.outer(sin_t, np.sin(phi))
         dirs[..., 2] = c[:, None]
-        nodes = (r[:, None, None, None] * dirs).reshape(-1, 3)
-        w = np.repeat(np.outer(wr * r**2, wc) * wphi, self.n_phi)
+        dirs = dirs.reshape(-1, 3)
+        u = _u_rows(dirs)
+        wu = np.repeat(wc * self._phi_weight, self.n_phi) * u
+        # each entry is one pairwise sum over contiguous rows
+        moments = np.array([[np.sum(a * b) for b in u] for a in wu])
         object.__setattr__(self, "radial_nodes", r)
         object.__setattr__(self, "radial_weights", wr)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "cos_weights", wc)
+        object.__setattr__(self, "directions", dirs)
+        object.__setattr__(self, "direction_moments", moments)
+
+    @property
+    def _phi_weight(self) -> float:
+        return 2.0 * np.pi / self.n_phi
+
+    @functools.cached_property
+    def nodes(self) -> np.ndarray:
+        return (self.radial_nodes[:, None, None] * self.directions).reshape(-1, 3)
+
+    @functools.cached_property
+    def weights(self) -> np.ndarray:
+        r, wr = self.radial_nodes, self.radial_weights
+        return np.repeat(np.outer(wr * r**2, self.cos_weights) * self._phi_weight, self.n_phi)
 
     def integrate(self, values: np.ndarray) -> float | complex:
         # numpy reductions use pairwise summation: deterministic for a fixed grid
@@ -125,7 +152,9 @@ class PacketProfile:
     ``phi`` and ``grad_phi`` take an (N, 3) array of momenta and are
     real-valued: ``phi`` returns (N,), ``grad_phi`` returns (N, 3).  theta_s
     in [0, pi]; the polarization spinor is (cos(theta_s/2), sin(theta_s/2)) in
-    the common basis along e3.
+    the common basis along e3.  ``radial`` is the pair (R, R') of an isotropic
+    profile phi(p) = R(|p|), or None; given it, the packet engine reads R and
+    R' on the grid's radial nodes instead of phi and grad_phi on all nodes.
     """
 
     phi: Callable[[np.ndarray], np.ndarray]
@@ -133,6 +162,7 @@ class PacketProfile:
     m: float
     theta_s: float = 0.0
     x0: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    radial: tuple[Callable[[np.ndarray], np.ndarray], ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float).reshape(3))
@@ -191,17 +221,22 @@ class IsotropicProfile:
         return ((self.a - 1.5) / p - self.gamma) * self.radial(p)
 
     def profile(self, theta_s: float = 0.0, x0=(0.0, 0.0, 0.0)) -> PacketProfile:
+        """The packet with phi and grad_phi built from, and carrying, the pair (R, R')."""
+        radial, derivative = self.radial, self.radial_derivative
+
         def magnitude(pts: np.ndarray) -> np.ndarray:
             return np.sqrt(np.einsum("...i,...i->...", pts, pts))
 
         def phi(pts: np.ndarray) -> np.ndarray:
-            return self.radial(magnitude(pts))
+            return radial(magnitude(pts))
 
         def grad_phi(pts: np.ndarray) -> np.ndarray:
             mag = magnitude(pts)
-            return pts * (self.radial_derivative(mag) / mag)[..., None]
+            return pts * (derivative(mag) / mag)[..., None]
 
-        return PacketProfile(phi, grad_phi, self.m, theta_s, np.asarray(x0))
+        return PacketProfile(
+            phi, grad_phi, self.m, theta_s, np.asarray(x0), (radial, derivative)
+        )
 
     def default_grid(self, n_radial: int = 200, n_cos: int = 32, n_phi: int = 64):
         # p_max chosen so the exp(-2 gamma p) tail is far below double precision
@@ -254,34 +289,64 @@ def _clip_dispersion(value: float, name: str) -> float:
     return value
 
 
+def _shell_tables(grid: QuadratureGrid, rad: np.ndarray, slope: np.ndarray):
+    """Tables of phi = R(|p|) from R and R' on the radial nodes: grad phi = n R'."""
+    shell = grid.radial_weights * grid.radial_nodes**2
+    moments = (shell * rad**2)[:, None, None] * grid.direction_moments
+    gradient = np.zeros((2, 3, grid.n_radial))  # p x grad phi = 0
+    gradient[0] = np.diagonal(grid.direction_moments)[1:, None] * (shell * slope**2)
+    return moments, gradient
+
+
+def _node_tables(grid: QuadratureGrid, phi: np.ndarray, gphi: np.ndarray):
+    """Tables of any profile from phi (N,) and grad phi (N, 3) on the grid nodes."""
+    w = grid.weights.reshape(grid.n_radial, -1)
+    u = _u_rows(grid.directions)
+    uu = (u[:, None] * u).reshape(16, -1)
+    moments = ((w * phi.reshape(w.shape) ** 2) @ uu.T).reshape(-1, 4, 4)
+    terms = np.concatenate([gphi, np.cross(grid.nodes, gphi)], axis=1) ** 2
+    gradient = np.einsum("ad,adc->ca", w, terms.reshape(*w.shape, 6))
+    return moments, gradient.reshape(2, 3, -1)
+
+
 class PacketStatistics:
-    """Grid-quadrature engine for expectation values and dispersions.
+    """Shell-moment engine for expectation values and dispersions.
 
     All observables act on alpha(p) = phi(p) exp(-i x0.p) chi with a real
     profile phi.  Each orbital observable acts as
     A alpha = (i G + S phi) exp(-i x0.p) chi with real G and S, so
-    <A> = int w phi^2 S and <A alpha, A alpha> = int w G^2 + int w phi^2 S^2:
-    real means and second moments of the one weighted density w phi^2.  The
-    multiplicative observables have G = 0; X~^i has G = d_i phi, S = x0^i, and
-    L~_i has G = -(p x grad phi)_i, S = (x0 x p)_i.
+    <A> = int w phi^2 S and <A alpha, A alpha> = int w G^2 + int w phi^2 S^2.
+    Every S is a radial function times a polynomial of degree <= 1 in
+    n = p/|p|: S = c(|p|) . u with u = (1, n).  The multiplicative rows have
+    G = 0 and c = E, |p| or |p|/E times a unit vector (H, P, V and their
+    Cartesian components); X~^i has G = d_i phi and c = x0^i (plus t |p|/E in
+    slot i for X~(t) = X~ + t V~); L~_i has G = -(p x grad phi)_i and
+    c = |p| (0, e_i x x0).  So each row reads two per-shell tables:
+
+    * ``moments`` (n_radial, 4, 4): sum over the shell's directions of
+      w phi^2 u u^T, the moments of 1, n_i and n_i n_j;
+    * ``gradient`` (2, 3, n_radial): the shell sums of w (d_i phi)^2 (X rows)
+      and w (p x grad phi)_i^2 (L rows).
+
+    A profile that carries its radial pair (R, R') fills them as outer
+    products of w_r r^2 R^2 and w_r r^2 R'^2 with the grid's
+    ``direction_moments``, and its L terms are exactly 0; any other profile
+    is evaluated once on the grid nodes and contracted with one matmul.
     """
 
     def __init__(self, profile: PacketProfile, grid: QuadratureGrid):
         self.profile = profile
         self.grid = grid
-        pts = grid.nodes
-        phi = profile.phi(pts)
-        # vector components as contiguous (3, N) rows: each reduction reads (N,) arrays
-        self.gphi = np.ascontiguousarray(profile.grad_phi(pts).T)
-        if np.iscomplexobj(phi) or np.iscomplexobj(self.gphi):
+        r = grid.radial_nodes
+        if profile.radial is not None:
+            tables, values = _shell_tables, [f(r) for f in profile.radial]
+        else:
+            tables, values = _node_tables, [profile.phi(grid.nodes), profile.grad_phi(grid.nodes)]
+        if any(np.iscomplexobj(v) for v in values):
             raise TypeError("packet profiles must be real-valued (phi and grad_phi)")
-        self.p = np.ascontiguousarray(pts.T)
-        p2 = np.einsum("ij,ij->j", self.p, self.p)
-        self.pmag = np.sqrt(p2)
-        p2 += profile.m**2
-        self.energy = np.sqrt(p2, out=p2)
-        self.density = grid.weights * phi**2
-        self.norm, self._norm_error = self._sum(self.density)
+        self.moments, self.gradient = tables(grid, *values)
+        self._energy = np.sqrt(r**2 + profile.m**2)
+        self.norm, self._norm_error = self._sum(self.moments[:, 0, 0])
         if not abs(self.norm - 1.0) <= 1e-6:  # also NaN
             raise NormalizationError(
                 f"profile norm on grid is {self.norm!r}, expected 1"
@@ -289,34 +354,29 @@ class PacketStatistics:
 
     # -- helpers ---------------------------------------------------------
 
-    def _sum(self, x: np.ndarray) -> tuple[float, float]:
-        """Q_h = sum(x) by radial shells; error |Q_h - Q_2h| (Q_2h = 2 odd shells) plus the
+    def _sum(self, shells: np.ndarray) -> tuple[float, float]:
+        """Q_h = sum of the radial shells; error |Q_h - Q_2h| (Q_2h = 2 odd shells) plus the
         deepest shell s0 and its geometric tail s0 rho/(1 - rho), rho = s0/|s1|, inf if >= 1."""
-        shells = x.reshape(self.grid.n_radial, -1).sum(axis=1)
         q = float(shells.sum())
         s0, s1 = abs(float(shells[0])), abs(float(shells[1]))
         tail = s0 * s0 / (s1 - s0) if s1 > s0 else (math.inf if s0 else 0.0)
         return q, abs(q - 2.0 * float(shells[1::2].sum())) + s0 + tail
 
-    def _moments(self, s, g: np.ndarray | None = None) -> tuple[float, float, float]:
-        """Mean, dispersion and quadrature error of (i G + S phi).
-
-        A scalar S (the X rows) scales the norm; w G^2 reuses the buffer of S.
-        """
-        if np.ndim(s):
-            buf = self.density * s
-            mean, e_mean = self._sum(buf)
-            buf *= s
-            second, e_second = self._sum(buf)
-        else:
-            q, e, buf = self.norm, self._norm_error, None
-            mean, e_mean, second, e_second = s * q, abs(s) * e, s * s * q, s * s * e
-        if g is not None:
-            buf = np.multiply(self.grid.weights, g, out=buf)
-            buf *= g
-            g2, e_g2 = self._sum(buf)
+    def _moments(self, c: np.ndarray, g2: np.ndarray | None = None) -> tuple[float, float, float]:
+        """Mean, dispersion and quadrature error of (i G + S phi), S = c . u by shell."""
+        mean, e_mean = self._sum(np.einsum("ak,ak->a", c, self.moments[:, :, 0]))
+        second, e_second = self._sum(np.einsum("ak,akl,al->a", c, self.moments, c))
+        if g2 is not None:
+            g2, e_g2 = self._sum(g2)
             second, e_second = second + g2, e_second + e_g2
         return mean, second - mean**2, max(e_mean, e_second + 2.0 * abs(mean) * e_mean)
+
+    def _position(self, i: int, t: float) -> np.ndarray:
+        """c of X~^i(t): x0^i in slot 0 and t |p|/E in slot i + 1."""
+        c = np.zeros((self.grid.n_radial, 4))
+        c[:, 0] = self.profile.x0[i]
+        c[:, i + 1] = t * self.grid.radial_nodes / self._energy
+        return c
 
     # -- public ----------------------------------------------------------
 
@@ -324,32 +384,23 @@ class PacketStatistics:
         if observable not in OBSERVABLES:
             raise KeyError(f"unknown observable {observable!r}")
         name = observable
-        p, gphi = self.p, self.gphi
-        if name == "H":
-            mean, disp, err = self._moments(self.energy)
-        elif name == "P":
-            mean, disp, err = self._moments(self.pmag)
-        elif name == "V":
-            mean, disp, err = self._moments(self.pmag / self.energy)
-        elif name[0] == "P":
-            mean, disp, err = self._moments(p[int(name[1]) - 1])
-        elif name[0] == "V":
-            mean, disp, err = self._moments(p[int(name[1]) - 1] / self.energy)
-        elif name[0] == "X":
-            i = int(name[1]) - 1
-            mean, disp, err = self._moments(self.profile.x0[i], gphi[i])
-        elif name[0] == "L":
-            i = int(name[1]) - 1
-            j, k = (i + 1) % 3, (i + 2) % 3
-            x0 = self.profile.x0
-            g = p[k] * gphi[j] - p[j] * gphi[k]
-            mean, disp, err = self._moments(x0[j] * p[k] - x0[k] * p[j], g)
-        else:  # spin observables, profile independent: no quadrature
+        if name[0] in "SW":  # spin observables, profile independent: no quadrature
             chi = self.profile.chi
             sm = 0.5 * PAULI[2 if name == "Ws" else int(name[1]) - 1]
             mean = float(np.real(chi.conj() @ sm @ chi))
             second = float(np.real(chi.conj() @ sm @ sm @ chi))
             disp, err = second - mean**2, 0.0
+        else:
+            i = int(name[1:] or 0)  # slot of u = (1, n): 0 for H, P and V
+            r, e = self.grid.radial_nodes, self._energy
+            if name[0] == "X":
+                c, g2 = self._position(i - 1, 0.0), self.gradient[0, i - 1]
+            elif name[0] == "L":
+                c = np.outer(r, np.r_[0.0, np.cross(np.eye(3)[i - 1], self.profile.x0)])
+                g2 = self.gradient[1, i - 1]
+            else:
+                c, g2 = np.outer({"H": e, "P": r, "V": r / e}[name[0]], np.eye(4)[i]), None
+            mean, disp, err = self._moments(c, g2)
         return StatisticsReport(
             name,
             mean,
@@ -362,8 +413,7 @@ class PacketStatistics:
         """disp(X~^i(t)) of X~(t) = X~ + t V~: the X rows with S = x0^i + t p^i/E."""
         if t < 0:
             raise ValueError("t must be nonnegative")
-        x0, v = self.profile.x0, self.p / self.energy
-        disp = [self._moments(x0[i] + t * v[i], self.gphi[i])[1] for i in range(3)]
+        disp = [self._moments(self._position(i, t), self.gradient[0, i])[1] for i in range(3)]
         return np.array([_clip_dispersion(d, f"X{i + 1}") for i, d in enumerate(disp)])
 
 
@@ -371,17 +421,26 @@ class PacketStatistics:
 # closed forms for the isotropic packet
 
 
+def _radial_mean(iso: IsotropicProfile, s: float, rho: float) -> float:
+    """<|p|^(2s) E^(2 rho - 2)> = 4 pi N^2 G(a + s, rho; 2 gamma) of the isotropic packet."""
+    return 4 * np.pi * iso.norm**2 * g_integral(iso.a + s, rho, 2 * iso.gamma, iso.m)
+
+
+def _energy_statistics(iso: IsotropicProfile) -> tuple[float, float]:
+    """(<H>, disp H), with <H^2> = pbar^2 + m^2 + pbar/(2 gamma) in closed form."""
+    mean_h = _radial_mean(iso, 0.0, 1.5)
+    e2 = iso.pbar**2 + iso.m**2 + iso.pbar / (2 * iso.gamma)
+    return mean_h, e2 - mean_h**2
+
+
 def isotropic_closed_forms(iso: IsotropicProfile) -> dict[str, tuple]:
     """(expectation, dispersion) closed forms; None where no closed form is used."""
     a, g = iso.a, iso.gamma
-    e2 = iso.pbar**2 + iso.m**2 + iso.pbar / (2 * g)  # <H^2>
-    mean_h = 4 * np.pi * iso.norm**2 * g_integral(a, 1.5, 2 * g, iso.m)
-    mean_v = 4 * np.pi * iso.norm**2 * g_integral(a + 0.5, 0.5, 2 * g, iso.m)
-    mean_v2 = 4 * np.pi * iso.norm**2 * g_integral(a + 1.0, 0.0, 2 * g, iso.m)
+    mean_v, mean_v2 = _radial_mean(iso, 0.5, 0.5), _radial_mean(iso, 1.0, 0.0)
     disp_x = g**2 / (6.0 * (a - 1.0))
     disp_pi = (iso.pbar**2 + iso.pbar / (2 * g)) / 3.0
     out = {
-        "H": (mean_h, e2 - mean_h**2),
+        "H": _energy_statistics(iso),
         "P": (iso.pbar, iso.pbar / (2 * g)),
         "V": (mean_v, mean_v2 - mean_v**2),
     }
@@ -510,12 +569,11 @@ def figure_data(
     for k in range(points):
         qv = q_min + (q_max - q_min) * (k + 1) / points
         iso = IsotropicProfile(gamma, qv / gamma, m)
-        closed = isotropic_closed_forms(iso)
         e_bar = np.sqrt(iso.pbar**2 + m**2)
         if which == 1:
-            mean_h, disp_h = closed["H"]
+            mean_h, disp_h = _energy_statistics(iso)
             rows[k] = (qv, mean_h / e_bar, 2 * gamma * disp_h / iso.pbar)
         else:
-            mean_v, disp_v = closed["V"]
-            rows[k] = (qv, mean_v / (iso.pbar / e_bar), disp_v)
+            mean_v, mean_v2 = _radial_mean(iso, 0.5, 0.5), _radial_mean(iso, 1.0, 0.0)
+            rows[k] = (qv, mean_v / (iso.pbar / e_bar), mean_v2 - mean_v**2)
     return rows

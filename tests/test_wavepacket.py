@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,10 +13,12 @@ from scipy.integrate import quad
 from diracmr.associated import AssociatedFamily, WaveSpinor
 from diracmr.polarization import CommonBasis
 from diracmr.wavepacket import (
+    OBSERVABLES,
     NormalizationError,
     PacketProfile,
     PacketStatistics,
     QuadratureGrid,
+    _radial_rule,
     cone_filter,
     figure_data,
     g_integral,
@@ -418,3 +421,57 @@ def test_quad_error_bounds_discrepancy(shape):
                     checked += 1
                     assert r.quad_error >= abs(got - ref), (gamma, a, r.observable)
     assert checked > 0
+
+
+@pytest.mark.parametrize("shape", [DEFAULT_SHAPE, (48, 8, 16)])
+def test_radial_pair_and_node_tables_agree(shape):
+    # the same isotropic profile through both table sources: R, R' on the radial
+    # nodes against phi, grad phi on every node
+    iso = make_isotropic(1.3, 2.2, 1.0)
+    grid = iso.default_grid(*shape)
+    prof = iso.profile(theta_s=0.7, x0=(0.3, -0.8, 0.5))
+    assert prof.radial is not None
+    engines = [PacketStatistics(p, grid) for p in (prof, dataclasses.replace(prof, radial=None))]
+    for name in OBSERVABLES:
+        a, b = (e.report(name) for e in engines)
+        for got, want in ((a.expectation, b.expectation), (a.dispersion, b.dispersion)):
+            assert abs(got - want) <= 1e-13 * max(abs(want), 1.0), name
+    for t in (0.0, 2.0, 10.0):
+        got, want = (e.position_dispersion_at_time(t) for e in engines)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(np.abs(want), 1.0)), t
+
+
+def test_isotropic_packet_allocates_no_grid_sized_array():
+    # one float array over the 409,600 default nodes is 3.3 MB
+    iso = make_isotropic(1.3, 2.2, 1.0)
+    x0 = (0.3, -0.8, 0.5)
+    packet_reports(iso, 0.7, x0)  # warm any lazy module state
+    tracemalloc.start()
+    try:
+        packet_reports(iso, 0.7, x0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
+
+
+@pytest.mark.parametrize(
+    "args", [(10.0,), (5.0, 4, 3, 2), (12.0, 96, 24, 48), (41.5, 200, 32, 64), (7.0, 2, 1, 1)]
+)
+def test_derived_nodes_and_weights_match_eager_construction(args):
+    # the node arrays built eagerly, expression for expression, as QuadratureGrid once did
+    grid = QuadratureGrid(*args)
+    r, wr = grid.p_max * np.exp(_radial_rule(grid.n_radial, -5.4))
+    c, wc = np.polynomial.legendre.leggauss(grid.n_cos)
+    phi = 2.0 * np.pi * np.arange(grid.n_phi) / grid.n_phi
+    wphi = 2.0 * np.pi / grid.n_phi
+    sin_t = np.sqrt(1.0 - c**2)
+    dirs = np.empty((grid.n_cos, grid.n_phi, 3))
+    dirs[..., 0] = np.outer(sin_t, np.cos(phi))
+    dirs[..., 1] = np.outer(sin_t, np.sin(phi))
+    dirs[..., 2] = c[:, None]
+    nodes = (r[:, None, None, None] * dirs).reshape(-1, 3)
+    w = np.repeat(np.outer(wr * r**2, wc) * wphi, grid.n_phi)
+    assert grid.nodes.shape == nodes.shape and grid.nodes.tobytes() == nodes.tobytes()
+    assert grid.weights.shape == w.shape and grid.weights.tobytes() == w.tobytes()
+    assert grid.nodes is grid.nodes  # derived once, then kept
