@@ -232,11 +232,6 @@ def lorentz_of(lam: np.ndarray) -> np.ndarray:
     return np.real(np.einsum("...aij,bji->...ab", conj, lower)) / 4.0
 
 
-def lorentz_inverse(L: np.ndarray) -> np.ndarray:
-    """Inverse of Lorentz matrices via eta L^T eta."""
-    return METRIC @ np.swapaxes(L, -1, -2) @ METRIC
-
-
 def dirac_adjoint_deviation(mat: np.ndarray) -> float:
     """Deviation from Dirac self-adjointness, max || gamma^0 M^+ gamma^0 - M ||
     over a stack of matrices (..., 4, 4)."""

@@ -3,12 +3,12 @@
 A configuration-space operator acts on a free field either by transforming
 the mode-spinor basis (active mode) or, equivalently, through a pair of
 associated operators acting on the particle/antiparticle wave spinors in
-momentum space (passive mode).  This module builds the associated operators
-of the spin, position, velocity and isometry-generator families, each family
-one operator over a component axis as in ``OPERATOR_CATALOG``, the Wigner
-little-group matrices of the induced representations, the exact commutator
-of two associated operators over every component pair, and the closed-form
-oscillating (zitterbewegung) kernels of the particle-antiparticle mixing terms.
+momentum space (passive mode).  This module builds the images of Fourier
+operators between the mode spinors u, v, the associated operators of the spin,
+position, velocity and isometry-generator families, each family one operator
+over a component axis as in ``OPERATOR_CATALOG``, the Wigner little group in its
+2x2 Weyl block, the exact commutator of two associated operators over every
+component pair, and the closed-form oscillating (zitterbewegung) kernels.
 
 Each kernel is one coefficient map C(p), (..., k, 4), contracted with the one
 pair-bilinear frame B = (xi^+(p) sigma_j eta(-p), xi^+(p) eta(-p)):
@@ -28,23 +28,19 @@ from typing import Callable
 import numpy as np
 
 from .algebra import (
-    CCONJ,
     EPS3,
     ID2,
     PAULI,
     Momentum,
-    boost_for_momentum,
     central_gradient,
     contract,
     cross,
     dagger,
-    lorentz_inverse,
-    lorentz_of,
     theta_tensor,
 )
 from .operators import OPERATOR_CATALOG
 from .polarization import PolarizationBasis
-from .spinors import rest_u_matrix, rest_v_matrix
+from .spinors import u_matrix, v_matrix
 
 # ---------------------------------------------------------------------------
 # wave spinors
@@ -112,42 +108,33 @@ def gaussian_test_spinor(rng: np.random.Generator, scale: float = 1.0) -> WaveSp
 # matrix elements of Fourier operators between mode spinors
 
 
+def _sandwich(left: np.ndarray, a: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """left^+ A right, (..., k, 2, 2), for a stack A (..., k, 4, 4) and spinors (..., 4, 2)."""
+    return dagger(left)[..., None, :, :] @ a @ right[..., None, :, :]
+
+
 def matrix_elements_diag(op, q: Momentum, basis: PolarizationBasis):
     """Associated diagonal parts (A~(+), A~(-)) of a Fourier operator.
 
     ``op`` maps momenta to (..., k, 4, 4) stacks, as the ``OPERATOR_CATALOG``
-    entries do.  A~(+) = (m/E) uring^+ l_p A(p) l_p uring and A~(-) uses the
-    charge conjugation sandwich C A(-p)^T C between the same boosted rest
-    spinors.  Shapes are (..., k, 2, 2) stacks over the operator components.
+    entries do.  With the mode spinors u, v at p (``u_matrix``, ``v_matrix``),
+    A~(+) = u^+ A(p) u and A~(-) = (v^+ A(-p) v)^T, (..., k, 2, 2) stacks over
+    the operator components.
     """
-    scale = (q.m / q.energy)[..., None, None, None]
-    lp = boost_for_momentum(q)
-    u0 = rest_u_matrix(basis, q.p)
-    left = (dagger(u0) @ lp)[..., None, :, :]
-    right = (lp @ u0)[..., None, :, :]
-    sand = CCONJ @ np.swapaxes(op(q.flipped()), -1, -2) @ CCONJ
-    return scale * (left @ op(q) @ right), scale * (left @ sand @ right)
+    u, v = u_matrix(basis, q), v_matrix(basis, q)
+    return _sandwich(u, op(q), u), np.swapaxes(_sandwich(v, op(q.flipped()), v), -1, -2)
 
 
 def matrix_elements_offdiag(op, q: Momentum, t, basis: PolarizationBasis):
-    """Oscillating off-diagonal parts (A~(+-), A~(-+)) at time t.
+    """Oscillating off-diagonal parts at time t, A~(+-) = exp(2iEt) u^+(p) A(p) v(-p)
+    and A~(-+) = exp(-2iEt) v^+(-p) A(p) u(p).
 
     Both oscillate with frequency 2E(p); for a Hermitian operator they are
     mutual adjoints at every instant.  t broadcasts against the batch.
     """
-    scale = q.m / q.energy
-    phase = 2j * q.energy * t
-    lp = boost_for_momentum(q)
-    lm = boost_for_momentum(q.flipped())
-    u0 = rest_u_matrix(basis, q.p)
-    v0m = rest_v_matrix(basis, -q.p)
-    a_p = op(q)
-    pm = (dagger(u0) @ lp)[..., None, :, :] @ a_p @ (lm @ v0m)[..., None, :, :]
-    mp = (dagger(v0m) @ lm)[..., None, :, :] @ a_p @ (lp @ u0)[..., None, :, :]
-    return (
-        (scale * np.exp(phase))[..., None, None, None] * pm,
-        (scale * np.exp(-phase))[..., None, None, None] * mp,
-    )
+    phase = np.exp(2j * q.energy * t)[..., None, None, None]
+    u, vm, a = u_matrix(basis, q), v_matrix(basis, q.flipped()), op(q)
+    return phase * _sandwich(u, a, vm), phase.conj() * _sandwich(vm, a, u)
 
 
 # ---------------------------------------------------------------------------
@@ -434,33 +421,41 @@ class AssociatedFamily:
 # Wigner induced representations
 
 
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for stacks (..., 2, 2) by (..., 2, k) as two broadcast outer products:
+    matmul loops over the tiny matrices one at a time."""
+    return a[..., :, :1] * b[..., :1, :] + a[..., :, 1:] * b[..., 1:, :]
+
+
+def _weyl_boost(q: Momentum) -> np.ndarray:
+    """A(p) = (E + m - sigma.p) / sqrt(2m(E+m)), the upper block of l_p; A(-p) = A(p)^-1."""
+    e = q.energy[..., None, None]
+    return ((e + q.m) * ID2 - contract(q.p, PAULI)) / np.sqrt(2.0 * q.m * (e + q.m))
+
+
 def wigner_little_group(lam: np.ndarray, q: Momentum):
-    """Little-group elements w(lambda, p) = l_p^-1 lambda l_p' and the momenta
+    """Little-group elements w_hat(lambda, p) in SU(2), (..., 2, 2), and the momenta
     p' = Lambda(lambda)^-1 p they were transported from.
 
-    ``lam`` (..., 4, 4) broadcasts against the momentum batch.  w is block
-    diagonal, diag(w_hat, w_hat) with w_hat in SU(2); a residual off-diagonal
-    block signals a lambda outside the spinor representation.
+    Only the Weyl block a = lambda[:2, :2] enters: w_hat = A(p)^-1 a A(p') with A(p)
+    the upper block of l_p (l_p^-1 lambda l_p' = diag(w_hat, w_hat)), and
+    E' - sigma.p' = a^-1 (E - sigma.p) a^-1+.  ``lam`` (..., 4, 4) broadcasts against
+    the momentum batch; a lambda that couples the chiral blocks raises ``ValueError``.
     """
     lam = np.asarray(lam, dtype=complex)
-    L_inv = lorentz_inverse(lorentz_of(lam))
-    four = (L_inv @ q.four[..., None])[..., 0]
-    qprime = Momentum(four[..., 1:], q.m)
-    w = boost_for_momentum(q.flipped()) @ lam @ boost_for_momentum(qprime)
-    return w, qprime
-
-
-def _d_and_qprime(lam: np.ndarray, q: Momentum, basis: PolarizationBasis):
-    w, qprime = wigner_little_group(lam, q)
-    off = max(np.max(np.abs(w[..., :2, 2:])), np.max(np.abs(w[..., 2:, :2])))
-    if off > 1e-8:
+    if max(np.max(np.abs(lam[..., :2, 2:])), np.max(np.abs(lam[..., 2:, :2]))) > 1e-8:
         raise ValueError("lambda is not block structured in the spinor representation")
-    return dagger(basis.xi(q.p)) @ w[..., :2, :2] @ basis.xi(qprime.p), qprime
+    a = lam[..., :2, :2]
+    a_inv = np.linalg.inv(a)
+    h = _mul(_mul(a_inv, q.energy[..., None, None] * ID2 - contract(q.p, PAULI)), dagger(a_inv))
+    qprime = Momentum(-0.5 * np.einsum("iab,...ba->...i", PAULI, h).real, q.m)
+    return _mul(_mul(_weyl_boost(q.flipped()), a), _weyl_boost(qprime)), qprime
 
 
 def d_matrix(lam: np.ndarray, q: Momentum, basis: PolarizationBasis) -> np.ndarray:
     """Induced-representation rotations D(lambda, p) = xi^+(p) w_hat xi(p')."""
-    return _d_and_qprime(lam, q, basis)[0]
+    what, qprime = wigner_little_group(lam, q)
+    return _mul(_mul(dagger(basis.xi(q.p)), what), basis.xi(qprime.p))
 
 
 def wigner_transform(
@@ -477,10 +472,11 @@ def wigner_transform(
 
     def value(p):
         q = Momentum(p, mass)
-        d, qprime = _d_and_qprime(lam, q, basis)
+        what, qprime = wigner_little_group(lam, q)
         phase = np.exp(1j * (q.energy * a[0] - p @ a[1:]))
         factor = np.sqrt(qprime.energy / q.energy) * phase
-        return factor[..., None] * _matvec(d, alpha.value(qprime.p))
+        moved = _mul(what, _mul(basis.xi(qprime.p), alpha.value(qprime.p)[..., None]))
+        return factor[..., None] * _mul(dagger(basis.xi(p)), moved)[..., 0]
 
     return WaveSpinor(value)
 

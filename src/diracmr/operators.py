@@ -104,9 +104,9 @@ def pryce_e_position_offset(q: Momentum) -> np.ndarray:
     )
 
 
-def position_offset_from_boost_derivative(q: Momentum, h: float = 1e-5) -> np.ndarray:
+def position_offset_from_boost_derivative(q: Momentum) -> np.ndarray:
     """dX rebuilt from dx_i(p) = -i n(p)^-1 (d_{p^i} n(p) l_p) l_p^-1 by finite
-    differences, sandwiched between frequency projectors.
+    differences of step 1e-5, sandwiched between frequency projectors.
 
     The negative-frequency sector enters with the chain-rule sign, -dx_i(-p),
     since the momentum derivative acts on conjugate plane waves there.
@@ -120,7 +120,7 @@ def position_offset_from_boost_derivative(q: Momentum, h: float = 1e-5) -> np.nd
     def dx_at(qq: Momentum) -> np.ndarray:
         lp_inv = boost_for_momentum(qq.flipped())[..., None, :, :]
         n = _scalars(np.sqrt(qq.m / qq.energy))
-        return -1j / n * central_gradient(nl, qq.p, h) @ lp_inv
+        return -1j / n * central_gradient(nl, qq.p, 1e-5) @ lp_inv
 
     plus, minus = projectors(q)
     return dx_at(q) @ plus[..., None, :, :] - dx_at(q.flipped()) @ minus[..., None, :, :]

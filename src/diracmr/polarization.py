@@ -178,9 +178,9 @@ class HelicityBasis(PolarizationBasis):
         return (coef @ PAULI.reshape(3, 4)).reshape(p.shape[:-1] + (3, 2, 2))
 
 
-def make_basis(kind: str, n=(0.0, 0.0, 1.0)) -> PolarizationBasis:
+def make_basis(kind: str) -> PolarizationBasis:
     if kind == "common":
-        return CommonBasis(n)
+        return CommonBasis()
     if kind == "helicity":
         return HelicityBasis()
     raise ValueError(f"unknown basis kind {kind!r}")

@@ -532,10 +532,10 @@ def suite_wigner(samples: int, seed: int, mass: float):
     lams = np.stack(sample_boosts(max(samples // 2, 50), seed + 2))[:, None]
     momenta = _sampled(20, mass, seed, avoid_poles=True)
     first = Momentum(momenta.p[:5], mass)
-    w, _ = wigner_little_group(lams, first)
-    what = w[..., :2, :2]
+    what, qprime = wigner_little_group(lams, first)
+    w = boost_for_momentum(first.flipped()) @ lams @ boost_for_momentum(qprime)
     rec.add("w_block_structure", max(_mx(w[..., :2, 2:]), _mx(w[..., 2:, :2])))
-    rec.add("w_blocks_equal", _mx(what - w[..., 2:, 2:]))
+    rec.add("w_blocks_equal", max(_mx(what - w[..., :2, :2]), _mx(what - w[..., 2:, 2:])))
     rec.add("w_unitary", _mx(what @ dagger(what) - ID2))
     for b in (basis, HelicityBasis()):
         d = d_matrix(lams, first, b)
@@ -587,11 +587,17 @@ def suite_kernels(samples: int, seed: int, mass: float):
     # one time per momentum; central_gradient makes the four shifted times of each
     times = np.full((len(e), 1), t)
     qt = _per_component(q)
+    # U = exp(-i H_D t): the phase law reads 2E off the evolved parent U^+ A U at t = 0
+    plus, minus = projectors(q)
+    evolve = _lift(np.exp(-1j * t * ek[..., 0]) * plus + np.exp(1j * t * ek[..., 0]) * minus)
     for basis in (CommonBasis(), HelicityBasis()):
         for name, ker in KERNEL_CATALOG.items():
             kv = ker(q, t, basis)
             rec.add(f"{name}_matches_machinery", _mx(kv - ker.from_offdiag(q, t, basis)), 1e-10)
-            rec.add(f"{name}_phase_law", _mx(kv - np.exp(2j * ek * t) * ker(q, 0.0, basis)))
+            parent = OPERATOR_CATALOG[ker.parent]
+            pm, _ = matrix_elements_offdiag(lambda k: dagger(evolve) @ parent(k) @ evolve, q, 0, basis)
+            scale = np.reshape(ker.parent_scale(q), (-1, 1, 1, 1))
+            rec.add(f"{name}_phase_law", _mx(kv - scale * pm))
             rec.add(
                 f"{name}_modulus_static",
                 _mx(np.abs(kv) - np.abs(ker(q, 1.7, basis))),

@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from diracmr.algebra import (
+    CCONJ,
     EPS3,
     ID2,
     Momentum,
+    boost_for_momentum,
+    dagger,
     theta_tensor,
 )
 from diracmr.associated import (
@@ -19,6 +22,7 @@ from diracmr.associated import (
 from diracmr.operators import OPERATOR_CATALOG, auxiliary_spins
 from diracmr.polarization import CommonBasis, HelicityBasis
 from diracmr.sampling import make_rng, sample_momenta
+from diracmr.spinors import rest_u_matrix, rest_v_matrix
 from diracmr.verify import TOL_FD_COMM, run_suite
 
 TOL = 1e-12
@@ -110,6 +114,45 @@ def test_offdiag_adjoint_pairing_and_phases():
                 * (xi.conj().T @ eta_m)
             )
             assert mx(pm[0] - expect) < TOL
+
+
+def _boost_sandwich_images(op, q, t, basis):
+    """Reference: the four images through boosted rest spinors, (m/E) u0^+ l_p A l_p u0
+    with C A(-p)^T C for the antiparticle part and l_-p v0(-p) off the diagonal."""
+    scale = (q.m / q.energy)[..., None, None, None]
+    phase = np.exp(2j * q.energy * t)[..., None, None, None]
+    lp, lm = boost_for_momentum(q), boost_for_momentum(q.flipped())
+    u0, v0m = rest_u_matrix(basis, q.p), rest_v_matrix(basis, -q.p)
+    left, right = (dagger(u0) @ lp)[..., None, :, :], (lp @ u0)[..., None, :, :]
+    sand = CCONJ @ np.swapaxes(op(q.flipped()), -1, -2) @ CCONJ
+    a = op(q)
+    return (
+        scale * (left @ a @ right),
+        scale * (left @ sand @ right),
+        scale * phase * (left @ a @ (lm @ v0m)[..., None, :, :]),
+        scale / phase * ((dagger(v0m) @ lm)[..., None, :, :] @ a @ right),
+    )
+
+
+def test_sandwiches_match_boost_sandwich_form_across_regimes():
+    # |p|/m from 1e-6 to 1e6 along directions clear of the helicity poles;
+    # per momentum the bound is 20 max(|A~|, 1) (E/m) eps
+    rng = make_rng(61)
+    dirs = rng.standard_normal((200, 3))
+    dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
+    dirs = dirs[np.abs(dirs[:, 2]) < 0.95][:49]
+    q = Momentum(np.logspace(-6, 6, 49)[:, None] * dirs, 1.0)
+    bound = 20 * (q.energy / q.m) * np.finfo(float).eps
+    t = 0.31
+    worst = 0.0
+    for basis in BASES:
+        for name, op in OPERATOR_CATALOG.items():
+            new = matrix_elements_diag(op, q, basis) + matrix_elements_offdiag(op, q, t, basis)
+            for got, ref in zip(new, _boost_sandwich_images(op, q, t, basis)):
+                err = np.max(np.abs(got - ref), axis=(-3, -2, -1))
+                size = np.maximum(np.max(np.abs(ref), axis=(-3, -2, -1)), 1.0)
+                worst = max(worst, float(np.max(err / (size * bound))))
+    assert worst <= 1.0, worst
 
 
 def test_wave_spinor_gradients():

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from diracmr.algebra import ID4, Momentum, boost_param, rotation, rotation_su2
+from diracmr.algebra import (
+    ID4,
+    METRIC,
+    Momentum,
+    boost_for_momentum,
+    boost_param,
+    lorentz_of,
+    rotation,
+    rotation_su2,
+)
 from diracmr.associated import (
     WaveSpinor,
     d_matrix,
@@ -14,17 +23,46 @@ from diracmr.sampling import make_rng, sample_boosts, sample_momenta
 TOL = 1e-12
 
 
+def _little_group_4x4(lam, q, qp):
+    """Reference: the 4x4 little-group element l_p^-1 lambda l_p'."""
+    return boost_for_momentum(q.flipped()) @ lam @ boost_for_momentum(qp)
+
+
 def test_little_group_element_is_rotation():
     for lam in sample_boosts(20, seed=81):
         for q in sample_momenta(5, 1.0, seed=83, avoid_poles=True):
-            w, qp = wigner_little_group(lam, q)
+            what, qp = wigner_little_group(lam, q)
+            w = _little_group_4x4(lam, q, qp)
             assert np.max(np.abs(w[:2, 2:])) < 1e-10
             assert np.max(np.abs(w[2:, :2])) < 1e-10
             assert np.max(np.abs(w[:2, :2] - w[2:, 2:])) < 1e-10
-            what = w[:2, :2]
+            assert np.max(np.abs(what - w[:2, :2])) < 1e-10
             assert np.max(np.abs(what @ what.conj().T - np.eye(2))) < TOL
             # transported momentum stays on shell
             assert qp.energy == pytest.approx(np.sqrt(qp.mag**2 + qp.m**2))
+
+
+@pytest.mark.parametrize("mass", [0.25, 1.0, 3.0])
+def test_little_group_matches_4x4_across_regimes(mass):
+    # |p|/m from 1e-6 to 1e6; per momentum the bound is 20 max(E, E')/m eps
+    lams = np.stack(sample_boosts(8, seed=97))[:, None]
+    rng = make_rng(99)
+    dirs = rng.standard_normal((25, 3))
+    dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
+    q = Momentum(mass * np.logspace(-6, 6, 25)[:, None] * dirs, mass)
+    what, qp = wigner_little_group(lams, q)
+    w = _little_group_4x4(lams, q, qp)
+    # p' = Lambda(lambda)^-1 p, the inverse through eta Lambda^T eta
+    lorentz_inv = METRIC @ np.swapaxes(lorentz_of(lams), -1, -2) @ METRIC
+    p_ref = (lorentz_inv @ q.four[..., None])[..., 1:, 0]
+    scale = 20 * np.maximum(q.energy, qp.energy) / mass * np.finfo(float).eps
+    for err in (
+        np.max(np.abs(what - w[..., :2, :2]), axis=(-2, -1)),
+        np.max(np.abs(what - w[..., 2:, 2:]), axis=(-2, -1)),
+        np.max(np.abs(what @ what.conj().swapaxes(-1, -2) - np.eye(2)), axis=(-2, -1)),
+        np.max(np.abs(qp.p - p_ref), axis=-1) / mass,
+    ):
+        assert np.all(err <= scale), np.max(err / scale)
 
 
 def test_d_matrix_unitary():
@@ -99,6 +137,10 @@ def test_block_structure_guard():
     bad[0, 2] = 0.5  # couples the chiral blocks: not in the spinor image
     with pytest.raises(ValueError):
         d_matrix(bad, q, basis)
+    with pytest.raises(ValueError):
+        wigner_little_group(bad, q)
+    with pytest.raises(ValueError):
+        wigner_transform(WaveSpinor(lambda p: p[..., :2]), bad, np.zeros(4), 1.0, basis).value(q.p)
 
 
 def test_wigner_suite_d_unitary_near_pole_seed():
@@ -107,3 +149,28 @@ def test_wigner_suite_d_unitary_near_pole_seed():
 
     (d_unitary,) = [r for r in run_suite("wigner", 20, 1000 + 16 * 7919) if r.name == "d_unitary"]
     assert d_unitary.residual <= 1e-13
+
+
+def test_boosted_transform_memory_on_suite_grid():
+    # one (N, 4, 4) complex array on this grid is 28 MB; building the 4x4 boosts
+    # and little-group products on every node peaks above 90 MB
+    import tracemalloc
+
+    from diracmr.wavepacket import QuadratureGrid
+
+    grid = QuadratureGrid(12.0, 96, 24, 48)
+    nodes = grid.nodes
+
+    def value(p):
+        return np.exp(-np.sum(p * p, axis=-1) / 2)[..., None] * np.array([1.0, 0.0])
+
+    boosted = wigner_transform(
+        WaveSpinor(value), boost_param([0.0, 0.25, 0.35]), np.zeros(4), 1.0, CommonBasis()
+    )
+    tracemalloc.start()
+    try:
+        boosted.value(nodes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 60e6, peak / 1e6
