@@ -17,6 +17,7 @@ checked numerically against a stated tolerance, never symbolically.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -146,7 +147,8 @@ class Momentum:
 
     The leading axes are a batch; a single momentum is the batch of shape ()
     and its ``mag`` and ``energy`` are scalars.  Treated as immutable; the
-    stored array must not be mutated.
+    stored array must not be mutated, since ``mag`` and ``energy`` are
+    computed once, on first read.
     """
 
     p: np.ndarray = field()
@@ -159,11 +161,11 @@ class Momentum:
         if self.m <= 0.0:
             raise ValueError(f"mass must be positive, got {self.m}")
 
-    @property
+    @functools.cached_property
     def mag(self) -> np.ndarray:
         return np.linalg.norm(self.p, axis=-1)
 
-    @property
+    @functools.cached_property
     def energy(self) -> np.ndarray:
         return np.sqrt(self.mag**2 + self.m**2)
 

@@ -4,24 +4,22 @@ data tables and oscillating-kernel evaluation.
 Numbers are printed with 17 significant digits and runs are byte-reproducible
 for identical configuration.  Exit codes: 0 success, 1 failed identity,
 2 usage or configuration error.
+
+Each command imports the package modules it runs inside its own body, and
+the ``--suite`` and ``--name`` choices are read on first use, so ``figures``
+and ``packet`` load only ``wavepacket`` (and ``algebra``), and ``kernel``
+only ``associated`` and what it imports.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib
 import math
 import sys
 
 import click
 import numpy as np
-
-from .algebra import Momentum
-from .associated import KERNEL_CATALOG, matrix_elements_diag
-from .operators import OPERATOR_CATALOG
-from .polarization import PoleError, make_basis
-from .verify import SUITE_ORDER, run_suite
-from .wavepacket import IsotropicProfile, figure_data, packet_reports
-
-SUITE_CHOICES = ("all",) + SUITE_ORDER
 
 
 def _fmt(x: float) -> str:
@@ -64,6 +62,20 @@ class FiniteFloat(click.types.FloatParamType):
         if self.nonnegative and rv < 0:
             self.fail(f"{rv!r} is negative", param, ctx)
         return rv
+
+
+class LazyChoice(click.Choice):
+    """Choice among ``head`` and the keys of the table ``module.table``, read
+    from the package when the option is first parsed or shown."""
+
+    def __init__(self, module: str, table: str, head: tuple = ()):
+        self.module, self.table, self.head = module, table, head
+        self.case_sensitive = True
+
+    @functools.cached_property
+    def choices(self) -> tuple:
+        module = importlib.import_module(f".{self.module}", __package__)
+        return self.head + tuple(getattr(module, self.table))
 
 
 FINITE = FiniteFloat()
@@ -121,7 +133,10 @@ def main():
 
 @main.command()
 @config_option
-@click.option("--suite", type=click.Choice(SUITE_CHOICES), default="all", show_default=True)
+@click.option(
+    "--suite", type=LazyChoice("verify", "SUITES", head=("all",)), default="all",
+    show_default=True,
+)
 @click.option("--samples", type=click.IntRange(min=1), default=100, show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), default=7, show_default=True)
 @click.option("--mass", type=POSITIVE, default=1.0, show_default=True)
@@ -129,6 +144,8 @@ def main():
 @click.option("--out", type=str, default=None, help="Write the report to a file.")
 def verify(suite, samples, seed, mass, tol, out):
     """Run a named identity suite and report residuals."""
+    from .verify import run_suite
+
     results = run_suite(suite, samples=samples, seed=seed, mass=mass, tol=tol)
     lines = [
         f"# diracmr verify suite={suite} samples={samples} seed={seed} "
@@ -160,6 +177,8 @@ def verify(suite, samples, seed, mass, tol, out):
 @click.option("--out", type=str, default=None)
 def packet(gamma, pbar, mass, theta_s, x0, grid_radial, grid_cos, grid_phi, out):
     """Statistics table of an isotropic one-particle wave packet."""
+    from .wavepacket import IsotropicProfile, packet_reports
+
     x0v = _parse_vec(x0, "--x0")
     try:
         iso = IsotropicProfile(gamma, pbar, mass)
@@ -192,6 +211,8 @@ def packet(gamma, pbar, mass, theta_s, x0, grid_radial, grid_cos, grid_phi, out)
 @click.option("--out", type=str, default=None)
 def figures(which, q_min, q_max, points, gamma_m, out):
     """Emit the ratio curves of the energy/velocity statistics versus q."""
+    from .wavepacket import figure_data
+
     try:
         rows = figure_data(which, q_min, q_max, points, gamma_m)
     except ValueError as exc:
@@ -207,7 +228,7 @@ def figures(which, q_min, q_max, points, gamma_m, out):
 
 @main.command()
 @config_option
-@click.option("--name", type=click.Choice(tuple(KERNEL_CATALOG)), required=True)
+@click.option("--name", type=LazyChoice("associated", "KERNEL_CATALOG"), required=True)
 @click.option("--p", type=str, default="0,0,1", show_default=True)
 @click.option("--t", type=FINITE, default=0.0, show_default=True)
 @click.option("--mass", type=POSITIVE, default=1.0, show_default=True)
@@ -218,6 +239,11 @@ def figures(which, q_min, q_max, points, gamma_m, out):
 @click.option("--out", type=str, default=None)
 def kernel(name, p, t, mass, basis, out):
     """Evaluate an oscillating (zitterbewegung) kernel at (t, p)."""
+    from .algebra import Momentum
+    from .associated import KERNEL_CATALOG, matrix_elements_diag
+    from .operators import OPERATOR_CATALOG
+    from .polarization import PoleError, make_basis
+
     pv = _parse_vec(p, "--p")
     q = Momentum(pv, mass)
     b = make_basis(basis)

@@ -55,6 +55,11 @@ def spinor_pair(n) -> np.ndarray:
     den = _chart(n)
     if np.any(den <= EPS_POLE):
         raise PoleError(f"spinor chart singular at n3 -> -1 (1+n3 = {np.min(den):.3e})")
+    return _charted_pair(n, den)
+
+
+def _charted_pair(n: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """``spinor_pair`` of unit vectors n whose chart den = 1 + n^3 is checked."""
     pref = np.sqrt(den / 2.0)
     nplus = (n[..., 0] + 1j * n[..., 1]) / den
     xi = np.empty(n.shape[:-1] + (2, 2), dtype=complex)
@@ -140,28 +145,31 @@ class HelicityBasis(PolarizationBasis):
 
     kind = "helicity"
 
-    def _checked(self, p) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """p, |p| and |p| + p3 = |p| |n + e3|^2 / 2, after the pole checks."""
+    def _checked(self, p) -> tuple[np.ndarray, ...]:
+        """p, |p|, n = p/|p| and the chart 1 + n3 = |n + e3|^2 / 2, after the
+        pole checks."""
         p = np.asarray(p, dtype=float)
         mag = np.linalg.norm(p, axis=-1)
         if np.any(mag == 0.0):
             raise PoleError("helicity basis undefined at p = 0")
         n = p / mag[..., None]
-        mp3 = mag * _chart(n)
+        den = _chart(n)
+        mp3 = mag * den
         if np.any(mp3 <= EPS_POLE * mag):
             raise PoleError(
                 f"helicity chart singular on the -e3 ray (p+p3 = {np.min(mp3):.3e})"
             )
-        return p, mag, mp3
+        return p, mag, n, den
 
     def xi(self, p) -> np.ndarray:
-        p, mag, _ = self._checked(p)
-        return spinor_pair(p / mag[..., None])
+        _, _, n, den = self._checked(p)
+        return _charted_pair(n, den)
 
     def omega(self, p) -> np.ndarray:
         """Closed-form Omega_i(p), shape (..., 3, 2, 2): the coefficients of
         Omega_i along (sigma_1, sigma_2, sigma_3), contracted with PAULI."""
-        p, mag, mp3 = self._checked(p)
+        p, mag, _, den = self._checked(p)
+        mp3 = mag * den
         p1, p2, p3 = p[..., 0], p[..., 1], p[..., 2]
         c = 1j / (2 * mag**2 * mp3)
         coef = np.empty(p.shape[:-1] + (3, 3), dtype=complex)

@@ -15,7 +15,6 @@ import numpy as np
 from .algebra import (
     CCONJ,
     DEFAULT_IDENTITY_TOL,
-    EPS3,
     G0G,
     GAMMA,
     GAMMA5,
@@ -139,15 +138,11 @@ def _products(a):
     return a[..., :, None, :, :] @ a[..., None, :, :, :]
 
 
-def _eps(x, tail: str = ""):
-    """eps_ijk x_k: the (i, j) stack of a component axis k followed by the axes ``tail``."""
-    return np.einsum(f"ijk,...k{tail}->...ij{tail}", EPS3, x)
-
-
 def _closure(a, c):
-    """[a_i, a_j] - i eps_ijk c_k for every index pair."""
+    """[a_i, a_j] - i eps_ijk c_k for every index pair; eps_ijk c_k is minus
+    the (i, j) stack of e_i ^ c."""
     prod = _products(a)
-    return prod - np.swapaxes(prod, -3, -4) - 1j * _eps(c, "ab")
+    return prod - np.swapaxes(prod, -3, -4) + 1j * cross(np.eye(3), c[..., None, :, :, :])
 
 
 # ---------------------------------------------------------------------------
@@ -452,6 +447,9 @@ def suite_appendix_b(samples: int, seed: int, mass: float):
     e, pi, pj = q.energy[:, None, None, None], p[:, :, None, None], p[:, None, :, None]
     e2, pi2, pj2 = e[..., None], pi[..., None], pj[..., None]
     delta = np.eye(3)[:, :, None]
+    # eps_ijk x_k = -(e_i ^ x)_j as (i, j) stacks: of p, (n, i, j, 1, 1), and
+    # below of 2x2 parts, (n, i, j, 2, 2), and of spinor values, (3, n, i, j, 2)
+    eps_p = -cross(np.eye(3), p[:, None, :, None, None])
 
     for basis, full in ((HelicityBasis(), True), (CommonBasis(), False)):
         fam = AssociatedFamily(mass, basis)
@@ -463,12 +461,13 @@ def suite_appendix_b(samples: int, seed: int, mass: float):
 
         # pointwise multiplicative relations, closed-form tolerance
         mS, mKs, mW0, mWi = (op.mult_at(p) for op in (S, Ks, W0, Wi))
-        rec.add("spin_su2_pointwise", _mx(commutator(S, S).mult_at(p) - 1j * _eps(mS, "ab")))
+        eps_mS = -cross(np.eye(3), mS[:, None])
+        rec.add("spin_su2_pointwise", _mx(commutator(S, S).mult_at(p) - 1j * eps_mS))
         rhs = 1j / (e2 + m) * (pi2 * mS[:, None] - delta[..., None] * mW0[:, None])
         rec.add("spin_boostspin_pointwise", _mx(commutator(S, Ks).mult_at(p) - rhs))
-        rhs = 1j / (e2 + m) ** 2 * _eps(p)[..., None, None] * mW0[:, None]
+        rhs = 1j / (e2 + m) ** 2 * eps_p * mW0[:, None]
         rec.add("boostspin_boostspin_pointwise", _mx(commutator(Ks, Ks).mult_at(p) - rhs))
-        rhs = 1j * m * _eps(mS, "ab") + 1j * pj2 * mKs[:, :, None]
+        rhs = 1j * m * eps_mS + 1j * pj2 * mKs[:, :, None]
         rec.add("spin_pl_pointwise", _mx(commutator(S, Wi).mult_at(p) - rhs))
         rhs = 1j * (e2 + m) * mKs[:, :, None]
         rec.add("spin_pl0_pointwise", _mx(commutator(S, W0).mult_at(p) - rhs))
@@ -483,6 +482,10 @@ def suite_appendix_b(samples: int, seed: int, mass: float):
         aL, aS, aKo, aKs, aX, aXt, aV, aYc, aYd, aSminus, aW0 = (
             op.apply(trio, p) for op in (L, S, Ko, Ks, X, Xt, V, Yc, Yd, Sminus, W0)
         )
+        eL, eS, eKo, eXt, eYc, eYd = (
+            -cross(np.eye(3), a[..., None, :, :, None])[..., 0]
+            for a in (aL, aS, aKo, aXt, aYc, aYd)
+        )
 
         def comm(a, b):
             exact = commutator_action(a, b, trio, p)
@@ -491,30 +494,30 @@ def suite_appendix_b(samples: int, seed: int, mass: float):
             return exact
 
         # antisymmetric relations
-        rec.add("angular_su2", _mx(comm(L, L) - 1j * _eps(aL, "a")))
-        rec.add("boost_boost_closes_rotation", _mx(comm(Ko, Ko) + 1j * _eps(aL, "a")))
+        rec.add("angular_su2", _mx(comm(L, L) - 1j * eL))
+        rec.add("boost_boost_closes_rotation", _mx(comm(Ko, Ko) + 1j * eL))
         rec.add("position_commute", _mx(comm(Xt, Xt)))
-        rec.add("pryce_c_noncommutativity", _mx(comm(Xc, Xc) + 1j * _eps(aYc, "a")))
-        rec.add("pryce_d_noncommutativity", _mx(comm(Xd, Xd) - 1j * _eps(aYd, "a")))
+        rec.add("pryce_c_noncommutativity", _mx(comm(Xc, Xc) + 1j * eYc))
+        rec.add("pryce_d_noncommutativity", _mx(comm(Xd, Xd) - 1j * eYd))
         # generic index pairs
         rec.add("angular_spin_commute", _mx(comm(L, S)))
-        rec.add("angular_boost_vector", _mx(comm(L, Ko) - 1j * _eps(aKo, "a")))
-        rhs = -1j / (e + m) * (e * _eps(aS, "a") + pi * aKs[..., None, :, :])
+        rec.add("angular_boost_vector", _mx(comm(L, Ko) - 1j * eKo))
+        rhs = -1j / (e + m) * (e * eS + pi * aKs[..., None, :, :])
         rec.add("boost_orbital_spin_mix", _mx(comm(Ko, Ks) - rhs))
         rhs = delta / (2 * e) * val - 1j * (pj / e) * aX[..., None, :] - pi * pj / (2 * e**3) * val
         rec.add("boost_position", _mx(comm(Ko, X) - rhs))
         rhs = 1j * (delta - pi * pj / e**2) * val
         rec.add("boost_velocity", _mx(comm(Ko, V) - rhs))
         rec.add("position_velocity", _mx(e * comm(X, V) - rhs))
-        rec.add("position_rotates_as_vector", _mx(comm(L, Xt) - 1j * _eps(aXt, "a")))
+        rec.add("position_rotates_as_vector", _mx(comm(L, Xt) - 1j * eXt))
         rec.add("position_spin_commute", _mx(comm(S, Xt)))
-        rhs = 1j / (e + m) * (-_eps(aS, "a") + (pj / e) * aKs[..., None, :])
+        rhs = 1j / (e + m) * (-eS + (pj / e) * aKs[..., None, :])
         rec.add("boostspin_position", _mx(comm(Ks, X) - rhs))
         # note the p^j S~(-)_i index order; the transposed placement fails
         # numerically
         rhs = 1j / (e + m) * (delta * aW0[..., None, :] + pj * aSminus[..., None, :])
         rec.add("position_pl_space", _mx(comm(X, Wi) - rhs))
-        rec.add("angular_momentum_vector", _mx(comm(L, P) - 1j * _eps(p)[..., None] * val))
+        rec.add("angular_momentum_vector", _mx(comm(L, P) - 1j * eps_p[..., 0] * val))
         rec.add("boost_momentum", _mx(comm(Ko, P) - 1j * (e * delta) * val))
         rec.add("position_momentum_canonical", _mx(comm(X, P) - 1j * delta * val))
         # scalar partners: (3, n, i, 1, 2)

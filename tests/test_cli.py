@@ -1,3 +1,4 @@
+import ast
 import subprocess
 import sys
 
@@ -238,3 +239,30 @@ def test_commands_run_without_scipy():
             [sys.executable, "-c", blocked, *args], capture_output=True, text=True
         )
         assert proc.returncode == 0, (args, proc.stderr)
+
+
+def _loaded_modules(code, *args):
+    """The ``diracmr`` modules a fresh interpreter holds when ``code`` exits."""
+    hook = (
+        "import atexit, sys; atexit.register(lambda: print(sorted("
+        "m for m in sys.modules if m.startswith('diracmr'))))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", hook + code, *args], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, (args, proc.stderr)
+    return {m.removeprefix("diracmr.") for m in ast.literal_eval(proc.stdout.splitlines()[-1])}
+
+
+def test_commands_import_only_the_modules_they_run():
+    command = "from diracmr.cli import main; main()"
+    numerics = {"associated", "operators", "polarization", "spinors", "sampling", "verify"}
+    for args in (
+        ["figures", "--which", "1", "--points", "3"],
+        ["packet", "--grid-radial", "40", "--grid-cos", "8", "--grid-phi", "16"],
+    ):
+        loaded = _loaded_modules(command, *args)
+        assert "wavepacket" in loaded and not loaded & numerics, (args, loaded)
+    loaded = _loaded_modules(command, "kernel", "--name", "delta_x_osc")
+    assert "associated" in loaded and not loaded & {"verify", "sampling", "wavepacket"}, loaded
+    assert _loaded_modules("import diracmr") == {"diracmr"}

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from diracmr.algebra import GAMMA, GAMMA5, Momentum, theta_tensor
+from diracmr.algebra import GAMMA, GAMMA5, Momentum, dagger, theta_tensor
 from diracmr.associated import KERNEL_CATALOG, matrix_elements_offdiag
-from diracmr.operators import OPERATOR_CATALOG, decompose_diag_osc
+from diracmr.operators import OPERATOR_CATALOG, decompose_diag_osc, projectors
 from diracmr.polarization import CommonBasis, HelicityBasis, PoleError
 from diracmr.sampling import sample_momenta
 
@@ -24,18 +24,25 @@ def test_kernels_match_offdiag_machinery():
 
 
 def test_phase_law_and_modulus():
+    # K(t) against the parent evolved in the Heisenberg picture, U^+ A U with
+    # U = exp(-i H_D t), read at t = 0: only the evolution carries the 2E phase
     basis = CommonBasis()
     q = Momentum.of(0.5, -0.3, 0.4, m=1.2)
     e = q.energy
+    plus, minus = projectors(q)
     for name, ker in KERNEL_CATALOG.items():
-        k0 = ker(q, 0.0, basis)
+        parent = OPERATOR_CATALOG[ker.parent]
+        scale = ker.parent_scale(q)
+        still, _ = matrix_elements_offdiag(parent, q, 0.0, basis)
         for t in (0.3, 1.1, 4.0):
+            u = np.exp(-1j * e * t) * plus + np.exp(1j * e * t) * minus
+            evolved, _ = matrix_elements_offdiag(lambda k: dagger(u) @ parent(k) @ u, q, 0.0, basis)
             kt = ker(q, t, basis)
-            assert mx(kt - np.exp(2j * e * t) * k0) < 1e-12
-            assert mx(np.abs(kt) - np.abs(k0)) < 1e-12
+            assert mx(kt - scale * evolved) < 1e-12, name
+            assert mx(np.abs(kt) - np.abs(scale * still)) < 1e-12, name
         # half-period in the 2E phase negates the kernel
         half = np.pi / (2.0 * e)
-        assert mx(ker(q, half, basis) + k0) < 1e-12
+        assert mx(ker(q, half, basis) + ker(q, 0.0, basis)) < 1e-12
 
 
 def test_time_derivative_fd_oracle():
