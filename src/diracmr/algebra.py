@@ -83,15 +83,15 @@ def cross(p: np.ndarray, mats: np.ndarray) -> np.ndarray:
 
 
 def _block(a, b, c, d) -> np.ndarray:
+    """[[a, b], [c, d]] over the last two axes, the blocks broadcast against each other."""
+    a, b, c, d = np.broadcast_arrays(a, b, c, d)
     return np.block([[a, b], [c, d]])
 
 
 _Z2 = np.zeros((2, 2), dtype=complex)
 
-GAMMA = np.empty((4, 4, 4), dtype=complex)
-GAMMA[0] = _block(_Z2, ID2, ID2, _Z2)
-for _i in range(3):
-    GAMMA[_i + 1] = _block(_Z2, PAULI[_i], -PAULI[_i], _Z2)
+# gamma^mu = [[0, sigma^mu], [sigmabar^mu, 0]], sigma^mu = (1, sigma), sigmabar^mu = (1, -sigma)
+GAMMA = _block(_Z2, np.concatenate((ID2[None], PAULI)), np.concatenate((ID2[None], -PAULI)), _Z2)
 
 GAMMA5 = np.diag([-1.0, -1.0, 1.0, 1.0]).astype(complex)
 
@@ -106,37 +106,33 @@ SL2C = 0.25j * (GAMMA[:, None] @ GAMMA[None, :] - GAMMA[None, :] @ GAMMA[:, None
 SPIN = np.kron(ID2, PAULI) / 2.0
 
 
+def _half_angle(v, cos, sin) -> np.ndarray:
+    """cos(|v|/2) 1 + sin(|v|/2) n.sigma, n = v/|v| and n = 0 at v = 0, (..., 2, 2)."""
+    v = np.asarray(v, dtype=float)
+    angle = np.linalg.norm(v, axis=-1)
+    n = v / np.where(angle == 0.0, 1.0, angle)[..., None]
+    half = (angle / 2.0)[..., None, None]
+    return cos(half) * ID2 + sin(half) * contract(n, PAULI)
+
+
 def rotation(theta) -> np.ndarray:
-    """Spinor rotation r(theta) = diag(rhat, rhat), rhat = exp(-i theta.sigma/2)."""
-    theta = np.asarray(theta, dtype=float)
+    """Spinor rotations r(theta) = diag(rhat, rhat), rhat = exp(-i theta.sigma/2), (..., 4, 4)."""
     rhat = rotation_su2(theta)
     return _block(rhat, _Z2, _Z2, rhat)
 
 
 def rotation_su2(theta) -> np.ndarray:
-    """SU(2) rotation exp(-i theta.sigma/2) via the half-angle closed form."""
-    theta = np.asarray(theta, dtype=float)
-    angle = float(np.linalg.norm(theta))
-    if angle == 0.0:
-        return ID2.copy()
-    n = theta / angle
-    nsig = np.einsum("i,ijk->jk", n, PAULI)
-    return np.cos(angle / 2.0) * ID2 - 1j * np.sin(angle / 2.0) * nsig
+    """SU(2) rotations exp(-i theta.sigma/2) of theta (..., 3), in the half-angle form."""
+    return _half_angle(theta, np.cos, lambda x: -1j * np.sin(x))
 
 
 def boost_su2(tau) -> np.ndarray:
-    """Upper-block boost exp(tau.sigma/2); the lower block carries its inverse."""
-    tau = np.asarray(tau, dtype=float)
-    rap = float(np.linalg.norm(tau))
-    if rap == 0.0:
-        return ID2.copy()
-    n = tau / rap
-    nsig = np.einsum("i,ijk->jk", n, PAULI)
-    return np.cosh(rap / 2.0) * ID2 + np.sinh(rap / 2.0) * nsig
+    """Upper-block boosts exp(tau.sigma/2), (..., 2, 2); the lower block carries the inverse."""
+    return _half_angle(tau, np.cosh, np.sinh)
 
 
 def boost_param(tau) -> np.ndarray:
-    """SL(2,C) boost l(tau) = diag(lhat, lhat^-1) with lhat = exp(tau.sigma/2)."""
+    """SL(2,C) boosts l(tau) = diag(lhat, lhat^-1), lhat = exp(tau.sigma/2), (..., 4, 4)."""
     lhat = boost_su2(tau)
     return _block(lhat, _Z2, _Z2, np.linalg.inv(lhat))
 

@@ -162,9 +162,6 @@ class Jet:
     def __neg__(self):
         return Jet(-self.v, -self.d)
 
-    def __sub__(self, o):
-        return self + -o
-
     def __mul__(self, o):
         if isinstance(o, Jet):
             return Jet(self.v * o.v, self.d * o.v[..., None] + self.v[..., None] * o.d)
@@ -514,7 +511,6 @@ class OscillatingKernel:
     kernel = parent_scale * A~(+-)(parent).
     """
 
-    name: str
     coef: Callable[[Momentum], np.ndarray]
     parent: str
     parent_scale: Callable[[Momentum], float] = lambda q: 1.0
@@ -535,26 +531,26 @@ class OscillatingKernel:
 
 KERNEL_CATALOG: dict[str, OscillatingKernel] = {
     "delta_x_osc": OscillatingKernel(
-        "delta_x_osc", lambda q: -0.5j / _energy(q) * (theta_tensor(q)[1] @ _ON_SIGMA), "delta_x"
+        lambda q: -0.5j / _energy(q) * (theta_tensor(q)[1] @ _ON_SIGMA), "delta_x"
     ),
     "axial_current_osc": OscillatingKernel(
-        "axial_current_osc", lambda q: 1j / _energy(q) * contract(q.p, _EPS_ON_SIGMA),
+        lambda q: 1j / _energy(q) * contract(q.p, _EPS_ON_SIGMA),
         "pauli_dirac_spin", parent_scale=lambda q: 2.0,
     ),
     "fw_generator_osc": OscillatingKernel(
-        "fw_generator_osc", lambda q: 1j * q.m / _energy(q) * (theta_tensor(q)[0] @ _ON_SIGMA),
+        lambda q: 1j * q.m / _energy(q) * (theta_tensor(q)[0] @ _ON_SIGMA),
         "fw_generator",
     ),
     "chakrabarti_osc": OscillatingKernel(
-        "chakrabarti_osc", lambda q: 1j / q.m * contract(q.p, _EPS_ON_SIGMA), "chakrabarti"
+        lambda q: 1j / q.m * contract(q.p, _EPS_ON_SIGMA), "chakrabarti"
     ),
     # the 1/E measure of the scalar-charge display and its overall sign sit in
     # the parent relation, not in the kernel itself
     "scalar_charge_osc": OscillatingKernel(
-        "scalar_charge_osc", lambda q: -q.p[..., None, :] @ _ON_SIGMA, "gamma0",
+        lambda q: -q.p[..., None, :] @ _ON_SIGMA, "gamma0",
         parent_scale=lambda q: -q.energy,
     ),
     "pseudoscalar_osc": OscillatingKernel(
-        "pseudoscalar_osc", lambda q: np.array([[0.0, 0.0, 0.0, -1.0]]), "gamma0_gamma5"
+        lambda q: np.array([[0.0, 0.0, 0.0, -1.0]]), "gamma0_gamma5"
     ),
 }

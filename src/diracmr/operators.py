@@ -216,11 +216,10 @@ def decompose_diag_osc(a: np.ndarray, q: Momentum) -> tuple[np.ndarray, ...]:
 
 @dataclass(frozen=True)
 class FourierOperator:
-    """Named momentum-space operator: evaluator q -> (..., k, 4, 4) stack,
+    """Momentum-space operator: evaluator q -> (..., k, 4, 4) stack,
     k = 1 for scalars, 3 for spatial vectors and 4 for four-vectors.
     """
 
-    name: str
     func: Callable[[Momentum], np.ndarray]
 
     def __call__(self, q: Momentum) -> np.ndarray:
@@ -237,20 +236,20 @@ def _constant(mats: np.ndarray) -> Callable[[Momentum], np.ndarray]:
 
 
 OPERATOR_CATALOG: dict[str, FourierOperator] = {
-    "h_dirac": FourierOperator("h_dirac", _scalar(dirac_hamiltonian)),
-    "projector_plus": FourierOperator("projector_plus", _scalar(lambda q: projectors(q)[0])),
-    "projector_minus": FourierOperator("projector_minus", _scalar(lambda q: projectors(q)[1])),
-    "n_op": FourierOperator("n_op", _scalar(n_operator)),
-    "pryce_e_spin": FourierOperator("pryce_e_spin", pryce_e_spin),
-    "delta_x": FourierOperator("delta_x", pryce_e_position_offset),
-    "chakrabarti": FourierOperator("chakrabarti", chakrabarti_spin),
-    "frankel_spin": FourierOperator("frankel_spin", frankel_spin),
-    "pc_spin": FourierOperator("pc_spin", pc_spin),
-    "fradkin_good": FourierOperator("fradkin_good", fradkin_good_spin),
-    "pauli_lubanski": FourierOperator("pauli_lubanski", pauli_lubanski),
-    "pauli_dirac_spin": FourierOperator("pauli_dirac_spin", _constant(SPIN)),
-    "gamma5": FourierOperator("gamma5", _constant(GAMMA5)),
-    "gamma0": FourierOperator("gamma0", _constant(GAMMA[0])),
-    "gamma0_gamma5": FourierOperator("gamma0_gamma5", _constant(GAMMA[0] @ GAMMA5)),
-    "fw_generator": FourierOperator("fw_generator", _constant(-1j * _GAMMA_VEC)),
+    "h_dirac": FourierOperator(_scalar(dirac_hamiltonian)),
+    "projector_plus": FourierOperator(_scalar(lambda q: projectors(q)[0])),
+    "projector_minus": FourierOperator(_scalar(lambda q: projectors(q)[1])),
+    "n_op": FourierOperator(_scalar(n_operator)),
+    "pryce_e_spin": FourierOperator(pryce_e_spin),
+    "delta_x": FourierOperator(pryce_e_position_offset),
+    "chakrabarti": FourierOperator(chakrabarti_spin),
+    "frankel_spin": FourierOperator(frankel_spin),
+    "pc_spin": FourierOperator(pc_spin),
+    "fradkin_good": FourierOperator(fradkin_good_spin),
+    "pauli_lubanski": FourierOperator(pauli_lubanski),
+    "pauli_dirac_spin": FourierOperator(_constant(SPIN)),
+    "gamma5": FourierOperator(_constant(GAMMA5)),
+    "gamma0": FourierOperator(_constant(GAMMA[0])),
+    "gamma0_gamma5": FourierOperator(_constant(GAMMA[0] @ GAMMA5)),
+    "fw_generator": FourierOperator(_constant(-1j * _GAMMA_VEC)),
 }

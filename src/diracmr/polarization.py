@@ -1,9 +1,9 @@
 """Polarization spinor bases and their Sigma matrices and Omega connections.
 
-Two families are provided: *common* polarization (spin measured along a fixed
-unit vector, momentum independent) and the *peculiar* helicity basis (spin
-measured along the momentum direction).  Both take momenta of shape (..., 3)
-and supply, per momentum,
+Two families are provided: *common* polarization (spin measured along the
+fixed axis e3: xi, eta and Sigma are constant and Omega vanishes) and the
+*peculiar* helicity basis (spin measured along the momentum direction).  Both
+take momenta of shape (..., 3) and supply, per momentum,
 
 * ``xi(p)``      2x2 matrix whose columns are xi_{+1/2}, xi_{-1/2}
 * ``eta(p)``     partner spinors eta_sigma = i sigma_2 xi_sigma^*
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import PAULI, central_gradient, dagger
+from .algebra import ID2, PAULI, central_gradient, dagger
 
 EPS_POLE = 1e-9
 
@@ -104,33 +104,27 @@ class PolarizationBasis:
 
 
 class CommonBasis(PolarizationBasis):
-    """Momentum-independent basis: spin measured along a fixed unit vector n.
+    """Momentum-independent basis with spin measured along n = e3: the standard
+    momentum-spin basis xi = 1, eta = i sigma_2, so Sigma_i = sigma_i and Omega = 0.
 
-    Omega vanishes identically; with n = e3 the spinors are the standard
-    momentum-spin basis (1,0) and (0,1).  ``p`` only sets the batch shape;
-    None is a single momentum.
+    ``p`` only sets the batch shape; None is a single momentum.
     """
 
     kind = "common"
-
-    def __init__(self, n=(0.0, 0.0, 1.0)):
-        self.n = np.asarray(n, dtype=float)
-        self._xi = spinor_pair(self.n)
-        self._eta = eta_from_xi(self._xi)
-        self._sigma = super().sigma(None)
+    n = np.array([0.0, 0.0, 1.0])  # the polarization axis
 
     @staticmethod
     def _batch(mats: np.ndarray, p) -> np.ndarray:
         return np.broadcast_to(mats, np.shape(p)[:-1] + mats.shape)
 
     def xi(self, p=None) -> np.ndarray:
-        return self._batch(self._xi, p)
+        return self._batch(ID2, p)
 
     def eta(self, p=None) -> np.ndarray:
-        return self._batch(self._eta, p)
+        return self._batch(_ISIGMA2, p)
 
     def sigma(self, p=None) -> np.ndarray:
-        return self._batch(self._sigma, p)
+        return self._batch(PAULI, p)
 
     def omega(self, p=None) -> np.ndarray:
         return self._batch(np.zeros((3, 2, 2), dtype=complex), p)

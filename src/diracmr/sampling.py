@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import Momentum
+from .algebra import Momentum, boost_param, rotation
 
 POLE_MARGIN = 0.05  # 1 - |n3| below which avoid_poles resamples a direction
 MAX_RAPIDITY = 1.5  # upper end of the uniform rapidity of sample_boosts
@@ -48,16 +48,14 @@ def sample_momenta(
     return out
 
 
-def sample_boosts(n: int, seed: int) -> list[np.ndarray]:
-    """Seeded SL(2,C) elements: a boost of rapidity uniform in [0.1, MAX_RAPIDITY]
-    along a random axis times a random rotation."""
-    from .algebra import boost_param, rotation
-
+def sample_boosts(n: int, seed: int) -> np.ndarray:
+    """n seeded SL(2,C) elements, (n, 4, 4): a boost of rapidity uniform in
+    [0.1, MAX_RAPIDITY] along a random axis times a random rotation.  Each sample
+    draws its axis, rapidity and angles in turn, so only the draws loop."""
     rng = make_rng(seed)
-    out = []
-    for _ in range(n):
-        tau = rng.standard_normal(3)
-        tau *= rng.uniform(0.1, MAX_RAPIDITY) / np.linalg.norm(tau)
-        theta = rng.uniform(-np.pi, np.pi, size=3)
-        out.append(boost_param(tau) @ rotation(theta))
-    return out
+    tau, theta = np.empty((n, 3)), np.empty((n, 3))
+    for i in range(n):
+        axis = rng.standard_normal(3)
+        tau[i] = axis * (rng.uniform(0.1, MAX_RAPIDITY) / np.linalg.norm(axis))
+        theta[i] = rng.uniform(-np.pi, np.pi, size=3)
+    return boost_param(tau) @ rotation(theta)

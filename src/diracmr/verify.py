@@ -72,7 +72,7 @@ from .operators import (
 )
 from .polarization import CommonBasis, HelicityBasis
 from .sampling import make_rng, sample_boosts, sample_momenta
-from .spinors import dirac_residuals, projector_from_spinors, u_matrix, v_matrix
+from .spinors import dirac_residuals, norm_factor, projector_from_spinors, u_matrix, v_matrix
 from .wavepacket import QuadratureGrid
 
 TOL_EXACT = DEFAULT_IDENTITY_TOL
@@ -161,13 +161,12 @@ def suite_clifford(samples: int, seed: int, mass: float):
     rec.add("spin_su2_closure", _mx(_closure(SPIN, SPIN)), 1e-15)
     rec.add("rotation_identity", _mx(rotation([0.0, 0.0, 0.0]) - ID4), 1e-15)
     rec.add("rotation_double_cover", _mx(rotation([0.0, 0.0, 2 * np.pi]) + ID4), 1e-14)
-    rng = make_rng(seed)
-    for _ in range(max(4, samples // 10)):
-        theta = rng.uniform(-np.pi, np.pi, 3)
-        rhat = rotation_su2(theta)
-        rec.add("rotation_unitary", _mx(rhat @ dagger(rhat) - ID2))
-        R = lorentz_of(rotation(theta))[1:, 1:]
-        rec.add("rotation_homomorphism", _mx(np.linalg.inv(rhat) @ PAULI @ rhat - contract(R, PAULI)))
+    theta = make_rng(seed).uniform(-np.pi, np.pi, (max(4, samples // 10), 3))
+    rhat = rotation_su2(theta)
+    rec.add("rotation_unitary", _mx(rhat @ dagger(rhat) - ID2))
+    R = lorentz_of(rotation(theta))[:, 1:, 1:]
+    conj = _lift(np.linalg.inv(rhat)) @ PAULI @ _lift(rhat)
+    rec.add("rotation_homomorphism", _mx(conj - contract(R, PAULI)))
     return rec.results()
 
 
@@ -206,7 +205,7 @@ def suite_boosts(samples: int, seed: int, mass: float):
 def suite_projectors(samples: int, seed: int, mass: float):
     rec = _Recorder("projectors")
     q0 = Momentum(np.zeros(3), mass)
-    rec.add("rest_norm_factor", abs(np.sqrt(q0.m / q0.energy) - 1.0), 0.0)
+    rec.add("rest_norm_factor", abs(norm_factor(q0) - 1.0), 0.0)
     q = _sampled(samples, mass, seed, avoid_poles=True)
     e = q.energy[:, None, None]
     plus, minus = projectors(q)
@@ -383,9 +382,9 @@ def suite_associated(samples: int, seed: int, mass: float):
         pm_, mp_ = matrix_elements_offdiag(OPERATOR_CATALOG["pryce_e_spin"], q, 0.31, basis)
         rec.add("pryce_spin_offdiag_vanishes", max(_mx(pm_), _mx(mp_)))
         # covariant derivative commutes with the spin matrices; FD step
-        # matched to the scale Sigma varies on (the momentum itself for
-        # direction-dependent bases)
-        h = 1e-4 * (q.mag if basis.kind == "helicity" else np.maximum(q.mag, m))
+        # matched to the scale Sigma varies on, the momentum itself (the
+        # common basis's Sigma is constant, so its stencil is exactly 0)
+        h = 1e-4 * q.mag
         om = basis.omega(p)
         oj, ok, sk = om[:, :, None], om[:, None, :], sg[:, None, :]
         d_sigma = central_gradient(basis.sigma, p, h)  # [j, k] = d_j Sigma_k
@@ -532,7 +531,7 @@ def suite_wigner(samples: int, seed: int, mass: float):
     rec = _Recorder("wigner")
     basis = CommonBasis()
     # every boost against each of the first 5 momenta: lambdas (b, 1, 4, 4)
-    lams = np.stack(sample_boosts(max(samples // 2, 50), seed + 2))[:, None]
+    lams = sample_boosts(max(samples // 2, 50), seed + 2)[:, None]
     momenta = _sampled(20, mass, seed, avoid_poles=True)
     first = Momentum(momenta.p[:5], mass)
     what, qprime = wigner_little_group(lams, first)
@@ -543,13 +542,11 @@ def suite_wigner(samples: int, seed: int, mass: float):
     for b in (basis, HelicityBasis()):
         d = d_matrix(lams, first, b)
         rec.add("d_unitary", _mx(dagger(d) @ d - ID2))
-    # rotations: D independent of momentum
-    rng = make_rng(seed + 3)
-    for _ in range(5):
-        theta = rng.uniform(-np.pi, np.pi, 3)
-        ds = d_matrix(rotation(theta), momenta, basis)
-        rec.add("rotation_momentum_independent", _mx(ds - ds[0]))
-        rec.add("rotation_is_su2_matrix", _mx(ds[0] - rotation_su2(theta)))
+    # rotations: D independent of momentum; 5 rotations against all momenta, (5, n, 2, 2)
+    theta = make_rng(seed + 3).uniform(-np.pi, np.pi, (5, 3))
+    ds = d_matrix(rotation(theta)[:, None], momenta, basis)
+    rec.add("rotation_momentum_independent", _mx(ds - ds[:, :1]))
+    rec.add("rotation_is_su2_matrix", _mx(ds[:, 0] - rotation_su2(theta)))
     rec.add("identity_transform", _mx(d_matrix(ID4, Momentum(momenta.p[0], mass), basis) - ID2))
     # norm and modulus preservation of wigner_transform on the quadrature grid
     grid = QuadratureGrid(12.0 * mass, 96, 24, 48)
@@ -628,8 +625,6 @@ SUITES = {
     "kernels": suite_kernels,
 }
 
-SUITE_ORDER = tuple(SUITES)
-
 
 def run_suite(
     name: str,
@@ -642,6 +637,6 @@ def run_suite(
     replaces every check's tolerance."""
     if name != "all" and name not in SUITES:
         raise KeyError(f"unknown suite {name!r}")
-    names = SUITE_ORDER if name == "all" else (name,)
+    names = SUITES if name == "all" else (name,)
     out = [r for nm in names for r in SUITES[nm](samples, seed, mass)]
     return out if tol is None else [replace(r, tol=tol) for r in out]

@@ -121,6 +121,8 @@ def test_momentum_validation():
         Momentum.of(0, 0, 0, m=0.0)
     with pytest.raises(ValueError):
         boost_for_momentum(Momentum.of(1, 0, 0, m=-1.0))
+    with pytest.raises(ValueError, match=r"momenta must have shape \(\.\.\., 3\)"):
+        Momentum(np.zeros(2))
 
 
 def test_boost_rest_frame_is_identity():

@@ -397,3 +397,8 @@ def test_hermitian_quadratic_form_of_boost_orbital():
     rhs = grid.weights @ np.einsum("nia,na->ni", op.apply(a, pts).conj(), b.value(pts))
     # every component at once
     assert np.max(np.abs(lhs - rhs)) < 1e-8
+
+
+def test_family_needs_a_positive_mass():
+    with pytest.raises(ValueError, match="mass must be positive"):
+        AssociatedFamily(0.0, CommonBasis())

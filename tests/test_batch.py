@@ -1,10 +1,11 @@
-"""One evaluation path per quantity: a batch of momenta gives the stacked
-single-momentum results."""
+"""One evaluation path per quantity: a batch of momenta (or of the SL(2,C)
+builders' rotation and rapidity vectors) gives the stacked single results."""
 
 import numpy as np
 import pytest
 
-from diracmr.algebra import Momentum
+from diracmr import algebra
+from diracmr.algebra import ID2, ID4, Momentum
 from diracmr.associated import KERNEL_CATALOG, AssociatedFamily, commutator, d_matrix
 from diracmr.operators import OPERATOR_CATALOG
 from diracmr.polarization import CommonBasis, HelicityBasis
@@ -14,6 +15,8 @@ MASS = 1.3
 MOMENTA = np.array([q.p for q in sample_momenta(7, MASS, seed=5, avoid_poles=True)])
 BASES = {"common": CommonBasis(), "helicity": HelicityBasis()}
 LAM = sample_boosts(1, seed=6)[0]
+# the SL(2,C) builders of a vector (..., 3), each with its value at the zero vector
+BUILDERS = {"rotation": ID4, "rotation_su2": ID2, "boost_su2": ID2, "boost_param": ID4}
 
 
 def _family(basis):
@@ -34,6 +37,8 @@ def _family(basis):
 
 
 def _cases():
+    for name in BUILDERS:
+        yield f"builder-{name}", getattr(algebra, name)
     for name, op in OPERATOR_CATALOG.items():
         yield f"operator-{name}", lambda p, op=op: op(Momentum(p, MASS))
     for bname, basis in BASES.items():
@@ -65,3 +70,12 @@ def test_batch_equals_stacked_singles(case):
     singles = np.stack([fn(p) for p in MOMENTA])
     assert batch.shape == singles.shape
     assert np.max(np.abs(batch - singles)) <= 1e-14 * np.max(np.abs(singles))
+
+
+@pytest.mark.parametrize("name", list(BUILDERS))
+def test_builder_is_exactly_the_identity_at_zero(name):
+    eye = BUILDERS[name]
+    zeros = np.zeros((2, 3))
+    zeros[1, 0] = 0.3  # a nonzero neighbour in the batch leaves the zero row exact
+    assert np.array_equal(getattr(algebra, name)(np.zeros(3)), eye)
+    assert np.array_equal(getattr(algebra, name)(zeros)[0], eye)

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import subprocess
 import sys
 
@@ -8,6 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 from diracmr.cli import FiniteFloat, main
+from diracmr.verify import run_suite
 
 
 def run_cli(*args):
@@ -53,6 +55,8 @@ def test_verify_negative_seed_is_usage_error():
 def test_verify_unknown_suite_is_usage_error():
     res = run_cli("verify", "--suite", "bogus")
     assert res.exit_code == 2
+    with pytest.raises(KeyError, match="unknown suite 'nope'"):
+        run_suite("nope")
 
 
 def test_verify_bad_samples():
@@ -116,6 +120,9 @@ def test_figures_range_guard():
     assert run_cli("figures", "--q-min", "0.2").exit_code == 2
     assert run_cli("figures", "--q-min", "5", "--q-max", "2").exit_code == 2
     assert run_cli("figures", "--gamma-m", "0").exit_code == 2
+    res = run_cli("figures", "--points", "0")
+    assert res.exit_code == 2, res.output
+    assert "need at least one point" in res.output
 
 
 def test_kernel_output_and_pole():
@@ -139,11 +146,39 @@ def test_kernel_output_and_pole():
     assert res_p.exit_code == 2
 
 
+def _phase_check(output):
+    label = "# phase check |K(t)-exp(2iEt)K(0)| = "
+    (line,) = [l for l in output.splitlines() if l.startswith(label)]
+    return float(line.removeprefix(label))
+
+
+def test_kernel_phase_check_compares_with_the_evolved_parent(monkeypatch):
+    # the printed phase check reads K(t) against the parent evolved by exp(-i H_D t),
+    # so a kernel off its parent by 1e-4 fails it; K(t) against exp(2iEt) K(0)
+    # would read 0 for any kernel
+    from diracmr.associated import KERNEL_CATALOG
+
+    args = ("kernel", "--name", "delta_x_osc", "--p", "0.3,-0.4,0.5", "--t", "0.7")
+    for basis in ("common", "helicity"):
+        res = run_cli(*args, "--basis", basis)
+        assert res.exit_code == 0, res.output
+        assert _phase_check(res.output) <= 1e-14
+    ker = KERNEL_CATALOG["delta_x_osc"]
+    scaled = dataclasses.replace(ker, coef=lambda q: 1.0001 * ker.coef(q))
+    monkeypatch.setitem(KERNEL_CATALOG, "delta_x_osc", scaled)
+    res = run_cli(*args)
+    assert res.exit_code == 0, res.output
+    assert _phase_check(res.output) > 1e-12
+
+
 def test_kernel_rejects_non_finite_input():
     res = run_cli("kernel", "--name", "delta_x_osc", "--p", "nan,0,1")
     assert res.exit_code == 2
     assert "finite" in res.output
     assert run_cli("kernel", "--name", "delta_x_osc", "--mass", "nan").exit_code == 2
+    res = run_cli("kernel", "--name", "delta_x_osc", "--p", "1,a,2")
+    assert res.exit_code == 2, res.output
+    assert "--p must be three comma-separated numbers" in res.output
 
 
 def test_every_float_option_rejects_non_finite():
@@ -192,6 +227,9 @@ def test_config_file_defaults_and_override(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("no equals sign here\n")
     assert run_cli("packet", "--config", str(bad)).exit_code == 2
+    res = run_cli("packet", "--config", str(tmp_path / "missing.cfg"))
+    assert res.exit_code == 2, res.output
+    assert "cannot read config file" in res.output
     # a key that names no option of the command is refused, not ignored
     for command, key in (("verify", "sampels"), ("packet", "gama"), ("packet", "config")):
         typo = tmp_path / f"{command}-{key}.cfg"

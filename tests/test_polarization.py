@@ -12,6 +12,7 @@ from diracmr.polarization import (
     PoleError,
     eta_from_xi,
     make_basis,
+    sigma_index,
     spinor_pair,
 )
 from diracmr.sampling import sample_momenta
@@ -70,6 +71,9 @@ def test_pole_errors():
         spinor_pair([0, 0, -1])
     with pytest.raises(PoleError):
         spinor_pair(_unit([1e-7, 0, -1]))
+    # a direction off the unit sphere is refused before its chart is read
+    with pytest.raises(ValueError, match="direction must be a unit vector"):
+        spinor_pair(np.array([0.0, 0.0, 2.0]))
     hel = HelicityBasis()
     with pytest.raises(PoleError):
         hel.xi(np.array([0.0, 0.0, -2.0]))
@@ -197,3 +201,9 @@ def test_helicity_sigma_omega_near_pole(gap):
     assert np.max(np.abs(np.sum(sig @ sig, axis=0) - 3 * ID2)) <= 1e-14
     ref = _omega_decimal(p)
     assert np.max(np.abs(hel.omega(p) - ref)) / np.max(np.abs(ref)) <= 1e-14
+
+
+def test_sigma_index_of_each_label():
+    assert (sigma_index(0.5), sigma_index(-0.5)) == (0, 1)
+    with pytest.raises(ValueError, match="sigma must be"):
+        sigma_index(1.5)

@@ -197,6 +197,10 @@ def test_cone_filter_isotropic():
     for bad in (-0.05, 0.0, np.nan):  # a solid angle is positive
         with pytest.raises(ValueError):
             cone_filter(prof, (0, 0, 1), bad, GRID.p_max)
+    # phi = p1^2 is zero on the whole e3 ray
+    axial = PacketProfile(lambda k: k[..., 0] ** 2, lambda k: 2 * k * [1, 0, 0], 1.0)
+    with pytest.raises(ValueError, match="profile vanishes along the filter direction"):
+        cone_filter(axial, (0, 0, 1), 0.01, GRID.p_max)
 
 
 @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
