@@ -13,6 +13,7 @@ Every constant of the algebra is one array indexed like its symbol:
 ``IndexError``), and ``cross(p, M)`` is the one contraction eps_ijk p^j M_k.
 All matrices are dense complex ``numpy`` arrays and every identity is
 checked numerically against a stated tolerance, never symbolically.
+``BatchMemo`` keeps an owner's evaluations on its last few momentum batches.
 """
 
 from __future__ import annotations
@@ -65,6 +66,77 @@ def central_gradient(fn, x, h) -> np.ndarray:
     f2, f1, fm1, fm2 = np.moveaxis(f, len(batch), 0)
     h = h.reshape(batch + (1,) * (f.ndim - 1 - len(batch)))
     return (-f2 + 8 * f1 - 8 * fm1 + fm2) / (12 * h)
+
+
+# an owner keeps the evaluations of its last MEMO_BATCHES momentum batches;
+# a batch of more than MEMO_MAX_MOMENTA momenta (a quadrature grid; the
+# largest verify batch, a 12-point stencil at 100 samples, holds 1,200) is
+# evaluated directly and neither hashed nor kept
+MEMO_BATCHES = 4
+MEMO_MAX_MOMENTA = 4096
+
+
+def read_only(x):
+    """A read-only view of an array, or a tuple of them; anything else as is."""
+    if isinstance(x, np.ndarray):
+        x = x.view()
+        x.flags.writeable = False
+    elif isinstance(x, tuple):
+        x = tuple(read_only(y) for y in x)
+    return x
+
+
+class BatchMemo:
+    """One owner's evaluations on its last ``MEMO_BATCHES`` momentum batches.
+
+    ``memo(quantity, fn, p)`` is ``read_only(fn(p))``, evaluated once per
+    (quantity, shape, bytes of the float64 batch p).  ``fn`` gets a read-only
+    copy of p, so a result that views its argument cannot change with the
+    caller's array.  A batch that raises stores nothing, so it raises again.
+    """
+
+    __slots__ = ("_batches",)
+
+    def __init__(self):
+        self._batches: dict[tuple, dict] = {}  # least recently used first
+
+    def __len__(self) -> int:
+        return len(self._batches)
+
+    def __call__(self, quantity, fn, p):
+        p = np.asarray(p, dtype=float)
+        if p.size > 3 * MEMO_MAX_MOMENTA:  # before the key: hashing copies the batch
+            return read_only(fn(p))
+        key = (p.shape, p.tobytes())
+        entry = self._batches.get(key)
+        if entry is None or quantity not in entry:
+            value = read_only(fn(np.frombuffer(key[1]).reshape(p.shape)))
+            # fn may have stored other quantities of this batch, or evicted it
+            entry = self._batches.setdefault(key, {})
+            entry[quantity] = value
+        self._batches[key] = self._batches.pop(key)  # most recently used last
+        while len(self._batches) > MEMO_BATCHES:
+            del self._batches[next(iter(self._batches))]
+        return entry[quantity]
+
+
+def batch_memo(owner) -> BatchMemo:
+    """The ``BatchMemo`` kept on ``owner``, made on first use."""
+    memo = owner.__dict__.get("_batch_memo")
+    if memo is None:
+        memo = owner.__dict__["_batch_memo"] = BatchMemo()
+    return memo
+
+
+def memoized(method):
+    """``method(self, p)`` evaluated once per momentum batch, kept on ``self``."""
+    name = method.__name__
+
+    @functools.wraps(method)
+    def cached(self, p):
+        return batch_memo(self)(name, lambda k: method(self, k), p)
+
+    return cached
 
 
 def dagger(a: np.ndarray) -> np.ndarray:

@@ -32,10 +32,13 @@ from .algebra import (
     ID2,
     PAULI,
     Momentum,
+    batch_memo,
     central_gradient,
     contract,
     cross,
     dagger,
+    memoized,
+    read_only,
     theta_tensor,
 )
 from .operators import OPERATOR_CATALOG
@@ -57,19 +60,21 @@ class WaveSpinor:
     d alpha / d p^k, (..., 3, 2).  When no gradient is supplied, derivatives
     fall back to 4th-order central finite differences with step
     h = 1e-3 |p|, the scale on which helicity quantities vary (Omega ~ 1/|p|);
-    only oracles use it, never at p = 0.
+    only oracles use it, never at p = 0.  Both are memoized per momentum batch
+    on the spinor, and their outputs are read-only.
     """
 
     def __init__(self, fn, grad=None):
         self._fn = fn
         self._grad = grad
 
+    @memoized
     def value(self, p) -> np.ndarray:
-        return np.asarray(self._fn(np.asarray(p, dtype=float)), dtype=complex)
+        return np.asarray(self._fn(p), dtype=complex)
 
+    @memoized
     def gradient(self, p) -> np.ndarray:
         """d alpha / d p^k, shape (..., 3, 2)."""
-        p = np.asarray(p, dtype=float)
         if self._grad is not None:
             return np.asarray(self._grad(p), dtype=complex)
         return central_gradient(self.value, p, 1e-3 * np.linalg.norm(p, axis=-1))
@@ -189,6 +194,11 @@ class Jet:
         return Jet(s, self.d / (2.0 * s[..., None]))
 
 
+def _read_only_jets(parts: tuple) -> tuple:
+    """Jets (or None) with read-only values and partials."""
+    return tuple(None if x is None else Jet(read_only(x.v), read_only(x.d)) for x in parts)
+
+
 def _align(x: np.ndarray, axes: int, tail: int) -> np.ndarray:
     """x with ``axes`` unit axes inserted ahead of its last ``tail`` axes."""
     return np.expand_dims(x, tuple(range(-tail - axes, -tail)))
@@ -205,13 +215,23 @@ class AssociatedOperator:
     The basis enters through Sigma(p) and Omega(p) only.  ``mult_at`` gives
     (..., k, 2, 2) and ``apply`` (..., k, 2): the leading axes of a spinor's own
     values stay ahead of the momentum batch, the component axes come after it.
+    ``coef`` is memoized per momentum batch on the operator, so a commutator
+    reuses the jets of its factors, and the jets' arrays are read-only.
     """
 
     name: str
     basis: PolarizationBasis
     coef: Callable[[np.ndarray], tuple]
 
-    def _mult(self, p, a0, a, d) -> np.ndarray:
+    def __post_init__(self):
+        # the wrapper holds the memo, not self: a closure over self is a cycle
+        coef, memo = self.coef, batch_memo(self)
+        self.coef = lambda p: memo("coef", lambda k: _read_only_jets(coef(k)), p)
+
+    def mult_at(self, p) -> np.ndarray:
+        """The multiplicative part a0 + a.Sigma/2, (..., k, 2, 2)."""
+        p = np.asarray(p, dtype=float)
+        a0, a, d = self.coef(p)
         shape = next(x.v.shape[:-1] for x in (a0, a, d) if x is not None)
         out = np.zeros(shape + (2, 2), dtype=complex)
         if a0 is not None:
@@ -221,15 +241,9 @@ class AssociatedOperator:
             out += 0.5 * np.einsum("...c,...cab->...ab", a.v, sigma)
         return out
 
-    def mult_at(self, p) -> np.ndarray:
-        """The multiplicative part a0 + a.Sigma/2, (..., k, 2, 2)."""
-        p = np.asarray(p, dtype=float)
-        return self._mult(p, *self.coef(p))
-
     def apply(self, spinor: WaveSpinor, p) -> np.ndarray:
         p = np.asarray(p, dtype=float)
-        a0, a, d = self.coef(p)
-        mult = self._mult(p, a0, a, d)
+        mult, d = self.mult_at(p), self.coef(p)[2]
         axes = mult.ndim - p.ndim - 1
         val = spinor.value(p)
         out = _matvec(mult, _align(val, axes, 1))

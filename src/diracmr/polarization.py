@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import ID2, PAULI, central_gradient, dagger
+from .algebra import ID2, PAULI, central_gradient, dagger, memoized
 
 EPS_POLE = 1e-9
 
@@ -78,7 +78,10 @@ class PolarizationBasis:
     """Base class; concrete bases override ``xi`` and ``omega``.
 
     Every method takes momenta of shape (..., 3) and returns one matrix, or
-    one stack of three, per momentum.
+    one stack of three, per momentum.  The frame xi, eta, Sigma and Omega is
+    memoized per momentum batch on the basis instance (``memoized``), so a
+    basis evaluates each quantity once on a batch; ``CommonBasis`` returns
+    broadcasts of its constants instead.  Every output is read-only.
     """
 
     kind = "generic"
@@ -86,9 +89,11 @@ class PolarizationBasis:
     def xi(self, p) -> np.ndarray:
         raise NotImplementedError
 
+    @memoized
     def eta(self, p) -> np.ndarray:
         return eta_from_xi(self.xi(p))
 
+    @memoized
     def sigma(self, p) -> np.ndarray:
         """Sigma_i(p) = xi^+(p) sigma_i xi(p), shape (..., 3, 2, 2)."""
         x = self.xi(p)[..., None, :, :]
@@ -139,6 +144,7 @@ class HelicityBasis(PolarizationBasis):
 
     kind = "helicity"
 
+    @memoized
     def _checked(self, p) -> tuple[np.ndarray, ...]:
         """p, |p|, n = p/|p| and the chart 1 + n3 = |n + e3|^2 / 2, after the
         pole checks."""
@@ -155,10 +161,12 @@ class HelicityBasis(PolarizationBasis):
             )
         return p, mag, n, den
 
+    @memoized
     def xi(self, p) -> np.ndarray:
         _, _, n, den = self._checked(p)
         return _charted_pair(n, den)
 
+    @memoized
     def omega(self, p) -> np.ndarray:
         """Closed-form Omega_i(p), shape (..., 3, 2, 2): the coefficients of
         Omega_i along (sigma_1, sigma_2, sigma_3), contracted with PAULI."""

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import math
 import subprocess
 import sys
 
@@ -125,20 +126,27 @@ def test_figures_range_guard():
     assert "need at least one point" in res.output
 
 
+def _kernel_entries(output):
+    """The printed kernel components, every matrix entry in order."""
+    rows = [l.split() for l in output.splitlines() if l.startswith("  ") and "|K|" not in l]
+    return np.array([complex(z) for row in rows for z in row])
+
+
 def test_kernel_output_and_pole():
     res = run_cli("kernel", "--name", "pseudoscalar_osc", "--p", "0.3,0.2,0.5")
     assert res.exit_code == 0
-    assert "parent diagonal associated part max|.| = 0" in res.output or (
-        "parent diagonal associated part" in res.output
-    )
     # the parent of the pseudoscalar kernel has no diagonal part
-    diag_line = [l for l in res.output.splitlines() if "parent diagonal" in l][0]
-    assert float(diag_line.rsplit("=", 1)[1]) < 1e-12
-    # phase negation at a quarter period of the 2E oscillation
-    res_t = run_cli(
-        "kernel", "--name", "delta_x_osc", "--p", "0,0,1", "--t", "0",
-    )
-    assert res_t.exit_code == 0
+    label = "# parent diagonal associated part max|.| = "
+    (diag_line,) = [l for l in res.output.splitlines() if l.startswith(label)]
+    assert float(diag_line.removeprefix(label)) < 1e-12
+    # phase negation at a quarter period of the 2E oscillation, t = pi/(2E), E = sqrt(2)
+    args = ("kernel", "--name", "delta_x_osc", "--p", "0,0,1", "--t")
+    res_0 = run_cli(*args, "0")
+    res_t = run_cli(*args, repr(math.pi / (2.0 * math.sqrt(2.0))))
+    assert res_0.exit_code == 0 and res_t.exit_code == 0
+    k0, kt = _kernel_entries(res_0.output), _kernel_entries(res_t.output)
+    assert k0.shape == (12,) and np.max(np.abs(k0)) > 0.2
+    assert np.max(np.abs(kt + k0)) <= 1e-12
     # pole in the helicity basis is a usage error
     res_p = run_cli(
         "kernel", "--name", "delta_x_osc", "--p", "0,0,1", "--basis", "helicity"

@@ -1,0 +1,167 @@
+"""The per-owner batch memo: bases, mode spinors, operator coefficients and
+wave spinors each evaluate a momentum batch once, and a memoized result is the
+fresh evaluation bit for bit."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from diracmr.algebra import MEMO_BATCHES, MEMO_MAX_MOMENTA, Momentum, batch_memo, theta_tensor
+from diracmr.associated import AssociatedFamily, Jet, WaveSpinor, gaussian_test_spinor
+from diracmr.polarization import CommonBasis, HelicityBasis, PoleError, make_basis
+from diracmr.sampling import make_rng
+from diracmr.spinors import u_matrix, v_matrix
+
+MASS = 1.3
+DIRECTIONS = np.array([[0.3, -0.5, 0.8], [-0.6, 0.2, 0.1], [0.1, 0.9, -0.4]])
+DIRECTIONS /= np.linalg.norm(DIRECTIONS, axis=-1, keepdims=True)
+
+
+def _batch(ratio, scale=1.0):
+    """Three momenta off the helicity pole with |p|/m = ratio * scale."""
+    return ratio * scale * MASS * DIRECTIONS
+
+
+def _value_only_spinor():
+    """A wave spinor without an analytic gradient: its gradient is the FD fallback."""
+    return WaveSpinor(gaussian_test_spinor(make_rng(5))._fn)
+
+
+# quantity -> (fresh owner in a basis kind, evaluation on an owner)
+OWNERS = {
+    "xi": (make_basis, lambda b, p: b.xi(p)),
+    "eta": (make_basis, lambda b, p: b.eta(p)),
+    "sigma": (make_basis, lambda b, p: b.sigma(p)),
+    "omega": (make_basis, lambda b, p: b.omega(p)),
+    "u": (make_basis, lambda b, p: u_matrix(b, Momentum(p, MASS))),
+    "v": (make_basis, lambda b, p: v_matrix(b, Momentum(p, MASS))),
+    "coef_boost": (lambda k: AssociatedFamily(MASS, make_basis(k)).boost_orbital(), lambda o, p: o.coef(p)),
+    "coef_pryce_c": (
+        lambda k: AssociatedFamily(MASS, make_basis(k)).position_pryce_c(), lambda o, p: o.coef(p)
+    ),
+    "value": (lambda k: gaussian_test_spinor(make_rng(3)), lambda s, p: s.value(p)),
+    "gradient": (lambda k: gaussian_test_spinor(make_rng(3)), lambda s, p: s.gradient(p)),
+    "gradient_fd": (lambda k: _value_only_spinor(), lambda s, p: s.gradient(p)),
+}
+KINDS = ("common", "helicity")
+
+
+def _arrays(x) -> list:
+    """Every array of a result, in order; None marks a part that vanishes."""
+    if isinstance(x, Jet):
+        return _arrays(x.v) + _arrays(x.d)
+    if isinstance(x, tuple):
+        return [a for y in x for a in _arrays(y)]
+    return [x]
+
+
+def _same_bits(x, y) -> bool:
+    xs, ys = _arrays(x), _arrays(y)
+    return len(xs) == len(ys) and all(
+        (a is None and b is None)
+        or (a is not None and b is not None and a.shape == b.shape and a.dtype == b.dtype
+            and a.tobytes() == b.tobytes())
+        for a, b in zip(xs, ys)
+    )
+
+
+@pytest.mark.parametrize("ratio", (1e-6, 1.0, 1e6))
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("quantity", OWNERS)
+def test_memoized_equals_fresh_bit_for_bit(quantity, kind, ratio):
+    make, evaluate = OWNERS[quantity]
+    owner = make(kind)
+    p, other = _batch(ratio), _batch(ratio, 1.1)  # two batches of one shape
+    first = evaluate(owner, p)
+    at_other = evaluate(owner, other)
+    again = evaluate(owner, p.copy())
+    assert _same_bits(first, evaluate(make(kind), p))
+    assert _same_bits(at_other, evaluate(make(kind), other))
+    assert _same_bits(again, first)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("quantity", OWNERS)
+def test_results_are_read_only(quantity, kind):
+    make, evaluate = OWNERS[quantity]
+    owner = make(kind)
+    for result in (evaluate(owner, _batch(1.0)), evaluate(owner, _batch(1.0))):
+        arrays = [a for a in _arrays(result) if a is not None]
+        assert arrays and not any(a.flags.writeable for a in arrays)
+        with pytest.raises(ValueError):
+            arrays[0][...] = 0.0
+
+
+def test_owners_never_share_an_entry():
+    p = _batch(1.0)
+    # two helicity bases: each evaluates on its own
+    b1, b2 = HelicityBasis(), HelicityBasis()
+    u_matrix(b1, Momentum(p, MASS))
+    assert len(batch_memo(b1)) == 1 and "_batch_memo" not in vars(b2)
+    # operators made and dropped in turn reuse ids; each reads its own mass
+    for m in (0.5, 2.0, 1.0) * 10:
+        op = AssociatedFamily(m, HelicityBasis()).spin_plus()
+        theta = np.swapaxes(theta_tensor(Momentum(p, m))[0], -1, -2)
+        assert np.max(np.abs(op.coef(p)[1].v - theta)) < 1e-12
+        del op
+    for seed in range(20):
+        spinor = gaussian_test_spinor(make_rng(seed))
+        assert _same_bits(spinor.value(p), np.asarray(spinor._fn(p), dtype=complex))
+        del spinor
+    # a helicity family and a common family at the same p: Ws~ along n_p and along e3
+    ws_h = AssociatedFamily(MASS, HelicityBasis()).polarization().coef(p)[1].v
+    ws_c = AssociatedFamily(MASS, CommonBasis()).polarization().coef(p)[1].v
+    assert np.max(np.abs(ws_h[..., 0, :] - DIRECTIONS)) < 1e-15
+    assert np.array_equal(ws_c[..., 0, :], np.broadcast_to([0.0, 0.0, 1.0], (3, 3)))
+
+
+@pytest.mark.parametrize("quantity", OWNERS)
+def test_owner_keeps_at_most_memo_batches(quantity):
+    make, evaluate = OWNERS[quantity]
+    owner = make("helicity")
+    for k in range(100):
+        p = _batch(1.0, 1.0 + 0.01 * k)
+        last = evaluate(owner, p)
+    assert 1 <= len(batch_memo(owner)) <= MEMO_BATCHES
+    assert evaluate(owner, p.copy()) is last  # the latest batch is kept
+
+
+def test_grid_sized_batch_is_neither_hashed_nor_kept():
+    n = 110_592  # the wigner suite's quadrature grid
+    assert n > MEMO_MAX_MOMENTA
+    grid = np.random.default_rng(1).normal(size=(n, 3))
+    out = np.zeros((n, 2), dtype=complex)
+    spinor, basis = WaveSpinor(lambda p: out), HelicityBasis()
+    tracemalloc.start()
+    try:
+        spinor.value(grid)  # returns a view of ``out``: nothing to allocate but a key
+        peak = tracemalloc.get_traced_memory()[1]
+        before = tracemalloc.get_traced_memory()[0]
+        basis.xi(grid)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < grid.nbytes / 4  # a key would copy the 2.7 MB grid
+    assert kept < 64 * 1024  # xi on the grid is 7 MB
+    assert len(batch_memo(spinor)) == 0 and len(batch_memo(basis)) == 0
+
+
+def test_pole_error_is_raised_again():
+    basis, pole = HelicityBasis(), np.array([[0.3, 0.2, 0.5], [0.0, 0.0, -1.0]])
+    for _ in range(2):
+        with pytest.raises(PoleError):
+            basis.xi(pole)
+        with pytest.raises(PoleError):
+            u_matrix(basis, Momentum(pole, MASS))
+    assert len(batch_memo(basis)) == 0
+
+
+def test_result_does_not_follow_later_writes_to_the_batch():
+    # P~'s a0 is p itself: the memo evaluates on its own copy of the batch
+    op, p = AssociatedFamily(MASS, CommonBasis()).momentum(), _batch(1.0)
+    a0 = op.coef(p)[0].v
+    saved = a0.copy()
+    p *= 2.0
+    assert np.array_equal(a0, saved)
+    assert op.coef(_batch(1.0))[0].v is a0
