@@ -200,8 +200,9 @@ def _read_only_jets(parts: tuple) -> tuple:
 
 
 def _align(x: np.ndarray, axes: int, tail: int) -> np.ndarray:
-    """x with ``axes`` unit axes inserted ahead of its last ``tail`` axes."""
-    return np.expand_dims(x, tuple(range(-tail - axes, -tail)))
+    """x with ``axes`` unit axes inserted ahead of its last ``tail`` axes (a view)."""
+    lead = x.shape[: x.ndim - tail]
+    return x.reshape(lead + (1,) * axes + x.shape[len(lead) :])
 
 
 @dataclass
@@ -505,8 +506,16 @@ _EPS_ON_SIGMA = cross(np.eye(3), _ON_SIGMA[:, None, :])[..., 0, :]
 
 
 def _pair_bilinears(basis: PolarizationBasis, p: np.ndarray) -> np.ndarray:
-    """The frame B(p) = (xi^+(p) sigma_j eta(-p), xi^+(p) eta(-p)), (..., 4, 2, 2)."""
-    return dagger(basis.xi(p))[..., None, :, :] @ _FRAME @ basis.eta(-p)[..., None, :, :]
+    """The frame B(p) = (xi^+(p) sigma_j eta(-p), xi^+(p) eta(-p)), (..., 4, 2, 2).
+
+    One frame serves every kernel: it is memoized per momentum batch on the
+    basis, as the basis's own quantities are; read-only.
+    """
+
+    def frame(k):
+        return dagger(basis.xi(k))[..., None, :, :] @ _FRAME @ basis.eta(-k)[..., None, :, :]
+
+    return batch_memo(basis)("pair_bilinears", frame, p)
 
 
 def _energy(q: Momentum) -> np.ndarray:

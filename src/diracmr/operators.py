@@ -21,6 +21,7 @@ from .algebra import (
     ID4,
     SPIN,
     Momentum,
+    batch_memo,
     boost_for_momentum,
     central_gradient,
     contract,
@@ -218,12 +219,16 @@ def decompose_diag_osc(a: np.ndarray, q: Momentum) -> tuple[np.ndarray, ...]:
 class FourierOperator:
     """Momentum-space operator: evaluator q -> (..., k, 4, 4) stack,
     k = 1 for scalars, 3 for spatial vectors and 4 for four-vectors.
+
+    Memoized per momentum batch and mass on the operator, so every basis's
+    images and both matrix-element sandwiches of one batch share one
+    evaluation (the 4x4 operators do not depend on a basis); read-only.
     """
 
     func: Callable[[Momentum], np.ndarray]
 
     def __call__(self, q: Momentum) -> np.ndarray:
-        return self.func(q)
+        return batch_memo(self)(("eval", q.m), lambda k: self.func(Momentum(k, q.m)), q.p)
 
 
 def _scalar(fn) -> Callable[[Momentum], np.ndarray]:
@@ -235,6 +240,7 @@ def _constant(mats: np.ndarray) -> Callable[[Momentum], np.ndarray]:
     return lambda q: np.broadcast_to(mats, q.p.shape[:-1] + mats.shape)
 
 
+# the production operators by name; each entry keeps the memo of its own batches
 OPERATOR_CATALOG: dict[str, FourierOperator] = {
     "h_dirac": FourierOperator(_scalar(dirac_hamiltonian)),
     "projector_plus": FourierOperator(_scalar(lambda q: projectors(q)[0])),

@@ -397,19 +397,21 @@ def suite_associated(samples: int, seed: int, mass: float):
     return rec.results()
 
 
-def _nested_commutator(a, b, spinor, p) -> np.ndarray:
+def _composite(op, spinor) -> WaveSpinor:
+    """The action of ``op`` on ``spinor`` as a wave spinor whose gradient is a
+    finite difference of that action (nested FD).  Its component axis goes
+    ahead of the batch, as a wave spinor's own axes do."""
+
+    def grad(k):
+        step = 1e-3 * np.linalg.norm(k, axis=-1)
+        return np.moveaxis(central_gradient(lambda x: op.apply(spinor, x), k, step), -2, 0)
+
+    return WaveSpinor(lambda k: np.moveaxis(op.apply(spinor, k), -2, 0), grad)
+
+
+def _nested_commutator(a, b, composite, p) -> np.ndarray:
     """Oracle for ``commutator``: [A_i, B_j] alpha, (..., ka, kb, 2), with each
-    inner action differentiated numerically as a composite wave spinor (nested
-    FD).  A composite's component axis goes ahead of the batch, as a wave
-    spinor's own axes do."""
-
-    def composite(op):
-        def grad(k):
-            step = 1e-3 * np.linalg.norm(k, axis=-1)
-            return np.moveaxis(central_gradient(lambda x: op.apply(spinor, x), k, step), -2, 0)
-
-        return WaveSpinor(lambda k: np.moveaxis(op.apply(spinor, k), -2, 0), grad)
-
+    inner action the composite wave spinor ``composite(op)`` of ``_composite``."""
     ab, ba = a.apply(composite(b), p), b.apply(composite(a), p)  # (kb, .., ka, 2), (ka, .., kb, 2)
     return np.moveaxis(ab, 0, -2) - np.moveaxis(ba, 0, -3)
 
@@ -486,9 +488,18 @@ def suite_appendix_b(samples: int, seed: int, mass: float):
             for a in (aL, aS, aKo, aXt, aYc, aYd)
         )
 
+        # one composite per operator, so each is differentiated once per call;
+        # the operators outlive the table, so their ids stay distinct
+        composites = {}
+
+        def composite(op):
+            if id(op) not in composites:
+                composites[id(op)] = _composite(op, spinors[0])
+            return composites[id(op)]
+
         def comm(a, b):
             exact = commutator_action(a, b, trio, p)
-            nested = _nested_commutator(a, b, spinors[0], p[:2])
+            nested = _nested_commutator(a, b, composite, p[:2])
             rec.add("exact_matches_nested_fd", _mx(exact[0, :2] - nested), TOL_FD_COMM)
             return exact
 

@@ -1,14 +1,30 @@
-"""The per-owner batch memo: bases, mode spinors, operator coefficients and
-wave spinors each evaluate a momentum batch once, and a memoized result is the
-fresh evaluation bit for bit."""
+"""The per-owner batch memo: bases, mode spinors, Fourier operators, the
+kernels' pair frame, operator coefficients and wave spinors each evaluate a
+momentum batch once, and a memoized result is the fresh evaluation bit for bit."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from diracmr.algebra import MEMO_BATCHES, MEMO_MAX_MOMENTA, Momentum, batch_memo, theta_tensor
-from diracmr.associated import AssociatedFamily, Jet, WaveSpinor, gaussian_test_spinor
+from diracmr import verify
+from diracmr.algebra import (
+    MEMO_BATCHES,
+    MEMO_MAX_MOMENTA,
+    Momentum,
+    batch_memo,
+    central_gradient,
+    theta_tensor,
+)
+from diracmr.associated import (
+    KERNEL_CATALOG,
+    AssociatedFamily,
+    Jet,
+    WaveSpinor,
+    _pair_bilinears,
+    gaussian_test_spinor,
+)
+from diracmr.operators import OPERATOR_CATALOG, FourierOperator
 from diracmr.polarization import CommonBasis, HelicityBasis, PoleError, make_basis
 from diracmr.sampling import make_rng
 from diracmr.spinors import u_matrix, v_matrix
@@ -28,6 +44,11 @@ def _value_only_spinor():
     return WaveSpinor(gaussian_test_spinor(make_rng(5))._fn)
 
 
+def _fresh_operator(name):
+    """A catalog entry's function behind a memo of its own; the basis kind is unused."""
+    return lambda kind: FourierOperator(OPERATOR_CATALOG[name].func)
+
+
 # quantity -> (fresh owner in a basis kind, evaluation on an owner)
 OWNERS = {
     "xi": (make_basis, lambda b, p: b.xi(p)),
@@ -43,6 +64,11 @@ OWNERS = {
     "value": (lambda k: gaussian_test_spinor(make_rng(3)), lambda s, p: s.value(p)),
     "gradient": (lambda k: gaussian_test_spinor(make_rng(3)), lambda s, p: s.gradient(p)),
     "gradient_fd": (lambda k: _value_only_spinor(), lambda s, p: s.gradient(p)),
+    "pair_frame": (make_basis, _pair_bilinears),
+    **{
+        f"operator_{name}": (_fresh_operator(name), lambda op, p: op(Momentum(p, MASS)))
+        for name in OPERATOR_CATALOG
+    },
 }
 KINDS = ("common", "helicity")
 
@@ -79,6 +105,22 @@ def test_memoized_equals_fresh_bit_for_bit(quantity, kind, ratio):
     assert _same_bits(first, evaluate(make(kind), p))
     assert _same_bits(at_other, evaluate(make(kind), other))
     assert _same_bits(again, first)
+
+
+@pytest.mark.parametrize("ratio", (1e-6, 1.0, 1e6))
+@pytest.mark.parametrize("name", OPERATOR_CATALOG)
+def test_catalog_entry_equals_its_function_bit_for_bit(name, ratio):
+    entry = OPERATOR_CATALOG[name]
+    fresh = entry.func(Momentum(_batch(ratio), MASS))
+    for _ in range(2):  # evaluated, then read from the memo
+        assert _same_bits(entry(Momentum(_batch(ratio), MASS)), fresh)
+
+
+@pytest.mark.parametrize("name", OPERATOR_CATALOG)
+def test_operator_keeps_each_mass_apart(name):
+    op, p = _fresh_operator(name)("common"), _batch(1.0)
+    for m in (MASS, 0.7, MASS, 0.7):
+        assert _same_bits(op(Momentum(p, m)), op.func(Momentum(p, m)))
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -147,14 +189,41 @@ def test_grid_sized_batch_is_neither_hashed_nor_kept():
     assert len(batch_memo(spinor)) == 0 and len(batch_memo(basis)) == 0
 
 
+@pytest.mark.parametrize("quantity", OWNERS)
+def test_batch_over_the_cap_is_not_kept(quantity):
+    make, evaluate = OWNERS[quantity]
+    owner = make("helicity")
+    evaluate(owner, np.resize(_batch(1.0), (MEMO_MAX_MOMENTA + 1, 3)))
+    assert len(batch_memo(owner)) == 0
+
+
 def test_pole_error_is_raised_again():
     basis, pole = HelicityBasis(), np.array([[0.3, 0.2, 0.5], [0.0, 0.0, -1.0]])
+    kernel = KERNEL_CATALOG["delta_x_osc"]
     for _ in range(2):
         with pytest.raises(PoleError):
             basis.xi(pole)
         with pytest.raises(PoleError):
             u_matrix(basis, Momentum(pole, MASS))
+        with pytest.raises(PoleError):
+            _pair_bilinears(basis, pole)
+        with pytest.raises(PoleError):
+            kernel(Momentum(pole, MASS), 0.3, basis)
     assert len(batch_memo(basis)) == 0
+
+
+def test_appendix_b_differentiates_each_composite_once(monkeypatch):
+    # the nested-FD oracle meets 13 distinct operators in its 22 relations
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return central_gradient(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "central_gradient", counted)
+    results = verify.run_suite("appendix_b", 1, 3)
+    assert results and all(r.passed for r in results)
+    assert 0 < len(calls) <= 13
 
 
 def test_result_does_not_follow_later_writes_to_the_batch():
