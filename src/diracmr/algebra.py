@@ -13,7 +13,8 @@ Every constant of the algebra is one array indexed like its symbol:
 ``IndexError``), and ``cross(p, M)`` is the one contraction eps_ijk p^j M_k.
 All matrices are dense complex ``numpy`` arrays and every identity is
 checked numerically against a stated tolerance, never symbolically.
-``BatchMemo`` keeps an owner's evaluations on its last few momentum batches.
+``memoized`` keeps an owner's evaluations on its last few momentum batches,
+first in, first out.
 """
 
 from __future__ import annotations
@@ -87,7 +88,8 @@ def read_only(x):
 
 
 class BatchMemo:
-    """One owner's evaluations on its last ``MEMO_BATCHES`` momentum batches.
+    """One owner's evaluations on its last ``MEMO_BATCHES`` momentum batches,
+    evicted first in, first out.
 
     ``memo(quantity, fn, p)`` is ``read_only(fn(p))``, evaluated once per
     (quantity, shape, bytes of the float64 batch p).  ``fn`` gets a read-only
@@ -98,7 +100,7 @@ class BatchMemo:
     __slots__ = ("_batches",)
 
     def __init__(self):
-        self._batches: dict[tuple, dict] = {}  # least recently used first
+        self._batches: dict[tuple, dict] = {}  # oldest batch first
 
     def __len__(self) -> int:
         return len(self._batches)
@@ -109,15 +111,14 @@ class BatchMemo:
             return read_only(fn(p))
         key = (p.shape, p.tobytes())
         entry = self._batches.get(key)
-        if entry is None or quantity not in entry:
-            value = read_only(fn(np.frombuffer(key[1]).reshape(p.shape)))
-            # fn may have stored other quantities of this batch, or evicted it
-            entry = self._batches.setdefault(key, {})
-            entry[quantity] = value
-        self._batches[key] = self._batches.pop(key)  # most recently used last
+        if entry is not None and quantity in entry:
+            return entry[quantity]
+        value = read_only(fn(np.frombuffer(key[1]).reshape(p.shape)))
+        # fn may have stored other quantities of this batch, or evicted it
+        self._batches.setdefault(key, {})[quantity] = value
         while len(self._batches) > MEMO_BATCHES:
             del self._batches[next(iter(self._batches))]
-        return entry[quantity]
+        return value
 
 
 def batch_memo(owner) -> BatchMemo:
@@ -128,13 +129,20 @@ def batch_memo(owner) -> BatchMemo:
     return memo
 
 
-def memoized(method):
-    """``method(self, p)`` evaluated once per momentum batch, kept on ``self``."""
-    name = method.__name__
+def memoized(fn):
+    """``fn(owner, x)`` evaluated once per momentum batch x, kept on ``owner``.
 
-    @functools.wraps(method)
-    def cached(self, p):
-        return batch_memo(self)(name, lambda k: method(self, k), p)
+    x is an array batch (..., 3) or a ``Momentum``, whose key adds its mass.
+    ``fn`` gets the memo's read-only copy of the batch, wrapped as
+    ``Momentum(copy, m)`` for a ``Momentum``, and every result is read-only.
+    """
+    name = fn.__name__
+
+    @functools.wraps(fn)
+    def cached(owner, x):
+        if isinstance(x, Momentum):
+            return batch_memo(owner)((name, x.m), lambda k: fn(owner, Momentum(k, x.m)), x.p)
+        return batch_memo(owner)(name, lambda k: fn(owner, k), x)
 
     return cached
 

@@ -32,7 +32,6 @@ from .algebra import (
     ID2,
     PAULI,
     Momentum,
-    batch_memo,
     central_gradient,
     contract,
     cross,
@@ -41,7 +40,7 @@ from .algebra import (
     read_only,
     theta_tensor,
 )
-from .operators import OPERATOR_CATALOG
+from .operators import OPERATOR_CATALOG, projectors
 from .polarization import PolarizationBasis
 from .spinors import u_matrix, v_matrix
 
@@ -194,11 +193,6 @@ class Jet:
         return Jet(s, self.d / (2.0 * s[..., None]))
 
 
-def _read_only_jets(parts: tuple) -> tuple:
-    """Jets (or None) with read-only values and partials."""
-    return tuple(None if x is None else Jet(read_only(x.v), read_only(x.d)) for x in parts)
-
-
 def _align(x: np.ndarray, axes: int, tail: int) -> np.ndarray:
     """x with ``axes`` unit axes inserted ahead of its last ``tail`` axes (a view)."""
     lead = x.shape[: x.ndim - tail]
@@ -210,24 +204,24 @@ class AssociatedOperator:
     """A stack of first-order operators on wave spinors in the Sigma frame of their
     basis, alpha -> (a0 + a.Sigma(p)/2) alpha + D.(d~ alpha), d~_k = d_k + Omega_k.
 
-    ``coef`` maps momenta (..., 3) to (a0, a, D), jets (..., k, c) of c = 1, 3
-    and 3 entries or None for a part that vanishes; k = 1 for a scalar and 3 for
-    a vector, as in ``OPERATOR_CATALOG``, and a commutator has axes (ka, kb).
+    ``formula`` maps momenta (..., 3) to (a0, a, D), jets (..., k, c) of c = 1,
+    3 and 3 entries or None for a part that vanishes; k = 1 for a scalar and 3
+    for a vector, as in ``OPERATOR_CATALOG``, and a commutator has axes (ka, kb).
     The basis enters through Sigma(p) and Omega(p) only.  ``mult_at`` gives
     (..., k, 2, 2) and ``apply`` (..., k, 2): the leading axes of a spinor's own
     values stay ahead of the momentum batch, the component axes come after it.
-    ``coef`` is memoized per momentum batch on the operator, so a commutator
-    reuses the jets of its factors, and the jets' arrays are read-only.
     """
 
     name: str
     basis: PolarizationBasis
-    coef: Callable[[np.ndarray], tuple]
+    formula: Callable[[np.ndarray], tuple]
 
-    def __post_init__(self):
-        # the wrapper holds the memo, not self: a closure over self is a cycle
-        coef, memo = self.coef, batch_memo(self)
-        self.coef = lambda p: memo("coef", lambda k: _read_only_jets(coef(k)), p)
+    @memoized
+    def coef(self, p) -> tuple:
+        """``formula(p)`` with read-only jets, ``@memoized`` on the operator per
+        momentum batch, so a commutator reuses the jets of its factors."""
+        parts = self.formula(p)
+        return tuple(None if x is None else Jet(read_only(x.v), read_only(x.d)) for x in parts)
 
     def mult_at(self, p) -> np.ndarray:
         """The multiplicative part a0 + a.Sigma/2, (..., k, 2, 2)."""
@@ -505,17 +499,14 @@ _ON_SIGMA = np.eye(3, 4)
 _EPS_ON_SIGMA = cross(np.eye(3), _ON_SIGMA[:, None, :])[..., 0, :]
 
 
+@memoized
 def _pair_bilinears(basis: PolarizationBasis, p: np.ndarray) -> np.ndarray:
     """The frame B(p) = (xi^+(p) sigma_j eta(-p), xi^+(p) eta(-p)), (..., 4, 2, 2).
 
-    One frame serves every kernel: it is memoized per momentum batch on the
-    basis, as the basis's own quantities are; read-only.
+    One frame serves every kernel: it is ``@memoized`` on the basis per
+    momentum batch, as the basis's own quantities are; read-only.
     """
-
-    def frame(k):
-        return dagger(basis.xi(k))[..., None, :, :] @ _FRAME @ basis.eta(-k)[..., None, :, :]
-
-    return batch_memo(basis)("pair_bilinears", frame, p)
+    return dagger(basis.xi(p))[..., None, :, :] @ _FRAME @ basis.eta(-p)[..., None, :, :]
 
 
 def _energy(q: Momentum) -> np.ndarray:
@@ -549,6 +540,16 @@ class OscillatingKernel:
     ) -> np.ndarray:
         """Cross-oracle: the same kernel through the generic machinery."""
         pm, _ = matrix_elements_offdiag(OPERATOR_CATALOG[self.parent], q, t, basis)
+        return np.asarray(self.parent_scale(q))[..., None, None, None] * pm
+
+    def phase_reference(self, q: Momentum, t, basis: PolarizationBasis) -> np.ndarray:
+        """The phase law's reference, which K(t, p) equals: parent_scale * A~(+-)
+        at t = 0 of the parent evolved by U = exp(-iEt) Pi_+ + exp(iEt) Pi_-."""
+        plus, minus = projectors(q)
+        e = _energy(q)
+        u = (np.exp(-1j * t * e) * plus + np.exp(1j * t * e) * minus)[..., None, :, :]
+        parent = OPERATOR_CATALOG[self.parent]
+        pm, _ = matrix_elements_offdiag(lambda k: dagger(u) @ parent(k) @ u, q, 0.0, basis)
         return np.asarray(self.parent_scale(q))[..., None, None, None] * pm
 
 

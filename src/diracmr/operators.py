@@ -21,12 +21,12 @@ from .algebra import (
     ID4,
     SPIN,
     Momentum,
-    batch_memo,
     boost_for_momentum,
     central_gradient,
     contract,
     cross,
     lorentz_boost_matrix,
+    memoized,
     theta_tensor,
 )
 
@@ -220,15 +220,16 @@ class FourierOperator:
     """Momentum-space operator: evaluator q -> (..., k, 4, 4) stack,
     k = 1 for scalars, 3 for spatial vectors and 4 for four-vectors.
 
-    Memoized per momentum batch and mass on the operator, so every basis's
+    ``__call__`` is ``@memoized`` per momentum batch and mass, so every basis's
     images and both matrix-element sandwiches of one batch share one
     evaluation (the 4x4 operators do not depend on a basis); read-only.
     """
 
     func: Callable[[Momentum], np.ndarray]
 
+    @memoized
     def __call__(self, q: Momentum) -> np.ndarray:
-        return batch_memo(self)(("eval", q.m), lambda k: self.func(Momentum(k, q.m)), q.p)
+        return self.func(q)
 
 
 def _scalar(fn) -> Callable[[Momentum], np.ndarray]:
@@ -252,6 +253,7 @@ OPERATOR_CATALOG: dict[str, FourierOperator] = {
     "frankel_spin": FourierOperator(frankel_spin),
     "pc_spin": FourierOperator(pc_spin),
     "fradkin_good": FourierOperator(fradkin_good_spin),
+    "spin_plus": FourierOperator(lambda q: auxiliary_spins(q)[0]),
     "pauli_lubanski": FourierOperator(pauli_lubanski),
     "pauli_dirac_spin": FourierOperator(_constant(SPIN)),
     "gamma5": FourierOperator(_constant(GAMMA5)),

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import CCONJ, GAMMA, Momentum, batch_memo, boost_for_momentum, contract, dagger
+from .algebra import CCONJ, GAMMA, Momentum, boost_for_momentum, contract, dagger, memoized
 from .polarization import PolarizationBasis, sigma_index
 
 _TWO_PI_32 = (2.0 * np.pi) ** 1.5
@@ -41,25 +41,23 @@ def norm_factor(q: Momentum) -> np.ndarray:
     return np.sqrt(q.m / q.energy)
 
 
+@memoized
 def u_matrix(basis: PolarizationBasis, q: Momentum) -> np.ndarray:
     """Boosted particle spinors u_sigma(p) = n(p) l_p u_ring_sigma(p), as columns.
 
-    Memoized per momentum batch and mass on the basis instance; read-only.
+    ``@memoized`` on the basis, per momentum batch and mass; read-only.
     """
-
-    def evaluate(_):
-        n = norm_factor(q)[..., None, None]
-        return n * boost_for_momentum(q) @ rest_u_matrix(basis, q.p)
-
-    return batch_memo(basis)(("u", q.m), evaluate, q.p)
+    n = norm_factor(q)[..., None, None]
+    return n * boost_for_momentum(q) @ rest_u_matrix(basis, q.p)
 
 
+@memoized
 def v_matrix(basis: PolarizationBasis, q: Momentum) -> np.ndarray:
     """Boosted antiparticle spinors v_sigma(p) = C u_sigma^*(p), as columns.
 
-    Memoized per momentum batch and mass on the basis instance; read-only.
+    ``@memoized`` on the basis, per momentum batch and mass; read-only.
     """
-    return batch_memo(basis)(("v", q.m), lambda _: CCONJ @ u_matrix(basis, q).conj(), q.p)
+    return CCONJ @ u_matrix(basis, q).conj()
 
 
 def u_spinor(basis: PolarizationBasis, q: Momentum, sigma: float) -> np.ndarray:

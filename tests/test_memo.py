@@ -14,6 +14,7 @@ from diracmr.algebra import (
     Momentum,
     batch_memo,
     central_gradient,
+    memoized,
     theta_tensor,
 )
 from diracmr.associated import (
@@ -234,3 +235,45 @@ def test_result_does_not_follow_later_writes_to_the_batch():
     p *= 2.0
     assert np.array_equal(a0, saved)
     assert op.coef(_batch(1.0))[0].v is a0
+
+
+class _Toy:
+    """An owner that records what its ``@memoized`` functions receive."""
+
+    def __init__(self):
+        self.seen = []
+
+    @memoized
+    def energy(self, q):
+        self.seen.append(q)
+        return q.energy
+
+    @memoized
+    def norm(self, p):
+        self.seen.append(p)
+        return np.linalg.norm(p, axis=-1)
+
+
+def test_momentum_is_evaluated_at_its_mass_over_a_read_only_copy():
+    toy, p = _Toy(), _batch(1.0)
+    for m in (MASS, 0.7, MASS, 0.7):
+        assert _same_bits(toy.energy(Momentum(p, m)), Momentum(p, m).energy)
+    assert [q.m for q in toy.seen] == [MASS, 0.7]  # two masses, two entries
+    assert len(batch_memo(toy)) == 1
+    for q in toy.seen:
+        assert isinstance(q, Momentum) and np.array_equal(q.p, p)
+        assert not q.p.flags.writeable and not np.shares_memory(q.p, p)
+
+
+def test_first_batch_in_is_first_out():
+    toy = _Toy()
+    batches = [_batch(1.0, 1.0 + 0.01 * k) for k in range(MEMO_BATCHES + 1)]
+    for p in batches[1:]:
+        toy.norm(batches[0])  # the first batch is read again before each new one
+        toy.norm(p)
+    assert len(toy.seen) == MEMO_BATCHES + 1 and len(batch_memo(toy)) == MEMO_BATCHES
+    for p in batches[1:]:
+        toy.norm(p)
+    assert len(toy.seen) == MEMO_BATCHES + 1  # the later batches are all kept
+    toy.norm(batches[0])
+    assert len(toy.seen) == MEMO_BATCHES + 2  # the first one was evicted

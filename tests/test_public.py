@@ -44,6 +44,11 @@ def _callers(name):
     return found
 
 
+def test_batch_memo_is_called_only_by_memoized():
+    # every per-batch cache in the package is a ``@memoized`` declaration
+    assert _callers("batch_memo") == {("algebra", "memoized")}
+
+
 def test_stencils_run_only_in_oracles():
     # no production path differentiates numerically: the stencil serves verify's
     # oracles, the FD cross-check of Omega, the FD pull-back of delta X and the
