@@ -234,8 +234,8 @@ class Momentum:
         object.__setattr__(self, "p", np.asarray(self.p, dtype=float))
         if self.p.shape[-1:] != (3,):
             raise ValueError(f"momenta must have shape (..., 3), got {self.p.shape}")
-        if self.m <= 0.0:
-            raise ValueError(f"mass must be positive, got {self.m}")
+        if not 0.0 < self.m < np.inf:  # also rejects nan
+            raise ValueError(f"mass must be positive and finite, got {self.m}")
 
     @functools.cached_property
     def mag(self) -> np.ndarray:

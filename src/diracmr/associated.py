@@ -40,7 +40,7 @@ from .algebra import (
     read_only,
     theta_tensor,
 )
-from .operators import OPERATOR_CATALOG, projectors
+from .operators import OPERATOR_CATALOG
 from .polarization import PolarizationBasis
 from .spinors import u_matrix, v_matrix
 
@@ -155,9 +155,6 @@ class Jet:
     def __init__(self, v, d):
         self.v, self.d = v, d
 
-    def __getitem__(self, k: int) -> Jet:
-        return Jet(self.v[..., k : k + 1], self.d[..., k : k + 1, :])
-
     def __add__(self, o):
         return Jet(self.v + o.v, self.d + o.d) if isinstance(o, Jet) else Jet(self.v + o, self.d)
 
@@ -183,14 +180,6 @@ class Jet:
     def __rtruediv__(self, o):
         q = o / self.v
         return Jet(q, -(q / self.v)[..., None] * self.d)
-
-    def __matmul__(self, mat: np.ndarray) -> Jet:
-        """A constant linear map of a vector, v -> v @ mat."""
-        return Jet(self.v @ mat, np.einsum("...jl,jk->...kl", self.d, mat))
-
-    def sqrt(self):
-        s = np.sqrt(self.v)
-        return Jet(s, self.d / (2.0 * s[..., None]))
 
 
 def _align(x: np.ndarray, axes: int, tail: int) -> np.ndarray:
@@ -310,9 +299,17 @@ def _constant(x, p: np.ndarray):
     return Jet(np.broadcast_to(x, p.shape[:-1] + x.shape), np.zeros(x.shape + (3,)))
 
 
+def _norm(row: Jet, m2: float = 0.0) -> Jet:
+    """|p| (m2 = 0) or E (m2 = m^2) = sqrt(p.p + m2) from the row p^c: a (1, 1) jet
+    with the partials p / sqrt(p.p + m2)."""
+    s = np.sqrt((row.v * row.v) @ np.ones((3, 1)) + m2)
+    return Jet(s, row.v[..., None, :] / s[..., None])
+
+
 def _cross(row: Jet) -> Jet:
-    """(e_k x p)_c = sum_j p^j eps_kjc for k = 1..3, from the row p^c: a (3, 3) jet."""
-    return sum(row[j] * EPS3[:, j, :] for j in range(3))
+    """(e_k x p)_c = eps_kjc p^j for k = 1..3 from the row p^c: a (3, 3) jet whose
+    partials d/dp^l are the constants eps_klc, stored (k, c, l)."""
+    return Jet(np.tensordot(row.v[..., 0, :], EPS3, (-1, 1)), np.swapaxes(EPS3, 1, 2))
 
 
 class AssociatedFamily:
@@ -323,8 +320,8 @@ class AssociatedFamily:
     """
 
     def __init__(self, m: float, basis: PolarizationBasis):
-        if m <= 0:
-            raise ValueError("mass must be positive")
+        if not 0.0 < m < np.inf:  # also rejects nan
+            raise ValueError("mass must be positive and finite")
         self.m = float(m)
         self.basis = basis
 
@@ -335,7 +332,7 @@ class AssociatedFamily:
 
         def coef(p):
             col, row = Jet(p[..., :, None], _UNIT[:, None]), Jet(p[..., None, :], _UNIT[None])
-            a0, a, d = formula(col, row, ((row * row) @ np.ones((3, 1)) + self.m * self.m).sqrt())
+            a0, a, d = formula(col, row, _norm(row, self.m * self.m))
             return a0, _constant(a, p), _constant(d, p)
 
         return AssociatedOperator(name, self.basis, coef)
@@ -369,9 +366,7 @@ class AssociatedFamily:
         a common basis, p/|p| for the helicity basis."""
         if self.basis.kind != "helicity":
             return self._op("Ws~", lambda col, row, e: (None, self.basis.n[None], None))
-        return self._op(
-            "Ws~", lambda col, row, e: (None, row / ((row * row) @ np.ones((3, 1))).sqrt(), None)
-        )
+        return self._op("Ws~", lambda col, row, e: (None, row / _norm(row), None))
 
     def spin_plus(self) -> AssociatedOperator:
         return self._op("S~(+)", lambda col, row, e: (None, self._theta(col, row, e), None))
@@ -544,10 +539,11 @@ class OscillatingKernel:
 
     def phase_reference(self, q: Momentum, t, basis: PolarizationBasis) -> np.ndarray:
         """The phase law's reference, which K(t, p) equals: parent_scale * A~(+-)
-        at t = 0 of the parent evolved by U = exp(-iEt) Pi_+ + exp(iEt) Pi_-."""
-        plus, minus = projectors(q)
-        e = _energy(q)
-        u = (np.exp(-1j * t * e) * plus + np.exp(1j * t * e) * minus)[..., None, :, :]
+        at t = 0 of the parent evolved by U = exp(-iEt) Pi_+ + exp(iEt) Pi_-, with
+        Pi_+/- read from the memoized ``OPERATOR_CATALOG`` entries."""
+        plus, minus = OPERATOR_CATALOG["projector_plus"](q), OPERATOR_CATALOG["projector_minus"](q)
+        e = _energy(q)[..., None]
+        u = np.exp(-1j * t * e) * plus + np.exp(1j * t * e) * minus
         parent = OPERATOR_CATALOG[self.parent]
         pm, _ = matrix_elements_offdiag(lambda k: dagger(u) @ parent(k) @ u, q, 0.0, basis)
         return np.asarray(self.parent_scale(q))[..., None, None, None] * pm

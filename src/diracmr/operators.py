@@ -207,11 +207,12 @@ def pryce_cd_offsets(q: Momentum) -> tuple[np.ndarray, np.ndarray]:
 def decompose_diag_osc(a: np.ndarray, q: Momentum) -> tuple[np.ndarray, ...]:
     """Projector-sandwich split A = A^(+) + A^(-) + A^(+-) + A^(-+).
 
-    ``a`` broadcasts against the projectors, shape (..., 4, 4).  For Hermitian
-    A the off-diagonal parts are mutual adjoints; the diagonal parts commute
-    with H_D while [H_D, A^(+-)] = 2E A^(+-).
+    ``a`` broadcasts against Pi_+/- (..., 4, 4), read from the memoized
+    ``OPERATOR_CATALOG`` entries.  For Hermitian A the off-diagonal parts are
+    mutual adjoints; the diagonal parts commute with H_D while [H_D, A^(+-)] = 2E A^(+-).
     """
-    plus, minus = projectors(q)
+    plus = OPERATOR_CATALOG["projector_plus"](q)[..., 0, :, :]
+    minus = OPERATOR_CATALOG["projector_minus"](q)[..., 0, :, :]
     return (plus @ a @ plus, minus @ a @ minus, plus @ a @ minus, minus @ a @ plus)
 
 

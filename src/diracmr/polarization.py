@@ -75,13 +75,14 @@ def eta_from_xi(xi: np.ndarray) -> np.ndarray:
 
 
 class PolarizationBasis:
-    """Base class; concrete bases override ``xi`` and ``omega``.
+    """Base class; a concrete basis defines ``xi`` and ``omega``, and eta and
+    Sigma derive from its xi here.
 
     Every method takes momenta of shape (..., 3) and returns one matrix, or
-    one stack of three, per momentum.  The frame xi, eta, Sigma and Omega is
-    memoized per momentum batch on the basis instance (``memoized``), so a
-    basis evaluates each quantity once on a batch; ``CommonBasis`` returns
-    broadcasts of its constants instead.  Every output is read-only.
+    one stack of three, per momentum.  eta and Sigma are memoized per momentum
+    batch on the basis instance (``memoized``), as the helicity basis's xi and
+    Omega are, so a basis evaluates each quantity once on a batch.  Every
+    output is read-only.
     """
 
     kind = "generic"
@@ -109,30 +110,17 @@ class PolarizationBasis:
 
 
 class CommonBasis(PolarizationBasis):
-    """Momentum-independent basis with spin measured along n = e3: the standard
-    momentum-spin basis xi = 1, eta = i sigma_2, so Sigma_i = sigma_i and Omega = 0.
-
-    ``p`` only sets the batch shape; None is a single momentum.
-    """
+    """Momentum-independent basis with spin measured along n = e3: xi = 1 and
+    Omega = 0, so eta = i sigma_2 and Sigma_i = sigma_i; ``p`` only sets the batch shape."""
 
     kind = "common"
     n = np.array([0.0, 0.0, 1.0])  # the polarization axis
 
-    @staticmethod
-    def _batch(mats: np.ndarray, p) -> np.ndarray:
-        return np.broadcast_to(mats, np.shape(p)[:-1] + mats.shape)
+    def xi(self, p) -> np.ndarray:
+        return np.broadcast_to(ID2, np.shape(p)[:-1] + (2, 2))
 
-    def xi(self, p=None) -> np.ndarray:
-        return self._batch(ID2, p)
-
-    def eta(self, p=None) -> np.ndarray:
-        return self._batch(_ISIGMA2, p)
-
-    def sigma(self, p=None) -> np.ndarray:
-        return self._batch(PAULI, p)
-
-    def omega(self, p=None) -> np.ndarray:
-        return self._batch(np.zeros((3, 2, 2), dtype=complex), p)
+    def omega(self, p) -> np.ndarray:
+        return np.broadcast_to(0j, np.shape(p)[:-1] + (3, 2, 2))
 
 
 class HelicityBasis(PolarizationBasis):

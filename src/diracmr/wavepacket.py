@@ -168,6 +168,8 @@ class PacketProfile:
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float).reshape(3))
         if not 0.0 <= self.theta_s <= np.pi:
             raise ValueError("theta_s must lie in [0, pi]")
+        if not 0.0 <= self.m < np.inf:  # also rejects nan; m = 0 is a massless packet
+            raise ValueError(f"mass must be nonnegative and finite, got {self.m}")
 
     @property
     def chi(self) -> np.ndarray:
@@ -189,8 +191,10 @@ class IsotropicProfile:
     m: float
 
     def __post_init__(self):
-        if not (self.gamma > 0 and self.pbar > 0):
-            raise ValueError("gamma and pbar must be positive")
+        if not (0.0 < self.gamma < np.inf and 0.0 < self.pbar < np.inf):  # also rejects nan
+            raise ValueError("gamma and pbar must be positive and finite")
+        if not 0.0 <= self.m < np.inf:
+            raise ValueError(f"mass must be nonnegative and finite, got {self.m}")
         if self.gamma * self.pbar <= 1.0:
             raise ValueError(
                 f"gamma*pbar = {self.gamma * self.pbar:g} <= 1: "
@@ -499,13 +503,18 @@ def cone_filter(profile: PacketProfile, n, d_omega: float, p_max: float):
     radial profile is phi'(p) = p phi(n p)/sqrt(kappa), normalized on (0, inf).
     """
     n = np.asarray(n, dtype=float)
-    n = n / np.linalg.norm(n)
+    norm = np.linalg.norm(n)
+    if not 0.0 < norm < np.inf:  # also rejects nan
+        raise ValueError("cone direction must be a nonzero finite vector")
+    n = n / norm
     if not 0.0 < d_omega <= 0.1:  # also rejects nan
         raise ValueError("cone solid angle must be positive and small (<= 0.1 sr)")
+    if not 0.0 < p_max < np.inf:
+        raise ValueError("p_max must be positive and finite")
     r, w = p_max * np.exp(_RADIAL_RULE)
     line = profile.phi(np.outer(r, n))
     kappa = float(np.sum(w * r**2 * line**2))
-    if kappa <= 0.0:
+    if not kappa > 0.0:  # also rejects nan
         raise ValueError("profile vanishes along the filter direction")
     phi_rad = r * line / np.sqrt(kappa)
     prob = (d_omega * kappa) ** 2
@@ -534,6 +543,8 @@ def g_integral(nu: float, rho: float, mu: float, m: float) -> float:
     Evaluated by the radial rule on (0, (2nu + 2|rho-1| + 80)/mu] as one exp of
     a sum of logs, so that no power overflows at the deepest nodes.
     """
+    if not (all(map(math.isfinite, (nu, rho, mu, m))) and m >= 0):
+        raise ValueError("nu, rho, mu and m must be finite and m nonnegative")
     if mu <= 0:
         raise ValueError("mu must be positive for convergence")
     if m > 0 and nu <= 0:

@@ -402,3 +402,17 @@ def test_hermitian_quadratic_form_of_boost_orbital():
 def test_family_needs_a_positive_mass():
     with pytest.raises(ValueError, match="mass must be positive"):
         AssociatedFamily(0.0, CommonBasis())
+
+
+@pytest.mark.parametrize("ratio", (1e-6, 1.0, 1e6))
+@pytest.mark.parametrize("basis", BASES, ids=lambda b: b.kind)
+def test_family_jets_are_their_closed_forms(basis, ratio):
+    # E and e_k x p enter as closed-form jets: dE/dp^l = p^l/E with E the jet's own
+    # value, and L~'s D = -i (e_k x p) has the constant partials -i eps_klc
+    m = 1.3
+    p = ratio * m * np.array([[0.3, -0.5, 0.8], [-0.6, 0.2, 0.1]])
+    family = AssociatedFamily(m, basis)
+    e = family.hamiltonian().coef(p)[0]
+    assert e.d.tobytes() == (p[:, None, None, :] / e.v[..., None]).tobytes()
+    d = family.angular().coef(p)[2]
+    assert np.array_equal(d.d, -1j * np.einsum("klc->kcl", EPS3))

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from diracmr import verify
+from diracmr import associated, operators, verify
 from diracmr.algebra import (
     MEMO_BATCHES,
     MEMO_MAX_MOMENTA,
@@ -277,3 +277,22 @@ def test_first_batch_in_is_first_out():
     assert len(toy.seen) == MEMO_BATCHES + 1  # the later batches are all kept
     toy.norm(batches[0])
     assert len(toy.seen) == MEMO_BATCHES + 2  # the first one was evicted
+
+
+def test_kernels_suite_evaluates_the_projectors_once_each(monkeypatch):
+    # phase_reference and decompose_diag_osc read Pi+/- from the catalog entries,
+    # so a fresh batch costs one ``projectors`` call per entry
+    calls, projectors = [], operators.projectors
+
+    def counted(q):
+        calls.append(q)
+        return projectors(q)
+
+    for name in ("projector_plus", "projector_minus"):  # fresh memos
+        monkeypatch.setitem(OPERATOR_CATALOG, name, FourierOperator(OPERATOR_CATALOG[name].func))
+    for module in (operators, associated, verify):  # every binding in the package
+        if vars(module).get("projectors") is projectors:
+            monkeypatch.setattr(module, "projectors", counted)
+    results = verify.run_suite("kernels", 20, 13)
+    assert results and all(r.passed for r in results)
+    assert len(calls) == 2

@@ -1,3 +1,5 @@
+import importlib
+import pkgutil
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -5,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import diracmr
 from diracmr.algebra import EPS3, PAULI
 from diracmr.polarization import (
     CommonBasis,
     HelicityBasis,
+    PolarizationBasis,
     PoleError,
     eta_from_xi,
     make_basis,
@@ -207,3 +211,19 @@ def test_sigma_index_of_each_label():
     assert (sigma_index(0.5), sigma_index(-0.5)) == (0, 1)
     with pytest.raises(ValueError, match="sigma must be"):
         sigma_index(1.5)
+
+
+def test_every_basis_derives_eta_and_sigma_from_xi():
+    # a basis defines xi and Omega only; eta and Sigma are the base class's,
+    # memoized and derived from xi
+    for module in pkgutil.iter_modules(diracmr.__path__):
+        importlib.import_module(f"diracmr.{module.name}")
+    subclasses, todo = set(), [PolarizationBasis]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            if cls.__module__.startswith("diracmr."):
+                subclasses.add(cls)
+                todo.append(cls)
+    assert {CommonBasis, HelicityBasis} <= subclasses
+    for cls in subclasses:
+        assert "eta" not in vars(cls) and "sigma" not in vars(cls), cls

@@ -1,7 +1,15 @@
 import ast
+import math
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import diracmr
+from diracmr.algebra import Momentum
+from diracmr.associated import AssociatedFamily
+from diracmr.polarization import CommonBasis
+from diracmr.wavepacket import IsotropicProfile, PacketProfile, cone_filter, g_integral
 
 PACKAGE = Path(diracmr.__file__).parent
 
@@ -61,3 +69,56 @@ def test_stencils_run_only_in_oracles():
     }
     assert any(module == "verify" for module, _ in callers), callers
     assert {c for c in callers if c[0] != "verify"} <= oracles
+
+
+def test_projectors_are_read_through_the_catalog():
+    # production reads Pi+/- from the memoized catalog entries; only those entries,
+    # two oracles and verify call ``projectors`` itself
+    callers = _callers("projectors")
+    allowed = {
+        ("operators", ""),  # the module-level OPERATOR_CATALOG entries
+        ("operators", "pryce_e_spin_sandwich"),
+        ("operators", "position_offset_from_boost_derivative"),
+    }
+    assert ("operators", "") in callers
+    assert {c for c in callers if c[0] != "verify"} <= allowed
+
+
+_PROFILE = IsotropicProfile(1.0, 2.0, 1.0).profile()
+_P = np.array([0.3, -0.4, 0.5])
+
+
+def _packet(m):
+    return PacketProfile(_PROFILE.phi, _PROFILE.grad_phi, m)
+
+
+# entry point with a NaN or out-of-range input -> the message it raises
+INVALID = {
+    "momentum_nan_mass": (lambda: Momentum(_P, math.nan), "mass must be positive"),
+    "momentum_inf_mass": (lambda: Momentum(_P, math.inf), "mass must be positive"),
+    "family_nan_mass": (lambda: AssociatedFamily(math.nan, CommonBasis()), "mass must be positive"),
+    "isotropic_nan_mass": (lambda: IsotropicProfile(1.0, 2.0, math.nan), "mass must be"),
+    "isotropic_negative_mass": (lambda: IsotropicProfile(1.0, 2.0, -1.0), "mass must be"),
+    "isotropic_inf_gamma": (lambda: IsotropicProfile(math.inf, 2.0, 1.0), "gamma and pbar"),
+    "packet_nan_mass": (lambda: _packet(math.nan), "mass must be"),
+    "packet_negative_mass": (lambda: _packet(-1.0), "mass must be"),
+    "cone_zero_direction": (lambda: cone_filter(_PROFILE, (0, 0, 0), 0.05, 40.0), "direction"),
+    "cone_nan_direction": (
+        lambda: cone_filter(_PROFILE, (math.nan, 0, 1), 0.05, 40.0), "direction"
+    ),
+    "cone_inf_p_max": (lambda: cone_filter(_PROFILE, (0, 0, 1), 0.05, math.inf), "p_max"),
+    "cone_nan_p_max": (lambda: cone_filter(_PROFILE, (0, 0, 1), 0.05, math.nan), "p_max"),
+    "cone_negative_p_max": (lambda: cone_filter(_PROFILE, (0, 0, 1), 0.05, -3.0), "p_max"),
+    "g_nan_nu": (lambda: g_integral(math.nan, 1.0, 2.0, 1.0), "finite"),
+    "g_nan_rho": (lambda: g_integral(1.0, math.nan, 2.0, 1.0), "finite"),
+    "g_nan_mu": (lambda: g_integral(1.0, 1.0, math.nan, 1.0), "finite"),
+    "g_nan_mass": (lambda: g_integral(1.0, 1.0, 2.0, math.nan), "finite"),
+    "g_negative_mass": (lambda: g_integral(1.0, 1.0, 2.0, -1.0), "m nonnegative"),
+}
+
+
+@pytest.mark.parametrize("case", INVALID)
+def test_entry_points_reject_nan_and_out_of_range_inputs(case):
+    call, message = INVALID[case]
+    with pytest.raises(ValueError, match=message):
+        call()
