@@ -87,6 +87,13 @@ def read_only(x):
     return x
 
 
+def _momenta(p: np.ndarray) -> np.ndarray:
+    """p itself, once its last axis is checked to hold three momentum components."""
+    if p.shape[-1:] != (3,):
+        raise ValueError(f"a momentum batch must have shape (..., 3), got {p.shape}")
+    return p
+
+
 class BatchMemo:
     """One owner's evaluations on its last ``MEMO_BATCHES`` momentum batches,
     evicted first in, first out.
@@ -94,7 +101,8 @@ class BatchMemo:
     ``memo(quantity, fn, p)`` is ``read_only(fn(p))``, evaluated once per
     (quantity, shape, bytes of the float64 batch p).  ``fn`` gets a read-only
     copy of p, so a result that views its argument cannot change with the
-    caller's array.  A batch that raises stores nothing, so it raises again.
+    caller's array.  A batch that raises stores nothing, so it raises again;
+    a batch whose last axis is not 3 raises ``ValueError`` before ``fn`` runs.
     """
 
     __slots__ = ("_batches",)
@@ -108,12 +116,12 @@ class BatchMemo:
     def __call__(self, quantity, fn, p):
         p = np.asarray(p, dtype=float)
         if p.size > 3 * MEMO_MAX_MOMENTA:  # before the key: hashing copies the batch
-            return read_only(fn(p))
+            return read_only(fn(_momenta(p)))
         key = (p.shape, p.tobytes())
         entry = self._batches.get(key)
-        if entry is not None and quantity in entry:
+        if entry is not None and quantity in entry:  # only a checked batch is kept
             return entry[quantity]
-        value = read_only(fn(np.frombuffer(key[1]).reshape(p.shape)))
+        value = read_only(fn(np.frombuffer(key[1]).reshape(_momenta(p).shape)))
         # fn may have stored other quantities of this batch, or evicted it
         self._batches.setdefault(key, {})[quantity] = value
         while len(self._batches) > MEMO_BATCHES:

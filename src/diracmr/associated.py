@@ -10,6 +10,10 @@ over a component axis as in ``OPERATOR_CATALOG``, the Wigner little group in its
 2x2 Weyl block, the exact commutator of two associated operators over every
 component pair, and the closed-form oscillating (zitterbewegung) kernels.
 
+Each image of a 4x4 stack A (..., k, 4, 4) is likewise one contraction,
+left^+ A right = vec(A).F, with a spinor frame F[(i, j), (a, b)] =
+conj(left_ia) right_jb of the mode spinors, memoized on the basis per batch.
+
 Each kernel is one coefficient map C(p), (..., k, 4), contracted with the one
 pair-bilinear frame B = (xi^+(p) sigma_j eta(-p), xi^+(p) eta(-p)):
 K(t, p) = exp(2iEt) C.B.
@@ -112,21 +116,50 @@ def gaussian_test_spinor(rng: np.random.Generator, scale: float = 1.0) -> WaveSp
 # matrix elements of Fourier operators between mode spinors
 
 
-def _sandwich(left: np.ndarray, a: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """left^+ A right, (..., k, 2, 2), for a stack A (..., k, 4, 4) and spinors (..., 4, 2)."""
-    return dagger(left)[..., None, :, :] @ a @ right[..., None, :, :]
+def _frame(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """F[(i, j), (a, b)] = conj(left_ia) right_jb, (..., 16, 4), with which
+    left^+ A right = vec(A).F for every stack A (..., k, 4, 4) at once."""
+    f = left.conj()[..., :, None, :, None] * right[..., None, :, None, :]
+    return f.reshape(f.shape[:-4] + (16, 4))
+
+
+@memoized
+def _diag_frames(basis: PolarizationBasis, q: Momentum) -> tuple[np.ndarray, np.ndarray]:
+    """The frames of A~(+) and A~(-): u/u and v/v of the mode spinors at p, the
+    latter stored (b, a) so that its image is (v^+ A v)^T.  ``@memoized`` on the
+    basis per momentum batch and mass; read-only."""
+    u, v = u_matrix(basis, q), v_matrix(basis, q)
+    vv = v.conj()[..., :, None, None, :] * v[..., None, :, :, None]  # (..., i, j, b, a)
+    return _frame(u, u), vv.reshape(vv.shape[:-4] + (16, 4))
+
+
+@memoized
+def _offdiag_frames(basis: PolarizationBasis, q: Momentum) -> tuple[np.ndarray, np.ndarray]:
+    """The frames of A~(+-) and A~(-+): u(p)/v(-p) and v(-p)/u(p).  Apart from
+    ``_diag_frames``, so that the diagonal images need the spinors at p only;
+    ``@memoized`` on the basis per momentum batch and mass; read-only."""
+    u, vm = u_matrix(basis, q), v_matrix(basis, q.flipped())
+    return _frame(u, vm), _frame(vm, u)
+
+
+def _image(a: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    """left^+ A right, (..., k, 2, 2), for a stack A (..., k, 4, 4) and its frame."""
+    img = a.reshape(a.shape[:-2] + (16,)) @ frame
+    return img.reshape(img.shape[:-1] + (2, 2))
 
 
 def matrix_elements_diag(op, q: Momentum, basis: PolarizationBasis):
     """Associated diagonal parts (A~(+), A~(-)) of a Fourier operator.
 
     ``op`` maps momenta to (..., k, 4, 4) stacks, as the ``OPERATOR_CATALOG``
-    entries do.  With the mode spinors u, v at p (``u_matrix``, ``v_matrix``),
+    entries do; a bare function works as well, and q may be a single momentum.
+    With the mode spinors u, v at p (``u_matrix``, ``v_matrix``),
     A~(+) = u^+ A(p) u and A~(-) = (v^+ A(-p) v)^T, (..., k, 2, 2) stacks over
-    the operator components.
+    the operator components, each one contraction of A with a memoized frame
+    of ``_diag_frames``.
     """
-    u, v = u_matrix(basis, q), v_matrix(basis, q)
-    return _sandwich(u, op(q), u), np.swapaxes(_sandwich(v, op(q.flipped()), v), -1, -2)
+    uu, vv = _diag_frames(basis, q)
+    return _image(op(q), uu), _image(op(q.flipped()), vv)
 
 
 def matrix_elements_offdiag(op, q: Momentum, t, basis: PolarizationBasis):
@@ -134,11 +167,14 @@ def matrix_elements_offdiag(op, q: Momentum, t, basis: PolarizationBasis):
     and A~(-+) = exp(-2iEt) v^+(-p) A(p) u(p).
 
     Both oscillate with frequency 2E(p); for a Hermitian operator they are
-    mutual adjoints at every instant.  t broadcasts against the batch.
+    mutual adjoints at every instant.  t broadcasts against the batch.  ``op``
+    and q are as for ``matrix_elements_diag``; each part is one contraction of
+    A(p) with a memoized frame of ``_offdiag_frames``.
     """
     phase = np.exp(2j * q.energy * t)[..., None, None, None]
-    u, vm, a = u_matrix(basis, q), v_matrix(basis, q.flipped()), op(q)
-    return phase * _sandwich(u, a, vm), phase.conj() * _sandwich(vm, a, u)
+    uv, vu = _offdiag_frames(basis, q)
+    a = op(q)
+    return phase * _image(a, uv), phase.conj() * _image(a, vu)
 
 
 # ---------------------------------------------------------------------------

@@ -128,8 +128,9 @@ def position_offset_from_boost_derivative(q: Momentum) -> np.ndarray:
 
 
 def auxiliary_spins(q: Momentum) -> tuple[np.ndarray, np.ndarray]:
-    """Theta-contracted spins S^(+)_i = Theta_ij S_j and S^(-)_i = Theta^-1_ij S_j."""
-    s = pryce_e_spin(q)
+    """Theta-contracted spins S^(+)_i = Theta_ij S_j and S^(-)_i = Theta^-1_ij S_j,
+    with S read from the memoized ``OPERATOR_CATALOG`` entry."""
+    s = OPERATOR_CATALOG["pryce_e_spin"](q)
     theta, theta_inv = theta_tensor(q)
     return (
         np.einsum("...ij,...jab->...iab", theta, s),
@@ -155,13 +156,14 @@ def pc_spin(q: Momentum) -> np.ndarray:
 def fradkin_good_spin(q: Momentum) -> np.ndarray:
     """Fradkin-Good spin-type operator, rational form
     gamma^0 s + (p(p.s)/p^2)(H_D/E - gamma^0); reduces to s gamma^0 = gamma^0 s
-    at p = 0, where both p(p.s) and H_D/E - gamma^0 vanish.
+    at p = 0, where both p(p.s) and H_D/E - gamma^0 vanish; H_D/E is read from
+    the memoized ``OPERATOR_CATALOG`` entry.
     """
     p = q.p
     p2 = np.sum(p * p, axis=-1)
     p2 = np.where(p2 == 0.0, 1.0, p2)
     sp = contract(p, SPIN)
-    rest = n_operator(q) - GAMMA[0]
+    rest = OPERATOR_CATALOG["n_op"](q)[..., 0, :, :] - GAMMA[0]
     return GAMMA[0] @ SPIN + _scalars(p, 2) * (sp @ rest)[..., None, :, :] / _scalars(p2)
 
 
@@ -188,8 +190,9 @@ def pauli_lubanski(q: Momentum) -> np.ndarray:
     """Pauli-Lubanski operator W^mu(p) = m (L_p)^mu_i S_i(p), stacked mu = 0..3.
 
     W^0 = s.p and W^i = m S^(+)_i; satisfies p^mu W_mu = 0 and W^2 = -(3/4)m^2.
+    S is read from the memoized ``OPERATOR_CATALOG`` entry.
     """
-    s = pryce_e_spin(q)
+    s = OPERATOR_CATALOG["pryce_e_spin"](q)
     L = lorentz_boost_matrix(q)
     return q.m * np.einsum("...mi,...iab->...mab", L[..., :, 1:], s)
 
@@ -197,10 +200,11 @@ def pauli_lubanski(q: Momentum) -> np.ndarray:
 def pryce_cd_offsets(q: Momentum) -> tuple[np.ndarray, np.ndarray]:
     """Position-offset differences of the alternative splittings.
 
-    Returns (dX_c - dX, dX_d - dX) = (p ^ S/(E(E+m)), -p ^ S/(m(E+m))).
+    Returns (dX_c - dX, dX_d - dX) = (p ^ S/(E(E+m)), -p ^ S/(m(E+m))), with S
+    read from the memoized ``OPERATOR_CATALOG`` entry.
     """
     e, m = _scalars(q.energy), q.m
-    pxS = cross(q.p, pryce_e_spin(q))
+    pxS = cross(q.p, OPERATOR_CATALOG["pryce_e_spin"](q))
     return pxS / (e * (e + m)), -pxS / (m * (e + m))
 
 

@@ -4,10 +4,16 @@ Each suite evaluates a fixed list of closed-form identities at seeded random
 momenta, all momenta of a suite in one batch, and reports the maximum residual
 over the batch against a stated tolerance.  Suites are deterministic for a
 given (samples, seed, mass) triple.
+
+The suites share one ``CommonBasis`` and one ``HelicityBasis`` and the seeded
+draws of one (samples, seed, mass), and read each production 4x4 operator from
+its memoized ``OPERATOR_CATALOG`` entry, so the suites of one seed evaluate
+every momentum batch once, in any order; oracles keep their own evaluation.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -35,6 +41,7 @@ from .algebra import (
     foldy_wouthuysen,
     lorentz_boost_matrix,
     lorentz_of,
+    read_only,
     rotation,
     rotation_su2,
     theta_tensor,
@@ -54,19 +61,11 @@ from .associated import (
 )
 from .operators import (
     OPERATOR_CATALOG,
-    auxiliary_spins,
-    chakrabarti_spin,
     decompose_diag_osc,
-    dirac_hamiltonian,
-    n_operator,
-    pauli_lubanski,
-    pc_spin,
     position_offset_from_boost_derivative,
-    projectors,
     projectors_boost_form,
     pryce_cd_offsets,
     pryce_e_position_offset,
-    pryce_e_spin,
     pryce_e_spin_sandwich,
     spin_type_operators,
 )
@@ -78,6 +77,11 @@ from .wavepacket import QuadratureGrid
 TOL_EXACT = DEFAULT_IDENTITY_TOL
 TOL_FD = 1e-6
 TOL_FD_COMM = 1e-5
+
+# one basis of each kind serves every suite, so the per-basis memos (xi, eta,
+# Sigma, Omega, u, v, the image frames, the pair bilinears) carry across suites
+_COMMON, _HELICITY = CommonBasis(), HelicityBasis()
+_BASES = (_COMMON, _HELICITY)
 
 
 @dataclass(frozen=True)
@@ -117,10 +121,24 @@ def _comm(a, b):
     return a @ b - b @ a
 
 
-def _sampled(samples: int, mass: float, seed: int, **kwargs) -> Momentum:
-    """The seeded momenta of ``sample_momenta`` as one batch of shape (n,)."""
-    momenta = sample_momenta(samples, mass, seed, **kwargs)
-    return Momentum(np.array([k.p for k in momenta]).reshape(-1, 3), mass)
+# the suites of one (samples, seed, mass) ask for at most five distinct draws, each
+# from neighbouring suites, so four entries serve them; draws of earlier seeds go
+@functools.lru_cache(maxsize=4)
+def _sampled(
+    samples: int, mass: float, seed: int, lo: float = 0.01, hi: float = 10.0,
+    avoid_poles: bool = False,
+) -> Momentum:
+    """The seeded momenta of ``sample_momenta`` as one read-only batch of shape
+    (n,), drawn once per argument tuple and shared by every suite that asks."""
+    momenta = sample_momenta(samples, mass, seed, lo=lo, hi=hi, avoid_poles=avoid_poles)
+    return Momentum(read_only(np.array([k.p for k in momenta]).reshape(-1, 3)), mass)
+
+
+def _op(name: str, q: Momentum) -> np.ndarray:
+    """The memoized ``OPERATOR_CATALOG`` entry at q, a scalar entry (k = 1)
+    without its unit axis."""
+    a = OPERATOR_CATALOG[name](q)
+    return a[..., 0, :, :] if a.shape[-3] == 1 else a
 
 
 def _per_component(q: Momentum) -> Momentum:
@@ -197,8 +215,8 @@ def suite_boosts(samples: int, seed: int, mass: float):
     Um = foldy_wouthuysen(q.flipped())
     rec.add("fw_unitary", _mx(U @ dagger(U) - ID4))
     rec.add("fw_flip_adjoint", _mx(dagger(U) - Um))
-    rec.add("fw_diagonalises_h", _mx(U @ dirac_hamiltonian(q) @ Um - e * GAMMA[0]))
-    rec.add("fw_maps_spin", _mx(_lift(U) @ pryce_e_spin(q) @ _lift(Um) - SPIN))
+    rec.add("fw_diagonalises_h", _mx(U @ _op("h_dirac", q) @ Um - e * GAMMA[0]))
+    rec.add("fw_maps_spin", _mx(_lift(U) @ _op("pryce_e_spin", q) @ _lift(Um) - SPIN))
     return rec.results()
 
 
@@ -208,19 +226,19 @@ def suite_projectors(samples: int, seed: int, mass: float):
     rec.add("rest_norm_factor", abs(norm_factor(q0) - 1.0), 0.0)
     q = _sampled(samples, mass, seed, avoid_poles=True)
     e = q.energy[:, None, None]
-    plus, minus = projectors(q)
+    plus, minus = _op("projector_plus", q), _op("projector_minus", q)
     plus2, minus2 = projectors_boost_form(q)
     rec.add("projector_forms_agree", max(_mx(plus - plus2), _mx(minus - minus2)))
     rec.add("idempotent", max(_mx(plus @ plus - plus), _mx(minus @ minus - minus)))
     rec.add("orthogonal", _mx(plus @ minus))
     rec.add("complete", _mx(plus + minus - ID4))
-    nd = n_operator(q)
+    nd = _op("n_op", q)
     rec.add("n_squared", _mx(nd @ nd - ID4))
-    hd = dirac_hamiltonian(q)
+    hd = _op("h_dirac", q)
     rec.add("h_projector_split", _mx(hd - e * (plus - minus)))
     ev = np.sort(np.linalg.eigvalsh(hd), axis=-1)
     rec.add("h_eigenvalues", _mx(ev - q.energy[:, None] * np.array([-1.0, -1.0, 1.0, 1.0])))
-    for b in (CommonBasis(), HelicityBasis()):
+    for b in _BASES:
         pp, pm = projector_from_spinors(b, q)
         rec.add("spinor_sum_plus", _mx(pp - plus))
         rec.add("spinor_sum_minus", _mx(pm - minus))
@@ -232,15 +250,15 @@ def suite_projectors(samples: int, seed: int, mass: float):
         rec.add("uv_cross_orthogonal", _mx(dagger(u) @ v_matrix(b, q.flipped())))
         rec.add("h_acts_on_u", _mx(hd @ u - e * u))
         v = v_matrix(b, q)
-        rec.add("h_acts_on_v", _mx(dirac_hamiltonian(q.flipped()) @ v + e * v))
+        rec.add("h_acts_on_v", _mx(_op("h_dirac", q.flipped()) @ v + e * v))
     return rec.results()
 
 
 def suite_pryce_spin(samples: int, seed: int, mass: float):
     rec = _Recorder("pryce_spin")
     q = _sampled(samples, mass, seed)
-    hd = dirac_hamiltonian(q)
-    S = pryce_e_spin(q)
+    hd = _op("h_dirac", q)
+    S = _op("pryce_e_spin", q)
     rec.add("form_agreement", _mx(S - pryce_e_spin_sandwich(q)))
     rec.add("square_three_quarters", _mx(np.sum(S @ S, axis=-3) - 0.75 * ID4))
     rec.add("hermitian", _mx(S - dagger(S)))
@@ -252,9 +270,9 @@ def suite_pryce_spin(samples: int, seed: int, mass: float):
     rec.add("anticommutator_half_delta", _mx(prod + np.swapaxes(prod, -3, -4) - half_delta))
     dx = pryce_e_position_offset(q)
     rec.add("offset_restores_angular_momentum", _mx(-cross(q.p, dx) - (SPIN - S)))
-    sCh = chakrabarti_spin(q)
-    sChm = chakrabarti_spin(q.flipped())
-    plus, minus = (_lift(a) for a in projectors(q))
+    sCh = _op("chakrabarti", q)
+    sChm = _op("chakrabarti", q.flipped())
+    plus, minus = (_lift(_op(name, q)) for name in ("projector_plus", "projector_minus"))
     rec.add("chakrabarti_flip_adjoint", _mx(sCh - dagger(sChm)))
     rec.add("chakrabarti_projector_plus", _mx(sCh @ plus - plus @ sChm))
     rec.add("chakrabarti_projector_minus", _mx(sChm @ minus - minus @ sCh))
@@ -267,7 +285,7 @@ def suite_pryce_spin(samples: int, seed: int, mass: float):
     )
     # witness that the Chakrabarti operator is not conserved
     qw = Momentum(np.array([0.7, -0.3, 0.5]) * mass, mass)
-    norm = _mx(_comm(dirac_hamiltonian(qw), chakrabarti_spin(qw)[0]))
+    norm = _mx(_comm(_op("h_dirac", qw), _op("chakrabarti", qw)[0]))
     rec.add("chakrabarti_nonconservation_witness", 1e-6 / norm, 1.0)
     return rec.results()
 
@@ -277,8 +295,8 @@ def suite_spin_types(samples: int, seed: int, mass: float):
     q = _sampled(samples, mass, seed)
     m, p = q.m, q.p
     e, ec = q.energy[:, None, None], q.energy[:, None, None, None]
-    hd = dirac_hamiltonian(q)
-    S = pryce_e_spin(q)
+    hd = _op("h_dirac", q)
+    S = _op("pryce_e_spin", q)
     ops = spin_type_operators(q)
     s_fr, c_fr = ops["S_Fr"], ops["C_Fr"]
     s_pc, c_pc = ops["S_PC"], ops["C_PC"]
@@ -289,7 +307,7 @@ def suite_spin_types(samples: int, seed: int, mass: float):
     rec.add("cross_identity_fr", _mx(c_fr - (ec / m) ** 2 * s_pc))
     rec.add("frankel_norm", _mx(np.sum(s_fr @ s_fr, axis=-3) - 0.25 * (1 + 2 * e**2 / m**2) * ID4))
     rec.add("pc_norm", _mx(np.sum(s_pc @ s_pc, axis=-3) - 0.25 * (1 + 2 * m**2 / e**2) * ID4))
-    nd = n_operator(q)
+    nd = _op("n_op", q)
     rec.add("fradkin_good_is_spin_times_n", _mx(s_fg - S @ _lift(nd)))
     rec.add("fradkin_good_square", _mx(np.sum(s_fg @ s_fg, axis=-3) - 0.75 * ID4))
     ps = contract(p, SPIN)
@@ -310,7 +328,7 @@ def suite_spin_types(samples: int, seed: int, mass: float):
     rec.add("decomposition_sum", _mx(ap + am + apm + amp - GAMMA[1]))
     rec.add("oscillating_frequency", _mx(_comm(hd, apm) - 2 * e * apm))
     sd = decompose_diag_osc(SPIN, _per_component(q))
-    rec.add("pauli_dirac_diagonal_is_pc", _mx(sd[0] + sd[1] - pc_spin(q)))
+    rec.add("pauli_dirac_diagonal_is_pc", _mx(sd[0] + sd[1] - _op("pc_spin", q)))
     rec.add("pryce_spin_reducible", _mx(decompose_diag_osc(S, _per_component(q))[2]))
     return rec.results()
 
@@ -319,14 +337,14 @@ def suite_pauli_lubanski(samples: int, seed: int, mass: float):
     rec = _Recorder("pauli_lubanski")
     q = _sampled(samples, mass, seed)
     e, m, p = q.energy[:, None, None], q.m, q.p
-    W = pauli_lubanski(q)
+    W = _op("pauli_lubanski", q)
     w0, wi = W[:, 0], W[:, 1:]
-    s_plus, _ = auxiliary_spins(q)
+    s_plus = _op("spin_plus", q)
     rec.add("w0_is_helicity", _mx(w0 - contract(p, SPIN)))
     rec.add("wi_is_theta_spin", _mx(wi - m * s_plus))
     rec.add("transverse", _mx(e * w0 - np.einsum("...i,...iab->...ab", p, wi)))
     rec.add("casimir", _mx(w0 @ w0 - np.sum(wi @ wi, axis=-3) + 0.75 * m * m * ID4))
-    rec.add("conserved", _mx(_comm(_lift(dirac_hamiltonian(q)), W)))
+    rec.add("conserved", _mx(_comm(_lift(_op("h_dirac", q)), W)))
     return rec.results()
 
 
@@ -336,7 +354,7 @@ def suite_associated(samples: int, seed: int, mass: float):
     m, p = q.m, q.p
     e, ec = q.energy[:, None, None], q.energy[:, None, None, None]
 
-    for basis in (CommonBasis(), HelicityBasis()):
+    for basis in _BASES:
         sg = basis.sigma(p)
         # the multipliers of the associated operators each image must equal
         fam = AssociatedFamily(m, basis)
@@ -452,7 +470,7 @@ def suite_appendix_b(samples: int, seed: int, mass: float):
     # below of 2x2 parts, (n, i, j, 2, 2), and of spinor values, (3, n, i, j, 2)
     eps_p = -cross(np.eye(3), p[:, None, :, None, None])
 
-    for basis, full in ((HelicityBasis(), True), (CommonBasis(), False)):
+    for basis, full in ((_HELICITY, True), (_COMMON, False)):
         fam = AssociatedFamily(mass, basis)
         L, S, Ko, Ks = fam.angular(), fam.spin(), fam.boost_orbital(), fam.boost_spin()
         X, Xt, V, P = fam.position(), fam.position(t=0.8), fam.velocity(), fam.momentum()
@@ -540,7 +558,7 @@ def suite_appendix_b(samples: int, seed: int, mass: float):
 
 def suite_wigner(samples: int, seed: int, mass: float):
     rec = _Recorder("wigner")
-    basis = CommonBasis()
+    basis = _COMMON
     # every boost against each of the first 5 momenta: lambdas (b, 1, 4, 4)
     lams = sample_boosts(max(samples // 2, 50), seed + 2)[:, None]
     momenta = _sampled(20, mass, seed, avoid_poles=True)
@@ -550,7 +568,7 @@ def suite_wigner(samples: int, seed: int, mass: float):
     rec.add("w_block_structure", max(_mx(w[..., :2, 2:]), _mx(w[..., 2:, :2])))
     rec.add("w_blocks_equal", max(_mx(what - w[..., :2, :2]), _mx(what - w[..., 2:, 2:])))
     rec.add("w_unitary", _mx(what @ dagger(what) - ID2))
-    for b in (basis, HelicityBasis()):
+    for b in _BASES:
         d = d_matrix(lams, first, b)
         rec.add("d_unitary", _mx(dagger(d) @ d - ID2))
     # rotations: D independent of momentum; 5 rotations against all momenta, (5, n, 2, 2)
@@ -597,8 +615,7 @@ def suite_kernels(samples: int, seed: int, mass: float):
     ek = e[:, None, None, None]
     # one time per momentum; central_gradient makes the four shifted times of each
     times = np.full((len(e), 1), t)
-    qt = _per_component(q)
-    for basis in (CommonBasis(), HelicityBasis()):
+    for basis in _BASES:
         for name, ker in KERNEL_CATALOG.items():
             kv = ker(q, t, basis)
             rec.add(f"{name}_matches_machinery", _mx(kv - ker.from_offdiag(q, t, basis)), 1e-10)
@@ -607,8 +624,12 @@ def suite_kernels(samples: int, seed: int, mass: float):
                 f"{name}_modulus_static",
                 _mx(np.abs(kv) - np.abs(ker(q, 1.7, basis))),
             )
-            # FD time derivative against 2iE K, relative per momentum
-            dk = central_gradient(lambda tt: ker(qt, tt[..., 0], basis), times, 1e-6 / e)[:, 0]
+            # FD time derivative against 2iE K, relative per momentum; the shifted
+            # times (n, 4) go in as a (4, n) stack against q itself, whose pair
+            # frame is memoized, not against a new (n, 1) batch
+            dk = central_gradient(
+                lambda tt: np.swapaxes(ker(q, tt[..., 0].T, basis), 0, 1), times, 1e-6 / e
+            )[:, 0]
             err = np.max(np.abs(dk - 2j * ek * kv), axis=(-3, -2, -1))
             scale = np.maximum(np.max(np.abs(2j * ek * kv), axis=(-3, -2, -1)), 1e-30)
             rec.add(f"{name}_time_derivative", np.max(err / scale), TOL_FD)

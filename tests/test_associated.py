@@ -20,9 +20,9 @@ from diracmr.associated import (
     matrix_elements_offdiag,
 )
 from diracmr.operators import OPERATOR_CATALOG, auxiliary_spins
-from diracmr.polarization import CommonBasis, HelicityBasis
+from diracmr.polarization import CommonBasis, HelicityBasis, PoleError
 from diracmr.sampling import make_rng, sample_momenta
-from diracmr.spinors import rest_u_matrix, rest_v_matrix
+from diracmr.spinors import rest_u_matrix, rest_v_matrix, u_matrix, v_matrix
 from diracmr.verify import TOL_FD_COMM, run_suite
 
 TOL = 1e-12
@@ -153,6 +153,49 @@ def test_sandwiches_match_boost_sandwich_form_across_regimes():
                 size = np.maximum(np.max(np.abs(ref), axis=(-3, -2, -1)), 1.0)
                 worst = max(worst, float(np.max(err / (size * bound))))
     assert worst <= 1.0, worst
+
+
+def _chain(left, a, right):
+    """left^+ A right as a broadcast matmul chain (..., 1, 2, 4) @ (..., k, 4, 4) @
+    (..., 1, 4, 2): the reference for the frame contraction of the images."""
+    return dagger(left)[..., None, :, :] @ a @ right[..., None, :, :]
+
+
+_DIRECTIONS = np.array([[0.3, -0.5, 0.8], [-0.6, 0.2, 0.1], [0.1, 0.9, -0.4]])
+
+
+@pytest.mark.parametrize("ratio", (1e-6, 1.0, 1e3, 1e6))
+@pytest.mark.parametrize("basis", BASES, ids=("common", "helicity"))
+def test_images_match_the_matmul_chain(basis, ratio):
+    # each image is a sum of 16 terms A_ij conj(left_ia) right_jb with unit spinor
+    # columns, so it meets the chain within 16 eps max|A|, A at p and at -p
+    m = 1.3
+    q = Momentum(ratio * m * _DIRECTIONS / np.linalg.norm(_DIRECTIONS, axis=-1)[:, None], m)
+    u, v, vm = u_matrix(basis, q), v_matrix(basis, q), v_matrix(basis, q.flipped())
+    for name, op in OPERATOR_CATALOG.items():
+        a, a_flipped = op(q), op(q.flipped())
+        plus, minus = matrix_elements_diag(op, q, basis)
+        pm, mp = matrix_elements_offdiag(op, q, 0.0, basis)  # a phase of exactly 1
+        refs = (
+            _chain(u, a, u),
+            np.swapaxes(_chain(v, a_flipped, v), -1, -2),
+            _chain(u, a, vm),
+            _chain(vm, a, u),
+        )
+        bound = 16 * np.finfo(float).eps * max(mx(a), mx(a_flipped))
+        for got, ref in zip((plus, minus, pm, mp), refs):
+            assert got.shape == ref.shape, name
+            assert mx(got - ref) <= bound, (name, mx(got - ref) / bound)
+
+
+def test_diagonal_images_need_the_spinors_at_p_only():
+    # along +e3 the helicity chart is singular at -p, which only A~(+-) and A~(-+) read
+    q, basis = Momentum(np.array([0.0, 0.0, 0.7]), 1.0), HelicityBasis()
+    spin = OPERATOR_CATALOG["pryce_e_spin"]
+    plus, minus = matrix_elements_diag(spin, q, basis)
+    assert mx(plus - basis.sigma(q.p) / 2) < TOL and mx(minus + plus) < TOL
+    with pytest.raises(PoleError):
+        matrix_elements_offdiag(spin, q, 0.0, basis)
 
 
 def test_wave_spinor_gradients():

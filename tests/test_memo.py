@@ -1,13 +1,14 @@
 """The per-owner batch memo: bases, mode spinors, Fourier operators, the
-kernels' pair frame, operator coefficients and wave spinors each evaluate a
-momentum batch once, and a memoized result is the fresh evaluation bit for bit."""
+image frames, the kernels' pair frame, operator coefficients and wave spinors
+each evaluate a momentum batch once, and a memoized result is the fresh
+evaluation bit for bit; the verify suites of one seed share their draws."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from diracmr import associated, operators, verify
+from diracmr import associated, operators, spinors, verify
 from diracmr.algebra import (
     MEMO_BATCHES,
     MEMO_MAX_MOMENTA,
@@ -22,6 +23,8 @@ from diracmr.associated import (
     AssociatedFamily,
     Jet,
     WaveSpinor,
+    _diag_frames,
+    _offdiag_frames,
     _pair_bilinears,
     gaussian_test_spinor,
 )
@@ -66,6 +69,8 @@ OWNERS = {
     "gradient": (lambda k: gaussian_test_spinor(make_rng(3)), lambda s, p: s.gradient(p)),
     "gradient_fd": (lambda k: _value_only_spinor(), lambda s, p: s.gradient(p)),
     "pair_frame": (make_basis, _pair_bilinears),
+    "diag_frames": (make_basis, lambda b, p: _diag_frames(b, Momentum(p, MASS))),
+    "offdiag_frames": (make_basis, lambda b, p: _offdiag_frames(b, Momentum(p, MASS))),
     **{
         f"operator_{name}": (_fresh_operator(name), lambda op, p: op(Momentum(p, MASS)))
         for name in OPERATOR_CATALOG
@@ -296,3 +301,69 @@ def test_kernels_suite_evaluates_the_projectors_once_each(monkeypatch):
     results = verify.run_suite("kernels", 20, 13)
     assert results and all(r.passed for r in results)
     assert len(calls) == 2
+
+
+# the suites of one operation of the identities benchmark workload
+IDENTITIES = (
+    "clifford", "boosts", "projectors", "pryce_spin", "spin_types",
+    "pauli_lubanski", "associated", "kernels",
+)
+
+
+def test_identities_suites_draw_and_evaluate_each_batch_once(monkeypatch):
+    # seven of the eight suites draw momenta, two distinct draws between them
+    # (with and without avoid_poles); the Pryce(e) spin is read at three batches
+    # (p of each draw and -p of the avoid_poles one) and the mode spinors in two
+    # bases at p and -p of the avoid_poles draw: each is one evaluation
+    draws, spins, modes = [], [], []
+    draw, spin, rest_u = verify.sample_momenta, operators.pryce_e_spin, spinors.rest_u_matrix
+
+    def counted_draw(*args, **kwargs):
+        draws.append((args, kwargs))
+        return draw(*args, **kwargs)
+
+    def counted_spin(q):
+        spins.append((q.p.shape, q.p.tobytes(), q.m))
+        return spin(q)
+
+    def counted_rest_u(basis, p):  # one call per u_matrix evaluation
+        modes.append((id(basis), p.shape, p.tobytes()))
+        return rest_u(basis, p)
+
+    for name, entry in OPERATOR_CATALOG.items():  # fresh memos
+        monkeypatch.setitem(OPERATOR_CATALOG, name, FourierOperator(entry.func))
+    monkeypatch.setitem(OPERATOR_CATALOG, "pryce_e_spin", FourierOperator(counted_spin))
+    for module in (operators, associated, verify):  # every binding in the package
+        if vars(module).get("pryce_e_spin") is spin:
+            monkeypatch.setattr(module, "pryce_e_spin", counted_spin)
+    monkeypatch.setattr(verify, "sample_momenta", counted_draw)
+    monkeypatch.setattr(spinors, "rest_u_matrix", counted_rest_u)
+    verify._sampled.cache_clear()
+    for suite in IDENTITIES:
+        results = verify.run_suite(suite, 20, 11, 0.5)
+        assert results and all(r.passed for r in results)
+    assert len(draws) == 2
+    assert len(spins) == len(set(spins)) == 3
+    assert len(modes) == len(set(modes)) == 4
+
+
+@pytest.mark.parametrize("seed", (1, 3))
+def test_suites_give_the_same_residuals_in_either_order(seed):
+    # the suites share bases, catalog entries and draws; what one leaves in a
+    # memo is what the next would compute itself, so the order changes no bit
+    def residuals(names):
+        verify._sampled.cache_clear()
+        return {name: [(r.name, r.residual) for r in verify.run_suite(name, 20, seed)] for name in names}
+
+    forward = residuals(list(verify.SUITES))
+    assert residuals(reversed(list(verify.SUITES))) == forward
+
+
+def test_sampled_batch_is_drawn_once_and_read_only():
+    verify._sampled.cache_clear()
+    q = verify._sampled(20, 0.5, 11, avoid_poles=True)
+    assert verify._sampled(20, 0.5, 11, avoid_poles=True) is q
+    assert verify._sampled(20, 0.5, 11) is not q
+    expected = np.array([k.p for k in verify.sample_momenta(20, 0.5, 11, avoid_poles=True)])
+    assert np.array_equal(q.p, expected) and q.m == 0.5
+    assert not q.p.flags.writeable

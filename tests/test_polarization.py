@@ -99,10 +99,16 @@ def test_helicity_spinor_eigenvector():
 
 
 def test_sigma_matrices_common_basis():
-    # n = e3 gives the Pauli matrices themselves
-    basis = CommonBasis()
-    assert np.allclose(basis.sigma(None), PAULI, atol=1e-15)
-    assert np.allclose(basis.omega(None), 0.0)
+    # n = e3 gives the Pauli matrices themselves, at every momentum of a batch
+    basis, p = CommonBasis(), np.array([[0.3, -0.2, 0.8], [-1.5, 0.0, 2.0]])
+    assert basis.sigma(p).shape == (2, 3, 2, 2)
+    assert np.allclose(basis.sigma(p), PAULI, atol=1e-15)
+    assert np.allclose(basis.omega(p), 0.0)
+    # a memoized quantity takes only a momentum batch (..., 3)
+    with pytest.raises(ValueError, match=r"shape \(\.\.\., 3\), got \(\)"):
+        basis.sigma(None)
+    with pytest.raises(ValueError, match=r"shape \(\.\.\., 3\), got \(\)"):
+        HelicityBasis().xi(None)
 
 
 def test_sigma_matrices_helicity():

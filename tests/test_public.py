@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import diracmr
+from diracmr import verify
 from diracmr.algebra import Momentum
 from diracmr.associated import AssociatedFamily
 from diracmr.polarization import CommonBasis
@@ -82,6 +83,20 @@ def test_projectors_are_read_through_the_catalog():
     }
     assert ("operators", "") in callers
     assert {c for c in callers if c[0] != "verify"} <= allowed
+
+
+def test_verify_shares_its_bases_and_reads_operators_through_the_catalog():
+    # the two bases are made once, at module level, so their memos carry from
+    # suite to suite; production 4x4 operators come from the memoized entries
+    for basis in ("CommonBasis", "HelicityBasis", "make_basis"):
+        assert {c for c in _callers(basis) if c[0] == "verify"} <= {("verify", "")}, basis
+    for name in (
+        "dirac_hamiltonian", "pryce_e_spin", "n_operator", "projectors", "chakrabarti_spin",
+        "pauli_lubanski", "pc_spin", "auxiliary_spins",
+    ):
+        assert name not in vars(verify), name
+    # inside operators, too, the spin is read from its entry only
+    assert not _callers("pryce_e_spin")
 
 
 _PROFILE = IsotropicProfile(1.0, 2.0, 1.0).profile()
