@@ -185,6 +185,13 @@ GAMMA5 = np.diag([-1.0, -1.0, 1.0, 1.0]).astype(complex)
 
 # charge conjugation acting on conjugated spinors, v = C u*; C = C^-1
 CCONJ = 1j * GAMMA[2]
+# C is real, symmetric and anti-diagonal, C_{i, 3-i} = s_i; _C_SIGNS[i, j] = s_i s_j
+_C_SIGNS = np.outer(np.fliplr(CCONJ).diagonal().real, np.fliplr(CCONJ).diagonal().real)
+
+
+def charge_conjugate(a: np.ndarray) -> np.ndarray:
+    """A^c = C A^T C of a stack (..., 4, 4), (A^c)_ij = s_i s_j A_(3-j)(3-i), exactly."""
+    return _C_SIGNS * np.swapaxes(a[..., ::-1, ::-1], -1, -2)
 
 
 # SL(2,C) generators s^{mu nu} = (i/4)[gamma^mu, gamma^nu], stacked [mu, nu]

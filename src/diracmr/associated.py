@@ -10,9 +10,9 @@ over a component axis as in ``OPERATOR_CATALOG``, the Wigner little group in its
 2x2 Weyl block, the exact commutator of two associated operators over every
 component pair, and the closed-form oscillating (zitterbewegung) kernels.
 
-Each image of a 4x4 stack A (..., k, 4, 4) is likewise one contraction,
-left^+ A right = vec(A).F, with a spinor frame F[(i, j), (a, b)] =
-conj(left_ia) right_jb of the mode spinors, memoized on the basis per batch.
+Each image of a 4x4 stack A (..., k, 4, 4) is one contraction vec(A).F with a
+spinor frame memoized on the basis per batch, u/u at p or u(p)/v(-p); as v = C u*,
+A~(-) and A~(-+) are images of the charge conjugate C A(-p)^T C and of A^+.
 
 Each kernel is one coefficient map C(p), (..., k, 4), contracted with the one
 pair-bilinear frame B = (xi^+(p) sigma_j eta(-p), xi^+(p) eta(-p)):
@@ -37,6 +37,7 @@ from .algebra import (
     PAULI,
     Momentum,
     central_gradient,
+    charge_conjugate,
     contract,
     cross,
     dagger,
@@ -124,22 +125,16 @@ def _frame(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 
 
 @memoized
-def _diag_frames(basis: PolarizationBasis, q: Momentum) -> tuple[np.ndarray, np.ndarray]:
-    """The frames of A~(+) and A~(-): u/u and v/v of the mode spinors at p, the
-    latter stored (b, a) so that its image is (v^+ A v)^T.  ``@memoized`` on the
-    basis per momentum batch and mass; read-only."""
-    u, v = u_matrix(basis, q), v_matrix(basis, q)
-    vv = v.conj()[..., :, None, None, :] * v[..., None, :, :, None]  # (..., i, j, b, a)
-    return _frame(u, u), vv.reshape(vv.shape[:-4] + (16, 4))
+def _diag_frame(basis: PolarizationBasis, q: Momentum) -> np.ndarray:
+    """The u/u frame at p of A~(+) and (through A^c) A~(-); read-only."""
+    return _frame(u_matrix(basis, q), u_matrix(basis, q))
 
 
 @memoized
-def _offdiag_frames(basis: PolarizationBasis, q: Momentum) -> tuple[np.ndarray, np.ndarray]:
-    """The frames of A~(+-) and A~(-+): u(p)/v(-p) and v(-p)/u(p).  Apart from
-    ``_diag_frames``, so that the diagonal images need the spinors at p only;
-    ``@memoized`` on the basis per momentum batch and mass; read-only."""
-    u, vm = u_matrix(basis, q), v_matrix(basis, q.flipped())
-    return _frame(u, vm), _frame(vm, u)
+def _offdiag_frame(basis: PolarizationBasis, q: Momentum) -> np.ndarray:
+    """The u(p)/v(-p) frame of A~(+-) and (through A^+) A~(-+), apart from
+    ``_diag_frame`` so that the diagonal images need the spinors at p only."""
+    return _frame(u_matrix(basis, q), v_matrix(basis, q.flipped()))
 
 
 def _image(a: np.ndarray, frame: np.ndarray) -> np.ndarray:
@@ -149,32 +144,31 @@ def _image(a: np.ndarray, frame: np.ndarray) -> np.ndarray:
 
 
 def matrix_elements_diag(op, q: Momentum, basis: PolarizationBasis):
-    """Associated diagonal parts (A~(+), A~(-)) of a Fourier operator.
+    """Associated diagonal parts (A~(+), A~(-)) of a Fourier operator, (..., k, 2, 2).
 
     ``op`` maps momenta to (..., k, 4, 4) stacks, as the ``OPERATOR_CATALOG``
     entries do; a bare function works as well, and q may be a single momentum.
-    With the mode spinors u, v at p (``u_matrix``, ``v_matrix``),
-    A~(+) = u^+ A(p) u and A~(-) = (v^+ A(-p) v)^T, (..., k, 2, 2) stacks over
-    the operator components, each one contraction of A with a memoized frame
-    of ``_diag_frames``.
+    With v = C u*, A~(+) = u^+ A(p) u and A~(-) = (v^+ A(-p) v)^T = u^+ A^c u with
+    A^c = C A(-p)^T C (``charge_conjugate``), each one contraction with the u/u
+    frame at p: A~(-) = A~(+) for a C-even A (A^c = A), -A~(+) for a C-odd one.
     """
-    uu, vv = _diag_frames(basis, q)
-    return _image(op(q), uu), _image(op(q.flipped()), vv)
+    frame = _diag_frame(basis, q)
+    return _image(op(q), frame), _image(charge_conjugate(op(q.flipped())), frame)
 
 
 def matrix_elements_offdiag(op, q: Momentum, t, basis: PolarizationBasis):
     """Oscillating off-diagonal parts at time t, A~(+-) = exp(2iEt) u^+(p) A(p) v(-p)
-    and A~(-+) = exp(-2iEt) v^+(-p) A(p) u(p).
+    and A~(-+) = exp(-2iEt) v^+(-p) A(p) u(p) = (A~(+-)[A^+])^+.
 
-    Both oscillate with frequency 2E(p); for a Hermitian operator they are
-    mutual adjoints at every instant.  t broadcasts against the batch.  ``op``
-    and q are as for ``matrix_elements_diag``; each part is one contraction of
-    A(p) with a memoized frame of ``_offdiag_frames``.
+    Both oscillate with frequency 2E(p), mutual adjoints for a Hermitian A; t
+    broadcasts against the batch, and ``op`` and q are as for ``matrix_elements_diag``.
+    Both are one contraction of the stacked (A, A^+) with the u(p)/v(-p) frame.
     """
     phase = np.exp(2j * q.energy * t)[..., None, None, None]
-    uv, vu = _offdiag_frames(basis, q)
     a = op(q)
-    return phase * _image(a, uv), phase.conj() * _image(a, vu)
+    img = _image(np.concatenate((a, dagger(a)), axis=-3), _offdiag_frame(basis, q))
+    k = a.shape[-3]
+    return phase * img[..., :k, :, :], phase.conj() * dagger(img[..., k:, :, :])
 
 
 # ---------------------------------------------------------------------------

@@ -44,8 +44,8 @@ def dirac_hamiltonian(q: Momentum) -> np.ndarray:
 
 
 def projectors(q: Momentum) -> tuple[np.ndarray, np.ndarray]:
-    """Frequency projectors Pi_+/- = (1 +/- H_D/E)/2."""
-    nd = n_operator(q)
+    """Frequency projectors Pi_+/- = (1 +/- N)/2, N read from its catalog entry."""
+    nd = OPERATOR_CATALOG["n_op"](q)[..., 0, :, :]
     return 0.5 * (ID4 + nd), 0.5 * (ID4 - nd)
 
 
@@ -60,8 +60,8 @@ def projectors_boost_form(q: Momentum) -> tuple[np.ndarray, np.ndarray]:
 
 
 def n_operator(q: Momentum) -> np.ndarray:
-    """Frequency-sign operator N(p) = Pi_+ - Pi_- = H_D(p)/E(p); N^2 = 1."""
-    return dirac_hamiltonian(q) / _scalars(q.energy, 2)
+    """Frequency-sign operator N = Pi_+ - Pi_- = H_D/E, N^2 = 1; H_D from its catalog entry."""
+    return OPERATOR_CATALOG["h_dirac"](q)[..., 0, :, :] / _scalars(q.energy, 2)
 
 
 def pryce_e_spin(q: Momentum) -> np.ndarray:
@@ -171,16 +171,16 @@ def spin_type_operators(q: Momentum) -> dict[str, np.ndarray]:
     """Catalog of conserved spin-type operators and their commutator partners.
 
     The C partners are built from the Theta contractions; the cross identities
-    C_PC = (m^2/E^2) S_Fr and C_Fr = (E^2/m^2) S_PC are test targets.
+    C_PC = (m^2/E^2) S_Fr and C_Fr = (E^2/m^2) S_PC are test targets; S from the catalog.
     """
     e, m = _scalars(q.energy), q.m
     s_plus, s_minus = auxiliary_spins(q)
     return {
-        "S_Fr": frankel_spin(q),
+        "S_Fr": OPERATOR_CATALOG["frankel_spin"](q),
         "C_Fr": (e / m) * s_plus,
-        "S_PC": pc_spin(q),
+        "S_PC": OPERATOR_CATALOG["pc_spin"](q),
         "C_PC": (m / e) * s_minus,
-        "S_FG": fradkin_good_spin(q),
+        "S_FG": OPERATOR_CATALOG["fradkin_good"](q),
         "S_plus": s_plus,
         "S_minus": s_minus,
     }
@@ -225,9 +225,8 @@ class FourierOperator:
     """Momentum-space operator: evaluator q -> (..., k, 4, 4) stack,
     k = 1 for scalars, 3 for spatial vectors and 4 for four-vectors.
 
-    ``__call__`` is ``@memoized`` per momentum batch and mass, so every basis's
-    images and both matrix-element sandwiches of one batch share one
-    evaluation (the 4x4 operators do not depend on a basis); read-only.
+    ``__call__`` is ``@memoized`` per momentum batch and mass, so the images of one
+    batch in every basis share one evaluation (A does not depend on a basis); read-only.
     """
 
     func: Callable[[Momentum], np.ndarray]

@@ -34,6 +34,7 @@ from .algebra import (
     boost_for_momentum,
     boost_param,
     central_gradient,
+    charge_conjugate,
     contract,
     cross,
     dagger,
@@ -114,7 +115,7 @@ class _Recorder:
 
 
 def _mx(a) -> float:
-    return float(np.max(np.abs(a)))
+    return float(np.abs(a).max())
 
 
 def _comm(a, b):
@@ -348,6 +349,25 @@ def suite_pauli_lubanski(samples: int, seed: int, mass: float):
     return rec.results()
 
 
+# C-parity of the catalog entries, A^c = C A(-p)^T C = parity A(p), per component
+# where the components differ (W^0 is even, W^i odd); by A~(-)[A] = A~(+)[A^c] it
+# is the sign of the antiparticle image.  The projectors have none: N is odd, so
+# Pi_+^c = Pi_-, and the projector_*_image lines pin both of their images.
+C_PARITY = {
+    **dict.fromkeys(
+        ("h_dirac", "n_op", "pryce_e_spin", "chakrabarti", "frankel_spin", "pc_spin",
+         "spin_plus", "pauli_dirac_spin", "gamma5", "gamma0", "gamma0_gamma5"), -1
+    ),
+    **dict.fromkeys(("delta_x", "fradkin_good", "fw_generator"), 1),
+    "pauli_lubanski": (1, -1, -1, -1),
+}
+
+
+def _parity(name: str) -> np.ndarray:
+    """The C-parity of a catalog entry against its (..., k, a, b) stacks."""
+    return np.reshape(C_PARITY[name], (-1, 1, 1))
+
+
 def suite_associated(samples: int, seed: int, mass: float):
     rec = _Recorder("associated")
     q = _sampled(samples, mass, seed, avoid_poles=True)
@@ -374,22 +394,23 @@ def suite_associated(samples: int, seed: int, mass: float):
         rec.add("h_image", max(_mx(plus[:, 0] - energy), _mx(minus[:, 0] + energy)))
         plus, minus = images("pryce_e_spin")
         rec.add("spin_image", _mx(plus - s))
-        rec.add("spin_antiparticle_sign", _mx(minus + plus))
+        # each *_sign line: A~(-) = parity A~(+), the parity read from C_PARITY
+        rec.add("spin_antiparticle_sign", _mx(minus - _parity("pryce_e_spin") * plus))
         plus, minus = images("spin_plus")
         rec.add("spin_plus_image", _mx(plus - s_plus))
-        rec.add("spin_plus_sign", _mx(minus + plus))
+        rec.add("spin_plus_sign", _mx(minus - _parity("spin_plus") * plus))
         plus, minus = images("pauli_lubanski")
         rec.add("pl_time_image", _mx(plus[:, 0] - w0))
-        rec.add("pl_time_sign", _mx(minus[:, 0] - plus[:, 0]))
+        signed = minus - _parity("pauli_lubanski") * plus
+        rec.add("pl_time_sign", _mx(signed[:, 0]))
         rec.add("pl_space_image", _mx(plus[:, 1:] - w))
-        # even operator: antiparticle part carries the opposite sign
-        rec.add("pl_space_sign", _mx(minus[:, 1:] + plus[:, 1:]))
+        rec.add("pl_space_sign", _mx(signed[:, 1:]))
         plus, minus = images("delta_x")
         rec.add("delta_x_diagonal_image", _mx(plus + fam.boost_spin().mult_at(p) / ec))
-        rec.add("delta_x_sign", _mx(minus - plus))
+        rec.add("delta_x_sign", _mx(minus - _parity("delta_x") * plus))
         plus, minus = images("pauli_dirac_spin")
         rec.add("pauli_dirac_image", _mx(plus - (m / ec) * s_plus))
-        rec.add("pauli_dirac_sign", _mx(minus + plus))
+        rec.add("pauli_dirac_sign", _mx(minus - _parity("pauli_dirac_spin") * plus))
         plus, minus = images("gamma0")
         rec.add("scalar_charge_image", max(_mx(plus[:, 0] - (m / e) * ID2), _mx(minus[:, 0] + (m / e) * ID2)))
         plus, minus = images("gamma5")
@@ -412,6 +433,12 @@ def suite_associated(samples: int, seed: int, mass: float):
         d_omega = central_gradient(basis.omega, p, h)
         curv = d_omega - np.swapaxes(d_omega, 1, 2) + oj @ ok - ok @ oj
         rec.add("connection_flat", _mx(q.mag[:, None, None, None, None] ** 2 * curv), TOL_FD)
+    # the declared C-parities, the source of every *_sign line: relative to the
+    # entry's size at +-p, so the check is the same at every mass
+    for name in C_PARITY:
+        a, a_flipped = OPERATOR_CATALOG[name](q), OPERATOR_CATALOG[name](q.flipped())
+        dev = _mx(charge_conjugate(a_flipped) - _parity(name) * a)
+        rec.add("charge_conjugation_parity", dev / max(_mx(a), _mx(a_flipped)))
     return rec.results()
 
 

@@ -15,6 +15,7 @@ from diracmr.algebra import (
     SPIN,
     Momentum,
     boost_for_momentum,
+    charge_conjugate,
     dirac_adjoint_deviation,
     foldy_wouthuysen,
     lorentz_boost_matrix,
@@ -55,6 +56,16 @@ def test_gamma_index_and_gamma5():
 def test_charge_conjugation_is_involution():
     assert np.allclose(CCONJ, 1j * GAMMA[2])
     assert np.allclose(CCONJ @ CCONJ, ID4, atol=1e-15)
+
+
+def test_charge_conjugate_is_c_transpose_c_exactly():
+    # C is a real symmetric signed permutation, so C A^T C reorders A's entries
+    assert np.array_equal(CCONJ, CCONJ.T) and not np.any(CCONJ.imag)
+    assert np.array_equal(np.abs(CCONJ), np.fliplr(np.eye(4)))
+    rng = np.random.default_rng(71)
+    a = rng.standard_normal((5, 3, 4, 4)) + 1j * rng.standard_normal((5, 3, 4, 4))
+    assert np.array_equal(charge_conjugate(a), CCONJ @ np.swapaxes(a, -1, -2) @ CCONJ)
+    assert np.array_equal(charge_conjugate(charge_conjugate(a)), a)
 
 
 def test_sl2c_generators():

@@ -162,17 +162,27 @@ def _chain(left, a, right):
 
 
 _DIRECTIONS = np.array([[0.3, -0.5, 0.8], [-0.6, 0.2, 0.1], [0.1, 0.9, -0.4]])
+_RNG = np.random.default_rng(67)
+_GENERIC = _RNG.standard_normal((4, 4, 4)) + 1j * _RNG.standard_normal((4, 4, 4))
+
+
+def _generic(q):
+    """A bare (..., 1, 4, 4) function, p-dependent, non-Hermitian and of no definite
+    C-parity: A^c, A^+ and A share no part that a sign could carry."""
+    return (_GENERIC[0] + np.tensordot(q.p, _GENERIC[1:], axes=(-1, 0)))[..., None, :, :]
 
 
 @pytest.mark.parametrize("ratio", (1e-6, 1.0, 1e3, 1e6))
 @pytest.mark.parametrize("basis", BASES, ids=("common", "helicity"))
 def test_images_match_the_matmul_chain(basis, ratio):
     # each image is a sum of 16 terms A_ij conj(left_ia) right_jb with unit spinor
-    # columns, so it meets the chain within 16 eps max|A|, A at p and at -p
+    # columns, so it meets the chain within 16 eps max|A|, A at p and at -p; the
+    # chain's v-spinor sandwiches are the reference for A^c and A^+ of every entry
+    # and of an operator no symmetry ties to them
     m = 1.3
     q = Momentum(ratio * m * _DIRECTIONS / np.linalg.norm(_DIRECTIONS, axis=-1)[:, None], m)
     u, v, vm = u_matrix(basis, q), v_matrix(basis, q), v_matrix(basis, q.flipped())
-    for name, op in OPERATOR_CATALOG.items():
+    for name, op in (*OPERATOR_CATALOG.items(), ("generic", _generic)):
         a, a_flipped = op(q), op(q.flipped())
         plus, minus = matrix_elements_diag(op, q, basis)
         pm, mp = matrix_elements_offdiag(op, q, 0.0, basis)  # a phase of exactly 1

@@ -1,7 +1,8 @@
-"""The per-owner batch memo: bases, mode spinors, Fourier operators, the
-image frames, the kernels' pair frame, operator coefficients and wave spinors
-each evaluate a momentum batch once, and a memoized result is the fresh
-evaluation bit for bit; the verify suites of one seed share their draws."""
+"""The per-owner batch memo: bases, mode spinors, Fourier operators, the two
+image frames (u/u and u(p)/v(-p)), the kernels' pair frame, operator
+coefficients and wave spinors each evaluate a momentum batch once, and a
+memoized result is the fresh evaluation bit for bit; the verify suites of one
+seed share their draws."""
 
 import tracemalloc
 
@@ -23,8 +24,8 @@ from diracmr.associated import (
     AssociatedFamily,
     Jet,
     WaveSpinor,
-    _diag_frames,
-    _offdiag_frames,
+    _diag_frame,
+    _offdiag_frame,
     _pair_bilinears,
     gaussian_test_spinor,
 )
@@ -69,8 +70,8 @@ OWNERS = {
     "gradient": (lambda k: gaussian_test_spinor(make_rng(3)), lambda s, p: s.gradient(p)),
     "gradient_fd": (lambda k: _value_only_spinor(), lambda s, p: s.gradient(p)),
     "pair_frame": (make_basis, _pair_bilinears),
-    "diag_frames": (make_basis, lambda b, p: _diag_frames(b, Momentum(p, MASS))),
-    "offdiag_frames": (make_basis, lambda b, p: _offdiag_frames(b, Momentum(p, MASS))),
+    "diag_frames": (make_basis, lambda b, p: _diag_frame(b, Momentum(p, MASS))),
+    "offdiag_frames": (make_basis, lambda b, p: _offdiag_frame(b, Momentum(p, MASS))),
     **{
         f"operator_{name}": (_fresh_operator(name), lambda op, p: op(Momentum(p, MASS)))
         for name in OPERATOR_CATALOG
@@ -310,32 +311,53 @@ IDENTITIES = (
 )
 
 
+def _evicted_before_each_repeat(log) -> bool:
+    """Each batch of ``log`` is evaluated again only after MEMO_BATCHES newer
+    evaluations have pushed it out of its owner's first-in, first-out memo."""
+    last = {}
+    for i, key in enumerate(log):
+        if key in last and i - last[key] - 1 < MEMO_BATCHES:
+            return False
+        last[key] = i
+    return True
+
+
 def test_identities_suites_draw_and_evaluate_each_batch_once(monkeypatch):
     # seven of the eight suites draw momenta, two distinct draws between them
     # (with and without avoid_poles); the Pryce(e) spin is read at three batches
     # (p of each draw and -p of the avoid_poles one) and the mode spinors in two
-    # bases at p and -p of the avoid_poles draw: each is one evaluation
-    draws, spins, modes = [], [], []
-    draw, spin, rest_u = verify.sample_momenta, operators.pryce_e_spin, spinors.rest_u_matrix
+    # bases at p and -p of the avoid_poles draw: each is one evaluation.  H_D and
+    # the Pryce(c) spin are read only through their entries (by N, Pi+/-, the spin
+    # types and the C-parity check too): the Pryce(c) spin at three batches, once
+    # each; H_D at six, more than the 4-batch memo holds, so a batch is evaluated
+    # again only once it has been evicted
+    draws, modes = [], []
+    entry_logs = {"pryce_e_spin": [], "h_dirac": [], "pc_spin": []}
+    direct = []
+    draw, rest_u = verify.sample_momenta, spinors.rest_u_matrix
 
     def counted_draw(*args, **kwargs):
         draws.append((args, kwargs))
         return draw(*args, **kwargs)
 
-    def counted_spin(q):
-        spins.append((q.p.shape, q.p.tobytes(), q.m))
-        return spin(q)
+    def counted(log, fn):
+        def evaluate(q):
+            log.append((q.p.shape, q.p.tobytes(), q.m))
+            return fn(q)
+        return evaluate
 
     def counted_rest_u(basis, p):  # one call per u_matrix evaluation
         modes.append((id(basis), p.shape, p.tobytes()))
         return rest_u(basis, p)
 
     for name, entry in OPERATOR_CATALOG.items():  # fresh memos
-        monkeypatch.setitem(OPERATOR_CATALOG, name, FourierOperator(entry.func))
-    monkeypatch.setitem(OPERATOR_CATALOG, "pryce_e_spin", FourierOperator(counted_spin))
-    for module in (operators, associated, verify):  # every binding in the package
-        if vars(module).get("pryce_e_spin") is spin:
-            monkeypatch.setattr(module, "pryce_e_spin", counted_spin)
+        func = counted(entry_logs[name], entry.func) if name in entry_logs else entry.func
+        monkeypatch.setitem(OPERATOR_CATALOG, name, FourierOperator(func))
+    for fn in ("pryce_e_spin", "dirac_hamiltonian", "pc_spin"):
+        original = vars(operators)[fn]
+        for module in (operators, associated, verify):  # every binding in the package
+            if vars(module).get(fn) is original:
+                monkeypatch.setattr(module, fn, counted(direct, original))
     monkeypatch.setattr(verify, "sample_momenta", counted_draw)
     monkeypatch.setattr(spinors, "rest_u_matrix", counted_rest_u)
     verify._sampled.cache_clear()
@@ -343,8 +365,12 @@ def test_identities_suites_draw_and_evaluate_each_batch_once(monkeypatch):
         results = verify.run_suite(suite, 20, 11, 0.5)
         assert results and all(r.passed for r in results)
     assert len(draws) == 2
-    assert len(spins) == len(set(spins)) == 3
     assert len(modes) == len(set(modes)) == 4
+    assert not direct
+    spins, h, pc = entry_logs["pryce_e_spin"], entry_logs["h_dirac"], entry_logs["pc_spin"]
+    assert len(spins) == len(set(spins)) == 3
+    assert len(pc) == len(set(pc)) == 3
+    assert len(set(h)) == 6 and _evicted_before_each_repeat(h)
 
 
 @pytest.mark.parametrize("seed", (1, 3))

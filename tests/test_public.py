@@ -95,8 +95,23 @@ def test_verify_shares_its_bases_and_reads_operators_through_the_catalog():
         "pauli_lubanski", "pc_spin", "auxiliary_spins",
     ):
         assert name not in vars(verify), name
-    # inside operators, too, the spin is read from its entry only
-    assert not _callers("pryce_e_spin")
+    # inside operators, too, these are read from their entries only: N reads
+    # h_dirac, Pi+/- read n_op and the spin types read their entries
+    for name in (
+        "pryce_e_spin", "dirac_hamiltonian", "pc_spin", "frankel_spin", "fradkin_good_spin",
+    ):
+        assert not _callers(name), name
+
+
+def test_associated_images_read_two_frames():
+    # A~(-) and A~(-+) come from the u/u and u(p)/v(-p) frames through A^c and
+    # A^+, so v enters the images through the off-diagonal frame only
+    assert {c for c in _callers("v_matrix") if c[0] == "associated"} == {
+        ("associated", "_offdiag_frame")
+    }
+    assert {c for c in _callers("charge_conjugate") if c[0] != "verify"} == {
+        ("associated", "matrix_elements_diag")
+    }
 
 
 _PROFILE = IsotropicProfile(1.0, 2.0, 1.0).profile()
