@@ -156,6 +156,11 @@ def matrix_elements_diag(op, q: Momentum, basis: PolarizationBasis):
     return _image(op(q), frame), _image(charge_conjugate(op(q.flipped())), frame)
 
 
+def _offdiag_plus(a: np.ndarray, q: Momentum, t, basis: PolarizationBasis) -> np.ndarray:
+    """A~(+-) = exp(2iEt) u^+(p) A v(-p) of a stack A (..., k, 4, 4) at q."""
+    return np.exp(2j * q.energy * t)[..., None, None, None] * _image(a, _offdiag_frame(basis, q))
+
+
 def matrix_elements_offdiag(op, q: Momentum, t, basis: PolarizationBasis):
     """Oscillating off-diagonal parts at time t, A~(+-) = exp(2iEt) u^+(p) A(p) v(-p)
     and A~(-+) = exp(-2iEt) v^+(-p) A(p) u(p) = (A~(+-)[A^+])^+.
@@ -164,11 +169,9 @@ def matrix_elements_offdiag(op, q: Momentum, t, basis: PolarizationBasis):
     broadcasts against the batch, and ``op`` and q are as for ``matrix_elements_diag``.
     Both are one contraction of the stacked (A, A^+) with the u(p)/v(-p) frame.
     """
-    phase = np.exp(2j * q.energy * t)[..., None, None, None]
     a = op(q)
-    img = _image(np.concatenate((a, dagger(a)), axis=-3), _offdiag_frame(basis, q))
-    k = a.shape[-3]
-    return phase * img[..., :k, :, :], phase.conj() * dagger(img[..., k:, :, :])
+    pm, mp = np.split(_offdiag_plus(np.concatenate((a, dagger(a)), -3), q, t, basis), 2, axis=-3)
+    return pm, dagger(mp)
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +567,7 @@ class OscillatingKernel:
         self, q: Momentum, t, basis: PolarizationBasis
     ) -> np.ndarray:
         """Cross-oracle: the same kernel through the generic machinery."""
-        pm, _ = matrix_elements_offdiag(OPERATOR_CATALOG[self.parent], q, t, basis)
+        pm = _offdiag_plus(OPERATOR_CATALOG[self.parent](q), q, t, basis)
         return np.asarray(self.parent_scale(q))[..., None, None, None] * pm
 
     def phase_reference(self, q: Momentum, t, basis: PolarizationBasis) -> np.ndarray:
@@ -574,8 +577,7 @@ class OscillatingKernel:
         plus, minus = OPERATOR_CATALOG["projector_plus"](q), OPERATOR_CATALOG["projector_minus"](q)
         e = _energy(q)[..., None]
         u = np.exp(-1j * t * e) * plus + np.exp(1j * t * e) * minus
-        parent = OPERATOR_CATALOG[self.parent]
-        pm, _ = matrix_elements_offdiag(lambda k: dagger(u) @ parent(k) @ u, q, 0.0, basis)
+        pm = _offdiag_plus(dagger(u) @ OPERATOR_CATALOG[self.parent](q) @ u, q, 0.0, basis)
         return np.asarray(self.parent_scale(q))[..., None, None, None] * pm
 
 

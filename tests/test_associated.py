@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from diracmr import verify
 from diracmr.algebra import (
     CCONJ,
     EPS3,
     ID2,
     Momentum,
     boost_for_momentum,
+    central_gradient,
     dagger,
     theta_tensor,
 )
@@ -376,6 +378,41 @@ def test_appendix_b_small_momentum_near_pole(seed, mass):
     # quantities vary on the scale |p| there, so derivative steps must follow it
     results = run_suite("appendix_b", samples=1, seed=seed, mass=mass)
     assert [r.name for r in results if not r.passed] == []
+
+
+def _composite(op, spinor):
+    """Per-operator reference: the action of ``op`` on ``spinor`` as a wave spinor
+    whose gradient is a finite difference of that action, component axis first."""
+
+    def grad(k):
+        step = 1e-3 * np.linalg.norm(k, axis=-1)
+        return np.moveaxis(central_gradient(lambda x: op.apply(spinor, x), k, step), -2, 0)
+
+    return WaveSpinor(lambda k: np.moveaxis(op.apply(spinor, k), -2, 0), grad)
+
+
+@pytest.mark.parametrize("mass", [0.25, 1.0, 2.0])
+@pytest.mark.parametrize("samples", [1, 20])
+@pytest.mark.parametrize("seed", [1, 3, 7])
+def test_nested_commutators_match_per_pair_composites(seed, samples, mass):
+    # one stencil over the stacked actions of all members, each member applied
+    # once, against one composite per operator and two applies per pair
+    p = verify._sampled(min(samples, 20), mass, seed, lo=0.05, hi=2.0, avoid_poles=True).p[:2]
+    alpha = gaussian_test_spinor(make_rng(seed + 1), scale=max(mass, 1.0))
+    fam = AssociatedFamily(mass, HelicityBasis())
+    members = (
+        fam.angular(), fam.spin(), fam.boost_orbital(), fam.boost_spin(), fam.position(),
+        fam.position(t=0.8), fam.velocity(), fam.momentum(), fam.hamiltonian(),
+        fam.pauli_lubanski0(), fam.pauli_lubanski(), fam.position_pryce_c(),
+        fam.position_pryce_d(),
+    )
+    nested = verify._nested_commutators(members, alpha, p)
+    composites = [_composite(op, alpha) for op in members]
+    for a, ca in zip(members, composites):
+        for b, cb in zip(members, composites):
+            ab, ba = a.apply(cb, p), b.apply(ca, p)  # (kb, .., ka, 2), (ka, .., kb, 2)
+            want = np.moveaxis(ab, 0, -2) - np.moveaxis(ba, 0, -3)
+            assert np.array_equal(nested(a, b), want), (a.name, b.name)
 
 
 def test_pryce_cd_associated():
