@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import PAULI
+from .algebra import PAULI, read_only
 
 OBSERVABLES = (
     "H",
@@ -73,6 +73,30 @@ def _u_rows(dirs: np.ndarray) -> np.ndarray:
     return np.concatenate([np.ones((1, len(dirs))), dirs.T])
 
 
+def _phi_weight(n_phi: int) -> float:
+    return 2.0 * np.pi / n_phi
+
+
+@functools.lru_cache(maxsize=4)
+def _angular_rule(n_cos: int, n_phi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The angular factors of every grid of one shape, built once and read-only:
+    Gauss-Legendre weights in cos(theta), the unit directions and their 4x4 moment table."""
+    c, wc = np.polynomial.legendre.leggauss(n_cos)
+    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
+
+    sin_t = np.sqrt(1.0 - c**2)
+    dirs = np.empty((n_cos, n_phi, 3))
+    dirs[..., 0] = np.outer(sin_t, np.cos(phi))
+    dirs[..., 1] = np.outer(sin_t, np.sin(phi))
+    dirs[..., 2] = c[:, None]
+    dirs = dirs.reshape(-1, 3)
+    u = _u_rows(dirs)
+    wu = np.repeat(wc * _phi_weight(n_phi), n_phi) * u
+    # each entry is one pairwise sum over contiguous rows
+    moments = np.array([[np.sum(a * b) for b in u] for a in wu])
+    return read_only((wc, dirs, moments))
+
+
 @dataclass(frozen=True)
 class QuadratureGrid:
     """Product quadrature in spherical momentum coordinates: radial shells times directions.
@@ -83,7 +107,9 @@ class QuadratureGrid:
     uniform (trapezoidal, exact for trig polynomials) rule in phi give the
     n_cos * n_phi unit ``directions``, cos(theta) slowest, and
     ``direction_moments``, the 4x4 table sum_d w_d u u^T of u = (1, n) over
-    them: the direction integrals of 1, n_i and n_i n_j.
+    them: the direction integrals of 1, n_i and n_i n_j.  These three angular
+    factors depend on (n_cos, n_phi) alone: every grid of one shape shares
+    the same read-only arrays.
 
     ``nodes`` (N, 3), flattened radial slowest, and ``weights`` (N,), which
     include the p^2 Jacobian so that sum(w * f) approximates the d^3p integral
@@ -104,28 +130,12 @@ class QuadratureGrid:
 
     def __post_init__(self):
         r, wr = self.p_max * np.exp(_radial_rule(self.n_radial, -5.4))
-        c, wc = np.polynomial.legendre.leggauss(self.n_cos)
-        phi = 2.0 * np.pi * np.arange(self.n_phi) / self.n_phi
-
-        sin_t = np.sqrt(1.0 - c**2)
-        dirs = np.empty((self.n_cos, self.n_phi, 3))
-        dirs[..., 0] = np.outer(sin_t, np.cos(phi))
-        dirs[..., 1] = np.outer(sin_t, np.sin(phi))
-        dirs[..., 2] = c[:, None]
-        dirs = dirs.reshape(-1, 3)
-        u = _u_rows(dirs)
-        wu = np.repeat(wc * self._phi_weight, self.n_phi) * u
-        # each entry is one pairwise sum over contiguous rows
-        moments = np.array([[np.sum(a * b) for b in u] for a in wu])
+        wc, dirs, moments = _angular_rule(self.n_cos, self.n_phi)
         object.__setattr__(self, "radial_nodes", r)
         object.__setattr__(self, "radial_weights", wr)
         object.__setattr__(self, "cos_weights", wc)
         object.__setattr__(self, "directions", dirs)
         object.__setattr__(self, "direction_moments", moments)
-
-    @property
-    def _phi_weight(self) -> float:
-        return 2.0 * np.pi / self.n_phi
 
     @functools.cached_property
     def nodes(self) -> np.ndarray:
@@ -134,7 +144,7 @@ class QuadratureGrid:
     @functools.cached_property
     def weights(self) -> np.ndarray:
         r, wr = self.radial_nodes, self.radial_weights
-        return np.repeat(np.outer(wr * r**2, self.cos_weights) * self._phi_weight, self.n_phi)
+        return np.repeat(np.outer(wr * r**2, self.cos_weights) * _phi_weight(self.n_phi), self.n_phi)
 
     def integrate(self, values: np.ndarray) -> float | complex:
         # numpy reductions use pairwise summation: deterministic for a fixed grid
@@ -313,6 +323,21 @@ def _node_tables(grid: QuadratureGrid, phi: np.ndarray, gphi: np.ndarray):
     return moments, gradient.reshape(2, 3, -1)
 
 
+# the quadrature rows, in OBSERVABLES order: H, P, V and their components, then X and L
+_ROWS = tuple(name for name in OBSERVABLES if name[0] not in "SW")
+
+
+def _sums(shells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Q_h = sum of the radial shells (last axis); error |Q_h - Q_2h| (Q_2h = 2 odd shells) plus
+    the deepest shell s0 and its geometric tail s0 rho/(1 - rho), rho = s0/|s1|, inf if >= 1."""
+    shells = np.ascontiguousarray(shells)  # pairwise summation runs along contiguous rows only
+    q = shells.sum(axis=-1)
+    s0, s1 = np.abs(shells[..., 0]), np.abs(shells[..., 1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tail = np.where(s1 > s0, s0 * s0 / (s1 - s0), np.where(s0 != 0.0, np.inf, 0.0))
+    return q, np.abs(q - 2.0 * shells[..., 1::2].sum(axis=-1)) + s0 + tail
+
+
 class PacketStatistics:
     """Shell-moment engine for expectation values and dispersions.
 
@@ -336,6 +361,15 @@ class PacketStatistics:
     products of w_r r^2 R^2 and w_r r^2 R'^2 with the grid's
     ``direction_moments``, and its L terms are exactly 0; any other profile
     is evaluated once on the grid nodes and contracted with one matmul.
+
+    The engine stacks the c of all 15 quadrature rows into one
+    (rows, n_radial, 4) array when it is built and reads every mean and
+    second moment from one contraction each; ``report`` looks its row up,
+    and ``position_dispersion_at_time`` runs the three X~(t) rows through the
+    same routine.  Each row is centered before its second moment: with
+    mu = <A>/norm taken off slot 0 of c, the second moment is the dispersion
+    itself, and no <A>^2 cancels against it (disp X~ stays at rounding for
+    any x0).
     """
 
     def __init__(self, profile: PacketProfile, grid: QuadratureGrid):
@@ -349,37 +383,43 @@ class PacketStatistics:
         if any(np.iscomplexobj(v) for v in values):
             raise TypeError("packet profiles must be real-valued (phi and grad_phi)")
         self.moments, self.gradient = tables(grid, *values)
-        self._energy = np.sqrt(r**2 + profile.m**2)
-        self.norm, self._norm_error = self._sum(self.moments[:, 0, 0])
+        self._energy = e = np.sqrt(r**2 + profile.m**2)
+        self.norm = float(self.moments[:, 0, 0].sum())
         if not abs(self.norm - 1.0) <= 1e-6:  # also NaN
             raise NormalizationError(
                 f"profile norm on grid is {self.norm!r}, expected 1"
             )
+        c = np.zeros((len(_ROWS), grid.n_radial, 4))
+        g2 = np.zeros((len(_ROWS), grid.n_radial))
+        radial = {"H": e, "P": r, "V": r / e}
+        for k, name in enumerate(_ROWS[:9]):  # S = f(|p|) u_i, i the slot: 0 for H, P and V
+            c[k, :, int(name[1:] or 0)] = radial[name[0]]
+        c[9:12] = self._position_rows(0.0)  # X~ rows, then L~: c = |p| (0, e_i x x0)
+        c[12:, :, 1:] = r[:, None] * np.cross(np.eye(3), profile.x0)[:, None]
+        g2[9:] = self.gradient.reshape(6, -1)
+        self._table = self._statistics(c, g2)
 
     # -- helpers ---------------------------------------------------------
 
-    def _sum(self, shells: np.ndarray) -> tuple[float, float]:
-        """Q_h = sum of the radial shells; error |Q_h - Q_2h| (Q_2h = 2 odd shells) plus the
-        deepest shell s0 and its geometric tail s0 rho/(1 - rho), rho = s0/|s1|, inf if >= 1."""
-        q = float(shells.sum())
-        s0, s1 = abs(float(shells[0])), abs(float(shells[1]))
-        tail = s0 * s0 / (s1 - s0) if s1 > s0 else (math.inf if s0 else 0.0)
-        return q, abs(q - 2.0 * float(shells[1::2].sum())) + s0 + tail
+    def _statistics(self, c: np.ndarray, g2: np.ndarray):
+        """Means, dispersions and quadrature errors of the rows i G + S phi, S = c . u by shell,
+        from c (rows, n_radial, 4) and the shells g2 of w G^2 (rows, n_radial).
 
-    def _moments(self, c: np.ndarray, g2: np.ndarray | None = None) -> tuple[float, float, float]:
-        """Mean, dispersion and quadrature error of (i G + S phi), S = c . u by shell."""
-        mean, e_mean = self._sum(np.einsum("ak,ak->a", c, self.moments[:, :, 0]))
-        second, e_second = self._sum(np.einsum("ak,akl,al->a", c, self.moments, c))
-        if g2 is not None:
-            g2, e_g2 = self._sum(g2)
-            second, e_second = second + g2, e_second + e_g2
-        return mean, second - mean**2, max(e_mean, e_second + 2.0 * abs(mean) * e_mean)
+        The second moment is taken of S - mu, mu = mean/norm in slot 0: it is the dispersion
+        itself, with no mean^2 to cancel, and stationary in mu, so the mean's error enters it
+        at second order only."""
+        mean, e_mean = _sums(np.einsum("rak,ak->ra", c, self.moments[:, :, 0]))
+        c = c.copy()
+        c[..., 0] -= (mean / self.norm)[:, None]
+        disp, e_disp = _sums(np.einsum("rak,akl,ral->ra", c, self.moments, c) + g2)
+        return mean, disp, np.maximum(e_mean, e_disp)
 
-    def _position(self, i: int, t: float) -> np.ndarray:
-        """c of X~^i(t): x0^i in slot 0 and t |p|/E in slot i + 1."""
-        c = np.zeros((self.grid.n_radial, 4))
-        c[:, 0] = self.profile.x0[i]
-        c[:, i + 1] = t * self.grid.radial_nodes / self._energy
+    def _position_rows(self, t: float) -> np.ndarray:
+        """c of X~^1..3(t): x0^i in slot 0 and t |p|/E in slot i + 1."""
+        c = np.zeros((3, self.grid.n_radial, 4))
+        c[..., 0] = self.profile.x0[:, None]
+        i = np.arange(3)
+        c[i, :, i + 1] = t * self.grid.radial_nodes / self._energy
         return c
 
     # -- public ----------------------------------------------------------
@@ -395,16 +435,7 @@ class PacketStatistics:
             second = float(np.real(chi.conj() @ sm @ sm @ chi))
             disp, err = second - mean**2, 0.0
         else:
-            i = int(name[1:] or 0)  # slot of u = (1, n): 0 for H, P and V
-            r, e = self.grid.radial_nodes, self._energy
-            if name[0] == "X":
-                c, g2 = self._position(i - 1, 0.0), self.gradient[0, i - 1]
-            elif name[0] == "L":
-                c = np.outer(r, np.r_[0.0, np.cross(np.eye(3)[i - 1], self.profile.x0)])
-                g2 = self.gradient[1, i - 1]
-            else:
-                c, g2 = np.outer({"H": e, "P": r, "V": r / e}[name[0]], np.eye(4)[i]), None
-            mean, disp, err = self._moments(c, g2)
+            mean, disp, err = (float(v[_ROWS.index(name)]) for v in self._table)
         return StatisticsReport(
             name,
             mean,
@@ -417,8 +448,8 @@ class PacketStatistics:
         """disp(X~^i(t)) of X~(t) = X~ + t V~: the X rows with S = x0^i + t p^i/E."""
         if t < 0:
             raise ValueError("t must be nonnegative")
-        disp = [self._moments(self._position(i, t), self.gradient[0, i])[1] for i in range(3)]
-        return np.array([_clip_dispersion(d, f"X{i + 1}") for i, d in enumerate(disp)])
+        disp = self._statistics(self._position_rows(t), self.gradient[0])[1]
+        return np.array([_clip_dispersion(float(d), f"X{i + 1}") for i, d in enumerate(disp)])
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from diracmr.wavepacket import (
     PacketProfile,
     PacketStatistics,
     QuadratureGrid,
+    _angular_rule,
     _radial_rule,
     cone_filter,
     figure_data,
@@ -479,3 +480,115 @@ def test_derived_nodes_and_weights_match_eager_construction(args):
     assert grid.nodes.shape == nodes.shape and grid.nodes.tobytes() == nodes.tobytes()
     assert grid.weights.shape == w.shape and grid.weights.tobytes() == w.tobytes()
     assert grid.nodes is grid.nodes  # derived once, then kept
+
+
+@pytest.mark.parametrize("n_cos, n_phi", [(32, 64), (16, 32), (12, 24)])
+def test_angular_factors_built_once_per_shape(n_cos, n_phi, monkeypatch):
+    # the default, the packet CLI's and the wigner suite's angular shapes
+    leggauss, calls = np.polynomial.legendre.leggauss, []
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", lambda n: calls.append(n) or leggauss(n))
+    _angular_rule.cache_clear()
+    grids = [QuadratureGrid(p_max, n_r, n_cos, n_phi) for p_max, n_r in ((10.0, 40), (41.5, 200))]
+    assert calls == [n_cos]
+    # the angular factors built eagerly, expression for expression, as QuadratureGrid once did
+    c, wc = leggauss(n_cos)
+    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
+    sin_t = np.sqrt(1.0 - c**2)
+    dirs = np.empty((n_cos, n_phi, 3))
+    dirs[..., 0] = np.outer(sin_t, np.cos(phi))
+    dirs[..., 1] = np.outer(sin_t, np.sin(phi))
+    dirs[..., 2] = c[:, None]
+    dirs = dirs.reshape(-1, 3)
+    u = np.concatenate([np.ones((1, len(dirs))), dirs.T])
+    wu = np.repeat(wc * (2.0 * np.pi / n_phi), n_phi) * u
+    moments = np.array([[np.sum(a * b) for b in u] for a in wu])
+    for name, want in (("cos_weights", wc), ("directions", dirs), ("direction_moments", moments)):
+        a, b = (getattr(g, name) for g in grids)
+        assert a is b and not a.flags.writeable, name
+        assert a.shape == want.shape and a.tobytes() == want.tobytes(), name
+
+
+def _row_sums(shells):
+    # the engine's shell sum and its error estimate, one row at a time
+    q = float(shells.sum())
+    s0, s1 = abs(float(shells[0])), abs(float(shells[1]))
+    tail = s0 * s0 / (s1 - s0) if s1 > s0 else (math.inf if s0 else 0.0)
+    return q, abs(q - 2.0 * float(shells[1::2].sum())) + s0 + tail
+
+
+def _row_statistics(eng, c, g2):
+    """Mean, dispersion and quadrature error of one row i G + S phi, S = c . u, centered."""
+    mean, e_mean = _row_sums(np.einsum("ak,ak->a", c, eng.moments[:, :, 0]))
+    c = c.copy()
+    c[:, 0] -= mean / eng.norm
+    disp, e_disp = _row_sums(np.einsum("ak,akl,al->a", c, eng.moments, c) + g2)
+    return mean, disp, max(e_mean, e_disp)
+
+
+def _row(eng, name, t=0.0):
+    """c and the shells of w G^2 of one quadrature row, built on its own."""
+    r, x0 = eng.grid.radial_nodes, eng.profile.x0
+    e = np.sqrt(r**2 + eng.profile.m**2)
+    c, g2 = np.zeros((len(r), 4)), np.zeros(len(r))
+    i = int(name[1:] or 0)
+    if name[0] == "X":
+        c[:, 0], c[:, i] = x0[i - 1], t * r / e
+        g2 = eng.gradient[0, i - 1]
+    elif name[0] == "L":
+        c[:, 1:] = np.outer(r, np.cross(np.eye(3)[i - 1], x0))
+        g2 = eng.gradient[1, i - 1]
+    else:
+        c[:, i] = {"H": e, "P": r, "V": r / e}[name[0]]
+    return c, g2
+
+
+@pytest.mark.parametrize(
+    "source, grid",
+    [
+        ("shell", QuadratureGrid(41.5, 48, 8, 16)),
+        ("shell", QuadratureGrid(41.5, 120, 16, 32)),
+        ("node", QuadratureGrid(12.0, 60, 16, 32)),
+        ("node", QuadratureGrid(10.0, 48, 12, 24)),
+    ],
+)
+def test_stacked_rows_match_per_row_evaluation(source, grid):
+    # isotropic profile: shell tables; anisotropic Gaussian: node tables
+    if source == "shell":
+        prof = make_isotropic(1.3, 2.2, 1.0).profile(theta_s=0.7, x0=(0.3, -0.8, 0.5))
+    else:
+        prof = gaussian_profile()
+    eng = PacketStatistics(prof, grid)
+    quadrature = [name for name in OBSERVABLES if name[0] not in "SW"]
+    assert len(quadrature) == 15
+    for name in quadrature:
+        rep = eng.report(name)
+        mean, disp, err = _row_statistics(eng, *_row(eng, name))
+        assert (rep.expectation, rep.dispersion, rep.quad_error) == (mean, disp, err), name
+    for t in (0.0, 2.5):
+        want = [_row_statistics(eng, *_row(eng, f"X{i}", t))[1] for i in (1, 2, 3)]
+        assert eng.position_dispersion_at_time(t).tolist() == want, t
+
+
+@pytest.mark.parametrize("x", [1e2, 1e4, 1e6])
+def test_centered_position_dispersion_far_from_origin(x):
+    # disp X~ does not depend on x0; as second - mean^2 it read 0.16748 at x = 1e6, 8.1e-4
+    # off 1/6 and beyond its quad_error.  Centered, the probe reads 1.7e-15 relative at every x.
+    iso = make_isotropic(1.0, 2.0, 1.0)
+    want = iso.gamma**2 / (6.0 * (iso.a - 1.0))
+    rows = {r.observable: r for r in packet_reports(iso, 0.0, (x, 0.3 * x, -0.7 * x))}
+    for name in ("X1", "X2", "X3"):
+        r = rows[name]
+        err = abs(r.dispersion - want)
+        assert err <= 1e-12 * want, (name, r.dispersion)
+        # beyond a rounding floor of 1e-14 relative, the row's quad_error bounds its error
+        assert err <= max(r.quad_error, 1e-14 * want), (name, err, r.quad_error)
+
+
+@pytest.mark.parametrize("gamma, pbar", [(0.7, 3.1), (1.0, 5.0)])
+def test_massless_velocity_dispersion_is_zero_without_warning(gamma, pbar):
+    # |V~| = |p|/E = 1 at m = 0: centered, S - <S> is 0 on every shell, where
+    # second - mean^2 read -1.6e-15 and -2.0e-15 and was clipped with a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reps = packet_reports(make_isotropic(gamma, pbar, 0.0), 0.4, (0.3, -0.2, 0.5))
+    assert {r.observable: r for r in reps}["V"].dispersion == 0.0
