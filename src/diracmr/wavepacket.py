@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -78,6 +78,12 @@ def _phi_weight(n_phi: int) -> float:
 
 
 @functools.lru_cache(maxsize=4)
+def _unit_radial_rule(n: int) -> np.ndarray:
+    """Nodes and weights (rows) of the radial rule on (0, 1] down to t = -5.4, read-only."""
+    return read_only(np.exp(_radial_rule(n, -5.4)))
+
+
+@functools.lru_cache(maxsize=4)
 def _angular_rule(n_cos: int, n_phi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The angular factors of every grid of one shape, built once and read-only:
     Gauss-Legendre weights in cos(theta), the unit directions and their 4x4 moment table."""
@@ -109,7 +115,8 @@ class QuadratureGrid:
     ``direction_moments``, the 4x4 table sum_d w_d u u^T of u = (1, n) over
     them: the direction integrals of 1, n_i and n_i n_j.  These three angular
     factors depend on (n_cos, n_phi) alone: every grid of one shape shares
-    the same read-only arrays.
+    the same read-only arrays.  The radial rule on (0, 1] is likewise kept
+    per n_radial and scaled by p_max.
 
     ``nodes`` (N, 3), flattened radial slowest, and ``weights`` (N,), which
     include the p^2 Jacobian so that sum(w * f) approximates the d^3p integral
@@ -129,7 +136,7 @@ class QuadratureGrid:
     direction_moments: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        r, wr = self.p_max * np.exp(_radial_rule(self.n_radial, -5.4))
+        r, wr = self.p_max * _unit_radial_rule(self.n_radial)
         wc, dirs, moments = _angular_rule(self.n_cos, self.n_phi)
         object.__setattr__(self, "radial_nodes", r)
         object.__setattr__(self, "radial_weights", wr)
@@ -325,6 +332,12 @@ def _node_tables(grid: QuadratureGrid, phi: np.ndarray, gphi: np.ndarray):
 
 # the quadrature rows, in OBSERVABLES order: H, P, V and their components, then X and L
 _ROWS = tuple(name for name in OBSERVABLES if name[0] not in "SW")
+# the spin rows' operators: S_i = sigma_i / 2, and Ws = S3 in the common basis along e3
+_SPIN = {
+    name: 0.5 * PAULI[2 if name == "Ws" else int(name[1]) - 1]
+    for name in OBSERVABLES
+    if name[0] in "SW"
+}
 
 
 def _sums(shells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -362,10 +375,14 @@ class PacketStatistics:
     ``direction_moments``, and its L terms are exactly 0; any other profile
     is evaluated once on the grid nodes and contracted with one matmul.
 
-    The engine stacks the c of all 15 quadrature rows into one
-    (rows, n_radial, 4) array when it is built and reads every mean and
-    second moment from one contraction each; ``report`` looks its row up,
-    and ``position_dispersion_at_time`` runs the three X~(t) rows through the
+    The engine stacks the c of all 15 quadrature rows shell-major, into one
+    (n_radial, rows, 4) array, when it is built.  Every mean is one einsum
+    against the moments' first column; every second moment is one batched
+    matmul, a (rows, 4) x (4, 4) product per shell, and one row-wise dot
+    product.  The rows, and the four spin rows (2x2 closed forms in chi),
+    are kept as Python floats: ``report`` looks its row up and builds its
+    one ``StatisticsReport``, with the closed forms it is given.
+    ``position_dispersion_at_time`` runs the three X~(t) rows through the
     same routine.  Each row is centered before its second moment: with
     mu = <A>/norm taken off slot 0 of c, the second moment is the dispersion
     itself, and no <A>^2 cancels against it (disp X~ stays at rounding for
@@ -389,59 +406,69 @@ class PacketStatistics:
             raise NormalizationError(
                 f"profile norm on grid is {self.norm!r}, expected 1"
             )
-        c = np.zeros((len(_ROWS), grid.n_radial, 4))
+        c = np.zeros((grid.n_radial, len(_ROWS), 4))
         g2 = np.zeros((len(_ROWS), grid.n_radial))
         radial = {"H": e, "P": r, "V": r / e}
         for k, name in enumerate(_ROWS[:9]):  # S = f(|p|) u_i, i the slot: 0 for H, P and V
-            c[k, :, int(name[1:] or 0)] = radial[name[0]]
-        c[9:12] = self._position_rows(0.0)  # X~ rows, then L~: c = |p| (0, e_i x x0)
-        c[12:, :, 1:] = r[:, None] * np.cross(np.eye(3), profile.x0)[:, None]
+            c[:, k, int(name[1:] or 0)] = radial[name[0]]
+        c[:, 9:12] = self._position_rows(0.0)  # X~ rows, then L~: c = |p| (0, e_i x x0)
+        x1, x2, x3 = profile.x0
+        skew = np.array([[0.0, -x3, x2], [x3, 0.0, -x1], [-x2, x1, 0.0]])  # row i: e_i x x0
+        c[:, 12:, 1:] = r[:, None, None] * skew
         g2[9:] = self.gradient.reshape(6, -1)
-        self._table = self._statistics(c, g2)
+        # every row as Python floats (mean, dispersion, quad_error), the spin rows' from chi
+        table = (v.tolist() for v in self._statistics(c, g2))
+        self._rows = dict(zip(_ROWS, zip(*table)))
+        chi = profile.chi
+        bra = chi.conj()
+        for name, sm in _SPIN.items():  # profile independent: no quadrature
+            mean = float(np.real(bra @ sm @ chi))
+            self._rows[name] = (mean, float(np.real(bra @ sm @ sm @ chi)) - mean**2, 0.0)
 
     # -- helpers ---------------------------------------------------------
 
     def _statistics(self, c: np.ndarray, g2: np.ndarray):
         """Means, dispersions and quadrature errors of the rows i G + S phi, S = c . u by shell,
-        from c (rows, n_radial, 4) and the shells g2 of w G^2 (rows, n_radial).
+        from c (n_radial, rows, 4) and the shells g2 of w G^2 (rows, n_radial).
 
         The second moment is taken of S - mu, mu = mean/norm in slot 0: it is the dispersion
         itself, with no mean^2 to cancel, and stationary in mu, so the mean's error enters it
         at second order only."""
-        mean, e_mean = _sums(np.einsum("rak,ak->ra", c, self.moments[:, :, 0]))
+        mean, e_mean = _sums(np.einsum("ark,ak->ra", c, self.moments[:, :, 0]))
         c = c.copy()
-        c[..., 0] -= (mean / self.norm)[:, None]
-        disp, e_disp = _sums(np.einsum("rak,akl,ral->ra", c, self.moments, c) + g2)
+        c[..., 0] -= mean / self.norm
+        # shell-major: one (rows, 4) x (4, 4) matmul per shell, then a dot product per row
+        disp, e_disp = _sums(np.einsum("ark,ark->ra", c @ self.moments, c) + g2)
         return mean, disp, np.maximum(e_mean, e_disp)
 
     def _position_rows(self, t: float) -> np.ndarray:
-        """c of X~^1..3(t): x0^i in slot 0 and t |p|/E in slot i + 1."""
-        c = np.zeros((3, self.grid.n_radial, 4))
-        c[..., 0] = self.profile.x0[:, None]
+        """c (n_radial, 3, 4) of X~^1..3(t): x0^i in slot 0 and t |p|/E in slot i + 1."""
+        c = np.zeros((self.grid.n_radial, 3, 4))
+        c[..., 0] = self.profile.x0
         i = np.arange(3)
-        c[i, :, i + 1] = t * self.grid.radial_nodes / self._energy
+        c[:, i, i + 1] = (t * self.grid.radial_nodes / self._energy)[:, None]
         return c
 
     # -- public ----------------------------------------------------------
 
-    def report(self, observable: str) -> StatisticsReport:
-        if observable not in OBSERVABLES:
+    def report(
+        self,
+        observable: str,
+        closed_expectation: float | None = None,
+        closed_dispersion: float | None = None,
+    ) -> StatisticsReport:
+        """The row of one observable, with the closed forms it is compared against, if any."""
+        if observable not in self._rows:
             raise KeyError(f"unknown observable {observable!r}")
-        name = observable
-        if name[0] in "SW":  # spin observables, profile independent: no quadrature
-            chi = self.profile.chi
-            sm = 0.5 * PAULI[2 if name == "Ws" else int(name[1]) - 1]
-            mean = float(np.real(chi.conj() @ sm @ chi))
-            second = float(np.real(chi.conj() @ sm @ sm @ chi))
-            disp, err = second - mean**2, 0.0
-        else:
-            mean, disp, err = (float(v[_ROWS.index(name)]) for v in self._table)
+        mean, disp, err = self._rows[observable]
         return StatisticsReport(
-            name,
+            observable,
             mean,
-            _clip_dispersion(disp, name),
-            float(np.sqrt(max(disp, 0.0))),
+            _clip_dispersion(disp, observable),
+            math.sqrt(max(disp, 0.0)),
             err,
+            closed_expectation,
+            closed_dispersion,
         )
 
     def position_dispersion_at_time(self, t: float) -> np.ndarray:
@@ -468,16 +495,36 @@ def _energy_statistics(iso: IsotropicProfile) -> tuple[float, float]:
     return mean_h, e2 - mean_h**2
 
 
+def _velocity_statistics(iso: IsotropicProfile) -> tuple[float, float]:
+    """(<V>, disp V) of the isotropic packet, V = |p|/E, from one log-space evaluation of its
+    radial density p^(2a-1) exp(-2 gamma p) on the radial rule, normalized there.
+
+    The rule spans g_integral's range plus ten standard deviations sqrt(2a)/(2 gamma) of p.
+    The dispersion is centered: sum w rho (U - <U>)^2 of U = 1 - V = m^2/(E(E + |p|)), which
+    is V - <V> without the cancellation of V near 1 (disp V is 1.8e-9 at a = 50, m = 1)."""
+    a, g, m = iso.a, iso.gamma, iso.m
+    p_max = (2 * a + 80.0 + 10.0 * math.sqrt(2 * a)) / (2 * g)
+    log_p, log_w = math.log(p_max) + _RADIAL_RULE
+    p = np.exp(log_p)
+    log_f = (2 * a - 1) * log_p - 2 * g * p + log_w
+    rho = np.exp(log_f - log_f.max())
+    rho /= rho.sum()
+    e = np.sqrt(p * p + m * m)
+    u = m * m / (e * (e + p))
+    mean_u = np.sum(rho * u)
+    return float(np.sum(rho * (p / e))), float(np.sum(rho * (u - mean_u) ** 2))
+
+
 def isotropic_closed_forms(iso: IsotropicProfile) -> dict[str, tuple]:
     """(expectation, dispersion) closed forms; None where no closed form is used."""
     a, g = iso.a, iso.gamma
-    mean_v, mean_v2 = _radial_mean(iso, 0.5, 0.5), _radial_mean(iso, 1.0, 0.0)
+    mean_v2 = _radial_mean(iso, 1.0, 0.0)
     disp_x = g**2 / (6.0 * (a - 1.0))
     disp_pi = (iso.pbar**2 + iso.pbar / (2 * g)) / 3.0
     out = {
         "H": _energy_statistics(iso),
         "P": (iso.pbar, iso.pbar / (2 * g)),
-        "V": (mean_v, mean_v2 - mean_v**2),
+        "V": _velocity_statistics(iso),
     }
     for i in "123":
         out["P" + i] = (0.0, disp_pi)
@@ -509,15 +556,9 @@ def packet_reports(
     eng = PacketStatistics(profile, grid)
     closed = isotropic_closed_forms(iso)
     closed.update(spin_closed_forms(theta_s))
-    x0 = np.asarray(x0, dtype=float)
-    out = []
-    for name in OBSERVABLES:
-        rep = eng.report(name)
-        ce, cd = closed.get(name, (None, None))
-        if name[0] == "X":
-            ce = float(x0[int(name[1]) - 1])
-        out.append(replace(rep, closed_expectation=ce, closed_dispersion=cd))
-    return out
+    for i, x in enumerate(profile.x0.tolist(), 1):
+        closed[f"X{i}"] = (x, closed[f"X{i}"][1])
+    return [eng.report(name, *closed.get(name, (None, None))) for name in OBSERVABLES]
 
 
 # ---------------------------------------------------------------------------
@@ -559,8 +600,7 @@ def radial_statistics(phi_rad: np.ndarray, r: np.ndarray, w: np.ndarray, m: floa
     out = {}
     for name, vals in (("H", e), ("P", r), ("V", r / e)):
         mean = float(np.sum(w * vals * dens))
-        second = float(np.sum(w * vals**2 * dens))
-        out[name] = (mean, second - mean**2)
+        out[name] = (mean, float(np.sum(w * (vals - mean) ** 2 * dens)))  # centered
     return out
 
 
@@ -616,6 +656,6 @@ def figure_data(
             mean_h, disp_h = _energy_statistics(iso)
             rows[k] = (qv, mean_h / e_bar, 2 * gamma * disp_h / iso.pbar)
         else:
-            mean_v, mean_v2 = _radial_mean(iso, 0.5, 0.5), _radial_mean(iso, 1.0, 0.0)
-            rows[k] = (qv, mean_v / (iso.pbar / e_bar), mean_v2 - mean_v**2)
+            mean_v, disp_v = _velocity_statistics(iso)
+            rows[k] = (qv, mean_v / (iso.pbar / e_bar), disp_v)
     return rows

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import inspect
 import math
 import tracemalloc
 import warnings
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from diracmr import wavepacket
 from diracmr.associated import AssociatedFamily, WaveSpinor
 from diracmr.polarization import CommonBasis
 from diracmr.wavepacket import (
@@ -18,8 +20,10 @@ from diracmr.wavepacket import (
     PacketProfile,
     PacketStatistics,
     QuadratureGrid,
+    StatisticsReport,
     _angular_rule,
     _radial_rule,
+    _unit_radial_rule,
     cone_filter,
     figure_data,
     g_integral,
@@ -306,6 +310,47 @@ def test_figure_data_shapes_and_limits():
     assert abs(f2[-1, 1] - 1.0) < 0.2
 
 
+def _velocity_reference(gamma, pbar, m=1.0):
+    """<V> and disp V of the isotropic packet from 40-digit mpmath quadratures."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        g, pb, m = mp.mpf(gamma), mp.mpf(pbar), mp.mpf(m)
+        split = [0, pb / 2, pb, 2 * pb, mp.inf]
+
+        def moment(f):
+            return mp.quad(lambda p: p ** (2 * g * pb - 1) * mp.exp(-2 * g * p) * f(p), split)
+
+        def v(p):
+            return p / mp.sqrt(p * p + m * m)
+
+        norm = moment(lambda p: 1)
+        mean = moment(v) / norm
+        return float(mean), float(moment(lambda p: (v(p) - mean) ** 2) / norm)
+
+
+@pytest.mark.parametrize("gamma, pbar", [(1.0, 5.0), (1.0, 50.0)])
+def test_centered_velocity_dispersion_against_mpmath(gamma, pbar):
+    # bounds fixed before measuring: 1e-12 relative for the closed forms; 1e-9 for the
+    # cone's radial statistics, whose rule stops at the packet's default p_max.  At (1, 50),
+    # disp V = 1.8e-9 and second - mean^2 read 3.5e-3 (closed form) and 2.5e-7 (radial) off.
+    mean, disp = _velocity_reference(gamma, pbar)
+    iso = make_isotropic(gamma, pbar, 1.0)
+    fig = figure_data(2, 1.0, 50.0, 49)[int(pbar) - 2]  # rows q = 2, ..., 50 at gamma_m = 1
+    assert fig[0] == pbar
+    closed = isotropic_closed_forms(iso)["V"]
+    _, phi_rad, r, w, _ = cone_filter(iso.profile(), (0.3, -0.2, 1.0), 0.05, iso.default_grid().p_max)
+    radial = radial_statistics(phi_rad, r, w, 1.0)["V"]
+    for got, want, bound in (
+        (closed[0], mean, 1e-12),
+        (closed[1], disp, 1e-12),
+        (fig[1] * pbar / math.hypot(pbar, 1.0), mean, 1e-12),
+        (fig[2], disp, 1e-12),
+        (radial[0], mean, 1e-9),
+        (radial[1], disp, 1e-9),
+    ):
+        assert abs(got - want) <= bound * want, (got, want, bound)
+
+
 def test_figure_data_guards():
     with pytest.raises(ValueError):
         figure_data(3)
@@ -508,6 +553,34 @@ def test_angular_factors_built_once_per_shape(n_cos, n_phi, monkeypatch):
         assert a.shape == want.shape and a.tobytes() == want.tobytes(), name
 
 
+def test_radial_rule_built_once_per_size(monkeypatch):
+    rule, calls = _radial_rule, []
+    monkeypatch.setattr(wavepacket, "_radial_rule", lambda n, t: calls.append((n, t)) or rule(n, t))
+    _unit_radial_rule.cache_clear()
+    grids = [make_isotropic(gamma, 3.0, 1.0).default_grid() for gamma in (1.0, 0.7)]
+    assert grids[0].p_max != grids[1].p_max
+    assert calls == [(200, -5.4)]
+    assert not _unit_radial_rule(200).flags.writeable
+    for grid in grids:  # the rule scaled per grid, bit for bit as the eager expression
+        r, wr = grid.p_max * np.exp(rule(200, -5.4))
+        assert grid.radial_nodes.tobytes() == r.tobytes()
+        assert grid.radial_weights.tobytes() == wr.tobytes()
+
+
+def test_packet_reports_build_each_row_once(monkeypatch):
+    init, built = StatisticsReport.__init__, []
+    monkeypatch.setattr(
+        StatisticsReport, "__init__", lambda self, *a, **k: built.append(self) or init(self, *a, **k)
+    )
+    reps = packet_reports(ISO, 0.4, (0.5, 0.0, 1.0), GRID)
+    assert len(built) == len(OBSERVABLES) == 19 and all(a is b for a, b in zip(built, reps))
+    # the closed forms go into the one construction; no row is copied to attach them
+    assert "replace" not in vars(wavepacket)
+    assert "dataclasses.replace" not in inspect.getsource(wavepacket)
+    rows = {r.observable: r for r in reps}
+    assert rows["X3"].closed_expectation == 1.0 and rows["L1"].closed_dispersion is None
+
+
 def _row_sums(shells):
     # the engine's shell sum and its error estimate, one row at a time
     q = float(shells.sum())
@@ -516,13 +589,34 @@ def _row_sums(shells):
     return q, abs(q - 2.0 * float(shells[1::2].sum())) + s0 + tail
 
 
-def _row_statistics(eng, c, g2):
-    """Mean, dispersion and quadrature error of one row i G + S phi, S = c . u, centered."""
+def _centered(eng, c):
+    """The row's mean and c (n_radial, 4) with mu = mean/norm taken off slot 0."""
     mean, e_mean = _row_sums(np.einsum("ak,ak->a", c, eng.moments[:, :, 0]))
     c = c.copy()
     c[:, 0] -= mean / eng.norm
-    disp, e_disp = _row_sums(np.einsum("ak,akl,al->a", c, eng.moments, c) + g2)
+    return mean, e_mean, c
+
+
+def _row_statistics(eng, c, g2, slot, rows):
+    """Mean, dispersion and quadrature error of one row i G + S phi, S = c . u, centered, its
+    second moment shell-major.  A lone (n_radial, 1, 4) row takes another matmul kernel than a
+    stacked one and differs in its last bits, so the row sits at its own slot of a zero stack
+    of the engine's height: 15 rows at build, 3 X~(t) rows at a time."""
+    mean, e_mean, c = _centered(eng, c)
+    stack = np.zeros((len(c), rows, 4))
+    stack[:, slot] = c
+    shells = np.einsum("ark,ark->ra", stack @ eng.moments, stack)[slot]
+    disp, e_disp = _row_sums(shells + g2)
     return mean, disp, max(e_mean, e_disp)
+
+
+def _row_dispersion_three_operand(eng, c, g2):
+    """The centered dispersion from one 3-operand einsum, and the row's sum of |terms|: every
+    product c_k M_kl c_l of every shell, and every shell of w G^2."""
+    c = _centered(eng, c)[2]
+    disp = _row_sums(np.einsum("ak,akl,al->a", c, eng.moments, c) + g2)[0]
+    terms = np.abs(c[:, :, None] * eng.moments * c[:, None, :]).sum() + np.abs(g2).sum()
+    return disp, terms
 
 
 def _row(eng, name, t=0.0):
@@ -560,13 +654,21 @@ def test_stacked_rows_match_per_row_evaluation(source, grid):
     eng = PacketStatistics(prof, grid)
     quadrature = [name for name in OBSERVABLES if name[0] not in "SW"]
     assert len(quadrature) == 15
-    for name in quadrature:
+    for slot, name in enumerate(quadrature):
         rep = eng.report(name)
-        mean, disp, err = _row_statistics(eng, *_row(eng, name))
+        mean, disp, err = _row_statistics(eng, *_row(eng, name), slot, 15)
         assert (rep.expectation, rep.dispersion, rep.quad_error) == (mean, disp, err), name
+        # the 3-operand einsum the engine took before agrees to rounding (bound fixed a priori)
+        old, terms = _row_dispersion_three_operand(eng, *_row(eng, name))
+        assert abs(rep.dispersion - old) <= 4e-16 * terms, (name, rep.dispersion, old, terms)
     for t in (0.0, 2.5):
-        want = [_row_statistics(eng, *_row(eng, f"X{i}", t))[1] for i in (1, 2, 3)]
-        assert eng.position_dispersion_at_time(t).tolist() == want, t
+        rows = [_row(eng, f"X{i}", t) for i in (1, 2, 3)]
+        want = [_row_statistics(eng, *row, slot, 3)[1] for slot, row in enumerate(rows)]
+        got = eng.position_dispersion_at_time(t).tolist()
+        assert got == want, t
+        for d, row in zip(got, rows):
+            old, terms = _row_dispersion_three_operand(eng, *row)
+            assert abs(d - old) <= 4e-16 * terms, (t, d, old, terms)
 
 
 @pytest.mark.parametrize("x", [1e2, 1e4, 1e6])
