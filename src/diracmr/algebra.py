@@ -165,9 +165,19 @@ def contract(v: np.ndarray, mats: np.ndarray) -> np.ndarray:
     return np.tensordot(v, mats, axes=(-1, 0))
 
 
+# (i + 1, i + 2) mod 3 for i = 0, 1, 2: the (j, k) of eps_ijk = +1
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
+
+
 def cross(p: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """(p ^ M)_i = eps_ijk p^j M_k for a stack M (..., 3, a, b) of three matrices."""
-    return np.einsum("ijk,...j,...kab->...iab", EPS3, p, mats)
+    """(p ^ M)_i = eps_ijk p^j M_k for a stack M (..., 3, a, b) of three matrices.
+
+    One broadcast product p^j M_k, read as p^(i+1) M_(i+2) - p^(i+2) M_(i+1); p
+    (..., 3) broadcasts against the stack's batch, and the result equals the eps_ijk
+    contraction bit for bit, whose other seven terms per row are exact zeros.  At a
+    single momentum it costs what the contraction did; on batches a fraction."""
+    pm = np.asarray(p)[..., :, None, None, None] * mats[..., None, :, :, :]
+    return pm[..., _NEXT, _PREV, :, :] - pm[..., _PREV, _NEXT, :, :]
 
 
 def _block(a, b, c, d) -> np.ndarray:

@@ -16,7 +16,7 @@ A~(-) and A~(-+) are images of the charge conjugate C A(-p)^T C and of A^+.
 
 Each kernel is one coefficient map C(p), (..., k, 4), contracted with the one
 pair-bilinear frame B = (xi^+(p) sigma_j eta(-p), xi^+(p) eta(-p)):
-K(t, p) = exp(2iEt) C.B.
+K(t, p) = exp(2iEt) C.B; a ``KernelTable`` forms C.B once for a stack of kernels.
 
 Associated operators are first order, alpha -> M(p) alpha + D_k(p) d~_k alpha,
 M = a0 + a.Sigma(p)/2 and d~_k = d_k + Omega_k.  Sigma is covariantly constant and
@@ -26,6 +26,7 @@ the connection flat, so a commutator is again first order and exact from the jet
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -550,7 +551,8 @@ class OscillatingKernel:
     (..., k, 2, 2); times t broadcast against the batch, so the phase law
     K(t, p) = exp(2iE(p)t) K(0, p) holds by construction.  ``parent_scale(q)``
     relates the kernel to the generic off-diagonal matrix elements:
-    kernel = parent_scale * A~(+-)(parent).
+    kernel = parent_scale * A~(+-)(parent).  Each method is the one-kernel
+    ``KernelTable``, so a kernel and its slice of a table share one formula.
     """
 
     coef: Callable[[Momentum], np.ndarray]
@@ -558,27 +560,94 @@ class OscillatingKernel:
     parent_scale: Callable[[Momentum], float] = lambda q: 1.0
 
     def __call__(self, q: Momentum, t, basis: PolarizationBasis) -> np.ndarray:
-        phase = np.exp(2j * q.energy * t)[..., None, None, None]
-        frame = _pair_bilinears(basis, q.p)
-        k = self.coef(q) @ frame.reshape(frame.shape[:-2] + (4,))  # C.B, each B_j flattened
-        return phase * k.reshape(k.shape[:-1] + (2, 2))
+        return KernelTable((self,), q, basis)(t)
 
     def from_offdiag(
         self, q: Momentum, t, basis: PolarizationBasis
     ) -> np.ndarray:
         """Cross-oracle: the same kernel through the generic machinery."""
-        pm = _offdiag_plus(OPERATOR_CATALOG[self.parent](q), q, t, basis)
-        return np.asarray(self.parent_scale(q))[..., None, None, None] * pm
+        return KernelTable((self,), q, basis).from_offdiag(t)
 
     def phase_reference(self, q: Momentum, t, basis: PolarizationBasis) -> np.ndarray:
         """The phase law's reference, which K(t, p) equals: parent_scale * A~(+-)
         at t = 0 of the parent evolved by U = exp(-iEt) Pi_+ + exp(iEt) Pi_-, with
         Pi_+/- read from the memoized ``OPERATOR_CATALOG`` entries."""
+        return KernelTable((self,), q, basis).phase_reference(t)
+
+
+@dataclass(frozen=True, eq=False)
+class KernelTable:
+    """A stack of kernels at one momentum batch and basis, their component rows
+    concatenated in order, (..., K, 2, 2); ``slices[i]`` holds kernels[i]'s rows.
+
+    C.B is formed once, over every coefficient row, and K at any times t (which
+    broadcast against the batch, e.g. (s, n) against (n,)) is exp(2iEt) C.B.  The
+    parents are one stacked (..., K, 4, 4) read of their catalog entries, so every
+    parent image is one ``_offdiag_plus``; the parents and their Heisenberg
+    evolution ``evolve`` do not depend on the basis.
+    """
+
+    kernels: tuple
+    q: Momentum
+    basis: PolarizationBasis
+
+    @functools.cached_property
+    def _coefs(self) -> list:
+        return [ker.coef(self.q) for ker in self.kernels]
+
+    @functools.cached_property
+    def slices(self) -> tuple[slice, ...]:
+        ends = np.cumsum([np.shape(c)[-2] for c in self._coefs]).tolist()
+        return tuple(slice(a, b) for a, b in zip([0] + ends, ends))
+
+    @functools.cached_property
+    def products(self) -> np.ndarray:
+        """C.B of every coefficient row, (..., K, 2, 2)."""
+        frame, batch = _pair_bilinears(self.basis, self.q.p), self.q.p.shape[:-1]
+        # a constant C (the pseudoscalar's) broadcast to the batch before its rows join
+        coef = np.concatenate([np.broadcast_to(c, batch + np.shape(c)[-2:]) for c in self._coefs], -2)
+        k = coef @ frame.reshape(frame.shape[:-2] + (4,))  # C.B, each B_j flattened
+        return k.reshape(k.shape[:-1] + (2, 2))
+
+    def __call__(self, t) -> np.ndarray:
+        """K(t, p) = exp(2iEt) C.B, (..., K, 2, 2)."""
+        return np.exp(2j * self.q.energy * t)[..., None, None, None] * self.products
+
+    @functools.cached_property
+    def parents(self) -> np.ndarray:
+        """The parents' catalog entries, (..., K, 4, 4); basis-free."""
+        return np.concatenate([OPERATOR_CATALOG[ker.parent](self.q) for ker in self.kernels], -3)
+
+    @functools.cached_property
+    def _scale(self) -> np.ndarray:
+        """Each row's parent_scale, (..., K, 1, 1)."""
+        batch, sizes = self.q.p.shape[:-1], (rows.stop - rows.start for rows in self.slices)
+        scales = [
+            np.broadcast_to(np.asarray(ker.parent_scale(self.q))[..., None], batch + (size,))
+            for ker, size in zip(self.kernels, sizes)
+        ]
+        return np.concatenate(scales, -1)[..., None, None]
+
+    def image(self, a: np.ndarray, t) -> np.ndarray:
+        """parent_scale * A~(+-) at t of a stack a (..., K, 4, 4) shaped as ``parents``."""
+        return self._scale * _offdiag_plus(a, self.q, t, self.basis)
+
+    def from_offdiag(self, t) -> np.ndarray:
+        """Cross-oracle: every kernel through the generic machinery."""
+        return self.image(self.parents, t)
+
+    def evolve(self, t) -> np.ndarray:
+        """The parents evolved to time t, U^+ A U with U = exp(-iEt) Pi_+ + exp(iEt) Pi_-
+        and Pi_+/- read from the memoized catalog entries; basis-free."""
+        q = self.q
         plus, minus = OPERATOR_CATALOG["projector_plus"](q), OPERATOR_CATALOG["projector_minus"](q)
         e = _energy(q)[..., None]
         u = np.exp(-1j * t * e) * plus + np.exp(1j * t * e) * minus
-        pm = _offdiag_plus(dagger(u) @ OPERATOR_CATALOG[self.parent](q) @ u, q, 0.0, basis)
-        return np.asarray(self.parent_scale(q))[..., None, None, None] * pm
+        return dagger(u) @ self.parents @ u
+
+    def phase_reference(self, t) -> np.ndarray:
+        """The phase law's reference of every kernel: ``image`` at t = 0 of ``evolve(t)``."""
+        return self.image(self.evolve(t), 0.0)
 
 
 KERNEL_CATALOG: dict[str, OscillatingKernel] = {

@@ -96,9 +96,14 @@ class PolarizationBasis:
 
     @memoized
     def sigma(self, p) -> np.ndarray:
-        """Sigma_i(p) = xi^+(p) sigma_i xi(p), shape (..., 3, 2, 2)."""
-        x = self.xi(p)[..., None, :, :]
-        return dagger(x) @ PAULI @ x
+        """Sigma_i(p) = xi^+(p) sigma_i xi(p), shape (..., 3, 2, 2), written out in
+        xi's entries: with o[r, s][a, b] = xi_ra* xi_sb, Sigma_1 = o[0, 1] + o[1, 0],
+        Sigma_2 = -i (o[0, 1] - o[1, 0]) and Sigma_3 = o[0, 0] - o[1, 1], from one
+        broadcast product (a matmul per momentum walks the 2x2 matrices one at a time)."""
+        xi = self.xi(p)
+        o = xi.conj()[..., :, None, :, None] * xi[..., None, :, None, :]
+        uv, vu = o[..., 0, 1, :, :], o[..., 1, 0, :, :]
+        return np.stack((uv + vu, -1j * (uv - vu), o[..., 0, 0, :, :] - o[..., 1, 1, :, :]), -3)
 
     def omega_fd(self, p, h: float) -> np.ndarray:
         """Connections Omega_i(p) = xi^+(p) d_{p^i} xi(p) by 4th-order central

@@ -50,6 +50,7 @@ from .algebra import (
 from .associated import (
     KERNEL_CATALOG,
     AssociatedFamily,
+    KernelTable,
     WaveSpinor,
     commutator,
     commutator_action,
@@ -368,11 +369,46 @@ def _parity(name: str) -> np.ndarray:
     return np.reshape(C_PARITY[name], (-1, 1, 1))
 
 
+# the entries whose diagonal images suite_associated checks, and the off-diagonal
+# pairings A~(-+) = s A~(+-)^+ of A^+ = s A (gamma0 gamma5, s = -1, tells A^+ from A)
+_DIAG_IMAGES = (
+    "projector_plus", "projector_minus", "n_op", "h_dirac", "pryce_e_spin", "spin_plus",
+    "pauli_lubanski", "delta_x", "pauli_dirac_spin", "gamma0", "gamma5",
+)
+_ADJOINT_SIGN = {
+    "h_dirac": 1, "pauli_dirac_spin": 1, "gamma0": 1, "delta_x": 1, "gamma0_gamma5": -1,
+}
+
+
+def _stacked(names):
+    """The memoized catalog entries ``names`` as one operator: q -> their (..., k, 4, 4)
+    stacks concatenated over the component axis in order, (..., K, 4, 4)."""
+    return lambda q: np.concatenate([OPERATOR_CATALOG[name](q) for name in names], -3)
+
+
+def _rows(names, q: Momentum) -> dict[str, slice]:
+    """Each entry's slice of the K rows of ``_stacked(names)``."""
+    ends = np.cumsum([OPERATOR_CATALOG[name](q).shape[-3] for name in names]).tolist()
+    return {n: slice(a, b) for n, a, b in zip(names, [0] + ends, ends)}
+
+
+def _per_row(values: dict, rows: dict[str, slice]) -> np.ndarray:
+    """The value of each entry of ``values`` (one, or one per component) on its rows,
+    (K, 1, 1); the entries must lead the stack, in order."""
+    return np.concatenate(
+        [np.broadcast_to(np.ravel(v), (rows[n].stop - rows[n].start,)) for n, v in values.items()]
+    )[:, None, None]
+
+
 def suite_associated(samples: int, seed: int, mass: float):
     rec = _Recorder("associated")
     q = _sampled(samples, mass, seed, avoid_poles=True)
     m, p = q.m, q.p
     e, ec = q.energy[:, None, None], q.energy[:, None, None, None]
+    off_names = (*_ADJOINT_SIGN, "pryce_e_spin")
+    diag_rows, off_rows = _rows(_DIAG_IMAGES, q), _rows(off_names, q)
+    signs = _per_row(_ADJOINT_SIGN, off_rows)  # the leading, paired rows
+    spin_rows = off_rows["pryce_e_spin"]
 
     for basis in _BASES:
         sg = basis.sigma(p)
@@ -381,8 +417,11 @@ def suite_associated(samples: int, seed: int, mass: float):
         energy, w0 = fam.hamiltonian().mult_at(p)[:, 0], fam.pauli_lubanski0().mult_at(p)[:, 0]
         s, s_plus, w = (op.mult_at(p) for op in (fam.spin(), fam.spin_plus(), fam.pauli_lubanski()))
 
+        # every image from one call over the stacked entries, each check on its rows
+        diag = matrix_elements_diag(_stacked(_DIAG_IMAGES), q, basis)
+
         def images(name):
-            return matrix_elements_diag(OPERATOR_CATALOG[name], q, basis)
+            return tuple(x[:, diag_rows[name]] for x in diag)
 
         plus, minus = images("projector_plus")
         rec.add("projector_plus_image", max(_mx(plus[:, 0] - ID2), _mx(minus[:, 0])))
@@ -415,13 +454,10 @@ def suite_associated(samples: int, seed: int, mass: float):
         rec.add("scalar_charge_image", max(_mx(plus[:, 0] - (m / e) * ID2), _mx(minus[:, 0] + (m / e) * ID2)))
         plus, minus = images("gamma5")
         rec.add("axial_charge_image", max(_mx(plus[:, 0] - 2 * w0 / e), _mx(minus[:, 0] + 2 * w0 / e)))
-        # A~(-+) = s A~(+-)^+ for A^+ = s A; gamma0 gamma5 (s = -1) tells A^+ from A
-        for nm, s in (("h_dirac", 1), ("pauli_dirac_spin", 1), ("gamma0", 1), ("delta_x", 1),
-                      ("gamma0_gamma5", -1)):
-            pm_, mp_ = matrix_elements_offdiag(OPERATOR_CATALOG[nm], q, 0.31, basis)
-            rec.add("offdiag_adjoint_pairing", _mx(s * dagger(pm_) - mp_))
-        pm_, mp_ = matrix_elements_offdiag(OPERATOR_CATALOG["pryce_e_spin"], q, 0.31, basis)
-        rec.add("pryce_spin_offdiag_vanishes", max(_mx(pm_), _mx(mp_)))
+        pm_, mp_ = matrix_elements_offdiag(_stacked(off_names), q, 0.31, basis)
+        paired = slice(len(signs))
+        rec.add("offdiag_adjoint_pairing", _mx(signs * dagger(pm_[:, paired]) - mp_[:, paired]))
+        rec.add("pryce_spin_offdiag_vanishes", max(_mx(pm_[:, spin_rows]), _mx(mp_[:, spin_rows])))
         # covariant derivative commutes with the spin matrices; FD step
         # matched to the scale Sigma varies on, the momentum itself (the
         # common basis's Sigma is constant, so its stencil is exactly 0)
@@ -436,11 +472,13 @@ def suite_associated(samples: int, seed: int, mass: float):
         curv = d_omega - np.swapaxes(d_omega, 1, 2) + oj @ ok - ok @ oj
         rec.add("connection_flat", _mx(q.mag[:, None, None, None, None] ** 2 * curv), TOL_FD)
     # the declared C-parities, the source of every *_sign line: relative to the
-    # entry's size at +-p, so the check is the same at every mass
-    for name in C_PARITY:
-        a, a_flipped = OPERATOR_CATALOG[name](q), OPERATOR_CATALOG[name](q.flipped())
-        dev = _mx(charge_conjugate(a_flipped) - _parity(name) * a)
-        rec.add("charge_conjugation_parity", dev / max(_mx(a), _mx(a_flipped)))
+    # entry's size at +-p, so the check is the same at every mass; one pass over all 15
+    rows, entries = _rows(C_PARITY, q), _stacked(C_PARITY)
+    a, a_flipped = entries(q), entries(q.flipped())
+    dev = charge_conjugate(a_flipped) - _per_row(C_PARITY, rows) * a
+    for r in rows.values():
+        size = max(_mx(a[:, r]), _mx(a_flipped[:, r]))
+        rec.add("charge_conjugation_parity", _mx(dev[:, r]) / size)
     return rec.results()
 
 
@@ -657,24 +695,27 @@ def suite_kernels(samples: int, seed: int, mass: float):
     ek = e[:, None, None, None]
     # one time per momentum; central_gradient makes the four shifted times of each
     times = np.full((len(e), 1), t)
-    for basis in _BASES:
-        for name, ker in KERNEL_CATALOG.items():
-            kv = ker(q, t, basis)
-            rec.add(f"{name}_matches_machinery", _mx(kv - ker.from_offdiag(q, t, basis)), 1e-10)
-            rec.add(f"{name}_phase_law", _mx(kv - ker.phase_reference(q, t, basis)))
-            rec.add(
-                f"{name}_modulus_static",
-                _mx(np.abs(kv) - np.abs(ker(q, 1.7, basis))),
-            )
-            # FD time derivative against 2iE K, relative per momentum; the shifted
-            # times (n, 4) go in as a (4, n) stack against q itself, whose pair
-            # frame is memoized, not against a new (n, 1) batch
-            dk = central_gradient(
-                lambda tt: np.swapaxes(ker(q, tt[..., 0].T, basis), 0, 1), times, 1e-6 / e
-            )[:, 0]
-            err = np.max(np.abs(dk - 2j * ek * kv), axis=(-3, -2, -1))
-            scale = np.maximum(np.max(np.abs(2j * ek * kv), axis=(-3, -2, -1)), 1e-30)
-            rec.add(f"{name}_time_derivative", np.max(err / scale), TOL_FD)
+    names = tuple(KERNEL_CATALOG)
+    tables = [KernelTable(tuple(KERNEL_CATALOG.values()), q, basis) for basis in _BASES]
+    evolved = tables[0].evolve(t)  # basis-free: one U^+ A U of the parents for both bases
+    for table in tables:
+        # every kernel at t, at 1.7 and at the shifted times from one C.B, (n, 14, 2, 2)
+        kv = table(t)
+        machinery, reference = table.from_offdiag(t), table.image(evolved, 0.0)
+        static = np.abs(kv) - np.abs(table(1.7))
+        # FD time derivative against 2iE K, relative per momentum; the shifted
+        # times (n, 4) go in as a (4, n) stack against q itself
+        dk = central_gradient(
+            lambda tt: np.swapaxes(table(tt[..., 0].T), 0, 1), times, 1e-6 / e
+        )[:, 0]
+        err = np.max(np.abs(dk - 2j * ek * kv), axis=(-2, -1))
+        scale = np.max(np.abs(2j * ek * kv), axis=(-2, -1))
+        for name, rows in zip(names, table.slices):
+            rec.add(f"{name}_matches_machinery", _mx(kv[:, rows] - machinery[:, rows]), 1e-10)
+            rec.add(f"{name}_phase_law", _mx(kv[:, rows] - reference[:, rows]))
+            rec.add(f"{name}_modulus_static", _mx(static[:, rows]))
+            rel = np.max(err[:, rows], axis=-1) / np.maximum(np.max(scale[:, rows], axis=-1), 1e-30)
+            rec.add(f"{name}_time_derivative", np.max(rel), TOL_FD)
     dd = decompose_diag_osc(GAMMA[0] @ GAMMA5, q)
     rec.add("pseudoscalar_diagonal_vanishes", max(_mx(dd[0]), _mx(dd[1])))
     return rec.results()

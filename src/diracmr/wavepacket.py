@@ -223,15 +223,18 @@ class IsotropicProfile:
         return self.gamma * self.pbar
 
     @property
-    def norm(self) -> float:
-        # N = (2 gamma)^(g pbar) / (2 sqrt(pi Gamma(2 g pbar)))
-        logn = (
+    def _log_norm(self) -> float:
+        # log N, N = (2 gamma)^(g pbar) / (2 sqrt(pi Gamma(2 g pbar)))
+        return (
             self.a * np.log(2.0 * self.gamma)
             - 0.5 * np.log(np.pi)
             - 0.5 * math.lgamma(2.0 * self.a)
             - np.log(2.0)
         )
-        return float(np.exp(logn))
+
+    @property
+    def norm(self) -> float:
+        return float(np.exp(self._log_norm))
 
     def radial(self, p: np.ndarray) -> np.ndarray:
         p = np.asarray(p, dtype=float)
@@ -484,8 +487,11 @@ class PacketStatistics:
 
 
 def _radial_mean(iso: IsotropicProfile, s: float, rho: float) -> float:
-    """<|p|^(2s) E^(2 rho - 2)> = 4 pi N^2 G(a + s, rho; 2 gamma) of the isotropic packet."""
-    return 4 * np.pi * iso.norm**2 * g_integral(iso.a + s, rho, 2 * iso.gamma, iso.m)
+    """<|p|^(2s) E^(2 rho - 2)> = 4 pi N^2 G(a + s, rho; 2 gamma) of the isotropic packet,
+    with log(4 pi N^2) inside G's log-space sum: N^2 underflows and G overflows once 2a
+    passes about 171, while their product is O(pbar^(2s))."""
+    log_c = math.log(4 * np.pi) + 2 * iso._log_norm
+    return float(np.sum(np.exp(_g_log_terms(iso.a + s, rho, 2 * iso.gamma, iso.m) + log_c)))
 
 
 def _energy_statistics(iso: IsotropicProfile) -> tuple[float, float]:
@@ -611,8 +617,10 @@ def radial_statistics(phi_rad: np.ndarray, r: np.ndarray, w: np.ndarray, m: floa
 def g_integral(nu: float, rho: float, mu: float, m: float) -> float:
     """G(nu, rho; mu) = int_0^inf p^(2nu-1) (p^2+m^2)^(rho-1) exp(-mu p) dp.
 
-    Evaluated by the radial rule on (0, (2nu + 2|rho-1| + 80)/mu] as one exp of
-    a sum of logs, so that no power overflows at the deepest nodes.
+    Evaluated by the radial rule on (0, (k + max(80, 10 sqrt(k)))/mu], k = 2nu + 2|rho-1|,
+    as one exp of a sum of logs, so that no power overflows at the deepest nodes.  The
+    integrand is a Gamma density of shape about k in mu p, so the rule reaches ten of its
+    standard deviations sqrt(k)/mu past the peak; for k <= 64, 80/mu already does.
     """
     if not (all(map(math.isfinite, (nu, rho, mu, m))) and m >= 0):
         raise ValueError("nu, rho, mu and m must be finite and m nonnegative")
@@ -622,10 +630,16 @@ def g_integral(nu: float, rho: float, mu: float, m: float) -> float:
         raise ValueError("nu must be positive for integrability at 0")
     if m == 0 and (2 * nu + 2 * rho - 2) <= 0:
         raise ValueError("2nu + 2rho - 2 must be positive for m = 0")
-    log_p, log_w = math.log((2 * nu + 2 * abs(rho - 1) + 80.0) / mu) + _RADIAL_RULE
+    return float(np.sum(np.exp(_g_log_terms(nu, rho, mu, m))))
+
+
+def _g_log_terms(nu: float, rho: float, mu: float, m: float) -> np.ndarray:
+    """log(w f) at the nodes of ``g_integral``'s rule for its integrand f."""
+    k = 2 * nu + 2 * abs(rho - 1)
+    log_p, log_w = math.log((k + max(80.0, 10.0 * math.sqrt(k))) / mu) + _RADIAL_RULE
     p = np.exp(log_p)
     log_f = (2 * nu - 1) * log_p + (rho - 1) * np.log(p * p + m * m) - mu * p
-    return float(np.sum(np.exp(log_f + log_w)))
+    return log_f + log_w
 
 
 def figure_data(

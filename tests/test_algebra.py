@@ -16,6 +16,7 @@ from diracmr.algebra import (
     Momentum,
     boost_for_momentum,
     charge_conjugate,
+    cross,
     dirac_adjoint_deviation,
     foldy_wouthuysen,
     lorentz_boost_matrix,
@@ -203,3 +204,22 @@ def test_foldy_wouthuysen_conjugations():
         S = pryce_e_spin(q)
         for i in range(3):
             assert np.max(np.abs(U @ S[i] @ Um - SPIN[i])) < TOL
+
+
+def _cross_einsum(p, mats):
+    """The eps_ijk contraction that ``cross`` replaced, kept as its reference."""
+    return np.einsum("ijk,...j,...kab->...iab", EPS3, p, mats)
+
+
+# the shapes the package passes: a batch against its operator stacks, the unit
+# vectors e_i against a per-component stack, and appendix_b's (3, 3) x (3, 1, 1, 3, 1, 2)
+@pytest.mark.parametrize(
+    "p_shape, m_shape", [((20, 3), (20, 3, 4, 4)), ((3, 3), (20, 1, 3, 4, 4)), ((3, 3), (3, 1, 1, 3, 1, 2))]
+)
+def test_cross_is_the_eps_contraction_bit_for_bit(p_shape, m_shape):
+    rng = np.random.default_rng(17)
+    mats = rng.standard_normal(m_shape) + 1j * rng.standard_normal(m_shape)
+    for p in (rng.standard_normal(p_shape), np.eye(3)[np.arange(p_shape[0]) % 3]):
+        got, want = cross(p, mats), _cross_einsum(p, mats)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from diracmr.algebra import GAMMA, GAMMA5, Momentum, dagger, theta_tensor
-from diracmr.associated import KERNEL_CATALOG, matrix_elements_offdiag
+from diracmr.associated import KERNEL_CATALOG, KernelTable, matrix_elements_offdiag
 from diracmr.operators import OPERATOR_CATALOG, decompose_diag_osc, projectors
 from diracmr.polarization import CommonBasis, HelicityBasis, PoleError
 from diracmr.sampling import sample_momenta
@@ -109,3 +109,27 @@ def test_kernel_pole_and_name_errors():
         KERNEL_CATALOG["delta_x_osc"](q, 0.0, hel)
     with pytest.raises(KeyError):
         KERNEL_CATALOG["not_a_kernel"](q, 0.0, CommonBasis())
+
+
+@pytest.mark.parametrize("basis", BASES, ids=lambda b: b.kind)
+def test_kernel_table_slices_are_the_single_kernel_api(basis):
+    # the four vector kernels' slices bit for bit; the two scalar kernels' lone (n, 1, .)
+    # rows take another matmul kernel than the stacked rows, so they may differ at
+    # rounding, within a bound fixed before measuring: 1e-14 of the kernel's largest entry
+    t, kernels = 0.42, tuple(KERNEL_CATALOG.values())
+    batch = np.array([q.p for q in sample_momenta(20, 1.3, seed=95, avoid_poles=True)])
+    for q in (Momentum(batch, 1.3), Momentum.of(0.3, -0.4, 0.5, m=1.3)):
+        table = KernelTable(kernels, q, basis)
+        got = (table(t), table.from_offdiag(t), table.phase_reference(t))
+        for (name, ker), rows in zip(KERNEL_CATALOG.items(), table.slices):
+            want = (ker(q, t, basis), ker.from_offdiag(q, t, basis), ker.phase_reference(q, t, basis))
+            for g, w in zip(got, want):
+                g = g[..., rows, :, :]
+                assert g.shape == w.shape, name
+                if name in ("scalar_charge_osc", "pseudoscalar_osc"):
+                    assert mx(g - w) <= 1e-14 * mx(w), name
+                else:
+                    assert np.array_equal(g, w), name
+            # and the table's kernel is its parent image, so a coefficient that
+            # drifts from its parent fails here even where both APIs share it
+            assert mx(got[0][..., rows, :, :] - got[1][..., rows, :, :]) < 1e-10, name

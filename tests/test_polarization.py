@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import diracmr
-from diracmr.algebra import EPS3, PAULI
+from diracmr.algebra import EPS3, PAULI, dagger
 from diracmr.polarization import (
     CommonBasis,
     HelicityBasis,
@@ -233,3 +233,23 @@ def test_every_basis_derives_eta_and_sigma_from_xi():
     assert {CommonBasis, HelicityBasis} <= subclasses
     for cls in subclasses:
         assert "eta" not in vars(cls) and "sigma" not in vars(cls), cls
+
+
+def _sigma_matmul(xi):
+    """xi^+ sigma_i xi as the matmul chain that the entry-wise Sigma replaced."""
+    x = xi[..., None, :, :]
+    return dagger(x) @ PAULI @ x
+
+
+def test_sigma_from_xi_entries_matches_the_matmul():
+    # common basis bit for bit; helicity within 4.5e-16 absolute (2 ulps of the unit
+    # entries), over |p|/m in [1e-6, 1e6] and directions next to the -e3 pole
+    rng = np.random.default_rng(23)
+    dirs = rng.standard_normal((400, 3))
+    dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
+    p = dirs * 10.0 ** rng.uniform(-6.0, 6.0, (400, 1))
+    near = [_near_pole(gap, mag) for gap in (1e-4, 1e-6, 1e-8) for mag in (1e-6, 1.0, 1e6)]
+    p = np.concatenate([p, near])
+    common, hel = CommonBasis(), HelicityBasis()
+    assert np.array_equal(common.sigma(p), _sigma_matmul(common.xi(p)))
+    assert np.max(np.abs(hel.sigma(p) - _sigma_matmul(hel.xi(p)))) <= 4.5e-16

@@ -351,6 +351,40 @@ def test_centered_velocity_dispersion_against_mpmath(gamma, pbar):
         assert abs(got - want) <= bound * want, (got, want, bound)
 
 
+def _energy_reference(gamma, pbar, m=1.0):
+    """<H>, disp H and <V^2> of the isotropic packet from 40-digit mpmath quadratures."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        g, pb, m = mp.mpf(gamma), mp.mpf(pbar), mp.mpf(m)
+        split = [0, pb / 2, pb, 2 * pb, mp.inf]
+
+        def moment(f):
+            return mp.quad(lambda p: p ** (2 * g * pb - 1) * mp.exp(-2 * g * p) * f(p), split)
+
+        norm = moment(lambda p: 1)
+        mean_h = moment(lambda p: mp.sqrt(p * p + m * m)) / norm
+        disp_h = moment(lambda p: (mp.sqrt(p * p + m * m) - mean_h) ** 2) / norm
+        mean_v2 = moment(lambda p: p * p / (p * p + m * m)) / norm
+        return float(mean_h), float(disp_h), float(mean_v2)
+
+
+@pytest.mark.parametrize("gamma, pbar", [(1.0, 100.0), (1.0, 120.0)])
+def test_closed_energy_and_velocity_forms_of_narrow_packets_against_mpmath(gamma, pbar):
+    # bounds fixed before measuring: 1e-12 relative for <H> and disp V_i = <V^2>/3;
+    # 1e-9 for disp H = <H^2> - <H>^2, which cancels by about 2 gamma pbar = 240
+    # digits' worth of factor at (1, 120).  4 pi N^2 overflowed to inf * 0 here.
+    mean_h, disp_h, mean_v2 = _energy_reference(gamma, pbar)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        closed = isotropic_closed_forms(make_isotropic(gamma, pbar, 1.0))
+    for got, want, bound in (
+        (closed["H"][0], mean_h, 1e-12),
+        (closed["H"][1], disp_h, 1e-9),
+        (closed["V1"][1], mean_v2 / 3, 1e-12),
+    ):
+        assert abs(got - want) <= bound * want, (got, want, bound)
+
+
 def test_figure_data_guards():
     with pytest.raises(ValueError):
         figure_data(3)
