@@ -1,21 +1,33 @@
 import ast
+import contextlib
 import dataclasses
+import io
 import math
 import subprocess
 import sys
 
-import click
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
-from diracmr.cli import FiniteFloat, main
-from diracmr.verify import run_suite
+from diracmr.cli import COMMANDS, FiniteFloat, main
+from diracmr.verify import SUITES, run_suite
+
+
+@dataclasses.dataclass
+class Result:
+    exit_code: int
+    output: str  # stdout and stderr together
 
 
 def run_cli(*args):
-    runner = CliRunner()
-    return runner.invoke(main, list(args))
+    """``main(args)`` in-process, its stdout and stderr captured into one output."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(buf):
+        try:
+            code = main(list(args))
+        except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+            code = exc.code
+    return Result(code, buf.getvalue())
 
 
 def test_verify_suite_passes():
@@ -189,19 +201,69 @@ def test_kernel_rejects_non_finite_input():
     assert "--p must be three comma-separated numbers" in res.output
 
 
+def test_kernel_rejects_overflowing_momentum():
+    # |p|^2 overflows from about 1.3e154, so E is inf; from |p| ~ 1e103 the kernel's
+    # E^3 overflows, and both printed nan or zero entries with exit 0
+    for p in ("1e160,0,0", "1e150,0,0", "0,-1e160,1"):
+        for basis in ("common", "helicity"):
+            res = run_cli("kernel", "--name", "delta_x_osc", "--p", p, "--basis", basis)
+            assert res.exit_code == 2, (p, basis, res.output)
+            assert "--p at --mass out of the double range" in res.output
+            assert "nan" not in res.output
+    assert run_cli("kernel", "--name", "delta_x_osc", "--p", "1e100,0,0").exit_code == 0
+
+
+def test_figures_overflow_is_usage_error():
+    # (q/gamma_m)^2 beyond the double range raised OverflowError, exit 1 with a traceback
+    for args in (("--q-max", "1e160"), ("--gamma-m", "1e-300")):
+        res = run_cli("figures", *args, "--points", "2")
+        assert res.exit_code == 2, (args, res.output)
+        assert "out of the double range" in res.output
+
+
+def test_values_starting_with_dash_and_no_abbreviations():
+    # every option takes one value, so a value starting with '-' is read as the value
+    res = run_cli("packet", "--x0", "-0.5,0.25,-0.1", "--grid-radial", "40",
+                  "--grid-cos", "8", "--grid-phi", "16")
+    assert res.exit_code == 0, res.output
+    row = [l for l in res.output.splitlines() if l.startswith("X1,")][0]
+    assert float(row.split(",")[1]) == pytest.approx(-0.5, abs=1e-9)
+    for args in (("--p", "-0.3,0.1,-0.2", "--basis", "helicity"), ("--t", "-1e-3")):
+        res = run_cli("kernel", "--name", "delta_x_osc", *args)
+        assert res.exit_code == 0, (args, res.output)
+    assert "t=-0.001 " in res.output
+    # an option name is never completed from a prefix
+    res = run_cli("verify", "--suite", "clifford", "--samp", "3")
+    assert res.exit_code == 2, res.output
+    assert run_cli("verify", "--suite", "clifford", "--samples").exit_code == 2
+
+
+def test_help_names_every_option():
+    res = run_cli("--help")
+    assert res.exit_code == 0, res.output
+    assert all(name in res.output for name in COMMANDS)
+    for name, (_, options) in COMMANDS.items():
+        res = run_cli(name, "--help")
+        assert res.exit_code == 0, (name, res.output)
+        for flag in ("--help", "--config", *(opt[0] for opt in options)):
+            assert flag in res.output, (name, flag)
+    res = run_cli("verify", "--help")
+    assert all(suite in res.output for suite in ("all", *SUITES)), res.output
+
+
 def test_every_float_option_rejects_non_finite():
     # kernel --t nan, packet --gamma inf, figures --q-max inf, verify --tol nan and the
     # rest are usage errors, not nan rows or failed checks
     required = {"kernel": ["--name", "delta_x_osc"]}
     seen = 0
-    for name, cmd in main.commands.items():
-        for param in cmd.params:
-            if not isinstance(param.type, click.types.FloatParamType):
+    for name, (_, options) in COMMANDS.items():
+        for flag, type_, *_ in options:
+            assert type_ is not float, (name, flag)  # a bare float would pass nan
+            if not isinstance(type_, FiniteFloat):
                 continue
-            assert isinstance(param.type, FiniteFloat), (name, param.name)
             for bad in ("nan", "inf", "-inf"):
-                res = run_cli(name, *required.get(name, []), param.opts[0], bad)
-                assert res.exit_code == 2, (name, param.opts[0], bad, res.output)
+                res = run_cli(name, *required.get(name, []), flag, bad)
+                assert res.exit_code == 2, (name, flag, bad, res.output)
                 assert "not a finite number" in res.output
             seen += 1
     assert seen == 11
@@ -245,6 +307,24 @@ def test_config_file_defaults_and_override(tmp_path):
         res = run_cli(command, "--config", str(typo))
         assert res.exit_code == 2, (command, key, res.output)
         assert f"unknown key '{key}'" in res.output
+    # file values pass the same type, range and choice checks as flags
+    for command, text, message in (
+        ("verify", "suite=bogus\n", "invalid choice: 'bogus'"),
+        ("verify", "mass=nan\n", "not a finite number"),
+        ("verify", "samples=0\n", "not in the range"),
+    ):
+        checked = tmp_path / "checked.cfg"
+        checked.write_text(text)
+        res = run_cli(command, "--config", str(checked))
+        assert res.exit_code == 2, (text, res.output)
+        assert message in res.output, (text, res.output)
+    # and a file value satisfies a required option
+    named = tmp_path / "kernel.cfg"
+    named.write_text("name=delta_x_osc\np=-0.3,0.1,-0.2\n")
+    res = run_cli("kernel", "--config", str(named))
+    assert res.exit_code == 0, res.output
+    assert res.output.startswith("# kernel delta_x_osc parent=delta_x basis=common\n")
+    assert "# p=(-0.29999999999999999, 0.10000000000000001, -0.20000000000000001)" in res.output
 
 
 def test_unwritable_out_is_usage_error(tmp_path):
@@ -274,8 +354,11 @@ def test_byte_identical_reruns(tmp_path):
 
 
 def test_commands_run_without_scipy():
-    # runtime dependencies are numpy and click only
-    blocked = "import sys; sys.modules['scipy'] = None; from diracmr.cli import main; main()"
+    # the runtime dependency is numpy only
+    blocked = (
+        "import sys; sys.modules['scipy'] = sys.modules['click'] = None; "
+        "from diracmr.cli import main; sys.exit(main())"
+    )
     for args in (
         ["figures", "--which", "2"],
         ["packet", "--grid-radial", "40", "--grid-cos", "8", "--grid-phi", "16"],
