@@ -10,7 +10,8 @@ Fixed conventions used throughout the package:
 Every constant of the algebra is one array indexed like its symbol:
 ``GAMMA[mu]``, ``GAMMA5``, ``SL2C[mu, nu]``, ``SPIN[i]``, ``PAULI[i]`` and
 ``EPS3[i, j, k]`` (0-based indices; an index out of range raises
-``IndexError``), and ``cross(p, M)`` is the one contraction eps_ijk p^j M_k.
+``IndexError``), and ``cross(p, M)`` is the one contraction eps_ijk p^j M_k
+(``cross_vectors(a, b)`` its form for two stacks of vectors).
 All matrices are dense complex ``numpy`` arrays and every identity is
 checked numerically against a stated tolerance, never symbolically.
 ``memoized`` keeps an owner's evaluations on its last few momentum batches,
@@ -178,6 +179,12 @@ def cross(p: np.ndarray, mats: np.ndarray) -> np.ndarray:
     single momentum it costs what the contraction did; on batches a fraction."""
     pm = np.asarray(p)[..., :, None, None, None] * mats[..., None, :, :, :]
     return pm[..., _NEXT, _PREV, :, :] - pm[..., _PREV, _NEXT, :, :]
+
+
+def cross_vectors(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a ^ b over the last axis of two broadcasting (..., 3) stacks, as ``cross`` reads
+    it, a^(i+1) b^(i+2) - a^(i+2) b^(i+1): the bits of ``np.cross`` at half its cost."""
+    return a[..., _NEXT] * b[..., _PREV] - a[..., _PREV] * b[..., _NEXT]
 
 
 def _block(a, b, c, d) -> np.ndarray:

@@ -41,6 +41,7 @@ from .algebra import (
     charge_conjugate,
     contract,
     cross,
+    cross_vectors,
     dagger,
     memoized,
     read_only,
@@ -275,6 +276,46 @@ class _Commutator(AssociatedOperator):
     """A ``commutator``: its coefficients are values without partials."""
 
 
+class OperatorStack(AssociatedOperator):
+    """Operators of one basis as one operator over their concatenated component axes,
+    (..., K, c): ``slices[i]`` holds members[i]'s rows, recorded at the first evaluation.
+
+    A part that is None in a member is zero on that member's rows, and None only when
+    it is None in every member.  Each stacked jet is filled in place, one slice
+    assignment per member, so ``coef``, ``mult_at``, ``apply`` and a ``commutator``
+    of stacks give on each member's rows (or block of rows) the member's own values.
+    """
+
+    def __init__(self, *members: AssociatedOperator):
+        basis = members[0].basis
+        if any(isinstance(op, _Commutator) or op.basis is not basis for op in members):
+            raise TypeError("a stack takes operators of one basis, not commutators")
+        # ``formula`` is the method below, so no stored bound method makes the
+        # stack a reference cycle that would keep its memo alive until collected
+        self.name, self.basis = f"({', '.join(op.name for op in members)})", basis
+        self.members = members
+        self.slices: tuple[slice, ...] | None = None
+
+    def formula(self, p):
+        parts = [op.coef(p) for op in self.members]
+        ends = np.cumsum([next(x.v.shape[-2] for x in c if x is not None) for c in parts]).tolist()
+        self.slices = tuple(slice(a, b) for a, b in zip([0] + ends, ends))
+        lead = p.shape[:-1] + (ends[-1],)
+        out = []
+        for jets in zip(*parts):
+            present = [x for x in jets if x is not None]
+            if not present:
+                out.append(None)
+                continue
+            v = np.zeros(lead + present[0].v.shape[-1:], np.result_type(*(x.v for x in present)))
+            d = np.zeros(v.shape + (3,), np.result_type(*(x.d for x in present)))
+            for x, rows in zip(jets, self.slices):
+                if x is not None:
+                    v[..., rows, :], d[..., rows, :, :] = x.v, x.d
+            out.append(Jet(v, d))
+        return tuple(out)
+
+
 def _rate(d, x):
     """D.grad x as a value, (..., entries of x); 0 when D or x vanishes."""
     if d is None or x is None:
@@ -302,7 +343,7 @@ def commutator(a: AssociatedOperator, b: AssociatedOperator) -> AssociatedOperat
         # a's jets gain the kb axis, b's the ka axis: (..., ka, kb, c)
         a0, av, ad = (_stacked(x, 1) for x in a.coef(p))
         b0, bv, bd = (_stacked(x, 2) for x in b.coef(p))
-        spin = 0 if av is None or bv is None else 1j * np.cross(av.v, bv.v)
+        spin = 0 if av is None or bv is None else 1j * cross_vectors(av.v, bv.v)
         parts = [
             _rate(ad, b0) - _rate(bd, a0),
             spin + _rate(ad, bv) - _rate(bd, av),

@@ -51,6 +51,7 @@ from .associated import (
     KERNEL_CATALOG,
     AssociatedFamily,
     KernelTable,
+    OperatorStack,
     WaveSpinor,
     commutator,
     commutator_action,
@@ -482,32 +483,27 @@ def suite_associated(samples: int, seed: int, mass: float):
     return rec.results()
 
 
-def _nested_commutators(members, spinor, p):
+def _nested_commutators(stack: OperatorStack, spinor, p, actions):
     """Oracle for ``commutator``: [A_i, B_j] alpha, (..., ka, kb, 2), for every
-    pair of ``members`` by nested FD, as a function of the pair (a, b).
+    pair of the ``stack``'s members by nested FD, as a function of the pair (a, b).
 
-    One composite wave spinor stacks the actions B alpha of all members along a
-    leading component axis; its gradient is one finite difference of that
-    stack.  Each member acts once on the composite, T[A] = A(B alpha) with
-    axes (B components, .., ka, 2), and a commutator is two slices of T."""
-
-    def actions(k):
-        return np.concatenate([op.apply(spinor, k) for op in members], axis=-2)
+    One composite wave spinor holds the members' actions B alpha along a leading
+    component axis: its value at p is ``actions``, the stack's action on ``spinor``
+    there, (..., K, 2), and its gradient is one finite difference of the stack's
+    action.  The stack acts once on the composite, T = A(B alpha) with axes
+    (B rows, .., A rows, 2), and every commutator is a block of T - T^T."""
 
     def grad(k):
-        return np.moveaxis(central_gradient(actions, k, 1e-3 * np.linalg.norm(k, axis=-1)), -2, 0)
+        step = 1e-3 * np.linalg.norm(k, axis=-1)
+        return np.moveaxis(central_gradient(lambda x: stack.apply(spinor, x), k, step), -2, 0)
 
-    composite = WaveSpinor(lambda k: np.moveaxis(actions(k), -2, 0), grad)
+    # the composite is evaluated at p only
+    composite = WaveSpinor(lambda k: np.moveaxis(actions, -2, 0), grad)
+    table = np.moveaxis(stack.apply(composite, p), 0, -2)  # (.., A rows, B rows, 2)
+    table = table - np.swapaxes(table, -2, -3)
     # the members outlive the table, so their ids stay distinct
-    table = {id(op): op.apply(composite, p) for op in members}
-    ends = np.cumsum([t.shape[-2] for t in table.values()])
-    rows = {i: slice(end - t.shape[-2], end) for (i, t), end in zip(table.items(), ends)}
-
-    def nested(a, b):
-        ab, ba = table[id(a)][rows[id(b)]], table[id(b)][rows[id(a)]]
-        return np.moveaxis(ab, 0, -2) - np.moveaxis(ba, 0, -3)
-
-    return nested
+    rows = dict(zip(map(id, stack.members), stack.slices))
+    return lambda a, b: table[..., rows[id(a)], rows[id(b)], :]
 
 
 def suite_appendix_b(samples: int, seed: int, mass: float):
@@ -524,6 +520,13 @@ def suite_appendix_b(samples: int, seed: int, mass: float):
     connection); a reduced subset repeats in a common basis.  Momenta are
     sampled where the Gaussian test spinors are O(1) so FD residuals stay
     meaningful.
+
+    The families act as ``OperatorStack``s, each check reading its own rows: per
+    basis the pointwise multipliers come from one stacked ``mult_at`` and the five
+    pointwise commutators are blocks of one commutator of two stacks.  The
+    oracle's 13 families and Y~c, Y~d and S~(-) act on the test spinors in one
+    stacked ``apply``, whose first spinor at the first 2 momenta is the value of
+    the oracle's composite.
     """
     rec = _Recorder("appendix_b")
     q = _sampled(min(samples, 20), mass, seed, lo=0.05, hi=2.0, avoid_poles=True)
@@ -554,35 +557,47 @@ def suite_appendix_b(samples: int, seed: int, mass: float):
         Xc, Xd, Sminus = fam.position_pryce_c(), fam.position_pryce_d(), fam.spin_minus()
         Yc, Yd = fam.y_pryce_c(), fam.y_pryce_d()
 
-        # pointwise multiplicative relations, closed-form tolerance
-        mS, mKs, mW0, mWi = (op.mult_at(p) for op in (S, Ks, W0, Wi))
+        # pointwise multiplicative relations, closed-form tolerance: the multipliers
+        # from one stacked mult_at, the commutators as blocks of one stacked commutator
+        multipliers = OperatorStack(S, Ks, W0, Wi, Yc, Yd)
+        mults = multipliers.mult_at(p)
+        mS, mKs, mW0, mWi, mYc, mYd = (mults[:, rows] for rows in multipliers.slices)
+        left, right = OperatorStack(S, Ks), OperatorStack(S, Ks, W0, Wi)
+        blocks = commutator(left, right).mult_at(p)
+        (ls, lks), (rs, rks, rw0, rwi) = left.slices, right.slices
         eps_mS = -cross(np.eye(3), mS[:, None])
-        rec.add("spin_su2_pointwise", _mx(commutator(S, S).mult_at(p) - 1j * eps_mS))
+        rec.add("spin_su2_pointwise", _mx(blocks[:, ls, rs] - 1j * eps_mS))
         rhs = 1j / (e2 + m) * (pi2 * mS[:, None] - delta[..., None] * mW0[:, None])
-        rec.add("spin_boostspin_pointwise", _mx(commutator(S, Ks).mult_at(p) - rhs))
+        rec.add("spin_boostspin_pointwise", _mx(blocks[:, ls, rks] - rhs))
         rhs = 1j / (e2 + m) ** 2 * eps_p * mW0[:, None]
-        rec.add("boostspin_boostspin_pointwise", _mx(commutator(Ks, Ks).mult_at(p) - rhs))
+        rec.add("boostspin_boostspin_pointwise", _mx(blocks[:, lks, rks] - rhs))
         rhs = 1j * m * eps_mS + 1j * pj2 * mKs[:, :, None]
-        rec.add("spin_pl_pointwise", _mx(commutator(S, Wi).mult_at(p) - rhs))
+        rec.add("spin_pl_pointwise", _mx(blocks[:, ls, rwi] - rhs))
         rhs = 1j * (e2 + m) * mKs[:, :, None]
-        rec.add("spin_pl0_pointwise", _mx(commutator(S, W0).mult_at(p) - rhs))
-        rec.add("y_pryce_c_closed_form", _mx(Yc.mult_at(p) - mWi / e**3))
-        rec.add("y_pryce_d_closed_form", _mx(Yd.mult_at(p) - mWi / (m * m * e)))
+        rec.add("spin_pl0_pointwise", _mx(blocks[:, ls, rw0] - rhs))
+        rec.add("y_pryce_c_closed_form", _mx(mYc - mWi / e**3))
+        rec.add("y_pryce_d_closed_form", _mx(mYd - mWi / (m * m * e)))
         if not full:
             continue
 
         # spinor-applied identities on all test spinors and momenta at once,
         # (3, n, k, 2); each commutator also meets the nested-FD oracle on
         # the first 2 momenta
-        aL, aS, aKo, aKs, aX, aXt, aV, aYc, aYd, aSminus, aW0 = (
-            op.apply(trio, p) for op in (L, S, Ko, Ks, X, Xt, V, Yc, Yd, Sminus, W0)
+        oracle = (L, S, Ko, Ks, X, Xt, V, P, H, W0, Wi, Xc, Xd)
+        applied = OperatorStack(*oracle, Yc, Yd, Sminus)
+        actions = applied.apply(trio, p)
+        aL, aS, aKo, aKs, aX, aXt, aV, _, _, aW0, _, _, _, aYc, aYd, aSminus = (
+            actions[..., rows, :] for rows in applied.slices
         )
         eL, eS, eKo, eXt, eYc, eYd = (
             -cross(np.eye(3), a[..., None, :, :, None])[..., 0]
             for a in (aL, aS, aKo, aXt, aYc, aYd)
         )
 
-        nested = _nested_commutators((L, S, Ko, Ks, X, Xt, V, P, H, W0, Wi, Xc, Xd), spinors[0], p[:2])
+        own = applied.slices[len(oracle)].start  # the oracle members' rows lead
+        nested = _nested_commutators(
+            OperatorStack(*oracle), spinors[0], p[:2], actions[0, :2, :own]
+        )
 
         def comm(a, b):
             exact = commutator_action(a, b, trio, p)

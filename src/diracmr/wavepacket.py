@@ -486,19 +486,23 @@ class PacketStatistics:
 # closed forms for the isotropic packet
 
 
-def _radial_mean(iso: IsotropicProfile, s: float, rho: float) -> float:
+def _radial_mean(iso: IsotropicProfile, s: float, rho: float) -> tuple[float, float]:
     """<|p|^(2s) E^(2 rho - 2)> = 4 pi N^2 G(a + s, rho; 2 gamma) of the isotropic packet,
     with log(4 pi N^2) inside G's log-space sum: N^2 underflows and G overflows once 2a
-    passes about 171, while their product is O(pbar^(2s))."""
+    passes about 171, while their product is O(pbar^(2s)).  Second, the rule's own
+    relative error estimate |Q_h - Q_2h|/Q_h, Q_2h from its odd nodes as in ``_sums``."""
     log_c = math.log(4 * np.pi) + 2 * iso._log_norm
-    return float(np.sum(np.exp(_g_log_terms(iso.a + s, rho, 2 * iso.gamma, iso.m) + log_c)))
+    terms = np.exp(_g_log_terms(iso.a + s, rho, 2 * iso.gamma, iso.m) + log_c)
+    total = float(np.sum(terms))
+    return total, abs(total - 2.0 * float(np.sum(terms[1::2]))) / total
 
 
-def _energy_statistics(iso: IsotropicProfile) -> tuple[float, float]:
-    """(<H>, disp H), with <H^2> = pbar^2 + m^2 + pbar/(2 gamma) in closed form."""
-    mean_h = _radial_mean(iso, 0.0, 1.5)
+def _energy_statistics(iso: IsotropicProfile) -> tuple[float, float, float]:
+    """(<H>, disp H, <H>'s relative error estimate), with <H^2> = pbar^2 + m^2 +
+    pbar/(2 gamma) in closed form."""
+    mean_h, error = _radial_mean(iso, 0.0, 1.5)
     e2 = iso.pbar**2 + iso.m**2 + iso.pbar / (2 * iso.gamma)
-    return mean_h, e2 - mean_h**2
+    return mean_h, e2 - mean_h**2, error
 
 
 def _velocity_statistics(iso: IsotropicProfile) -> tuple[float, float]:
@@ -524,11 +528,11 @@ def _velocity_statistics(iso: IsotropicProfile) -> tuple[float, float]:
 def isotropic_closed_forms(iso: IsotropicProfile) -> dict[str, tuple]:
     """(expectation, dispersion) closed forms; None where no closed form is used."""
     a, g = iso.a, iso.gamma
-    mean_v2 = _radial_mean(iso, 1.0, 0.0)
+    mean_v2 = _radial_mean(iso, 1.0, 0.0)[0]
     disp_x = g**2 / (6.0 * (a - 1.0))
     disp_pi = (iso.pbar**2 + iso.pbar / (2 * g)) / 3.0
     out = {
-        "H": _energy_statistics(iso),
+        "H": _energy_statistics(iso)[:2],
         "P": (iso.pbar, iso.pbar / (2 * g)),
         "V": _velocity_statistics(iso),
     }
@@ -642,6 +646,15 @@ def _g_log_terms(nu: float, rho: float, mu: float, m: float) -> np.ndarray:
     return log_f + log_w
 
 
+# figure 1 refuses a row whose <H> has a radial-rule error estimate above this bound.
+# disp H = <H^2> - <H>^2 loses about log10(4q) digits of <H>, and the estimate
+# overstates <H>'s own error.  Against 40-digit mpmath rows at gamma = 1, the
+# estimates and the errors of scaled_disp_H are: q = 100, 2.9e-14 and 1.3e-11;
+# q = 300, 1.1e-7 and 1.4e-10; q = 1e3, 1.4e-2 and 3.8e-5; q = 2e3, 6.8e-2 and
+# 1.0.  The bound sits a decade above the largest estimate of an accepted row.
+FIGURE_RULE_TOL = 1e-6
+
+
 def figure_data(
     which: int, q_min: float = 1.0, q_max: float = 7.0, points: int = 60,
     gamma_m: float = 1.0,
@@ -650,7 +663,8 @@ def figure_data(
 
     Figure 1 columns: q, <H>/E(pbar), 2 gamma disp(H)/pbar.
     Figure 2 columns: q, <V>/V(pbar), disp(V).
-    The sampled grid excludes q_min itself so the default range is (1, 7].
+    The sampled grid excludes q_min itself so the default range is (1, 7].  Figure 1
+    raises ``ValueError`` at a row past ``FIGURE_RULE_TOL``, from q = 318 at any gamma_m.
     """
     if which not in (1, 2):
         raise ValueError("figure index must be 1 or 2")
@@ -667,7 +681,13 @@ def figure_data(
         iso = IsotropicProfile(gamma, qv / gamma, m)
         e_bar = np.sqrt(iso.pbar**2 + m**2)
         if which == 1:
-            mean_h, disp_h = _energy_statistics(iso)
+            mean_h, disp_h, error = _energy_statistics(iso)
+            if not error <= FIGURE_RULE_TOL:  # also refuses nan
+                raise ValueError(
+                    f"figure 1 at q = {qv:g}: <H> has a radial-rule error estimate of "
+                    f"{error:.2g}, above {FIGURE_RULE_TOL:g}, so disp(H) would be wrong; "
+                    "lower q_max"
+                )
             rows[k] = (qv, mean_h / e_bar, 2 * gamma * disp_h / iso.pbar)
         else:
             mean_v, disp_v = _velocity_statistics(iso)

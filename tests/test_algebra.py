@@ -17,6 +17,7 @@ from diracmr.algebra import (
     boost_for_momentum,
     charge_conjugate,
     cross,
+    cross_vectors,
     dirac_adjoint_deviation,
     foldy_wouthuysen,
     lorentz_boost_matrix,
@@ -223,3 +224,19 @@ def test_cross_is_the_eps_contraction_bit_for_bit(p_shape, m_shape):
         got, want = cross(p, mats), _cross_einsum(p, mats)
         assert got.shape == want.shape and got.dtype == want.dtype
         assert np.array_equal(got, want)
+
+
+# commutator's (ka, 1, 3) x (1, kb, 3) spin term over a batch, real and complex
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_cross_vectors_is_numpys_cross_bit_for_bit(dtype):
+    rng = np.random.default_rng(19)
+
+    def draw(*shape):
+        x = rng.standard_normal(shape)
+        return x + 1j * rng.standard_normal(shape) if dtype is complex else x
+
+    a, b = draw(20, 6, 1, 3), draw(20, 1, 10, 3)
+    got, want = cross_vectors(a, b), np.cross(a, b)
+    assert got.shape == want.shape == (20, 6, 10, 3) and got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    assert np.array_equal(cross_vectors(np.eye(3), np.eye(3)[[1, 2, 0]]), np.eye(3)[[2, 0, 1]])

@@ -14,6 +14,7 @@ from diracmr.algebra import (
 )
 from diracmr.associated import (
     AssociatedFamily,
+    OperatorStack,
     WaveSpinor,
     commutator,
     commutator_action,
@@ -395,8 +396,8 @@ def _composite(op, spinor):
 @pytest.mark.parametrize("samples", [1, 20])
 @pytest.mark.parametrize("seed", [1, 3, 7])
 def test_nested_commutators_match_per_pair_composites(seed, samples, mass):
-    # one stencil over the stacked actions of all members, each member applied
-    # once, against one composite per operator and two applies per pair
+    # one stencil over the stack's actions and one stacked apply to the composite,
+    # against one composite per operator and two applies per pair
     p = verify._sampled(min(samples, 20), mass, seed, lo=0.05, hi=2.0, avoid_poles=True).p[:2]
     alpha = gaussian_test_spinor(make_rng(seed + 1), scale=max(mass, 1.0))
     fam = AssociatedFamily(mass, HelicityBasis())
@@ -406,13 +407,112 @@ def test_nested_commutators_match_per_pair_composites(seed, samples, mass):
         fam.pauli_lubanski0(), fam.pauli_lubanski(), fam.position_pryce_c(),
         fam.position_pryce_d(),
     )
-    nested = verify._nested_commutators(members, alpha, p)
+    stack = OperatorStack(*members)
+    nested = verify._nested_commutators(stack, alpha, p, stack.apply(alpha, p))
     composites = [_composite(op, alpha) for op in members]
     for a, ca in zip(members, composites):
         for b, cb in zip(members, composites):
             ab, ba = a.apply(cb, p), b.apply(ca, p)  # (kb, .., ka, 2), (ka, .., kb, 2)
             want = np.moveaxis(ab, 0, -2) - np.moveaxis(ba, 0, -3)
             assert np.array_equal(nested(a, b), want), (a.name, b.name)
+
+
+def _stack_members(fam):
+    """Members with and without a0, a and D, over k = 1 and k = 3 components."""
+    return (
+        fam.hamiltonian(),  # a0, k = 1
+        fam.spin(),  # a constant a
+        fam.angular(),  # D alone
+        fam.boost_orbital(),  # a0 and D
+        fam.position(t=0.8),  # a0 and D
+        fam.pauli_lubanski0(),  # a, k = 1
+        fam.position_pryce_c(),  # a and D
+        fam.polarization(),  # a, k = 1, its form set by the basis
+        fam.velocity(),  # a0, k = 3
+    )
+
+
+@pytest.mark.parametrize("basis", BASES, ids=lambda b: b.kind)
+def test_operator_stack_rows_are_the_members(basis):
+    fam = AssociatedFamily(0.7, basis)
+    p = verify._sampled(6, 0.7, 5, lo=0.05, hi=2.0, avoid_poles=True).p
+    alpha = gaussian_test_spinor(make_rng(9))
+    members = _stack_members(fam)
+    stack = OperatorStack(*members)
+    mult, act, coef = stack.mult_at(p), stack.apply(alpha, p), stack.coef(p)
+    assert [r.stop - r.start for r in stack.slices] == [1, 3, 3, 3, 3, 1, 3, 1, 3]
+    for op, rows in zip(members, stack.slices):
+        assert np.array_equal(mult[:, rows], op.mult_at(p)), op.name
+        assert np.array_equal(act[:, rows], op.apply(alpha, p)), op.name
+        for own, part in zip(op.coef(p), coef):
+            v, d = part.v[:, rows], part.d[:, rows]
+            if own is None:  # zero on the member's rows
+                assert not v.any() and not d.any(), op.name
+            else:
+                assert np.array_equal(v, np.broadcast_to(own.v, v.shape)), op.name
+                assert np.array_equal(d, np.broadcast_to(own.d, d.shape)), op.name
+    # a part that no member has stays None
+    assert [x is None for x in OperatorStack(fam.spin(), fam.pauli_lubanski0()).coef(p)] == [
+        True, False, True
+    ]
+    # each block of a commutator of stacks is the pair's own commutator
+    left, right = OperatorStack(*members[:5]), OperatorStack(*members[3:])
+    pair = commutator(left, right)
+    mult, act = pair.mult_at(p), pair.apply(alpha, p)
+    for a, ra in zip(left.members, left.slices):
+        for b, rb in zip(right.members, right.slices):
+            own = commutator(a, b)
+            assert np.array_equal(mult[:, ra, rb], own.mult_at(p)), (a.name, b.name)
+            assert np.array_equal(act[:, ra, rb], own.apply(alpha, p)), (a.name, b.name)
+
+
+def test_operator_stack_takes_operators_of_one_basis():
+    fam, other = AssociatedFamily(1.0, CommonBasis()), AssociatedFamily(1.0, HelicityBasis())
+    with pytest.raises(TypeError):
+        OperatorStack(fam.spin(), other.spin())
+    with pytest.raises(TypeError):
+        OperatorStack(fam.spin(), commutator(fam.position(), fam.hamiltonian()))
+
+
+@pytest.mark.parametrize("mass", [0.25, 1.0])
+@pytest.mark.parametrize("samples", [1, 20])
+@pytest.mark.parametrize("seed", [1, 3, 7])
+def test_ledger_stacks_match_per_member_forms(seed, samples, mass):
+    # the stacks suite_appendix_b reads, on its draws, against the per-operator
+    # multipliers, commutators and applies they replace
+    p = verify._sampled(min(samples, 20), mass, seed, lo=0.05, hi=2.0, avoid_poles=True).p
+    rng = make_rng(seed + 1)
+    spinors = [gaussian_test_spinor(rng, scale=max(mass, 1.0)) for _ in range(3)]
+    trio = WaveSpinor(
+        lambda k: np.stack([sp.value(k) for sp in spinors]),
+        lambda k: np.stack([sp.gradient(k) for sp in spinors]),
+    )
+    for basis in BASES:
+        fam = AssociatedFamily(mass, basis)
+        S, Ks, W0, Wi = fam.spin(), fam.boost_spin(), fam.pauli_lubanski0(), fam.pauli_lubanski()
+        multipliers = OperatorStack(S, Ks, W0, Wi, fam.y_pryce_c(), fam.y_pryce_d())
+        mults = multipliers.mult_at(p)
+        for op, rows in zip(multipliers.members, multipliers.slices):
+            assert np.array_equal(mults[:, rows], op.mult_at(p)), op.name
+        left, right = OperatorStack(S, Ks), OperatorStack(S, Ks, W0, Wi)
+        blocks = commutator(left, right).mult_at(p)
+        for a, ra in zip(left.members, left.slices):
+            for b, rb in zip(right.members, right.slices):
+                assert np.array_equal(blocks[:, ra, rb], commutator(a, b).mult_at(p))
+    fam = AssociatedFamily(mass, HelicityBasis())
+    oracle = OperatorStack(
+        fam.angular(), fam.spin(), fam.boost_orbital(), fam.boost_spin(), fam.position(),
+        fam.position(t=0.8), fam.velocity(), fam.momentum(), fam.hamiltonian(),
+        fam.pauli_lubanski0(), fam.pauli_lubanski(), fam.position_pryce_c(),
+        fam.position_pryce_d(),
+    )
+    applied = OperatorStack(*oracle.members, fam.y_pryce_c(), fam.y_pryce_d(), fam.spin_minus())
+    actions = applied.apply(trio, p)
+    for op, rows in zip(applied.members, applied.slices):
+        assert np.array_equal(actions[..., rows, :], op.apply(trio, p)), op.name
+    # the oracle composite's value, read from the trio's actions at the first 2 momenta
+    own = applied.slices[len(oracle.members)].start
+    assert np.array_equal(actions[0, :2, :own], oracle.apply(spinors[0], p[:2]))
 
 
 def test_pryce_cd_associated():

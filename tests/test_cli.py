@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from diracmr import wavepacket
 from diracmr.cli import COMMANDS, FiniteFloat, main
 from diracmr.verify import SUITES, run_suite
 
@@ -211,6 +212,29 @@ def test_kernel_rejects_overflowing_momentum():
             assert "--p at --mass out of the double range" in res.output
             assert "nan" not in res.output
     assert run_cli("kernel", "--name", "delta_x_osc", "--p", "1e100,0,0").exit_code == 0
+
+
+def test_figures_refuse_rows_past_the_radial_rule():
+    # past the radial rule's reach disp H = <H^2> - <H>^2 reads twice its value at
+    # q = 2e3 and negative at 5e3; figure 2 has no such cancellation and keeps its rows
+    for q in ("5000", "2000"):
+        res = run_cli("figures", "--which", "1", "--q-min", "1", "--points", "1", "--q-max", q)
+        assert res.exit_code == 2, (q, res.output)
+        assert "radial-rule error estimate" in res.output and "Traceback" not in res.output
+    res = run_cli("figures", "--which", "2", "--q-min", "1", "--points", "1", "--q-max", "5000")
+    assert res.exit_code == 0, res.output
+
+
+def test_figures_default_output_does_not_read_the_guard(monkeypatch):
+    # the refusal only refuses: with its bound lifted, the default rows of both
+    # figures print byte for byte as with it
+    for which in ("1", "2"):
+        guarded = run_cli("figures", "--which", which)
+        with monkeypatch.context() as patch:
+            patch.setattr(wavepacket, "FIGURE_RULE_TOL", math.inf)
+            unguarded = run_cli("figures", "--which", which)
+        assert guarded.exit_code == unguarded.exit_code == 0, guarded.output
+        assert guarded.output == unguarded.output
 
 
 def test_figures_overflow_is_usage_error():

@@ -22,7 +22,9 @@ from diracmr.algebra import (
 from diracmr.associated import (
     KERNEL_CATALOG,
     AssociatedFamily,
+    AssociatedOperator,
     Jet,
+    OperatorStack,
     WaveSpinor,
     _diag_frame,
     _offdiag_frame,
@@ -232,6 +234,23 @@ def test_appendix_b_differentiates_each_composite_once(monkeypatch):
     results = verify.run_suite("appendix_b", 1, 3)
     assert results and all(r.passed for r in results)
     assert len(calls) == 1
+
+
+def test_appendix_b_applies_each_stack_once(monkeypatch):
+    # one stacked apply to the test spinors, one stencil pass and one apply to
+    # the oracle's composite, and one apply per exact commutator (22)
+    calls = []
+    apply = AssociatedOperator.apply
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return apply(self, *args, **kwargs)
+
+    monkeypatch.setattr(AssociatedOperator, "apply", counted)
+    results = verify.run_suite("appendix_b", 1, 3)
+    assert results and all(r.passed for r in results)
+    assert len(calls) == 25
+    assert sum(isinstance(op, OperatorStack) for op in calls) == 3
 
 
 def test_result_does_not_follow_later_writes_to_the_batch():
