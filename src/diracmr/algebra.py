@@ -162,8 +162,16 @@ def dagger(a: np.ndarray) -> np.ndarray:
 
 
 def contract(v: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """v^i mats_i: the last axis of v against the first axis of mats."""
-    return np.tensordot(v, mats, axes=(-1, 0))
+    """v^i mats_i: ``np.tensordot(v, mats, axes=(-1, 0))`` bit for bit, as the one ``np.dot``
+    of v as (batch, i) and mats as (i, rest) it forms, without its Python-level bookkeeping."""
+    out = np.dot(v.reshape(-1, v.shape[-1]), mats.reshape(len(mats), -1))
+    return out.reshape(v.shape[:-1] + mats.shape[1:])
+
+
+def norm(x: np.ndarray) -> np.ndarray:
+    """|x| over the last axis: ``np.linalg.norm(x, axis=-1)``'s own sum of squares and
+    sqrt, bit for bit, without its Python-level dispatch on ``ord`` and ``axis``."""
+    return np.sqrt(np.add.reduce(x * x, axis=-1))
 
 
 # (i + 1, i + 2) mod 3 for i = 0, 1, 2: the (j, k) of eps_ijk = +1
@@ -221,7 +229,7 @@ SPIN = np.kron(ID2, PAULI) / 2.0
 def _half_angle(v, cos, sin) -> np.ndarray:
     """cos(|v|/2) 1 + sin(|v|/2) n.sigma, n = v/|v| and n = 0 at v = 0, (..., 2, 2)."""
     v = np.asarray(v, dtype=float)
-    angle = np.linalg.norm(v, axis=-1)
+    angle = norm(v)
     n = v / np.where(angle == 0.0, 1.0, angle)[..., None]
     half = (angle / 2.0)[..., None, None]
     return cos(half) * ID2 + sin(half) * contract(n, PAULI)
@@ -271,7 +279,8 @@ class Momentum:
 
     @functools.cached_property
     def mag(self) -> np.ndarray:
-        return np.linalg.norm(self.p, axis=-1)
+        """|p| as ``norm``: numpy's own norm arithmetic bit for bit, so |p| and E keep theirs."""
+        return norm(self.p)
 
     @functools.cached_property
     def energy(self) -> np.ndarray:

@@ -44,6 +44,7 @@ from .algebra import (
     cross_vectors,
     dagger,
     memoized,
+    norm,
     read_only,
     theta_tensor,
 )
@@ -83,7 +84,7 @@ class WaveSpinor:
         """d alpha / d p^k, shape (..., 3, 2)."""
         if self._grad is not None:
             return np.asarray(self._grad(p), dtype=complex)
-        return central_gradient(self.value, p, 1e-3 * np.linalg.norm(p, axis=-1))
+        return central_gradient(self.value, p, 1e-3 * norm(p))
 
 
 def gaussian_test_spinor(rng: np.random.Generator, scale: float = 1.0) -> WaveSpinor:
@@ -247,10 +248,12 @@ class AssociatedOperator:
         parts = self.formula(p)
         return tuple(None if x is None else Jet(read_only(x.v), read_only(x.d)) for x in parts)
 
+    _values = coef  # the parts mult_at and apply read (a stack reads no partials)
+
     def mult_at(self, p) -> np.ndarray:
         """The multiplicative part a0 + a.Sigma/2, (..., k, 2, 2)."""
         p = np.asarray(p, dtype=float)
-        a0, a, d = self.coef(p)
+        a0, a, d = self._values(p)
         shape = next(x.v.shape[:-1] for x in (a0, a, d) if x is not None)
         out = np.zeros(shape + (2, 2), dtype=complex)
         if a0 is not None:
@@ -262,7 +265,7 @@ class AssociatedOperator:
 
     def apply(self, spinor: WaveSpinor, p) -> np.ndarray:
         p = np.asarray(p, dtype=float)
-        mult, d = self.mult_at(p), self.coef(p)[2]
+        mult, d = self.mult_at(p), self._values(p)[2]
         axes = mult.ndim - p.ndim - 1
         val = spinor.value(p)
         out = _matvec(mult, _align(val, axes, 1))
@@ -296,7 +299,11 @@ class OperatorStack(AssociatedOperator):
         self.members = members
         self.slices: tuple[slice, ...] | None = None
 
-    def formula(self, p):
+    @memoized
+    def _values(self, p) -> tuple:
+        return self.formula(p, partials=False)
+
+    def formula(self, p, partials: bool = True) -> tuple:
         parts = [op.coef(p) for op in self.members]
         ends = np.cumsum([next(x.v.shape[-2] for x in c if x is not None) for c in parts]).tolist()
         self.slices = tuple(slice(a, b) for a, b in zip([0] + ends, ends))
@@ -308,11 +315,13 @@ class OperatorStack(AssociatedOperator):
                 out.append(None)
                 continue
             v = np.zeros(lead + present[0].v.shape[-1:], np.result_type(*(x.v for x in present)))
-            d = np.zeros(v.shape + (3,), np.result_type(*(x.d for x in present)))
+            d = np.zeros(v.shape + (3,), np.result_type(*(x.d for x in present))) if partials else None
             for x, rows in zip(jets, self.slices):
                 if x is not None:
-                    v[..., rows, :], d[..., rows, :, :] = x.v, x.d
-            out.append(Jet(v, d))
+                    v[..., rows, :] = x.v
+                    if partials:
+                        d[..., rows, :, :] = x.d
+            out.append(Jet(read_only(v), d))
         return tuple(out)
 
 
@@ -384,7 +393,7 @@ def _norm(row: Jet, m2: float = 0.0) -> Jet:
 def _cross(row: Jet) -> Jet:
     """(e_k x p)_c = eps_kjc p^j for k = 1..3 from the row p^c: a (3, 3) jet whose
     partials d/dp^l are the constants eps_klc, stored (k, c, l)."""
-    return Jet(np.tensordot(row.v[..., 0, :], EPS3, (-1, 1)), np.swapaxes(EPS3, 1, 2))
+    return Jet(contract(row.v[..., 0, :], np.swapaxes(EPS3, 0, 1)), np.swapaxes(EPS3, 1, 2))
 
 
 class AssociatedFamily:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import ID2, PAULI, central_gradient, dagger, memoized
+from .algebra import ID2, PAULI, central_gradient, dagger, memoized, norm
 
 EPS_POLE = 1e-9
 
@@ -142,7 +142,7 @@ class HelicityBasis(PolarizationBasis):
         """p, |p|, n = p/|p| and the chart 1 + n3 = |n + e3|^2 / 2, after the
         pole checks."""
         p = np.asarray(p, dtype=float)
-        mag = np.linalg.norm(p, axis=-1)
+        mag = norm(p)
         if np.any(mag == 0.0):
             raise PoleError("helicity basis undefined at p = 0")
         n = p / mag[..., None]

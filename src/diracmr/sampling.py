@@ -34,11 +34,12 @@ def sample_momenta(
     the chart singularities on the +/- e3 rays for finite differences to be clean.
     """
     rng = make_rng(seed)
+    log_lo, log_hi = np.log(lo), np.log(hi)
     out: list[Momentum] = []
     while len(out) < n:
-        mag = m * np.exp(rng.uniform(np.log(lo), np.log(hi)))
+        mag = m * np.exp(rng.uniform(log_lo, log_hi))
         d = rng.standard_normal(3)
-        norm = np.linalg.norm(d)
+        norm = np.sqrt(d.dot(d))  # np.linalg.norm(d) bit for bit, without its wrapper
         if norm < 1e-12:
             continue
         d = d / norm

@@ -42,6 +42,7 @@ from .algebra import (
     foldy_wouthuysen,
     lorentz_boost_matrix,
     lorentz_of,
+    norm,
     read_only,
     rotation,
     rotation_su2,
@@ -64,6 +65,7 @@ from .associated import (
 )
 from .operators import (
     OPERATOR_CATALOG,
+    FourierOperator,
     decompose_diag_osc,
     position_offset_from_boost_derivative,
     projectors_boost_form,
@@ -105,12 +107,9 @@ class _Recorder:
         self._acc: dict[str, tuple[float, float]] = {}
 
     def add(self, name: str, residual: float, tol: float = TOL_EXACT):
-        residual = float(residual)
-        if name in self._acc:
-            prev_r, prev_t = self._acc[name]
-            self._acc[name] = (max(prev_r, residual), prev_t)
-        else:
-            self._acc[name] = (residual, tol)
+        residual, prev = float(residual), self._acc.get(name)
+        if prev is None or residual > prev[0] or residual != residual:  # no later line hides a NaN
+            self._acc[name] = (residual, tol if prev is None else prev[1])
 
     def results(self) -> list[CheckResult]:
         return [CheckResult(self.suite, name, res, tol) for name, (res, tol) in self._acc.items()]
@@ -118,6 +117,11 @@ class _Recorder:
 
 def _mx(a) -> float:
     return float(np.abs(a).max())
+
+
+def _row_maxima(a, slices) -> np.ndarray:
+    """``_mx(a[:, rows])`` for the ``slices`` that tile axis 1 of a, in one pass; NaN stays."""
+    return np.maximum.reduceat(np.abs(a).max(axis=(0, *range(2, a.ndim))), [r.start for r in slices])
 
 
 def _comm(a, b):
@@ -381,10 +385,10 @@ _ADJOINT_SIGN = {
 }
 
 
-def _stacked(names):
+def _stacked(names) -> FourierOperator:
     """The memoized catalog entries ``names`` as one operator: q -> their (..., k, 4, 4)
-    stacks concatenated over the component axis in order, (..., K, 4, 4)."""
-    return lambda q: np.concatenate([OPERATOR_CATALOG[name](q) for name in names], -3)
+    stacks concatenated over the component axis in order, (..., K, 4, 4); memoized."""
+    return FourierOperator(lambda q: np.concatenate([OPERATOR_CATALOG[n](q) for n in names], -3))
 
 
 def _rows(names, q: Momentum) -> dict[str, slice]:
@@ -410,6 +414,7 @@ def suite_associated(samples: int, seed: int, mass: float):
     diag_rows, off_rows = _rows(_DIAG_IMAGES, q), _rows(off_names, q)
     signs = _per_row(_ADJOINT_SIGN, off_rows)  # the leading, paired rows
     spin_rows = off_rows["pryce_e_spin"]
+    diag_images, off_images = _stacked(_DIAG_IMAGES), _stacked(off_names)
 
     for basis in _BASES:
         sg = basis.sigma(p)
@@ -419,7 +424,7 @@ def suite_associated(samples: int, seed: int, mass: float):
         s, s_plus, w = (op.mult_at(p) for op in (fam.spin(), fam.spin_plus(), fam.pauli_lubanski()))
 
         # every image from one call over the stacked entries, each check on its rows
-        diag = matrix_elements_diag(_stacked(_DIAG_IMAGES), q, basis)
+        diag = matrix_elements_diag(diag_images, q, basis)
 
         def images(name):
             return tuple(x[:, diag_rows[name]] for x in diag)
@@ -455,7 +460,7 @@ def suite_associated(samples: int, seed: int, mass: float):
         rec.add("scalar_charge_image", max(_mx(plus[:, 0] - (m / e) * ID2), _mx(minus[:, 0] + (m / e) * ID2)))
         plus, minus = images("gamma5")
         rec.add("axial_charge_image", max(_mx(plus[:, 0] - 2 * w0 / e), _mx(minus[:, 0] + 2 * w0 / e)))
-        pm_, mp_ = matrix_elements_offdiag(_stacked(off_names), q, 0.31, basis)
+        pm_, mp_ = matrix_elements_offdiag(off_images, q, 0.31, basis)
         paired = slice(len(signs))
         rec.add("offdiag_adjoint_pairing", _mx(signs * dagger(pm_[:, paired]) - mp_[:, paired]))
         rec.add("pryce_spin_offdiag_vanishes", max(_mx(pm_[:, spin_rows]), _mx(mp_[:, spin_rows])))
@@ -477,9 +482,8 @@ def suite_associated(samples: int, seed: int, mass: float):
     rows, entries = _rows(C_PARITY, q), _stacked(C_PARITY)
     a, a_flipped = entries(q), entries(q.flipped())
     dev = charge_conjugate(a_flipped) - _per_row(C_PARITY, rows) * a
-    for r in rows.values():
-        size = max(_mx(a[:, r]), _mx(a_flipped[:, r]))
-        rec.add("charge_conjugation_parity", _mx(dev[:, r]) / size)
+    size = np.maximum(*(_row_maxima(x, rows.values()) for x in (a, a_flipped)))
+    rec.add("charge_conjugation_parity", np.max(_row_maxima(dev, rows.values()) / size))
     return rec.results()
 
 
@@ -494,7 +498,7 @@ def _nested_commutators(stack: OperatorStack, spinor, p, actions):
     (B rows, .., A rows, 2), and every commutator is a block of T - T^T."""
 
     def grad(k):
-        step = 1e-3 * np.linalg.norm(k, axis=-1)
+        step = 1e-3 * norm(k)
         return np.moveaxis(central_gradient(lambda x: stack.apply(spinor, x), k, step), -2, 0)
 
     # the composite is evaluated at p only
@@ -724,13 +728,15 @@ def suite_kernels(samples: int, seed: int, mass: float):
             lambda tt: np.swapaxes(table(tt[..., 0].T), 0, 1), times, 1e-6 / e
         )[:, 0]
         err = np.max(np.abs(dk - 2j * ek * kv), axis=(-2, -1))
-        scale = np.max(np.abs(2j * ek * kv), axis=(-2, -1))
-        for name, rows in zip(names, table.slices):
-            rec.add(f"{name}_matches_machinery", _mx(kv[:, rows] - machinery[:, rows]), 1e-10)
-            rec.add(f"{name}_phase_law", _mx(kv[:, rows] - reference[:, rows]))
-            rec.add(f"{name}_modulus_static", _mx(static[:, rows]))
-            rel = np.max(err[:, rows], axis=-1) / np.maximum(np.max(scale[:, rows], axis=-1), 1e-30)
-            rec.add(f"{name}_time_derivative", np.max(rel), TOL_FD)
+        scale = np.maximum(np.max(np.abs(2j * ek * kv), axis=(-2, -1)), 1e-30)
+        starts = [rows.start for rows in table.slices]
+        rel = np.maximum.reduceat(err, starts, 1) / np.maximum.reduceat(scale, starts, 1)
+        res = [_row_maxima(x, table.slices) for x in (kv - machinery, kv - reference, static)]
+        for name, machinery_res, phase_res, static_res, rel_res in zip(names, *res, rel.max(0)):
+            rec.add(f"{name}_matches_machinery", machinery_res, 1e-10)
+            rec.add(f"{name}_phase_law", phase_res)
+            rec.add(f"{name}_modulus_static", static_res)
+            rec.add(f"{name}_time_derivative", rel_res, TOL_FD)
     dd = decompose_diag_osc(GAMMA[0] @ GAMMA5, q)
     rec.add("pseudoscalar_diagonal_vanishes", max(_mx(dd[0]), _mx(dd[1])))
     return rec.results()

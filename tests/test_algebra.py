@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diracmr import algebra, associated, polarization, verify
 from diracmr.algebra import (
     CCONJ,
+    G0G,
     GAMMA,
     GAMMA5,
     ID4,
@@ -15,19 +17,25 @@ from diracmr.algebra import (
     SPIN,
     Momentum,
     boost_for_momentum,
+    boost_su2,
+    central_gradient,
     charge_conjugate,
+    contract,
     cross,
     cross_vectors,
     dirac_adjoint_deviation,
     foldy_wouthuysen,
     lorentz_boost_matrix,
     lorentz_of,
+    norm,
     rotation,
     rotation_su2,
     theta_tensor,
 )
+from diracmr.associated import _EPS_ON_SIGMA, Jet, WaveSpinor, _cross
 from diracmr.operators import dirac_hamiltonian, pryce_e_spin
-from diracmr.sampling import sample_momenta
+from diracmr.polarization import HelicityBasis
+from diracmr.sampling import POLE_MARGIN, make_rng, sample_momenta
 
 TOL = 1e-12
 
@@ -240,3 +248,112 @@ def test_cross_vectors_is_numpys_cross_bit_for_bit(dtype):
     assert got.shape == want.shape == (20, 6, 10, 3) and got.dtype == want.dtype
     assert np.array_equal(got, want)
     assert np.array_equal(cross_vectors(np.eye(3), np.eye(3)[[1, 2, 0]]), np.eye(3)[[2, 0, 1]])
+
+
+def _same(got, want) -> bool:
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+# contract and the batch norms are numpy's own tensordot and norm arithmetic without
+# the Python wrappers; these pin them byte for byte against the forms they replace
+@pytest.mark.parametrize("batch", [(), (1,), (7,), (7, 1), (0,)], ids=str)
+@pytest.mark.parametrize("name", ["PAULI", "SPIN", "G0G", "_EPS_ON_SIGMA"])
+def test_contract_is_numpys_tensordot_bit_for_bit(batch, name):
+    mats = {"PAULI": PAULI, "SPIN": SPIN, "G0G": G0G, "_EPS_ON_SIGMA": _EPS_ON_SIGMA}[name]
+    v = np.random.default_rng(23).standard_normal(batch + (len(mats),))
+    assert _same(contract(v, mats), np.tensordot(v, mats, axes=(-1, 0)))
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_contract_against_gamma_is_numpys_tensordot_bit_for_bit(dtype):
+    rng = np.random.default_rng(29)
+    v = rng.standard_normal((7, 4, 4)) + (1j * rng.standard_normal((7, 4, 4)) if dtype is complex else 0)
+    want = np.tensordot(v, GAMMA, axes=(-1, 0))
+    assert want.shape == (7, 4, 4, 4) and _same(contract(v, GAMMA), want)
+
+
+def test_cross_jet_is_the_eps_tensordot_bit_for_bit():
+    rng = np.random.default_rng(31)
+    for batch in ((), (1,), (7,), (7, 1)):
+        row = Jet(rng.standard_normal(batch + (1, 3)), None)
+        want = np.tensordot(row.v[..., 0, :], EPS3, (-1, 1))
+        assert want.shape == batch + (3, 3) and _same(_cross(row).v, want)
+
+
+# components of order 1, near 1e-300 (whose squares underflow) and near 1e300 (whose
+# squares overflow to inf both ways)
+@pytest.mark.parametrize("scale", [1.0, 1e-300, 1e300])
+@pytest.mark.parametrize("batch", [(), (7,), (7, 1), (0,)], ids=str)
+def test_norm_is_numpys_norm_bit_for_bit(scale, batch):
+    x = scale * np.random.default_rng(37).standard_normal(batch + (3,))
+    with np.errstate(over="ignore"):
+        assert _same(norm(x), np.linalg.norm(x, axis=-1))
+
+
+def test_batch_norm_sites_take_norm(monkeypatch):
+    # Momentum.mag, _half_angle (through rotation_su2 and boost_su2), HelicityBasis._checked,
+    # WaveSpinor.gradient's fallback step and the nested-FD oracle's step each take their
+    # |x| from one norm call on their own argument
+    seen = []
+
+    def recorded(x):
+        seen.append(np.array(x))
+        return norm(x)
+
+    for module in (algebra, associated, polarization, verify):
+        monkeypatch.setattr(module, "norm", recorded)
+    p = np.random.default_rng(41).standard_normal((7, 3))
+    p[:, 2] = np.abs(p[:, 2])  # clear of the helicity chart's -e3 pole
+
+    def fn(k):
+        return np.stack((np.sin(k[..., 0]), np.cos(k[..., 1])), -1) + 0j
+
+    sites = {
+        "mag": lambda: Momentum(p, 0.5).mag,
+        "rotation_su2": lambda: rotation_su2(p),
+        "boost_su2": lambda: boost_su2(p),
+        "_checked": lambda: HelicityBasis()._checked(p),
+        "gradient": lambda: WaveSpinor(fn).gradient(p),
+    }
+    for name, site in sites.items():
+        seen.clear()
+        site()
+        assert len(seen) == 1 and _same(seen[0], p), name
+    steps = []
+
+    def counted(fn, x, h):
+        steps.append((np.array(x), np.array(h)))
+        return central_gradient(fn, x, h)
+
+    monkeypatch.setattr(verify, "central_gradient", counted)
+    seen.clear()
+    assert all(r.passed for r in verify.run_suite("appendix_b", 1, 3))
+    (k, h), = steps
+    assert _same(h, 1e-3 * norm(k)) and any(_same(x, k) for x in seen)
+
+
+def _sample_momenta_with_norm(n, m, seed, lo=0.01, hi=10.0, avoid_poles=False):
+    """``sample_momenta`` as written with ``np.linalg.norm(d)`` and the logs in its loop."""
+    rng = make_rng(seed)
+    out = []
+    while len(out) < n:
+        mag = m * np.exp(rng.uniform(np.log(lo), np.log(hi)))
+        d = rng.standard_normal(3)
+        norm = np.linalg.norm(d)
+        if norm < 1e-12:
+            continue
+        d = d / norm
+        if avoid_poles and min(1.0 - d[2], 1.0 + d[2]) < POLE_MARGIN:
+            continue
+        out.append(Momentum(d * mag, m))
+    return out
+
+
+@pytest.mark.parametrize("avoid_poles", [False, True])
+def test_sample_momenta_draws_are_the_norm_form_bit_for_bit(avoid_poles):
+    for seed in (1, 2, 3, 7, 1511652251):
+        for m, lo, hi in ((1.0, 0.01, 10.0), (0.25, 0.05, 2.0), (3.0, 0.5, 4.0)):
+            got = sample_momenta(50, m, seed, lo=lo, hi=hi, avoid_poles=avoid_poles)
+            want = _sample_momenta_with_norm(50, m, seed, lo=lo, hi=hi, avoid_poles=avoid_poles)
+            assert all(_same(a.p, b.p) and a.m == b.m for a, b in zip(got, want))

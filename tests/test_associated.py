@@ -466,6 +466,26 @@ def test_operator_stack_rows_are_the_members(basis):
             assert np.array_equal(act[:, ra, rb], own.apply(alpha, p)), (a.name, b.name)
 
 
+def test_operator_stack_stacks_partials_only_for_a_commutator(monkeypatch):
+    # mult_at and apply read the stacked values alone; only a commutator's read of
+    # coef stacks the partials
+    calls = []
+    formula = OperatorStack.formula
+
+    def counted(self, p, partials=True):
+        calls.append(partials)
+        return formula(self, p, partials)
+
+    monkeypatch.setattr(OperatorStack, "formula", counted)
+    fam = AssociatedFamily(0.7, HelicityBasis())
+    p = verify._sampled(6, 0.7, 5, lo=0.05, hi=2.0, avoid_poles=True).p
+    stack = OperatorStack(*_stack_members(fam))
+    stack.mult_at(p), stack.apply(gaussian_test_spinor(make_rng(9)), p)
+    assert calls == [False] and all(x is None or x.d is None for x in stack._values(p))
+    commutator(stack, stack).mult_at(p)
+    assert calls == [False, True]
+
+
 def test_operator_stack_takes_operators_of_one_basis():
     fam, other = AssociatedFamily(1.0, CommonBasis()), AssociatedFamily(1.0, HelicityBasis())
     with pytest.raises(TypeError):

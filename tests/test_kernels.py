@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from diracmr import verify
 from diracmr.algebra import GAMMA, GAMMA5, Momentum, dagger, theta_tensor
 from diracmr.associated import KERNEL_CATALOG, KernelTable, matrix_elements_offdiag
 from diracmr.operators import OPERATOR_CATALOG, decompose_diag_osc, projectors
@@ -133,3 +134,43 @@ def test_kernel_table_slices_are_the_single_kernel_api(basis):
             # and the table's kernel is its parent image, so a coefficient that
             # drifts from its parent fails here even where both APIs share it
             assert mx(got[0][..., rows, :, :] - got[1][..., rows, :, :]) < 1e-10, name
+
+
+def test_row_maxima_are_the_per_slice_maxima():
+    # uneven row slices, one of them a single row, over stacks of several shapes
+    rng = np.random.default_rng(43)
+    slices = (slice(0, 3), slice(3, 4), slice(4, 9), slice(9, 11))
+    for shape in ((5, 11, 2, 2), (1, 11), (3, 11, 4)):
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        assert verify._row_maxima(a, slices).tolist() == [verify._mx(a[:, r]) for r in slices]
+        # a NaN reads NaN on its own slice, and on no neighbour
+        for row in (0, 3, 8, 10):
+            b = a.copy()
+            b[-1, row] = np.nan
+            got = verify._row_maxima(b, slices)
+            hit = [r.start <= row < r.stop for r in slices]
+            assert np.isnan(got[hit]).all() and not np.isnan(got[np.logical_not(hit)]).any()
+
+
+def test_a_nan_kernel_row_fails_its_own_lines(monkeypatch):
+    # a NaN planted in the scalar kernel's one row in the helicity basis (the second
+    # basis the suite reads) makes that kernel's four lines read NaN and fail; the
+    # neighbouring kernels' lines and every other line still pass
+    products = KernelTable.products.func
+
+    def planted(self):
+        k = products(self)
+        if self.basis.kind == "helicity":
+            k = k.copy()
+            k[3, self.slices[4]] = np.nan
+        return k
+
+    monkeypatch.setattr(KernelTable, "products", property(planted))
+    assert list(KERNEL_CATALOG)[4] == "scalar_charge_osc"
+    results = verify.run_suite("kernels", 20, 7)
+    failed = {r.name for r in results if not r.passed}
+    assert failed == {
+        f"scalar_charge_osc_{check}"
+        for check in ("matches_machinery", "phase_law", "modulus_static", "time_derivative")
+    }
+    assert all(np.isnan(r.residual) for r in results if r.name in failed)
