@@ -14,13 +14,14 @@ Every constant of the algebra is one array indexed like its symbol:
 (``cross_vectors(a, b)`` its form for two stacks of vectors).
 All matrices are dense complex ``numpy`` arrays and every identity is
 checked numerically against a stated tolerance, never symbolically.
-``memoized`` keeps an owner's evaluations on its last few momentum batches,
-first in, first out.
+A ``Momentum`` batch owns what is evaluated on it: its flip, its
+per-component view and every ``memoized`` quantity live as long as the batch.
 """
 
 from __future__ import annotations
 
 import functools
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,14 +71,6 @@ def central_gradient(fn, x, h) -> np.ndarray:
     return (-f2 + 8 * f1 - 8 * fm1 + fm2) / (12 * h)
 
 
-# an owner keeps the evaluations of its last MEMO_BATCHES momentum batches;
-# a batch of more than MEMO_MAX_MOMENTA momenta (a quadrature grid; the
-# largest verify batch, a 12-point stencil at 100 samples, holds 1,200) is
-# evaluated directly and neither hashed nor kept
-MEMO_BATCHES = 4
-MEMO_MAX_MOMENTA = 4096
-
-
 def read_only(x):
     """A read-only view of an array, or a tuple of them; anything else as is."""
     if isinstance(x, np.ndarray):
@@ -88,72 +81,40 @@ def read_only(x):
     return x
 
 
-def _momenta(p: np.ndarray) -> np.ndarray:
-    """p itself, once its last axis is checked to hold three momentum components."""
-    if p.shape[-1:] != (3,):
-        raise ValueError(f"a momentum batch must have shape (..., 3), got {p.shape}")
-    return p
-
-
-class BatchMemo:
-    """One owner's evaluations on its last ``MEMO_BATCHES`` momentum batches,
-    evicted first in, first out.
-
-    ``memo(quantity, fn, p)`` is ``read_only(fn(p))``, evaluated once per
-    (quantity, shape, bytes of the float64 batch p).  ``fn`` gets a read-only
-    copy of p, so a result that views its argument cannot change with the
-    caller's array.  A batch that raises stores nothing, so it raises again;
-    a batch whose last axis is not 3 raises ``ValueError`` before ``fn`` runs.
-    """
-
-    __slots__ = ("_batches",)
-
-    def __init__(self):
-        self._batches: dict[tuple, dict] = {}  # oldest batch first
-
-    def __len__(self) -> int:
-        return len(self._batches)
-
-    def __call__(self, quantity, fn, p):
-        p = np.asarray(p, dtype=float)
-        if p.size > 3 * MEMO_MAX_MOMENTA:  # before the key: hashing copies the batch
-            return read_only(fn(_momenta(p)))
-        key = (p.shape, p.tobytes())
-        entry = self._batches.get(key)
-        if entry is not None and quantity in entry:  # only a checked batch is kept
-            return entry[quantity]
-        value = read_only(fn(np.frombuffer(key[1]).reshape(_momenta(p).shape)))
-        # fn may have stored other quantities of this batch, or evicted it
-        self._batches.setdefault(key, {})[quantity] = value
-        while len(self._batches) > MEMO_BATCHES:
-            del self._batches[next(iter(self._batches))]
-        return value
-
-
-def batch_memo(owner) -> BatchMemo:
-    """The ``BatchMemo`` kept on ``owner``, made on first use."""
-    memo = owner.__dict__.get("_batch_memo")
-    if memo is None:
-        memo = owner.__dict__["_batch_memo"] = BatchMemo()
-    return memo
-
-
 def memoized(fn):
-    """``fn(owner, x)`` evaluated once per momentum batch x, kept on ``owner``.
+    """``fn(owner, q)`` evaluated once per momentum batch q and kept on q, read-only.
 
-    x is an array batch (..., 3) or a ``Momentum``, whose key adds its mass.
-    ``fn`` gets the memo's read-only copy of the batch, wrapped as
-    ``Momentum(copy, m)`` for a ``Momentum``, and every result is read-only.
+    The entry lives while both its batch and its owner do: q holds it and the
+    owner's death drops it, so a long-lived batch keeps nothing of a short-lived
+    owner and an owner's id names no other owner meanwhile.  ``fn`` gets q itself,
+    so the memoized quantities it reads of q are kept on q too.  An array (..., 3)
+    is taken as a fresh batch at the default mass (``as_momentum``), which the call
+    drops with its entries.  A batch that raises keeps nothing, so it raises again.
     """
-    name = fn.__name__
 
     @functools.wraps(fn)
-    def cached(owner, x):
-        if isinstance(x, Momentum):
-            return batch_memo(owner)((name, x.m), lambda k: fn(owner, Momentum(k, x.m)), x.p)
-        return batch_memo(owner)(name, lambda k: fn(owner, k), x)
+    def cached(owner, q):
+        q = as_momentum(q)
+        key = (id(owner), fn)
+        entry = q._evaluations.get(key)
+        if entry is None:
+            value, batch = read_only(fn(owner, q)), weakref.ref(q)
+
+            def forget(_):  # the owner is gone, and with it its entries on live batches
+                live = batch()
+                if live is not None:
+                    del live._evaluations[key]
+
+            entry = q._evaluations[key] = (weakref.ref(owner, forget), value)
+        return entry[1]
 
     return cached
+
+
+def as_momentum(q) -> "Momentum":
+    """q itself if it is a ``Momentum``, else the fresh batch ``Momentum(q)`` at the
+    default mass."""
+    return q if isinstance(q, Momentum) else Momentum(q)
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -262,20 +223,26 @@ class Momentum:
     """Three-momenta p of shape (..., 3) at one mass, E(p) = sqrt(p^2 + m^2).
 
     The leading axes are a batch; a single momentum is the batch of shape ()
-    and its ``mag`` and ``energy`` are scalars.  Treated as immutable; the
-    stored array must not be mutated, since ``mag`` and ``energy`` are
-    computed once, on first read.
+    and its ``mag`` and ``energy`` are scalars.  ``p`` is a read-only copy of
+    the array given, so nothing derived from the batch follows later writes to
+    that array.  The batch owns what is derived from it: ``mag``, ``energy``,
+    ``flipped()``, ``per_component`` and every ``@memoized`` quantity are made
+    once and dropped with the batch.
     """
 
     p: np.ndarray = field()
     m: float = 1.0
+    # (id(owner), fn) -> (weakref to owner, fn(owner, self)); ``memoized``'s alone
+    _evaluations: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "p", np.asarray(self.p, dtype=float))
-        if self.p.shape[-1:] != (3,):
-            raise ValueError(f"momenta must have shape (..., 3), got {self.p.shape}")
+        p = np.array(self.p, dtype=float, order="C")
+        if p.shape[-1:] != (3,):
+            raise ValueError(f"momenta must have shape (..., 3), got {p.shape}")
         if not 0.0 < self.m < np.inf:  # also rejects nan
             raise ValueError(f"mass must be positive and finite, got {self.m}")
+        p.flags.writeable = False
+        object.__setattr__(self, "p", p)
 
     @functools.cached_property
     def mag(self) -> np.ndarray:
@@ -292,7 +259,22 @@ class Momentum:
         return np.concatenate((self.energy[..., None], self.p), axis=-1)
 
     def flipped(self) -> "Momentum":
-        return Momentum(-self.p, self.m)
+        """The batch -p at the same mass, made once: ``q.flipped().flipped() is q``.
+        The batch holds its flip and the flip holds the batch weakly, so the pair
+        is no reference cycle; a flip that outlives its batch makes a new one."""
+        flip = self.__dict__.get("_flip")
+        if isinstance(flip, weakref.ref):
+            flip = flip()
+        if flip is None:
+            flip = self.__dict__["_flip"] = Momentum(-self.p, self.m)
+            flip.__dict__["_flip"] = weakref.ref(self)
+        return flip
+
+    @functools.cached_property
+    def per_component(self) -> "Momentum":
+        """The batch with one more axis, (..., 1, 3), against which a component
+        stack (..., k, ...) broadcasts."""
+        return Momentum(self.p[..., None, :], self.m)
 
     @staticmethod
     def of(px: float, py: float, pz: float, m: float = 1.0) -> "Momentum":

@@ -11,7 +11,7 @@ over a component axis as in ``OPERATOR_CATALOG``, the Wigner little group in its
 component pair, and the closed-form oscillating (zitterbewegung) kernels.
 
 Each image of a 4x4 stack A (..., k, 4, 4) is one contraction vec(A).F with a
-spinor frame memoized on the basis per batch, u/u at p or u(p)/v(-p); as v = C u*,
+spinor frame kept on the momentum batch per basis, u/u at p or u(p)/v(-p); as v = C u*,
 A~(-) and A~(-+) are images of the charge conjugate C A(-p)^T C and of A^+.
 
 Each kernel is one coefficient map C(p), (..., k, 4), contracted with the one
@@ -37,6 +37,7 @@ from .algebra import (
     ID2,
     PAULI,
     Momentum,
+    as_momentum,
     central_gradient,
     charge_conjugate,
     contract,
@@ -44,7 +45,6 @@ from .algebra import (
     cross_vectors,
     dagger,
     memoized,
-    norm,
     read_only,
     theta_tensor,
 )
@@ -63,12 +63,13 @@ def _matvec(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
 class WaveSpinor:
     """Two-component wave function of momentum with optional analytic gradient.
 
-    ``value`` maps momenta (..., 3) to spinors (..., 2) and ``gradient`` to
-    d alpha / d p^k, (..., 3, 2).  When no gradient is supplied, derivatives
-    fall back to 4th-order central finite differences with step
-    h = 1e-3 |p|, the scale on which helicity quantities vary (Omega ~ 1/|p|);
-    only oracles use it, never at p = 0.  Both are memoized per momentum batch
-    on the spinor, and their outputs are read-only.
+    ``fn`` maps momenta (..., 3) to spinors (..., 2) and ``grad`` to
+    d alpha / d p^k, (..., 3, 2); ``value`` and ``gradient`` take a momentum
+    batch.  When no gradient is supplied, derivatives fall back to 4th-order
+    central finite differences with step h = 1e-3 |p|, the scale on which
+    helicity quantities vary (Omega ~ 1/|p|); only oracles use it, never at
+    p = 0.  Both are ``@memoized``, kept on the batch per spinor, and their
+    outputs are read-only.
     """
 
     def __init__(self, fn, grad=None):
@@ -76,15 +77,15 @@ class WaveSpinor:
         self._grad = grad
 
     @memoized
-    def value(self, p) -> np.ndarray:
-        return np.asarray(self._fn(p), dtype=complex)
+    def value(self, q) -> np.ndarray:
+        return np.asarray(self._fn(q.p), dtype=complex)
 
     @memoized
-    def gradient(self, p) -> np.ndarray:
+    def gradient(self, q) -> np.ndarray:
         """d alpha / d p^k, shape (..., 3, 2)."""
         if self._grad is not None:
-            return np.asarray(self._grad(p), dtype=complex)
-        return central_gradient(self.value, p, 1e-3 * norm(p))
+            return np.asarray(self._grad(q.p), dtype=complex)
+        return central_gradient(self.value, q.p, 1e-3 * q.mag)
 
 
 def gaussian_test_spinor(rng: np.random.Generator, scale: float = 1.0) -> WaveSpinor:
@@ -229,48 +230,49 @@ class AssociatedOperator:
     """A stack of first-order operators on wave spinors in the Sigma frame of their
     basis, alpha -> (a0 + a.Sigma(p)/2) alpha + D.(d~ alpha), d~_k = d_k + Omega_k.
 
-    ``formula`` maps momenta (..., 3) to (a0, a, D), jets (..., k, c) of c = 1,
+    ``formula`` maps a ``Momentum`` batch to (a0, a, D), jets (..., k, c) of c = 1,
     3 and 3 entries or None for a part that vanishes; k = 1 for a scalar and 3
     for a vector, as in ``OPERATOR_CATALOG``, and a commutator has axes (ka, kb).
     The basis enters through Sigma(p) and Omega(p) only.  ``mult_at`` gives
     (..., k, 2, 2) and ``apply`` (..., k, 2): the leading axes of a spinor's own
     values stay ahead of the momentum batch, the component axes come after it.
+    Each takes a ``Momentum`` batch, or an array (..., 3) as one fresh batch.
     """
 
     name: str
     basis: PolarizationBasis
-    formula: Callable[[np.ndarray], tuple]
+    formula: Callable[[Momentum], tuple]
 
     @memoized
-    def coef(self, p) -> tuple:
-        """``formula(p)`` with read-only jets, ``@memoized`` on the operator per
-        momentum batch, so a commutator reuses the jets of its factors."""
-        parts = self.formula(p)
+    def coef(self, q) -> tuple:
+        """``formula(q)`` with read-only jets, ``@memoized``: kept on the batch q per
+        operator, so a commutator reuses the jets of its factors."""
+        parts = self.formula(q)
         return tuple(None if x is None else Jet(read_only(x.v), read_only(x.d)) for x in parts)
 
     _values = coef  # the parts mult_at and apply read (a stack reads no partials)
 
-    def mult_at(self, p) -> np.ndarray:
+    def mult_at(self, q) -> np.ndarray:
         """The multiplicative part a0 + a.Sigma/2, (..., k, 2, 2)."""
-        p = np.asarray(p, dtype=float)
-        a0, a, d = self._values(p)
+        q = as_momentum(q)
+        a0, a, d = self._values(q)
         shape = next(x.v.shape[:-1] for x in (a0, a, d) if x is not None)
         out = np.zeros(shape + (2, 2), dtype=complex)
         if a0 is not None:
             out += a0.v[..., None] * ID2
         if a is not None:
-            sigma = _align(self.basis.sigma(p), len(shape) - p.ndim + 1, 3)
+            sigma = _align(self.basis.sigma(q), len(shape) - q.p.ndim + 1, 3)
             out += 0.5 * np.einsum("...c,...cab->...ab", a.v, sigma)
         return out
 
-    def apply(self, spinor: WaveSpinor, p) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        mult, d = self.mult_at(p), self._values(p)[2]
-        axes = mult.ndim - p.ndim - 1
-        val = spinor.value(p)
+    def apply(self, spinor: WaveSpinor, q) -> np.ndarray:
+        q = as_momentum(q)
+        mult, d = self.mult_at(q), self._values(q)[2]
+        axes = mult.ndim - q.p.ndim - 1
+        val = spinor.value(q)
         out = _matvec(mult, _align(val, axes, 1))
         if d is not None:
-            cov = spinor.gradient(p) + _matvec(self.basis.omega(p), val[..., None, :])
+            cov = spinor.gradient(q) + _matvec(self.basis.omega(q), val[..., None, :])
             out = out + np.einsum("...k,...ka->...a", d.v, _align(cov, axes, 2))
         return out
 
@@ -293,21 +295,19 @@ class OperatorStack(AssociatedOperator):
         basis = members[0].basis
         if any(isinstance(op, _Commutator) or op.basis is not basis for op in members):
             raise TypeError("a stack takes operators of one basis, not commutators")
-        # ``formula`` is the method below, so no stored bound method makes the
-        # stack a reference cycle that would keep its memo alive until collected
         self.name, self.basis = f"({', '.join(op.name for op in members)})", basis
         self.members = members
         self.slices: tuple[slice, ...] | None = None
 
     @memoized
-    def _values(self, p) -> tuple:
-        return self.formula(p, partials=False)
+    def _values(self, q) -> tuple:
+        return self.formula(q, partials=False)
 
-    def formula(self, p, partials: bool = True) -> tuple:
-        parts = [op.coef(p) for op in self.members]
+    def formula(self, q: Momentum, partials: bool = True) -> tuple:
+        parts = [op.coef(q) for op in self.members]
         ends = np.cumsum([next(x.v.shape[-2] for x in c if x is not None) for c in parts]).tolist()
         self.slices = tuple(slice(a, b) for a, b in zip([0] + ends, ends))
-        lead = p.shape[:-1] + (ends[-1],)
+        lead = q.p.shape[:-1] + (ends[-1],)
         out = []
         for jets in zip(*parts):
             present = [x for x in jets if x is not None]
@@ -348,10 +348,10 @@ def commutator(a: AssociatedOperator, b: AssociatedOperator) -> AssociatedOperat
     if isinstance(a, _Commutator) or isinstance(b, _Commutator):
         raise TypeError("commutators do not nest: a commutator carries no partials")
 
-    def coef(p):
+    def coef(q):
         # a's jets gain the kb axis, b's the ka axis: (..., ka, kb, c)
-        a0, av, ad = (_stacked(x, 1) for x in a.coef(p))
-        b0, bv, bd = (_stacked(x, 2) for x in b.coef(p))
+        a0, av, ad = (_stacked(x, 1) for x in a.coef(q))
+        b0, bv, bd = (_stacked(x, 2) for x in b.coef(q))
         spin = 0 if av is None or bv is None else 1j * cross_vectors(av.v, bv.v)
         parts = [
             _rate(ad, b0) - _rate(bd, a0),
@@ -367,10 +367,10 @@ def commutator(a: AssociatedOperator, b: AssociatedOperator) -> AssociatedOperat
 
 
 def commutator_action(
-    a: AssociatedOperator, b: AssociatedOperator, spinor: WaveSpinor, p
+    a: AssociatedOperator, b: AssociatedOperator, spinor: WaveSpinor, q
 ) -> np.ndarray:
-    """[A_i, B_j] alpha at p, (..., ka, kb, 2), through the exact ``commutator``."""
-    return commutator(a, b).apply(spinor, p)
+    """[A_i, B_j] alpha at the batch q, (..., ka, kb, 2), through the exact ``commutator``."""
+    return commutator(a, b).apply(spinor, q)
 
 
 _UNIT = np.eye(3)
@@ -400,7 +400,7 @@ class AssociatedFamily:
     """Factory for the associated operators at fixed mass and polarization basis,
     one operator per family over a component axis (k = 3 for S~, X~, L~, the boost
     generators and W~; k = 1 for the scalars), each written once as Sigma-frame
-    coefficients in the jets of p and E; every coefficient function takes (..., 3).
+    coefficients in the jets of p and E; every coefficient function takes a batch.
     """
 
     def __init__(self, m: float, basis: PolarizationBasis):
@@ -414,7 +414,8 @@ class AssociatedFamily:
         p^k (k = 3, c = 1) and as the row p^c (k = 1, c = 3), E as (1, 1); a or
         D may be a constant (k, 3) array."""
 
-        def coef(p):
+        def coef(q):
+            p = q.p
             col, row = Jet(p[..., :, None], _UNIT[:, None]), Jet(p[..., None, :], _UNIT[None])
             a0, a, d = formula(col, row, _norm(row, self.m * self.m))
             return a0, _constant(a, p), _constant(d, p)
@@ -540,7 +541,7 @@ def wigner_little_group(lam: np.ndarray, q: Momentum):
 def d_matrix(lam: np.ndarray, q: Momentum, basis: PolarizationBasis) -> np.ndarray:
     """Induced-representation rotations D(lambda, p) = xi^+(p) w_hat xi(p')."""
     what, qprime = wigner_little_group(lam, q)
-    return _mul(_mul(dagger(basis.xi(q.p)), what), basis.xi(qprime.p))
+    return _mul(_mul(dagger(basis.xi(q)), what), basis.xi(qprime))
 
 
 def wigner_transform(
@@ -560,8 +561,8 @@ def wigner_transform(
         what, qprime = wigner_little_group(lam, q)
         phase = np.exp(1j * (q.energy * a[0] - p @ a[1:]))
         factor = np.sqrt(qprime.energy / q.energy) * phase
-        moved = _mul(what, _mul(basis.xi(qprime.p), alpha.value(qprime.p)[..., None]))
-        return factor[..., None] * _mul(dagger(basis.xi(p)), moved)[..., 0]
+        moved = _mul(what, _mul(basis.xi(qprime), alpha.value(qprime)[..., None]))
+        return factor[..., None] * _mul(dagger(basis.xi(q)), moved)[..., 0]
 
     return WaveSpinor(value)
 
@@ -579,13 +580,13 @@ _EPS_ON_SIGMA = cross(np.eye(3), _ON_SIGMA[:, None, :])[..., 0, :]
 
 
 @memoized
-def _pair_bilinears(basis: PolarizationBasis, p: np.ndarray) -> np.ndarray:
+def _pair_bilinears(basis: PolarizationBasis, q: Momentum) -> np.ndarray:
     """The frame B(p) = (xi^+(p) sigma_j eta(-p), xi^+(p) eta(-p)), (..., 4, 2, 2).
 
-    One frame serves every kernel: it is ``@memoized`` on the basis per
-    momentum batch, as the basis's own quantities are; read-only.
+    One frame serves every kernel: it is ``@memoized``, kept on the batch q per
+    basis, as the basis's own quantities are; read-only.
     """
-    return dagger(basis.xi(p))[..., None, :, :] @ _FRAME @ basis.eta(-p)[..., None, :, :]
+    return dagger(basis.xi(q))[..., None, :, :] @ _FRAME @ basis.eta(q.flipped())[..., None, :, :]
 
 
 def _energy(q: Momentum) -> np.ndarray:
@@ -653,7 +654,7 @@ class KernelTable:
     @functools.cached_property
     def products(self) -> np.ndarray:
         """C.B of every coefficient row, (..., K, 2, 2)."""
-        frame, batch = _pair_bilinears(self.basis, self.q.p), self.q.p.shape[:-1]
+        frame, batch = _pair_bilinears(self.basis, self.q), self.q.p.shape[:-1]
         # a constant C (the pseudoscalar's) broadcast to the batch before its rows join
         coef = np.concatenate([np.broadcast_to(c, batch + np.shape(c)[-2:]) for c in self._coefs], -2)
         k = coef @ frame.reshape(frame.shape[:-2] + (4,))  # C.B, each B_j flattened

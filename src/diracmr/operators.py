@@ -225,8 +225,9 @@ class FourierOperator:
     """Momentum-space operator: evaluator q -> (..., k, 4, 4) stack,
     k = 1 for scalars, 3 for spatial vectors and 4 for four-vectors.
 
-    ``__call__`` is ``@memoized`` per momentum batch and mass, so the images of one
-    batch in every basis share one evaluation (A does not depend on a basis); read-only.
+    ``__call__`` is ``@memoized``: kept on the batch q per operator, so the images
+    of one batch in every basis share one evaluation (A does not depend on a basis);
+    read-only.
     """
 
     func: Callable[[Momentum], np.ndarray]
@@ -245,7 +246,7 @@ def _constant(mats: np.ndarray) -> Callable[[Momentum], np.ndarray]:
     return lambda q: np.broadcast_to(mats, q.p.shape[:-1] + mats.shape)
 
 
-# the production operators by name; each entry keeps the memo of its own batches
+# the production operators by name; each entry's evaluations are kept on their batches
 OPERATOR_CATALOG: dict[str, FourierOperator] = {
     "h_dirac": FourierOperator(_scalar(dirac_hamiltonian)),
     "projector_plus": FourierOperator(_scalar(lambda q: projectors(q)[0])),

@@ -3,7 +3,8 @@
 Two families are provided: *common* polarization (spin measured along the
 fixed axis e3: xi, eta and Sigma are constant and Omega vanishes) and the
 *peculiar* helicity basis (spin measured along the momentum direction).  Both
-take momenta of shape (..., 3) and supply, per momentum,
+take a momentum batch (a ``Momentum``, or an array of shape (..., 3)) and
+supply, per momentum,
 
 * ``xi(p)``      2x2 matrix whose columns are xi_{+1/2}, xi_{-1/2}
 * ``eta(p)``     partner spinors eta_sigma = i sigma_2 xi_sigma^*
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import ID2, PAULI, central_gradient, dagger, memoized, norm
+from .algebra import ID2, PAULI, central_gradient, dagger, memoized
 
 EPS_POLE = 1e-9
 
@@ -78,29 +79,30 @@ class PolarizationBasis:
     """Base class; a concrete basis defines ``xi`` and ``omega``, and eta and
     Sigma derive from its xi here.
 
-    Every method takes momenta of shape (..., 3) and returns one matrix, or
-    one stack of three, per momentum.  eta and Sigma are memoized per momentum
-    batch on the basis instance (``memoized``), as the helicity basis's xi and
-    Omega are, so a basis evaluates each quantity once on a batch.  Every
-    output is read-only.
+    Every method but the ``omega_fd`` oracle, which takes an array, takes a
+    momentum batch, a ``Momentum`` q or an array (..., 3), and returns one
+    matrix, or one stack of three, per momentum.  eta and Sigma are
+    ``@memoized``, as each basis's xi and Omega are: each is kept on the batch q
+    per basis, so a basis evaluates each quantity once on a batch, and an array
+    is evaluated for its call only.  Every output is read-only.
     """
 
     kind = "generic"
 
-    def xi(self, p) -> np.ndarray:
+    def xi(self, q) -> np.ndarray:
         raise NotImplementedError
 
     @memoized
-    def eta(self, p) -> np.ndarray:
-        return eta_from_xi(self.xi(p))
+    def eta(self, q) -> np.ndarray:
+        return eta_from_xi(self.xi(q))
 
     @memoized
-    def sigma(self, p) -> np.ndarray:
+    def sigma(self, q) -> np.ndarray:
         """Sigma_i(p) = xi^+(p) sigma_i xi(p), shape (..., 3, 2, 2), written out in
         xi's entries: with o[r, s][a, b] = xi_ra* xi_sb, Sigma_1 = o[0, 1] + o[1, 0],
         Sigma_2 = -i (o[0, 1] - o[1, 0]) and Sigma_3 = o[0, 0] - o[1, 1], from one
         broadcast product (a matmul per momentum walks the 2x2 matrices one at a time)."""
-        xi = self.xi(p)
+        xi = self.xi(q)
         o = xi.conj()[..., :, None, :, None] * xi[..., None, :, None, :]
         uv, vu = o[..., 0, 1, :, :], o[..., 1, 0, :, :]
         return np.stack((uv + vu, -1j * (uv - vu), o[..., 0, 0, :, :] - o[..., 1, 1, :, :]), -3)
@@ -116,16 +118,18 @@ class PolarizationBasis:
 
 class CommonBasis(PolarizationBasis):
     """Momentum-independent basis with spin measured along n = e3: xi = 1 and
-    Omega = 0, so eta = i sigma_2 and Sigma_i = sigma_i; ``p`` only sets the batch shape."""
+    Omega = 0, so eta = i sigma_2 and Sigma_i = sigma_i; the batch only sets the shape."""
 
     kind = "common"
     n = np.array([0.0, 0.0, 1.0])  # the polarization axis
 
-    def xi(self, p) -> np.ndarray:
-        return np.broadcast_to(ID2, np.shape(p)[:-1] + (2, 2))
+    @memoized
+    def xi(self, q) -> np.ndarray:
+        return np.broadcast_to(ID2, q.p.shape[:-1] + (2, 2))
 
-    def omega(self, p) -> np.ndarray:
-        return np.broadcast_to(0j, np.shape(p)[:-1] + (3, 2, 2))
+    @memoized
+    def omega(self, q) -> np.ndarray:
+        return np.broadcast_to(0j, q.p.shape[:-1] + (3, 2, 2))
 
 
 class HelicityBasis(PolarizationBasis):
@@ -138,11 +142,9 @@ class HelicityBasis(PolarizationBasis):
     kind = "helicity"
 
     @memoized
-    def _checked(self, p) -> tuple[np.ndarray, ...]:
-        """p, |p|, n = p/|p| and the chart 1 + n3 = |n + e3|^2 / 2, after the
-        pole checks."""
-        p = np.asarray(p, dtype=float)
-        mag = norm(p)
+    def _checked(self, q) -> tuple[np.ndarray, np.ndarray]:
+        """n = p/|p| and the chart 1 + n3 = |n + e3|^2 / 2, after the pole checks."""
+        p, mag = q.p, q.mag
         if np.any(mag == 0.0):
             raise PoleError("helicity basis undefined at p = 0")
         n = p / mag[..., None]
@@ -152,18 +154,19 @@ class HelicityBasis(PolarizationBasis):
             raise PoleError(
                 f"helicity chart singular on the -e3 ray (p+p3 = {np.min(mp3):.3e})"
             )
-        return p, mag, n, den
+        return n, den
 
     @memoized
-    def xi(self, p) -> np.ndarray:
-        _, _, n, den = self._checked(p)
+    def xi(self, q) -> np.ndarray:
+        n, den = self._checked(q)
         return _charted_pair(n, den)
 
     @memoized
-    def omega(self, p) -> np.ndarray:
+    def omega(self, q) -> np.ndarray:
         """Closed-form Omega_i(p), shape (..., 3, 2, 2): the coefficients of
         Omega_i along (sigma_1, sigma_2, sigma_3), contracted with PAULI."""
-        p, mag, _, den = self._checked(p)
+        _, den = self._checked(q)
+        p, mag = q.p, q.mag
         mp3 = mag * den
         p1, p2, p3 = p[..., 0], p[..., 1], p[..., 2]
         c = 1j / (2 * mag**2 * mp3)

@@ -18,22 +18,22 @@ from .polarization import PolarizationBasis, sigma_index
 _TWO_PI_32 = (2.0 * np.pi) ** 1.5
 
 
-def rest_u_matrix(basis: PolarizationBasis, p) -> np.ndarray:
+def rest_u_matrix(basis: PolarizationBasis, q) -> np.ndarray:
     """Rest-frame particle spinors as 4x2 matrices of columns (xi; xi)/sqrt(2)."""
-    xi = basis.xi(p)
+    xi = basis.xi(q)
     return np.concatenate([xi, xi], axis=-2) / np.sqrt(2.0)
 
 
-def rest_v_matrix(basis: PolarizationBasis, p) -> np.ndarray:
+def rest_v_matrix(basis: PolarizationBasis, q) -> np.ndarray:
     """Rest-frame antiparticle spinors, columns (eta; -eta)/sqrt(2)."""
-    eta = basis.eta(p)
+    eta = basis.eta(q)
     return np.concatenate([eta, -eta], axis=-2) / np.sqrt(2.0)
 
 
 def rest_spinors(basis: PolarizationBasis, q: Momentum, sigma: float):
     """Pair (u_ring, v_ring) of gamma^0 eigenspinors for one polarization label."""
     idx = sigma_index(sigma)
-    return rest_u_matrix(basis, q.p)[..., idx], rest_v_matrix(basis, q.p)[..., idx]
+    return rest_u_matrix(basis, q)[..., idx], rest_v_matrix(basis, q)[..., idx]
 
 
 def norm_factor(q: Momentum) -> np.ndarray:
@@ -45,17 +45,17 @@ def norm_factor(q: Momentum) -> np.ndarray:
 def u_matrix(basis: PolarizationBasis, q: Momentum) -> np.ndarray:
     """Boosted particle spinors u_sigma(p) = n(p) l_p u_ring_sigma(p), as columns.
 
-    ``@memoized`` on the basis, per momentum batch and mass; read-only.
+    ``@memoized``: kept on the batch q per basis; read-only.
     """
     n = norm_factor(q)[..., None, None]
-    return n * boost_for_momentum(q) @ rest_u_matrix(basis, q.p)
+    return n * boost_for_momentum(q) @ rest_u_matrix(basis, q)
 
 
 @memoized
 def v_matrix(basis: PolarizationBasis, q: Momentum) -> np.ndarray:
     """Boosted antiparticle spinors v_sigma(p) = C u_sigma^*(p), as columns.
 
-    ``@memoized`` on the basis, per momentum batch and mass; read-only.
+    ``@memoized``: kept on the batch q per basis; read-only.
     """
     return CCONJ @ u_matrix(basis, q).conj()
 

@@ -6,9 +6,11 @@ over the batch against a stated tolerance.  Suites are deterministic for a
 given (samples, seed, mass) triple.
 
 The suites share one ``CommonBasis`` and one ``HelicityBasis`` and the seeded
-draws of one (samples, seed, mass), and read each production 4x4 operator from
-its memoized ``OPERATOR_CATALOG`` entry, so the suites of one seed evaluate
-every momentum batch once, in any order; oracles keep their own evaluation.
+draws of one seed and mass, each one ``Momentum`` batch, and read each
+production 4x4 operator from its memoized ``OPERATOR_CATALOG`` entry.  Every
+memoized quantity is kept on the batch it was evaluated at, so the suites of one
+seed evaluate each quantity once per batch, in any order; oracles keep their own
+evaluation.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from .algebra import (
     lorentz_boost_matrix,
     lorentz_of,
     norm,
-    read_only,
     rotation,
     rotation_su2,
     theta_tensor,
@@ -83,8 +84,9 @@ TOL_EXACT = DEFAULT_IDENTITY_TOL
 TOL_FD = 1e-6
 TOL_FD_COMM = 1e-5
 
-# one basis of each kind serves every suite, so the per-basis memos (xi, eta,
-# Sigma, Omega, u, v, the image frames, the pair bilinears) carry across suites
+# one basis of each kind serves every suite, so what a shared draw keeps per
+# basis (xi, eta, Sigma, Omega, u, v, the image frames, the pair bilinears)
+# serves every suite that reads it
 _COMMON, _HELICITY = CommonBasis(), HelicityBasis()
 _BASES = (_COMMON, _HELICITY)
 
@@ -128,17 +130,25 @@ def _comm(a, b):
     return a @ b - b @ a
 
 
-# the suites of one (samples, seed, mass) ask for at most five distinct draws, each
-# from neighbouring suites, so four entries serve them; draws of earlier seeds go
-@functools.lru_cache(maxsize=4)
+@functools.lru_cache(maxsize=1)
+def _draws(seed: int, mass: float) -> dict:
+    """The draws of the latest (seed, mass), filled by ``_sampled``: the suites of
+    one seed share them, and the first draw at another seed or mass drops them,
+    with all that was evaluated on them."""
+    return {}
+
+
 def _sampled(
     samples: int, mass: float, seed: int, lo: float = 0.01, hi: float = 10.0,
     avoid_poles: bool = False,
 ) -> Momentum:
-    """The seeded momenta of ``sample_momenta`` as one read-only batch of shape
-    (n,), drawn once per argument tuple and shared by every suite that asks."""
-    momenta = sample_momenta(samples, mass, seed, lo=lo, hi=hi, avoid_poles=avoid_poles)
-    return Momentum(read_only(np.array([k.p for k in momenta]).reshape(-1, 3)), mass)
+    """The seeded momenta of ``sample_momenta`` as one batch of shape (n,),
+    drawn once per argument tuple and shared by every suite that asks."""
+    draws, key = _draws(seed, mass), (samples, lo, hi, avoid_poles)
+    if key not in draws:
+        momenta = sample_momenta(samples, mass, seed, lo=lo, hi=hi, avoid_poles=avoid_poles)
+        draws[key] = Momentum(np.array([k.p for k in momenta]).reshape(-1, 3), mass)
+    return draws[key]
 
 
 def _op(name: str, q: Momentum) -> np.ndarray:
@@ -146,11 +156,6 @@ def _op(name: str, q: Momentum) -> np.ndarray:
     without its unit axis."""
     a = OPERATOR_CATALOG[name](q)
     return a[..., 0, :, :] if a.shape[-3] == 1 else a
-
-
-def _per_component(q: Momentum) -> Momentum:
-    """The batch with one more axis, against which a component stack broadcasts."""
-    return Momentum(q.p[..., None, :], q.m)
 
 
 def _lift(a):
@@ -334,9 +339,9 @@ def suite_spin_types(samples: int, seed: int, mass: float):
     ap, am, apm, amp = decompose_diag_osc(GAMMA[1], q)
     rec.add("decomposition_sum", _mx(ap + am + apm + amp - GAMMA[1]))
     rec.add("oscillating_frequency", _mx(_comm(hd, apm) - 2 * e * apm))
-    sd = decompose_diag_osc(SPIN, _per_component(q))
+    sd = decompose_diag_osc(SPIN, q.per_component)
     rec.add("pauli_dirac_diagonal_is_pc", _mx(sd[0] + sd[1] - _op("pc_spin", q)))
-    rec.add("pryce_spin_reducible", _mx(decompose_diag_osc(S, _per_component(q))[2]))
+    rec.add("pryce_spin_reducible", _mx(decompose_diag_osc(S, q.per_component)[2]))
     return rec.results()
 
 
@@ -417,11 +422,11 @@ def suite_associated(samples: int, seed: int, mass: float):
     diag_images, off_images = _stacked(_DIAG_IMAGES), _stacked(off_names)
 
     for basis in _BASES:
-        sg = basis.sigma(p)
+        sg = basis.sigma(q)
         # the multipliers of the associated operators each image must equal
         fam = AssociatedFamily(m, basis)
-        energy, w0 = fam.hamiltonian().mult_at(p)[:, 0], fam.pauli_lubanski0().mult_at(p)[:, 0]
-        s, s_plus, w = (op.mult_at(p) for op in (fam.spin(), fam.spin_plus(), fam.pauli_lubanski()))
+        energy, w0 = fam.hamiltonian().mult_at(q)[:, 0], fam.pauli_lubanski0().mult_at(q)[:, 0]
+        s, s_plus, w = (op.mult_at(q) for op in (fam.spin(), fam.spin_plus(), fam.pauli_lubanski()))
 
         # every image from one call over the stacked entries, each check on its rows
         diag = matrix_elements_diag(diag_images, q, basis)
@@ -451,7 +456,7 @@ def suite_associated(samples: int, seed: int, mass: float):
         rec.add("pl_space_image", _mx(plus[:, 1:] - w))
         rec.add("pl_space_sign", _mx(signed[:, 1:]))
         plus, minus = images("delta_x")
-        rec.add("delta_x_diagonal_image", _mx(plus + fam.boost_spin().mult_at(p) / ec))
+        rec.add("delta_x_diagonal_image", _mx(plus + fam.boost_spin().mult_at(q) / ec))
         rec.add("delta_x_sign", _mx(minus - _parity("delta_x") * plus))
         plus, minus = images("pauli_dirac_spin")
         rec.add("pauli_dirac_image", _mx(plus - (m / ec) * s_plus))
@@ -468,7 +473,7 @@ def suite_associated(samples: int, seed: int, mass: float):
         # matched to the scale Sigma varies on, the momentum itself (the
         # common basis's Sigma is constant, so its stencil is exactly 0)
         h = 1e-4 * q.mag
-        om = basis.omega(p)
+        om = basis.omega(q)
         oj, ok, sk = om[:, :, None], om[:, None, :], sg[:, None, :]
         d_sigma = central_gradient(basis.sigma, p, h)  # [j, k] = d_j Sigma_k
         rec.add("covariant_derivative_kills_sigma", _mx(d_sigma + oj @ sk - sk @ oj), TOL_FD)
@@ -487,12 +492,12 @@ def suite_associated(samples: int, seed: int, mass: float):
     return rec.results()
 
 
-def _nested_commutators(stack: OperatorStack, spinor, p, actions):
+def _nested_commutators(stack: OperatorStack, spinor, q: Momentum, actions):
     """Oracle for ``commutator``: [A_i, B_j] alpha, (..., ka, kb, 2), for every
     pair of the ``stack``'s members by nested FD, as a function of the pair (a, b).
 
     One composite wave spinor holds the members' actions B alpha along a leading
-    component axis: its value at p is ``actions``, the stack's action on ``spinor``
+    component axis: its value at q is ``actions``, the stack's action on ``spinor``
     there, (..., K, 2), and its gradient is one finite difference of the stack's
     action.  The stack acts once on the composite, T = A(B alpha) with axes
     (B rows, .., A rows, 2), and every commutator is a block of T - T^T."""
@@ -501,9 +506,9 @@ def _nested_commutators(stack: OperatorStack, spinor, p, actions):
         step = 1e-3 * norm(k)
         return np.moveaxis(central_gradient(lambda x: stack.apply(spinor, x), k, step), -2, 0)
 
-    # the composite is evaluated at p only
+    # the composite is evaluated at q only
     composite = WaveSpinor(lambda k: np.moveaxis(actions, -2, 0), grad)
-    table = np.moveaxis(stack.apply(composite, p), 0, -2)  # (.., A rows, B rows, 2)
+    table = np.moveaxis(stack.apply(composite, q), 0, -2)  # (.., A rows, B rows, 2)
     table = table - np.swapaxes(table, -2, -3)
     # the members outlive the table, so their ids stay distinct
     rows = dict(zip(map(id, stack.members), stack.slices))
@@ -543,7 +548,7 @@ def suite_appendix_b(samples: int, seed: int, mass: float):
         lambda k: np.stack([sp.value(k) for sp in spinors]),
         lambda k: np.stack([sp.gradient(k) for sp in spinors]),
     )
-    val = trio.value(p)[..., None, None, :]
+    val = trio.value(q)[..., None, None, :]
     # per-momentum scalars against (i, j) stacks of spinor values, (3, n, i, j, 2),
     # and of 2x2 parts, (n, i, j, 2, 2); e also fits (n, k, 2, 2) stacks
     e, pi, pj = q.energy[:, None, None, None], p[:, :, None, None], p[:, None, :, None]
@@ -564,10 +569,10 @@ def suite_appendix_b(samples: int, seed: int, mass: float):
         # pointwise multiplicative relations, closed-form tolerance: the multipliers
         # from one stacked mult_at, the commutators as blocks of one stacked commutator
         multipliers = OperatorStack(S, Ks, W0, Wi, Yc, Yd)
-        mults = multipliers.mult_at(p)
+        mults = multipliers.mult_at(q)
         mS, mKs, mW0, mWi, mYc, mYd = (mults[:, rows] for rows in multipliers.slices)
         left, right = OperatorStack(S, Ks), OperatorStack(S, Ks, W0, Wi)
-        blocks = commutator(left, right).mult_at(p)
+        blocks = commutator(left, right).mult_at(q)
         (ls, lks), (rs, rks, rw0, rwi) = left.slices, right.slices
         eps_mS = -cross(np.eye(3), mS[:, None])
         rec.add("spin_su2_pointwise", _mx(blocks[:, ls, rs] - 1j * eps_mS))
@@ -589,7 +594,7 @@ def suite_appendix_b(samples: int, seed: int, mass: float):
         # the first 2 momenta
         oracle = (L, S, Ko, Ks, X, Xt, V, P, H, W0, Wi, Xc, Xd)
         applied = OperatorStack(*oracle, Yc, Yd, Sminus)
-        actions = applied.apply(trio, p)
+        actions = applied.apply(trio, q)
         aL, aS, aKo, aKs, aX, aXt, aV, _, _, aW0, _, _, _, aYc, aYd, aSminus = (
             actions[..., rows, :] for rows in applied.slices
         )
@@ -599,12 +604,15 @@ def suite_appendix_b(samples: int, seed: int, mass: float):
         )
 
         own = applied.slices[len(oracle)].start  # the oracle members' rows lead
+        # the oracle's first 2 momenta: the batch itself if it has no more, so
+        # the members' jets and the basis frames on it are read, not made again
+        first = q if len(p) <= 2 else Momentum(p[:2], mass)
         nested = _nested_commutators(
-            OperatorStack(*oracle), spinors[0], p[:2], actions[0, :2, :own]
+            OperatorStack(*oracle), spinors[0], first, actions[0, :2, :own]
         )
 
         def comm(a, b):
-            exact = commutator_action(a, b, trio, p)
+            exact = commutator_action(a, b, trio, q)
             rec.add("exact_matches_nested_fd", _mx(exact[0, :2] - nested(a, b)), TOL_FD_COMM)
             return exact
 

@@ -472,17 +472,17 @@ def test_operator_stack_stacks_partials_only_for_a_commutator(monkeypatch):
     calls = []
     formula = OperatorStack.formula
 
-    def counted(self, p, partials=True):
+    def counted(self, q, partials=True):
         calls.append(partials)
-        return formula(self, p, partials)
+        return formula(self, q, partials)
 
     monkeypatch.setattr(OperatorStack, "formula", counted)
     fam = AssociatedFamily(0.7, HelicityBasis())
-    p = verify._sampled(6, 0.7, 5, lo=0.05, hi=2.0, avoid_poles=True).p
+    q = verify._sampled(6, 0.7, 5, lo=0.05, hi=2.0, avoid_poles=True)
     stack = OperatorStack(*_stack_members(fam))
-    stack.mult_at(p), stack.apply(gaussian_test_spinor(make_rng(9)), p)
-    assert calls == [False] and all(x is None or x.d is None for x in stack._values(p))
-    commutator(stack, stack).mult_at(p)
+    stack.mult_at(q), stack.apply(gaussian_test_spinor(make_rng(9)), q)
+    assert calls == [False] and all(x is None or x.d is None for x in stack._values(q))
+    commutator(stack, stack).mult_at(q)
     assert calls == [False, True]
 
 

@@ -1,24 +1,18 @@
-"""The per-owner batch memo: bases, mode spinors, Fourier operators, the two
-image frames (u/u and u(p)/v(-p)), the kernels' pair frame, operator
-coefficients and wave spinors each evaluate a momentum batch once, and a
-memoized result is the fresh evaluation bit for bit; the verify suites of one
-seed share their draws."""
+"""Evaluations kept on the momentum batch: bases, mode spinors, Fourier operators,
+the two image frames (u/u and u(p)/v(-p)), the kernels' pair frame, operator
+coefficients and wave spinors each evaluate a ``Momentum`` batch once and keep the
+result on it while both the batch and the owner live; a memoized result is the
+fresh evaluation bit for bit; the verify suites of one seed share their draws."""
 
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from diracmr import associated, operators, spinors, verify
-from diracmr.algebra import (
-    MEMO_BATCHES,
-    MEMO_MAX_MOMENTA,
-    Momentum,
-    batch_memo,
-    central_gradient,
-    memoized,
-    theta_tensor,
-)
+from diracmr.algebra import Momentum, central_gradient, memoized, theta_tensor
 from diracmr.associated import (
     KERNEL_CATALOG,
     AssociatedFamily,
@@ -46,36 +40,51 @@ def _batch(ratio, scale=1.0):
     return ratio * scale * MASS * DIRECTIONS
 
 
+def _momentum(ratio, scale=1.0):
+    """``_batch`` as a fresh ``Momentum`` batch at MASS."""
+    return Momentum(_batch(ratio, scale), MASS)
+
+
 def _value_only_spinor():
     """A wave spinor without an analytic gradient: its gradient is the FD fallback."""
     return WaveSpinor(gaussian_test_spinor(make_rng(5))._fn)
 
 
 def _fresh_operator(name):
-    """A catalog entry's function behind a memo of its own; the basis kind is unused."""
+    """A catalog entry's function as an owner of its own; the basis kind is unused."""
     return lambda kind: FourierOperator(OPERATOR_CATALOG[name].func)
 
 
-# quantity -> (fresh owner in a basis kind, evaluation on an owner)
+def _coef(owner, q):
+    return owner.coef(q)
+
+
+def _value(spinor, q):
+    return spinor.value(q)
+
+
+def _gradient(spinor, q):
+    return spinor.gradient(q)
+
+
+# quantity -> (fresh owner in a basis kind, evaluation on an owner at a batch q)
 OWNERS = {
-    "xi": (make_basis, lambda b, p: b.xi(p)),
-    "eta": (make_basis, lambda b, p: b.eta(p)),
-    "sigma": (make_basis, lambda b, p: b.sigma(p)),
-    "omega": (make_basis, lambda b, p: b.omega(p)),
-    "u": (make_basis, lambda b, p: u_matrix(b, Momentum(p, MASS))),
-    "v": (make_basis, lambda b, p: v_matrix(b, Momentum(p, MASS))),
-    "coef_boost": (lambda k: AssociatedFamily(MASS, make_basis(k)).boost_orbital(), lambda o, p: o.coef(p)),
-    "coef_pryce_c": (
-        lambda k: AssociatedFamily(MASS, make_basis(k)).position_pryce_c(), lambda o, p: o.coef(p)
-    ),
-    "value": (lambda k: gaussian_test_spinor(make_rng(3)), lambda s, p: s.value(p)),
-    "gradient": (lambda k: gaussian_test_spinor(make_rng(3)), lambda s, p: s.gradient(p)),
-    "gradient_fd": (lambda k: _value_only_spinor(), lambda s, p: s.gradient(p)),
+    "xi": (make_basis, lambda b, q: b.xi(q)),
+    "eta": (make_basis, lambda b, q: b.eta(q)),
+    "sigma": (make_basis, lambda b, q: b.sigma(q)),
+    "omega": (make_basis, lambda b, q: b.omega(q)),
+    "u": (make_basis, u_matrix),
+    "v": (make_basis, v_matrix),
+    "coef_boost": (lambda k: AssociatedFamily(MASS, make_basis(k)).boost_orbital(), _coef),
+    "coef_pryce_c": (lambda k: AssociatedFamily(MASS, make_basis(k)).position_pryce_c(), _coef),
+    "value": (lambda k: gaussian_test_spinor(make_rng(3)), _value),
+    "gradient": (lambda k: gaussian_test_spinor(make_rng(3)), _gradient),
+    "gradient_fd": (lambda k: _value_only_spinor(), _gradient),
     "pair_frame": (make_basis, _pair_bilinears),
-    "diag_frames": (make_basis, lambda b, p: _diag_frame(b, Momentum(p, MASS))),
-    "offdiag_frames": (make_basis, lambda b, p: _offdiag_frame(b, Momentum(p, MASS))),
+    "diag_frames": (make_basis, _diag_frame),
+    "offdiag_frames": (make_basis, _offdiag_frame),
     **{
-        f"operator_{name}": (_fresh_operator(name), lambda op, p: op(Momentum(p, MASS)))
+        f"operator_{name}": (_fresh_operator(name), lambda op, q: op(q))
         for name in OPERATOR_CATALOG
     },
 }
@@ -107,37 +116,39 @@ def _same_bits(x, y) -> bool:
 def test_memoized_equals_fresh_bit_for_bit(quantity, kind, ratio):
     make, evaluate = OWNERS[quantity]
     owner = make(kind)
-    p, other = _batch(ratio), _batch(ratio, 1.1)  # two batches of one shape
-    first = evaluate(owner, p)
+    q, other = _momentum(ratio), _momentum(ratio, 1.1)  # two batches of one shape
+    first = evaluate(owner, q)
     at_other = evaluate(owner, other)
-    again = evaluate(owner, p.copy())
-    assert _same_bits(first, evaluate(make(kind), p))
-    assert _same_bits(at_other, evaluate(make(kind), other))
+    again = evaluate(owner, q)
+    # a fresh owner on a fresh batch evaluates everything anew
+    assert _same_bits(first, evaluate(make(kind), _momentum(ratio)))
+    assert _same_bits(at_other, evaluate(make(kind), _momentum(ratio, 1.1)))
     assert _same_bits(again, first)
 
 
 @pytest.mark.parametrize("ratio", (1e-6, 1.0, 1e6))
 @pytest.mark.parametrize("name", OPERATOR_CATALOG)
 def test_catalog_entry_equals_its_function_bit_for_bit(name, ratio):
-    entry = OPERATOR_CATALOG[name]
-    fresh = entry.func(Momentum(_batch(ratio), MASS))
-    for _ in range(2):  # evaluated, then read from the memo
-        assert _same_bits(entry(Momentum(_batch(ratio), MASS)), fresh)
+    entry, q = OPERATOR_CATALOG[name], _momentum(ratio)
+    fresh = entry.func(_momentum(ratio))
+    for _ in range(2):  # evaluated, then read from the batch
+        assert _same_bits(entry(q), fresh)
 
 
 @pytest.mark.parametrize("name", OPERATOR_CATALOG)
 def test_operator_keeps_each_mass_apart(name):
     op, p = _fresh_operator(name)("common"), _batch(1.0)
+    batches = {m: Momentum(p, m) for m in (MASS, 0.7)}
     for m in (MASS, 0.7, MASS, 0.7):
-        assert _same_bits(op(Momentum(p, m)), op.func(Momentum(p, m)))
+        assert _same_bits(op(batches[m]), op.func(Momentum(p, m)))
 
 
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("quantity", OWNERS)
 def test_results_are_read_only(quantity, kind):
     make, evaluate = OWNERS[quantity]
-    owner = make(kind)
-    for result in (evaluate(owner, _batch(1.0)), evaluate(owner, _batch(1.0))):
+    owner, q = make(kind), _momentum(1.0)
+    for result in (evaluate(owner, q), evaluate(owner, q)):
         arrays = [a for a in _arrays(result) if a is not None]
         assert arrays and not any(a.flags.writeable for a in arrays)
         with pytest.raises(ValueError):
@@ -146,79 +157,137 @@ def test_results_are_read_only(quantity, kind):
 
 def test_owners_never_share_an_entry():
     p = _batch(1.0)
+    q = Momentum(p, MASS)
     # two helicity bases: each evaluates on its own
     b1, b2 = HelicityBasis(), HelicityBasis()
-    u_matrix(b1, Momentum(p, MASS))
-    assert len(batch_memo(b1)) == 1 and "_batch_memo" not in vars(b2)
-    # operators made and dropped in turn reuse ids; each reads its own mass
+    u1 = u_matrix(b1, q)
+    u2 = u_matrix(b2, q)
+    assert u2 is not u1 and _same_bits(u1, u2) and u_matrix(b1, q) is u1
+    # operators made and dropped in turn at one batch: each reads its own mass
     for m in (0.5, 2.0, 1.0) * 10:
         op = AssociatedFamily(m, HelicityBasis()).spin_plus()
         theta = np.swapaxes(theta_tensor(Momentum(p, m))[0], -1, -2)
-        assert np.max(np.abs(op.coef(p)[1].v - theta)) < 1e-12
+        assert np.max(np.abs(op.coef(q)[1].v - theta)) < 1e-12
         del op
     for seed in range(20):
         spinor = gaussian_test_spinor(make_rng(seed))
-        assert _same_bits(spinor.value(p), np.asarray(spinor._fn(p), dtype=complex))
+        assert _same_bits(spinor.value(q), np.asarray(spinor._fn(p), dtype=complex))
         del spinor
-    # a helicity family and a common family at the same p: Ws~ along n_p and along e3
-    ws_h = AssociatedFamily(MASS, HelicityBasis()).polarization().coef(p)[1].v
-    ws_c = AssociatedFamily(MASS, CommonBasis()).polarization().coef(p)[1].v
+    # a helicity family and a common family at the same batch: Ws~ along n_p and along e3
+    ws_h = AssociatedFamily(MASS, HelicityBasis()).polarization().coef(q)[1].v
+    ws_c = AssociatedFamily(MASS, CommonBasis()).polarization().coef(q)[1].v
     assert np.max(np.abs(ws_h[..., 0, :] - DIRECTIONS)) < 1e-15
     assert np.array_equal(ws_c[..., 0, :], np.broadcast_to([0.0, 0.0, 1.0], (3, 3)))
 
 
+def test_batch_owns_its_flip_its_per_component_view_and_its_evaluations():
+    p = _batch(1.0)
+    q = Momentum(p, MASS)
+    assert q.flipped() is q.flipped() and q.flipped().flipped() is q
+    assert np.array_equal(q.flipped().p, -p) and q.flipped().m == MASS
+    assert q.per_component is q.per_component and q.per_component.p.shape == (3, 1, 3)
+    assert not q.p.flags.writeable and not np.shares_memory(q.p, p)
+    basis = HelicityBasis()
+    op, spinor = AssociatedFamily(MASS, basis).spin(), gaussian_test_spinor(make_rng(3))
+    owned = (vars(basis).copy(), vars(op).copy(), vars(spinor).copy())
+    results = [
+        basis.sigma(q), u_matrix(basis, q.flipped()), op.coef(q)[1].v, spinor.gradient(q),
+        OPERATOR_CATALOG["n_op"](q.per_component), _pair_bilinears(basis, q),
+    ]
+    refs = [weakref.ref(r) for r in results]
+    flip = weakref.ref(q.flipped())
+    gc.disable()  # no reference cycle: dropping the batch frees what it kept
+    try:
+        del results, q
+        assert all(r() is None for r in refs) and flip() is None
+    finally:
+        gc.enable()
+    assert (vars(basis), vars(op), vars(spinor)) == owned  # no owner kept anything
+    # and an owner's death drops what it evaluated on a batch that lives on
+    q = Momentum(p, MASS)
+    op = AssociatedFamily(MASS, basis).spin()
+    kept = weakref.ref(op.coef(q)[1].v)
+    gc.disable()
+    try:
+        del op
+        assert kept() is None and basis.sigma(q) is basis.sigma(q)
+    finally:
+        gc.enable()
+    # a flip that outlives its batch makes a new one, which it then keeps
+    flipped = Momentum(p, MASS).flipped()
+    again = flipped.flipped()
+    assert np.array_equal(again.p, p) and flipped.flipped() is again and again.flipped() is flipped
+
+
 @pytest.mark.parametrize("quantity", OWNERS)
 def test_owner_keeps_at_most_memo_batches(quantity):
+    # the batches keep an owner's evaluations, so after 100 batches the owner holds
+    # nothing of them and only the batch still alive holds its result
     make, evaluate = OWNERS[quantity]
     owner = make("helicity")
-    for k in range(100):
-        p = _batch(1.0, 1.0 + 0.01 * k)
-        last = evaluate(owner, p)
-    assert 1 <= len(batch_memo(owner)) <= MEMO_BATCHES
-    assert evaluate(owner, p.copy()) is last  # the latest batch is kept
+    owned, refs = vars(owner).copy(), []
+    gc.disable()  # a dropped batch frees its results without the cycle collector
+    try:
+        for k in range(100):
+            q = _momentum(1.0, 1.0 + 0.01 * k)
+            last = evaluate(owner, q)
+            refs.append(weakref.ref(next(a for a in _arrays(last) if a is not None)))
+        assert all(r() is None for r in refs[:-1]) and refs[-1]() is not None
+    finally:
+        gc.enable()
+    assert vars(owner) == owned
+    assert evaluate(owner, q) is last  # the latest batch is kept
 
 
 def test_grid_sized_batch_is_neither_hashed_nor_kept():
     n = 110_592  # the wigner suite's quadrature grid
-    assert n > MEMO_MAX_MOMENTA
     grid = np.random.default_rng(1).normal(size=(n, 3))
     out = np.zeros((n, 2), dtype=complex)
-    spinor, basis = WaveSpinor(lambda p: out), HelicityBasis()
+    spinor, basis, q = WaveSpinor(lambda p: out), HelicityBasis(), Momentum(grid)
     tracemalloc.start()
     try:
-        spinor.value(grid)  # returns a view of ``out``: nothing to allocate but a key
+        spinor.value(q)  # returns a view of ``out``: nothing to allocate, no key to make
         peak = tracemalloc.get_traced_memory()[1]
         before = tracemalloc.get_traced_memory()[0]
-        basis.xi(grid)
+        basis.xi(grid)  # an array is a fresh batch, dropped with the call
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
     assert peak < grid.nbytes / 4  # a key would copy the 2.7 MB grid
-    assert kept < 64 * 1024  # xi on the grid is 7 MB
-    assert len(batch_memo(spinor)) == 0 and len(batch_memo(basis)) == 0
+    assert kept < 64 * 1024  # xi on the grid is 3.5 MB, the array's batch 2.7 MB
+    assert vars(basis) == {} and spinor.value(q) is spinor.value(q)
 
 
 @pytest.mark.parametrize("quantity", OWNERS)
 def test_batch_over_the_cap_is_not_kept(quantity):
+    # no size cap: an array batch of any size, here one over the 4096 momenta that
+    # bounded the byte-keyed memo, is evaluated for its call and kept by no one;
+    # a Momentum batch of that size keeps its result like any other
     make, evaluate = OWNERS[quantity]
-    owner = make("helicity")
-    evaluate(owner, np.resize(_batch(1.0), (MEMO_MAX_MOMENTA + 1, 3)))
-    assert len(batch_memo(owner)) == 0
+    owner, p = make("helicity"), np.resize(_batch(1.0), (4097, 3))
+    owned = vars(owner).copy()
+    first = evaluate(owner, p)
+    assert evaluate(owner, p) is not first and _same_bits(evaluate(owner, p), first)
+    ref = weakref.ref(next(a for a in _arrays(first) if a is not None))
+    del first
+    assert ref() is None and vars(owner) == owned
+    q = Momentum(p, MASS)
+    assert evaluate(owner, q) is evaluate(owner, q)
 
 
 def test_pole_error_is_raised_again():
-    basis, pole = HelicityBasis(), np.array([[0.3, 0.2, 0.5], [0.0, 0.0, -1.0]])
+    basis, pole = HelicityBasis(), Momentum(np.array([[0.3, 0.2, 0.5], [0.0, 0.0, -1.0]]), MASS)
     kernel = KERNEL_CATALOG["delta_x_osc"]
     for _ in range(2):
         with pytest.raises(PoleError):
             basis.xi(pole)
         with pytest.raises(PoleError):
-            u_matrix(basis, Momentum(pole, MASS))
+            u_matrix(basis, pole)
         with pytest.raises(PoleError):
             _pair_bilinears(basis, pole)
         with pytest.raises(PoleError):
-            kernel(Momentum(pole, MASS), 0.3, basis)
-    assert len(batch_memo(basis)) == 0
+            kernel(pole, 0.3, basis)
+    assert not pole._evaluations and not pole.flipped()._evaluations
 
 
 def test_appendix_b_differentiates_each_composite_once(monkeypatch):
@@ -254,13 +323,14 @@ def test_appendix_b_applies_each_stack_once(monkeypatch):
 
 
 def test_result_does_not_follow_later_writes_to_the_batch():
-    # P~'s a0 is p itself: the memo evaluates on its own copy of the batch
+    # P~'s a0 is p itself: the batch holds its own copy of the caller's array
     op, p = AssociatedFamily(MASS, CommonBasis()).momentum(), _batch(1.0)
-    a0 = op.coef(p)[0].v
+    q = Momentum(p, MASS)
+    a0 = op.coef(q)[0].v
     saved = a0.copy()
     p *= 2.0
     assert np.array_equal(a0, saved)
-    assert op.coef(_batch(1.0))[0].v is a0
+    assert op.coef(q)[0].v is a0
 
 
 class _Toy:
@@ -274,35 +344,22 @@ class _Toy:
         self.seen.append(q)
         return q.energy
 
-    @memoized
-    def norm(self, p):
-        self.seen.append(p)
-        return np.linalg.norm(p, axis=-1)
-
 
 def test_momentum_is_evaluated_at_its_mass_over_a_read_only_copy():
     toy, p = _Toy(), _batch(1.0)
-    for m in (MASS, 0.7, MASS, 0.7):
-        assert _same_bits(toy.energy(Momentum(p, m)), Momentum(p, m).energy)
-    assert [q.m for q in toy.seen] == [MASS, 0.7]  # two masses, two entries
-    assert len(batch_memo(toy)) == 1
+    batches = [Momentum(p, m) for m in (MASS, 0.7)]
+    for q in batches * 2:
+        assert _same_bits(toy.energy(q), Momentum(p, q.m).energy)
+    # two masses, two batches, each evaluated once and handed to fn itself
+    assert len(toy.seen) == 2 and all(x is q for x, q in zip(toy.seen, batches))
     for q in toy.seen:
-        assert isinstance(q, Momentum) and np.array_equal(q.p, p)
         assert not q.p.flags.writeable and not np.shares_memory(q.p, p)
-
-
-def test_first_batch_in_is_first_out():
-    toy = _Toy()
-    batches = [_batch(1.0, 1.0 + 0.01 * k) for k in range(MEMO_BATCHES + 1)]
-    for p in batches[1:]:
-        toy.norm(batches[0])  # the first batch is read again before each new one
-        toy.norm(p)
-    assert len(toy.seen) == MEMO_BATCHES + 1 and len(batch_memo(toy)) == MEMO_BATCHES
-    for p in batches[1:]:
-        toy.norm(p)
-    assert len(toy.seen) == MEMO_BATCHES + 1  # the later batches are all kept
-    toy.norm(batches[0])
-    assert len(toy.seen) == MEMO_BATCHES + 2  # the first one was evicted
+    # an array is a fresh batch at the default mass on every call
+    toy.energy(p), toy.energy(p)
+    assert len(toy.seen) == 4 and toy.seen[2] is not toy.seen[3]
+    for q in toy.seen[2:]:
+        assert isinstance(q, Momentum) and q.m == 1.0 and np.array_equal(q.p, p)
+        assert not q.p.flags.writeable and not np.shares_memory(q.p, p)
 
 
 def test_kernels_suite_evaluates_the_projectors_once_each(monkeypatch):
@@ -314,7 +371,7 @@ def test_kernels_suite_evaluates_the_projectors_once_each(monkeypatch):
         calls.append(q)
         return projectors(q)
 
-    for name in ("projector_plus", "projector_minus"):  # fresh memos
+    for name in ("projector_plus", "projector_minus"):  # fresh owners
         monkeypatch.setitem(OPERATOR_CATALOG, name, FourierOperator(OPERATOR_CATALOG[name].func))
     for module in (operators, associated, verify):  # every binding in the package
         if vars(module).get("projectors") is projectors:
@@ -331,26 +388,15 @@ IDENTITIES = (
 )
 
 
-def _evicted_before_each_repeat(log) -> bool:
-    """Each batch of ``log`` is evaluated again only after MEMO_BATCHES newer
-    evaluations have pushed it out of its owner's first-in, first-out memo."""
-    last = {}
-    for i, key in enumerate(log):
-        if key in last and i - last[key] - 1 < MEMO_BATCHES:
-            return False
-        last[key] = i
-    return True
-
-
 def test_identities_suites_draw_and_evaluate_each_batch_once(monkeypatch):
     # seven of the eight suites draw momenta, two distinct draws between them
     # (with and without avoid_poles); the Pryce(e) spin is read at three batches
     # (p of each draw and -p of the avoid_poles one) and the mode spinors in two
     # bases at p and -p of the avoid_poles draw: each is one evaluation.  H_D and
     # the Pryce(c) spin are read only through their entries (by N, Pi+/-, the spin
-    # types and the C-parity check too): the Pryce(c) spin at three batches, once
-    # each; H_D at six, more than the 4-batch memo holds, so a batch is evaluated
-    # again only once it has been evicted
+    # types and the C-parity check too): the Pryce(c) spin at three batches and
+    # H_D at six (the two draws, -p of the avoid_poles one, pryce_spin's FD subset
+    # and witness, spin_types' per-component view), each exactly once
     draws, modes = [], []
     entry_logs = {"pryce_e_spin": [], "h_dirac": [], "pc_spin": []}
     direct = []
@@ -366,11 +412,11 @@ def test_identities_suites_draw_and_evaluate_each_batch_once(monkeypatch):
             return fn(q)
         return evaluate
 
-    def counted_rest_u(basis, p):  # one call per u_matrix evaluation
-        modes.append((id(basis), p.shape, p.tobytes()))
-        return rest_u(basis, p)
+    def counted_rest_u(basis, q):  # one call per u_matrix evaluation
+        modes.append((id(basis), q.p.shape, q.p.tobytes()))
+        return rest_u(basis, q)
 
-    for name, entry in OPERATOR_CATALOG.items():  # fresh memos
+    for name, entry in OPERATOR_CATALOG.items():  # fresh owners
         func = counted(entry_logs[name], entry.func) if name in entry_logs else entry.func
         monkeypatch.setitem(OPERATOR_CATALOG, name, FourierOperator(func))
     for fn in ("pryce_e_spin", "dirac_hamiltonian", "pc_spin"):
@@ -380,7 +426,7 @@ def test_identities_suites_draw_and_evaluate_each_batch_once(monkeypatch):
                 monkeypatch.setattr(module, fn, counted(direct, original))
     monkeypatch.setattr(verify, "sample_momenta", counted_draw)
     monkeypatch.setattr(spinors, "rest_u_matrix", counted_rest_u)
-    verify._sampled.cache_clear()
+    verify._draws.cache_clear()
     for suite in IDENTITIES:
         results = verify.run_suite(suite, 20, 11, 0.5)
         assert results and all(r.passed for r in results)
@@ -390,15 +436,15 @@ def test_identities_suites_draw_and_evaluate_each_batch_once(monkeypatch):
     spins, h, pc = entry_logs["pryce_e_spin"], entry_logs["h_dirac"], entry_logs["pc_spin"]
     assert len(spins) == len(set(spins)) == 3
     assert len(pc) == len(set(pc)) == 3
-    assert len(set(h)) == 6 and _evicted_before_each_repeat(h)
+    assert len(h) == len(set(h)) == 6
 
 
 @pytest.mark.parametrize("seed", (1, 3))
 def test_suites_give_the_same_residuals_in_either_order(seed):
-    # the suites share bases, catalog entries and draws; what one leaves in a
-    # memo is what the next would compute itself, so the order changes no bit
+    # the suites share bases, catalog entries and draws; what one leaves on a
+    # batch is what the next would compute itself, so the order changes no bit
     def residuals(names):
-        verify._sampled.cache_clear()
+        verify._draws.cache_clear()
         return {name: [(r.name, r.residual) for r in verify.run_suite(name, 20, seed)] for name in names}
 
     forward = residuals(list(verify.SUITES))
@@ -406,10 +452,15 @@ def test_suites_give_the_same_residuals_in_either_order(seed):
 
 
 def test_sampled_batch_is_drawn_once_and_read_only():
-    verify._sampled.cache_clear()
+    verify._draws.cache_clear()
     q = verify._sampled(20, 0.5, 11, avoid_poles=True)
     assert verify._sampled(20, 0.5, 11, avoid_poles=True) is q
     assert verify._sampled(20, 0.5, 11) is not q
     expected = np.array([k.p for k in verify.sample_momenta(20, 0.5, 11, avoid_poles=True)])
     assert np.array_equal(q.p, expected) and q.m == 0.5
     assert not q.p.flags.writeable
+    # the draws of one seed last until a draw at another seed or mass
+    ref = weakref.ref(q)
+    del q
+    verify._sampled(20, 0.5, 12)
+    assert ref() is None

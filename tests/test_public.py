@@ -30,9 +30,9 @@ def test_lazy_namespace_lists_and_binds_every_public_name():
         assert namespace[name] is getattr(diracmr, name), name
 
 
-def _callers(name):
-    """(module, outermost enclosing function with its class) of every call of
-    ``name`` in the package source; functions nested in a function count as it."""
+def _scopes(match):
+    """(module, outermost enclosing function with its class) of every node of the
+    package source that ``match`` accepts; functions nested in a function count as it."""
     found = set()
 
     def walk(node, module, scope, in_function):
@@ -42,10 +42,8 @@ def _callers(name):
                 isinstance(child, ast.FunctionDef) and not in_function
             ):
                 inner, nested = scope + (child.name,), isinstance(child, ast.FunctionDef)
-            elif isinstance(child, ast.Call):
-                fn = child.func
-                if getattr(fn, "id", getattr(fn, "attr", None)) == name:
-                    found.add((module, ".".join(scope)))
+            elif match(child):
+                found.add((module, ".".join(scope)))
             walk(child, module, inner, nested)
 
     for path in sorted(PACKAGE.glob("*.py")):
@@ -53,9 +51,25 @@ def _callers(name):
     return found
 
 
-def test_batch_memo_is_called_only_by_memoized():
-    # every per-batch cache in the package is a ``@memoized`` declaration
-    assert _callers("batch_memo") == {("algebra", "memoized")}
+def _callers(name):
+    """``_scopes`` of every call of ``name``."""
+
+    def calls(node):
+        fn = getattr(node, "func", None)
+        return isinstance(node, ast.Call) and getattr(fn, "id", getattr(fn, "attr", None)) == name
+
+    return _scopes(calls)
+
+
+def test_batch_store_is_read_and_written_only_by_memoized():
+    # every per-batch cache in the package is a ``@memoized`` declaration: only
+    # ``memoized`` touches a batch's store of evaluations, by attribute or by name
+    def touches(node):
+        return (isinstance(node, ast.Attribute) and node.attr == "_evaluations") or (
+            isinstance(node, ast.Constant) and node.value == "_evaluations"
+        )
+
+    assert _scopes(touches) == {("algebra", "memoized")}
 
 
 def test_stencils_run_only_in_oracles():
@@ -86,8 +100,8 @@ def test_projectors_are_read_through_the_catalog():
 
 
 def test_verify_shares_its_bases_and_reads_operators_through_the_catalog():
-    # the two bases are made once, at module level, so their memos carry from
-    # suite to suite; production 4x4 operators come from the memoized entries
+    # the two bases are made once, at module level, so what they keep on a shared
+    # draw serves every suite; production 4x4 operators come from the memoized entries
     for basis in ("CommonBasis", "HelicityBasis", "make_basis"):
         assert {c for c in _callers(basis) if c[0] == "verify"} <= {("verify", "")}, basis
     for name in (
