@@ -21,9 +21,10 @@ _EXPORTS = {
         "lorentz_boost_matrix", "rotation", "theta_tensor",
     ),
     "associated": (
-        "KERNEL_CATALOG", "AssociatedFamily", "AssociatedOperator", "OscillatingKernel",
-        "WaveSpinor", "commutator_action", "d_matrix", "matrix_elements_diag",
-        "matrix_elements_offdiag", "wigner_little_group", "wigner_transform",
+        "KERNEL_CATALOG", "AssociatedFamily", "AssociatedOperator", "KernelTable",
+        "OscillatingKernel", "WaveSpinor", "commutator_action", "d_matrix",
+        "matrix_elements_diag", "matrix_elements_offdiag", "wigner_little_group",
+        "wigner_transform",
     ),
     "operators": (
         "OPERATOR_CATALOG", "FourierOperator", "chakrabarti_spin", "decompose_diag_osc",

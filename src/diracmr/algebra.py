@@ -53,18 +53,19 @@ _STENCIL = np.array([2.0, 1.0, -1.0, -2.0])
 def central_gradient(fn, x, h) -> np.ndarray:
     """4th-order central differences of fn at x along each coordinate of x.
 
-    x has shape (..., d); h is one step or an array of x's batch shape.  fn is
-    called once, on all 4d shifted points stacked in an axis just before the
-    coordinate axis, so it maps (..., 4d, d) to (..., 4d, *out); the result
-    has shape (..., d, *out).
+    x has shape (..., d), or is a ``Momentum`` batch (d = 3); h is one step or an
+    array of x's batch shape.  fn is called once, on all 4d shifted points stacked
+    in an axis just before the coordinate axis (for a batch x, one ``Momentum`` at
+    its mass), so it maps (..., 4d, d) to (..., 4d, *out); the result has shape
+    (..., d, *out).
     """
-    x = np.asarray(x, dtype=float)
-    d = x.shape[-1]
-    h = np.broadcast_to(np.asarray(h, dtype=float), x.shape[:-1])
+    mass = x.m if isinstance(x, Momentum) else None
+    x = np.asarray(x if mass is None else x.p, dtype=float)
+    d, batch = x.shape[-1], x.shape[:-1]
+    h = np.broadcast_to(np.asarray(h, dtype=float), batch)
     steps = _STENCIL[:, None, None] * (h[..., None, None] * np.eye(d))[..., None, :, :]
-    pts = x[..., None, None, :] + steps
-    batch = pts.shape[:-3]
-    f = fn(pts.reshape(batch + (4 * d, d)))
+    pts = (x[..., None, None, :] + steps).reshape(batch + (4 * d, d))
+    f = fn(pts if mass is None else Momentum(pts, mass))
     f = f.reshape(batch + (4, d) + f.shape[len(batch) + 1 :])
     f2, f1, fm1, fm2 = np.moveaxis(f, len(batch), 0)
     h = h.reshape(batch + (1,) * (f.ndim - 1 - len(batch)))
@@ -88,8 +89,9 @@ def memoized(fn):
     owner's death drops it, so a long-lived batch keeps nothing of a short-lived
     owner and an owner's id names no other owner meanwhile.  ``fn`` gets q itself,
     so the memoized quantities it reads of q are kept on q too.  An array (..., 3)
-    is taken as a fresh batch at the default mass (``as_momentum``), which the call
-    drops with its entries.  A batch that raises keeps nothing, so it raises again.
+    is a fresh batch at the default mass (``as_momentum``) that the call drops with
+    its entries, a convenience no production path uses.  A batch that raises keeps
+    nothing, so it raises again.
     """
 
     @functools.wraps(fn)

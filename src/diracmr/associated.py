@@ -63,13 +63,13 @@ def _matvec(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
 class WaveSpinor:
     """Two-component wave function of momentum with optional analytic gradient.
 
-    ``fn`` maps momenta (..., 3) to spinors (..., 2) and ``grad`` to
-    d alpha / d p^k, (..., 3, 2); ``value`` and ``gradient`` take a momentum
-    batch.  When no gradient is supplied, derivatives fall back to 4th-order
-    central finite differences with step h = 1e-3 |p|, the scale on which
-    helicity quantities vary (Omega ~ 1/|p|); only oracles use it, never at
-    p = 0.  Both are ``@memoized``, kept on the batch per spinor, and their
-    outputs are read-only.
+    ``fn`` maps a ``Momentum`` batch q of momenta (..., 3) to spinors (..., 2) and
+    ``grad`` maps it to d alpha / d p^k, (..., 3, 2); ``value`` and ``gradient``
+    take the batch and hand it on.  When no gradient is supplied, derivatives fall
+    back to 4th-order central finite differences with step h = 1e-3 |p|, the scale
+    on which helicity quantities vary (Omega ~ 1/|p|), on one stencil batch at q's
+    mass; only oracles use it, never at p = 0.  Both are ``@memoized``, kept on the
+    batch per spinor, and their outputs are read-only.
     """
 
     def __init__(self, fn, grad=None):
@@ -78,21 +78,21 @@ class WaveSpinor:
 
     @memoized
     def value(self, q) -> np.ndarray:
-        return np.asarray(self._fn(q.p), dtype=complex)
+        return np.asarray(self._fn(q), dtype=complex)
 
     @memoized
     def gradient(self, q) -> np.ndarray:
         """d alpha / d p^k, shape (..., 3, 2)."""
         if self._grad is not None:
-            return np.asarray(self._grad(q.p), dtype=complex)
-        return central_gradient(self.value, q.p, 1e-3 * q.mag)
+            return np.asarray(self._grad(q), dtype=complex)
+        return central_gradient(self.value, q, 1e-3 * q.mag)
 
 
 def gaussian_test_spinor(rng: np.random.Generator, scale: float = 1.0) -> WaveSpinor:
     """Random smooth test spinor: degree-<=2 polynomial 2-vector times Gaussian.
 
-    Decays at infinity and has nonzero analytic gradients everywhere, which
-    the exact commutators and their nested-FD oracle both act on.
+    Both read the batch's momenta only; it decays at infinity and has nonzero analytic
+    gradients everywhere, which the exact commutators and their nested-FD oracle act on.
     """
     c = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     a = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
@@ -100,17 +100,17 @@ def gaussian_test_spinor(rng: np.random.Generator, scale: float = 1.0) -> WaveSp
     b = 0.5 * (b + np.transpose(b, (0, 2, 1)))
     s2 = scale * scale
 
-    def parts(p):
+    def parts(q):
+        p = q.p
         g = np.exp(-np.sum(p * p, axis=-1) / (2 * s2))[..., None]
-        poly = c + p @ a.T + np.einsum("sij,...i,...j->...s", b, p, p)
-        return g, poly
+        return p, g, c + p @ a.T + np.einsum("sij,...i,...j->...s", b, p, p)
 
-    def value(p):
-        g, poly = parts(p)
+    def value(q):
+        _, g, poly = parts(q)
         return poly * g
 
-    def grad(p):
-        g, poly = parts(p)
+    def grad(q):
+        p, g, poly = parts(q)
         dpoly = a.T + 2.0 * np.einsum("skj,...j->...ks", b, p)
         return g[..., None] * (dpoly - p[..., :, None] * poly[..., None, :] / s2)
 
@@ -544,22 +544,20 @@ def d_matrix(lam: np.ndarray, q: Momentum, basis: PolarizationBasis) -> np.ndarr
     return _mul(_mul(dagger(basis.xi(q)), what), basis.xi(qprime))
 
 
-def wigner_transform(
-    alpha: WaveSpinor, lam: np.ndarray, a, mass: float, basis: PolarizationBasis
-) -> WaveSpinor:
+def wigner_transform(alpha: WaveSpinor, lam: np.ndarray, a, basis: PolarizationBasis) -> WaveSpinor:
     """Unitary induced-representation action on wave spinors,
 
     (T alpha)(p) = sqrt(E(p')/E(p)) exp(i a.p) D(lambda, p) alpha(p'),
 
-    with a.p = E(p) a^0 - p.a and p' = Lambda(lambda)^-1 p.
+    with a.p = E(p) a^0 - p.a and p' = Lambda(lambda)^-1 p; E and the batch p' are at
+    the mass of the batch q that T alpha is evaluated at.
     """
     lam = np.asarray(lam, dtype=complex)
     a = np.asarray(a, dtype=float).reshape(4)
 
-    def value(p):
-        q = Momentum(p, mass)
+    def value(q):
         what, qprime = wigner_little_group(lam, q)
-        phase = np.exp(1j * (q.energy * a[0] - p @ a[1:]))
+        phase = np.exp(1j * (q.energy * a[0] - q.p @ a[1:]))
         factor = np.sqrt(qprime.energy / q.energy) * phase
         moved = _mul(what, _mul(basis.xi(qprime), alpha.value(qprime)[..., None]))
         return factor[..., None] * _mul(dagger(basis.xi(q)), moved)[..., 0]
@@ -602,8 +600,9 @@ class OscillatingKernel:
     (..., k, 2, 2); times t broadcast against the batch, so the phase law
     K(t, p) = exp(2iE(p)t) K(0, p) holds by construction.  ``parent_scale(q)``
     relates the kernel to the generic off-diagonal matrix elements:
-    kernel = parent_scale * A~(+-)(parent).  Each method is the one-kernel
-    ``KernelTable``, so a kernel and its slice of a table share one formula.
+    kernel = parent_scale * A~(+-)(parent).  A call is the one-kernel
+    ``KernelTable``, so a kernel and its slice of a table share one formula; the
+    cross-oracle and the phase reference are the table's.
     """
 
     coef: Callable[[Momentum], np.ndarray]
@@ -613,23 +612,13 @@ class OscillatingKernel:
     def __call__(self, q: Momentum, t, basis: PolarizationBasis) -> np.ndarray:
         return KernelTable((self,), q, basis)(t)
 
-    def from_offdiag(
-        self, q: Momentum, t, basis: PolarizationBasis
-    ) -> np.ndarray:
-        """Cross-oracle: the same kernel through the generic machinery."""
-        return KernelTable((self,), q, basis).from_offdiag(t)
-
-    def phase_reference(self, q: Momentum, t, basis: PolarizationBasis) -> np.ndarray:
-        """The phase law's reference, which K(t, p) equals: parent_scale * A~(+-)
-        at t = 0 of the parent evolved by U = exp(-iEt) Pi_+ + exp(iEt) Pi_-, with
-        Pi_+/- read from the memoized ``OPERATOR_CATALOG`` entries."""
-        return KernelTable((self,), q, basis).phase_reference(t)
-
 
 @dataclass(frozen=True, eq=False)
 class KernelTable:
     """A stack of kernels at one momentum batch and basis, their component rows
     concatenated in order, (..., K, 2, 2); ``slices[i]`` holds kernels[i]'s rows.
+    A table of one kernel is that kernel's every evaluation: K(t), the
+    cross-oracle ``from_offdiag`` and the ``phase_reference``.
 
     C.B is formed once, over every coefficient row, and K at any times t (which
     broadcast against the batch, e.g. (s, n) against (n,)) is exp(2iEt) C.B.  The
@@ -697,7 +686,7 @@ class KernelTable:
         return dagger(u) @ self.parents @ u
 
     def phase_reference(self, t) -> np.ndarray:
-        """The phase law's reference of every kernel: ``image`` at t = 0 of ``evolve(t)``."""
+        """The phase law's reference, which K(t) equals: ``image`` at t = 0 of ``evolve(t)``."""
         return self.image(self.evolve(t), 0.0)
 
 

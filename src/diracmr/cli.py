@@ -276,22 +276,23 @@ def figures(which, q_min, q_max, points, gamma_m, out):
 def kernel(name, p, t, mass, basis, out):
     """Evaluate an oscillating (zitterbewegung) kernel at (t, p)."""
     from .algebra import Momentum
-    from .associated import KERNEL_CATALOG, matrix_elements_diag
+    from .associated import KERNEL_CATALOG, KernelTable, matrix_elements_diag
     from .operators import OPERATOR_CATALOG
     from .polarization import PoleError, make_basis
 
     pv = _parse_vec(p, "--p")
     q, b = Momentum(pv, mass), make_basis(basis)
     ker = KERNEL_CATALOG[name]
-    parent = OPERATOR_CATALOG[ker.parent]
+    # one table: K(t), the cross-check and the phase reference share its C.B and parent
+    table = KernelTable((ker,), q, b)
     try:
         with np.errstate(over="raise"):
             e = q.energy
-            val = ker(q, t, b)
-            cross = ker.from_offdiag(q, t, b)
+            val = table(t)
+            cross = table.from_offdiag(t)
             # the phase law against the parent evolved by U = exp(-i H_D t), read at t = 0
-            phase_resid = float(np.max(np.abs(val - ker.phase_reference(q, t, b))))
-            parent_plus, parent_minus = matrix_elements_diag(parent, q, b)
+            phase_resid = float(np.max(np.abs(val - table.phase_reference(t))))
+            parent_plus, parent_minus = matrix_elements_diag(OPERATOR_CATALOG[ker.parent], q, b)
     except PoleError as exc:
         raise UsageError(f"momentum on a basis pole: {exc}")
     except FloatingPointError as exc:  # E ~ |p| of 1e103 and up overflows E^3

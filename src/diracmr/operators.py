@@ -114,14 +114,13 @@ def position_offset_from_boost_derivative(q: Momentum) -> np.ndarray:
     Validation path only; the analytic form is production.
     """
 
-    def nl(pvec: np.ndarray) -> np.ndarray:
-        qq = Momentum(pvec, q.m)
-        return _scalars(np.sqrt(q.m / qq.energy), 2) * boost_for_momentum(qq)
+    def nl(k: Momentum) -> np.ndarray:  # n(p) l_p on the stencil batch
+        return _scalars(np.sqrt(k.m / k.energy), 2) * boost_for_momentum(k)
 
     def dx_at(qq: Momentum) -> np.ndarray:
         lp_inv = boost_for_momentum(qq.flipped())[..., None, :, :]
         n = _scalars(np.sqrt(qq.m / qq.energy))
-        return -1j / n * central_gradient(nl, qq.p, 1e-5) @ lp_inv
+        return -1j / n * central_gradient(nl, qq, 1e-5) @ lp_inv
 
     plus, minus = projectors(q)
     return dx_at(q) @ plus[..., None, :, :] - dx_at(q.flipped()) @ minus[..., None, :, :]

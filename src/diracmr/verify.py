@@ -44,7 +44,6 @@ from .algebra import (
     foldy_wouthuysen,
     lorentz_boost_matrix,
     lorentz_of,
-    norm,
     rotation,
     rotation_su2,
     theta_tensor,
@@ -413,7 +412,7 @@ def _per_row(values: dict, rows: dict[str, slice]) -> np.ndarray:
 def suite_associated(samples: int, seed: int, mass: float):
     rec = _Recorder("associated")
     q = _sampled(samples, mass, seed, avoid_poles=True)
-    m, p = q.m, q.p
+    m = q.m
     e, ec = q.energy[:, None, None], q.energy[:, None, None, None]
     off_names = (*_ADJOINT_SIGN, "pryce_e_spin")
     diag_rows, off_rows = _rows(_DIAG_IMAGES, q), _rows(off_names, q)
@@ -475,11 +474,13 @@ def suite_associated(samples: int, seed: int, mass: float):
         h = 1e-4 * q.mag
         om = basis.omega(q)
         oj, ok, sk = om[:, :, None], om[:, None, :], sg[:, None, :]
-        d_sigma = central_gradient(basis.sigma, p, h)  # [j, k] = d_j Sigma_k
+        # [j, k] = d_j Sigma_k and d_j Omega_k, both on one stencil batch at q's mass
+        d_sigma, d_omega = np.moveaxis(
+            central_gradient(lambda k: np.stack((basis.sigma(k), basis.omega(k)), -4), q, h), -4, 0
+        )
         rec.add("covariant_derivative_kills_sigma", _mx(d_sigma + oj @ sk - sk @ oj), TOL_FD)
         # the connection is pure gauge: F_jk = d_j O_k - d_k O_j + [O_j, O_k]
         # vanishes; |p|^2 makes the residual scale-free, since Omega ~ 1/|p|
-        d_omega = central_gradient(basis.omega, p, h)
         curv = d_omega - np.swapaxes(d_omega, 1, 2) + oj @ ok - ok @ oj
         rec.add("connection_flat", _mx(q.mag[:, None, None, None, None] ** 2 * curv), TOL_FD)
     # the declared C-parities, the source of every *_sign line: relative to the
@@ -499,11 +500,12 @@ def _nested_commutators(stack: OperatorStack, spinor, q: Momentum, actions):
     One composite wave spinor holds the members' actions B alpha along a leading
     component axis: its value at q is ``actions``, the stack's action on ``spinor``
     there, (..., K, 2), and its gradient is one finite difference of the stack's
-    action.  The stack acts once on the composite, T = A(B alpha) with axes
-    (B rows, .., A rows, 2), and every commutator is a block of T - T^T."""
+    action on one stencil batch at q's mass.  The stack acts once on the composite,
+    T = A(B alpha) with axes (B rows, .., A rows, 2), and every commutator is a block
+    of T - T^T."""
 
     def grad(k):
-        step = 1e-3 * norm(k)
+        step = 1e-3 * k.mag
         return np.moveaxis(central_gradient(lambda x: stack.apply(spinor, x), k, step), -2, 0)
 
     # the composite is evaluated at q only
@@ -686,14 +688,15 @@ def suite_wigner(samples: int, seed: int, mass: float):
     rec.add("identity_transform", _mx(d_matrix(ID4, Momentum(momenta.p[0], mass), basis) - ID2))
     # norm and modulus preservation of wigner_transform on the quadrature grid
     grid = QuadratureGrid(12.0 * mass, 48, 12, 24)
-    alpha = WaveSpinor(lambda k: _gaussian_packet(k, mass)[..., None] * np.array([1.0, 0.0]))
+    nodes = Momentum(grid.nodes, mass)
+    alpha = WaveSpinor(lambda k: _gaussian_packet(k)[..., None] * np.array([1.0, 0.0]))
     boost = boost_param(np.array([0.0, 0.25, 0.35]))
-    boosted = wigner_transform(alpha, boost, np.zeros(4), mass, basis)
-    norms = [_grid_norm(grid, a.value(grid.nodes)) for a in (boosted, alpha)]
+    boosted = wigner_transform(alpha, boost, np.zeros(4), basis)
+    norms = [_grid_norm(grid, a.value(nodes)) for a in (boosted, alpha)]
     rec.add("boost_norm_preservation", abs(norms[0] - norms[1]), TOL_EXACT)
     # pure translations only change the phase of the wave spinor, at 111 nodes
-    pts = grid.nodes[::125]
-    moved = wigner_transform(alpha, ID4, np.array([0.4, -0.3, 0.2, 0.9]), mass, basis)
+    pts = Momentum(grid.nodes[::125], mass)
+    moved = wigner_transform(alpha, ID4, np.array([0.4, -0.3, 0.2, 0.9]), basis)
     rec.add(
         "translation_modulus_invariance",
         _mx(np.abs(moved.value(pts)) - np.abs(alpha.value(pts))),
@@ -702,11 +705,11 @@ def suite_wigner(samples: int, seed: int, mass: float):
     return rec.results()
 
 
-def _gaussian_packet(pts: np.ndarray, mass: float) -> np.ndarray:
-    # normalized radial Gaussian, analytic in p so grid quadrature is spectral
-    s = mass
+def _gaussian_packet(q: Momentum) -> np.ndarray:
+    # normalized radial Gaussian of width m, analytic in p so grid quadrature is spectral
+    s = q.m
     c = (np.pi * s * s) ** (-0.75)
-    return c * np.exp(-np.sum(pts**2, axis=-1) / (2 * s * s))
+    return c * np.exp(-np.sum(q.p**2, axis=-1) / (2 * s * s))
 
 
 def _grid_norm(grid: QuadratureGrid, values: np.ndarray) -> float:

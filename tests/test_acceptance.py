@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 from diracmr.algebra import GAMMA, GAMMA5, Momentum
-from diracmr.associated import KERNEL_CATALOG, matrix_elements_offdiag
+from diracmr.associated import KERNEL_CATALOG, KernelTable, matrix_elements_offdiag
 from diracmr.operators import OPERATOR_CATALOG, decompose_diag_osc
 from diracmr.polarization import CommonBasis, HelicityBasis, PoleError, spinor_pair
 from diracmr.sampling import sample_momenta
@@ -205,7 +205,7 @@ def test_criterion_7_oscillating_kernels():
             for name, ker in KERNEL_CATALOG.items():
                 kv = ker(q, t, basis)
                 worst_match = max(
-                    worst_match, np.max(np.abs(kv - ker.from_offdiag(q, t, basis)))
+                    worst_match, np.max(np.abs(kv - KernelTable((ker,), q, basis).from_offdiag(t)))
                 )
                 h = 1e-6 / e
                 dk = (

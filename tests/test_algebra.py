@@ -292,22 +292,21 @@ def test_norm_is_numpys_norm_bit_for_bit(scale, batch):
 
 
 def test_batch_norm_sites_take_norm(monkeypatch):
-    # Momentum.mag, _half_angle (through rotation_su2 and boost_su2), HelicityBasis._checked
-    # and WaveSpinor.gradient's fallback step (both through the batch's mag) and the
-    # nested-FD oracle's step each take their |x| from one norm call on their own argument
+    # Momentum.mag, _half_angle (through rotation_su2 and boost_su2), HelicityBasis._checked,
+    # WaveSpinor.gradient's fallback step and the nested-FD oracle's step (the last three
+    # through the batch's mag) each take their |x| from one norm call on their own argument
     seen = []
 
     def recorded(x):
         seen.append(np.array(x))
         return norm(x)
 
-    for module in (algebra, verify):
-        monkeypatch.setattr(module, "norm", recorded)
+    monkeypatch.setattr(algebra, "norm", recorded)
     p = np.random.default_rng(41).standard_normal((7, 3))
     p[:, 2] = np.abs(p[:, 2])  # clear of the helicity chart's -e3 pole
 
     def fn(k):
-        return np.stack((np.sin(k[..., 0]), np.cos(k[..., 1])), -1) + 0j
+        return np.stack((np.sin(k.p[..., 0]), np.cos(k.p[..., 1])), -1) + 0j
 
     sites = {
         "mag": lambda: Momentum(p, 0.5).mag,
@@ -323,7 +322,7 @@ def test_batch_norm_sites_take_norm(monkeypatch):
     steps = []
 
     def counted(fn, x, h):
-        steps.append((np.array(x), np.array(h)))
+        steps.append((x.p, np.array(h)))
         return central_gradient(fn, x, h)
 
     monkeypatch.setattr(verify, "central_gradient", counted)

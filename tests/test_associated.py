@@ -249,19 +249,21 @@ def test_position_expectation_is_preparation_point():
     x0 = np.array([0.4, -0.1, 0.8])
     chi = np.array([1.0, 0.0], dtype=complex)
 
-    def value(p):
+    def value(q):
+        p = q.p
         return (iso.radial(np.linalg.norm(p, axis=-1)) * np.exp(-1j * (p @ x0)))[..., None] * chi
 
-    def grad(p):
+    def grad(q):
+        p = q.p
         mag = np.linalg.norm(p, axis=-1)[..., None]
         radial = iso.radial_derivative(mag) * p / mag
         phase = np.exp(-1j * (p @ x0))[..., None, None]
-        return radial[..., None] * chi * phase + value(p)[..., None, :] * (-1j * x0[:, None])
+        return radial[..., None] * chi * phase + value(q)[..., None, :] * (-1j * x0[:, None])
 
     # the whole grid is one batch of momenta
-    alpha = WaveSpinor(value, grad)
-    vals = alpha.value(grid.nodes)
-    acted = fam.position().apply(alpha, grid.nodes)
+    alpha, nodes = WaveSpinor(value, grad), Momentum(grid.nodes, 1.0)
+    vals = alpha.value(nodes)
+    acted = fam.position().apply(alpha, nodes)
     for i in range(3):
         acc = grid.integrate(np.einsum("na,na->n", vals.conj(), acted[..., i, :]))
         assert acc.real == pytest.approx(x0[i], abs=1e-8)
@@ -386,7 +388,7 @@ def _composite(op, spinor):
     whose gradient is a finite difference of that action, component axis first."""
 
     def grad(k):
-        step = 1e-3 * np.linalg.norm(k, axis=-1)
+        step = 1e-3 * np.linalg.norm(k.p, axis=-1)
         return np.moveaxis(central_gradient(lambda x: op.apply(spinor, x), k, step), -2, 0)
 
     return WaveSpinor(lambda k: np.moveaxis(op.apply(spinor, k), -2, 0), grad)
@@ -398,7 +400,8 @@ def _composite(op, spinor):
 def test_nested_commutators_match_per_pair_composites(seed, samples, mass):
     # one stencil over the stack's actions and one stacked apply to the composite,
     # against one composite per operator and two applies per pair
-    p = verify._sampled(min(samples, 20), mass, seed, lo=0.05, hi=2.0, avoid_poles=True).p[:2]
+    draws = verify._sampled(min(samples, 20), mass, seed, lo=0.05, hi=2.0, avoid_poles=True)
+    p = Momentum(draws.p[:2], mass)
     alpha = gaussian_test_spinor(make_rng(seed + 1), scale=max(mass, 1.0))
     fam = AssociatedFamily(mass, HelicityBasis())
     members = (

@@ -171,7 +171,7 @@ def test_owners_never_share_an_entry():
         del op
     for seed in range(20):
         spinor = gaussian_test_spinor(make_rng(seed))
-        assert _same_bits(spinor.value(q), np.asarray(spinor._fn(p), dtype=complex))
+        assert _same_bits(spinor.value(q), np.asarray(spinor._fn(Momentum(p, MASS)), dtype=complex))
         del spinor
     # a helicity family and a common family at the same batch: Ws~ along n_p and along e3
     ws_h = AssociatedFamily(MASS, HelicityBasis()).polarization().coef(q)[1].v
@@ -426,17 +426,43 @@ def test_identities_suites_draw_and_evaluate_each_batch_once(monkeypatch):
                 monkeypatch.setattr(module, fn, counted(direct, original))
     monkeypatch.setattr(verify, "sample_momenta", counted_draw)
     monkeypatch.setattr(spinors, "rest_u_matrix", counted_rest_u)
+    # the helicity chart is checked at p and -p of the avoid_poles draw and on the one
+    # stencil batch from which suite_associated differentiates both Sigma and Omega
+    charts, checked = [], HelicityBasis._checked.__wrapped__
+
+    def counted_checked(basis, q):
+        charts.append((q.p.shape, q.p.tobytes()))
+        return checked(basis, q)
+
+    monkeypatch.setattr(HelicityBasis, "_checked", memoized(counted_checked))
     verify._draws.cache_clear()
     for suite in IDENTITIES:
         results = verify.run_suite(suite, 20, 11, 0.5)
         assert results and all(r.passed for r in results)
     assert len(draws) == 2
     assert len(modes) == len(set(modes)) == 4
+    assert len(charts) == len(set(charts)) == 3
     assert not direct
     spins, h, pc = entry_logs["pryce_e_spin"], entry_logs["h_dirac"], entry_logs["pc_spin"]
     assert len(spins) == len(set(spins)) == 3
     assert len(pc) == len(set(pc)) == 3
     assert len(h) == len(set(h)) == 6
+
+
+def test_suites_make_every_batch_at_the_mass_asked(monkeypatch):
+    # every batch the suites make, stencils and quadrature grids included, is at the
+    # mass of the run: no evaluation wraps an array as a batch at the default mass
+    masses, init = [], Momentum.__post_init__
+
+    def recorded(self):
+        masses.append(self.m)
+        init(self)
+
+    monkeypatch.setattr(Momentum, "__post_init__", recorded)
+    verify._draws.cache_clear()
+    results = verify.run_suite("all", samples=20, seed=7, mass=2.0)
+    assert results and all(r.passed for r in results)
+    assert masses and set(masses) == {2.0}
 
 
 @pytest.mark.parametrize("seed", (1, 3))

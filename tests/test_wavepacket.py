@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from diracmr import wavepacket
+from diracmr.algebra import Momentum
 from diracmr.associated import AssociatedFamily, WaveSpinor
 from diracmr.polarization import CommonBasis
 from diracmr.wavepacket import (
@@ -164,15 +165,18 @@ def test_position_dispersion_at_time_matches_associated_family():
     grid = iso.default_grid(48, 8, 16)
     eng = PacketStatistics(prof, grid)
 
-    def value(p):
+    def value(q):
+        p = q.p
         return (prof.phi(p) * np.exp(-1j * p @ x0))[:, None] * prof.chi
 
-    def grad(p):
+    def grad(q):
+        p = q.p
         g = (prof.grad_phi(p) - 1j * prof.phi(p)[:, None] * x0) * np.exp(-1j * p @ x0)[:, None]
         return g[:, :, None] * prof.chi
 
     alpha = WaveSpinor(value, grad)
-    pts, val = grid.nodes, value(grid.nodes)
+    pts = Momentum(grid.nodes, 1.0)
+    val = value(pts)
     fam = AssociatedFamily(1.0, CommonBasis())
     for t in (0.0, 2.0, 10.0):
         got = eng.position_dispersion_at_time(t)

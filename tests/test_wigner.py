@@ -93,20 +93,20 @@ def test_identity_and_pure_translation():
     q = Momentum.of(0.4, -0.2, 0.6)
     assert np.max(np.abs(d_matrix(ID4, q, basis) - np.eye(2))) < TOL
 
-    def value(p):
-        return np.exp(-np.dot(p, p)) * np.array([1.0, 0.5j])
+    def value(k):
+        return np.exp(-np.dot(k.p, k.p)) * np.array([1.0, 0.5j])
 
     alpha = WaveSpinor(value)
     a = np.array([0.3, -0.2, 0.5, 0.1])
-    out = wigner_transform(alpha, ID4, a, 1.0, basis)
-    v0 = alpha.value(q.p)
-    v1 = out.value(q.p)
+    out = wigner_transform(alpha, ID4, a, basis)
+    v0 = alpha.value(q)
+    v1 = out.value(q)
     assert np.max(np.abs(np.abs(v1) - np.abs(v0))) < TOL
     phase = np.exp(1j * (q.energy * a[0] - float(q.p @ a[1:])))
     assert np.max(np.abs(v1 - phase * v0)) < TOL
     # identity with zero shift is the identity map
-    out0 = wigner_transform(alpha, ID4, np.zeros(4), 1.0, basis)
-    assert np.max(np.abs(out0.value(q.p) - v0)) < TOL
+    out0 = wigner_transform(alpha, ID4, np.zeros(4), basis)
+    assert np.max(np.abs(out0.value(q) - v0)) < TOL
 
 
 def test_boost_transform_norm_on_grid():
@@ -117,16 +117,17 @@ def test_boost_transform_norm_on_grid():
     s = 0.8
     c = (np.pi * s * s) ** (-0.75)
 
-    def value(p):
-        return c * np.exp(-np.sum(p * p, axis=-1) / (2 * s * s))[..., None] * np.array([0.6, 0.8])
+    def value(k):
+        return c * np.exp(-np.sum(k.p * k.p, axis=-1) / (2 * s * s))[..., None] * np.array([0.6, 0.8])
 
     alpha = WaveSpinor(value)
     lam = boost_param([0.3, 0.0, 0.2])
-    out = wigner_transform(alpha, lam, np.zeros(4), mass, basis)
+    out = wigner_transform(alpha, lam, np.zeros(4), basis)
     grid = QuadratureGrid(10.0, 48, 12, 16)
-    # the whole grid is one batch of momenta
-    norm_t = np.sum(grid.weights * np.sum(np.abs(out.value(grid.nodes)) ** 2, axis=-1))
-    norm_0 = np.sum(grid.weights * np.sum(np.abs(alpha.value(grid.nodes)) ** 2, axis=-1))
+    # the whole grid is one batch of momenta at the mass
+    nodes = Momentum(grid.nodes, mass)
+    norm_t = np.sum(grid.weights * np.sum(np.abs(out.value(nodes)) ** 2, axis=-1))
+    norm_0 = np.sum(grid.weights * np.sum(np.abs(alpha.value(nodes)) ** 2, axis=-1))
     assert norm_t == pytest.approx(norm_0, rel=1e-8)
 
 
@@ -140,7 +141,7 @@ def test_block_structure_guard():
     with pytest.raises(ValueError):
         wigner_little_group(bad, q)
     with pytest.raises(ValueError):
-        wigner_transform(WaveSpinor(lambda p: p[..., :2]), bad, np.zeros(4), 1.0, basis).value(q.p)
+        wigner_transform(WaveSpinor(lambda k: k.p[..., :2]), bad, np.zeros(4), basis).value(q)
 
 
 def test_wigner_suite_d_unitary_near_pole_seed():
@@ -161,11 +162,11 @@ def test_boosted_transform_memory_on_suite_grid():
     grid = QuadratureGrid(12.0, 96, 24, 48)
     nodes = grid.nodes
 
-    def value(p):
-        return np.exp(-np.sum(p * p, axis=-1) / 2)[..., None] * np.array([1.0, 0.0])
+    def value(k):
+        return np.exp(-np.sum(k.p * k.p, axis=-1) / 2)[..., None] * np.array([1.0, 0.0])
 
     boosted = wigner_transform(
-        WaveSpinor(value), boost_param([0.0, 0.25, 0.35]), np.zeros(4), 1.0, CommonBasis()
+        WaveSpinor(value), boost_param([0.0, 0.25, 0.35]), np.zeros(4), CommonBasis()
     )
     tracemalloc.start()
     try:
