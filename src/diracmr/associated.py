@@ -26,8 +26,10 @@ the connection flat, so a commutator is again first order and exact from the jet
 
 from __future__ import annotations
 
+import copy
 import functools
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -147,17 +149,25 @@ def _image(a: np.ndarray, frame: np.ndarray) -> np.ndarray:
     return img.reshape(img.shape[:-1] + (2, 2))
 
 
+@memoized
+def charge_conjugated(op, q: Momentum) -> np.ndarray:
+    """The charge conjugate A^c(p) = C A(-p)^T C of an operator at the batch q,
+    (..., k, 4, 4), exact (``charge_conjugate``); ``@memoized``, kept on q per
+    operator, so the A~(-) images in every basis read one evaluation; read-only."""
+    return charge_conjugate(op(q.flipped()))
+
+
 def matrix_elements_diag(op, q: Momentum, basis: PolarizationBasis):
     """Associated diagonal parts (A~(+), A~(-)) of a Fourier operator, (..., k, 2, 2).
 
     ``op`` maps momenta to (..., k, 4, 4) stacks, as the ``OPERATOR_CATALOG``
     entries do; a bare function works as well, and q may be a single momentum.
     With v = C u*, A~(+) = u^+ A(p) u and A~(-) = (v^+ A(-p) v)^T = u^+ A^c u with
-    A^c = C A(-p)^T C (``charge_conjugate``), each one contraction with the u/u
+    A^c = C A(-p)^T C (``charge_conjugated``), each one contraction with the u/u
     frame at p: A~(-) = A~(+) for a C-even A (A^c = A), -A~(+) for a C-odd one.
     """
     frame = _diag_frame(basis, q)
-    return _image(op(q), frame), _image(charge_conjugate(op(q.flipped())), frame)
+    return _image(op(q), frame), _image(charge_conjugated(op, q), frame)
 
 
 def _offdiag_plus(a: np.ndarray, q: Momentum, t, basis: PolarizationBasis) -> np.ndarray:
@@ -233,30 +243,35 @@ class AssociatedOperator:
     ``formula`` maps a ``Momentum`` batch to (a0, a, D), jets (..., k, c) of c = 1,
     3 and 3 entries or None for a part that vanishes; k = 1 for a scalar and 3
     for a vector, as in ``OPERATOR_CATALOG``, and a commutator has axes (ka, kb).
-    The basis enters through Sigma(p) and Omega(p) only.  ``mult_at`` gives
-    (..., k, 2, 2) and ``apply`` (..., k, 2): the leading axes of a spinor's own
-    values stay ahead of the momentum batch, the component axes come after it.
-    Each takes a ``Momentum`` batch, or an array (..., 3) as one fresh batch.
+    The basis enters through Sigma(p) and Omega(p) only, so the coefficients are
+    kept where the formula keeps them: an ``AssociatedFamily`` member's formula is
+    ``@memoized`` on the batch, one evaluation that the member's operators in
+    every basis and every stack of them read while the family or one of them
+    lives; a ``commutator``'s is evaluated when read and kept nowhere.
+    ``mult_at`` gives (..., k, 2, 2) and ``apply`` (..., k, 2), each from one read
+    of the parts: the leading axes of a spinor's own values stay ahead of the
+    momentum batch, the component axes come after it.  Each takes a ``Momentum``
+    batch, or an array (..., 3) as one fresh batch.
     """
 
     name: str
     basis: PolarizationBasis
     formula: Callable[[Momentum], tuple]
 
-    @memoized
     def coef(self, q) -> tuple:
-        """``formula(q)`` with read-only jets, ``@memoized``: kept on the batch q per
-        operator, so a commutator reuses the jets of its factors."""
-        parts = self.formula(q)
-        return tuple(None if x is None else Jet(read_only(x.v), read_only(x.d)) for x in parts)
+        """(a0, a, D) at the batch q, ``formula(q)``; a family member's jets are read-only."""
+        return self.formula(as_momentum(q))
 
     _values = coef  # the parts mult_at and apply read (a stack reads no partials)
 
     def mult_at(self, q) -> np.ndarray:
         """The multiplicative part a0 + a.Sigma/2, (..., k, 2, 2)."""
         q = as_momentum(q)
-        a0, a, d = self._values(q)
-        shape = next(x.v.shape[:-1] for x in (a0, a, d) if x is not None)
+        return self._mult(self._values(q), q)
+
+    def _mult(self, parts, q: Momentum) -> np.ndarray:
+        a0, a, d = parts
+        shape = next(x.v.shape[:-1] for x in parts if x is not None)
         out = np.zeros(shape + (2, 2), dtype=complex)
         if a0 is not None:
             out += a0.v[..., None] * ID2
@@ -267,7 +282,8 @@ class AssociatedOperator:
 
     def apply(self, spinor: WaveSpinor, q) -> np.ndarray:
         q = as_momentum(q)
-        mult, d = self.mult_at(q), self._values(q)[2]
+        parts = self._values(q)
+        mult, d = self._mult(parts, q), parts[2]
         axes = mult.ndim - q.p.ndim - 1
         val = spinor.value(q)
         out = _matvec(mult, _align(val, axes, 1))
@@ -278,7 +294,8 @@ class AssociatedOperator:
 
 
 class _Commutator(AssociatedOperator):
-    """A ``commutator``: its coefficients are values without partials."""
+    """A ``commutator``: its coefficients are values without partials, evaluated
+    when read and kept on no batch."""
 
 
 class OperatorStack(AssociatedOperator):
@@ -289,6 +306,8 @@ class OperatorStack(AssociatedOperator):
     it is None in every member.  Each stacked jet is filled in place, one slice
     assignment per member, so ``coef``, ``mult_at``, ``apply`` and a ``commutator``
     of stacks give on each member's rows (or block of rows) the member's own values.
+    The stack reads its members' coefficients where the members keep them, and keeps
+    its own stacked values and jets on the batch while it lives (``@memoized``).
     """
 
     def __init__(self, *members: AssociatedOperator):
@@ -298,6 +317,10 @@ class OperatorStack(AssociatedOperator):
         self.name, self.basis = f"({', '.join(op.name for op in members)})", basis
         self.members = members
         self.slices: tuple[slice, ...] | None = None
+
+    @memoized
+    def coef(self, q) -> tuple:
+        return self.formula(q)
 
     @memoized
     def _values(self, q) -> tuple:
@@ -321,7 +344,7 @@ class OperatorStack(AssociatedOperator):
                     v[..., rows, :] = x.v
                     if partials:
                         d[..., rows, :, :] = x.d
-            out.append(Jet(read_only(v), d))
+            out.append(Jet(read_only(v), read_only(d)))
         return tuple(out)
 
 
@@ -344,7 +367,10 @@ def commutator(a: AssociatedOperator, b: AssociatedOperator) -> AssociatedOperat
     connection is flat, so with the jets' partials
 
     c0 = D_a.grad b0 - D_b.grad a0,   c = i a x b + D_a.grad b - D_b.grad a,
-    D = D_a.grad D_b - D_b.grad D_a;  the result has no partials and cannot nest."""
+    D = D_a.grad D_b - D_b.grad D_a;  the result has no partials and cannot nest.
+    A commutator is made for one evaluation: its coefficients are formed from the
+    factors' (kept where the factors keep them) each time they are read, and
+    stored on no batch."""
     if isinstance(a, _Commutator) or isinstance(b, _Commutator):
         raise TypeError("commutators do not nest: a commutator carries no partials")
 
@@ -396,11 +422,55 @@ def _cross(row: Jet) -> Jet:
     return Jet(contract(row.v[..., 0, :], np.swapaxes(EPS3, 0, 1)), np.swapaxes(EPS3, 1, 2))
 
 
+class _Jets:
+    """The jet primitives of one mass, one evaluation per batch (``at``, ``@memoized``):
+    p as the column p^k (k = 3, c = 1) and as the row p^c (k = 1, c = 3), E as
+    (1, 1), Theta = 1 + p p^T/(m(E+m)), Theta^-1 = 1 - p p^T/(E(E+m)) and the
+    Sigma-frame vectors (e_k x p)/(E+m) of Ks~, all at this mass m, whatever the
+    batch's own mass."""
+
+    def __init__(self, m: float):
+        self.m = m
+
+    @memoized
+    def at(self, q) -> SimpleNamespace:
+        m, p = self.m, q.p
+        col, row = Jet(p[..., :, None], _UNIT[:, None]), Jet(p[..., None, :], _UNIT[None])
+        e = _norm(row, m * m)
+        pp, em = col * row, e + m
+        return SimpleNamespace(
+            m=m, col=col, row=row, e=e, theta=_UNIT + pp / (m * em),
+            theta_inv=_UNIT + pp / (-e * em), boost_spin=_cross(row) / em,
+        )
+
+
+class _Member:
+    """One family member's basis-free coefficients (a0, a, D) = formula(primitives),
+    a or D possibly a constant (k, 3) array: ``coef`` is ``@memoized``, one
+    evaluation per batch kept while the member lives, with read-only jets."""
+
+    def __init__(self, jets: _Jets, formula):
+        self.jets, self.formula = jets, formula
+
+    @memoized
+    def coef(self, q) -> tuple:
+        a0, a, d = self.formula(self.jets.at(q))
+        parts = (a0, _constant(a, q.p), _constant(d, q.p))
+        return tuple(None if x is None else Jet(read_only(x.v), read_only(x.d)) for x in parts)
+
+
 class AssociatedFamily:
     """Factory for the associated operators at fixed mass and polarization basis,
     one operator per family over a component axis (k = 3 for S~, X~, L~, the boost
     generators and W~; k = 1 for the scalars), each written once as Sigma-frame
     coefficients in the jets of p and E; every coefficient function takes a batch.
+
+    The coefficients do not depend on the basis, so they live in a basis-free core
+    that ``in_basis`` shares: one ``_Jets`` of the family's mass and one ``_Member``
+    per member (per basis for Ws~, which reads the polarization axis).  Each is
+    evaluated once per batch and kept on it while a family or an operator of the
+    core lives; every operator of a member, in any basis and in any stack, reads
+    that one evaluation.
     """
 
     def __init__(self, m: float, basis: PolarizationBasis):
@@ -408,76 +478,72 @@ class AssociatedFamily:
             raise ValueError("mass must be positive and finite")
         self.m = float(m)
         self.basis = basis
+        self._jets, self._members = _Jets(self.m), {}
 
-    def _op(self, name: str, formula) -> AssociatedOperator:
-        """Operator with (a0, a, D) = formula(col, row, e): p as the column
-        p^k (k = 3, c = 1) and as the row p^c (k = 1, c = 3), E as (1, 1); a or
-        D may be a constant (k, 3) array."""
+    def in_basis(self, basis: PolarizationBasis) -> AssociatedFamily:
+        """The family at this mass in ``basis``, sharing this family's coefficients."""
+        other = copy.copy(self)
+        other.basis = basis
+        return other
 
-        def coef(q):
-            p = q.p
-            col, row = Jet(p[..., :, None], _UNIT[:, None]), Jet(p[..., None, :], _UNIT[None])
-            a0, a, d = formula(col, row, _norm(row, self.m * self.m))
-            return a0, _constant(a, p), _constant(d, p)
-
-        return AssociatedOperator(name, self.basis, coef)
-
-    def _theta(self, col, row, e, inverse: bool = False) -> Jet:
-        """Theta = 1 + p p^T/(m(E+m)) or Theta^-1 = 1 - p p^T/(E(E+m))."""
-        return _UNIT + col * row / (-e * (e + self.m) if inverse else self.m * (e + self.m))
-
-    def _boost_spin(self, row, e) -> Jet:
-        """(e_k x p) / (E+m), the Sigma-frame vectors of Ks~."""
-        return _cross(row) / (e + self.m)
+    def _op(self, name: str, formula, *key) -> AssociatedOperator:
+        """Operator with (a0, a, D) = formula(j) of the primitives j of ``_Jets``; its
+        member is the core's under (name, *key), made at the first request."""
+        member = self._members.get((name, *key))
+        if member is None:
+            member = self._members[(name, *key)] = _Member(self._jets, formula)
+        return AssociatedOperator(name, self.basis, member.coef)
 
     # --- diagonal translations / velocity -------------------------------
 
     def hamiltonian(self) -> AssociatedOperator:
-        return self._op("H~", lambda col, row, e: (e, None, None))
+        return self._op("H~", lambda j: (j.e, None, None))
 
     def momentum(self) -> AssociatedOperator:
-        return self._op("P~", lambda col, row, e: (col, None, None))
+        return self._op("P~", lambda j: (j.col, None, None))
 
     def velocity(self) -> AssociatedOperator:
-        return self._op("V~", lambda col, row, e: (col / e, None, None))
+        return self._op("V~", lambda j: (j.col / j.e, None, None))
 
     # --- spin sector -----------------------------------------------------
 
     def spin(self) -> AssociatedOperator:
-        return self._op("S~", lambda col, row, e: (None, _UNIT, None))
+        return self._op("S~", lambda j: (None, _UNIT, None))
 
     def polarization(self) -> AssociatedOperator:
         """Ws~ = sigma_3/2, the spin along the basis's polarization axis: n for
         a common basis, p/|p| for the helicity basis."""
         if self.basis.kind != "helicity":
-            return self._op("Ws~", lambda col, row, e: (None, self.basis.n[None], None))
-        return self._op("Ws~", lambda col, row, e: (None, row / _norm(row), None))
+            n = self.basis.n[None]
+            return self._op("Ws~", lambda j: (None, n, None), self.basis)
+        return self._op("Ws~", lambda j: (None, j.row / _norm(j.row), None), self.basis)
 
     def spin_plus(self) -> AssociatedOperator:
-        return self._op("S~(+)", lambda col, row, e: (None, self._theta(col, row, e), None))
+        return self._op("S~(+)", lambda j: (None, j.theta, None))
 
     def spin_minus(self) -> AssociatedOperator:
-        return self._op("S~(-)", lambda col, row, e: (None, self._theta(col, row, e, True), None))
+        return self._op("S~(-)", lambda j: (None, j.theta_inv, None))
 
     def pauli_lubanski0(self) -> AssociatedOperator:
-        return self._op("W~0", lambda col, row, e: (None, row, None))
+        return self._op("W~0", lambda j: (None, j.row, None))
 
     def pauli_lubanski(self) -> AssociatedOperator:
-        return self._op("W~", lambda col, row, e: (None, self.m * self._theta(col, row, e), None))
+        return self._op("W~", lambda j: (None, j.m * j.theta, None))
 
     # --- position sector ---------------------------------------------------
 
     def position(self, t: float = 0.0) -> AssociatedOperator:
-        return self._op("X~", lambda col, row, e: (t * col / e if t else None, None, 1j * _UNIT))
+        """X~(t) = i d~ + t V~; the core keeps one member per time t asked for."""
+        return self._op("X~", lambda j: (t * j.col / j.e if t else None, None, 1j * _UNIT), t)
 
     def angular(self) -> AssociatedOperator:
-        return self._op("L~", lambda col, row, e: (None, None, -1j * _cross(row)))
+        return self._op("L~", lambda j: (None, None, -1j * _cross(j.row)))
 
     def boost_orbital(self) -> AssociatedOperator:
-        return self._op("Ko~", lambda col, row, e: (0.5j * col / e, None, 1j * e * _UNIT))
+        return self._op("Ko~", lambda j: (0.5j * j.col / j.e, None, 1j * j.e * _UNIT))
 
     def boost_spin(self) -> AssociatedOperator:
-        return self._op("Ks~", lambda col, row, e: (None, self._boost_spin(row, e), None))
+        return self._op("Ks~", lambda j: (None, j.boost_spin, None))
 
     # --- alternative position splittings ------------------------------------
 
@@ -485,22 +551,16 @@ class AssociatedFamily:
     # boost-spin multiples Ks~_k / E and -Ks~_k / m
 
     def position_pryce_c(self) -> AssociatedOperator:
-        return self._op("Xc~", lambda col, row, e: (None, self._boost_spin(row, e) / e, 1j * _UNIT))
+        return self._op("Xc~", lambda j: (None, j.boost_spin / j.e, 1j * _UNIT))
 
     def position_pryce_d(self) -> AssociatedOperator:
-        return self._op(
-            "Xd~", lambda col, row, e: (None, -self._boost_spin(row, e) / self.m, 1j * _UNIT)
-        )
+        return self._op("Xd~", lambda j: (None, -j.boost_spin / j.m, 1j * _UNIT))
 
     def y_pryce_c(self) -> AssociatedOperator:
-        return self._op(
-            "Yc~", lambda col, row, e: (None, self.m / (e * e * e) * self._theta(col, row, e), None)
-        )
+        return self._op("Yc~", lambda j: (None, j.m / (j.e * j.e * j.e) * j.theta, None))
 
     def y_pryce_d(self) -> AssociatedOperator:
-        return self._op(
-            "Yd~", lambda col, row, e: (None, self._theta(col, row, e) / (self.m * e), None)
-        )
+        return self._op("Yd~", lambda j: (None, j.theta / (j.m * j.e), None))
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +600,13 @@ def wigner_little_group(lam: np.ndarray, q: Momentum):
 
 def d_matrix(lam: np.ndarray, q: Momentum, basis: PolarizationBasis) -> np.ndarray:
     """Induced-representation rotations D(lambda, p) = xi^+(p) w_hat xi(p')."""
-    what, qprime = wigner_little_group(lam, q)
+    return induced_rotation(*wigner_little_group(lam, q), q, basis)
+
+
+def induced_rotation(what: np.ndarray, qprime: Momentum, q: Momentum, basis: PolarizationBasis):
+    """D(lambda, p) = xi^+(p) w_hat xi(p') from the little group (w_hat, p') that
+    ``wigner_little_group`` gives at q: it does not depend on the basis, so one
+    little group serves the D of every basis."""
     return _mul(_mul(dagger(basis.xi(q)), what), basis.xi(qprime))
 
 

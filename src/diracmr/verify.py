@@ -36,7 +36,6 @@ from .algebra import (
     boost_for_momentum,
     boost_param,
     central_gradient,
-    charge_conjugate,
     contract,
     cross,
     dagger,
@@ -54,10 +53,12 @@ from .associated import (
     KernelTable,
     OperatorStack,
     WaveSpinor,
+    charge_conjugated,
     commutator,
     commutator_action,
     d_matrix,
     gaussian_test_spinor,
+    induced_rotation,
     matrix_elements_diag,
     matrix_elements_offdiag,
     wigner_little_group,
@@ -378,12 +379,12 @@ def _parity(name: str) -> np.ndarray:
     return np.reshape(C_PARITY[name], (-1, 1, 1))
 
 
-# the entries whose diagonal images suite_associated checks, and the off-diagonal
-# pairings A~(-+) = s A~(+-)^+ of A^+ = s A (gamma0 gamma5, s = -1, tells A^+ from A)
-_DIAG_IMAGES = (
-    "projector_plus", "projector_minus", "n_op", "h_dirac", "pryce_e_spin", "spin_plus",
-    "pauli_lubanski", "delta_x", "pauli_dirac_spin", "gamma0", "gamma5",
-)
+# the entries suite_associated images and parity-checks, C_PARITY's leading: the
+# diagonal images are read by name from one image pass over all of them, and one
+# charge conjugate serves both bases' A~(-) and the C-parity check
+_DIAG_ENTRIES = (*C_PARITY, "projector_plus", "projector_minus")
+# the off-diagonal pairings A~(-+) = s A~(+-)^+ of A^+ = s A (gamma0 gamma5, s = -1,
+# tells A^+ from A)
 _ADJOINT_SIGN = {
     "h_dirac": 1, "pauli_dirac_spin": 1, "gamma0": 1, "delta_x": 1, "gamma0_gamma5": -1,
 }
@@ -415,20 +416,21 @@ def suite_associated(samples: int, seed: int, mass: float):
     m = q.m
     e, ec = q.energy[:, None, None], q.energy[:, None, None, None]
     off_names = (*_ADJOINT_SIGN, "pryce_e_spin")
-    diag_rows, off_rows = _rows(_DIAG_IMAGES, q), _rows(off_names, q)
+    diag_rows, off_rows = _rows(_DIAG_ENTRIES, q), _rows(off_names, q)
     signs = _per_row(_ADJOINT_SIGN, off_rows)  # the leading, paired rows
     spin_rows = off_rows["pryce_e_spin"]
-    diag_images, off_images = _stacked(_DIAG_IMAGES), _stacked(off_names)
+    entries, off_images = _stacked(_DIAG_ENTRIES), _stacked(off_names)
 
+    family = AssociatedFamily(m, _COMMON)  # its coefficients serve both bases
     for basis in _BASES:
         sg = basis.sigma(q)
         # the multipliers of the associated operators each image must equal
-        fam = AssociatedFamily(m, basis)
+        fam = family.in_basis(basis)
         energy, w0 = fam.hamiltonian().mult_at(q)[:, 0], fam.pauli_lubanski0().mult_at(q)[:, 0]
         s, s_plus, w = (op.mult_at(q) for op in (fam.spin(), fam.spin_plus(), fam.pauli_lubanski()))
 
         # every image from one call over the stacked entries, each check on its rows
-        diag = matrix_elements_diag(diag_images, q, basis)
+        diag = matrix_elements_diag(entries, q, basis)
 
         def images(name):
             return tuple(x[:, diag_rows[name]] for x in diag)
@@ -484,10 +486,14 @@ def suite_associated(samples: int, seed: int, mass: float):
         curv = d_omega - np.swapaxes(d_omega, 1, 2) + oj @ ok - ok @ oj
         rec.add("connection_flat", _mx(q.mag[:, None, None, None, None] ** 2 * curv), TOL_FD)
     # the declared C-parities, the source of every *_sign line: relative to the
-    # entry's size at +-p, so the check is the same at every mass; one pass over all 15
-    rows, entries = _rows(C_PARITY, q), _stacked(C_PARITY)
-    a, a_flipped = entries(q), entries(q.flipped())
-    dev = charge_conjugate(a_flipped) - _per_row(C_PARITY, rows) * a
+    # entry's size at +-p, so the check is the same at every mass; one pass over all
+    # 15, on their leading rows of the images' entries and of their charge conjugate
+    rows = {name: diag_rows[name] for name in C_PARITY}
+    own = slice(diag_rows["projector_plus"].start)
+    a, a_flipped, conjugate = (x[:, own] for x in (
+        entries(q), entries(q.flipped()), charge_conjugated(entries, q)
+    ))
+    dev = conjugate - _per_row(C_PARITY, rows) * a
     size = np.maximum(*(_row_maxima(x, rows.values()) for x in (a, a_flipped)))
     rec.add("charge_conjugation_parity", np.max(_row_maxima(dev, rows.values()) / size))
     return rec.results()
@@ -560,8 +566,9 @@ def suite_appendix_b(samples: int, seed: int, mass: float):
     # below of 2x2 parts, (n, i, j, 2, 2), and of spinor values, (3, n, i, j, 2)
     eps_p = -cross(np.eye(3), p[:, None, :, None, None])
 
-    for basis, full in ((_HELICITY, True), (_COMMON, False)):
-        fam = AssociatedFamily(mass, basis)
+    # the common family shares the helicity family's coefficients, evaluated once per batch
+    helicity = AssociatedFamily(mass, _HELICITY)
+    for fam, full in ((helicity, True), (helicity.in_basis(_COMMON), False)):
         L, S, Ko, Ks = fam.angular(), fam.spin(), fam.boost_orbital(), fam.boost_spin()
         X, Xt, V, P = fam.position(), fam.position(t=0.8), fam.velocity(), fam.momentum()
         H, W0, Wi = fam.hamiltonian(), fam.pauli_lubanski0(), fam.pauli_lubanski()
@@ -677,8 +684,8 @@ def suite_wigner(samples: int, seed: int, mass: float):
     rec.add("w_block_structure", max(_mx(w[..., :2, 2:]), _mx(w[..., 2:, :2])))
     rec.add("w_blocks_equal", max(_mx(what - w[..., :2, :2]), _mx(what - w[..., 2:, 2:])))
     rec.add("w_unitary", _mx(what @ dagger(what) - ID2))
-    for b in _BASES:
-        d = d_matrix(lams, first, b)
+    for b in _BASES:  # the little group of both bases' D
+        d = induced_rotation(what, qprime, first, b)
         rec.add("d_unitary", _mx(dagger(d) @ d - ID2))
     # rotations: D independent of momentum; 5 rotations against all momenta, (5, n, 2, 2)
     theta = make_rng(seed + 3).uniform(-np.pi, np.pi, (5, 3))

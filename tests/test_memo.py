@@ -5,6 +5,7 @@ result on it while both the batch and the owner live; a memoized result is the
 fresh evaluation bit for bit; the verify suites of one seed share their draws."""
 
 import gc
+import sys
 import tracemalloc
 import weakref
 
@@ -322,6 +323,55 @@ def test_appendix_b_applies_each_stack_once(monkeypatch):
     assert sum(isinstance(op, OperatorStack) for op in calls) == 3
 
 
+def test_appendix_b_evaluates_each_coefficient_once_per_batch(monkeypatch):
+    # the helicity and common families share one basis-free core: the jet primitives
+    # once per (family mass, batch), each member's coefficients once per batch across
+    # both bases (16 members at the draw, 13 on the oracle's stencil), and no
+    # commutator keeps an entry on a batch
+    primitives, members, batches = [], [], []
+    at, coef = associated._Jets.at.__wrapped__, associated._Member.coef.__wrapped__
+
+    def counted_at(jets, q):
+        primitives.append((jets.m, q))
+        return at(jets, q)
+
+    def counted_coef(member, q):
+        members.append((member, q))
+        return coef(member, q)
+
+    init = Momentum.__post_init__
+
+    def recorded(self):
+        batches.append(weakref.ref(self))
+        init(self)
+
+    def checked(method):
+        # after each evaluation, no live batch holds an entry a commutator owns
+        def run(self, *args):
+            out = method(self, *args)
+            owners = [
+                owner() for ref in batches if ref() is not None
+                for owner, _ in ref()._evaluations.values()
+            ]
+            assert not any(isinstance(o, associated._Commutator) for o in owners), self.name
+            return out
+
+        return run
+
+    monkeypatch.setattr(associated._Jets, "at", memoized(counted_at))
+    monkeypatch.setattr(associated._Member, "coef", memoized(counted_coef))
+    monkeypatch.setattr(Momentum, "__post_init__", recorded)
+    for name in ("apply", "mult_at"):
+        monkeypatch.setattr(AssociatedOperator, name, checked(vars(AssociatedOperator)[name]))
+    verify._draws.cache_clear()
+    results = verify.run_suite("appendix_b", 1, 3)
+    assert results and all(r.passed for r in results)
+    assert len({(m, id(q)) for m, q in primitives}) == len(primitives) == 2
+    assert {m for m, _ in primitives} == {1.0}
+    assert len({(id(op), id(q)) for op, q in members}) == len(members) == 29
+    assert len({id(q) for _, q in members}) == 2
+
+
 def test_result_does_not_follow_later_writes_to_the_batch():
     # P~'s a0 is p itself: the batch holds its own copy of the caller's array
     op, p = AssociatedFamily(MASS, CommonBasis()).momentum(), _batch(1.0)
@@ -379,6 +429,39 @@ def test_kernels_suite_evaluates_the_projectors_once_each(monkeypatch):
     results = verify.run_suite("kernels", 20, 13)
     assert results and all(r.passed for r in results)
     assert len(calls) == 2
+
+
+def test_associated_suite_forms_one_charge_conjugate(monkeypatch):
+    # one conjugate of the stacked imaged and parity-checked entries serves both
+    # bases' A~(-) images and the C-parity line
+    calls, conjugate = [], associated.charge_conjugate
+
+    def counted(a):
+        calls.append(a.shape)
+        return conjugate(a)
+
+    for module in (associated, verify):  # every binding in the package
+        if vars(module).get("charge_conjugate") is conjugate:
+            monkeypatch.setattr(module, "charge_conjugate", counted)
+    verify._draws.cache_clear()
+    results = verify.run_suite("associated", 20, 5)
+    assert results and all(r.passed for r in results)
+    assert calls == [(20, 38, 4, 4)]
+
+
+def test_wigner_suite_forms_the_boosts_little_group_once(monkeypatch):
+    # the w_* lines and both bases' d_unitary read one little group of the 50 boosts
+    # at the first 5 momenta, so one (50, 5) batch p' is made for it
+    made, init = [], Momentum.__post_init__
+
+    def recorded(self):
+        made.append((sys._getframe(2).f_code.co_name, self.p.shape))
+        init(self)
+
+    monkeypatch.setattr(Momentum, "__post_init__", recorded)
+    results = verify.run_suite("wigner", 20, 7)
+    assert results and all(r.passed for r in results)
+    assert made.count(("wigner_little_group", (50, 5, 3))) == 1
 
 
 # the suites of one operation of the identities benchmark workload

@@ -123,7 +123,11 @@ def test_associated_images_read_two_frames():
     assert {c for c in _callers("v_matrix") if c[0] == "associated"} == {
         ("associated", "_offdiag_frame")
     }
+    # A^c is formed in one place, kept on the batch, and read by the images there
     assert {c for c in _callers("charge_conjugate") if c[0] != "verify"} == {
+        ("associated", "charge_conjugated")
+    }
+    assert {c for c in _callers("charge_conjugated") if c[0] != "verify"} == {
         ("associated", "matrix_elements_diag")
     }
 
