@@ -88,15 +88,16 @@ def memoized(fn):
     The entry lives while both its batch and its owner do: q holds it and the
     owner's death drops it, so a long-lived batch keeps nothing of a short-lived
     owner and an owner's id names no other owner meanwhile.  ``fn`` gets q itself,
-    so the memoized quantities it reads of q are kept on q too.  An array (..., 3)
-    is a fresh batch at the default mass (``as_momentum``) that the call drops with
-    its entries, a convenience no production path uses.  A batch that raises keeps
-    nothing, so it raises again.
+    so the memoized quantities it reads of q are kept on q too.  q is a
+    ``Momentum`` and nothing else: an array (..., 3) carries no mass, so it raises
+    ``TypeError`` and no batch is made for it.  A batch that raises keeps nothing,
+    so it raises again.
     """
 
     @functools.wraps(fn)
     def cached(owner, q):
-        q = as_momentum(q)
+        if not isinstance(q, Momentum):
+            raise TypeError(f"{fn.__qualname__} takes a batch Momentum(p, m), not {type(q).__name__}")
         key = (id(owner), fn)
         entry = q._evaluations.get(key)
         if entry is None:
@@ -111,12 +112,6 @@ def memoized(fn):
         return entry[1]
 
     return cached
-
-
-def as_momentum(q) -> "Momentum":
-    """q itself if it is a ``Momentum``, else the fresh batch ``Momentum(q)`` at the
-    default mass."""
-    return q if isinstance(q, Momentum) else Momentum(q)
 
 
 def dagger(a: np.ndarray) -> np.ndarray:

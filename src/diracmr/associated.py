@@ -39,7 +39,6 @@ from .algebra import (
     ID2,
     PAULI,
     Momentum,
-    as_momentum,
     central_gradient,
     charge_conjugate,
     contract,
@@ -251,7 +250,7 @@ class AssociatedOperator:
     ``mult_at`` gives (..., k, 2, 2) and ``apply`` (..., k, 2), each from one read
     of the parts: the leading axes of a spinor's own values stay ahead of the
     momentum batch, the component axes come after it.  Each takes a ``Momentum``
-    batch, or an array (..., 3) as one fresh batch.
+    batch; an array raises ``TypeError``, as every ``@memoized`` quantity does.
     """
 
     name: str
@@ -260,13 +259,12 @@ class AssociatedOperator:
 
     def coef(self, q) -> tuple:
         """(a0, a, D) at the batch q, ``formula(q)``; a family member's jets are read-only."""
-        return self.formula(as_momentum(q))
+        return self.formula(q)
 
     _values = coef  # the parts mult_at and apply read (a stack reads no partials)
 
     def mult_at(self, q) -> np.ndarray:
         """The multiplicative part a0 + a.Sigma/2, (..., k, 2, 2)."""
-        q = as_momentum(q)
         return self._mult(self._values(q), q)
 
     def _mult(self, parts, q: Momentum) -> np.ndarray:
@@ -281,7 +279,6 @@ class AssociatedOperator:
         return out
 
     def apply(self, spinor: WaveSpinor, q) -> np.ndarray:
-        q = as_momentum(q)
         parts = self._values(q)
         mult, d = self._mult(parts, q), parts[2]
         axes = mult.ndim - q.p.ndim - 1
@@ -409,9 +406,9 @@ def _constant(x, p: np.ndarray):
     return Jet(np.broadcast_to(x, p.shape[:-1] + x.shape), np.zeros(x.shape + (3,)))
 
 
-def _norm(row: Jet, m2: float = 0.0) -> Jet:
-    """|p| (m2 = 0) or E (m2 = m^2) = sqrt(p.p + m2) from the row p^c: a (1, 1) jet
-    with the partials p / sqrt(p.p + m2)."""
+def _norm(row: Jet, m2: float) -> Jet:
+    """E = sqrt(p.p + m2), m2 = m^2, from the row p^c: a (1, 1) jet with the
+    partials p / E."""
     s = np.sqrt((row.v * row.v) @ np.ones((3, 1)) + m2)
     return Jet(s, row.v[..., None, :] / s[..., None])
 
@@ -467,10 +464,9 @@ class AssociatedFamily:
 
     The coefficients do not depend on the basis, so they live in a basis-free core
     that ``in_basis`` shares: one ``_Jets`` of the family's mass and one ``_Member``
-    per member (per basis for Ws~, which reads the polarization axis).  Each is
-    evaluated once per batch and kept on it while a family or an operator of the
-    core lives; every operator of a member, in any basis and in any stack, reads
-    that one evaluation.
+    per member (per time t for X~(t)).  Each is evaluated once per batch and kept
+    on it while a family or an operator of the core lives; every operator of a
+    member, in any basis and in any stack, reads that one evaluation.
     """
 
     def __init__(self, m: float, basis: PolarizationBasis):
@@ -481,14 +477,16 @@ class AssociatedFamily:
         self._jets, self._members = _Jets(self.m), {}
 
     def in_basis(self, basis: PolarizationBasis) -> AssociatedFamily:
-        """The family at this mass in ``basis``, sharing this family's coefficients."""
+        """The family at this mass in ``basis``, sharing this family's core: no
+        member's coefficients depend on the basis."""
         other = copy.copy(self)
         other.basis = basis
         return other
 
     def _op(self, name: str, formula, *key) -> AssociatedOperator:
         """Operator with (a0, a, D) = formula(j) of the primitives j of ``_Jets``; its
-        member is the core's under (name, *key), made at the first request."""
+        member is the core's under (name, *key), made at the first request (the key
+        is X~(t)'s t)."""
         member = self._members.get((name, *key))
         if member is None:
             member = self._members[(name, *key)] = _Member(self._jets, formula)
@@ -509,14 +507,6 @@ class AssociatedFamily:
 
     def spin(self) -> AssociatedOperator:
         return self._op("S~", lambda j: (None, _UNIT, None))
-
-    def polarization(self) -> AssociatedOperator:
-        """Ws~ = sigma_3/2, the spin along the basis's polarization axis: n for
-        a common basis, p/|p| for the helicity basis."""
-        if self.basis.kind != "helicity":
-            n = self.basis.n[None]
-            return self._op("Ws~", lambda j: (None, n, None), self.basis)
-        return self._op("Ws~", lambda j: (None, j.row / _norm(j.row), None), self.basis)
 
     def spin_plus(self) -> AssociatedOperator:
         return self._op("S~(+)", lambda j: (None, j.theta, None))

@@ -3,7 +3,7 @@
 Two families are provided: *common* polarization (spin measured along the
 fixed axis e3: xi, eta and Sigma are constant and Omega vanishes) and the
 *peculiar* helicity basis (spin measured along the momentum direction).  Both
-take a momentum batch (a ``Momentum``, or an array of shape (..., 3)) and
+take a momentum batch, a ``Momentum`` (an array raises ``TypeError``), and
 supply, per momentum,
 
 * ``xi(p)``      2x2 matrix whose columns are xi_{+1/2}, xi_{-1/2}
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import ID2, PAULI, central_gradient, dagger, memoized
+from .algebra import ID2, PAULI, memoized
 
 EPS_POLE = 1e-9
 
@@ -43,24 +43,10 @@ def _chart(n: np.ndarray) -> np.ndarray:
     return 0.5 * (n[..., 0] ** 2 + n[..., 1] ** 2 + (1.0 + n[..., 2]) ** 2)
 
 
-def spinor_pair(n) -> np.ndarray:
-    """Spin-projection eigenspinors along unit vectors n (..., 3), as the
-    columns of (..., 2, 2) matrices.
-
-    Columns solve (n.sigma/2) xi_sigma = sigma xi_sigma; singular on the
-    n^3 = -1 pole of the chart.
-    """
-    n = np.asarray(n, dtype=float)
-    if np.any(np.abs(np.linalg.norm(n, axis=-1) - 1.0) > 1e-12):
-        raise ValueError("direction must be a unit vector")
-    den = _chart(n)
-    if np.any(den <= EPS_POLE):
-        raise PoleError(f"spinor chart singular at n3 -> -1 (1+n3 = {np.min(den):.3e})")
-    return _charted_pair(n, den)
-
-
 def _charted_pair(n: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """``spinor_pair`` of unit vectors n whose chart den = 1 + n^3 is checked."""
+    """Spin-projection eigenspinors along unit vectors n (..., 3) whose chart
+    den = 1 + n^3 is checked, as the columns of (..., 2, 2) matrices: they solve
+    (n.sigma/2) xi_sigma = sigma xi_sigma, singular on the n^3 = -1 pole."""
     pref = np.sqrt(den / 2.0)
     nplus = (n[..., 0] + 1j * n[..., 1]) / den
     xi = np.empty(n.shape[:-1] + (2, 2), dtype=complex)
@@ -79,12 +65,11 @@ class PolarizationBasis:
     """Base class; a concrete basis defines ``xi`` and ``omega``, and eta and
     Sigma derive from its xi here.
 
-    Every method but the ``omega_fd`` oracle, which takes an array, takes a
-    momentum batch, a ``Momentum`` q or an array (..., 3), and returns one
+    Every method takes a momentum batch, a ``Momentum`` q, and returns one
     matrix, or one stack of three, per momentum.  eta and Sigma are
     ``@memoized``, as each basis's xi and Omega are: each is kept on the batch q
-    per basis, so a basis evaluates each quantity once on a batch, and an array
-    is evaluated for its call only.  Every output is read-only.
+    per basis, so a basis evaluates each quantity once on a batch.  Every output
+    is read-only.
     """
 
     kind = "generic"
@@ -107,21 +92,12 @@ class PolarizationBasis:
         uv, vu = o[..., 0, 1, :, :], o[..., 1, 0, :, :]
         return np.stack((uv + vu, -1j * (uv - vu), o[..., 0, 0, :, :] - o[..., 1, 1, :, :]), -3)
 
-    def omega_fd(self, p, h: float) -> np.ndarray:
-        """Connections Omega_i(p) = xi^+(p) d_{p^i} xi(p) by 4th-order central
-        differences with step h, for cross-validation; direction-dependent
-        (helicity-type) spinors vary on the scale |p|, so h of order 1e-4 |p|
-        suits them.
-        """
-        return dagger(self.xi(p))[..., None, :, :] @ central_gradient(self.xi, p, h)
-
 
 class CommonBasis(PolarizationBasis):
     """Momentum-independent basis with spin measured along n = e3: xi = 1 and
     Omega = 0, so eta = i sigma_2 and Sigma_i = sigma_i; the batch only sets the shape."""
 
     kind = "common"
-    n = np.array([0.0, 0.0, 1.0])  # the polarization axis
 
     @memoized
     def xi(self, q) -> np.ndarray:

@@ -312,8 +312,8 @@ def test_batch_norm_sites_take_norm(monkeypatch):
         "mag": lambda: Momentum(p, 0.5).mag,
         "rotation_su2": lambda: rotation_su2(p),
         "boost_su2": lambda: boost_su2(p),
-        "_checked": lambda: HelicityBasis()._checked(p),
-        "gradient": lambda: WaveSpinor(fn).gradient(p),
+        "_checked": lambda: HelicityBasis()._checked(Momentum(p, 0.5)),
+        "gradient": lambda: WaveSpinor(fn).gradient(Momentum(p, 0.5)),
     }
     for name, site in sites.items():
         seen.clear()

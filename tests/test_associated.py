@@ -54,7 +54,7 @@ def test_spin_and_position_images():
     for basis in BASES:
         for q in sample_momenta(40, 1.0, seed=53, avoid_poles=True):
             e, m, p = q.energy, q.m, q.p
-            sg = basis.sigma(p)
+            sg = basis.sigma(q)
             th, _ = theta_tensor(q)
             plus, minus = matrix_elements_diag(OPERATOR_CATALOG["pryce_e_spin"], q, basis)
             assert mx(plus - 0.5 * sg) < TOL
@@ -72,7 +72,7 @@ def test_pauli_lubanski_images_even_space_part():
     basis = HelicityBasis()
     for q in sample_momenta(30, 1.0, seed=55, avoid_poles=True):
         th, _ = theta_tensor(q)
-        sg = basis.sigma(q.p)
+        sg = basis.sigma(q)
         plus, minus = matrix_elements_diag(OPERATOR_CATALOG["pauli_lubanski"], q, basis)
         assert mx(plus[0] - 0.5 * np.einsum("j,jab->ab", q.p, sg)) < TOL
         assert mx(minus[0] - plus[0]) < TOL
@@ -85,7 +85,7 @@ def test_charge_images():
     for basis in BASES:
         for q in sample_momenta(30, 1.0, seed=57, avoid_poles=True):
             e, m = q.energy, q.m
-            sg = basis.sigma(q.p)
+            sg = basis.sigma(q)
             plus, minus = matrix_elements_diag(OPERATOR_CATALOG["gamma0"], q, basis)
             assert mx(plus[0] - (m / e) * ID2) < TOL
             assert mx(minus[0] + (m / e) * ID2) < TOL
@@ -109,8 +109,8 @@ def test_offdiag_adjoint_pairing_and_phases():
             assert mx(pm) < TOL and mx(mp) < TOL
             # the axial-charge kernel carries -(m/E) times the pair bilinear
             pm, _ = matrix_elements_offdiag(OPERATOR_CATALOG["gamma5"], q, t, basis)
-            xi = basis.xi(q.p)
-            eta_m = basis.eta(-q.p)
+            xi = basis.xi(q)
+            eta_m = basis.eta(q.flipped())
             expect = (
                 -(q.m / q.energy)
                 * np.exp(2j * q.energy * t)
@@ -125,7 +125,7 @@ def _boost_sandwich_images(op, q, t, basis):
     scale = (q.m / q.energy)[..., None, None, None]
     phase = np.exp(2j * q.energy * t)[..., None, None, None]
     lp, lm = boost_for_momentum(q), boost_for_momentum(q.flipped())
-    u0, v0m = rest_u_matrix(basis, q.p), rest_v_matrix(basis, -q.p)
+    u0, v0m = rest_u_matrix(basis, q), rest_v_matrix(basis, q.flipped())
     left, right = (dagger(u0) @ lp)[..., None, :, :], (lp @ u0)[..., None, :, :]
     sand = CCONJ @ np.swapaxes(op(q.flipped()), -1, -2) @ CCONJ
     a = op(q)
@@ -206,7 +206,7 @@ def test_diagonal_images_need_the_spinors_at_p_only():
     q, basis = Momentum(np.array([0.0, 0.0, 0.7]), 1.0), HelicityBasis()
     spin = OPERATOR_CATALOG["pryce_e_spin"]
     plus, minus = matrix_elements_diag(spin, q, basis)
-    assert mx(plus - basis.sigma(q.p) / 2) < TOL and mx(minus + plus) < TOL
+    assert mx(plus - basis.sigma(q) / 2) < TOL and mx(minus + plus) < TOL
     with pytest.raises(PoleError):
         matrix_elements_offdiag(spin, q, 0.0, basis)
 
@@ -214,9 +214,9 @@ def test_diagonal_images_need_the_spinors_at_p_only():
 def test_wave_spinor_gradients():
     rng = make_rng(61)
     alpha = gaussian_test_spinor(rng)
-    p = np.array([0.4, -0.2, 0.7])
-    analytic = alpha.gradient(p)
-    fd = WaveSpinor(alpha.value).gradient(p)
+    q = Momentum([0.4, -0.2, 0.7])
+    analytic = alpha.gradient(q)
+    fd = WaveSpinor(alpha.value).gradient(q)
     assert mx(analytic - fd) < 1e-9
 
 
@@ -227,14 +227,14 @@ def test_velocity_and_position_actions():
     alpha = gaussian_test_spinor(rng)
     q = Momentum.of(0.3, 0.5, -0.2)
     v = fam.velocity()
-    assert np.allclose(v.apply(alpha, q.p)[..., 0, :], (q.p[0] / q.energy) * alpha.value(q.p))
+    assert np.allclose(v.apply(alpha, q)[..., 0, :], (q.p[0] / q.energy) * alpha.value(q))
     x = fam.position()
-    assert np.allclose(x.apply(alpha, q.p)[..., 0, :], 1j * alpha.gradient(q.p)[0], atol=1e-12)
+    assert np.allclose(x.apply(alpha, q)[..., 0, :], 1j * alpha.gradient(q)[0], atol=1e-12)
     # time-shifted position picks up t V
     xt = fam.position(t=2.0)
     assert np.allclose(
-        xt.apply(alpha, q.p)[..., 0, :],
-        1j * alpha.gradient(q.p)[0] + 2.0 * (q.p[0] / q.energy) * alpha.value(q.p),
+        xt.apply(alpha, q)[..., 0, :],
+        1j * alpha.gradient(q)[0] + 2.0 * (q.p[0] / q.energy) * alpha.value(q),
         atol=1e-12,
     )
 
@@ -278,7 +278,7 @@ def test_covariant_derivative_commutes_with_spin():
     x, s = fam.position(), fam.spin()  # X~_i = i d~_i
     for q in sample_momenta(10, 1.0, seed=67, lo=0.3, hi=2.0, avoid_poles=True):
         # every pair (i, j) at once
-        assert mx(commutator_action(x, s, alpha, q.p)) < 1e-5
+        assert mx(commutator_action(x, s, alpha, q)) < 1e-5
 
 
 def test_structural_commutator_multiplicative():
@@ -286,10 +286,10 @@ def test_structural_commutator_multiplicative():
     fam = AssociatedFamily(1.0, basis)
     q = Momentum.of(0.2, 0.4, 0.9)
     s = fam.spin()
-    m_s = s.mult_at(q.p)
-    assert mx(commutator(s, s).mult_at(q.p)[..., 0, 1, :, :] - 1j * m_s[..., 2, :, :]) < TOL
+    m_s = s.mult_at(q)
+    assert mx(commutator(s, s).mult_at(q)[..., 0, 1, :, :] - 1j * m_s[..., 2, :, :]) < TOL
     # the spin is conserved: [S~_i, H~] has no part left, a zero (3, 1) stack
-    zero = commutator(s, fam.hamiltonian()).mult_at(q.p)
+    zero = commutator(s, fam.hamiltonian()).mult_at(q)
     assert zero.shape == (3, 1, 2, 2) and mx(zero) == 0
 
 
@@ -300,8 +300,8 @@ def test_exact_commutator_of_angular_momenta_term_by_term():
     L = fam.angular()
     c = commutator(L, L)
     for q in sample_momenta(5, 1.0, seed=77, avoid_poles=True):
-        assert mx(c.mult_at(q.p)[..., 0, 1, :, :]) < 1e-9
-        assert mx(c.coef(q.p)[2].v[..., 0, 1, :] - 1j * L.coef(q.p)[2].v[..., 2, :]) < 1e-9
+        assert mx(c.mult_at(q)[..., 0, 1, :, :]) < 1e-9
+        assert mx(c.coef(q)[2].v[..., 0, 1, :] - 1j * L.coef(q)[2].v[..., 2, :]) < 1e-9
 
 
 def test_commutators_do_not_nest():
@@ -314,10 +314,10 @@ def test_commutators_do_not_nest():
         commutator(fam.spin(), inner)
 
 
-def _coefficients(op, p):
+def _coefficients(op, q):
     """Sigma-frame coefficients (a0, a, D) of a commutator as one (n, ka, kb, 7)
     array, 0 where absent."""
-    coef = op.coef(p)
+    coef = op.coef(q)
     shape = np.broadcast_shapes(*(c.v.shape[:-1] for c in coef if c is not None))
     parts = [
         np.zeros(shape + (k,)) if c is None else np.broadcast_to(c.v, shape + (k,))
@@ -354,7 +354,7 @@ def test_exact_commutators_across_regimes(basis):
         "[Ko_i, H] = i p_i": (Ko, H, scalar(1j * pi)),
     }
     for name, (a, b, want) in relations.items():
-        got = _coefficients(commutator(a, b), p)
+        got = _coefficients(commutator(a, b), Momentum(p, 1.0))
         # per momentum, relative to the largest closed-form coefficient
         scale = np.max(np.abs(want), axis=(1, 2, 3))
         worst = np.max(np.abs(got - want), axis=(1, 2, 3)) / scale
@@ -430,7 +430,6 @@ def _stack_members(fam):
         fam.position(t=0.8),  # a0 and D
         fam.pauli_lubanski0(),  # a, k = 1
         fam.position_pryce_c(),  # a and D
-        fam.polarization(),  # a, k = 1, its form set by the basis
         fam.velocity(),  # a0, k = 3
     )
 
@@ -438,16 +437,16 @@ def _stack_members(fam):
 @pytest.mark.parametrize("basis", BASES, ids=lambda b: b.kind)
 def test_operator_stack_rows_are_the_members(basis):
     fam = AssociatedFamily(0.7, basis)
-    p = verify._sampled(6, 0.7, 5, lo=0.05, hi=2.0, avoid_poles=True).p
+    q = verify._sampled(6, 0.7, 5, lo=0.05, hi=2.0, avoid_poles=True)
     alpha = gaussian_test_spinor(make_rng(9))
     members = _stack_members(fam)
     stack = OperatorStack(*members)
-    mult, act, coef = stack.mult_at(p), stack.apply(alpha, p), stack.coef(p)
-    assert [r.stop - r.start for r in stack.slices] == [1, 3, 3, 3, 3, 1, 3, 1, 3]
+    mult, act, coef = stack.mult_at(q), stack.apply(alpha, q), stack.coef(q)
+    assert [r.stop - r.start for r in stack.slices] == [1, 3, 3, 3, 3, 1, 3, 3]
     for op, rows in zip(members, stack.slices):
-        assert np.array_equal(mult[:, rows], op.mult_at(p)), op.name
-        assert np.array_equal(act[:, rows], op.apply(alpha, p)), op.name
-        for own, part in zip(op.coef(p), coef):
+        assert np.array_equal(mult[:, rows], op.mult_at(q)), op.name
+        assert np.array_equal(act[:, rows], op.apply(alpha, q)), op.name
+        for own, part in zip(op.coef(q), coef):
             v, d = part.v[:, rows], part.d[:, rows]
             if own is None:  # zero on the member's rows
                 assert not v.any() and not d.any(), op.name
@@ -455,18 +454,18 @@ def test_operator_stack_rows_are_the_members(basis):
                 assert np.array_equal(v, np.broadcast_to(own.v, v.shape)), op.name
                 assert np.array_equal(d, np.broadcast_to(own.d, d.shape)), op.name
     # a part that no member has stays None
-    assert [x is None for x in OperatorStack(fam.spin(), fam.pauli_lubanski0()).coef(p)] == [
+    assert [x is None for x in OperatorStack(fam.spin(), fam.pauli_lubanski0()).coef(q)] == [
         True, False, True
     ]
     # each block of a commutator of stacks is the pair's own commutator
     left, right = OperatorStack(*members[:5]), OperatorStack(*members[3:])
     pair = commutator(left, right)
-    mult, act = pair.mult_at(p), pair.apply(alpha, p)
+    mult, act = pair.mult_at(q), pair.apply(alpha, q)
     for a, ra in zip(left.members, left.slices):
         for b, rb in zip(right.members, right.slices):
             own = commutator(a, b)
-            assert np.array_equal(mult[:, ra, rb], own.mult_at(p)), (a.name, b.name)
-            assert np.array_equal(act[:, ra, rb], own.apply(alpha, p)), (a.name, b.name)
+            assert np.array_equal(mult[:, ra, rb], own.mult_at(q)), (a.name, b.name)
+            assert np.array_equal(act[:, ra, rb], own.apply(alpha, q)), (a.name, b.name)
 
 
 def test_operator_stack_stacks_partials_only_for_a_commutator(monkeypatch):
@@ -503,7 +502,7 @@ def test_operator_stack_takes_operators_of_one_basis():
 def test_ledger_stacks_match_per_member_forms(seed, samples, mass):
     # the stacks suite_appendix_b reads, on its draws, against the per-operator
     # multipliers, commutators and applies they replace
-    p = verify._sampled(min(samples, 20), mass, seed, lo=0.05, hi=2.0, avoid_poles=True).p
+    q = verify._sampled(min(samples, 20), mass, seed, lo=0.05, hi=2.0, avoid_poles=True)
     rng = make_rng(seed + 1)
     spinors = [gaussian_test_spinor(rng, scale=max(mass, 1.0)) for _ in range(3)]
     trio = WaveSpinor(
@@ -514,14 +513,14 @@ def test_ledger_stacks_match_per_member_forms(seed, samples, mass):
         fam = AssociatedFamily(mass, basis)
         S, Ks, W0, Wi = fam.spin(), fam.boost_spin(), fam.pauli_lubanski0(), fam.pauli_lubanski()
         multipliers = OperatorStack(S, Ks, W0, Wi, fam.y_pryce_c(), fam.y_pryce_d())
-        mults = multipliers.mult_at(p)
+        mults = multipliers.mult_at(q)
         for op, rows in zip(multipliers.members, multipliers.slices):
-            assert np.array_equal(mults[:, rows], op.mult_at(p)), op.name
+            assert np.array_equal(mults[:, rows], op.mult_at(q)), op.name
         left, right = OperatorStack(S, Ks), OperatorStack(S, Ks, W0, Wi)
-        blocks = commutator(left, right).mult_at(p)
+        blocks = commutator(left, right).mult_at(q)
         for a, ra in zip(left.members, left.slices):
             for b, rb in zip(right.members, right.slices):
-                assert np.array_equal(blocks[:, ra, rb], commutator(a, b).mult_at(p))
+                assert np.array_equal(blocks[:, ra, rb], commutator(a, b).mult_at(q))
     fam = AssociatedFamily(mass, HelicityBasis())
     oracle = OperatorStack(
         fam.angular(), fam.spin(), fam.boost_orbital(), fam.boost_spin(), fam.position(),
@@ -530,12 +529,12 @@ def test_ledger_stacks_match_per_member_forms(seed, samples, mass):
         fam.position_pryce_d(),
     )
     applied = OperatorStack(*oracle.members, fam.y_pryce_c(), fam.y_pryce_d(), fam.spin_minus())
-    actions = applied.apply(trio, p)
+    actions = applied.apply(trio, q)
     for op, rows in zip(applied.members, applied.slices):
-        assert np.array_equal(actions[..., rows, :], op.apply(trio, p)), op.name
+        assert np.array_equal(actions[..., rows, :], op.apply(trio, q)), op.name
     # the oracle composite's value, read from the trio's actions at the first 2 momenta
     own = applied.slices[len(oracle.members)].start
-    assert np.array_equal(actions[0, :2, :own], oracle.apply(spinors[0], p[:2]))
+    assert np.array_equal(actions[0, :2, :own], oracle.apply(spinors[0], Momentum(q.p[:2], mass)))
 
 
 def test_pryce_cd_associated():
@@ -550,23 +549,23 @@ def test_pryce_cd_associated():
     s_plus, _ = auxiliary_spins(q)
     for i in range(3):
         # multiplicative parts carry the stated spin offsets
-        sg = basis.sigma(p)
+        sg = basis.sigma(q)
         spin_term = np.einsum("jk,j,kab->ab", EPS3[i], p, 0.5 * sg)
-        assert mx(xc.mult_at(p)[i] - spin_term / (e * (e + m))) < TOL
-        assert mx(xd.mult_at(p)[i] + spin_term / (m * (e + m))) < TOL
+        assert mx(xc.mult_at(q)[i] - spin_term / (e * (e + m))) < TOL
+        assert mx(xd.mult_at(q)[i] + spin_term / (m * (e + m))) < TOL
         # Y vectors proportional to the Theta-contracted spin
         th, _ = theta_tensor(q)
         s_plus_assoc = 0.5 * np.einsum("j,jab->ab", th[i], sg)
-        assert mx(yc.mult_at(p)[i] - (m / e**3) * s_plus_assoc) < TOL
-        assert mx(yd.mult_at(p)[i] - s_plus_assoc / (m * e)) < TOL
+        assert mx(yc.mult_at(q)[i] - (m / e**3) * s_plus_assoc) < TOL
+        assert mx(yd.mult_at(q)[i] - s_plus_assoc / (m * e)) < TOL
     # commutator closes on -i eps Y_c, for every pair (i, j) at once
-    lhs = commutator_action(xc, xc, alpha, p)
-    rhs = -1j * np.einsum("ijk,ka->ija", EPS3, yc.apply(alpha, p))
+    lhs = commutator_action(xc, xc, alpha, q)
+    rhs = -1j * np.einsum("ijk,ka->ija", EPS3, yc.apply(alpha, q))
     assert mx(lhs - rhs) < 1e-5
     # rest frame: offsets vanish, both reduce to i d~
     q0 = Momentum(np.zeros(3), 1.0)
-    assert mx(xc.mult_at(q0.p)) < TOL
-    assert mx(xd.mult_at(q0.p)) < TOL
+    assert mx(xc.mult_at(q0)) < TOL
+    assert mx(xd.mult_at(q0)) < TOL
 
 
 def test_appendix_b_spot_identities():
@@ -578,16 +577,16 @@ def test_appendix_b_spot_identities():
     for q in sample_momenta(5, 1.0, seed=73, lo=0.2, hi=1.5, avoid_poles=True):
         e, p = q.energy, q.p
         L, Ko, Ks = fam.angular(), fam.boost_orbital(), fam.boost_spin()
-        aS, aKs = fam.spin().apply(alpha, p), Ks.apply(alpha, p)
+        aS, aKs = fam.spin().apply(alpha, q), Ks.apply(alpha, q)
         # angular momenta close su(2)
-        lhs = commutator_action(L, L, alpha, p)[0, 1]
-        assert mx(lhs - 1j * L.apply(alpha, p)[2]) < 1e-5
+        lhs = commutator_action(L, L, alpha, q)[0, 1]
+        assert mx(lhs - 1j * L.apply(alpha, q)[2]) < 1e-5
         # boost-velocity commutator is multiplicative, for every pair (i, j)
-        lhs = commutator_action(Ko, fam.velocity(), alpha, p)
-        rhs = 1j * (np.eye(3) - np.outer(p, p) / e**2)[..., None] * alpha.value(p)
+        lhs = commutator_action(Ko, fam.velocity(), alpha, q)
+        rhs = 1j * (np.eye(3) - np.outer(p, p) / e**2)[..., None] * alpha.value(q)
         assert mx(lhs - rhs) < 1e-5
         # orbital and spin boost parts do not commute
-        lhs = commutator_action(Ko, Ks, alpha, p)[0, 1]
+        lhs = commutator_action(Ko, Ks, alpha, q)[0, 1]
         rhs = -1j / (e + 1.0) * (
             e * sum(EPS3[0, 1, k] * aS[k] for k in range(3)) + p[0] * aKs[1]
         )
@@ -605,7 +604,7 @@ def test_hermitian_quadratic_form_of_boost_orbital():
 
     grid = QuadratureGrid(10.0, 40, 8, 8)
     op = fam.boost_orbital()
-    pts = grid.nodes  # the whole grid is one batch of momenta
+    pts = Momentum(grid.nodes, 1.0)  # the whole grid is one batch of momenta
     lhs = grid.weights @ np.einsum("na,nia->ni", a.value(pts).conj(), op.apply(b, pts))
     rhs = grid.weights @ np.einsum("nia,na->ni", op.apply(a, pts).conj(), b.value(pts))
     # every component at once
@@ -625,7 +624,7 @@ def test_family_jets_are_their_closed_forms(basis, ratio):
     m = 1.3
     p = ratio * m * np.array([[0.3, -0.5, 0.8], [-0.6, 0.2, 0.1]])
     family = AssociatedFamily(m, basis)
-    e = family.hamiltonian().coef(p)[0]
+    e = family.hamiltonian().coef(Momentum(p, m))[0]
     assert e.d.tobytes() == (p[:, None, None, :] / e.v[..., None]).tobytes()
-    d = family.angular().coef(p)[2]
+    d = family.angular().coef(Momentum(p, m))[2]
     assert np.array_equal(d.d, -1j * np.einsum("klc->kcl", EPS3))

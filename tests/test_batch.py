@@ -29,7 +29,7 @@ def _family(basis):
         fam.boost_spin(), fam.position_pryce_c(), fam.position_pryce_d(), fam.y_pryce_c(),
         fam.y_pryce_d(),
     ]
-    scalars = (fam.hamiltonian(), fam.polarization(), fam.pauli_lubanski0())
+    scalars = (fam.hamiltonian(), fam.pauli_lubanski0())
     entries = [(op.name, op, 0) for op in scalars]
     entries += [(f"{op.name}{i + 1}", op, i) for i in range(3) for op in vectors]
     xt = fam.position(t=0.6)
@@ -43,16 +43,21 @@ def _cases():
         yield f"operator-{name}", lambda p, op=op: op(Momentum(p, MASS))
     for bname, basis in BASES.items():
         for meth in ("xi", "eta", "sigma", "omega"):
-            yield f"{bname}-{meth}", getattr(basis, meth)
+            yield f"{bname}-{meth}", lambda p, f=getattr(basis, meth): f(Momentum(p, MASS))
         for k, (label, op, i) in enumerate(_family(basis)):
-            yield f"{bname}-{label}-{k}-mult", lambda p, op=op, i=i: op.mult_at(p)[..., i, :, :]
-            if op.coef(MOMENTA)[2] is not None:
-                yield f"{bname}-{label}-{k}-dcoef", lambda p, op=op, i=i: op.coef(p)[2].v[..., i, :]
+            k += k > 0  # 1 numbered the deleted Ws~: every other case keeps its name
+            yield f"{bname}-{label}-{k}-mult", (
+                lambda p, op=op, i=i: op.mult_at(Momentum(p, MASS))[..., i, :, :]
+            )
+            if op.coef(Momentum(MOMENTA, MASS))[2] is not None:
+                yield f"{bname}-{label}-{k}-dcoef", (
+                    lambda p, op=op, i=i: op.coef(Momentum(p, MASS))[2].v[..., i, :]
+                )
         # [L~_i, Ko~_j] for every pair as one stack, (..., 3, 3, 2, 2) and (..., 3, 3, 3)
         fam = AssociatedFamily(MASS, basis)
         comm = commutator(fam.angular(), fam.boost_orbital())
-        yield f"{bname}-{comm.name}-mult", comm.mult_at
-        yield f"{bname}-{comm.name}-dcoef", lambda p, comm=comm: comm.coef(p)[2].v
+        yield f"{bname}-{comm.name}-mult", lambda p, comm=comm: comm.mult_at(Momentum(p, MASS))
+        yield f"{bname}-{comm.name}-dcoef", lambda p, comm=comm: comm.coef(Momentum(p, MASS))[2].v
         for name, ker in KERNEL_CATALOG.items():
             yield f"kernel-{name}-{bname}", (
                 lambda p, ker=ker, basis=basis: ker(Momentum(p, MASS), 0.37, basis)

@@ -69,8 +69,8 @@ def test_delta_x_kernel_closed_form():
     q = Momentum.of(0.3, 0.7, -0.2, m=0.9)
     t = 0.15
     _, theta_inv = theta_tensor(q)
-    xi = basis.xi(q.p)
-    eta_m = basis.eta(-q.p)
+    xi = basis.xi(q)
+    eta_m = basis.eta(q.flipped())
     bil = np.stack([xi.conj().T @ p @ eta_m for p in __import__("diracmr").algebra.PAULI])
     expect = (-0.5j * np.exp(2j * q.energy * t) / q.energy) * np.einsum(
         "ij,jab->iab", theta_inv, bil
@@ -87,8 +87,8 @@ def test_pseudoscalar_parent_has_no_diagonal_part():
     basis = CommonBasis()
     q = Momentum.of(0.2, 0.1, 0.4)
     k = KERNEL_CATALOG["pseudoscalar_osc"](q, 0.0, basis)[0]
-    xi = basis.xi(q.p)
-    eta_m = basis.eta(-q.p)
+    xi = basis.xi(q)
+    eta_m = basis.eta(q.flipped())
     assert mx(k + xi.conj().T @ eta_m) < 1e-13
 
 

@@ -4,14 +4,22 @@ Multiplying every input by a power of two scales each +, -, *, / and sqrt exactl
 so a formula with no absolute constant gives, under (p, m, t) -> (lam p, lam m,
 t/lam) with lam = 2^k, its result at m = 1 times lam^d for its mass dimension d, bit
 for bit.  A constant hidden in one path (max(m, 1), an absolute step, a default
-mass) breaks that, and these tests see it in every family member and commutator.
+mass) breaks that, and these tests see it in every family member and commutator,
+every catalog operator, the bases' xi, Sigma and Omega, and every kernel.
 """
 
 import numpy as np
 import pytest
 
 from diracmr.algebra import Momentum
-from diracmr.associated import AssociatedFamily, WaveSpinor, commutator_action
+from diracmr.associated import (
+    KERNEL_CATALOG,
+    AssociatedFamily,
+    KernelTable,
+    WaveSpinor,
+    commutator_action,
+)
+from diracmr.operators import OPERATOR_CATALOG
 from diracmr.polarization import make_basis
 
 # |p|/m from 0.05 to 5, off the helicity chart's -e3 pole
@@ -50,7 +58,6 @@ MEMBERS = {
     "momentum": 1,  # a0 = p
     "velocity": 0,  # a0 = p/E
     "spin": 0,  # a = 1
-    "polarization": 0,  # a = n or p/|p|
     "spin_plus": 0,  # a = Theta
     "spin_minus": 0,  # a = Theta^-1
     "pauli_lubanski0": 1,  # a = p
@@ -80,6 +87,41 @@ LEDGER_PAIRS = (
 )
 DIMENSION = {**MEMBERS, "position_t": -1}
 
+# each OPERATOR_CATALOG entry with its mass dimension d
+CATALOG = {
+    "h_dirac": 1,  # m gamma^0 + gamma^0 gamma.p
+    "projector_plus": 0,  # (1 + H_D/E)/2
+    "projector_minus": 0,  # (1 - H_D/E)/2
+    "n_op": 0,  # H_D/E
+    "pryce_e_spin": 0,  # (m/E) s + p (s.p)/(E(E+m)) + (i/2E) p ^ gamma
+    "delta_x": -1,  # i gamma/(2E) + ...
+    "chakrabarti": 0,  # l_p s l_p^-1
+    "frankel_spin": 0,  # s + (i/2m) p ^ gamma
+    "pc_spin": 0,  # (m/E)^2 s + ...
+    "fradkin_good": 0,  # gamma^0 s + (p (p.s)/p^2)(H_D/E - gamma^0)
+    "spin_plus": 0,  # Theta S
+    "pauli_lubanski": 1,  # m L_p S
+    "pauli_dirac_spin": 0,  # s, a constant
+    "gamma5": 0,
+    "gamma0": 0,
+    "gamma0_gamma5": 0,
+    "fw_generator": 0,  # -i gamma, a constant
+}
+
+# a basis's quantities with their mass dimension d: Omega_i = xi^+ d_i xi ~ 1/|p|
+BASIS = {"xi": 0, "sigma": 0, "omega": -1}
+
+# each kernel with the mass dimension d of its coefficients C; B = xi^+ sigma eta(-p)
+# is a pure number, and so is the phase exp(2iEt) at the time t/lam
+KERNELS = {
+    "delta_x_osc": -1,  # -(i/2E) Theta^-1
+    "axial_current_osc": 0,  # (i/E) eps.p
+    "fw_generator_osc": 0,  # (i m/E) Theta
+    "chakrabarti_osc": 0,  # (i/m) eps.p
+    "scalar_charge_osc": 1,  # -p
+    "pseudoscalar_osc": 0,  # a constant
+}
+
 
 def _operator(family, name, lam):
     if name == "position_t":
@@ -101,7 +143,8 @@ def _mismatches(kind, k, results):
     unit, scaled = _at(kind, 1.0), _at(kind, lam)
     bad = []
     for name, (dim, result) in results.items():
-        want, got = result(*unit, 1.0), result(*scaled, lam)
+        # contiguous copies: a constant result may be a broadcast view
+        want, got = (np.ascontiguousarray(r) for r in (result(*unit, 1.0), result(*scaled, lam)))
         scale = lam**dim
         if got.shape != want.shape or got.view(float).tobytes() != (scale * want.view(float)).tobytes():
             bad.append((name, float(np.max(np.abs(got / scale - want)) / np.max(np.abs(want)))))
@@ -118,7 +161,7 @@ def test_members_are_mass_covariant_bit_for_bit(kind, k):
         return MEMBERS[name], result
 
     results = {name: action(name) for name in MEMBERS}
-    assert len(results) == 17
+    assert len(results) == 16
     assert _mismatches(kind, k, results) == []
 
 
@@ -133,4 +176,39 @@ def test_ledger_commutators_are_mass_covariant_bit_for_bit(kind, k):
 
     results = {f"[{a}, {b}]": action(a, b) for a, b in LEDGER_PAIRS}
     assert len(results) == 22
+    assert _mismatches(kind, k, results) == []
+
+
+@pytest.mark.parametrize("k", EXPONENTS)
+def test_catalog_operators_are_mass_covariant_bit_for_bit(k):
+    # the entries read no basis; the family's basis kind is unused
+    def entry(name):
+        return CATALOG[name], lambda fam, q, spinor, lam: OPERATOR_CATALOG[name](q)
+
+    assert list(CATALOG) == list(OPERATOR_CATALOG)
+    assert _mismatches("common", k, {name: entry(name) for name in CATALOG}) == []
+
+
+@pytest.mark.parametrize("k", EXPONENTS)
+@pytest.mark.parametrize("kind", ("common", "helicity"))
+def test_basis_quantities_are_mass_covariant_bit_for_bit(kind, k):
+    def quantity(name):
+        return BASIS[name], lambda fam, q, spinor, lam: getattr(fam.basis, name)(q)
+
+    assert _mismatches(kind, k, {name: quantity(name) for name in BASIS}) == []
+
+
+@pytest.mark.parametrize("k", EXPONENTS)
+@pytest.mark.parametrize("kind", ("common", "helicity"))
+def test_kernel_table_slices_are_mass_covariant_bit_for_bit(kind, k):
+    # one table of every kernel at the time T/lam, read slice by slice
+    def kernel(rows, name):
+        def result(fam, q, spinor, lam):
+            table = KernelTable(tuple(KERNEL_CATALOG.values()), q, fam.basis)
+            return table(T / lam)[..., table.slices[rows], :, :]
+
+        return KERNELS[name], result
+
+    assert list(KERNELS) == list(KERNEL_CATALOG)
+    results = {name: kernel(i, name) for i, name in enumerate(KERNELS)}
     assert _mismatches(kind, k, results) == []

@@ -1,9 +1,11 @@
 """Evaluations kept on the momentum batch: bases, mode spinors, Fourier operators,
 the two image frames (u/u and u(p)/v(-p)), the kernels' pair frame, operator
 coefficients and wave spinors each evaluate a ``Momentum`` batch once and keep the
-result on it while both the batch and the owner live; a memoized result is the
-fresh evaluation bit for bit; the verify suites of one seed share their draws."""
+result on it while both the batch and the owner live, and refuse anything else; a
+memoized result is the fresh evaluation bit for bit; the verify suites of one seed
+share their draws."""
 
+import functools
 import gc
 import sys
 import tracemalloc
@@ -24,6 +26,7 @@ from diracmr.associated import (
     _diag_frame,
     _offdiag_frame,
     _pair_bilinears,
+    commutator,
     gaussian_test_spinor,
 )
 from diracmr.operators import OPERATOR_CATALOG, FourierOperator
@@ -111,6 +114,53 @@ def _same_bits(x, y) -> bool:
     )
 
 
+def _batch_masses(monkeypatch) -> list:
+    """A list that gains the mass of every ``Momentum`` made from now on."""
+    made, init = [], Momentum.__post_init__
+
+    def recorded(self):
+        made.append(self.m)
+        init(self)
+
+    monkeypatch.setattr(Momentum, "__post_init__", recorded)
+    return made
+
+
+def _refusing():
+    """(label, function of a momentum) for every kind of owner of one."""
+    for kind in KINDS:
+        basis = make_basis(kind)
+        for meth in ("xi", "eta", "sigma", "omega"):
+            yield f"{kind}-{meth}", getattr(basis, meth)
+    basis, spinor = HelicityBasis(), gaussian_test_spinor(make_rng(3))
+    yield "u_matrix", functools.partial(u_matrix, basis)
+    yield "catalog_entry", OPERATOR_CATALOG["pryce_e_spin"]
+    yield "wave_spinor", spinor.value
+    fam = AssociatedFamily(MASS, basis)
+    for label, op in (
+        ("member", fam.boost_orbital()),
+        ("commutator", commutator(fam.angular(), fam.boost_orbital())),
+        ("stack", OperatorStack(fam.spin(), fam.position())),
+    ):
+        yield f"{label}-coef", op.coef
+        yield f"{label}-mult_at", op.mult_at
+        yield f"{label}-apply", functools.partial(op.apply, spinor)
+
+
+REFUSING = dict(_refusing())
+
+
+@pytest.mark.parametrize("function", REFUSING)
+def test_an_array_is_refused_and_no_batch_is_made(function, monkeypatch):
+    # a bare array carries no mass: every function of a momentum refuses it, a
+    # single momentum and a batch alike, and makes no Momentum of it
+    made = _batch_masses(monkeypatch)
+    for bare in (_batch(1.0)[0], _batch(1.0), _batch(1.0).tolist()):
+        with pytest.raises(TypeError, match=r"Momentum\(p, m\)"):
+            REFUSING[function](bare)
+    assert not made
+
+
 @pytest.mark.parametrize("ratio", (1e-6, 1.0, 1e6))
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("quantity", OWNERS)
@@ -174,11 +224,6 @@ def test_owners_never_share_an_entry():
         spinor = gaussian_test_spinor(make_rng(seed))
         assert _same_bits(spinor.value(q), np.asarray(spinor._fn(Momentum(p, MASS)), dtype=complex))
         del spinor
-    # a helicity family and a common family at the same batch: Ws~ along n_p and along e3
-    ws_h = AssociatedFamily(MASS, HelicityBasis()).polarization().coef(q)[1].v
-    ws_c = AssociatedFamily(MASS, CommonBasis()).polarization().coef(q)[1].v
-    assert np.max(np.abs(ws_h[..., 0, :] - DIRECTIONS)) < 1e-15
-    assert np.array_equal(ws_c[..., 0, :], np.broadcast_to([0.0, 0.0, 1.0], (3, 3)))
 
 
 def test_batch_owns_its_flip_its_per_component_view_and_its_evaluations():
@@ -248,30 +293,31 @@ def test_grid_sized_batch_is_neither_hashed_nor_kept():
     tracemalloc.start()
     try:
         spinor.value(q)  # returns a view of ``out``: nothing to allocate, no key to make
-        peak = tracemalloc.get_traced_memory()[1]
-        before = tracemalloc.get_traced_memory()[0]
-        basis.xi(grid)  # an array is a fresh batch, dropped with the call
-        kept = tracemalloc.get_traced_memory()[0] - before
+        before, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        with pytest.raises(TypeError, match=r"Momentum\(p, m\)"):
+            basis.xi(grid)  # an array is refused before any batch is made of it
+        refused = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
     assert peak < grid.nbytes / 4  # a key would copy the 2.7 MB grid
-    assert kept < 64 * 1024  # xi on the grid is 3.5 MB, the array's batch 2.7 MB
+    assert refused < 64 * 1024  # xi on the grid is 3.5 MB, a batch of the array 2.7 MB
     assert vars(basis) == {} and spinor.value(q) is spinor.value(q)
 
 
 @pytest.mark.parametrize("quantity", OWNERS)
-def test_batch_over_the_cap_is_not_kept(quantity):
-    # no size cap: an array batch of any size, here one over the 4096 momenta that
-    # bounded the byte-keyed memo, is evaluated for its call and kept by no one;
-    # a Momentum batch of that size keeps its result like any other
+def test_batch_over_the_cap_is_not_kept(quantity, monkeypatch):
+    # no size cap: an array of any size, here one over the 4096 momenta that bounded
+    # the byte-keyed memo, is refused, and no batch is made of it; a Momentum batch
+    # of that size keeps its result like any other
     make, evaluate = OWNERS[quantity]
     owner, p = make("helicity"), np.resize(_batch(1.0), (4097, 3))
     owned = vars(owner).copy()
-    first = evaluate(owner, p)
-    assert evaluate(owner, p) is not first and _same_bits(evaluate(owner, p), first)
-    ref = weakref.ref(next(a for a in _arrays(first) if a is not None))
-    del first
-    assert ref() is None and vars(owner) == owned
+    made = _batch_masses(monkeypatch)
+    for _ in range(2):
+        with pytest.raises(TypeError, match=r"Momentum\(p, m\)"):
+            evaluate(owner, p)
+    assert not made and vars(owner) == owned
     q = Momentum(p, MASS)
     assert evaluate(owner, q) is evaluate(owner, q)
 
@@ -404,12 +450,11 @@ def test_momentum_is_evaluated_at_its_mass_over_a_read_only_copy():
     assert len(toy.seen) == 2 and all(x is q for x, q in zip(toy.seen, batches))
     for q in toy.seen:
         assert not q.p.flags.writeable and not np.shares_memory(q.p, p)
-    # an array is a fresh batch at the default mass on every call
-    toy.energy(p), toy.energy(p)
-    assert len(toy.seen) == 4 and toy.seen[2] is not toy.seen[3]
-    for q in toy.seen[2:]:
-        assert isinstance(q, Momentum) and q.m == 1.0 and np.array_equal(q.p, p)
-        assert not q.p.flags.writeable and not np.shares_memory(q.p, p)
+    # an array carries no mass: it is refused, and fn never runs
+    for bare in (p, p.tolist(), None):
+        with pytest.raises(TypeError, match=r"_Toy.energy takes a batch Momentum\(p, m\)"):
+            toy.energy(bare)
+    assert len(toy.seen) == 2
 
 
 def test_kernels_suite_evaluates_the_projectors_once_each(monkeypatch):
@@ -535,13 +580,7 @@ def test_identities_suites_draw_and_evaluate_each_batch_once(monkeypatch):
 def test_suites_make_every_batch_at_the_mass_asked(monkeypatch):
     # every batch the suites make, stencils and quadrature grids included, is at the
     # mass of the run: no evaluation wraps an array as a batch at the default mass
-    masses, init = [], Momentum.__post_init__
-
-    def recorded(self):
-        masses.append(self.m)
-        init(self)
-
-    monkeypatch.setattr(Momentum, "__post_init__", recorded)
+    masses = _batch_masses(monkeypatch)
     verify._draws.cache_clear()
     results = verify.run_suite("all", samples=20, seed=7, mass=2.0)
     assert results and all(r.passed for r in results)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import diracmr
-from diracmr.algebra import EPS3, PAULI, dagger
+from diracmr.algebra import EPS3, PAULI, Momentum, central_gradient, dagger
 from diracmr.polarization import (
     CommonBasis,
     HelicityBasis,
@@ -17,7 +17,6 @@ from diracmr.polarization import (
     eta_from_xi,
     make_basis,
     sigma_index,
-    spinor_pair,
 )
 from diracmr.sampling import sample_momenta
 
@@ -29,6 +28,13 @@ def _unit(v):
     return v / np.linalg.norm(v)
 
 
+def fd_omega(basis, q, h):
+    """Omega_i(p) = xi^+(p) d_{p^i} xi(p) by 4th-order central differences with step
+    h, the FD oracle of the closed forms; helicity-type spinors vary on the scale
+    |p|, so h of order 1e-4 |p| suits them."""
+    return dagger(basis.xi(q))[..., None, :, :] @ central_gradient(basis.xi, q, h)
+
+
 directions = st.tuples(
     st.floats(-1, 1), st.floats(-1, 1), st.floats(-0.9, 1)
 ).filter(lambda t: 1e-2 < np.linalg.norm(t) and (1 + t[2] / np.linalg.norm(t)) > 1e-2)
@@ -38,7 +44,7 @@ directions = st.tuples(
 @given(directions)
 def test_common_spinors_orthonormal_complete(direction):
     n = _unit(direction)
-    xi = spinor_pair(n)
+    xi = HelicityBasis().xi(Momentum(n))
     eta = eta_from_xi(xi)
     assert np.allclose(xi.conj().T @ xi, ID2, atol=1e-14)
     assert np.allclose(xi @ xi.conj().T, ID2, atol=1e-14)
@@ -51,11 +57,12 @@ def test_common_spinors_orthonormal_complete(direction):
 
 
 def test_common_spinor_special_values():
-    # columns of spinor_pair(n) are xi_{+1/2}(n), xi_{-1/2}(n)
-    assert np.allclose(spinor_pair([0, 0, 1])[:, 0], [1, 0])
-    assert np.allclose(spinor_pair([0, 0, 1])[:, 1], [0, 1])
+    # columns of xi(n) are xi_{+1/2}(n), xi_{-1/2}(n)
+    xi = HelicityBasis().xi
+    assert np.allclose(xi(Momentum([0, 0, 1]))[:, 0], [1, 0])
+    assert np.allclose(xi(Momentum([0, 0, 1]))[:, 1], [0, 1])
     # closed form along e1
-    assert np.allclose(spinor_pair([1, 0, 0])[:, 0], np.array([1, 1]) / np.sqrt(2))
+    assert np.allclose(xi(Momentum([1, 0, 0]))[:, 0], np.array([1, 1]) / np.sqrt(2))
 
 
 def test_weighted_completeness():
@@ -65,49 +72,46 @@ def test_weighted_completeness():
         n = _unit(rng.standard_normal(3))
         if 1 + n[2] < 1e-2:
             continue
-        xi = spinor_pair(n)
+        xi = HelicityBasis().xi(Momentum(n))
         lhs = np.outer(xi[:, 0], xi[:, 0].conj()) - np.outer(xi[:, 1], xi[:, 1].conj())
         assert np.allclose(lhs, sum(n[i] * PAULI[i] for i in range(3)), atol=1e-13)
 
 
 def test_pole_errors():
-    with pytest.raises(PoleError):
-        spinor_pair([0, 0, -1])
-    with pytest.raises(PoleError):
-        spinor_pair(_unit([1e-7, 0, -1]))
-    # a direction off the unit sphere is refused before its chart is read
-    with pytest.raises(ValueError, match="direction must be a unit vector"):
-        spinor_pair(np.array([0.0, 0.0, 2.0]))
     hel = HelicityBasis()
     with pytest.raises(PoleError):
-        hel.xi(np.array([0.0, 0.0, -2.0]))
+        hel.xi(Momentum([0, 0, -1]))
     with pytest.raises(PoleError):
-        hel.xi(np.array([0.0, 0.0, 0.0]))
+        hel.xi(Momentum(_unit([1e-7, 0, -1])))
+    with pytest.raises(PoleError):
+        hel.xi(Momentum([0.0, 0.0, -2.0]))
+    with pytest.raises(PoleError):
+        hel.xi(Momentum([0.0, 0.0, 0.0]))
     # just off the pole ray must evaluate
-    hel.xi(np.array([0.05, 0.0, -1.0]))
+    hel.xi(Momentum([0.05, 0.0, -1.0]))
 
 
 def test_helicity_spinor_eigenvector():
     for q in sample_momenta(50, 1.0, seed=3, avoid_poles=True):
         n = q.p / q.mag
         ns = sum(n[i] * PAULI[i] for i in range(3)) / 2
-        xi = HelicityBasis().xi(q.p)
+        xi = HelicityBasis().xi(q)
         xp, xm = xi[:, 0], xi[:, 1]
         assert np.allclose(ns @ xp, 0.5 * xp, atol=1e-12)
         assert np.allclose(ns @ xm, -0.5 * xm, atol=1e-12)
-    assert np.allclose(HelicityBasis().xi(np.array([0, 0, 1.0]))[:, 0], [1, 0])
+    assert np.allclose(HelicityBasis().xi(Momentum([0, 0, 1.0]))[:, 0], [1, 0])
 
 
 def test_sigma_matrices_common_basis():
     # n = e3 gives the Pauli matrices themselves, at every momentum of a batch
-    basis, p = CommonBasis(), np.array([[0.3, -0.2, 0.8], [-1.5, 0.0, 2.0]])
-    assert basis.sigma(p).shape == (2, 3, 2, 2)
-    assert np.allclose(basis.sigma(p), PAULI, atol=1e-15)
-    assert np.allclose(basis.omega(p), 0.0)
-    # a memoized quantity takes only a momentum batch (..., 3)
-    with pytest.raises(ValueError, match=r"shape \(\.\.\., 3\), got \(\)"):
+    basis, q = CommonBasis(), Momentum([[0.3, -0.2, 0.8], [-1.5, 0.0, 2.0]])
+    assert basis.sigma(q).shape == (2, 3, 2, 2)
+    assert np.allclose(basis.sigma(q), PAULI, atol=1e-15)
+    assert np.allclose(basis.omega(q), 0.0)
+    # a memoized quantity takes only a momentum batch
+    with pytest.raises(TypeError, match=r"Momentum\(p, m\)"):
         basis.sigma(None)
-    with pytest.raises(ValueError, match=r"shape \(\.\.\., 3\), got \(\)"):
+    with pytest.raises(TypeError, match=r"Momentum\(p, m\)"):
         HelicityBasis().xi(None)
 
 
@@ -115,9 +119,9 @@ def test_sigma_matrices_helicity():
     hel = HelicityBasis()
     for q in sample_momenta(100, 1.0, seed=5, avoid_poles=True):
         p = q.p
-        sig = hel.sigma(p)
+        sig = hel.sigma(q)
         # agrees with the defining bilinears
-        xi = hel.xi(p)
+        xi = hel.xi(q)
         direct = np.stack([xi.conj().T @ PAULI[i] @ xi for i in range(3)])
         assert np.max(np.abs(sig - direct)) < 1e-13
         # momentum contraction collapses to p sigma_3
@@ -130,7 +134,7 @@ def test_sigma_matrices_helicity():
                 rhs = 2j * sum(EPS3[i, j, k] * sig[k] for k in range(3))
                 assert np.max(np.abs(sig[i] @ sig[j] - sig[j] @ sig[i] - rhs)) < 1e-12
     # alignment with e3
-    sig = hel.sigma(np.array([0.0, 0.0, 2.3]))
+    sig = hel.sigma(Momentum([0.0, 0.0, 2.3]))
     assert np.allclose(sig, PAULI, atol=1e-14)
 
 
@@ -138,41 +142,39 @@ def test_omega_helicity_closed_form_and_fd():
     hel = HelicityBasis()
     for q in sample_momenta(100, 1.0, seed=9, avoid_poles=True):
         p = q.p
-        om = hel.omega(p)
+        om = hel.omega(q)
         for i in range(3):
             assert np.max(np.abs(om[i] + om[i].conj().T)) < 1e-12
         assert np.max(np.abs(np.einsum("i,iab->ab", p, om))) < 1e-12
         # FD oracle with step matched to the direction-variation scale
-        fd = hel.omega_fd(p, h=1e-4 * q.mag)
+        fd = fd_omega(hel, q, h=1e-4 * q.mag)
         assert np.max(np.abs(om - fd)) < 1e-6
         for i in range(3):
             assert np.max(np.abs(fd[i] + fd[i].conj().T)) < 1e-6
 
 
-def test_omega_fd_at_diagonal_direction():
+def test_fd_omega_at_diagonal_direction():
     hel = HelicityBasis()
     for mag in (0.5, 1.0, 3.0):
-        p = mag * np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
-        fd = hel.omega_fd(p, h=1e-4 * mag)
-        assert np.max(np.abs(fd - hel.omega(p))) < 1e-6
+        q = Momentum(mag * np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0))
+        fd = fd_omega(hel, q, h=1e-4 * mag)
+        assert np.max(np.abs(fd - hel.omega(q))) < 1e-6
 
 
 def test_sigma_omega_methods():
-    from diracmr.algebra import Momentum
-
     q = Momentum.of(0.3, 0.1, 0.8)
     hel = make_basis("helicity")
-    xi = hel.xi(q.p)
-    assert np.allclose(hel.sigma(q.p), [xi.conj().T @ s @ xi for s in PAULI])
-    assert np.allclose(hel.omega(q.p), hel.omega_fd(q.p, 1e-4 * q.mag), atol=1e-6)
+    xi = hel.xi(q)
+    assert np.allclose(hel.sigma(q), [xi.conj().T @ s @ xi for s in PAULI])
+    assert np.allclose(hel.omega(q), fd_omega(hel, q, 1e-4 * q.mag), atol=1e-6)
     with pytest.raises(ValueError):
         make_basis("nope")
 
 
 @pytest.mark.parametrize("gap", [1e-4, 1e-6, 1e-8])
-def test_spinor_pair_unitary_near_pole(gap):
+def test_helicity_xi_unitary_near_pole(gap):
     # 1 + n3 = gap: the chart factor must not lose digits to cancellation
-    xi = spinor_pair(_near_pole(gap))
+    xi = HelicityBasis().xi(Momentum(_near_pole(gap)))
     assert np.max(np.abs(xi.conj().T @ xi - ID2)) <= 1e-14
 
 
@@ -207,10 +209,10 @@ def test_helicity_sigma_omega_near_pole(gap):
     # the cancellation in |p| + p3
     p = _near_pole(gap, 0.7)
     hel = HelicityBasis()
-    sig = hel.sigma(p)
+    sig = hel.sigma(Momentum(p))
     assert np.max(np.abs(np.sum(sig @ sig, axis=0) - 3 * ID2)) <= 1e-14
     ref = _omega_decimal(p)
-    assert np.max(np.abs(hel.omega(p) - ref)) / np.max(np.abs(ref)) <= 1e-14
+    assert np.max(np.abs(hel.omega(Momentum(p)) - ref)) / np.max(np.abs(ref)) <= 1e-14
 
 
 def test_sigma_index_of_each_label():
@@ -249,7 +251,7 @@ def test_sigma_from_xi_entries_matches_the_matmul():
     dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
     p = dirs * 10.0 ** rng.uniform(-6.0, 6.0, (400, 1))
     near = [_near_pole(gap, mag) for gap in (1e-4, 1e-6, 1e-8) for mag in (1e-6, 1.0, 1e6)]
-    p = np.concatenate([p, near])
+    q = Momentum(np.concatenate([p, near]))
     common, hel = CommonBasis(), HelicityBasis()
-    assert np.array_equal(common.sigma(p), _sigma_matmul(common.xi(p)))
-    assert np.max(np.abs(hel.sigma(p) - _sigma_matmul(hel.xi(p)))) <= 4.5e-16
+    assert np.array_equal(common.sigma(q), _sigma_matmul(common.xi(q)))
+    assert np.max(np.abs(hel.sigma(q) - _sigma_matmul(hel.xi(q)))) <= 4.5e-16

@@ -1,5 +1,6 @@
 import ast
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from diracmr.polarization import CommonBasis
 from diracmr.wavepacket import IsotropicProfile, PacketProfile, cone_filter, g_integral
 
 PACKAGE = Path(diracmr.__file__).parent
+README = Path(__file__).parents[1] / "README.md"
 
 
 def test_public_names_are_unique_and_resolve():
@@ -20,6 +22,12 @@ def test_public_names_are_unique_and_resolve():
     assert len(names) == len(set(names))
     for name in names:
         assert getattr(diracmr, name) is not None, name
+
+
+def test_readme_tour_runs():
+    # the README's one python block, the library tour, as a user would paste it
+    (tour,) = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    exec(compile(tour, str(README), "exec"), {})
 
 
 def test_lazy_namespace_lists_and_binds_every_public_name():
@@ -74,11 +82,10 @@ def test_batch_store_is_read_and_written_only_by_memoized():
 
 def test_stencils_run_only_in_oracles():
     # no production path differentiates numerically: the stencil serves verify's
-    # oracles, the FD cross-check of Omega, the FD pull-back of delta X and the
-    # fallback of a wave spinor built without a gradient
+    # oracles, the FD pull-back of delta X and the fallback of a wave spinor built
+    # without a gradient (the FD cross-check of Omega lives in the tests)
     callers = _callers("central_gradient")
     oracles = {
-        ("polarization", "PolarizationBasis.omega_fd"),
         ("operators", "position_offset_from_boost_derivative"),
         ("associated", "WaveSpinor.gradient"),
     }

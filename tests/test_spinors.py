@@ -35,8 +35,8 @@ def test_rest_spinors_structure():
 def test_rest_projection_sums():
     for basis in BASES:
         for q in sample_momenta(50, 1.0, seed=21, avoid_poles=True):
-            u0 = rest_u_matrix(basis, q.p)
-            v0 = rest_v_matrix(basis, q.p)
+            u0 = rest_u_matrix(basis, q)
+            v0 = rest_v_matrix(basis, q)
             assert np.max(np.abs(u0 @ u0.conj().T - 0.5 * (np.eye(4) + GAMMA[0]))) < TOL
             assert np.max(np.abs(v0 @ v0.conj().T - 0.5 * (np.eye(4) - GAMMA[0]))) < TOL
             assert np.allclose(CCONJ @ u0.conj(), v0, atol=TOL)
@@ -57,7 +57,7 @@ def test_boosted_spinors_solve_dirac_equation():
 def test_rest_limit_of_boosted_spinors():
     basis = CommonBasis()
     q = Momentum(np.zeros(3), 1.4)
-    assert np.allclose(u_matrix(basis, q), rest_u_matrix(basis, q.p))
+    assert np.allclose(u_matrix(basis, q), rest_u_matrix(basis, q))
 
 
 def test_orthonormality_via_boost_oracle():
@@ -65,7 +65,7 @@ def test_orthonormality_via_boost_oracle():
     for basis in BASES:
         for q in sample_momenta(100, 0.8, seed=25, avoid_poles=True):
             lp = boost_for_momentum(q)
-            u0 = rest_u_matrix(basis, q.p)
+            u0 = rest_u_matrix(basis, q)
             oracle = (q.m / q.energy) * u0.conj().T @ lp @ lp @ u0
             assert np.max(np.abs(oracle - np.eye(2))) < TOL
             u = u_matrix(basis, q)

@@ -170,7 +170,7 @@ def test_boosted_transform_memory_on_suite_grid():
     )
     tracemalloc.start()
     try:
-        boosted.value(nodes)
+        boosted.value(Momentum(nodes, 1.0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
