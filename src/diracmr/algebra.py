@@ -82,6 +82,13 @@ def read_only(x):
     return x
 
 
+def require_momentum(q, name: str) -> None:
+    """Refuse anything but a ``Momentum`` batch as the momentum argument of ``name``:
+    an array (..., 3) carries no mass.  Every function of a momentum checks this way."""
+    if not isinstance(q, Momentum):
+        raise TypeError(f"{name} takes a batch Momentum(p, m), not {type(q).__name__}")
+
+
 def memoized(fn):
     """``fn(owner, q)`` evaluated once per momentum batch q and kept on q, read-only.
 
@@ -97,7 +104,7 @@ def memoized(fn):
     @functools.wraps(fn)
     def cached(owner, q):
         if not isinstance(q, Momentum):
-            raise TypeError(f"{fn.__qualname__} takes a batch Momentum(p, m), not {type(q).__name__}")
+            require_momentum(q, fn.__qualname__)
         key = (id(owner), fn)
         entry = q._evaluations.get(key)
         if entry is None:
@@ -286,12 +293,14 @@ def boost_for_momentum(q: Momentum) -> np.ndarray:
 
     Hermitian, with l_p^-1 = l_{-p} and l_p^2 = (E + gamma^0 gamma.p)/m.
     """
+    require_momentum(q, "boost_for_momentum")
     e, m = q.energy[..., None, None], q.m
     return ((e + m) * ID4 + contract(q.p, G0G)) / np.sqrt(2.0 * m * (e + m))
 
 
 def lorentz_boost_matrix(q: Momentum) -> np.ndarray:
     """Vector-representation boost L_p taking (m,0,0,0) to (E,p), (..., 4, 4)."""
+    require_momentum(q, "lorentz_boost_matrix")
     L = np.empty(q.p.shape[:-1] + (4, 4))
     L[..., 0, 0] = q.energy / q.m
     L[..., 0, 1:] = L[..., 1:, 0] = q.p / q.m
@@ -305,6 +314,7 @@ def theta_tensor(q: Momentum) -> tuple[np.ndarray, np.ndarray]:
     Theta_ij = delta_ij + p^i p^j / (m(E+m)),
     Theta^-1_ij = delta_ij - p^i p^j / (E(E+m)).
     """
+    require_momentum(q, "theta_tensor")
     e, m = q.energy[..., None, None], q.m
     pp = q.p[..., :, None] * q.p[..., None, :]
     theta = np.eye(3) + pp / (m * (e + m))
@@ -314,6 +324,7 @@ def theta_tensor(q: Momentum) -> tuple[np.ndarray, np.ndarray]:
 
 def foldy_wouthuysen(q: Momentum) -> np.ndarray:
     """Unitary transformation (E + m + gamma.p)/sqrt(2E(E+m)) diagonalising H_D."""
+    require_momentum(q, "foldy_wouthuysen")
     e, m = q.energy[..., None, None], q.m
     return ((e + m) * ID4 + contract(q.p, GAMMA[1:])) / np.sqrt(2.0 * e * (e + m))
 

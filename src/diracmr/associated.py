@@ -47,6 +47,7 @@ from .algebra import (
     dagger,
     memoized,
     read_only,
+    require_momentum,
     theta_tensor,
 )
 from .operators import OPERATOR_CATALOG
@@ -57,8 +58,16 @@ from .spinors import u_matrix, v_matrix
 # wave spinors
 
 
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for stacks (..., 2, 2) by (..., 2, k) as two broadcast outer products:
+    matmul loops over the tiny matrices one at a time."""
+    return a[..., :, :1] * b[..., :1, :] + a[..., :, 1:] * b[..., 1:, :]
+
+
 def _matvec(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    return (mats @ vecs[..., None])[..., 0]
+    """mats @ v for stacks (..., 2, 2) and (..., 2) that broadcast, as ``_mul`` forms it:
+    (mats @ vecs[..., None])[..., 0] to rounding, at a fraction of its cost on stacks."""
+    return _mul(mats, vecs[..., None])[..., 0]
 
 
 class WaveSpinor:
@@ -268,15 +277,14 @@ class AssociatedOperator:
         return self._mult(self._values(q), q)
 
     def _mult(self, parts, q: Momentum) -> np.ndarray:
+        """a0 1 + a.Sigma/2 formed directly, complex and of the parts' full shape;
+        zeros when both vanish."""
         a0, a, d = parts
-        shape = next(x.v.shape[:-1] for x in parts if x is not None)
-        out = np.zeros(shape + (2, 2), dtype=complex)
-        if a0 is not None:
-            out += a0.v[..., None] * ID2
-        if a is not None:
-            sigma = _align(self.basis.sigma(q), len(shape) - q.p.ndim + 1, 3)
-            out += 0.5 * np.einsum("...c,...cab->...ab", a.v, sigma)
-        return out
+        if a is None:
+            return np.zeros(d.v.shape[:-1] + (2, 2), complex) if a0 is None else a0.v[..., None] * ID2
+        sigma = _align(self.basis.sigma(q), a.v.ndim - q.p.ndim, 3)
+        spin = 0.5 * np.einsum("...c,...cab->...ab", a.v, sigma)
+        return spin if a0 is None else a0.v[..., None] * ID2 + spin
 
     def apply(self, spinor: WaveSpinor, q) -> np.ndarray:
         parts = self._values(q)
@@ -305,6 +313,8 @@ class OperatorStack(AssociatedOperator):
     of stacks give on each member's rows (or block of rows) the member's own values.
     The stack reads its members' coefficients where the members keep them, and keeps
     its own stacked values and jets on the batch while it lives (``@memoized``).
+    Like the members' coefficients, they do not depend on the basis: ``in_basis``
+    gives the stack in another basis, which reads these same entries and ``slices``.
     """
 
     def __init__(self, *members: AssociatedOperator):
@@ -313,7 +323,20 @@ class OperatorStack(AssociatedOperator):
             raise TypeError("a stack takes operators of one basis, not commutators")
         self.name, self.basis = f"({', '.join(op.name for op in members)})", basis
         self.members = members
-        self.slices: tuple[slice, ...] | None = None
+        self._layout = SimpleNamespace(slices=None)  # shared with every in_basis copy
+
+    @property
+    def slices(self) -> tuple[slice, ...] | None:
+        return self._layout.slices
+
+    def in_basis(self, basis: PolarizationBasis) -> OperatorStack:
+        """This stack in ``basis``: it reads this stack's memoized stacked values and
+        jets and its ``slices``, and only Sigma and Omega in ``basis``; its ``members``
+        are this stack's."""
+        other = copy.copy(self)
+        other.basis = basis
+        other.coef, other._values = self.coef, self._values
+        return other
 
     @memoized
     def coef(self, q) -> tuple:
@@ -326,7 +349,7 @@ class OperatorStack(AssociatedOperator):
     def formula(self, q: Momentum, partials: bool = True) -> tuple:
         parts = [op.coef(q) for op in self.members]
         ends = np.cumsum([next(x.v.shape[-2] for x in c if x is not None) for c in parts]).tolist()
-        self.slices = tuple(slice(a, b) for a, b in zip([0] + ends, ends))
+        slices = self._layout.slices = tuple(slice(a, b) for a, b in zip([0] + ends, ends))
         lead = q.p.shape[:-1] + (ends[-1],)
         out = []
         for jets in zip(*parts):
@@ -336,7 +359,7 @@ class OperatorStack(AssociatedOperator):
                 continue
             v = np.zeros(lead + present[0].v.shape[-1:], np.result_type(*(x.v for x in present)))
             d = np.zeros(v.shape + (3,), np.result_type(*(x.d for x in present))) if partials else None
-            for x, rows in zip(jets, self.slices):
+            for x, rows in zip(jets, slices):
                 if x is not None:
                     v[..., rows, :] = x.v
                     if partials:
@@ -352,9 +375,14 @@ def _rate(d, x):
     return np.einsum("...j,...cj->...c", d.v, x.d)
 
 
+# the index that puts a unit axis ahead of an array's last n axes, _AHEAD[n]
+_AHEAD = tuple((..., None) + (slice(None),) * n for n in range(4))
+
+
 def _stacked(x, tail: int):
-    """A jet with a unit component axis ahead of the last ``tail`` axes of its values."""
-    return None if x is None else Jet(_align(x.v, 1, tail), _align(x.d, 1, tail + 1))
+    """A jet with a unit component axis ahead of the last ``tail`` axes of its values
+    (and of ``tail`` + 1 of its partials): ``_align``'s views, by indexing."""
+    return None if x is None else Jet(x.v[_AHEAD[tail]], x.d[_AHEAD[tail + 1]])
 
 
 def commutator(a: AssociatedOperator, b: AssociatedOperator) -> AssociatedOperator:
@@ -400,10 +428,15 @@ _UNIT = np.eye(3)
 
 
 def _constant(x, p: np.ndarray):
-    """A constant (k, c) part as a jet over the batch; jets and None pass."""
+    """A constant (k, c) part as a jet over the batch; jets and None pass.  Its values
+    are ``np.broadcast_to``'s read-only view, built directly over x's buffer with
+    zero batch strides."""
     if x is None or isinstance(x, Jet):
         return x
-    return Jet(np.broadcast_to(x, p.shape[:-1] + x.shape), np.zeros(x.shape + (3,)))
+    batch = p.shape[:-1]
+    v = np.ndarray(batch + x.shape, x.dtype, x, strides=(0,) * len(batch) + x.strides)
+    v.flags.writeable = False
+    return Jet(v, np.zeros(x.shape + (3,)))
 
 
 def _norm(row: Jet, m2: float) -> Jet:
@@ -557,12 +590,6 @@ class AssociatedFamily:
 # Wigner induced representations
 
 
-def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for stacks (..., 2, 2) by (..., 2, k) as two broadcast outer products:
-    matmul loops over the tiny matrices one at a time."""
-    return a[..., :, :1] * b[..., :1, :] + a[..., :, 1:] * b[..., 1:, :]
-
-
 def _weyl_boost(q: Momentum) -> np.ndarray:
     """A(p) = (E + m - sigma.p) / sqrt(2m(E+m)), the upper block of l_p; A(-p) = A(p)^-1."""
     e = q.energy[..., None, None]
@@ -686,6 +713,9 @@ class KernelTable:
     kernels: tuple
     q: Momentum
     basis: PolarizationBasis
+
+    def __post_init__(self):
+        require_momentum(self.q, "KernelTable")
 
     @functools.cached_property
     def _coefs(self) -> list:

@@ -220,8 +220,10 @@ def verify(suite, samples, seed, mass, tol, out):
 
 
 @command(
-    ("--gamma", FINITE, 1.0), ("--pbar", FINITE, 2.0), ("--mass", POSITIVE, 1.0),
-    ("--theta-s", FINITE, 0.0), ("--x0", str, "0,0,0"), ("--grid-radial", int_range(1), 200),
+    ("--gamma", FINITE, 1.0, dict(help="Profile scale g of exp(-g p), in units of 1/mass.")),
+    ("--pbar", FINITE, 2.0), ("--mass", POSITIVE, 1.0), ("--theta-s", FINITE, 0.0),
+    ("--x0", str, "0,0,0", dict(help="Preparation point x,y,z, in units of 1/m.")),
+    ("--grid-radial", int_range(1), 200),
     ("--grid-cos", int_range(1), 32), ("--grid-phi", int_range(1), 64), ("--out", str, None),
 )
 def packet(gamma, pbar, mass, theta_s, x0, grid_radial, grid_cos, grid_phi, out):
@@ -270,7 +272,8 @@ def figures(which, q_min, q_max, points, gamma_m, out):
 @command(
     ("--name", str, None, dict(choices=LazyChoices("associated", "KERNEL_CATALOG"),
                                metavar="NAME", required=True, help="One of: %(choices)s.")),
-    ("--p", str, "0,0,1"), ("--t", FINITE, 0.0), ("--mass", POSITIVE, 1.0),
+    ("--p", str, "0,0,1"), ("--t", FINITE, 0.0, dict(help="Time, in units of 1/m.")),
+    ("--mass", POSITIVE, 1.0),
     ("--basis", str, "common", dict(choices=("common", "helicity"))), ("--out", str, None),
 )
 def kernel(name, p, t, mass, basis, out):

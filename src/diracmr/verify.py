@@ -118,7 +118,8 @@ class _Recorder:
 
 
 def _mx(a) -> float:
-    return float(np.abs(a).max())
+    """max |a| over every axis, NaN kept: ``np.max``'s own reduction, without its wrapper."""
+    return float(np.maximum.reduce(np.abs(a), axis=None))
 
 
 def _row_maxima(a, slices) -> np.ndarray:
@@ -499,27 +500,32 @@ def suite_associated(samples: int, seed: int, mass: float):
     return rec.results()
 
 
-def _nested_commutators(stack: OperatorStack, spinor, q: Momentum, actions):
+def _nested_commutators(applied: OperatorStack, count: int, spinor, q: Momentum, actions):
     """Oracle for ``commutator``: [A_i, B_j] alpha, (..., ka, kb, 2), for every
-    pair of the ``stack``'s members by nested FD, as a function of the pair (a, b).
+    pair of the leading ``count`` members of the stack ``applied`` by nested FD, as a
+    function of the pair (a, b).
 
-    One composite wave spinor holds the members' actions B alpha along a leading
-    component axis: its value at q is ``actions``, the stack's action on ``spinor``
-    there, (..., K, 2), and its gradient is one finite difference of the stack's
-    action on one stencil batch at q's mass.  The stack acts once on the composite,
-    T = A(B alpha) with axes (B rows, .., A rows, 2), and every commutator is a block
-    of T - T^T."""
+    One composite wave spinor holds those members' actions B alpha along a leading
+    component axis: its value at q is their rows of ``actions``, ``applied``'s action
+    on ``spinor`` there, (..., K, 2), and its gradient is one finite difference of
+    their own stack's action on one stencil batch at q's mass.  ``applied`` acts once
+    on the composite, reading the stacked values its action at q keeps, and T =
+    A(B alpha) with axes (B rows, .., A rows, 2) keeps their A rows: every commutator
+    is a block of T - T^T."""
+    stack = OperatorStack(*applied.members[:count])
 
     def grad(k):
         step = 1e-3 * k.mag
         return np.moveaxis(central_gradient(lambda x: stack.apply(spinor, x), k, step), -2, 0)
 
+    own = applied.slices[count - 1].stop  # the members' rows lead
     # the composite is evaluated at q only
-    composite = WaveSpinor(lambda k: np.moveaxis(actions, -2, 0), grad)
-    table = np.moveaxis(stack.apply(composite, q), 0, -2)  # (.., A rows, B rows, 2)
+    composite = WaveSpinor(lambda k: np.moveaxis(actions[..., :own, :], -2, 0), grad)
+    # (.., A rows, B rows, 2), the members' A rows kept
+    table = np.moveaxis(applied.apply(composite, q), 0, -2)[..., :own, :, :]
     table = table - np.swapaxes(table, -2, -3)
     # the members outlive the table, so their ids stay distinct
-    rows = dict(zip(map(id, stack.members), stack.slices))
+    rows = dict(zip(map(id, applied.members[:count]), applied.slices))
     return lambda a, b: table[..., rows[id(a)], rows[id(b)], :]
 
 
@@ -534,16 +540,18 @@ def suite_appendix_b(samples: int, seed: int, mass: float):
     meets the nested-FD oracle on all component pairs at the first 2 momenta x
     1 spinor at FD tolerance.  Purely multiplicative relations are also checked
     pointwise.  The full ledger runs in the helicity basis (nontrivial
-    connection); a reduced subset repeats in a common basis.  Momenta are
+    connection); the pointwise subset repeats in a common basis.  Momenta are
     sampled where the Gaussian test spinors are O(1) so FD residuals stay
     meaningful.
 
     The families act as ``OperatorStack``s, each check reading its own rows: per
     basis the pointwise multipliers come from one stacked ``mult_at`` and the five
-    pointwise commutators are blocks of one commutator of two stacks.  The
-    oracle's 13 families and Y~c, Y~d and S~(-) act on the test spinors in one
-    stacked ``apply``, whose first spinor at the first 2 momenta is the value of
-    the oracle's composite.
+    pointwise commutators are blocks of one commutator of two stacks.  The three
+    pointwise stacks are built once in the helicity basis, and the common basis
+    reads their stacked values through ``OperatorStack.in_basis``.  The oracle's 13
+    families and Y~c, Y~d and S~(-) act on the test spinors in one stacked
+    ``apply``, whose first spinor at the first 2 momenta is the value of the
+    oracle's composite, and the same stack acts on the composite.
     """
     rec = _Recorder("appendix_b")
     q = _sampled(min(samples, 20), mass, seed, lo=0.05, hi=2.0, avoid_poles=True)
@@ -566,21 +574,22 @@ def suite_appendix_b(samples: int, seed: int, mass: float):
     # below of 2x2 parts, (n, i, j, 2, 2), and of spinor values, (3, n, i, j, 2)
     eps_p = -cross(np.eye(3), p[:, None, :, None, None])
 
-    # the common family shares the helicity family's coefficients, evaluated once per batch
-    helicity = AssociatedFamily(mass, _HELICITY)
-    for fam, full in ((helicity, True), (helicity.in_basis(_COMMON), False)):
-        L, S, Ko, Ks = fam.angular(), fam.spin(), fam.boost_orbital(), fam.boost_spin()
-        X, Xt, V, P = fam.position(), fam.position(t=0.8), fam.velocity(), fam.momentum()
-        H, W0, Wi = fam.hamiltonian(), fam.pauli_lubanski0(), fam.pauli_lubanski()
-        Xc, Xd, Sminus = fam.position_pryce_c(), fam.position_pryce_d(), fam.spin_minus()
-        Yc, Yd = fam.y_pryce_c(), fam.y_pryce_d()
+    fam = AssociatedFamily(mass, _HELICITY)
+    L, S, Ko, Ks = fam.angular(), fam.spin(), fam.boost_orbital(), fam.boost_spin()
+    X, Xt, V, P = fam.position(), fam.position(t=0.8), fam.velocity(), fam.momentum()
+    H, W0, Wi = fam.hamiltonian(), fam.pauli_lubanski0(), fam.pauli_lubanski()
+    Xc, Xd, Sminus = fam.position_pryce_c(), fam.position_pryce_d(), fam.spin_minus()
+    Yc, Yd = fam.y_pryce_c(), fam.y_pryce_d()
 
-        # pointwise multiplicative relations, closed-form tolerance: the multipliers
-        # from one stacked mult_at, the commutators as blocks of one stacked commutator
-        multipliers = OperatorStack(S, Ks, W0, Wi, Yc, Yd)
+    # pointwise multiplicative relations, closed-form tolerance: the multipliers
+    # from one stacked mult_at, the commutators as blocks of one stacked commutator;
+    # the common basis reads the helicity stacks' stacked values
+    pointwise = (
+        OperatorStack(S, Ks, W0, Wi, Yc, Yd), OperatorStack(S, Ks), OperatorStack(S, Ks, W0, Wi)
+    )
+    for multipliers, left, right in (pointwise, [x.in_basis(_COMMON) for x in pointwise]):
         mults = multipliers.mult_at(q)
         mS, mKs, mW0, mWi, mYc, mYd = (mults[:, rows] for rows in multipliers.slices)
-        left, right = OperatorStack(S, Ks), OperatorStack(S, Ks, W0, Wi)
         blocks = commutator(left, right).mult_at(q)
         (ls, lks), (rs, rks, rw0, rwi) = left.slices, right.slices
         eps_mS = -cross(np.eye(3), mS[:, None])
@@ -595,68 +604,64 @@ def suite_appendix_b(samples: int, seed: int, mass: float):
         rec.add("spin_pl0_pointwise", _mx(blocks[:, ls, rw0] - rhs))
         rec.add("y_pryce_c_closed_form", _mx(mYc - mWi / e**3))
         rec.add("y_pryce_d_closed_form", _mx(mYd - mWi / (m * m * e)))
-        if not full:
-            continue
 
-        # spinor-applied identities on all test spinors and momenta at once,
-        # (3, n, k, 2); each commutator also meets the nested-FD oracle on
-        # the first 2 momenta
-        oracle = (L, S, Ko, Ks, X, Xt, V, P, H, W0, Wi, Xc, Xd)
-        applied = OperatorStack(*oracle, Yc, Yd, Sminus)
-        actions = applied.apply(trio, q)
-        aL, aS, aKo, aKs, aX, aXt, aV, _, _, aW0, _, _, _, aYc, aYd, aSminus = (
-            actions[..., rows, :] for rows in applied.slices
-        )
-        eL, eS, eKo, eXt, eYc, eYd = (
-            -cross(np.eye(3), a[..., None, :, :, None])[..., 0]
-            for a in (aL, aS, aKo, aXt, aYc, aYd)
-        )
+    # spinor-applied identities on all test spinors and momenta at once,
+    # (3, n, k, 2); each commutator also meets the nested-FD oracle on
+    # the first 2 momenta
+    oracle = (L, S, Ko, Ks, X, Xt, V, P, H, W0, Wi, Xc, Xd)
+    applied = OperatorStack(*oracle, Yc, Yd, Sminus)
+    actions = applied.apply(trio, q)
+    aL, aS, aKo, aKs, aX, aXt, aV, _, _, aW0, _, _, _, aYc, aYd, aSminus = (
+        actions[..., rows, :] for rows in applied.slices
+    )
+    eL, eS, eKo, eXt, eYc, eYd = (
+        -cross(np.eye(3), a[..., None, :, :, None])[..., 0]
+        for a in (aL, aS, aKo, aXt, aYc, aYd)
+    )
 
-        own = applied.slices[len(oracle)].start  # the oracle members' rows lead
-        # the oracle's first 2 momenta: the batch itself if it has no more, so
-        # the members' jets and the basis frames on it are read, not made again
-        first = q if len(p) <= 2 else Momentum(p[:2], mass)
-        nested = _nested_commutators(
-            OperatorStack(*oracle), spinors[0], first, actions[0, :2, :own]
-        )
+    # the oracle's first 2 momenta: the batch itself if it has no more, so the
+    # members' jets, the stacked values and the basis frames on it are read, not
+    # made again
+    first = q if len(p) <= 2 else Momentum(p[:2], mass)
+    nested = _nested_commutators(applied, len(oracle), spinors[0], first, actions[0, :2])
 
-        def comm(a, b):
-            exact = commutator_action(a, b, trio, q)
-            rec.add("exact_matches_nested_fd", _mx(exact[0, :2] - nested(a, b)), TOL_FD_COMM)
-            return exact
+    def comm(a, b):
+        exact = commutator_action(a, b, trio, q)
+        rec.add("exact_matches_nested_fd", _mx(exact[0, :2] - nested(a, b)), TOL_FD_COMM)
+        return exact
 
-        # antisymmetric relations
-        rec.add("angular_su2", _mx(comm(L, L) - 1j * eL))
-        rec.add("boost_boost_closes_rotation", _mx(comm(Ko, Ko) + 1j * eL))
-        rec.add("position_commute", _mx(comm(Xt, Xt)))
-        rec.add("pryce_c_noncommutativity", _mx(comm(Xc, Xc) + 1j * eYc))
-        rec.add("pryce_d_noncommutativity", _mx(comm(Xd, Xd) - 1j * eYd))
-        # generic index pairs
-        rec.add("angular_spin_commute", _mx(comm(L, S)))
-        rec.add("angular_boost_vector", _mx(comm(L, Ko) - 1j * eKo))
-        rhs = -1j / (e + m) * (e * eS + pi * aKs[..., None, :, :])
-        rec.add("boost_orbital_spin_mix", _mx(comm(Ko, Ks) - rhs))
-        rhs = delta / (2 * e) * val - 1j * (pj / e) * aX[..., None, :] - pi * pj / (2 * e**3) * val
-        rec.add("boost_position", _mx(comm(Ko, X) - rhs))
-        rhs = 1j * (delta - pi * pj / e**2) * val
-        rec.add("boost_velocity", _mx(comm(Ko, V) - rhs))
-        rec.add("position_velocity", _mx(e * comm(X, V) - rhs))
-        rec.add("position_rotates_as_vector", _mx(comm(L, Xt) - 1j * eXt))
-        rec.add("position_spin_commute", _mx(comm(S, Xt)))
-        rhs = 1j / (e + m) * (-eS + (pj / e) * aKs[..., None, :])
-        rec.add("boostspin_position", _mx(comm(Ks, X) - rhs))
-        # note the p^j S~(-)_i index order; the transposed placement fails
-        # numerically
-        rhs = 1j / (e + m) * (delta * aW0[..., None, :] + pj * aSminus[..., None, :])
-        rec.add("position_pl_space", _mx(comm(X, Wi) - rhs))
-        rec.add("angular_momentum_vector", _mx(comm(L, P) - 1j * eps_p[..., 0] * val))
-        rec.add("boost_momentum", _mx(comm(Ko, P) - 1j * (e * delta) * val))
-        rec.add("position_momentum_canonical", _mx(comm(X, P) - 1j * delta * val))
-        # scalar partners: (3, n, i, 1, 2)
-        rec.add("angular_energy_commute", _mx(comm(L, H)))
-        rec.add("boost_energy", _mx(comm(Ko, H) - 1j * pi * val))
-        rec.add("position_energy_gives_velocity", _mx(comm(X, H) - 1j * aV[..., None, :]))
-        rec.add("position_pl_time", _mx(comm(X, W0) - 1j * aS[..., None, :]))
+    # antisymmetric relations
+    rec.add("angular_su2", _mx(comm(L, L) - 1j * eL))
+    rec.add("boost_boost_closes_rotation", _mx(comm(Ko, Ko) + 1j * eL))
+    rec.add("position_commute", _mx(comm(Xt, Xt)))
+    rec.add("pryce_c_noncommutativity", _mx(comm(Xc, Xc) + 1j * eYc))
+    rec.add("pryce_d_noncommutativity", _mx(comm(Xd, Xd) - 1j * eYd))
+    # generic index pairs
+    rec.add("angular_spin_commute", _mx(comm(L, S)))
+    rec.add("angular_boost_vector", _mx(comm(L, Ko) - 1j * eKo))
+    rhs = -1j / (e + m) * (e * eS + pi * aKs[..., None, :, :])
+    rec.add("boost_orbital_spin_mix", _mx(comm(Ko, Ks) - rhs))
+    rhs = delta / (2 * e) * val - 1j * (pj / e) * aX[..., None, :] - pi * pj / (2 * e**3) * val
+    rec.add("boost_position", _mx(comm(Ko, X) - rhs))
+    rhs = 1j * (delta - pi * pj / e**2) * val
+    rec.add("boost_velocity", _mx(comm(Ko, V) - rhs))
+    rec.add("position_velocity", _mx(e * comm(X, V) - rhs))
+    rec.add("position_rotates_as_vector", _mx(comm(L, Xt) - 1j * eXt))
+    rec.add("position_spin_commute", _mx(comm(S, Xt)))
+    rhs = 1j / (e + m) * (-eS + (pj / e) * aKs[..., None, :])
+    rec.add("boostspin_position", _mx(comm(Ks, X) - rhs))
+    # note the p^j S~(-)_i index order; the transposed placement fails
+    # numerically
+    rhs = 1j / (e + m) * (delta * aW0[..., None, :] + pj * aSminus[..., None, :])
+    rec.add("position_pl_space", _mx(comm(X, Wi) - rhs))
+    rec.add("angular_momentum_vector", _mx(comm(L, P) - 1j * eps_p[..., 0] * val))
+    rec.add("boost_momentum", _mx(comm(Ko, P) - 1j * (e * delta) * val))
+    rec.add("position_momentum_canonical", _mx(comm(X, P) - 1j * delta * val))
+    # scalar partners: (3, n, i, 1, 2)
+    rec.add("angular_energy_commute", _mx(comm(L, H)))
+    rec.add("boost_energy", _mx(comm(Ko, H) - 1j * pi * val))
+    rec.add("position_energy_gives_velocity", _mx(comm(X, H) - 1j * aV[..., None, :]))
+    rec.add("position_pl_time", _mx(comm(X, W0) - 1j * aS[..., None, :]))
     return rec.results()
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from diracmr import verify
+from diracmr import associated, verify
 from diracmr.algebra import (
     CCONJ,
     EPS3,
@@ -398,8 +398,9 @@ def _composite(op, spinor):
 @pytest.mark.parametrize("samples", [1, 20])
 @pytest.mark.parametrize("seed", [1, 3, 7])
 def test_nested_commutators_match_per_pair_composites(seed, samples, mass):
-    # one stencil over the stack's actions and one stacked apply to the composite,
-    # against one composite per operator and two applies per pair
+    # one stencil over the oracle members' actions and one apply of the suite's
+    # wider stack to the composite, against one composite per operator and two
+    # applies per pair
     draws = verify._sampled(min(samples, 20), mass, seed, lo=0.05, hi=2.0, avoid_poles=True)
     p = Momentum(draws.p[:2], mass)
     alpha = gaussian_test_spinor(make_rng(seed + 1), scale=max(mass, 1.0))
@@ -410,8 +411,9 @@ def test_nested_commutators_match_per_pair_composites(seed, samples, mass):
         fam.pauli_lubanski0(), fam.pauli_lubanski(), fam.position_pryce_c(),
         fam.position_pryce_d(),
     )
-    stack = OperatorStack(*members)
-    nested = verify._nested_commutators(stack, alpha, p, stack.apply(alpha, p))
+    # the oracle's members lead; the rows after them are acted on and dropped
+    applied = OperatorStack(*members, fam.y_pryce_c(), fam.y_pryce_d(), fam.spin_minus())
+    nested = verify._nested_commutators(applied, len(members), alpha, p, applied.apply(alpha, p))
     composites = [_composite(op, alpha) for op in members]
     for a, ca in zip(members, composites):
         for b, cb in zip(members, composites):
@@ -494,6 +496,92 @@ def test_operator_stack_takes_operators_of_one_basis():
         OperatorStack(fam.spin(), other.spin())
     with pytest.raises(TypeError):
         OperatorStack(fam.spin(), commutator(fam.position(), fam.hamiltonian()))
+
+
+@pytest.mark.parametrize(
+    "mats, vecs",
+    [
+        ((1, 35, 2, 2), (3, 1, 1, 2)),  # a ledger stack's multiplier on the test spinors
+        ((1, 3, 2, 2), (3, 1, 1, 2)),  # Omega on their values
+        ((20, 35, 2, 2), (3, 20, 1, 2)),
+        ((20, 3, 2, 2), (3, 20, 1, 2)),
+        ((2, 32, 2, 2), (32, 2, 1, 2)),  # the oracle's stack on its composite
+        ((13824, 3, 2, 2), (13824, 1, 2)),  # a grid stack
+        ((2, 2), (2,)),
+    ],
+)
+def test_matvec_is_the_matrix_product(mats, vecs):
+    rng = make_rng(11)
+    a = rng.standard_normal(mats) + 1j * rng.standard_normal(mats)
+    v = rng.standard_normal(vecs) + 1j * rng.standard_normal(vecs)
+    want = (a @ v[..., None])[..., 0]
+    got = associated._matvec(a, v)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    # a tolerance, not bits: matmul's rounding may follow the platform's BLAS
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_stacked_and_constant_are_the_aligned_and_broadcast_views():
+    fam = AssociatedFamily(0.7, HelicityBasis())
+    q = verify._sampled(6, 0.7, 5, lo=0.05, hi=2.0, avoid_poles=True)
+    for x in fam.boost_orbital().coef(q) + fam.pauli_lubanski().coef(q):
+        if x is None:
+            continue
+        for tail in (1, 2):
+            got = associated._stacked(x, tail)
+            for view, ref in ((got.v, associated._align(x.v, 1, tail)),
+                              (got.d, associated._align(x.d, 1, tail + 1))):
+                assert view.shape == ref.shape and np.array_equal(view, ref)
+                assert np.shares_memory(view, ref)
+    assert associated._stacked(None, 1) is None
+    for const in (np.eye(3), 1j * np.eye(3), np.arange(3.0)[None]):
+        for p in (q.p, q.p[0], np.zeros((2, 4, 3))):
+            got = associated._constant(const, p)
+            want = np.broadcast_to(const, p.shape[:-1] + const.shape)
+            assert got.v.shape == want.shape and got.v.dtype == want.dtype
+            assert np.array_equal(got.v, want) and not got.v.flags.writeable
+            assert np.array_equal(got.d, np.zeros(const.shape + (3,)))
+            with pytest.raises(ValueError):
+                got.v[...] = 0
+        assert const.flags.writeable  # the constant itself is left as it was
+
+
+def test_operator_stack_in_basis_reads_the_same_stacked_values(monkeypatch):
+    calls = []
+    formula = OperatorStack.formula
+
+    def counted(self, q, partials=True):
+        calls.append(partials)
+        return formula(self, q, partials)
+
+    monkeypatch.setattr(OperatorStack, "formula", counted)
+    hel, common = HelicityBasis(), CommonBasis()
+    fam = AssociatedFamily(0.7, hel)
+    q = verify._sampled(6, 0.7, 5, lo=0.05, hi=2.0, avoid_poles=True)
+    alpha = gaussian_test_spinor(make_rng(9))
+    stack = OperatorStack(*_stack_members(fam))
+    # the copy is made before any evaluation and evaluated first
+    other = stack.in_basis(common)
+    assert other.basis is common and stack.basis is hel and other.slices is None
+    mult, act, coef = other.mult_at(q), other.apply(alpha, q), other.coef(q)
+    assert calls == [False, True]
+    assert other.slices == stack.slices and other.slices is not None
+    assert stack._values(q) is other._values(q) and stack.coef(q) is other.coef(q)
+    assert calls == [False, True]  # the stack itself reads the entries its copy made
+    # in the other basis it is that basis's own stack of the members
+    own = OperatorStack(*_stack_members(fam.in_basis(common)))
+    assert np.array_equal(mult, own.mult_at(q)) and np.array_equal(act, own.apply(alpha, q))
+    assert all(
+        (x is None and y is None) or (np.array_equal(x.v, y.v) and np.array_equal(x.d, y.d))
+        for x, y in zip(coef, own.coef(q))
+    )
+    # a copy of a copy reads the same entries, and a commutator of copies
+    # restacks nothing
+    again = other.in_basis(hel)
+    assert again.coef(q) is stack.coef(q) and again.slices == stack.slices
+    n = len(calls)
+    assert np.array_equal(commutator(again, other).mult_at(q), commutator(stack, stack).mult_at(q))
+    assert len(calls) == n
 
 
 @pytest.mark.parametrize("mass", [0.25, 1.0])

@@ -15,12 +15,21 @@ import numpy as np
 import pytest
 
 from diracmr import associated, operators, spinors, verify
-from diracmr.algebra import Momentum, central_gradient, memoized, theta_tensor
+from diracmr.algebra import (
+    Momentum,
+    boost_for_momentum,
+    central_gradient,
+    foldy_wouthuysen,
+    lorentz_boost_matrix,
+    memoized,
+    theta_tensor,
+)
 from diracmr.associated import (
     KERNEL_CATALOG,
     AssociatedFamily,
     AssociatedOperator,
     Jet,
+    KernelTable,
     OperatorStack,
     WaveSpinor,
     _diag_frame,
@@ -134,6 +143,11 @@ def _refusing():
             yield f"{kind}-{meth}", getattr(basis, meth)
     basis, spinor = HelicityBasis(), gaussian_test_spinor(make_rng(3))
     yield "u_matrix", functools.partial(u_matrix, basis)
+    # the functions of a momentum kept on no batch run the same check
+    for fn in (theta_tensor, boost_for_momentum, lorentz_boost_matrix, foldy_wouthuysen):
+        yield fn.__name__, fn
+    yield "kernel", lambda q: KERNEL_CATALOG["delta_x_osc"](q, 0.1, basis)
+    yield "kernel_table", lambda q: KernelTable(tuple(KERNEL_CATALOG.values()), q, basis)
     yield "catalog_entry", OPERATOR_CATALOG["pryce_e_spin"]
     yield "wave_spinor", spinor.value
     fam = AssociatedFamily(MASS, basis)
@@ -367,6 +381,25 @@ def test_appendix_b_applies_each_stack_once(monkeypatch):
     assert results and all(r.passed for r in results)
     assert len(calls) == 25
     assert sum(isinstance(op, OperatorStack) for op in calls) == 3
+
+
+def test_appendix_b_stacks_each_batch_once(monkeypatch):
+    # at one momentum: the multipliers' values, the two commutator factors' jets
+    # and the applied stack's values at the draw, read by the common basis and by
+    # the oracle's composite too, and the oracle's members' values on its stencil
+    runs = []
+    formula = OperatorStack.formula
+
+    def counted(self, q, partials=True):
+        runs.append((len(self.members), q.p.shape[:-1], partials))
+        return formula(self, q, partials)
+
+    monkeypatch.setattr(OperatorStack, "formula", counted)
+    verify._draws.cache_clear()
+    results = verify.run_suite("appendix_b", 1, 3)
+    assert results and all(r.passed for r in results)
+    assert runs == [(6, (1,), False), (2, (1,), True), (4, (1,), True), (16, (1,), False),
+                    (13, (1, 12), False)]
 
 
 def test_appendix_b_evaluates_each_coefficient_once_per_batch(monkeypatch):
