@@ -280,10 +280,6 @@ class Momentum:
         stack (..., k, ...) broadcasts."""
         return Momentum(self.p[..., None, :], self.m)
 
-    @staticmethod
-    def of(px: float, py: float, pz: float, m: float = 1.0) -> "Momentum":
-        return Momentum(np.array([px, py, pz]), m)
-
 
 G0G = GAMMA[0] @ GAMMA[1:]  # gamma^0 gamma^i, i = 1..3
 

@@ -22,11 +22,13 @@ Associated operators are first order, alpha -> M(p) alpha + D_k(p) d~_k alpha,
 M = a0 + a.Sigma(p)/2 and d~_k = d_k + Omega_k.  Sigma is covariantly constant and
 the connection flat, so a commutator is again first order and exact from the jets
 (values with exact first partials) of a0, a and D; finite differences remain in oracles.
+An operator is its coefficients alone: the polarization basis is an argument of
+``mult_at`` and ``apply``, where Sigma and Omega enter, as it is of every other
+basis-dependent function here.
 """
 
 from __future__ import annotations
 
-import copy
 import functools
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -243,19 +245,27 @@ def _align(x: np.ndarray, axes: int, tail: int) -> np.ndarray:
     return x.reshape(lead + (1,) * axes + x.shape[len(lead) :])
 
 
+def _tiles(sizes) -> tuple[slice, ...]:
+    """The consecutive slices [0, s0), [s0, s0 + s1), ... that rows of the given sizes
+    take in their concatenation."""
+    ends = np.cumsum(list(sizes)).tolist()
+    return tuple(slice(a, b) for a, b in zip([0] + ends, ends))
+
+
 @dataclass
 class AssociatedOperator:
-    """A stack of first-order operators on wave spinors in the Sigma frame of their
-    basis, alpha -> (a0 + a.Sigma(p)/2) alpha + D.(d~ alpha), d~_k = d_k + Omega_k.
+    """A stack of first-order operators on wave spinors, written once in the Sigma
+    frame, alpha -> (a0 + a.Sigma(p)/2) alpha + D.(d~ alpha), d~_k = d_k + Omega_k.
 
     ``formula`` maps a ``Momentum`` batch to (a0, a, D), jets (..., k, c) of c = 1,
     3 and 3 entries or None for a part that vanishes; k = 1 for a scalar and 3
     for a vector, as in ``OPERATOR_CATALOG``, and a commutator has axes (ka, kb).
-    The basis enters through Sigma(p) and Omega(p) only, so the coefficients are
-    kept where the formula keeps them: an ``AssociatedFamily`` member's formula is
-    ``@memoized`` on the batch, one evaluation that the member's operators in
-    every basis and every stack of them read while the family or one of them
-    lives; a ``commutator``'s is evaluated when read and kept nowhere.
+    The operator carries no basis: a basis enters only through Sigma(p) and
+    Omega(p), as the argument of ``mult_at`` and ``apply``, so one operator and the
+    coefficients its formula keeps serve every basis.  An ``AssociatedFamily``
+    member's formula is ``@memoized`` on the batch, one evaluation that the
+    member and every stack of it read while the family or one of them lives; a
+    ``commutator``'s is evaluated when read and kept nowhere.
     ``mult_at`` gives (..., k, 2, 2) and ``apply`` (..., k, 2), each from one read
     of the parts: the leading axes of a spinor's own values stay ahead of the
     momentum batch, the component axes come after it.  Each takes a ``Momentum``
@@ -263,7 +273,6 @@ class AssociatedOperator:
     """
 
     name: str
-    basis: PolarizationBasis
     formula: Callable[[Momentum], tuple]
 
     def coef(self, q) -> tuple:
@@ -272,28 +281,29 @@ class AssociatedOperator:
 
     _values = coef  # the parts mult_at and apply read (a stack reads no partials)
 
-    def mult_at(self, q) -> np.ndarray:
-        """The multiplicative part a0 + a.Sigma/2, (..., k, 2, 2)."""
-        return self._mult(self._values(q), q)
+    def mult_at(self, q, basis: PolarizationBasis) -> np.ndarray:
+        """The multiplicative part a0 + a.Sigma/2 in ``basis``, (..., k, 2, 2)."""
+        return self._mult(self._values(q), q, basis)
 
-    def _mult(self, parts, q: Momentum) -> np.ndarray:
+    @staticmethod
+    def _mult(parts, q: Momentum, basis: PolarizationBasis) -> np.ndarray:
         """a0 1 + a.Sigma/2 formed directly, complex and of the parts' full shape;
         zeros when both vanish."""
         a0, a, d = parts
         if a is None:
             return np.zeros(d.v.shape[:-1] + (2, 2), complex) if a0 is None else a0.v[..., None] * ID2
-        sigma = _align(self.basis.sigma(q), a.v.ndim - q.p.ndim, 3)
+        sigma = _align(basis.sigma(q), a.v.ndim - q.p.ndim, 3)
         spin = 0.5 * np.einsum("...c,...cab->...ab", a.v, sigma)
         return spin if a0 is None else a0.v[..., None] * ID2 + spin
 
-    def apply(self, spinor: WaveSpinor, q) -> np.ndarray:
+    def apply(self, spinor: WaveSpinor, q, basis: PolarizationBasis) -> np.ndarray:
         parts = self._values(q)
-        mult, d = self._mult(parts, q), parts[2]
+        mult, d = self._mult(parts, q, basis), parts[2]
         axes = mult.ndim - q.p.ndim - 1
         val = spinor.value(q)
         out = _matvec(mult, _align(val, axes, 1))
         if d is not None:
-            cov = spinor.gradient(q) + _matvec(self.basis.omega(q), val[..., None, :])
+            cov = spinor.gradient(q) + _matvec(basis.omega(q), val[..., None, :])
             out = out + np.einsum("...k,...ka->...a", d.v, _align(cov, axes, 2))
         return out
 
@@ -304,39 +314,25 @@ class _Commutator(AssociatedOperator):
 
 
 class OperatorStack(AssociatedOperator):
-    """Operators of one basis as one operator over their concatenated component axes,
-    (..., K, c): ``slices[i]`` holds members[i]'s rows, recorded at the first evaluation.
+    """Operators as one operator over their concatenated component axes, (..., K, c):
+    ``slices[i]`` holds members[i]'s rows, recorded at the first evaluation.
 
     A part that is None in a member is zero on that member's rows, and None only when
     it is None in every member.  Each stacked jet is filled in place, one slice
     assignment per member, so ``coef``, ``mult_at``, ``apply`` and a ``commutator``
-    of stacks give on each member's rows (or block of rows) the member's own values.
-    The stack reads its members' coefficients where the members keep them, and keeps
-    its own stacked values and jets on the batch while it lives (``@memoized``).
-    Like the members' coefficients, they do not depend on the basis: ``in_basis``
-    gives the stack in another basis, which reads these same entries and ``slices``.
+    of stacks give on each member's rows (or block of rows) the member's own values,
+    in every basis.  The stack reads its members' coefficients where the members
+    keep them, and keeps its own stacked values and jets on the batch while it
+    lives (``@memoized``); like the members' coefficients they carry no basis, so
+    one stack serves every basis.  Commutators cannot be stacked.
     """
 
     def __init__(self, *members: AssociatedOperator):
-        basis = members[0].basis
-        if any(isinstance(op, _Commutator) or op.basis is not basis for op in members):
-            raise TypeError("a stack takes operators of one basis, not commutators")
-        self.name, self.basis = f"({', '.join(op.name for op in members)})", basis
+        if any(isinstance(op, _Commutator) for op in members):
+            raise TypeError("a stack takes associated operators, not commutators")
+        self.name = f"({', '.join(op.name for op in members)})"
         self.members = members
-        self._layout = SimpleNamespace(slices=None)  # shared with every in_basis copy
-
-    @property
-    def slices(self) -> tuple[slice, ...] | None:
-        return self._layout.slices
-
-    def in_basis(self, basis: PolarizationBasis) -> OperatorStack:
-        """This stack in ``basis``: it reads this stack's memoized stacked values and
-        jets and its ``slices``, and only Sigma and Omega in ``basis``; its ``members``
-        are this stack's."""
-        other = copy.copy(self)
-        other.basis = basis
-        other.coef, other._values = self.coef, self._values
-        return other
+        self.slices: tuple[slice, ...] | None = None
 
     @memoized
     def coef(self, q) -> tuple:
@@ -348,9 +344,9 @@ class OperatorStack(AssociatedOperator):
 
     def formula(self, q: Momentum, partials: bool = True) -> tuple:
         parts = [op.coef(q) for op in self.members]
-        ends = np.cumsum([next(x.v.shape[-2] for x in c if x is not None) for c in parts]).tolist()
-        slices = self._layout.slices = tuple(slice(a, b) for a, b in zip([0] + ends, ends))
-        lead = q.p.shape[:-1] + (ends[-1],)
+        sizes = (next(x.v.shape[-2] for x in c if x is not None) for c in parts)
+        slices = self.slices = _tiles(sizes)
+        lead = q.p.shape[:-1] + (slices[-1].stop,)
         out = []
         for jets in zip(*parts):
             present = [x for x in jets if x is not None]
@@ -387,9 +383,9 @@ def _stacked(x, tail: int):
 
 def commutator(a: AssociatedOperator, b: AssociatedOperator) -> AssociatedOperator:
     """[A_i, B_j] for every component pair as one first-order operator, whose
-    ``apply`` gives (..., ka, kb, 2).  It is exact and basis-free: Sigma is
-    covariantly constant, [a.Sigma/2, b.Sigma/2] = i (a x b).Sigma/2 and the
-    connection is flat, so with the jets' partials
+    ``apply`` gives (..., ka, kb, 2): like its factors, a name and coefficients.
+    It is exact and basis-free: Sigma is covariantly constant, [a.Sigma/2, b.Sigma/2]
+    = i (a x b).Sigma/2 and the connection is flat, so with the jets' partials
 
     c0 = D_a.grad b0 - D_b.grad a0,   c = i a x b + D_a.grad b - D_b.grad a,
     D = D_a.grad D_b - D_b.grad D_a;  the result has no partials and cannot nest.
@@ -414,14 +410,15 @@ def commutator(a: AssociatedOperator, b: AssociatedOperator) -> AssociatedOperat
         # a part whose every term vanished adds up to the integer 0
         return tuple(None if isinstance(x, int) else Jet(x, None) for x in parts)
 
-    return _Commutator(f"[{a.name}, {b.name}]", a.basis, coef)
+    return _Commutator(f"[{a.name}, {b.name}]", coef)
 
 
 def commutator_action(
-    a: AssociatedOperator, b: AssociatedOperator, spinor: WaveSpinor, q
+    a: AssociatedOperator, b: AssociatedOperator, spinor: WaveSpinor, q, basis: PolarizationBasis
 ) -> np.ndarray:
-    """[A_i, B_j] alpha at the batch q, (..., ka, kb, 2), through the exact ``commutator``."""
-    return commutator(a, b).apply(spinor, q)
+    """[A_i, B_j] alpha at the batch q in ``basis``, (..., ka, kb, 2), through the exact
+    ``commutator``."""
+    return commutator(a, b).apply(spinor, q, basis)
 
 
 _UNIT = np.eye(3)
@@ -490,40 +487,31 @@ class _Member:
 
 
 class AssociatedFamily:
-    """Factory for the associated operators at fixed mass and polarization basis,
-    one operator per family over a component axis (k = 3 for S~, X~, L~, the boost
-    generators and W~; k = 1 for the scalars), each written once as Sigma-frame
-    coefficients in the jets of p and E; every coefficient function takes a batch.
+    """Factory for the associated operators at fixed mass, one operator per family
+    over a component axis (k = 3 for S~, X~, L~, the boost generators and W~; k = 1
+    for the scalars), each written once as Sigma-frame coefficients in the jets of p
+    and E; every coefficient function takes a batch.
 
-    The coefficients do not depend on the basis, so they live in a basis-free core
-    that ``in_basis`` shares: one ``_Jets`` of the family's mass and one ``_Member``
-    per member (per time t for X~(t)).  Each is evaluated once per batch and kept
-    on it while a family or an operator of the core lives; every operator of a
-    member, in any basis and in any stack, reads that one evaluation.
+    No coefficient depends on the basis, which ``mult_at`` and ``apply`` take: the
+    family keeps one ``_Jets`` of its mass and one operator per member (per time t
+    for X~(t)), whose ``_Member`` coefficients are evaluated once per batch and kept
+    on it while the family or the operator lives; the member in every basis and in
+    every stack reads that one evaluation.
     """
 
-    def __init__(self, m: float, basis: PolarizationBasis):
+    def __init__(self, m: float):
         if not 0.0 < m < np.inf:  # also rejects nan
             raise ValueError("mass must be positive and finite")
         self.m = float(m)
-        self.basis = basis
-        self._jets, self._members = _Jets(self.m), {}
-
-    def in_basis(self, basis: PolarizationBasis) -> AssociatedFamily:
-        """The family at this mass in ``basis``, sharing this family's core: no
-        member's coefficients depend on the basis."""
-        other = copy.copy(self)
-        other.basis = basis
-        return other
+        self._jets, self._ops = _Jets(self.m), {}
 
     def _op(self, name: str, formula, *key) -> AssociatedOperator:
-        """Operator with (a0, a, D) = formula(j) of the primitives j of ``_Jets``; its
-        member is the core's under (name, *key), made at the first request (the key
-        is X~(t)'s t)."""
-        member = self._members.get((name, *key))
-        if member is None:
-            member = self._members[(name, *key)] = _Member(self._jets, formula)
-        return AssociatedOperator(name, self.basis, member.coef)
+        """Operator with (a0, a, D) = formula(j) of the primitives j of ``_Jets``, made
+        at the first request under (name, *key) and the same object at every later
+        one (the key is X~(t)'s t)."""
+        if (name, *key) not in self._ops:
+            self._ops[(name, *key)] = AssociatedOperator(name, _Member(self._jets, formula).coef)
+        return self._ops[(name, *key)]
 
     # --- diagonal translations / velocity -------------------------------
 
@@ -556,7 +544,7 @@ class AssociatedFamily:
     # --- position sector ---------------------------------------------------
 
     def position(self, t: float = 0.0) -> AssociatedOperator:
-        """X~(t) = i d~ + t V~; the core keeps one member per time t asked for."""
+        """X~(t) = i d~ + t V~; the family keeps one operator per time t asked for."""
         return self._op("X~", lambda j: (t * j.col / j.e if t else None, None, 1j * _UNIT), t)
 
     def angular(self) -> AssociatedOperator:
@@ -723,8 +711,7 @@ class KernelTable:
 
     @functools.cached_property
     def slices(self) -> tuple[slice, ...]:
-        ends = np.cumsum([np.shape(c)[-2] for c in self._coefs]).tolist()
-        return tuple(slice(a, b) for a, b in zip([0] + ends, ends))
+        return _tiles(np.shape(c)[-2] for c in self._coefs)
 
     @functools.cached_property
     def products(self) -> np.ndarray:

@@ -53,6 +53,7 @@ from .associated import (
     KernelTable,
     OperatorStack,
     WaveSpinor,
+    _tiles,
     charge_conjugated,
     commutator,
     commutator_action,
@@ -399,8 +400,7 @@ def _stacked(names) -> FourierOperator:
 
 def _rows(names, q: Momentum) -> dict[str, slice]:
     """Each entry's slice of the K rows of ``_stacked(names)``."""
-    ends = np.cumsum([OPERATOR_CATALOG[name](q).shape[-3] for name in names]).tolist()
-    return {n: slice(a, b) for n, a, b in zip(names, [0] + ends, ends)}
+    return dict(zip(names, _tiles(OPERATOR_CATALOG[name](q).shape[-3] for name in names)))
 
 
 def _per_row(values: dict, rows: dict[str, slice]) -> np.ndarray:
@@ -422,13 +422,14 @@ def suite_associated(samples: int, seed: int, mass: float):
     spin_rows = off_rows["pryce_e_spin"]
     entries, off_images = _stacked(_DIAG_ENTRIES), _stacked(off_names)
 
-    family = AssociatedFamily(m, _COMMON)  # its coefficients serve both bases
+    fam = AssociatedFamily(m)  # its operators and their coefficients serve both bases
     for basis in _BASES:
         sg = basis.sigma(q)
         # the multipliers of the associated operators each image must equal
-        fam = family.in_basis(basis)
-        energy, w0 = fam.hamiltonian().mult_at(q)[:, 0], fam.pauli_lubanski0().mult_at(q)[:, 0]
-        s, s_plus, w = (op.mult_at(q) for op in (fam.spin(), fam.spin_plus(), fam.pauli_lubanski()))
+        energy, w0 = (op.mult_at(q, basis)[:, 0] for op in (fam.hamiltonian(), fam.pauli_lubanski0()))
+        s, s_plus, w = (
+            op.mult_at(q, basis) for op in (fam.spin(), fam.spin_plus(), fam.pauli_lubanski())
+        )
 
         # every image from one call over the stacked entries, each check on its rows
         diag = matrix_elements_diag(entries, q, basis)
@@ -458,7 +459,7 @@ def suite_associated(samples: int, seed: int, mass: float):
         rec.add("pl_space_image", _mx(plus[:, 1:] - w))
         rec.add("pl_space_sign", _mx(signed[:, 1:]))
         plus, minus = images("delta_x")
-        rec.add("delta_x_diagonal_image", _mx(plus + fam.boost_spin().mult_at(q) / ec))
+        rec.add("delta_x_diagonal_image", _mx(plus + fam.boost_spin().mult_at(q, basis) / ec))
         rec.add("delta_x_sign", _mx(minus - _parity("delta_x") * plus))
         plus, minus = images("pauli_dirac_spin")
         rec.add("pauli_dirac_image", _mx(plus - (m / ec) * s_plus))
@@ -500,29 +501,29 @@ def suite_associated(samples: int, seed: int, mass: float):
     return rec.results()
 
 
-def _nested_commutators(applied: OperatorStack, count: int, spinor, q: Momentum, actions):
-    """Oracle for ``commutator``: [A_i, B_j] alpha, (..., ka, kb, 2), for every
-    pair of the leading ``count`` members of the stack ``applied`` by nested FD, as a
-    function of the pair (a, b).
+def _nested_commutators(applied: OperatorStack, count: int, spinor, q: Momentum, actions, basis):
+    """Oracle for ``commutator``: [A_i, B_j] alpha in ``basis``, (..., ka, kb, 2), for
+    every pair of the leading ``count`` members of the stack ``applied`` by nested FD,
+    as a function of the pair (a, b).
 
     One composite wave spinor holds those members' actions B alpha along a leading
     component axis: its value at q is their rows of ``actions``, ``applied``'s action
-    on ``spinor`` there, (..., K, 2), and its gradient is one finite difference of
-    their own stack's action on one stencil batch at q's mass.  ``applied`` acts once
-    on the composite, reading the stacked values its action at q keeps, and T =
-    A(B alpha) with axes (B rows, .., A rows, 2) keeps their A rows: every commutator
-    is a block of T - T^T."""
+    on ``spinor`` there in ``basis``, (..., K, 2), and its gradient is one finite
+    difference of their own stack's action on one stencil batch at q's mass.
+    ``applied`` acts once on the composite, reading the stacked values its action at
+    q keeps, and T = A(B alpha) with axes (B rows, .., A rows, 2) keeps their A rows:
+    every commutator is a block of T - T^T."""
     stack = OperatorStack(*applied.members[:count])
 
     def grad(k):
         step = 1e-3 * k.mag
-        return np.moveaxis(central_gradient(lambda x: stack.apply(spinor, x), k, step), -2, 0)
+        return np.moveaxis(central_gradient(lambda x: stack.apply(spinor, x, basis), k, step), -2, 0)
 
     own = applied.slices[count - 1].stop  # the members' rows lead
     # the composite is evaluated at q only
     composite = WaveSpinor(lambda k: np.moveaxis(actions[..., :own, :], -2, 0), grad)
     # (.., A rows, B rows, 2), the members' A rows kept
-    table = np.moveaxis(applied.apply(composite, q), 0, -2)[..., :own, :, :]
+    table = np.moveaxis(applied.apply(composite, q, basis), 0, -2)[..., :own, :, :]
     table = table - np.swapaxes(table, -2, -3)
     # the members outlive the table, so their ids stay distinct
     rows = dict(zip(map(id, applied.members[:count]), applied.slices))
@@ -544,11 +545,10 @@ def suite_appendix_b(samples: int, seed: int, mass: float):
     sampled where the Gaussian test spinors are O(1) so FD residuals stay
     meaningful.
 
-    The families act as ``OperatorStack``s, each check reading its own rows: per
-    basis the pointwise multipliers come from one stacked ``mult_at`` and the five
-    pointwise commutators are blocks of one commutator of two stacks.  The three
-    pointwise stacks are built once in the helicity basis, and the common basis
-    reads their stacked values through ``OperatorStack.in_basis``.  The oracle's 13
+    The families act as ``OperatorStack``s, each check reading its own rows: the
+    three pointwise stacks and their one commutator are built once, and per basis
+    the pointwise multipliers come from one stacked ``mult_at(q, basis)`` and the
+    five pointwise commutators are blocks of the commutator's.  The oracle's 13
     families and Y~c, Y~d and S~(-) act on the test spinors in one stacked
     ``apply``, whose first spinor at the first 2 momenta is the value of the
     oracle's composite, and the same stack acts on the composite.
@@ -574,7 +574,7 @@ def suite_appendix_b(samples: int, seed: int, mass: float):
     # below of 2x2 parts, (n, i, j, 2, 2), and of spinor values, (3, n, i, j, 2)
     eps_p = -cross(np.eye(3), p[:, None, :, None, None])
 
-    fam = AssociatedFamily(mass, _HELICITY)
+    fam = AssociatedFamily(mass)
     L, S, Ko, Ks = fam.angular(), fam.spin(), fam.boost_orbital(), fam.boost_spin()
     X, Xt, V, P = fam.position(), fam.position(t=0.8), fam.velocity(), fam.momentum()
     H, W0, Wi = fam.hamiltonian(), fam.pauli_lubanski0(), fam.pauli_lubanski()
@@ -583,14 +583,15 @@ def suite_appendix_b(samples: int, seed: int, mass: float):
 
     # pointwise multiplicative relations, closed-form tolerance: the multipliers
     # from one stacked mult_at, the commutators as blocks of one stacked commutator;
-    # the common basis reads the helicity stacks' stacked values
-    pointwise = (
+    # both bases read the same stacks
+    multipliers, left, right = (
         OperatorStack(S, Ks, W0, Wi, Yc, Yd), OperatorStack(S, Ks), OperatorStack(S, Ks, W0, Wi)
     )
-    for multipliers, left, right in (pointwise, [x.in_basis(_COMMON) for x in pointwise]):
-        mults = multipliers.mult_at(q)
+    pairs = commutator(left, right)
+    for basis in (_HELICITY, _COMMON):
+        mults = multipliers.mult_at(q, basis)
         mS, mKs, mW0, mWi, mYc, mYd = (mults[:, rows] for rows in multipliers.slices)
-        blocks = commutator(left, right).mult_at(q)
+        blocks = pairs.mult_at(q, basis)
         (ls, lks), (rs, rks, rw0, rwi) = left.slices, right.slices
         eps_mS = -cross(np.eye(3), mS[:, None])
         rec.add("spin_su2_pointwise", _mx(blocks[:, ls, rs] - 1j * eps_mS))
@@ -610,7 +611,7 @@ def suite_appendix_b(samples: int, seed: int, mass: float):
     # the first 2 momenta
     oracle = (L, S, Ko, Ks, X, Xt, V, P, H, W0, Wi, Xc, Xd)
     applied = OperatorStack(*oracle, Yc, Yd, Sminus)
-    actions = applied.apply(trio, q)
+    actions = applied.apply(trio, q, _HELICITY)
     aL, aS, aKo, aKs, aX, aXt, aV, _, _, aW0, _, _, _, aYc, aYd, aSminus = (
         actions[..., rows, :] for rows in applied.slices
     )
@@ -623,10 +624,10 @@ def suite_appendix_b(samples: int, seed: int, mass: float):
     # members' jets, the stacked values and the basis frames on it are read, not
     # made again
     first = q if len(p) <= 2 else Momentum(p[:2], mass)
-    nested = _nested_commutators(applied, len(oracle), spinors[0], first, actions[0, :2])
+    nested = _nested_commutators(applied, len(oracle), spinors[0], first, actions[0, :2], _HELICITY)
 
     def comm(a, b):
-        exact = commutator_action(a, b, trio, q)
+        exact = commutator_action(a, b, trio, q, _HELICITY)
         rec.add("exact_matches_nested_fd", _mx(exact[0, :2] - nested(a, b)), TOL_FD_COMM)
         return exact
 

@@ -135,13 +135,13 @@ def test_rotation_homomorphism():
 
 
 def test_momentum_validation():
-    q = Momentum.of(0.3, 0.4, 1.2, m=2.0)
+    q = Momentum((0.3, 0.4, 1.2), 2.0)
     assert q.energy == pytest.approx(np.sqrt(0.09 + 0.16 + 1.44 + 4.0))
     assert q.energy >= q.m
     with pytest.raises(ValueError):
-        Momentum.of(0, 0, 0, m=0.0)
+        Momentum((0, 0, 0), 0.0)
     with pytest.raises(ValueError):
-        boost_for_momentum(Momentum.of(1, 0, 0, m=-1.0))
+        boost_for_momentum(Momentum((1, 0, 0), -1.0))
     with pytest.raises(ValueError, match=r"momenta must have shape \(\.\.\., 3\)"):
         Momentum(np.zeros(2))
 
@@ -157,14 +157,14 @@ def test_boost_rest_frame_is_identity():
 
 def test_boost_inverse_unit_momentum():
     # direct matrix-product oracle at m=1, p=(0,0,1)
-    q = Momentum.of(0, 0, 1, m=1.0)
+    q = Momentum((0, 0, 1), 1.0)
     prod = boost_for_momentum(q) @ boost_for_momentum(q.flipped())
     assert np.max(np.abs(prod - ID4)) < TOL
 
 
 def test_theta_unit_momentum_value():
     # closed-form evaluation: 1 + 1/(sqrt(2)+1) = sqrt(2)
-    q = Momentum.of(0, 0, 1, m=1.0)
+    q = Momentum((0, 0, 1), 1.0)
     th, thi = theta_tensor(q)
     assert th[2, 2] == pytest.approx(np.sqrt(2.0), abs=1e-12)
     assert np.max(np.abs(th @ thi - np.eye(3))) < TOL
@@ -192,7 +192,7 @@ def test_boost_identities_random_momenta():
 
 
 def test_lorentz_boost_matrix_entries():
-    q = Momentum.of(0.4, -1.1, 0.6, m=0.9)
+    q = Momentum((0.4, -1.1, 0.6), 0.9)
     L = lorentz_boost_matrix(q)
     assert L[0, 0] == pytest.approx(q.energy / q.m, abs=1e-14)
     assert np.allclose(L[0, 1:], q.p / q.m)

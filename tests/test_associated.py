@@ -222,18 +222,18 @@ def test_wave_spinor_gradients():
 
 def test_velocity_and_position_actions():
     basis = CommonBasis()
-    fam = AssociatedFamily(1.0, basis)
+    fam = AssociatedFamily(1.0)
     rng = make_rng(63)
     alpha = gaussian_test_spinor(rng)
-    q = Momentum.of(0.3, 0.5, -0.2)
+    q = Momentum((0.3, 0.5, -0.2))
     v = fam.velocity()
-    assert np.allclose(v.apply(alpha, q)[..., 0, :], (q.p[0] / q.energy) * alpha.value(q))
+    assert np.allclose(v.apply(alpha, q, basis)[..., 0, :], (q.p[0] / q.energy) * alpha.value(q))
     x = fam.position()
-    assert np.allclose(x.apply(alpha, q)[..., 0, :], 1j * alpha.gradient(q)[0], atol=1e-12)
+    assert np.allclose(x.apply(alpha, q, basis)[..., 0, :], 1j * alpha.gradient(q)[0], atol=1e-12)
     # time-shifted position picks up t V
     xt = fam.position(t=2.0)
     assert np.allclose(
-        xt.apply(alpha, q)[..., 0, :],
+        xt.apply(alpha, q, basis)[..., 0, :],
         1j * alpha.gradient(q)[0] + 2.0 * (q.p[0] / q.energy) * alpha.value(q),
         atol=1e-12,
     )
@@ -245,7 +245,7 @@ def test_position_expectation_is_preparation_point():
 
     iso = IsotropicProfile(1.0, 2.0, 1.0)
     grid = QuadratureGrid(20.0, 48, 8, 16)
-    fam = AssociatedFamily(1.0, CommonBasis())
+    fam = AssociatedFamily(1.0)
     x0 = np.array([0.4, -0.1, 0.8])
     chi = np.array([1.0, 0.0], dtype=complex)
 
@@ -263,7 +263,7 @@ def test_position_expectation_is_preparation_point():
     # the whole grid is one batch of momenta
     alpha, nodes = WaveSpinor(value, grad), Momentum(grid.nodes, 1.0)
     vals = alpha.value(nodes)
-    acted = fam.position().apply(alpha, nodes)
+    acted = fam.position().apply(alpha, nodes, CommonBasis())
     for i in range(3):
         acc = grid.integrate(np.einsum("na,na->n", vals.conj(), acted[..., i, :]))
         assert acc.real == pytest.approx(x0[i], abs=1e-8)
@@ -272,41 +272,41 @@ def test_position_expectation_is_preparation_point():
 def test_covariant_derivative_commutes_with_spin():
     # [d~_i, S~_j] = 0 exercised on spinors in the helicity basis
     basis = HelicityBasis()
-    fam = AssociatedFamily(1.0, basis)
+    fam = AssociatedFamily(1.0)
     rng = make_rng(65)
     alpha = gaussian_test_spinor(rng)
     x, s = fam.position(), fam.spin()  # X~_i = i d~_i
     for q in sample_momenta(10, 1.0, seed=67, lo=0.3, hi=2.0, avoid_poles=True):
         # every pair (i, j) at once
-        assert mx(commutator_action(x, s, alpha, q)) < 1e-5
+        assert mx(commutator_action(x, s, alpha, q, basis)) < 1e-5
 
 
 def test_structural_commutator_multiplicative():
     basis = HelicityBasis()
-    fam = AssociatedFamily(1.0, basis)
-    q = Momentum.of(0.2, 0.4, 0.9)
+    fam = AssociatedFamily(1.0)
+    q = Momentum((0.2, 0.4, 0.9))
     s = fam.spin()
-    m_s = s.mult_at(q)
-    assert mx(commutator(s, s).mult_at(q)[..., 0, 1, :, :] - 1j * m_s[..., 2, :, :]) < TOL
+    m_s = s.mult_at(q, basis)
+    assert mx(commutator(s, s).mult_at(q, basis)[..., 0, 1, :, :] - 1j * m_s[..., 2, :, :]) < TOL
     # the spin is conserved: [S~_i, H~] has no part left, a zero (3, 1) stack
-    zero = commutator(s, fam.hamiltonian()).mult_at(q)
+    zero = commutator(s, fam.hamiltonian()).mult_at(q, basis)
     assert zero.shape == (3, 1, 2, 2) and mx(zero) == 0
 
 
 def test_exact_commutator_of_angular_momenta_term_by_term():
     # [L1, L2] = i L3 as first-order operators: no multiplicative part, and
     # the derivative coefficients agree
-    fam = AssociatedFamily(1.0, HelicityBasis())
+    fam = AssociatedFamily(1.0)
     L = fam.angular()
     c = commutator(L, L)
     for q in sample_momenta(5, 1.0, seed=77, avoid_poles=True):
-        assert mx(c.mult_at(q)[..., 0, 1, :, :]) < 1e-9
+        assert mx(c.mult_at(q, HelicityBasis())[..., 0, 1, :, :]) < 1e-9
         assert mx(c.coef(q)[2].v[..., 0, 1, :] - 1j * L.coef(q)[2].v[..., 2, :]) < 1e-9
 
 
 def test_commutators_do_not_nest():
     # a commutator's coefficients carry values but no partials
-    fam = AssociatedFamily(1.0, HelicityBasis())
+    fam = AssociatedFamily(1.0)
     inner = commutator(fam.position(), fam.hamiltonian())
     with pytest.raises(TypeError):
         commutator(inner, fam.position())
@@ -329,10 +329,13 @@ def _coefficients(op, q):
 @pytest.mark.parametrize("basis", BASES, ids=lambda b: b.kind)
 def test_exact_commutators_across_regimes(basis):
     # |p|/m from 1e-6 to 1e6 along one direction: a stencil of step 1e-3 |p|
-    # cannot resolve E at small |p|; the jets give the closed forms to rounding
+    # cannot resolve E at small |p|; the jets give the closed forms to rounding,
+    # and the multiplicative part a0 + a.Sigma/2 in the basis follows them
     p = np.outer([1e-6, 1e-3, 1.0, 1e3, 1e6], [0.36, -0.48, 0.8])
     e = np.sqrt(1.0 + np.sum(p * p, axis=-1))
-    fam = AssociatedFamily(1.0, basis)
+    q = Momentum(p, 1.0)
+    sigma = basis.sigma(q)[:, None, None]
+    fam = AssociatedFamily(1.0)
     H, X, P, Ko = fam.hamiltonian(), fam.position(), fam.momentum(), fam.boost_orbital()
     delta = np.eye(3)
     # (i, j) stacks over the momenta: p^i (n, i, 1) and p^j (n, 1, j)
@@ -354,10 +357,15 @@ def test_exact_commutators_across_regimes(basis):
         "[Ko_i, H] = i p_i": (Ko, H, scalar(1j * pi)),
     }
     for name, (a, b, want) in relations.items():
-        got = _coefficients(commutator(a, b), Momentum(p, 1.0))
+        pair = commutator(a, b)
+        got = _coefficients(pair, q)
         # per momentum, relative to the largest closed-form coefficient
         scale = np.max(np.abs(want), axis=(1, 2, 3))
         worst = np.max(np.abs(got - want), axis=(1, 2, 3)) / scale
+        assert np.all(worst <= 1e-14), (name, worst)
+        spin = 0.5 * np.einsum("...c,...cab->...ab", want[..., 1:4], sigma)
+        mult = want[..., :1, None] * ID2 + spin
+        worst = np.max(np.abs(pair.mult_at(q, basis) - mult), axis=(1, 2, 3, 4)) / scale
         assert np.all(worst <= 1e-14), (name, worst)
 
 
@@ -383,15 +391,15 @@ def test_appendix_b_small_momentum_near_pole(seed, mass):
     assert [r.name for r in results if not r.passed] == []
 
 
-def _composite(op, spinor):
-    """Per-operator reference: the action of ``op`` on ``spinor`` as a wave spinor
-    whose gradient is a finite difference of that action, component axis first."""
+def _composite(op, spinor, basis):
+    """Per-operator reference: the action of ``op`` on ``spinor`` in ``basis`` as a wave
+    spinor whose gradient is a finite difference of that action, component axis first."""
 
     def grad(k):
         step = 1e-3 * np.linalg.norm(k.p, axis=-1)
-        return np.moveaxis(central_gradient(lambda x: op.apply(spinor, x), k, step), -2, 0)
+        return np.moveaxis(central_gradient(lambda x: op.apply(spinor, x, basis), k, step), -2, 0)
 
-    return WaveSpinor(lambda k: np.moveaxis(op.apply(spinor, k), -2, 0), grad)
+    return WaveSpinor(lambda k: np.moveaxis(op.apply(spinor, k, basis), -2, 0), grad)
 
 
 @pytest.mark.parametrize("mass", [0.25, 1.0, 2.0])
@@ -404,7 +412,7 @@ def test_nested_commutators_match_per_pair_composites(seed, samples, mass):
     draws = verify._sampled(min(samples, 20), mass, seed, lo=0.05, hi=2.0, avoid_poles=True)
     p = Momentum(draws.p[:2], mass)
     alpha = gaussian_test_spinor(make_rng(seed + 1), scale=max(mass, 1.0))
-    fam = AssociatedFamily(mass, HelicityBasis())
+    fam, basis = AssociatedFamily(mass), HelicityBasis()
     members = (
         fam.angular(), fam.spin(), fam.boost_orbital(), fam.boost_spin(), fam.position(),
         fam.position(t=0.8), fam.velocity(), fam.momentum(), fam.hamiltonian(),
@@ -413,11 +421,13 @@ def test_nested_commutators_match_per_pair_composites(seed, samples, mass):
     )
     # the oracle's members lead; the rows after them are acted on and dropped
     applied = OperatorStack(*members, fam.y_pryce_c(), fam.y_pryce_d(), fam.spin_minus())
-    nested = verify._nested_commutators(applied, len(members), alpha, p, applied.apply(alpha, p))
-    composites = [_composite(op, alpha) for op in members]
+    actions = applied.apply(alpha, p, basis)
+    nested = verify._nested_commutators(applied, len(members), alpha, p, actions, basis)
+    composites = [_composite(op, alpha, basis) for op in members]
     for a, ca in zip(members, composites):
         for b, cb in zip(members, composites):
-            ab, ba = a.apply(cb, p), b.apply(ca, p)  # (kb, .., ka, 2), (ka, .., kb, 2)
+            # (kb, .., ka, 2) and (ka, .., kb, 2)
+            ab, ba = a.apply(cb, p, basis), b.apply(ca, p, basis)
             want = np.moveaxis(ab, 0, -2) - np.moveaxis(ba, 0, -3)
             assert np.array_equal(nested(a, b), want), (a.name, b.name)
 
@@ -438,16 +448,16 @@ def _stack_members(fam):
 
 @pytest.mark.parametrize("basis", BASES, ids=lambda b: b.kind)
 def test_operator_stack_rows_are_the_members(basis):
-    fam = AssociatedFamily(0.7, basis)
+    fam = AssociatedFamily(0.7)
     q = verify._sampled(6, 0.7, 5, lo=0.05, hi=2.0, avoid_poles=True)
     alpha = gaussian_test_spinor(make_rng(9))
     members = _stack_members(fam)
     stack = OperatorStack(*members)
-    mult, act, coef = stack.mult_at(q), stack.apply(alpha, q), stack.coef(q)
+    mult, act, coef = stack.mult_at(q, basis), stack.apply(alpha, q, basis), stack.coef(q)
     assert [r.stop - r.start for r in stack.slices] == [1, 3, 3, 3, 3, 1, 3, 3]
     for op, rows in zip(members, stack.slices):
-        assert np.array_equal(mult[:, rows], op.mult_at(q)), op.name
-        assert np.array_equal(act[:, rows], op.apply(alpha, q)), op.name
+        assert np.array_equal(mult[:, rows], op.mult_at(q, basis)), op.name
+        assert np.array_equal(act[:, rows], op.apply(alpha, q, basis)), op.name
         for own, part in zip(op.coef(q), coef):
             v, d = part.v[:, rows], part.d[:, rows]
             if own is None:  # zero on the member's rows
@@ -462,12 +472,12 @@ def test_operator_stack_rows_are_the_members(basis):
     # each block of a commutator of stacks is the pair's own commutator
     left, right = OperatorStack(*members[:5]), OperatorStack(*members[3:])
     pair = commutator(left, right)
-    mult, act = pair.mult_at(q), pair.apply(alpha, q)
+    mult, act = pair.mult_at(q, basis), pair.apply(alpha, q, basis)
     for a, ra in zip(left.members, left.slices):
         for b, rb in zip(right.members, right.slices):
             own = commutator(a, b)
-            assert np.array_equal(mult[:, ra, rb], own.mult_at(q)), (a.name, b.name)
-            assert np.array_equal(act[:, ra, rb], own.apply(alpha, q)), (a.name, b.name)
+            assert np.array_equal(mult[:, ra, rb], own.mult_at(q, basis)), (a.name, b.name)
+            assert np.array_equal(act[:, ra, rb], own.apply(alpha, q, basis)), (a.name, b.name)
 
 
 def test_operator_stack_stacks_partials_only_for_a_commutator(monkeypatch):
@@ -481,19 +491,17 @@ def test_operator_stack_stacks_partials_only_for_a_commutator(monkeypatch):
         return formula(self, q, partials)
 
     monkeypatch.setattr(OperatorStack, "formula", counted)
-    fam = AssociatedFamily(0.7, HelicityBasis())
+    fam, basis = AssociatedFamily(0.7), HelicityBasis()
     q = verify._sampled(6, 0.7, 5, lo=0.05, hi=2.0, avoid_poles=True)
     stack = OperatorStack(*_stack_members(fam))
-    stack.mult_at(q), stack.apply(gaussian_test_spinor(make_rng(9)), q)
+    stack.mult_at(q, basis), stack.apply(gaussian_test_spinor(make_rng(9)), q, basis)
     assert calls == [False] and all(x is None or x.d is None for x in stack._values(q))
-    commutator(stack, stack).mult_at(q)
+    commutator(stack, stack).mult_at(q, basis)
     assert calls == [False, True]
 
 
-def test_operator_stack_takes_operators_of_one_basis():
-    fam, other = AssociatedFamily(1.0, CommonBasis()), AssociatedFamily(1.0, HelicityBasis())
-    with pytest.raises(TypeError):
-        OperatorStack(fam.spin(), other.spin())
+def test_operator_stack_refuses_commutators():
+    fam = AssociatedFamily(1.0)
     with pytest.raises(TypeError):
         OperatorStack(fam.spin(), commutator(fam.position(), fam.hamiltonian()))
 
@@ -522,7 +530,7 @@ def test_matvec_is_the_matrix_product(mats, vecs):
 
 
 def test_stacked_and_constant_are_the_aligned_and_broadcast_views():
-    fam = AssociatedFamily(0.7, HelicityBasis())
+    fam = AssociatedFamily(0.7)
     q = verify._sampled(6, 0.7, 5, lo=0.05, hi=2.0, avoid_poles=True)
     for x in fam.boost_orbital().coef(q) + fam.pauli_lubanski().coef(q):
         if x is None:
@@ -546,7 +554,10 @@ def test_stacked_and_constant_are_the_aligned_and_broadcast_views():
         assert const.flags.writeable  # the constant itself is left as it was
 
 
-def test_operator_stack_in_basis_reads_the_same_stacked_values(monkeypatch):
+def test_operator_stack_reads_one_formula_run_in_every_basis(monkeypatch):
+    # one stack serves both bases: its mult_at and apply in each basis are its
+    # members' own values there, bit for bit, from one run of its formula, and a
+    # commutator of it in each basis stacks the partials once
     calls = []
     formula = OperatorStack.formula
 
@@ -555,33 +566,25 @@ def test_operator_stack_in_basis_reads_the_same_stacked_values(monkeypatch):
         return formula(self, q, partials)
 
     monkeypatch.setattr(OperatorStack, "formula", counted)
-    hel, common = HelicityBasis(), CommonBasis()
-    fam = AssociatedFamily(0.7, hel)
+    fam = AssociatedFamily(0.7)
     q = verify._sampled(6, 0.7, 5, lo=0.05, hi=2.0, avoid_poles=True)
     alpha = gaussian_test_spinor(make_rng(9))
-    stack = OperatorStack(*_stack_members(fam))
-    # the copy is made before any evaluation and evaluated first
-    other = stack.in_basis(common)
-    assert other.basis is common and stack.basis is hel and other.slices is None
-    mult, act, coef = other.mult_at(q), other.apply(alpha, q), other.coef(q)
+    members = _stack_members(fam)
+    assert all(a is b for a, b in zip(_stack_members(fam), members))  # one object per member
+    stack = OperatorStack(*members)
+    for basis in BASES:
+        mult, act = stack.mult_at(q, basis), stack.apply(alpha, q, basis)
+        for op, rows in zip(members, stack.slices):
+            assert np.array_equal(mult[:, rows], op.mult_at(q, basis)), (basis.kind, op.name)
+            assert np.array_equal(act[:, rows], op.apply(alpha, q, basis)), (basis.kind, op.name)
+    assert calls == [False]
+    pair = commutator(stack, stack)
+    for basis in BASES:
+        mult = pair.mult_at(q, basis)
+        for a, ra in zip(members, stack.slices):
+            for b, rb in zip(members, stack.slices):
+                assert np.array_equal(mult[:, ra, rb], commutator(a, b).mult_at(q, basis))
     assert calls == [False, True]
-    assert other.slices == stack.slices and other.slices is not None
-    assert stack._values(q) is other._values(q) and stack.coef(q) is other.coef(q)
-    assert calls == [False, True]  # the stack itself reads the entries its copy made
-    # in the other basis it is that basis's own stack of the members
-    own = OperatorStack(*_stack_members(fam.in_basis(common)))
-    assert np.array_equal(mult, own.mult_at(q)) and np.array_equal(act, own.apply(alpha, q))
-    assert all(
-        (x is None and y is None) or (np.array_equal(x.v, y.v) and np.array_equal(x.d, y.d))
-        for x, y in zip(coef, own.coef(q))
-    )
-    # a copy of a copy reads the same entries, and a commutator of copies
-    # restacks nothing
-    again = other.in_basis(hel)
-    assert again.coef(q) is stack.coef(q) and again.slices == stack.slices
-    n = len(calls)
-    assert np.array_equal(commutator(again, other).mult_at(q), commutator(stack, stack).mult_at(q))
-    assert len(calls) == n
 
 
 @pytest.mark.parametrize("mass", [0.25, 1.0])
@@ -597,19 +600,19 @@ def test_ledger_stacks_match_per_member_forms(seed, samples, mass):
         lambda k: np.stack([sp.value(k) for sp in spinors]),
         lambda k: np.stack([sp.gradient(k) for sp in spinors]),
     )
+    fam = AssociatedFamily(mass)
+    S, Ks, W0, Wi = fam.spin(), fam.boost_spin(), fam.pauli_lubanski0(), fam.pauli_lubanski()
+    multipliers = OperatorStack(S, Ks, W0, Wi, fam.y_pryce_c(), fam.y_pryce_d())
+    left, right = OperatorStack(S, Ks), OperatorStack(S, Ks, W0, Wi)
     for basis in BASES:
-        fam = AssociatedFamily(mass, basis)
-        S, Ks, W0, Wi = fam.spin(), fam.boost_spin(), fam.pauli_lubanski0(), fam.pauli_lubanski()
-        multipliers = OperatorStack(S, Ks, W0, Wi, fam.y_pryce_c(), fam.y_pryce_d())
-        mults = multipliers.mult_at(q)
+        mults = multipliers.mult_at(q, basis)
         for op, rows in zip(multipliers.members, multipliers.slices):
-            assert np.array_equal(mults[:, rows], op.mult_at(q)), op.name
-        left, right = OperatorStack(S, Ks), OperatorStack(S, Ks, W0, Wi)
-        blocks = commutator(left, right).mult_at(q)
+            assert np.array_equal(mults[:, rows], op.mult_at(q, basis)), op.name
+        blocks = commutator(left, right).mult_at(q, basis)
         for a, ra in zip(left.members, left.slices):
             for b, rb in zip(right.members, right.slices):
-                assert np.array_equal(blocks[:, ra, rb], commutator(a, b).mult_at(q))
-    fam = AssociatedFamily(mass, HelicityBasis())
+                assert np.array_equal(blocks[:, ra, rb], commutator(a, b).mult_at(q, basis))
+    basis = HelicityBasis()
     oracle = OperatorStack(
         fam.angular(), fam.spin(), fam.boost_orbital(), fam.boost_spin(), fam.position(),
         fam.position(t=0.8), fam.velocity(), fam.momentum(), fam.hamiltonian(),
@@ -617,18 +620,19 @@ def test_ledger_stacks_match_per_member_forms(seed, samples, mass):
         fam.position_pryce_d(),
     )
     applied = OperatorStack(*oracle.members, fam.y_pryce_c(), fam.y_pryce_d(), fam.spin_minus())
-    actions = applied.apply(trio, q)
+    actions = applied.apply(trio, q, basis)
     for op, rows in zip(applied.members, applied.slices):
-        assert np.array_equal(actions[..., rows, :], op.apply(trio, q)), op.name
+        assert np.array_equal(actions[..., rows, :], op.apply(trio, q, basis)), op.name
     # the oracle composite's value, read from the trio's actions at the first 2 momenta
     own = applied.slices[len(oracle.members)].start
-    assert np.array_equal(actions[0, :2, :own], oracle.apply(spinors[0], Momentum(q.p[:2], mass)))
+    first = Momentum(q.p[:2], mass)
+    assert np.array_equal(actions[0, :2, :own], oracle.apply(spinors[0], first, basis))
 
 
 def test_pryce_cd_associated():
     basis = CommonBasis()
-    q = Momentum.of(0.5, -0.3, 0.2)
-    fam = AssociatedFamily(q.m, basis)
+    q = Momentum((0.5, -0.3, 0.2))
+    fam = AssociatedFamily(q.m)
     xc, xd = fam.position_pryce_c(), fam.position_pryce_d()
     yc, yd = fam.y_pryce_c(), fam.y_pryce_d()
     rng = make_rng(69)
@@ -639,42 +643,42 @@ def test_pryce_cd_associated():
         # multiplicative parts carry the stated spin offsets
         sg = basis.sigma(q)
         spin_term = np.einsum("jk,j,kab->ab", EPS3[i], p, 0.5 * sg)
-        assert mx(xc.mult_at(q)[i] - spin_term / (e * (e + m))) < TOL
-        assert mx(xd.mult_at(q)[i] + spin_term / (m * (e + m))) < TOL
+        assert mx(xc.mult_at(q, basis)[i] - spin_term / (e * (e + m))) < TOL
+        assert mx(xd.mult_at(q, basis)[i] + spin_term / (m * (e + m))) < TOL
         # Y vectors proportional to the Theta-contracted spin
         th, _ = theta_tensor(q)
         s_plus_assoc = 0.5 * np.einsum("j,jab->ab", th[i], sg)
-        assert mx(yc.mult_at(q)[i] - (m / e**3) * s_plus_assoc) < TOL
-        assert mx(yd.mult_at(q)[i] - s_plus_assoc / (m * e)) < TOL
+        assert mx(yc.mult_at(q, basis)[i] - (m / e**3) * s_plus_assoc) < TOL
+        assert mx(yd.mult_at(q, basis)[i] - s_plus_assoc / (m * e)) < TOL
     # commutator closes on -i eps Y_c, for every pair (i, j) at once
-    lhs = commutator_action(xc, xc, alpha, q)
-    rhs = -1j * np.einsum("ijk,ka->ija", EPS3, yc.apply(alpha, q))
+    lhs = commutator_action(xc, xc, alpha, q, basis)
+    rhs = -1j * np.einsum("ijk,ka->ija", EPS3, yc.apply(alpha, q, basis))
     assert mx(lhs - rhs) < 1e-5
     # rest frame: offsets vanish, both reduce to i d~
     q0 = Momentum(np.zeros(3), 1.0)
-    assert mx(xc.mult_at(q0)) < TOL
-    assert mx(xd.mult_at(q0)) < TOL
+    assert mx(xc.mult_at(q0, basis)) < TOL
+    assert mx(xd.mult_at(q0, basis)) < TOL
 
 
 def test_appendix_b_spot_identities():
     """A few representative commutators; the full ledger runs in verify."""
     basis = HelicityBasis()
-    fam = AssociatedFamily(1.0, basis)
+    fam = AssociatedFamily(1.0)
     rng = make_rng(71)
     alpha = gaussian_test_spinor(rng)
     for q in sample_momenta(5, 1.0, seed=73, lo=0.2, hi=1.5, avoid_poles=True):
         e, p = q.energy, q.p
         L, Ko, Ks = fam.angular(), fam.boost_orbital(), fam.boost_spin()
-        aS, aKs = fam.spin().apply(alpha, q), Ks.apply(alpha, q)
+        aS, aKs = fam.spin().apply(alpha, q, basis), Ks.apply(alpha, q, basis)
         # angular momenta close su(2)
-        lhs = commutator_action(L, L, alpha, q)[0, 1]
-        assert mx(lhs - 1j * L.apply(alpha, q)[2]) < 1e-5
+        lhs = commutator_action(L, L, alpha, q, basis)[0, 1]
+        assert mx(lhs - 1j * L.apply(alpha, q, basis)[2]) < 1e-5
         # boost-velocity commutator is multiplicative, for every pair (i, j)
-        lhs = commutator_action(Ko, fam.velocity(), alpha, q)
+        lhs = commutator_action(Ko, fam.velocity(), alpha, q, basis)
         rhs = 1j * (np.eye(3) - np.outer(p, p) / e**2)[..., None] * alpha.value(q)
         assert mx(lhs - rhs) < 1e-5
         # orbital and spin boost parts do not commute
-        lhs = commutator_action(Ko, Ks, alpha, q)[0, 1]
+        lhs = commutator_action(Ko, Ks, alpha, q, basis)[0, 1]
         rhs = -1j / (e + 1.0) * (
             e * sum(EPS3[0, 1, k] * aS[k] for k in range(3)) + p[0] * aKs[1]
         )
@@ -684,7 +688,7 @@ def test_appendix_b_spot_identities():
 def test_hermitian_quadratic_form_of_boost_orbital():
     # the symmetrized i p/(2E) term makes Ko Hermitian under the d^3p product
     basis = CommonBasis()
-    fam = AssociatedFamily(1.0, basis)
+    fam = AssociatedFamily(1.0)
     rng = make_rng(75)
     a = gaussian_test_spinor(rng)
     b = gaussian_test_spinor(rng)
@@ -693,26 +697,31 @@ def test_hermitian_quadratic_form_of_boost_orbital():
     grid = QuadratureGrid(10.0, 40, 8, 8)
     op = fam.boost_orbital()
     pts = Momentum(grid.nodes, 1.0)  # the whole grid is one batch of momenta
-    lhs = grid.weights @ np.einsum("na,nia->ni", a.value(pts).conj(), op.apply(b, pts))
-    rhs = grid.weights @ np.einsum("nia,na->ni", op.apply(a, pts).conj(), b.value(pts))
+    lhs = grid.weights @ np.einsum("na,nia->ni", a.value(pts).conj(), op.apply(b, pts, basis))
+    rhs = grid.weights @ np.einsum("nia,na->ni", op.apply(a, pts, basis).conj(), b.value(pts))
     # every component at once
     assert np.max(np.abs(lhs - rhs)) < 1e-8
 
 
 def test_family_needs_a_positive_mass():
     with pytest.raises(ValueError, match="mass must be positive"):
-        AssociatedFamily(0.0, CommonBasis())
+        AssociatedFamily(0.0)
 
 
 @pytest.mark.parametrize("ratio", (1e-6, 1.0, 1e6))
 @pytest.mark.parametrize("basis", BASES, ids=lambda b: b.kind)
 def test_family_jets_are_their_closed_forms(basis, ratio):
     # E and e_k x p enter as closed-form jets: dE/dp^l = p^l/E with E the jet's own
-    # value, and L~'s D = -i (e_k x p) has the constant partials -i eps_klc
+    # value, and L~'s D = -i (e_k x p) has the constant partials -i eps_klc; the
+    # basis enters W~0 = p.Sigma/2 through its multiplier alone
     m = 1.3
     p = ratio * m * np.array([[0.3, -0.5, 0.8], [-0.6, 0.2, 0.1]])
-    family = AssociatedFamily(m, basis)
-    e = family.hamiltonian().coef(Momentum(p, m))[0]
+    q = Momentum(p, m)
+    family = AssociatedFamily(m)
+    e = family.hamiltonian().coef(q)[0]
     assert e.d.tobytes() == (p[:, None, None, :] / e.v[..., None]).tobytes()
-    d = family.angular().coef(Momentum(p, m))[2]
+    d = family.angular().coef(q)[2]
     assert np.array_equal(d.d, -1j * np.einsum("klc->kcl", EPS3))
+    w0 = family.pauli_lubanski0().mult_at(q, basis)[:, 0]
+    want = 0.5 * np.einsum("nc,ncab->nab", p, basis.sigma(q))
+    assert mx(w0 - want) <= 4 * np.finfo(float).eps * mx(want)

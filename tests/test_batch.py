@@ -19,10 +19,9 @@ LAM = sample_boosts(1, seed=6)[0]
 BUILDERS = {"rotation": ID4, "rotation_su2": ID2, "boost_su2": ID2, "boost_param": ID4}
 
 
-def _family(basis):
-    """(label, operator, component) for every component of every family, in a
-    fixed order; the label carries the component number of a vector family."""
-    fam = AssociatedFamily(MASS, basis)
+def _family(fam):
+    """(label, operator, component) for every component of every family of ``fam``,
+    in a fixed order; the label carries the component number of a vector family."""
     vectors = [
         fam.momentum(), fam.velocity(), fam.spin(), fam.spin_plus(), fam.spin_minus(),
         fam.pauli_lubanski(), fam.position(), fam.angular(), fam.boost_orbital(),
@@ -37,6 +36,9 @@ def _family(basis):
 
 
 def _cases():
+    # one family and one commutator serve both bases
+    fam = AssociatedFamily(MASS)
+    comm = commutator(fam.angular(), fam.boost_orbital())
     for name in BUILDERS:
         yield f"builder-{name}", getattr(algebra, name)
     for name, op in OPERATOR_CATALOG.items():
@@ -44,20 +46,20 @@ def _cases():
     for bname, basis in BASES.items():
         for meth in ("xi", "eta", "sigma", "omega"):
             yield f"{bname}-{meth}", lambda p, f=getattr(basis, meth): f(Momentum(p, MASS))
-        for k, (label, op, i) in enumerate(_family(basis)):
+        for k, (label, op, i) in enumerate(_family(fam)):
             k += k > 0  # 1 numbered the deleted Ws~: every other case keeps its name
             yield f"{bname}-{label}-{k}-mult", (
-                lambda p, op=op, i=i: op.mult_at(Momentum(p, MASS))[..., i, :, :]
+                lambda p, op=op, i=i, b=basis: op.mult_at(Momentum(p, MASS), b)[..., i, :, :]
             )
             if op.coef(Momentum(MOMENTA, MASS))[2] is not None:
                 yield f"{bname}-{label}-{k}-dcoef", (
                     lambda p, op=op, i=i: op.coef(Momentum(p, MASS))[2].v[..., i, :]
                 )
         # [L~_i, Ko~_j] for every pair as one stack, (..., 3, 3, 2, 2) and (..., 3, 3, 3)
-        fam = AssociatedFamily(MASS, basis)
-        comm = commutator(fam.angular(), fam.boost_orbital())
-        yield f"{bname}-{comm.name}-mult", lambda p, comm=comm: comm.mult_at(Momentum(p, MASS))
-        yield f"{bname}-{comm.name}-dcoef", lambda p, comm=comm: comm.coef(Momentum(p, MASS))[2].v
+        yield f"{bname}-{comm.name}-mult", (
+            lambda p, basis=basis: comm.mult_at(Momentum(p, MASS), basis)
+        )
+        yield f"{bname}-{comm.name}-dcoef", lambda p: comm.coef(Momentum(p, MASS))[2].v
         for name, ker in KERNEL_CATALOG.items():
             yield f"kernel-{name}-{bname}", (
                 lambda p, ker=ker, basis=basis: ker(Momentum(p, MASS), 0.37, basis)

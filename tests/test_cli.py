@@ -298,7 +298,7 @@ def test_kernel_quarter_period_negation():
     from diracmr.associated import KERNEL_CATALOG
     from diracmr.polarization import CommonBasis
 
-    q = Momentum.of(0.2, 0.1, 0.7)
+    q = Momentum((0.2, 0.1, 0.7))
     half = np.pi / (2 * q.energy)
     k0 = KERNEL_CATALOG["delta_x_osc"](q, 0.0, CommonBasis())
     k1 = KERNEL_CATALOG["delta_x_osc"](q, half, CommonBasis())

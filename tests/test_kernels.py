@@ -28,7 +28,7 @@ def test_phase_law_and_modulus():
     # K(t) against the parent evolved in the Heisenberg picture, U^+ A U with
     # U = exp(-i H_D t), read at t = 0: only the evolution carries the 2E phase
     basis = CommonBasis()
-    q = Momentum.of(0.5, -0.3, 0.4, m=1.2)
+    q = Momentum((0.5, -0.3, 0.4), 1.2)
     e = q.energy
     plus, minus = projectors(q)
     for name, ker in KERNEL_CATALOG.items():
@@ -66,7 +66,7 @@ def test_time_derivative_fd_oracle():
 
 def test_delta_x_kernel_closed_form():
     basis = CommonBasis()
-    q = Momentum.of(0.3, 0.7, -0.2, m=0.9)
+    q = Momentum((0.3, 0.7, -0.2), 0.9)
     t = 0.15
     _, theta_inv = theta_tensor(q)
     xi = basis.xi(q)
@@ -85,7 +85,7 @@ def test_pseudoscalar_parent_has_no_diagonal_part():
         assert mx(parts[1]) < 1e-12
     # and the kernel is the pair contraction without spin structure
     basis = CommonBasis()
-    q = Momentum.of(0.2, 0.1, 0.4)
+    q = Momentum((0.2, 0.1, 0.4))
     k = KERNEL_CATALOG["pseudoscalar_osc"](q, 0.0, basis)[0]
     xi = basis.xi(q)
     eta_m = basis.eta(q.flipped())
@@ -105,7 +105,7 @@ def test_hermitian_pairing_of_offdiag_parts():
 
 def test_kernel_pole_and_name_errors():
     hel = HelicityBasis()
-    q = Momentum.of(0.0, 0.0, 1.0)  # -p sits on the helicity pole ray
+    q = Momentum((0.0, 0.0, 1.0))  # -p sits on the helicity pole ray
     with pytest.raises(PoleError):
         KERNEL_CATALOG["delta_x_osc"](q, 0.0, hel)
     with pytest.raises(KeyError):
@@ -119,7 +119,7 @@ def test_kernel_table_slices_are_the_single_kernel_api(basis):
     # rounding, within a bound fixed before measuring: 1e-14 of the kernel's largest entry
     t, kernels = 0.42, tuple(KERNEL_CATALOG.values())
     batch = np.array([q.p for q in sample_momenta(20, 1.3, seed=95, avoid_poles=True)])
-    for q in (Momentum(batch, 1.3), Momentum.of(0.3, -0.4, 0.5, m=1.3)):
+    for q in (Momentum(batch, 1.3), Momentum((0.3, -0.4, 0.5), 1.3)):
         table = KernelTable(kernels, q, basis)
         got = (table(t), table.from_offdiag(t), table.phase_reference(t))
         for (name, ker), rows in zip(KERNEL_CATALOG.items(), table.slices):

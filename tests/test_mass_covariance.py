@@ -1,11 +1,14 @@
-"""Units as an exact symmetry of the associated layer.
+"""Units as an exact symmetry of the associated layer and the packet statistics.
 
 Multiplying every input by a power of two scales each +, -, *, / and sqrt exactly,
-so a formula with no absolute constant gives, under (p, m, t) -> (lam p, lam m,
-t/lam) with lam = 2^k, its result at m = 1 times lam^d for its mass dimension d, bit
-for bit.  A constant hidden in one path (max(m, 1), an absolute step, a default
-mass) breaks that, and these tests see it in every family member and commutator,
-every catalog operator, the bases' xi, Sigma and Omega, and every kernel.
+so a formula with no absolute constant gives, under (p, m, t, x, gamma) -> (lam p,
+lam m, t/lam, x/lam, gamma/lam) with lam = 2^k, its result at m = 1 times lam^d for
+its mass dimension d, bit for bit.  A constant hidden in one path (max(m, 1), an
+absolute step, a default mass) breaks that, and these tests see it in every family
+member and commutator, every catalog operator, the bases' xi, Sigma and Omega, and
+every kernel.  The packet rows and ``g_integral`` sum logarithms (a log(2 gamma) in
+the profile's norm, the radial rule's log-sum), which no power of two keeps exact,
+so they meet lam^d within a relative bound stated up front.
 """
 
 import numpy as np
@@ -21,6 +24,7 @@ from diracmr.associated import (
 )
 from diracmr.operators import OPERATOR_CATALOG
 from diracmr.polarization import make_basis
+from diracmr.wavepacket import IsotropicProfile, g_integral, packet_reports
 
 # |p|/m from 0.05 to 5, off the helicity chart's -e3 pole
 P = np.array([[0.03, -0.04, 0.02], [0.3, 0.2, 0.5], [-0.7, 0.4, 0.1], [1.2, -2.1, 3.3]])
@@ -130,15 +134,16 @@ def _operator(family, name, lam):
 
 
 def _at(kind, lam):
-    """A family at mass lam, the momenta lam P at that mass and the test spinor."""
+    """A family at mass lam, a basis of the kind, the momenta lam P at that mass and the
+    test spinor."""
     spinor = WaveSpinor(_value, _gradient)
-    return AssociatedFamily(lam, make_basis(kind)), Momentum(lam * P, lam), spinor
+    return AssociatedFamily(lam), make_basis(kind), Momentum(lam * P, lam), spinor
 
 
 def _mismatches(kind, k, results):
-    """The names in ``results`` (name -> (d, result(family, q, spinor, lam))) whose result
-    at lam = 2^k is not lam^d times the one at m = 1, bit for bit, with the relative miss;
-    real and imaginary parts scale as reals, so each zero keeps its sign."""
+    """The names in ``results`` (name -> (d, result(family, basis, q, spinor, lam))) whose
+    result at lam = 2^k is not lam^d times the one at m = 1, bit for bit, with the relative
+    miss; real and imaginary parts scale as reals, so each zero keeps its sign."""
     lam = 2.0**k
     unit, scaled = _at(kind, 1.0), _at(kind, lam)
     bad = []
@@ -155,8 +160,8 @@ def _mismatches(kind, k, results):
 @pytest.mark.parametrize("kind", ("common", "helicity"))
 def test_members_are_mass_covariant_bit_for_bit(kind, k):
     def action(name):
-        def result(fam, q, spinor, lam):
-            return _operator(fam, name, lam).apply(spinor, q)
+        def result(fam, basis, q, spinor, lam):
+            return _operator(fam, name, lam).apply(spinor, q, basis)
 
         return MEMBERS[name], result
 
@@ -169,8 +174,9 @@ def test_members_are_mass_covariant_bit_for_bit(kind, k):
 @pytest.mark.parametrize("kind", ("common", "helicity"))
 def test_ledger_commutators_are_mass_covariant_bit_for_bit(kind, k):
     def action(a, b):
-        def result(fam, q, spinor, lam):
-            return commutator_action(_operator(fam, a, lam), _operator(fam, b, lam), spinor, q)
+        def result(fam, basis, q, spinor, lam):
+            a_op, b_op = _operator(fam, a, lam), _operator(fam, b, lam)
+            return commutator_action(a_op, b_op, spinor, q, basis)
 
         return DIMENSION[a] + DIMENSION[b], result
 
@@ -181,9 +187,9 @@ def test_ledger_commutators_are_mass_covariant_bit_for_bit(kind, k):
 
 @pytest.mark.parametrize("k", EXPONENTS)
 def test_catalog_operators_are_mass_covariant_bit_for_bit(k):
-    # the entries read no basis; the family's basis kind is unused
+    # the entries read no basis; the basis kind is unused
     def entry(name):
-        return CATALOG[name], lambda fam, q, spinor, lam: OPERATOR_CATALOG[name](q)
+        return CATALOG[name], lambda fam, basis, q, spinor, lam: OPERATOR_CATALOG[name](q)
 
     assert list(CATALOG) == list(OPERATOR_CATALOG)
     assert _mismatches("common", k, {name: entry(name) for name in CATALOG}) == []
@@ -193,7 +199,7 @@ def test_catalog_operators_are_mass_covariant_bit_for_bit(k):
 @pytest.mark.parametrize("kind", ("common", "helicity"))
 def test_basis_quantities_are_mass_covariant_bit_for_bit(kind, k):
     def quantity(name):
-        return BASIS[name], lambda fam, q, spinor, lam: getattr(fam.basis, name)(q)
+        return BASIS[name], lambda fam, basis, q, spinor, lam: getattr(basis, name)(q)
 
     assert _mismatches(kind, k, {name: quantity(name) for name in BASIS}) == []
 
@@ -203,8 +209,8 @@ def test_basis_quantities_are_mass_covariant_bit_for_bit(kind, k):
 def test_kernel_table_slices_are_mass_covariant_bit_for_bit(kind, k):
     # one table of every kernel at the time T/lam, read slice by slice
     def kernel(rows, name):
-        def result(fam, q, spinor, lam):
-            table = KernelTable(tuple(KERNEL_CATALOG.values()), q, fam.basis)
+        def result(fam, basis, q, spinor, lam):
+            table = KernelTable(tuple(KERNEL_CATALOG.values()), q, basis)
             return table(T / lam)[..., table.slices[rows], :, :]
 
         return KERNELS[name], result
@@ -212,3 +218,66 @@ def test_kernel_table_slices_are_mass_covariant_bit_for_bit(kind, k):
     assert list(KERNELS) == list(KERNEL_CATALOG)
     results = {name: kernel(i, name) for i, name in enumerate(KERNELS)}
     assert _mismatches(kind, k, results) == []
+
+
+# the packet rows and G meet lam^d within these bounds, relative to each value (a
+# zero must stay zero); the probe's worst over PACKETS and PACKET_EXPONENTS is 8e-15
+# for the rows and 9e-16 for G
+ROWS_REL, G_REL = 1e-13, 1e-14
+PACKET_EXPONENTS = (-10, -5, -2, 2, 5, 10)
+
+# each packet_reports row by its observable's first letter, with the mass dimension d
+# of its expectation (its dispersion has 2d)
+ROWS = {
+    "H": 1,  # E
+    "P": 1,  # p^i and |p|
+    "V": 0,  # p^i/E and |p|/E
+    "X": -1,  # x0^i + i d~
+    "S": 0,  # sigma_i/2, no quadrature
+    "W": 0,  # Ws = S3 along e3
+    "L": 0,  # x ^ p
+}
+
+# (gamma, pbar, m, theta_s, x0) with gamma pbar > 1; gamma has dimension -1, pbar 1
+# and x0 -1
+PACKETS = (
+    (1.0, 2.0, 1.0, 0.0, (0.0, 0.0, 0.0)),
+    (0.5, 6.0, 0.7, 0.3, (0.4, -0.3, 1.2)),
+    (2.0, 1.5, 1.3, 1.1, (-1.0, 0.2, 0.5)),
+)
+
+# (nu, rho, mu, m) of G = int p^(2nu-1) (p^2+m^2)^(rho-1) exp(-mu p) dp, of dimension
+# 2nu + 2rho - 2 under (mu, m) -> (mu/lam, lam m)
+G_ARGS = ((1.5, 0.5, 2.0, 1.0), (2.0, 1.0, 1.0, 0.7), (3.25, -0.5, 0.8, 1.3), (1.0, 2.0, 3.0, 0.0))
+
+
+def _reports(packet, lam):
+    gamma, pbar, m, theta_s, x0 = packet
+    iso = IsotropicProfile(gamma / lam, lam * pbar, lam * m)
+    return packet_reports(iso, theta_s, np.array(x0) / lam)
+
+
+@pytest.mark.parametrize("k", PACKET_EXPONENTS)
+@pytest.mark.parametrize("packet", range(len(PACKETS)))
+def test_packet_rows_are_mass_covariant(packet, k):
+    lam = 2.0**k
+    unit, scaled = (_reports(PACKETS[packet], x) for x in (1.0, lam))
+    assert [r.observable for r in scaled] == [r.observable for r in unit]
+    assert len(unit) == 19
+    bad = []
+    for want, got in zip(unit, scaled):
+        d = ROWS[want.observable[0]]
+        for part, dim in (("expectation", d), ("dispersion", 2 * d)):
+            w, g = getattr(want, part), getattr(got, part) / lam**dim
+            if not abs(g - w) <= ROWS_REL * abs(w):
+                bad.append((want.observable, part, w, g))
+    assert bad == []
+
+
+@pytest.mark.parametrize("k", PACKET_EXPONENTS)
+def test_g_integral_is_mass_covariant(k):
+    lam = 2.0**k
+    for nu, rho, mu, m in G_ARGS:
+        want = g_integral(nu, rho, mu, m)
+        got = g_integral(nu, rho, mu / lam, lam * m) / lam ** (2 * nu + 2 * rho - 2)
+        assert abs(got - want) <= G_REL * abs(want), (nu, rho, mu, m)

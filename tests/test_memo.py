@@ -39,7 +39,7 @@ from diracmr.associated import (
     gaussian_test_spinor,
 )
 from diracmr.operators import OPERATOR_CATALOG, FourierOperator
-from diracmr.polarization import CommonBasis, HelicityBasis, PoleError, make_basis
+from diracmr.polarization import HelicityBasis, PoleError, make_basis
 from diracmr.sampling import make_rng
 from diracmr.spinors import u_matrix, v_matrix
 
@@ -68,6 +68,12 @@ def _fresh_operator(name):
     return lambda kind: FourierOperator(OPERATOR_CATALOG[name].func)
 
 
+def _fresh_member(name):
+    """A family member as an owner of its own; its coefficients carry no basis, so
+    the basis kind is unused."""
+    return lambda kind: getattr(AssociatedFamily(MASS), name)()
+
+
 def _coef(owner, q):
     return owner.coef(q)
 
@@ -88,8 +94,8 @@ OWNERS = {
     "omega": (make_basis, lambda b, q: b.omega(q)),
     "u": (make_basis, u_matrix),
     "v": (make_basis, v_matrix),
-    "coef_boost": (lambda k: AssociatedFamily(MASS, make_basis(k)).boost_orbital(), _coef),
-    "coef_pryce_c": (lambda k: AssociatedFamily(MASS, make_basis(k)).position_pryce_c(), _coef),
+    "coef_boost": (_fresh_member("boost_orbital"), _coef),
+    "coef_pryce_c": (_fresh_member("position_pryce_c"), _coef),
     "value": (lambda k: gaussian_test_spinor(make_rng(3)), _value),
     "gradient": (lambda k: gaussian_test_spinor(make_rng(3)), _gradient),
     "gradient_fd": (lambda k: _value_only_spinor(), _gradient),
@@ -150,15 +156,15 @@ def _refusing():
     yield "kernel_table", lambda q: KernelTable(tuple(KERNEL_CATALOG.values()), q, basis)
     yield "catalog_entry", OPERATOR_CATALOG["pryce_e_spin"]
     yield "wave_spinor", spinor.value
-    fam = AssociatedFamily(MASS, basis)
+    fam = AssociatedFamily(MASS)
     for label, op in (
         ("member", fam.boost_orbital()),
         ("commutator", commutator(fam.angular(), fam.boost_orbital())),
         ("stack", OperatorStack(fam.spin(), fam.position())),
     ):
         yield f"{label}-coef", op.coef
-        yield f"{label}-mult_at", op.mult_at
-        yield f"{label}-apply", functools.partial(op.apply, spinor)
+        yield f"{label}-mult_at", lambda q, op=op: op.mult_at(q, basis)
+        yield f"{label}-apply", lambda q, op=op: op.apply(spinor, q, basis)
 
 
 REFUSING = dict(_refusing())
@@ -230,7 +236,7 @@ def test_owners_never_share_an_entry():
     assert u2 is not u1 and _same_bits(u1, u2) and u_matrix(b1, q) is u1
     # operators made and dropped in turn at one batch: each reads its own mass
     for m in (0.5, 2.0, 1.0) * 10:
-        op = AssociatedFamily(m, HelicityBasis()).spin_plus()
+        op = AssociatedFamily(m).spin_plus()
         theta = np.swapaxes(theta_tensor(Momentum(p, m))[0], -1, -2)
         assert np.max(np.abs(op.coef(q)[1].v - theta)) < 1e-12
         del op
@@ -248,7 +254,7 @@ def test_batch_owns_its_flip_its_per_component_view_and_its_evaluations():
     assert q.per_component is q.per_component and q.per_component.p.shape == (3, 1, 3)
     assert not q.p.flags.writeable and not np.shares_memory(q.p, p)
     basis = HelicityBasis()
-    op, spinor = AssociatedFamily(MASS, basis).spin(), gaussian_test_spinor(make_rng(3))
+    op, spinor = AssociatedFamily(MASS).spin(), gaussian_test_spinor(make_rng(3))
     owned = (vars(basis).copy(), vars(op).copy(), vars(spinor).copy())
     results = [
         basis.sigma(q), u_matrix(basis, q.flipped()), op.coef(q)[1].v, spinor.gradient(q),
@@ -265,7 +271,7 @@ def test_batch_owns_its_flip_its_per_component_view_and_its_evaluations():
     assert (vars(basis), vars(op), vars(spinor)) == owned  # no owner kept anything
     # and an owner's death drops what it evaluated on a batch that lives on
     q = Momentum(p, MASS)
-    op = AssociatedFamily(MASS, basis).spin()
+    op = AssociatedFamily(MASS).spin()
     kept = weakref.ref(op.coef(q)[1].v)
     gc.disable()
     try:
@@ -402,11 +408,11 @@ def test_appendix_b_stacks_each_batch_once(monkeypatch):
                     (13, (1, 12), False)]
 
 
-def test_appendix_b_evaluates_each_coefficient_once_per_batch(monkeypatch):
-    # the helicity and common families share one basis-free core: the jet primitives
-    # once per (family mass, batch), each member's coefficients once per batch across
-    # both bases (16 members at the draw, 13 on the oracle's stencil), and no
-    # commutator keeps an entry on a batch
+def _count_evaluations(monkeypatch, suite):
+    """Run ``suite`` at samples 1, seed 3 on fresh draws and return the (mass, batch)
+    of every jet-primitive evaluation and the (member, batch) of every member
+    coefficient evaluation; after each ``apply`` and ``mult_at``, no live batch may
+    hold an entry a commutator owns."""
     primitives, members, batches = [], [], []
     at, coef = associated._Jets.at.__wrapped__, associated._Member.coef.__wrapped__
 
@@ -425,7 +431,6 @@ def test_appendix_b_evaluates_each_coefficient_once_per_batch(monkeypatch):
         init(self)
 
     def checked(method):
-        # after each evaluation, no live batch holds an entry a commutator owns
         def run(self, *args):
             out = method(self, *args)
             owners = [
@@ -443,17 +448,35 @@ def test_appendix_b_evaluates_each_coefficient_once_per_batch(monkeypatch):
     for name in ("apply", "mult_at"):
         monkeypatch.setattr(AssociatedOperator, name, checked(vars(AssociatedOperator)[name]))
     verify._draws.cache_clear()
-    results = verify.run_suite("appendix_b", 1, 3)
+    results = verify.run_suite(suite, 1, 3)
     assert results and all(r.passed for r in results)
+    return primitives, members
+
+
+def test_appendix_b_evaluates_each_coefficient_once_per_batch(monkeypatch):
+    # one family serves both bases: the jet primitives once per (family mass,
+    # batch), each member's coefficients once per batch across both bases (16
+    # members at the draw, 13 on the oracle's stencil), and no commutator keeps an
+    # entry on a batch
+    primitives, members = _count_evaluations(monkeypatch, "appendix_b")
     assert len({(m, id(q)) for m, q in primitives}) == len(primitives) == 2
     assert {m for m, _ in primitives} == {1.0}
     assert len({(id(op), id(q)) for op, q in members}) == len(members) == 29
     assert len({id(q) for _, q in members}) == 2
 
 
+def test_associated_suite_evaluates_each_coefficient_once_per_batch(monkeypatch):
+    # the multipliers of H~, W~0, S~, S~(+), W~ and Ks~ in both bases: one set of
+    # jet primitives and each member's coefficients once, all on the suite's draw
+    primitives, members = _count_evaluations(monkeypatch, "associated")
+    assert len(primitives) == 1 and primitives[0][0] == 1.0
+    assert len({id(op) for op, _ in members}) == len(members) == 6
+    assert {id(q) for _, q in members} == {id(primitives[0][1])}
+
+
 def test_result_does_not_follow_later_writes_to_the_batch():
     # P~'s a0 is p itself: the batch holds its own copy of the caller's array
-    op, p = AssociatedFamily(MASS, CommonBasis()).momentum(), _batch(1.0)
+    op, p = AssociatedFamily(MASS).momentum(), _batch(1.0)
     q = Momentum(p, MASS)
     a0 = op.coef(q)[0].v
     saved = a0.copy()

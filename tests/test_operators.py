@@ -41,7 +41,7 @@ def cross_with_p(mats, p):
 def test_hamiltonian_basics():
     q0 = Momentum(np.zeros(3), 1.5)
     assert np.allclose(dirac_hamiltonian(q0), 1.5 * GAMMA[0])
-    q = Momentum.of(0.2, 0.7, -0.4, m=1.1)
+    q = Momentum((0.2, 0.7, -0.4), 1.1)
     hd = dirac_hamiltonian(q)
     assert np.allclose(hd, hd.conj().T)
     ev = np.sort(np.linalg.eigvalsh(hd))
@@ -116,7 +116,7 @@ def test_chakrabarti_relations():
             assert np.max(np.abs(sCh[i] @ plus - plus @ sChm[i])) < TOL
             assert np.max(np.abs(sChm[i] @ minus - minus @ sCh[i])) < TOL
     # not conserved away from the rest frame
-    qw = Momentum.of(0.7, -0.3, 0.5)
+    qw = Momentum((0.7, -0.3, 0.5))
     resid = np.max(np.abs(comm(dirac_hamiltonian(qw), chakrabarti_spin(qw)[0])))
     assert resid > 1e-6
 
@@ -168,7 +168,7 @@ def test_spin_types_rest_frame():
 
 def test_frankel_norm_unit_momentum():
     # E^2 = 2 at m=1, p=(0,0,1): squared norm (1 + 2*2)/4 = 5/4 by matrix product
-    q = Momentum.of(0, 0, 1, m=1.0)
+    q = Momentum((0, 0, 1), 1.0)
     s_fr = spin_type_operators(q)["S_Fr"]
     norm = sum(s_fr[i] @ s_fr[i] for i in range(3))
     assert np.max(np.abs(norm - 1.25 * ID4)) < TOL
@@ -239,7 +239,7 @@ def test_fradkin_good_zero_momentum_guard():
 
 
 def test_operator_catalog_shapes():
-    q = Momentum.of(0.3, -0.2, 0.6)
+    q = Momentum((0.3, -0.2, 0.6))
     comps = {"h_dirac": 1, "pryce_e_spin": 3, "pauli_lubanski": 4, "delta_x": 3}
     for name, k in comps.items():
         op = OPERATOR_CATALOG[name]

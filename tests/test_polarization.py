@@ -162,7 +162,7 @@ def test_fd_omega_at_diagonal_direction():
 
 
 def test_sigma_omega_methods():
-    q = Momentum.of(0.3, 0.1, 0.8)
+    q = Momentum((0.3, 0.1, 0.8))
     hel = make_basis("helicity")
     xi = hel.xi(q)
     assert np.allclose(hel.sigma(q), [xi.conj().T @ s @ xi for s in PAULI])

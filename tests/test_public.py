@@ -10,7 +10,6 @@ import diracmr
 from diracmr import verify
 from diracmr.algebra import Momentum
 from diracmr.associated import AssociatedFamily
-from diracmr.polarization import CommonBasis
 from diracmr.wavepacket import IsotropicProfile, PacketProfile, cone_filter, g_integral
 
 PACKAGE = Path(diracmr.__file__).parent
@@ -151,7 +150,7 @@ def _packet(m):
 INVALID = {
     "momentum_nan_mass": (lambda: Momentum(_P, math.nan), "mass must be positive"),
     "momentum_inf_mass": (lambda: Momentum(_P, math.inf), "mass must be positive"),
-    "family_nan_mass": (lambda: AssociatedFamily(math.nan, CommonBasis()), "mass must be positive"),
+    "family_nan_mass": (lambda: AssociatedFamily(math.nan), "mass must be positive"),
     "isotropic_nan_mass": (lambda: IsotropicProfile(1.0, 2.0, math.nan), "mass must be"),
     "isotropic_negative_mass": (lambda: IsotropicProfile(1.0, 2.0, -1.0), "mass must be"),
     "isotropic_inf_gamma": (lambda: IsotropicProfile(math.inf, 2.0, 1.0), "gamma and pbar"),

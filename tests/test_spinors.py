@@ -25,7 +25,7 @@ BASES = (CommonBasis(), HelicityBasis())
 
 def test_rest_spinors_structure():
     basis = CommonBasis()
-    q = Momentum.of(0.2, -0.4, 0.9)
+    q = Momentum((0.2, -0.4, 0.9))
     u0, v0 = rest_spinors(basis, q, 0.5)
     assert np.allclose(u0, np.array([1, 0, 1, 0]) / np.sqrt(2))
     assert np.allclose(GAMMA[0] @ u0, u0)
@@ -78,7 +78,7 @@ def test_orthonormality_via_boost_oracle():
 
 def test_charge_conjugation_involution():
     basis = HelicityBasis()
-    q = Momentum.of(0.7, 0.2, -0.1, m=1.1)
+    q = Momentum((0.7, 0.2, -0.1), 1.1)
     u = u_matrix(basis, q)
     assert np.allclose(CCONJ @ (CCONJ @ u.conj()).conj(), u, atol=TOL)
 
@@ -96,7 +96,7 @@ def test_projector_reconstruction():
 
 def test_mode_spinor_phases():
     basis = CommonBasis()
-    q = Momentum.of(0.3, -0.2, 0.5, m=1.3)
+    q = Momentum((0.3, -0.2, 0.5), 1.3)
     x = np.array([0.4, 0.1, -0.7])
     t = 0.9
     mode_u = ModeSpinorField(q, 0.5, basis, "U")

@@ -177,10 +177,10 @@ def test_position_dispersion_at_time_matches_associated_family():
     alpha = WaveSpinor(value, grad)
     pts = Momentum(grid.nodes, 1.0)
     val = value(pts)
-    fam = AssociatedFamily(1.0, CommonBasis())
+    fam, basis = AssociatedFamily(1.0), CommonBasis()
     for t in (0.0, 2.0, 10.0):
         got = eng.position_dispersion_at_time(t)
-        acted = fam.position(t).apply(alpha, pts)
+        acted = fam.position(t).apply(alpha, pts, basis)
         for i in range(3):
             x_alpha = acted[..., i, :]
             mean = grid.integrate(np.sum(val.conj() * x_alpha, axis=-1)).real

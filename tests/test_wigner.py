@@ -90,7 +90,7 @@ def test_d_matrix_rotations_momentum_independent():
 
 def test_identity_and_pure_translation():
     basis = CommonBasis()
-    q = Momentum.of(0.4, -0.2, 0.6)
+    q = Momentum((0.4, -0.2, 0.6))
     assert np.max(np.abs(d_matrix(ID4, q, basis) - np.eye(2))) < TOL
 
     def value(k):
@@ -133,7 +133,7 @@ def test_boost_transform_norm_on_grid():
 
 def test_block_structure_guard():
     basis = CommonBasis()
-    q = Momentum.of(0.1, 0.2, 0.3)
+    q = Momentum((0.1, 0.2, 0.3))
     bad = np.eye(4, dtype=complex)
     bad[0, 2] = 0.5  # couples the chiral blocks: not in the spinor image
     with pytest.raises(ValueError):
