@@ -90,7 +90,8 @@ def require_momentum(q, name: str) -> None:
 
 
 def memoized(fn):
-    """``fn(owner, q)`` evaluated once per momentum batch q and kept on q, read-only.
+    """``fn(owner, q)`` evaluated once per momentum batch q and kept on q as it is:
+    fn makes its arrays read-only (``read_only``) where it makes them.
 
     The entry lives while both its batch and its owner do: q holds it and the
     owner's death drops it, so a long-lived batch keeps nothing of a short-lived
@@ -108,7 +109,7 @@ def memoized(fn):
         key = (id(owner), fn)
         entry = q._evaluations.get(key)
         if entry is None:
-            value, batch = read_only(fn(owner, q)), weakref.ref(q)
+            value, batch = fn(owner, q), weakref.ref(q)
 
             def forget(_):  # the owner is gone, and with it its entries on live batches
                 live = batch()

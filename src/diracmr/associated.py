@@ -90,14 +90,14 @@ class WaveSpinor:
 
     @memoized
     def value(self, q) -> np.ndarray:
-        return np.asarray(self._fn(q), dtype=complex)
+        return read_only(np.asarray(self._fn(q), dtype=complex))
 
     @memoized
     def gradient(self, q) -> np.ndarray:
         """d alpha / d p^k, shape (..., 3, 2)."""
         if self._grad is not None:
-            return np.asarray(self._grad(q), dtype=complex)
-        return central_gradient(self.value, q, 1e-3 * q.mag)
+            return read_only(np.asarray(self._grad(q), dtype=complex))
+        return read_only(central_gradient(self.value, q, 1e-3 * q.mag))
 
 
 def gaussian_test_spinor(rng: np.random.Generator, scale: float = 1.0) -> WaveSpinor:
@@ -137,7 +137,7 @@ def _frame(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """F[(i, j), (a, b)] = conj(left_ia) right_jb, (..., 16, 4), with which
     left^+ A right = vec(A).F for every stack A (..., k, 4, 4) at once."""
     f = left.conj()[..., :, None, :, None] * right[..., None, :, None, :]
-    return f.reshape(f.shape[:-4] + (16, 4))
+    return read_only(f.reshape(f.shape[:-4] + (16, 4)))
 
 
 @memoized
@@ -164,7 +164,7 @@ def charge_conjugated(op, q: Momentum) -> np.ndarray:
     """The charge conjugate A^c(p) = C A(-p)^T C of an operator at the batch q,
     (..., k, 4, 4), exact (``charge_conjugate``); ``@memoized``, kept on q per
     operator, so the A~(-) images in every basis read one evaluation; read-only."""
-    return charge_conjugate(op(q.flipped()))
+    return read_only(charge_conjugate(op(q.flipped())))
 
 
 def matrix_elements_diag(op, q: Momentum, basis: PolarizationBasis):
@@ -655,7 +655,8 @@ def _pair_bilinears(basis: PolarizationBasis, q: Momentum) -> np.ndarray:
     One frame serves every kernel: it is ``@memoized``, kept on the batch q per
     basis, as the basis's own quantities are; read-only.
     """
-    return dagger(basis.xi(q))[..., None, :, :] @ _FRAME @ basis.eta(q.flipped())[..., None, :, :]
+    frame = dagger(basis.xi(q))[..., None, :, :] @ _FRAME @ basis.eta(q.flipped())[..., None, :, :]
+    return read_only(frame)
 
 
 def _energy(q: Momentum) -> np.ndarray:

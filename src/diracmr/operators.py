@@ -27,6 +27,7 @@ from .algebra import (
     cross,
     lorentz_boost_matrix,
     memoized,
+    read_only,
     theta_tensor,
 )
 
@@ -233,7 +234,7 @@ class FourierOperator:
 
     @memoized
     def __call__(self, q: Momentum) -> np.ndarray:
-        return self.func(q)
+        return read_only(self.func(q))
 
 
 def _scalar(fn) -> Callable[[Momentum], np.ndarray]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import ID2, PAULI, memoized
+from .algebra import ID2, PAULI, memoized, read_only
 
 EPS_POLE = 1e-9
 
@@ -79,7 +79,7 @@ class PolarizationBasis:
 
     @memoized
     def eta(self, q) -> np.ndarray:
-        return eta_from_xi(self.xi(q))
+        return read_only(eta_from_xi(self.xi(q)))
 
     @memoized
     def sigma(self, q) -> np.ndarray:
@@ -90,7 +90,8 @@ class PolarizationBasis:
         xi = self.xi(q)
         o = xi.conj()[..., :, None, :, None] * xi[..., None, :, None, :]
         uv, vu = o[..., 0, 1, :, :], o[..., 1, 0, :, :]
-        return np.stack((uv + vu, -1j * (uv - vu), o[..., 0, 0, :, :] - o[..., 1, 1, :, :]), -3)
+        sigma = np.stack((uv + vu, -1j * (uv - vu), o[..., 0, 0, :, :] - o[..., 1, 1, :, :]), -3)
+        return read_only(sigma)
 
 
 class CommonBasis(PolarizationBasis):
@@ -130,12 +131,12 @@ class HelicityBasis(PolarizationBasis):
             raise PoleError(
                 f"helicity chart singular on the -e3 ray (p+p3 = {np.min(mp3):.3e})"
             )
-        return n, den
+        return read_only(n), read_only(den)
 
     @memoized
     def xi(self, q) -> np.ndarray:
         n, den = self._checked(q)
-        return _charted_pair(n, den)
+        return read_only(_charted_pair(n, den))
 
     @memoized
     def omega(self, q) -> np.ndarray:
@@ -157,7 +158,7 @@ class HelicityBasis(PolarizationBasis):
         coef[..., 2, 0] = -c * p2
         coef[..., 2, 1] = c * p1
         coef[..., 2, 2] = 0.0
-        return (coef @ PAULI.reshape(3, 4)).reshape(p.shape[:-1] + (3, 2, 2))
+        return read_only((coef @ PAULI.reshape(3, 4)).reshape(p.shape[:-1] + (3, 2, 2)))
 
 
 def make_basis(kind: str) -> PolarizationBasis:

@@ -30,8 +30,10 @@ def sample_momenta(
     log-uniform in [lo, hi] and uniform direction.
 
     With ``avoid_poles`` directions with 1 - |n3| < ``POLE_MARGIN`` are
-    resampled, so helicity-basis evaluations at +p and -p stay far enough from
-    the chart singularities on the +/- e3 rays for finite differences to be clean.
+    resampled, so helicity-basis evaluations at +p and -p stay far from the
+    chart singularity on the -e3 ray (and, through -p, the +e3 one).  Only
+    ``appendix_b``, whose nested finite-difference oracle steps a fixed 1e-3 |p|,
+    draws this way; every other suite samples the whole sphere.
     """
     rng = make_rng(seed)
     log_lo, log_hi = np.log(lo), np.log(hi)

@@ -12,7 +12,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import CCONJ, GAMMA, Momentum, boost_for_momentum, contract, dagger, memoized
+from .algebra import (
+    CCONJ,
+    GAMMA,
+    Momentum,
+    boost_for_momentum,
+    contract,
+    dagger,
+    memoized,
+    read_only,
+)
 from .polarization import PolarizationBasis, sigma_index
 
 _TWO_PI_32 = (2.0 * np.pi) ** 1.5
@@ -48,7 +57,7 @@ def u_matrix(basis: PolarizationBasis, q: Momentum) -> np.ndarray:
     ``@memoized``: kept on the batch q per basis; read-only.
     """
     n = norm_factor(q)[..., None, None]
-    return n * boost_for_momentum(q) @ rest_u_matrix(basis, q)
+    return read_only(n * boost_for_momentum(q) @ rest_u_matrix(basis, q))
 
 
 @memoized
@@ -57,7 +66,7 @@ def v_matrix(basis: PolarizationBasis, q: Momentum) -> np.ndarray:
 
     ``@memoized``: kept on the batch q per basis; read-only.
     """
-    return CCONJ @ u_matrix(basis, q).conj()
+    return read_only(CCONJ @ u_matrix(basis, q).conj())
 
 
 def u_spinor(basis: PolarizationBasis, q: Momentum, sigma: float) -> np.ndarray:

@@ -145,7 +145,12 @@ def _sampled(
     avoid_poles: bool = False,
 ) -> Momentum:
     """The seeded momenta of ``sample_momenta`` as one batch of shape (n,),
-    drawn once per argument tuple and shared by every suite that asks."""
+    drawn once per argument tuple and shared by every suite that asks.
+
+    Every suite but ``appendix_b`` draws over the whole sphere, so the suites that
+    draw ``samples`` momenta (``kernels`` at most 40, ``wigner`` always 20) read one
+    batch per seed and mass.  ``appendix_b`` keeps ``avoid_poles``: its nested-FD
+    oracle steps a fixed 1e-3 |p|."""
     draws, key = _draws(seed, mass), (samples, lo, hi, avoid_poles)
     if key not in draws:
         momenta = sample_momenta(samples, mass, seed, lo=lo, hi=hi, avoid_poles=avoid_poles)
@@ -238,7 +243,7 @@ def suite_projectors(samples: int, seed: int, mass: float):
     rec = _Recorder("projectors")
     q0 = Momentum(np.zeros(3), mass)
     rec.add("rest_norm_factor", abs(norm_factor(q0) - 1.0), 0.0)
-    q = _sampled(samples, mass, seed, avoid_poles=True)
+    q = _sampled(samples, mass, seed)
     e = q.energy[:, None, None]
     plus, minus = _op("projector_plus", q), _op("projector_minus", q)
     plus2, minus2 = projectors_boost_form(q)
@@ -413,7 +418,7 @@ def _per_row(values: dict, rows: dict[str, slice]) -> np.ndarray:
 
 def suite_associated(samples: int, seed: int, mass: float):
     rec = _Recorder("associated")
-    q = _sampled(samples, mass, seed, avoid_poles=True)
+    q = _sampled(samples, mass, seed)
     m = q.m
     e, ec = q.energy[:, None, None], q.energy[:, None, None, None]
     off_names = (*_ADJOINT_SIGN, "pryce_e_spin")
@@ -473,9 +478,11 @@ def suite_associated(samples: int, seed: int, mass: float):
         rec.add("offdiag_adjoint_pairing", _mx(signs * dagger(pm_[:, paired]) - mp_[:, paired]))
         rec.add("pryce_spin_offdiag_vanishes", max(_mx(pm_[:, spin_rows]), _mx(mp_[:, spin_rows])))
         # covariant derivative commutes with the spin matrices; FD step
-        # matched to the scale Sigma varies on, the momentum itself (the
-        # common basis's Sigma is constant, so its stencil is exactly 0)
-        h = 1e-4 * q.mag
+        # matched to the scale the chart varies on: the momentum itself, and
+        # near the helicity chart's -e3 pole its distance |p| sqrt(2 (1 + n3))
+        # to the pole (the common basis's Sigma is constant, so its stencil is
+        # exactly 0)
+        h = 1e-4 * q.mag * np.sqrt(np.minimum(1.0, 1.0 + q.p[:, 2] / q.mag))
         om = basis.omega(q)
         oj, ok, sk = om[:, :, None], om[:, None, :], sg[:, None, :]
         # [j, k] = d_j Sigma_k and d_j Omega_k, both on one stencil batch at q's mass
@@ -543,12 +550,14 @@ def suite_appendix_b(samples: int, seed: int, mass: float):
     pointwise.  The full ledger runs in the helicity basis (nontrivial
     connection); the pointwise subset repeats in a common basis.  Momenta are
     sampled where the Gaussian test spinors are O(1) so FD residuals stay
-    meaningful.
+    meaningful, and clear of the helicity poles (``avoid_poles``): the oracle
+    steps 1e-3 |p| in every direction.
 
     The families act as ``OperatorStack``s, each check reading its own rows: the
-    three pointwise stacks and their one commutator are built once, and per basis
-    the pointwise multipliers come from one stacked ``mult_at(q, basis)`` and the
-    five pointwise commutators are blocks of the commutator's.  The oracle's 13
+    three pointwise stacks and their one commutator are built once, the
+    multipliers' stacked values and the commutator's coefficients are read once,
+    and per basis the pointwise multipliers are formed from the one and the five
+    pointwise commutators are blocks of the other's.  The oracle's 13
     families and Y~c, Y~d and S~(-) act on the test spinors in one stacked
     ``apply``, whose first spinor at the first 2 momenta is the value of the
     oracle's composite, and the same stack acts on the composite.
@@ -582,16 +591,18 @@ def suite_appendix_b(samples: int, seed: int, mass: float):
     Yc, Yd = fam.y_pryce_c(), fam.y_pryce_d()
 
     # pointwise multiplicative relations, closed-form tolerance: the multipliers
-    # from one stacked mult_at, the commutators as blocks of one stacked commutator;
-    # both bases read the same stacks
+    # of one stack, the commutators as blocks of one stacked commutator; each is read
+    # once, the commutator's coefficients (kept nowhere) formed once, and both bases'
+    # multipliers formed from them
     multipliers, left, right = (
         OperatorStack(S, Ks, W0, Wi, Yc, Yd), OperatorStack(S, Ks), OperatorStack(S, Ks, W0, Wi)
     )
     pairs = commutator(left, right)
+    mult_parts, pair_parts = multipliers._values(q), pairs.coef(q)
     for basis in (_HELICITY, _COMMON):
-        mults = multipliers.mult_at(q, basis)
+        mults = multipliers._mult(mult_parts, q, basis)
         mS, mKs, mW0, mWi, mYc, mYd = (mults[:, rows] for rows in multipliers.slices)
-        blocks = pairs.mult_at(q, basis)
+        blocks = pairs._mult(pair_parts, q, basis)
         (ls, lks), (rs, rks, rw0, rwi) = left.slices, right.slices
         eps_mS = -cross(np.eye(3), mS[:, None])
         rec.add("spin_su2_pointwise", _mx(blocks[:, ls, rs] - 1j * eps_mS))
@@ -683,7 +694,7 @@ def suite_wigner(samples: int, seed: int, mass: float):
     basis = _COMMON
     # every boost against each of the first 5 momenta: lambdas (b, 1, 4, 4)
     lams = sample_boosts(max(samples // 2, 50), seed + 2)[:, None]
-    momenta = _sampled(20, mass, seed, avoid_poles=True)
+    momenta = _sampled(20, mass, seed)
     first = Momentum(momenta.p[:5], mass)
     what, qprime = wigner_little_group(lams, first)
     w = boost_for_momentum(first.flipped()) @ lams @ boost_for_momentum(qprime)
@@ -733,7 +744,7 @@ def _grid_norm(grid: QuadratureGrid, values: np.ndarray) -> float:
 def suite_kernels(samples: int, seed: int, mass: float):
     rec = _Recorder("kernels")
     t = 0.42
-    q = _sampled(min(samples, 40), mass, seed, avoid_poles=True)
+    q = _sampled(min(samples, 40), mass, seed)
     e = q.energy
     ek = e[:, None, None, None]
     # one time per momentum; central_gradient makes the four shifted times of each

@@ -391,6 +391,36 @@ def test_appendix_b_small_momentum_near_pole(seed, mass):
     assert [r.name for r in results if not r.passed] == []
 
 
+@pytest.mark.parametrize("mass", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("gap", [1e-2, 1e-3, 1e-4])
+def test_suites_pass_with_half_the_draw_near_the_helicity_pole(monkeypatch, gap, mass):
+    # every other momentum of the draw moved to 1 + n3 = gap, at a random azimuth
+    # and its own |p|: suite_associated steps its stencil on the chart's own scale,
+    # so every line keeps its tolerance near the -e3 pole
+    draw, draws = verify.sample_momenta, []
+
+    def planted(n, m, seed, **kwargs):
+        out, rng, n3 = draw(n, m, seed, **kwargs), make_rng(seed + 99), gap - 1.0
+        for i in range(0, n, 2):
+            phi = rng.uniform(-np.pi, np.pi)
+            direction = np.array([np.cos(phi), np.sin(phi), 0.0]) * np.sqrt(1.0 - n3 * n3)
+            direction[2] = n3
+            out[i] = Momentum(np.linalg.norm(out[i].p) * direction, m)
+        draws.append(out)
+        return out
+
+    monkeypatch.setattr(verify, "sample_momenta", planted)
+    verify._draws.cache_clear()
+    try:
+        results = [
+            r for s in ("associated", "kernels", "projectors") for r in run_suite(s, 20, 7, mass)
+        ]
+    finally:
+        verify._draws.cache_clear()  # no later test reads the planted draw
+    assert len(draws) == 1
+    assert [(r.suite, r.name, r.residual / r.tol) for r in results if not r.passed] == []
+
+
 def _composite(op, spinor, basis):
     """Per-operator reference: the action of ``op`` on ``spinor`` in ``basis`` as a wave
     spinor whose gradient is a finite difference of that action, component axis first."""

@@ -35,6 +35,7 @@ from diracmr.associated import (
     _diag_frame,
     _offdiag_frame,
     _pair_bilinears,
+    charge_conjugated,
     commutator,
     gaussian_test_spinor,
 )
@@ -102,6 +103,7 @@ OWNERS = {
     "pair_frame": (make_basis, _pair_bilinears),
     "diag_frames": (make_basis, _diag_frame),
     "offdiag_frames": (make_basis, _offdiag_frame),
+    "charge_conjugated": (_fresh_operator("h_dirac"), charge_conjugated),
     **{
         f"operator_{name}": (_fresh_operator(name), lambda op, q: op(q))
         for name in OPERATOR_CATALOG
@@ -573,14 +575,13 @@ IDENTITIES = (
 
 
 def test_identities_suites_draw_and_evaluate_each_batch_once(monkeypatch):
-    # seven of the eight suites draw momenta, two distinct draws between them
-    # (with and without avoid_poles); the Pryce(e) spin is read at three batches
-    # (p of each draw and -p of the avoid_poles one) and the mode spinors in two
-    # bases at p and -p of the avoid_poles draw: each is one evaluation.  H_D and
-    # the Pryce(c) spin are read only through their entries (by N, Pi+/-, the spin
-    # types and the C-parity check too): the Pryce(c) spin at three batches and
-    # H_D at six (the two draws, -p of the avoid_poles one, pryce_spin's FD subset
-    # and witness, spin_types' per-component view), each exactly once
+    # seven of the eight suites draw momenta, all of them one draw; the Pryce(e)
+    # spin is read at two batches (p and -p of the draw) and the mode spinors in
+    # two bases at p and -p: each is one evaluation.  H_D and the Pryce(c) spin are
+    # read only through their entries (by N, Pi+/-, the spin types and the
+    # C-parity check too): the Pryce(c) spin at two batches and H_D at five (p and
+    # -p of the draw, pryce_spin's FD subset and witness, spin_types'
+    # per-component view), each exactly once
     draws, modes = [], []
     entry_logs = {"pryce_e_spin": [], "h_dirac": [], "pc_spin": []}
     direct = []
@@ -610,8 +611,8 @@ def test_identities_suites_draw_and_evaluate_each_batch_once(monkeypatch):
                 monkeypatch.setattr(module, fn, counted(direct, original))
     monkeypatch.setattr(verify, "sample_momenta", counted_draw)
     monkeypatch.setattr(spinors, "rest_u_matrix", counted_rest_u)
-    # the helicity chart is checked at p and -p of the avoid_poles draw and on the one
-    # stencil batch from which suite_associated differentiates both Sigma and Omega
+    # the helicity chart is checked at p and -p of the draw and on the one stencil
+    # batch from which suite_associated differentiates both Sigma and Omega
     charts, checked = [], HelicityBasis._checked.__wrapped__
 
     def counted_checked(basis, q):
@@ -623,14 +624,14 @@ def test_identities_suites_draw_and_evaluate_each_batch_once(monkeypatch):
     for suite in IDENTITIES:
         results = verify.run_suite(suite, 20, 11, 0.5)
         assert results and all(r.passed for r in results)
-    assert len(draws) == 2
+    assert len(draws) == 1
     assert len(modes) == len(set(modes)) == 4
     assert len(charts) == len(set(charts)) == 3
     assert not direct
     spins, h, pc = entry_logs["pryce_e_spin"], entry_logs["h_dirac"], entry_logs["pc_spin"]
-    assert len(spins) == len(set(spins)) == 3
-    assert len(pc) == len(set(pc)) == 3
-    assert len(h) == len(set(h)) == 6
+    assert len(spins) == len(set(spins)) == 2
+    assert len(pc) == len(set(pc)) == 2
+    assert len(h) == len(set(h)) == 5
 
 
 def test_suites_make_every_batch_at_the_mass_asked(monkeypatch):

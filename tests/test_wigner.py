@@ -144,11 +144,22 @@ def test_block_structure_guard():
         wigner_transform(WaveSpinor(lambda k: k.p[..., :2]), bad, np.zeros(4), basis).value(q)
 
 
-def test_wigner_suite_d_unitary_near_pole_seed():
+def test_wigner_suite_d_unitary_near_pole_seed(monkeypatch):
     # this seed transports a momentum to within 2e-4 of the helicity pole
-    from diracmr.verify import run_suite
+    from diracmr import verify
 
-    (d_unitary,) = [r for r in run_suite("wigner", 20, 1000 + 16 * 7919) if r.name == "d_unitary"]
+    transported = []
+
+    def recorded(lam, q):
+        what, qprime = wigner_little_group(lam, q)
+        transported.append(1.0 + qprime.p[..., 2] / qprime.mag)
+        return what, qprime
+
+    monkeypatch.setattr(verify, "wigner_little_group", recorded)
+    verify._draws.cache_clear()
+    results = verify.run_suite("wigner", 20, 1000 + 16 * 7919)
+    assert min(np.min(gap) for gap in transported) <= 2e-4
+    (d_unitary,) = [r for r in results if r.name == "d_unitary"]
     assert d_unitary.residual <= 1e-13
 
 
