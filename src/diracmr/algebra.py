@@ -84,23 +84,32 @@ def read_only(x):
 
 def require_momentum(q, name: str) -> None:
     """Refuse anything but a ``Momentum`` batch as the momentum argument of ``name``:
-    an array (..., 3) carries no mass.  Every function of a momentum checks this way."""
+    an array (..., 3) carries no mass.  ``memoized`` checks every batch this way, in
+    the name of the function it wraps, so the memoized functions of a batch alone
+    (``boost_for_momentum``, ``theta_tensor``, ``lorentz_boost_matrix``,
+    ``foldy_wouthuysen``, ``operators.projectors`` and ``operators.auxiliary_spins``)
+    need no check of their own."""
     if not isinstance(q, Momentum):
         raise TypeError(f"{name} takes a batch Momentum(p, m), not {type(q).__name__}")
 
 
 def memoized(fn):
-    """``fn(owner, q)`` evaluated once per momentum batch q and kept on q as it is:
-    fn makes its arrays read-only (``read_only``) where it makes them.
+    """``fn(owner, q)``, or ``fn(q)`` of the batch alone, evaluated once per
+    momentum batch q and kept on q as it is: fn makes its arrays read-only
+    (``read_only``) where it makes them.
 
     The entry lives while both its batch and its owner do: q holds it and the
     owner's death drops it, so a long-lived batch keeps nothing of a short-lived
-    owner and an owner's id names no other owner meanwhile.  ``fn`` gets q itself,
-    so the memoized quantities it reads of q are kept on q too.  q is a
+    owner and an owner's id names no other owner meanwhile.  A function of the
+    batch alone is its own owner: a module's functions of a momentum (the boost,
+    Theta, L_p, the FW transformation, the projectors and the Theta-contracted
+    spins) are each one evaluation per batch for every caller.  ``fn`` gets q
+    itself, so the memoized quantities it reads of q are kept on q too.  q is a
     ``Momentum`` and nothing else: an array (..., 3) carries no mass, so it raises
-    ``TypeError`` and no batch is made for it.  A batch that raises keeps nothing,
-    so it raises again.
+    ``TypeError`` naming ``fn`` and no batch is made for it.  A batch that raises
+    keeps nothing, so it raises again.
     """
+    alone = fn.__code__.co_argcount - len(fn.__defaults__ or ()) == 1  # fn(q)
 
     @functools.wraps(fn)
     def cached(owner, q):
@@ -109,7 +118,7 @@ def memoized(fn):
         key = (id(owner), fn)
         entry = q._evaluations.get(key)
         if entry is None:
-            value, batch = fn(owner, q), weakref.ref(q)
+            value, batch = fn(q) if alone else fn(owner, q), weakref.ref(q)
 
             def forget(_):  # the owner is gone, and with it its entries on live batches
                 live = batch()
@@ -119,6 +128,8 @@ def memoized(fn):
             entry = q._evaluations[key] = (weakref.ref(owner, forget), value)
         return entry[1]
 
+    if alone:
+        return functools.wraps(fn)(lambda q: cached(fn, q))
     return cached
 
 
@@ -285,45 +296,48 @@ class Momentum:
 G0G = GAMMA[0] @ GAMMA[1:]  # gamma^0 gamma^i, i = 1..3
 
 
+@memoized
 def boost_for_momentum(q: Momentum) -> np.ndarray:
     """Standard boost l_p = (E + m + gamma^0 gamma.p) / sqrt(2m(E+m)), (..., 4, 4).
 
     Hermitian, with l_p^-1 = l_{-p} and l_p^2 = (E + gamma^0 gamma.p)/m.
+    ``@memoized``: one evaluation per batch; read-only.
     """
-    require_momentum(q, "boost_for_momentum")
     e, m = q.energy[..., None, None], q.m
-    return ((e + m) * ID4 + contract(q.p, G0G)) / np.sqrt(2.0 * m * (e + m))
+    return read_only(((e + m) * ID4 + contract(q.p, G0G)) / np.sqrt(2.0 * m * (e + m)))
 
 
+@memoized
 def lorentz_boost_matrix(q: Momentum) -> np.ndarray:
-    """Vector-representation boost L_p taking (m,0,0,0) to (E,p), (..., 4, 4)."""
-    require_momentum(q, "lorentz_boost_matrix")
+    """Vector-representation boost L_p taking (m,0,0,0) to (E,p), (..., 4, 4);
+    ``@memoized``, read-only."""
     L = np.empty(q.p.shape[:-1] + (4, 4))
     L[..., 0, 0] = q.energy / q.m
     L[..., 0, 1:] = L[..., 1:, 0] = q.p / q.m
     L[..., 1:, 1:] = theta_tensor(q)[0]
-    return L
+    return read_only(L)
 
 
+@memoized
 def theta_tensor(q: Momentum) -> tuple[np.ndarray, np.ndarray]:
     """Space block of L_p and its 3x3 inverse, each (..., 3, 3).
 
     Theta_ij = delta_ij + p^i p^j / (m(E+m)),
-    Theta^-1_ij = delta_ij - p^i p^j / (E(E+m)).
+    Theta^-1_ij = delta_ij - p^i p^j / (E(E+m)).  ``@memoized``; read-only.
     """
-    require_momentum(q, "theta_tensor")
     e, m = q.energy[..., None, None], q.m
     pp = q.p[..., :, None] * q.p[..., None, :]
     theta = np.eye(3) + pp / (m * (e + m))
     theta_inv = np.eye(3) - pp / (e * (e + m))
-    return theta, theta_inv
+    return read_only((theta, theta_inv))
 
 
+@memoized
 def foldy_wouthuysen(q: Momentum) -> np.ndarray:
-    """Unitary transformation (E + m + gamma.p)/sqrt(2E(E+m)) diagonalising H_D."""
-    require_momentum(q, "foldy_wouthuysen")
+    """Unitary transformation (E + m + gamma.p)/sqrt(2E(E+m)) diagonalising H_D;
+    ``@memoized``, read-only."""
     e, m = q.energy[..., None, None], q.m
-    return ((e + m) * ID4 + contract(q.p, GAMMA[1:])) / np.sqrt(2.0 * e * (e + m))
+    return read_only(((e + m) * ID4 + contract(q.p, GAMMA[1:])) / np.sqrt(2.0 * e * (e + m)))
 
 
 def lorentz_of(lam: np.ndarray) -> np.ndarray:

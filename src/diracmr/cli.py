@@ -12,8 +12,9 @@ placed before the command line's: they pass the same checks, and a flag wins.
 
 Each command imports the package modules it runs inside its own body, and
 the ``--suite`` and ``--name`` choices are read on first use, so ``figures``
-and ``packet`` load only ``wavepacket`` (and ``algebra``), and ``kernel``
-only ``associated`` and what it imports.
+and ``packet`` load only ``wavepacket`` (and ``algebra``), ``kernel`` only
+``associated`` and what it imports, and ``verify`` loads ``wavepacket`` only
+for the ``wigner`` suite.
 """
 
 from __future__ import annotations

@@ -44,10 +44,12 @@ def dirac_hamiltonian(q: Momentum) -> np.ndarray:
     return q.m * GAMMA[0] + contract(q.p, G0G)
 
 
+@memoized
 def projectors(q: Momentum) -> tuple[np.ndarray, np.ndarray]:
-    """Frequency projectors Pi_+/- = (1 +/- N)/2, N read from its catalog entry."""
+    """Frequency projectors Pi_+/- = (1 +/- N)/2, N read from its catalog entry;
+    ``@memoized``, read-only."""
     nd = OPERATOR_CATALOG["n_op"](q)[..., 0, :, :]
-    return 0.5 * (ID4 + nd), 0.5 * (ID4 - nd)
+    return read_only((0.5 * (ID4 + nd), 0.5 * (ID4 - nd)))
 
 
 def projectors_boost_form(q: Momentum) -> tuple[np.ndarray, np.ndarray]:
@@ -84,10 +86,11 @@ def chakrabarti_spin(q: Momentum) -> np.ndarray:
 
 
 def pryce_e_spin_sandwich(q: Momentum) -> np.ndarray:
-    """Projector form S_i = s_i(p) Pi_+(p) + s_i(-p) Pi_-(p); cross-check path."""
+    """Projector form S_i = s_i(p) Pi_+(p) + s_i(-p) Pi_-(p); cross-check path,
+    with s_i(+-p) read from the memoized ``OPERATOR_CATALOG`` entry."""
     plus, minus = projectors(q)
-    sp = chakrabarti_spin(q)
-    sm = chakrabarti_spin(q.flipped())
+    sp = OPERATOR_CATALOG["chakrabarti"](q)
+    sm = OPERATOR_CATALOG["chakrabarti"](q.flipped())
     return sp @ plus[..., None, :, :] + sm @ minus[..., None, :, :]
 
 
@@ -118,24 +121,25 @@ def position_offset_from_boost_derivative(q: Momentum) -> np.ndarray:
     def nl(k: Momentum) -> np.ndarray:  # n(p) l_p on the stencil batch
         return _scalars(np.sqrt(k.m / k.energy), 2) * boost_for_momentum(k)
 
-    def dx_at(qq: Momentum) -> np.ndarray:
-        lp_inv = boost_for_momentum(qq.flipped())[..., None, :, :]
-        n = _scalars(np.sqrt(qq.m / qq.energy))
-        return -1j / n * central_gradient(nl, qq, 1e-5) @ lp_inv
-
+    # dx at p and at -p, from one stencil batch at both
+    both = Momentum(np.stack((q.p, -q.p)), q.m)
+    lp_inv = boost_for_momentum(both.flipped())[..., None, :, :]
+    n = _scalars(np.sqrt(both.m / both.energy))
+    dx, dx_flipped = -1j / n * central_gradient(nl, both, 1e-5) @ lp_inv
     plus, minus = projectors(q)
-    return dx_at(q) @ plus[..., None, :, :] - dx_at(q.flipped()) @ minus[..., None, :, :]
+    return dx @ plus[..., None, :, :] - dx_flipped @ minus[..., None, :, :]
 
 
+@memoized
 def auxiliary_spins(q: Momentum) -> tuple[np.ndarray, np.ndarray]:
     """Theta-contracted spins S^(+)_i = Theta_ij S_j and S^(-)_i = Theta^-1_ij S_j,
-    with S read from the memoized ``OPERATOR_CATALOG`` entry."""
+    with S read from the memoized ``OPERATOR_CATALOG`` entry; ``@memoized``, read-only."""
     s = OPERATOR_CATALOG["pryce_e_spin"](q)
     theta, theta_inv = theta_tensor(q)
-    return (
+    return read_only((
         np.einsum("...ij,...jab->...iab", theta, s),
         np.einsum("...ij,...jab->...iab", theta_inv, s),
-    )
+    ))
 
 
 def frankel_spin(q: Momentum) -> np.ndarray:
@@ -212,12 +216,17 @@ def decompose_diag_osc(a: np.ndarray, q: Momentum) -> tuple[np.ndarray, ...]:
     """Projector-sandwich split A = A^(+) + A^(-) + A^(+-) + A^(-+).
 
     ``a`` broadcasts against Pi_+/- (..., 4, 4), read from the memoized
-    ``OPERATOR_CATALOG`` entries.  For Hermitian A the off-diagonal parts are
-    mutual adjoints; the diagonal parts commute with H_D while [H_D, A^(+-)] = 2E A^(+-).
+    ``OPERATOR_CATALOG`` entries.  Pi_+ A and Pi_- A are formed once each, so the
+    four parts take 6 products, not 8, with the bits of ``plus @ a @ plus`` (which
+    numpy forms left to right) and its kin.  The products stay on matmul: unlike
+    2x2 stacks (``associated._mul``), at 4x4 no broadcast form is faster.  For
+    Hermitian A the off-diagonal parts are mutual adjoints; the
+    diagonal parts commute with H_D while [H_D, A^(+-)] = 2E A^(+-).
     """
     plus = OPERATOR_CATALOG["projector_plus"](q)[..., 0, :, :]
     minus = OPERATOR_CATALOG["projector_minus"](q)[..., 0, :, :]
-    return (plus @ a @ plus, minus @ a @ minus, plus @ a @ minus, minus @ a @ plus)
+    pa, ma = plus @ a, minus @ a
+    return (pa @ plus, ma @ minus, pa @ minus, ma @ plus)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import ID2, PAULI, memoized, read_only
+from .algebra import ID2, PAULI, contract, memoized, read_only
 
 EPS_POLE = 1e-9
 
@@ -141,7 +141,8 @@ class HelicityBasis(PolarizationBasis):
     @memoized
     def omega(self, q) -> np.ndarray:
         """Closed-form Omega_i(p), shape (..., 3, 2, 2): the coefficients of
-        Omega_i along (sigma_1, sigma_2, sigma_3), contracted with PAULI."""
+        Omega_i along (sigma_1, sigma_2, sigma_3), contracted with PAULI in one
+        ``np.dot`` over the whole batch (``contract``)."""
         _, den = self._checked(q)
         p, mag = q.p, q.mag
         mp3 = mag * den
@@ -158,7 +159,7 @@ class HelicityBasis(PolarizationBasis):
         coef[..., 2, 0] = -c * p2
         coef[..., 2, 1] = c * p1
         coef[..., 2, 2] = 0.0
-        return read_only((coef @ PAULI.reshape(3, 4)).reshape(p.shape[:-1] + (3, 2, 2)))
+        return read_only(contract(coef, PAULI))
 
 
 def make_basis(kind: str) -> PolarizationBasis:

@@ -54,10 +54,12 @@ def norm_factor(q: Momentum) -> np.ndarray:
 def u_matrix(basis: PolarizationBasis, q: Momentum) -> np.ndarray:
     """Boosted particle spinors u_sigma(p) = n(p) l_p u_ring_sigma(p), as columns.
 
-    ``@memoized``: kept on the batch q per basis; read-only.
+    ``@memoized``: kept on the batch q per basis; read-only.  The rest spinors come
+    first: a basis that raises on q (a pole) raises before l_p is kept on q, so
+    the batch keeps nothing and raises again.
     """
-    n = norm_factor(q)[..., None, None]
-    return read_only(n * boost_for_momentum(q) @ rest_u_matrix(basis, q))
+    n, rest = norm_factor(q)[..., None, None], rest_u_matrix(basis, q)
+    return read_only(n * boost_for_momentum(q) @ rest)
 
 
 @memoized

@@ -53,6 +53,7 @@ from .associated import (
     KernelTable,
     OperatorStack,
     WaveSpinor,
+    _mul,
     _tiles,
     charge_conjugated,
     commutator,
@@ -79,7 +80,6 @@ from .operators import (
 from .polarization import CommonBasis, HelicityBasis
 from .sampling import make_rng, sample_boosts, sample_momenta
 from .spinors import dirac_residuals, norm_factor, projector_from_spinors, u_matrix, v_matrix
-from .wavepacket import QuadratureGrid
 
 TOL_EXACT = DEFAULT_IDENTITY_TOL
 TOL_FD = 1e-6
@@ -483,16 +483,18 @@ def suite_associated(samples: int, seed: int, mass: float):
         # to the pole (the common basis's Sigma is constant, so its stencil is
         # exactly 0)
         h = 1e-4 * q.mag * np.sqrt(np.minimum(1.0, 1.0 + q.p[:, 2] / q.mag))
+        # the 2x2 products [j, k] of Omega_j with Sigma_k and Omega_k are broadcast
+        # products (``_mul``): matmul walks such stacks one matrix at a time
         om = basis.omega(q)
         oj, ok, sk = om[:, :, None], om[:, None, :], sg[:, None, :]
         # [j, k] = d_j Sigma_k and d_j Omega_k, both on one stencil batch at q's mass
         d_sigma, d_omega = np.moveaxis(
             central_gradient(lambda k: np.stack((basis.sigma(k), basis.omega(k)), -4), q, h), -4, 0
         )
-        rec.add("covariant_derivative_kills_sigma", _mx(d_sigma + oj @ sk - sk @ oj), TOL_FD)
+        rec.add("covariant_derivative_kills_sigma", _mx(d_sigma + _mul(oj, sk) - _mul(sk, oj)), TOL_FD)
         # the connection is pure gauge: F_jk = d_j O_k - d_k O_j + [O_j, O_k]
         # vanishes; |p|^2 makes the residual scale-free, since Omega ~ 1/|p|
-        curv = d_omega - np.swapaxes(d_omega, 1, 2) + oj @ ok - ok @ oj
+        curv = d_omega - np.swapaxes(d_omega, 1, 2) + _mul(oj, ok) - _mul(ok, oj)
         rec.add("connection_flat", _mx(q.mag[:, None, None, None, None] ** 2 * curv), TOL_FD)
     # the declared C-parities, the source of every *_sign line: relative to the
     # entry's size at +-p, so the check is the same at every mass; one pass over all
@@ -690,6 +692,8 @@ def suite_wigner(samples: int, seed: int, mass: float):
 
     On 48x12x24, sqrt(E'/E) dropped, squared or raised to 0.999 misses by 9e-2,
     6e-2 and 8e-5."""
+    from .wavepacket import QuadratureGrid  # only this suite integrates on a grid
+
     rec = _Recorder("wigner")
     basis = _COMMON
     # every boost against each of the first 5 momenta: lambdas (b, 1, 4, 4)

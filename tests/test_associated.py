@@ -559,6 +559,24 @@ def test_matvec_is_the_matrix_product(mats, vecs):
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize(
+    "left, right",
+    [
+        ((20, 3, 1, 2, 2), (20, 1, 3, 2, 2)),  # suite_associated's Omega_j by Sigma_k, Omega_k
+        ((20, 1, 3, 2, 2), (20, 3, 1, 2, 2)),
+    ],
+)
+def test_mul_is_the_matrix_product(left, right):
+    rng = make_rng(12)
+    a = rng.standard_normal(left) + 1j * rng.standard_normal(left)
+    b = rng.standard_normal(right) + 1j * rng.standard_normal(right)
+    want = a @ b
+    got = associated._mul(a, b)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    # the bound of test_matvec_is_the_matrix_product, for the same reason
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
 def test_stacked_and_constant_are_the_aligned_and_broadcast_views():
     fam = AssociatedFamily(0.7)
     q = verify._sampled(6, 0.7, 5, lo=0.05, hi=2.0, avoid_poles=True)

@@ -419,3 +419,12 @@ def test_commands_import_only_the_modules_they_run():
     loaded = _loaded_modules(command, "kernel", "--name", "delta_x_osc")
     assert "associated" in loaded and not loaded & {"verify", "sampling", "wavepacket"}, loaded
     assert _loaded_modules("import diracmr") == {"diracmr"}
+
+
+def test_verify_loads_wavepacket_only_for_wigner():
+    # the wigner suite alone integrates on a quadrature grid
+    command = "from diracmr.cli import main; main()"
+    loaded = _loaded_modules(command, "verify", "--suite", "clifford")
+    assert "verify" in loaded and "wavepacket" not in loaded, loaded
+    loaded = _loaded_modules(command, "verify", "--suite", "wigner", "--samples", "2")
+    assert {"verify", "wavepacket"} <= loaded, loaded

@@ -87,6 +87,17 @@ def _gradient(spinor, q):
     return spinor.gradient(q)
 
 
+def _alone(fn, q):
+    return fn(q)
+
+
+# the functions of a batch alone: each is its own owner
+ALONE = (
+    boost_for_momentum, theta_tensor, lorentz_boost_matrix, foldy_wouthuysen,
+    operators.projectors, operators.auxiliary_spins,
+)
+
+
 # quantity -> (fresh owner in a basis kind, evaluation on an owner at a batch q)
 OWNERS = {
     "xi": (make_basis, lambda b, q: b.xi(q)),
@@ -104,6 +115,7 @@ OWNERS = {
     "diag_frames": (make_basis, _diag_frame),
     "offdiag_frames": (make_basis, _offdiag_frame),
     "charge_conjugated": (_fresh_operator("h_dirac"), charge_conjugated),
+    **{f"batch_{fn.__name__}": (lambda kind, fn=fn: fn, _alone) for fn in ALONE},
     **{
         f"operator_{name}": (_fresh_operator(name), lambda op, q: op(q))
         for name in OPERATOR_CATALOG
@@ -151,8 +163,8 @@ def _refusing():
             yield f"{kind}-{meth}", getattr(basis, meth)
     basis, spinor = HelicityBasis(), gaussian_test_spinor(make_rng(3))
     yield "u_matrix", functools.partial(u_matrix, basis)
-    # the functions of a momentum kept on no batch run the same check
-    for fn in (theta_tensor, boost_for_momentum, lorentz_boost_matrix, foldy_wouthuysen):
+    # the functions of a batch alone run the same check
+    for fn in ALONE:
         yield fn.__name__, fn
     yield "kernel", lambda q: KERNEL_CATALOG["delta_x_osc"](q, 0.1, basis)
     yield "kernel_table", lambda q: KernelTable(tuple(KERNEL_CATALOG.values()), q, basis)
@@ -181,6 +193,14 @@ def test_an_array_is_refused_and_no_batch_is_made(function, monkeypatch):
         with pytest.raises(TypeError, match=r"Momentum\(p, m\)"):
             REFUSING[function](bare)
     assert not made
+
+
+@pytest.mark.parametrize("fn", ALONE, ids=lambda fn: fn.__name__)
+def test_a_function_of_the_batch_alone_refuses_an_array_in_its_own_name(fn):
+    # the message names the function, not the memo's wrapper
+    message = rf"^{fn.__wrapped__.__name__} takes a batch Momentum\(p, m\), not ndarray$"
+    with pytest.raises(TypeError, match=message):
+        fn(_batch(1.0))
 
 
 @pytest.mark.parametrize("ratio", (1e-6, 1.0, 1e6))
@@ -669,3 +689,71 @@ def test_sampled_batch_is_drawn_once_and_read_only():
     del q
     verify._sampled(20, 0.5, 12)
     assert ref() is None
+
+
+def test_identities_form_each_function_of_a_batch_once_per_batch(monkeypatch):
+    # one identities operation: each function of a batch alone evaluates once per
+    # distinct batch (l_p on 7, Theta and L_p on 2, the FW transformation on 3, the
+    # projectors on 4 and the Theta-contracted spins on 2); the projector form of the
+    # Pryce(e) spin reads s_i(+-p) from the Chakrabarti entry and adds no evaluation
+    # of chakrabarti_spin
+    logs = {fn.__name__: [] for fn in ALONE}
+    modules = [m for name, m in sys.modules.items() if name.startswith("diracmr")]
+    for fn in ALONE:
+        log, raw = logs[fn.__name__], fn.__wrapped__
+
+        def counted(q, log=log, raw=raw):
+            log.append(q)  # kept alive, so no two batches share an id
+            return raw(q)
+
+        for module in modules:  # every binding in the package
+            if vars(module).get(fn.__name__) is fn:
+                monkeypatch.setattr(module, fn.__name__, memoized(counted))
+    direct, chakrabarti = [], operators.chakrabarti_spin
+    monkeypatch.setattr(operators, "chakrabarti_spin", lambda q: direct.append(q) or chakrabarti(q))
+    verify._draws.cache_clear()
+    for suite in IDENTITIES:
+        results = verify.run_suite(suite, 20, 11, 0.5)
+        assert results and all(r.passed for r in results)
+    counts = {name: len({id(q) for q in log}) for name, log in logs.items()}
+    assert all(len(log) == counts[name] for name, log in logs.items()), logs
+    assert counts == {
+        "boost_for_momentum": 7, "theta_tensor": 2, "lorentz_boost_matrix": 2,
+        "foldy_wouthuysen": 3, "projectors": 4, "auxiliary_spins": 2,
+    }
+    assert not direct
+
+
+class _Products(np.ndarray):
+    """An array that counts the matrix products it takes part in, the products
+    formed of it included."""
+
+    count = 0
+
+    def __matmul__(self, other):
+        _Products.count += 1
+        return super().__matmul__(other)
+
+    def __rmatmul__(self, other):
+        _Products.count += 1
+        return super().__rmatmul__(other)
+
+
+def test_projector_split_forms_six_products(monkeypatch):
+    # Pi+ A and Pi- A are formed once each: six products per split, at each of the
+    # identities operation's four splits
+    counts, split = [], operators.decompose_diag_osc
+
+    def counted(a, q):
+        _Products.count = 0
+        parts = split(np.asarray(a).view(_Products), q)
+        counts.append(_Products.count)
+        assert _same_bits(tuple(np.asarray(x) for x in parts), split(a, q))
+        return parts
+
+    monkeypatch.setattr(verify, "decompose_diag_osc", counted)
+    verify._draws.cache_clear()
+    for suite in IDENTITIES:
+        results = verify.run_suite(suite, 20, 11, 0.5)
+        assert results and all(r.passed for r in results)
+    assert counts == [6, 6, 6, 6]
